@@ -22,7 +22,14 @@
 #                     write-path benches BenchmarkWrite (legacy record
 #                     encoder vs column-native encoder) and
 #                     BenchmarkGenerateDay (record-writer vs columnar
-#                     generation) + BenchmarkIngest (streaming WAL
+#                     generation; since the planner's spatial index its
+#                     one-day campaigns are mostly world build) + the
+#                     generation hot path: paired BenchmarkNearestDistrict
+#                     (linear scan of the district centres vs the exact
+#                     geo.NearestIndex, with an index_speedup_x metric)
+#                     and BenchmarkPlanDay (a population-day of mobility
+#                     planning through a worker Scratch, 0 allocs/op)
+#                     + BenchmarkIngest (streaming WAL
 #                     append and whole-day seal cycle) + BenchmarkQuery
 #                     (ad-hoc /query serving: indexed point lookup,
 #                     windowed slice, cold/cached paths, parallel load
@@ -30,11 +37,15 @@
 #                     -benchmem, written to $(BENCH_OUT)
 #   make alloc-check  assert the steady-state batch scan loop and the
 #                     v2 column encode path allocate nothing per block
-#                     (internal/trace allocation tests)
+#                     (internal/trace allocation tests), and that a
+#                     UE-day of mobility planning through a warm worker
+#                     Scratch allocates nothing (internal/mobility)
 #   make profile      generate a campaign (once) and run telcoanalyze
 #                     under -cpuprofile/-memprofile, so perf work starts
 #                     from a pprof, not a guess; tune PROFILE_EXP/
-#                     PROFILE_DIR/PROFILE_ARGS
+#                     PROFILE_DIR/PROFILE_ARGS (telcogen takes the same
+#                     two flags, and its summary line splits generation
+#                     wall time into world build / simulate / sort+encode)
 #   make fuzz-smoke   30s of FuzzDecodeBlock on the v2 block decoder
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
@@ -112,7 +123,7 @@
 GO ?= go
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1
 BENCH_OUT ?= BENCH_out.txt
-BENCH_PATTERN ?= BenchmarkScanSharded|BenchmarkScan$$|BenchmarkRunAll|BenchmarkRefresh|BenchmarkWrite|BenchmarkGenerateDay|BenchmarkIngest|BenchmarkQuery|BenchmarkOverload
+BENCH_PATTERN ?= BenchmarkScanSharded|BenchmarkScan$$|BenchmarkRunAll|BenchmarkRefresh|BenchmarkWrite|BenchmarkGenerateDay|BenchmarkNearestDistrict|BenchmarkPlanDay|BenchmarkIngest|BenchmarkQuery|BenchmarkOverload
 PROFILE_DIR ?= profile-campaign
 PROFILE_EXP ?= table5
 PROFILE_ARGS ?=
@@ -164,11 +175,12 @@ bench-baseline: bench-gate-run
 
 # Steady-state allocation check: decoding a block into a ColumnBatch (or
 # record batch), encoding a block from columnar or record-batch ingest,
-# and the pooled scan loop must not allocate per block.
+# and the pooled scan loop must not allocate per block; planning a
+# UE-day through a warm mobility.Scratch must not allocate at all.
 # The tests are built out under -race (the detector skews allocation
 # counts), so this is a separate non-race invocation.
 alloc-check:
-	$(GO) test -run 'SteadyStateAllocs|SteadyStateBlockAllocs' -count 1 ./internal/trace/
+	$(GO) test -run 'SteadyStateAllocs|SteadyStateBlockAllocs' -count 1 ./internal/trace/ ./internal/mobility/
 
 # Profile an experiment end to end. The campaign is generated once and
 # reused; delete $(PROFILE_DIR) to regenerate.

@@ -20,7 +20,10 @@ import (
 	"telcolens/internal/analysis"
 	"telcolens/internal/causes"
 	"telcolens/internal/devices"
+	"telcolens/internal/geo"
 	"telcolens/internal/ingest"
+	"telcolens/internal/mobility"
+	"telcolens/internal/randx"
 	"telcolens/internal/simulate"
 	"telcolens/internal/stats"
 	"telcolens/internal/topology"
@@ -939,6 +942,143 @@ func BenchmarkGenerateDay(b *testing.B) {
 			b.ReportMetric(dRec.Seconds()/dCol.Seconds(), "column_speedup_x")
 		}
 	})
+}
+
+// plannerBenchWorld builds, once, the default world (320 districts, 2400
+// sites, 4000 UEs) the generation hot-path benches plan over.
+var (
+	plannerBenchOnce sync.Once
+	plannerBenchDS   *simulate.Dataset
+	plannerBenchErr  error
+)
+
+func plannerBenchWorld(b *testing.B) *simulate.Dataset {
+	plannerBenchOnce.Do(func() {
+		cfg := simulate.DefaultConfig(7)
+		cfg.UEs = 4000
+		plannerBenchDS, plannerBenchErr = simulate.BuildWorld(cfg)
+	})
+	if plannerBenchErr != nil {
+		b.Fatal(plannerBenchErr)
+	}
+	return plannerBenchDS
+}
+
+// linearNearestDistrict is the planner's former inner loop — a scan of
+// every district centre under geo.DistanceKm, first minimum wins — kept
+// here as the baseline arm (and as a check that the index agrees).
+func linearNearestDistrict(centers []geo.Point, pt geo.Point) int {
+	best, bestD := 0, math.Inf(1)
+	for i, c := range centers {
+		if d := geo.DistanceKm(pt, c); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// BenchmarkNearestDistrict pairs the two ways of answering the mobility
+// planner's per-excursion-step question, "which district centre is
+// nearest to this waypoint": the linear scan against the exact spatial
+// index (geo.NearestIndex). Waypoints are drawn like the planner's —
+// points along the line between two sites. One op is a sweep over all
+// 8192 waypoints (the gate runs benches at -benchtime 2x, so an op has
+// to be milliseconds, not nanoseconds); ns/query is reported beside it.
+// The speedup arm interleaves the two and checks they agree.
+func BenchmarkNearestDistrict(b *testing.B) {
+	ds := plannerBenchWorld(b)
+	centers := make([]geo.Point, len(ds.Country.Districts))
+	for i, d := range ds.Country.Districts {
+		centers[i] = d.Center
+	}
+	index := geo.NewNearestIndex(centers)
+	rng := rand.New(rand.NewSource(7))
+	waypoints := make([]geo.Point, 8192)
+	for i := range waypoints {
+		from := ds.Network.Sites[rng.Intn(len(ds.Network.Sites))].Loc
+		to := ds.Network.Sites[rng.Intn(len(ds.Network.Sites))].Loc
+		f := rng.Float64()
+		waypoints[i] = geo.Point{Lat: from.Lat + (to.Lat-from.Lat)*f, Lon: from.Lon + (to.Lon-from.Lon)*f}
+	}
+	var sink int
+	sweepLinear := func() {
+		for _, q := range waypoints {
+			sink += linearNearestDistrict(centers, q)
+		}
+	}
+	sweepIndexed := func() {
+		for _, q := range waypoints {
+			sink += index.Nearest(q)
+		}
+	}
+	perQuery := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(waypoints)), "ns/query")
+	}
+	b.Run("linear", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sweepLinear()
+		}
+		perQuery(b)
+	})
+	b.Run("indexed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sweepIndexed()
+		}
+		perQuery(b)
+	})
+	b.Run("speedup", func(b *testing.B) {
+		var dLin, dIdx time.Duration
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			sweepLinear()
+			dLin += time.Since(start)
+			start = time.Now()
+			sweepIndexed()
+			dIdx += time.Since(start)
+		}
+		for _, q := range waypoints {
+			if got, want := index.Nearest(q), linearNearestDistrict(centers, q); got != want {
+				b.Fatalf("index answers %d for %v, linear scan %d", got, q, want)
+			}
+		}
+		if dIdx > 0 {
+			b.ReportMetric(dLin.Seconds()/dIdx.Seconds(), "index_speedup_x")
+		}
+	})
+	_ = sink
+}
+
+// BenchmarkPlanDay measures mobility planning — the generation hot
+// path's largest share — through a worker Scratch, as simulate drives
+// it. One op plans a day for each of the 4000 UEs. With -benchmem it
+// must report 0 allocs/op (the hard assertion is
+// TestPlanDaySteadyStateAllocs in `make alloc-check`).
+func BenchmarkPlanDay(b *testing.B) {
+	ds := plannerBenchWorld(b)
+	planner, err := mobility.NewPlanner(ds.Country, ds.Network)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := randx.New(1)
+	var scratch mobility.Scratch
+	moves := 0
+	planAll := func(day int) {
+		for i := range ds.Population.UEs {
+			ue := &ds.Population.UEs[i]
+			moves += len(planner.PlanDay(r, ue, ds.Population.Model(ue), day, &scratch).Moves)
+		}
+	}
+	for day := 0; day < 3; day++ {
+		planAll(day) // grow the scratch to steady state
+	}
+	moves = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		planAll(i % 28)
+	}
+	b.ReportMetric(float64(b.N*ds.Population.Len())/b.Elapsed().Seconds(), "UE-days/s")
+	b.ReportMetric(float64(moves)/b.Elapsed().Seconds(), "moves/s")
 }
 
 // ingestBenchData synthesizes one study day of ingest-shaped records as

@@ -13,7 +13,8 @@
 //	telcogen -out ./campaign -append 1        # extend the campaign by a day
 //	telcogen -out ./campaign -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Generation reports a records/s summary on completion, and the
+// Generation reports a records/s summary on completion, with wall time
+// split into world build / simulate / sort+encode, and the
 // -cpuprofile/-memprofile flags (parity with telcoanalyze) capture pprof
 // profiles of the generate → encode pipeline, so write-path perf work
 // starts from a profile rather than a guess.
@@ -169,8 +170,7 @@ func run(out string, seed uint64, ues, days, sites, districts, shards int, rareB
 	fmt.Printf("done in %s: %d handover records over %d days (%d sites, %d sectors, %d UEs)\n",
 		time.Since(start).Round(time.Millisecond), total, days,
 		len(ds.Network.Sites), len(ds.Network.Sectors), ds.Population.Len())
-	fmt.Printf("generated %.0f records/s (world build + simulation + columnar encode)\n",
-		float64(total)/genElapsed.Seconds())
+	fmt.Printf("generated %.0f records/s (%s)\n", float64(total)/genElapsed.Seconds(), stageSplit(ds.Timings))
 	fmt.Printf("wrote %s/, %s and %s/manifest.json\n", out, censusPath, out)
 	return nil
 }
@@ -236,9 +236,15 @@ func appendDays(dir string, n int, opts trace.FileStoreOptions) error {
 	elapsed := time.Since(start)
 	fmt.Printf("done in %s: %d handover records over days %d..%d; manifest updated\n",
 		elapsed.Round(time.Millisecond), added, from, ds.Config.Days-1)
-	fmt.Printf("appended %.0f records/s (simulation + columnar encode)\n",
-		float64(added)/elapsed.Seconds())
+	fmt.Printf("appended %.0f records/s (%s)\n", float64(added)/elapsed.Seconds(), stageSplit(ds.Timings))
 	return nil
+}
+
+// stageSplit renders where generation wall time went, so a slow run
+// names its stage before anyone reaches for a profiler.
+func stageSplit(t simulate.GenTimings) string {
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	return fmt.Sprintf("world build %s, simulate %s, sort+encode %s", ms(t.World), ms(t.Simulate), ms(t.Encode))
 }
 
 // discardOrphanDays removes partitions beyond the campaign manifest's

@@ -197,8 +197,16 @@ type server struct {
 	// lastGen is the trace-manifest generation the serving state is
 	// synced to; the poll loop refreshes whenever the store moves past
 	// it. It only advances on success, so a failed warm-up or refresh is
-	// retried on the next poll.
+	// retried on the next poll. It is always a generation read before
+	// the campaign was loaded (loadCampaign), never after: what was
+	// loaded covers at least that generation, so a day sealed while a
+	// refresh is running leaves the store ahead of lastGen and is
+	// picked up by the next one.
 	lastGen uint64
+	// afterLoad, when set (tests), runs right after a refresh has loaded
+	// the campaign — the window in which a concurrent seal used to be
+	// marked served without having been loaded.
+	afterLoad func()
 
 	started        time.Time
 	refreshes      int64
@@ -343,6 +351,18 @@ func manifestGen(store telcolens.Store) uint64 {
 	return m.Gen
 }
 
+// loadCampaign loads the campaign in dir together with the store
+// generation read before the load — the only generation the loaded
+// state is known to cover (the store may move at any time after).
+func loadCampaign(dir string) (*telcolens.Dataset, uint64, error) {
+	var gen uint64
+	if store, err := trace.NewFileStore(dir); err == nil {
+		gen = manifestGen(store)
+	}
+	ds, err := telcolens.Load(dir)
+	return ds, gen, err
+}
+
 // refresh reloads the campaign and brings the serving state up to date:
 // checkpoint the current analyzer, resume it against the reloaded
 // dataset, Refresh (scanning only new partitions), re-render, swap. On
@@ -355,9 +375,12 @@ func (s *server) refresh(ctx context.Context) error {
 	old := s.cur
 	s.mu.RUnlock()
 
-	ds, err := telcolens.Load(s.dir)
+	ds, gen, err := loadCampaign(s.dir)
 	if err != nil {
 		return fmt.Errorf("reloading campaign: %w", err)
+	}
+	if s.afterLoad != nil {
+		s.afterLoad()
 	}
 	var a *telcolens.Analyzer
 	fullRescan := false
@@ -379,7 +402,6 @@ func (s *server) refresh(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("refreshing: %w", err)
 	}
-	gen := manifestGen(ds.Store)
 	if res.PartitionsScanned == 0 && !res.FullRescan && ds.Config.Days == old.days {
 		// Nothing new to merge — usually a mid-append poll (some shards
 		// of a day landed, the day is incomplete). Skip the re-render and
@@ -392,6 +414,7 @@ func (s *server) refresh(ctx context.Context) error {
 			s.lastGen = gen
 			s.mu.Unlock()
 		}
+		s.pokeIfMoved(ds.Store, gen)
 		return nil
 	}
 	next, warmOK := build(ctx, a, ds, gen)
@@ -415,6 +438,7 @@ func (s *server) refresh(ctx context.Context) error {
 	log.Printf("refresh: %d partitions merged (full rescan: %v), %d days, %d artifacts, took %s",
 		res.PartitionsScanned, fullRescan || res.FullRescan, res.Days, len(next.order),
 		time.Since(start).Round(time.Millisecond))
+	s.pokeIfMoved(ds.Store, gen)
 	return nil
 }
 
@@ -427,10 +451,21 @@ func (s *server) poke() {
 	}
 }
 
+// pokeIfMoved wakes the watch loop when the store has moved past gen,
+// the generation a refresh or bootstrap just marked as served. The store
+// may move while either runs (a day sealing, another shard landing);
+// poking on the way out makes the rest visible now rather than at the
+// next poll tick.
+func (s *server) pokeIfMoved(store telcolens.Store, gen uint64) {
+	if manifestGen(store) != gen {
+		s.poke()
+	}
+}
+
 // bootstrap brings a pending server live once the campaign descriptor
 // exists: load, cold scan, serve.
 func (s *server) bootstrap(ctx context.Context) error {
-	ds, err := telcolens.Load(s.dir)
+	ds, gen, err := loadCampaign(s.dir)
 	if err != nil {
 		return err
 	}
@@ -438,7 +473,6 @@ func (s *server) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	gen := manifestGen(ds.Store)
 	snap, warmOK := build(ctx, a, ds, gen)
 	s.mu.Lock()
 	s.cur = snap
@@ -449,6 +483,7 @@ func (s *server) bootstrap(ctx context.Context) error {
 	s.mu.Unlock()
 	s.saveCheckpoint(a)
 	log.Printf("campaign bootstrapped: %d days, %d artifacts", snap.days, len(snap.order))
+	s.pokeIfMoved(ds.Store, gen)
 	return nil
 }
 
@@ -841,7 +876,7 @@ func run(cfg serveConfig) error {
 		s.ing = svc
 	}
 
-	ds, err := telcolens.Load(cfg.dir)
+	ds, gen, err := loadCampaign(cfg.dir)
 	switch {
 	case err == nil:
 		var a *telcolens.Analyzer
@@ -868,7 +903,6 @@ func run(cfg serveConfig) error {
 		start := time.Now()
 		log.Printf("warming analysis state for %s (%d days, resumed checkpoint: %v)...",
 			cfg.dir, ds.Config.Days, resumed)
-		gen := manifestGen(ds.Store)
 		snap, warmOK := build(ctx, a, ds, gen)
 		s.cur = snap
 		if warmOK {

@@ -11,6 +11,7 @@ package corenet
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"telcolens/internal/causes"
 	"telcolens/internal/census"
@@ -69,6 +70,22 @@ type ElementStats struct {
 	SRVCCAttempts int64
 }
 
+func (s *ElementStats) add(o ElementStats) {
+	s.Handovers += o.Handovers
+	s.Failures += o.Failures
+	s.Messages += o.Messages
+	s.SRVCCAttempts += o.SRVCCAttempts
+}
+
+// Accounting is the signaling load one caller of ExecuteHO has put on the
+// three core elements and not yet merged into the EPC's totals. Each
+// generation worker owns one: handovers account into it without touching
+// memory any other worker writes, and Merge folds it into the element
+// Stats when the worker's batch is done.
+type Accounting struct {
+	MME, SGSN, MSC ElementStats
+}
+
 // MME is the Mobility Management Entity: every captured handover crosses it.
 type MME struct{ Stats ElementStats }
 
@@ -112,10 +129,14 @@ var baseFailure = map[ho.Type]float64{
 var vendorFailMult = [4]float64{1.0, 1.12, 2.0, 1.06}
 
 // EPC is the simulated 4G/5G-NSA core with its attached legacy elements.
+// ExecuteHO is safe for concurrent use as long as every goroutine passes
+// its own Accounting; the element Stats hold what has been Merged so far.
 type EPC struct {
 	MME  MME
 	SGSN SGSN
 	MSC  MSC
+
+	statsMu sync.Mutex // guards the three element Stats in Merge
 
 	net     *topology.Network
 	country *census.Country
@@ -218,13 +239,13 @@ type Outcome struct {
 	Result     trace.Result
 	Cause      causes.Code
 	DurationMs float64
-	Sequence   []Message
+	Sequence   []Message // shared and read-only: do not modify
 }
 
 // ExecuteHO runs the full handover procedure for one trigger and returns
-// its outcome. The supplied Rand must be the caller's deterministic
-// per-UE stream.
-func (e *EPC) ExecuteHO(r *randx.Rand, req HORequest) Outcome {
+// its outcome, charging its signaling load to acct (see Merge). The
+// supplied Rand must be the caller's deterministic per-UE stream.
+func (e *EPC) ExecuteHO(r *randx.Rand, req HORequest, acct *Accounting) Outcome {
 	hoType := e.selectHOType(r, req)
 	targetRAT := hoType.TargetRAT()
 	target := e.selectTargetSector(r, req, targetRAT)
@@ -253,8 +274,20 @@ func (e *EPC) ExecuteHO(r *randx.Rand, req HORequest) Outcome {
 		out.DurationMs = r.LogNormalMedP95(med[0], med[1])
 		out.Sequence = successSequence(hoType, req.VoiceActive)
 	}
-	e.account(req, hoType, &out)
+	acct.charge(req, hoType, &out)
 	return out
+}
+
+// Merge folds acct into the element Stats and zeroes it. Integer sums
+// commute, so the totals do not depend on how handovers were spread over
+// Accountings or in which order those are merged.
+func (e *EPC) Merge(acct *Accounting) {
+	e.statsMu.Lock()
+	e.MME.Stats.add(acct.MME)
+	e.SGSN.Stats.add(acct.SGSN)
+	e.MSC.Stats.add(acct.MSC)
+	e.statsMu.Unlock()
+	*acct = Accounting{}
 }
 
 // selectHOType decides horizontal vs vertical per the sector's area type,
@@ -302,16 +335,27 @@ func pickSectorOfRAT(r *randx.Rand, net *topology.Network, site *topology.Site, 
 	if site == nil || !site.HasRAT(rat) {
 		return nil
 	}
-	var candidates []topology.SectorID
+	// Uniform over the site's sectors of that RAT, in Site.Sectors order:
+	// count them, draw once, walk to the drawn one — no candidate slice.
+	n := 0
 	for _, sid := range site.Sectors {
 		if net.Sector(sid).RAT == rat {
-			candidates = append(candidates, sid)
+			n++
 		}
 	}
-	if len(candidates) == 0 {
+	if n == 0 {
 		return nil
 	}
-	return net.Sector(candidates[r.Intn(len(candidates))])
+	k := r.Intn(n)
+	for _, sid := range site.Sectors {
+		if sec := net.Sector(sid); sec.RAT == rat {
+			if k == 0 {
+				return sec
+			}
+			k--
+		}
+	}
+	return nil
 }
 
 // failureProbability composes the calibrated multipliers: HO type base ×
@@ -334,44 +378,69 @@ func (e *EPC) failureProbability(req HORequest, t ho.Type) float64 {
 	return math.Min(p, 0.95)
 }
 
-func (e *EPC) account(req HORequest, t ho.Type, out *Outcome) {
-	e.MME.Stats.Handovers++
-	e.MME.Stats.Messages += int64(len(out.Sequence))
+func (a *Accounting) charge(req HORequest, t ho.Type, out *Outcome) {
+	a.MME.Handovers++
+	a.MME.Messages += int64(len(out.Sequence))
 	if out.Result == trace.Failure {
-		e.MME.Stats.Failures++
+		a.MME.Failures++
 	}
 	if t != ho.Intra {
-		e.SGSN.Stats.Handovers++
-		e.SGSN.Stats.Messages += int64(len(out.Sequence))
+		a.SGSN.Handovers++
+		a.SGSN.Messages += int64(len(out.Sequence))
 		if out.Result == trace.Failure {
-			e.SGSN.Stats.Failures++
+			a.SGSN.Failures++
 		}
 		if req.VoiceActive {
-			e.MSC.Stats.SRVCCAttempts++
-			e.MSC.Stats.Messages += 2
+			a.MSC.SRVCCAttempts++
+			a.MSC.Messages += 2
 		}
 	}
 }
 
-// successSequence is the full message exchange of a completed handover.
-func successSequence(t ho.Type, voice bool) []Message {
-	if t == ho.Intra {
-		return []Message{
-			MeasurementReport, HandoverRequired, HandoverRequest,
-			HandoverRequestAck, RRCReconfiguration, RACHAccess,
-			HandoverConfirm, PathSwitchRequest, ReleaseResource,
-		}
+// The message exchanges, one shared read-only slice per distinct
+// procedure: Outcome.Sequence aliases them, so executing a handover
+// allocates no sequence. Callers must not modify a Sequence.
+var (
+	seqIntraSuccess = []Message{
+		MeasurementReport, HandoverRequired, HandoverRequest,
+		HandoverRequestAck, RRCReconfiguration, RACHAccess,
+		HandoverConfirm, PathSwitchRequest, ReleaseResource,
 	}
-	seq := []Message{
+	seqVerticalSuccess = []Message{
 		MeasurementReport, HandoverRequired, ForwardRelocationRequest,
 		ForwardRelocationResponse,
+		RRCReconfiguration, RACHAccess, HandoverConfirm,
+		ForwardRelocationComplete, ReleaseResource,
 	}
-	if voice {
-		seq = append(seq, PSToCSRequest, PSToCSResponse)
+	seqSRVCCSuccess = []Message{
+		MeasurementReport, HandoverRequired, ForwardRelocationRequest,
+		ForwardRelocationResponse, PSToCSRequest, PSToCSResponse,
+		RRCReconfiguration, RACHAccess, HandoverConfirm,
+		ForwardRelocationComplete, ReleaseResource,
 	}
-	seq = append(seq, RRCReconfiguration, RACHAccess, HandoverConfirm,
-		ForwardRelocationComplete, ReleaseResource)
-	return seq
+
+	seqRejected          = []Message{MeasurementReport, HandoverRequired}
+	seqIntraAdmission    = []Message{MeasurementReport, HandoverRequired, HandoverRequest}
+	seqVerticalAdmission = []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest}
+	seqSRVCCPreparation  = []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest, PSToCSRequest, PSToCSResponse}
+	seqNoComplete        = []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest, ForwardRelocationResponse,
+		RRCReconfiguration, RACHAccess}
+	seqSRVCCNoComplete = []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest, ForwardRelocationResponse,
+		PSToCSRequest, PSToCSResponse, RRCReconfiguration, RACHAccess}
+	seqIntraMidway    = []Message{MeasurementReport, HandoverRequired, HandoverRequest, HandoverRequestAck}
+	seqVerticalMidway = []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest, ForwardRelocationResponse}
+)
+
+// successSequence is the full message exchange of a completed handover.
+func successSequence(t ho.Type, voice bool) []Message {
+	switch {
+	case t == ho.Intra:
+		return seqIntraSuccess
+	case voice:
+		return seqSRVCCSuccess
+	default:
+		return seqVerticalSuccess
+	}
 }
 
 // failureSequence truncates the procedure at the point where each cause
@@ -381,24 +450,23 @@ func successSequence(t ho.Type, voice bool) []Message {
 func failureSequence(t ho.Type, cause causes.Code, voice bool) []Message {
 	switch cause {
 	case 3, 6:
-		return []Message{MeasurementReport, HandoverRequired}
+		return seqRejected
 	case 4:
 		if t == ho.Intra {
-			return []Message{MeasurementReport, HandoverRequired, HandoverRequest}
+			return seqIntraAdmission
 		}
-		return []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest}
+		return seqVerticalAdmission
 	case 7:
-		return []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest, PSToCSRequest, PSToCSResponse}
+		return seqSRVCCPreparation
 	case 8:
-		seq := []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest, ForwardRelocationResponse}
 		if voice {
-			seq = append(seq, PSToCSRequest, PSToCSResponse)
+			return seqSRVCCNoComplete
 		}
-		return append(seq, RRCReconfiguration, RACHAccess)
+		return seqNoComplete
 	default:
 		if t == ho.Intra {
-			return []Message{MeasurementReport, HandoverRequired, HandoverRequest, HandoverRequestAck}
+			return seqIntraMidway
 		}
-		return []Message{MeasurementReport, HandoverRequired, ForwardRelocationRequest, ForwardRelocationResponse}
+		return seqVerticalMidway
 	}
 }

@@ -3,6 +3,7 @@ package corenet
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"telcolens/internal/causes"
@@ -19,6 +20,7 @@ type world struct {
 	net     *topology.Network
 	catalog *devices.Catalog
 	epc     *EPC
+	acct    Accounting // what the test's handovers charged, unmerged
 }
 
 func buildWorld(t testing.TB, cfg Config) *world {
@@ -43,7 +45,7 @@ func buildWorld(t testing.TB, cfg Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{country, net, catalog, epc}
+	return &world{country: country, net: net, catalog: catalog, epc: epc}
 }
 
 // smartphoneModel finds a 5G-capable smartphone model for request stubs.
@@ -93,7 +95,7 @@ func TestExecuteHOBasics(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		site := topology.SiteID(r.Intn(len(w.net.Sites)))
 		req := requestAt(w, site, model)
-		out := w.epc.ExecuteHO(r, req)
+		out := w.epc.ExecuteHO(r, req, &w.acct)
 		if w.net.Sector(out.Target) == nil {
 			t.Fatal("outcome targets unknown sector")
 		}
@@ -116,8 +118,56 @@ func TestExecuteHOBasics(t *testing.T) {
 			t.Fatal("procedure must start with a measurement report")
 		}
 	}
+	if w.epc.MME.Stats.Handovers != 0 {
+		t.Fatalf("MME totals moved before Merge: %d", w.epc.MME.Stats.Handovers)
+	}
+	w.epc.Merge(&w.acct)
 	if w.epc.MME.Stats.Handovers != 2000 {
 		t.Fatalf("MME saw %d handovers", w.epc.MME.Stats.Handovers)
+	}
+	if w.acct != (Accounting{}) {
+		t.Fatalf("Merge left the accounting non-zero: %+v", w.acct)
+	}
+}
+
+// TestAccountingPerWorkerMerge is the generation pattern under -race:
+// workers execute handovers concurrently, each charging its own
+// Accounting, and merge when done. The element totals must equal one
+// caller's totals for the same handovers.
+func TestAccountingPerWorkerMerge(t *testing.T) {
+	w := buildWorld(t, Config{})
+	model := smartphoneModel(t, w.catalog)
+	const workers, perWorker = 4, 500
+	run := func(worker int, acct *Accounting) {
+		r := randx.New(uint64(worker) + 1)
+		for i := 0; i < perWorker; i++ {
+			req := requestAt(w, topology.SiteID(r.Intn(len(w.net.Sites))), model)
+			req.VoiceActive = i%3 == 0
+			w.epc.ExecuteHO(r, req, acct)
+		}
+	}
+	var want Accounting
+	for k := 0; k < workers; k++ {
+		run(k, &want)
+	}
+
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			var acct Accounting
+			run(k, &acct)
+			w.epc.Merge(&acct)
+		}(k)
+	}
+	wg.Wait()
+	got := Accounting{MME: w.epc.MME.Stats, SGSN: w.epc.SGSN.Stats, MSC: w.epc.MSC.Stats}
+	if got != want {
+		t.Fatalf("merged totals %+v, single-caller totals %+v", got, want)
+	}
+	if got.MME.Handovers != workers*perWorker {
+		t.Fatalf("MME saw %d handovers", got.MME.Handovers)
 	}
 }
 
@@ -140,7 +190,7 @@ func TestVerticalShareCalibration(t *testing.T) {
 		dist := dc.Sample(r)
 		sites := w.net.SitesInDistrict(dist)
 		site := sites[r.Intn(len(sites))]
-		out := w.epc.ExecuteHO(r, requestAt(w, site, model))
+		out := w.epc.ExecuteHO(r, requestAt(w, site, model), &w.acct)
 		counts[out.Type]++
 	}
 	intra := float64(counts[ho.Intra]) / n
@@ -207,7 +257,7 @@ func TestFailureRatesByHOType(t *testing.T) {
 	}
 	for i := 0; i < 400000 && (totals[ho.To2G] < 2000 || totals[ho.Intra] < 30000); i++ {
 		site := ruralSites[r.Intn(len(ruralSites))]
-		out := w.epc.ExecuteHO(r, requestAt(w, site, model))
+		out := w.epc.ExecuteHO(r, requestAt(w, site, model), &w.acct)
 		totals[out.Type]++
 		if out.Result == trace.Failure {
 			fails[out.Type]++
@@ -242,7 +292,7 @@ func TestSuccessDurationMedians(t *testing.T) {
 	}
 	for i := 0; i < 120000; i++ {
 		site := sites[r.Intn(len(sites))]
-		out := w.epc.ExecuteHO(r, requestAt(w, site, model))
+		out := w.epc.ExecuteHO(r, requestAt(w, site, model), &w.acct)
 		if out.Result == trace.Success {
 			durations[out.Type] = append(durations[out.Type], out.DurationMs)
 		}
@@ -321,7 +371,7 @@ func TestQuirkRaisesFailures(t *testing.T) {
 		fails := 0
 		for i := 0; i < 60000; i++ {
 			site := topology.SiteID(r.Intn(len(w.net.Sites)))
-			out := w.epc.ExecuteHO(r, requestAt(w, site, m))
+			out := w.epc.ExecuteHO(r, requestAt(w, site, m), &w.acct)
 			if out.Result == trace.Failure {
 				fails++
 			}
@@ -344,8 +394,9 @@ func TestMSCSeesSRVCC(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		req := requestAt(w, sites[r.Intn(len(sites))], model)
 		req.VoiceActive = true
-		w.epc.ExecuteHO(r, req)
+		w.epc.ExecuteHO(r, req, &w.acct)
 	}
+	w.epc.Merge(&w.acct)
 	if w.epc.MSC.Stats.SRVCCAttempts == 0 {
 		t.Fatal("MSC never saw SRVCC attempts despite rural voice handovers")
 	}
@@ -385,6 +436,6 @@ func BenchmarkExecuteHO(b *testing.B) {
 	req := requestAt(w, 0, model)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.epc.ExecuteHO(r, req)
+		_ = w.epc.ExecuteHO(r, req, &w.acct)
 	}
 }

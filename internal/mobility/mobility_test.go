@@ -142,7 +142,7 @@ func TestPlanDayBasicInvariants(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		ue := &w.pop.UEs[i%w.pop.Len()]
 		model := w.pop.Model(ue)
-		plan := w.planner.PlanDay(r, ue, model, i%28)
+		plan := w.planner.PlanDay(r, ue, model, i%28, nil)
 		var prev time.Duration = -1
 		cur := ue.HomeSite
 		for _, mv := range plan.Moves {
@@ -174,7 +174,7 @@ func TestMobilityMetricsByDeviceType(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		ue := &w.pop.UEs[i%w.pop.Len()]
 		model := w.pop.Model(ue)
-		plan := w.planner.PlanDay(r, ue, model, 2) // a Wednesday
+		plan := w.planner.PlanDay(r, ue, model, 2, nil) // a Wednesday
 		// Distinct sites visited as a proxy for distinct sectors (each
 		// site visit lands on a sector of that site).
 		distinct := map[topology.SiteID]bool{}
@@ -230,7 +230,7 @@ func TestWeekendReducesMoves(t *testing.T) {
 		for i := 0; i < 800; i++ {
 			ue := &w.pop.UEs[i%w.pop.Len()]
 			model := w.pop.Model(ue)
-			total += len(w.planner.PlanDay(r, ue, model, day).Moves)
+			total += len(w.planner.PlanDay(r, ue, model, day, nil).Moves)
 		}
 		return total
 	}
@@ -257,7 +257,7 @@ func TestVisitsOfWeights(t *testing.T) {
 	r := randx.New(3)
 	model := w.pop.Model(ue)
 	for day := 0; day < 5; day++ {
-		plan := w.planner.PlanDay(r, ue, model, day)
+		plan := w.planner.PlanDay(r, ue, model, day, nil)
 		visits := w.planner.VisitsOf(plan, ue.HomeSite)
 		var sum float64
 		for _, v := range visits {
@@ -286,7 +286,7 @@ func TestHighSpeedTravelsFar(t *testing.T) {
 	model := w.pop.Model(ue)
 	maxG := 0.0
 	for day := 0; day < 5; day++ {
-		plan := w.planner.PlanDay(r, ue, model, day)
+		plan := w.planner.PlanDay(r, ue, model, day, nil)
 		g := geo.RadiusOfGyrationKm(w.planner.VisitsOf(plan, ue.HomeSite))
 		if g > maxG {
 			maxG = g
@@ -306,10 +306,12 @@ func TestPlannerErrors(t *testing.T) {
 func BenchmarkPlanDay(b *testing.B) {
 	w := buildWorld(b)
 	r := randx.New(1)
+	var scratch Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ue := &w.pop.UEs[i%w.pop.Len()]
 		model := w.pop.Model(ue)
-		_ = w.planner.PlanDay(r, ue, model, i%28)
+		_ = w.planner.PlanDay(r, ue, model, i%28, &scratch)
 	}
 }

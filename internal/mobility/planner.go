@@ -3,7 +3,7 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"telcolens/internal/census"
@@ -25,6 +25,15 @@ type Move struct {
 // DayPlan is a UE's movement for one day, with moves in time order.
 type DayPlan struct {
 	Moves []Move
+}
+
+// Scratch is the reusable memory of PlanDay. A generation worker keeps
+// one and passes it to every call, which then allocates nothing in
+// steady state; the returned plan's Moves alias the scratch and are
+// valid until the next PlanDay with the same Scratch.
+type Scratch struct {
+	offsets []time.Duration
+	moves   []Move
 }
 
 // classParams defines per-mobility-class trajectory behaviour.
@@ -52,12 +61,21 @@ var typeRate = map[devices.DeviceType]float64{
 }
 
 // Planner synthesizes daily movement over the deployed site graph.
+//
+// Its geometry is precomputed once: every district centre and site is
+// tabulated as a geo.TrigPoint, so the haversines of a UE-day do no
+// location-side trigonometry, and the "nearest district centre" query
+// of every excursion step goes through an exact geo.NearestIndex
+// instead of a scan of all centres. Both reproduce geo.DistanceKm to
+// the bit, so plans are unchanged (TestPlanDayMatchesLinearOracle).
 type Planner struct {
 	net     *topology.Network
 	country *census.Country
 
-	districtCenters []geo.Point
 	districtWeights []float64
+	districtTrig    []geo.TrigPoint // by district ID
+	districtIndex   *geo.NearestIndex
+	siteTrig        []geo.TrigPoint // by SiteID
 }
 
 // NewPlanner builds a Planner for the given country and deployment.
@@ -66,34 +84,46 @@ func NewPlanner(country *census.Country, net *topology.Network) (*Planner, error
 		return nil, fmt.Errorf("mobility: nil country or network")
 	}
 	p := &Planner{net: net, country: country}
-	p.districtCenters = make([]geo.Point, len(country.Districts))
+	centers := make([]geo.Point, len(country.Districts))
 	p.districtWeights = make([]float64, len(country.Districts))
+	p.districtTrig = make([]geo.TrigPoint, len(country.Districts))
 	for i, d := range country.Districts {
-		p.districtCenters[i] = d.Center
+		centers[i] = d.Center
 		p.districtWeights[i] = float64(d.Population)
+		p.districtTrig[i] = geo.NewTrigPoint(d.Center)
+	}
+	p.districtIndex = geo.NewNearestIndex(centers)
+	p.siteTrig = make([]geo.TrigPoint, len(net.Sites))
+	for i := range net.Sites {
+		p.siteTrig[i] = geo.NewTrigPoint(net.Sites[i].Loc)
 	}
 	return p, nil
 }
 
 // PlanDay generates the UE's movement for the given study day. The UE
 // starts each day at its home site (multi-day trips are abstracted away;
-// the paper's mobility metrics are daily).
-func (p *Planner) PlanDay(r *randx.Rand, ue *subscribers.UE, model *devices.Model, day int) DayPlan {
+// the paper's mobility metrics are daily). A nil Scratch allocates a
+// fresh one.
+func (p *Planner) PlanDay(r *randx.Rand, ue *subscribers.UE, model *devices.Model, day int, s *Scratch) DayPlan {
 	params := classTable[ue.Class]
 	rate := params.meanMoves * typeRate[model.Type] * DailyVolumeFactor(day) * model.Quirk.HOMult
 	n := r.Poisson(rate)
 	if n == 0 {
 		return DayPlan{}
 	}
+	if s == nil {
+		s = new(Scratch)
+	}
 
 	// Draw move times from the diurnal profile, then walk the site graph.
-	offsets := make([]time.Duration, n)
+	offsets := slices.Grow(s.offsets[:0], n)[:n]
 	for i := range offsets {
 		offsets[i] = SampleOffset(r, day)
 	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+	slices.Sort(offsets)
+	s.offsets = offsets
 
-	moves := make([]Move, 0, n)
+	moves := slices.Grow(s.moves[:0], n)
 	cur := ue.HomeSite
 
 	// Excursion anchor for classes that leave home: a remote site the
@@ -118,6 +148,7 @@ func (p *Planner) PlanDay(r *randx.Rand, ue *subscribers.UE, model *devices.Mode
 		moves = append(moves, Move{Offset: off, From: cur, To: next})
 		cur = next
 	}
+	s.moves = moves
 	return DayPlan{Moves: moves}
 }
 
@@ -138,7 +169,7 @@ func (p *Planner) neighborStep(r *randx.Rand, cur topology.SiteID) topology.Site
 
 // pickExcursionSite selects the day's destination for commuting/trips.
 func (p *Planner) pickExcursionSite(r *randx.Rand, ue *subscribers.UE, params classParams) (topology.SiteID, bool) {
-	homeLoc := p.net.Site(ue.HomeSite).Loc
+	home := p.siteTrig[ue.HomeSite]
 	targetKm := r.LogNormal(math.Log(params.jumpKm), 0.6)
 
 	if !params.crossDist {
@@ -149,10 +180,10 @@ func (p *Planner) pickExcursionSite(r *randx.Rand, ue *subscribers.UE, params cl
 			return 0, false
 		}
 		best := sites[r.Intn(len(sites))]
-		bestMismatch := math.Abs(geo.DistanceKm(homeLoc, p.net.Site(best).Loc) - targetKm)
+		bestMismatch := math.Abs(geo.DistanceTrigKm(home, p.siteTrig[best]) - targetKm)
 		for attempt := 0; attempt < 11; attempt++ {
 			cand := sites[r.Intn(len(sites))]
-			m := math.Abs(geo.DistanceKm(homeLoc, p.net.Site(cand).Loc) - targetKm)
+			m := math.Abs(geo.DistanceTrigKm(home, p.siteTrig[cand]) - targetKm)
 			if m < bestMismatch {
 				best, bestMismatch = cand, m
 			}
@@ -164,14 +195,14 @@ func (p *Planner) pickExcursionSite(r *randx.Rand, ue *subscribers.UE, params cl
 	// the mismatch between their distance and the target trip length.
 	// The home district competes on equal terms (short trips stay home).
 	score := func(cand int) float64 {
-		d := geo.DistanceKm(homeLoc, p.districtCenters[cand])
+		d := geo.DistanceTrigKm(home, p.districtTrig[cand])
 		mismatch := math.Abs(d-targetKm) / (targetKm + 1)
 		return p.districtWeights[cand] / (1 + 10*mismatch*mismatch)
 	}
 	best := ue.HomeDistrict
 	bestScore := score(best)
 	for attempt := 0; attempt < 12; attempt++ {
-		cand := r.Intn(len(p.districtCenters))
+		cand := r.Intn(len(p.districtTrig))
 		if s := score(cand); s > bestScore {
 			best, bestScore = cand, s
 		}
@@ -206,8 +237,7 @@ func (p *Planner) excursionStep(r *randx.Rand, ue *subscribers.UE, cur, excursio
 	// Find a site near the target point: nearest district center, then a
 	// random site within it, preferring neighbors of the current site
 	// when they get us closer.
-	distID := p.nearestDistrict(target)
-	sites := p.net.SitesInDistrict(distID)
+	sites := p.net.SitesInDistrict(p.districtIndex.Nearest(target))
 	if len(sites) == 0 {
 		return p.neighborStep(r, cur)
 	}
@@ -215,10 +245,11 @@ func (p *Planner) excursionStep(r *randx.Rand, ue *subscribers.UE, cur, excursio
 	// Small refinement: among a few candidates, pick the one closest to
 	// the target point so routes look continuous.
 	best := cand
-	bestD := geo.DistanceKm(p.net.Site(cand).Loc, target)
+	targetTrig := geo.NewTrigPoint(target)
+	bestD := geo.DistanceTrigKm(p.siteTrig[cand], targetTrig)
 	for i := 0; i < 3; i++ {
 		c := sites[r.Intn(len(sites))]
-		if d := geo.DistanceKm(p.net.Site(c).Loc, target); d < bestD {
+		if d := geo.DistanceTrigKm(p.siteTrig[c], targetTrig); d < bestD {
 			best, bestD = c, d
 		}
 	}
@@ -226,17 +257,6 @@ func (p *Planner) excursionStep(r *randx.Rand, ue *subscribers.UE, cur, excursio
 	// many distinct sectors along the way, not one site per waypoint.
 	if nbs := p.net.NeighborSites(best); len(nbs) > 0 && r.Bool(0.6) {
 		return nbs[r.Intn(len(nbs))]
-	}
-	return best
-}
-
-func (p *Planner) nearestDistrict(pt geo.Point) int {
-	best := 0
-	bestD := math.Inf(1)
-	for i, c := range p.districtCenters {
-		if d := geo.DistanceKm(pt, c); d < bestD {
-			best, bestD = i, d
-		}
 	}
 	return best
 }

@@ -155,6 +155,21 @@ type Dataset struct {
 	EPC        *corenet.EPC
 	Store      trace.Store
 	DayStats   []DayAggregate
+	// Timings is where this process's generation wall time went
+	// (Generate and GenerateDays accumulate into it; Load leaves it zero).
+	Timings GenTimings
+}
+
+// GenTimings splits generation wall time into its three stages.
+type GenTimings struct {
+	// World is the world model plus the generation-only lookup structures
+	// (the planner's spatial index and trig tables, anchor-sector lists).
+	World time.Duration
+	// Simulate is the parallel UE-day phase: mobility plans and handovers.
+	Simulate time.Duration
+	// Encode is everything after it: the canonical sort of the day, the
+	// per-shard gather, block encoding and the store write.
+	Encode time.Duration
 }
 
 // ScaleFactor returns the population ratio between the paper's campaign
@@ -202,18 +217,20 @@ func Generate(cfg Config) (*Dataset, error) {
 		cfg.Store = trace.NewMemStore()
 	}
 
+	start := time.Now()
 	ds, err := BuildWorld(cfg)
 	if err != nil {
 		return nil, err
 	}
-	planner, err := mobility.NewPlanner(ds.Country, ds.Network)
+	g, err := newGenerator(ds)
 	if err != nil {
-		return nil, fmt.Errorf("simulate: mobility: %w", err)
+		return nil, err
 	}
+	ds.Timings.World += time.Since(start)
 	ds.DayStats = make([]DayAggregate, cfg.Days)
 
 	for day := 0; day < cfg.Days; day++ {
-		if err := ds.generateDay(planner, day); err != nil {
+		if err := g.generateDay(day); err != nil {
 			return nil, fmt.Errorf("simulate: day %d: %w", day, err)
 		}
 	}
@@ -247,16 +264,18 @@ func (ds *Dataset) GenerateDays(n int) error {
 	if ds.Config.Shards <= 0 {
 		ds.Config.Shards = 1
 	}
-	planner, err := mobility.NewPlanner(ds.Country, ds.Network)
+	start := time.Now()
+	g, err := newGenerator(ds)
 	if err != nil {
-		return fmt.Errorf("simulate: mobility: %w", err)
+		return err
 	}
+	ds.Timings.World += time.Since(start)
 	from := ds.Config.Days
 	ds.DayStats = append(ds.DayStats, make([]DayAggregate, n)...)
 	for day := from; day < from+n; day++ {
 		// Grow the visible window day by day, so a failed append leaves a
 		// consistent prefix (Config.Days only ever counts fully landed days).
-		if err := ds.generateDay(planner, day); err != nil {
+		if err := g.generateDay(day); err != nil {
 			ds.DayStats = ds.DayStats[:ds.Config.Days]
 			return fmt.Errorf("simulate: day %d: %w", day, err)
 		}
@@ -265,12 +284,57 @@ func (ds *Dataset) GenerateDays(n int) error {
 	return nil
 }
 
-// workerResult is one worker's share of a day. Captured handovers land
-// straight in a pooled columnar batch — the generation hot loop never
-// materializes a []trace.Record.
-type workerResult struct {
+// generator is the state of one Generate or GenerateDays call: the
+// lookup structures only generation needs — built here and never in
+// BuildWorld, so programs that merely Load a campaign do not pay for
+// them — and the memory the day loop reuses.
+type generator struct {
+	ds      *Dataset
+	planner *mobility.Planner
+	// anchors[site] lists the site's 4G sectors in Site.Sectors order:
+	// the candidates of every anchor-sector draw.
+	anchors [][]topology.SectorID
+	// ueAgg[i] is UE i's contribution to the current day's aggregate.
+	// Workers write disjoint slots; generateDay folds them in UE order,
+	// so the day's floating-point sums are those of a sequential run
+	// whatever the worker count.
+	ueAgg   []DayAggregate
+	workers []genWorker
+}
+
+// genWorker is the memory one generation worker owns outright.
+type genWorker struct {
+	// cols receives the worker's captured handovers for the day, straight
+	// in columnar form — the hot loop never materializes a []trace.Record.
 	cols *trace.ColumnBatch
-	agg  DayAggregate
+	plan mobility.Scratch
+	epc  corenet.Accounting
+}
+
+func newGenerator(ds *Dataset) (*generator, error) {
+	planner, err := mobility.NewPlanner(ds.Country, ds.Network)
+	if err != nil {
+		return nil, fmt.Errorf("simulate: mobility: %w", err)
+	}
+	g := &generator{ds: ds, planner: planner}
+
+	net := ds.Network
+	flat := make([]topology.SectorID, 0, len(net.Sectors))
+	g.anchors = make([][]topology.SectorID, len(net.Sites))
+	for i := range net.Sites {
+		from := len(flat)
+		for _, sid := range net.Sites[i].Sectors {
+			if net.Sector(sid).RAT == topology.FourG {
+				flat = append(flat, sid)
+			}
+		}
+		g.anchors[i] = flat[from:len(flat):len(flat)]
+	}
+
+	nWorkers := min(ds.Config.Workers, ds.Config.UEs)
+	g.workers = make([]genWorker, nWorkers)
+	g.ueAgg = make([]DayAggregate, ds.Config.UEs)
+	return g, nil
 }
 
 // colBatchPool recycles the generation-side column batches (per-worker
@@ -288,7 +352,10 @@ func putBatch(b *trace.ColumnBatch) { colBatchPool.Put(b) }
 
 // generateDay simulates one study day across the population in parallel.
 // Determinism holds because every UE-day consumes its own derived RNG
-// stream regardless of worker scheduling.
+// stream regardless of worker scheduling, and because nothing that
+// depends on the partition of UEs over workers reaches the output: the
+// records are sorted into a canonical order, and the day aggregate is
+// folded from per-UE slots in UE order.
 //
 // The day's records flow in columnar (SoA) form end to end: workers
 // append rows to per-worker batches, the batches concatenate into one
@@ -299,55 +366,73 @@ func putBatch(b *trace.ColumnBatch) { colBatchPool.Put(b) }
 // ingest sealer sorts with the same comparator and therefore lands
 // byte-identical partitions from any arrival order), and each shard's
 // rows are gathered and handed to the store's column writer.
-func (ds *Dataset) generateDay(planner *mobility.Planner, day int) error {
+func (g *generator) generateDay(day int) error {
+	start := time.Now()
+	dayCols := g.simulateDay(day)
+	defer putBatch(dayCols)
+	simulated := time.Now()
+	err := g.landDay(day, dayCols)
+	g.ds.Timings.Simulate += simulated.Sub(start)
+	g.ds.Timings.Encode += time.Since(simulated)
+	return err
+}
+
+// simulateDay runs every UE's day on the worker pool and returns the
+// day's records (unsorted, in a pooled batch the caller releases), with
+// the workers' EPC accounting merged and the day aggregate folded.
+func (g *generator) simulateDay(day int) *trace.ColumnBatch {
+	ds := g.ds
 	cfg := ds.Config
-	nWorkers := cfg.Workers
-	if nWorkers > cfg.UEs {
-		nWorkers = cfg.UEs
-	}
-	results := make([]workerResult, nWorkers)
+	nWorkers := len(g.workers)
 	var wg sync.WaitGroup
 	chunk := (cfg.UEs + nWorkers - 1) / nWorkers
 	for w := 0; w < nWorkers; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > cfg.UEs {
-			hi = cfg.UEs
-		}
-		results[w].cols = getBatch()
+		hi := min(lo+chunk, cfg.UEs)
+		g.workers[w].cols = getBatch()
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w *genWorker, lo, hi int) {
 			defer wg.Done()
-			res := &results[w]
 			for i := lo; i < hi; i++ {
-				ds.simulateUEDay(planner, day, i, res)
+				g.simulateUEDay(day, i, w)
 			}
-		}(w, lo, hi)
+		}(&g.workers[w], lo, hi)
 	}
 	wg.Wait()
 
 	dayCols := getBatch()
-	defer putBatch(dayCols)
-	agg := &ds.DayStats[day]
-	for w := range results {
-		dayCols.AppendColumns(results[w].cols)
-		putBatch(results[w].cols)
-		results[w].cols = nil
-		for r := 0; r < 4; r++ {
-			agg.RATTimeHours[r] += results[w].agg.RATTimeHours[r]
-			agg.ULMB[r] += results[w].agg.ULMB[r]
-			agg.DLMB[r] += results[w].agg.DLMB[r]
-		}
-		agg.Handovers += results[w].agg.Handovers
-		agg.Failures += results[w].agg.Failures
+	for w := range g.workers {
+		wk := &g.workers[w]
+		dayCols.AppendColumns(wk.cols)
+		putBatch(wk.cols)
+		wk.cols = nil
+		ds.EPC.Merge(&wk.epc)
 	}
+	agg := &ds.DayStats[day]
+	for i := range g.ueAgg {
+		ue := &g.ueAgg[i]
+		for r := 0; r < 4; r++ {
+			agg.RATTimeHours[r] += ue.RATTimeHours[r]
+			agg.ULMB[r] += ue.ULMB[r]
+			agg.DLMB[r] += ue.DLMB[r]
+		}
+		agg.Handovers += ue.Handovers
+		agg.Failures += ue.Failures
+	}
+	return dayCols
+}
+
+// landDay sorts the day's records into the canonical order and writes
+// them out, one partition per shard.
+func (g *generator) landDay(day int, dayCols *trace.ColumnBatch) error {
+	ds := g.ds
 	perm := dayCols.SortPermCanonical(nil)
 
 	// One timestamp-sorted stream per shard: bucketing the single sorted
 	// day sequence keeps every UE's record order identical regardless of
 	// the shard count, which is what makes sharded and unsharded scans of
 	// the same seed agree byte-for-byte.
-	shards := cfg.Shards
+	shards := ds.Config.Shards
 	if shards <= 1 {
 		return writeGathered(ds.Store, day, 0, dayCols, perm)
 	}
@@ -419,7 +504,10 @@ func writePartitionColumns(store trace.Store, day, shard int, cols *trace.Column
 
 // simulateUEDay replays one UE's day: mobility plan, handovers through the
 // EPC, and up-time/traffic accounting.
-func (ds *Dataset) simulateUEDay(planner *mobility.Planner, day, ueIdx int, res *workerResult) {
+func (g *generator) simulateUEDay(day, ueIdx int, w *genWorker) {
+	ds := g.ds
+	agg := &g.ueAgg[ueIdx]
+	*agg = DayAggregate{}
 	ue := &ds.Population.UEs[ueIdx]
 	model := ds.Population.Model(ue)
 	r := randx.NewStream(ds.Config.Seed, "ueday", uint64(day)<<32|uint64(ueIdx))
@@ -431,18 +519,18 @@ func (ds *Dataset) simulateUEDay(planner *mobility.Planner, day, ueIdx int, res 
 	// up-time and (marginal) traffic on their RAT.
 	if !model.SupportsRAT(topology.FourG) {
 		rat := model.MaxRAT
-		res.agg.RATTimeHours[rat] += up
-		res.agg.ULMB[rat] += up * ulRate[rat] * r.LogNormal(0, 0.4)
-		res.agg.DLMB[rat] += up * dlRate[rat] * r.LogNormal(0, 0.4)
+		agg.RATTimeHours[rat] = up
+		agg.ULMB[rat] = up * ulRate[rat] * r.LogNormal(0, 0.4)
+		agg.DLMB[rat] = up * dlRate[rat] * r.LogNormal(0, 0.4)
 		return
 	}
 
-	plan := planner.PlanDay(r, ue, model, day)
+	plan := g.planner.PlanDay(r, ue, model, day, &w.plan)
 	act := activityRate[model.Type]
 	voice := voiceRate[model.Type]
 
 	// Serving 4G anchor sector, tracked across moves.
-	curSector := ds.anchorSectorAt(r, ue.HomeSite)
+	curSector := g.anchorSectorAt(r, ue.HomeSite)
 	legacyHours := [4]float64{}
 	intensity := mobility.Intensity(day)
 
@@ -472,7 +560,7 @@ func (ds *Dataset) simulateUEDay(planner *mobility.Planner, day, ueIdx int, res 
 			LoadFactor:  intensity[bin],
 			VoiceActive: r.Bool(voice),
 		}
-		out := ds.EPC.ExecuteHO(r, req)
+		out := ds.EPC.ExecuteHO(r, req, &w.epc)
 		rec := trace.Record{
 			Timestamp:  req.TimeMs,
 			UE:         ue.ID,
@@ -485,10 +573,10 @@ func (ds *Dataset) simulateUEDay(planner *mobility.Planner, day, ueIdx int, res 
 			Cause:      out.Cause,
 			DurationMs: float32(out.DurationMs),
 		}
-		res.cols.AppendRecord(&rec)
-		res.agg.Handovers++
+		w.cols.AppendRecord(&rec)
+		agg.Handovers++
 		if out.Result == trace.Failure {
-			res.agg.Failures++
+			agg.Failures++
 		} else {
 			if out.TargetRAT == topology.FourG {
 				curSector = out.Target
@@ -497,7 +585,7 @@ func (ds *Dataset) simulateUEDay(planner *mobility.Planner, day, ueIdx int, res 
 				// while, then the anchor returns to a 4G sector at the
 				// new site (upward transitions are invisible to the EPC).
 				legacyHours[out.TargetRAT] += verticalDwellHours
-				curSector = ds.anchorSectorAt(r, ds.Network.Sector(out.Target).Site)
+				curSector = g.anchorSectorAt(r, ds.Network.Sector(out.Target).Site)
 			}
 		}
 	}
@@ -510,28 +598,22 @@ func (ds *Dataset) simulateUEDay(planner *mobility.Planner, day, ueIdx int, res 
 		legacy = up * 0.8
 	}
 	fourGHours := up - legacy
-	res.agg.RATTimeHours[topology.FourG] += fourGHours
-	res.agg.RATTimeHours[topology.TwoG] += legacyHours[topology.TwoG]
-	res.agg.RATTimeHours[topology.ThreeG] += legacyHours[topology.ThreeG]
+	agg.RATTimeHours[topology.FourG] = fourGHours
+	agg.RATTimeHours[topology.TwoG] = legacyHours[topology.TwoG]
+	agg.RATTimeHours[topology.ThreeG] = legacyHours[topology.ThreeG]
 	noise := r.LogNormal(0, 0.4)
-	res.agg.ULMB[topology.FourG] += fourGHours * ulRate[topology.FourG] * noise
-	res.agg.DLMB[topology.FourG] += fourGHours * dlRate[topology.FourG] * noise
-	for _, rat := range []topology.RAT{topology.TwoG, topology.ThreeG} {
+	agg.ULMB[topology.FourG] = fourGHours * ulRate[topology.FourG] * noise
+	agg.DLMB[topology.FourG] = fourGHours * dlRate[topology.FourG] * noise
+	for _, rat := range [...]topology.RAT{topology.TwoG, topology.ThreeG} {
 		if legacyHours[rat] > 0 {
-			res.agg.ULMB[rat] += legacyHours[rat] * ulRate[rat]
-			res.agg.DLMB[rat] += legacyHours[rat] * dlRate[rat]
+			agg.ULMB[rat] = legacyHours[rat] * ulRate[rat]
+			agg.DLMB[rat] = legacyHours[rat] * dlRate[rat]
 		}
 	}
 }
 
 // anchorSectorAt picks a 4G sector at a site (every site carries 4G).
-func (ds *Dataset) anchorSectorAt(r *randx.Rand, site topology.SiteID) topology.SectorID {
-	s := ds.Network.Site(site)
-	var candidates []topology.SectorID
-	for _, sid := range s.Sectors {
-		if ds.Network.Sector(sid).RAT == topology.FourG {
-			candidates = append(candidates, sid)
-		}
-	}
+func (g *generator) anchorSectorAt(r *randx.Rand, site topology.SiteID) topology.SectorID {
+	candidates := g.anchors[site]
 	return candidates[r.Intn(len(candidates))]
 }
