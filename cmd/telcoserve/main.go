@@ -1,11 +1,12 @@
 // Command telcoserve is a long-running HTTP daemon that serves the
 // paper's analysis artifacts from a campaign directory — the repo's
-// first serving workload. It keeps the full scan state warm in memory,
-// watches the trace store's MANIFEST, and when new days land (telcogen
-// -append) refreshes incrementally: the current state is checkpointed,
-// resumed against the reloaded campaign, and only the new partitions are
-// scanned before the rendered artifacts are atomically swapped. Clients
-// never see a cold cache and never trigger a rescan.
+// first serving workload. It keeps the campaign's world model and the
+// full scan state warm in memory, watches the trace store's MANIFEST,
+// and when new days land (telcogen -append, a streaming-ingest seal)
+// refreshes in place: the campaign manifest is re-read, only the new
+// partitions are scanned into the live analyzer, and the re-rendered
+// artifacts are atomically swapped in. Clients never see a cold cache
+// and never trigger a rescan.
 //
 // Usage:
 //
@@ -54,6 +55,7 @@ import (
 
 	"telcolens"
 	"telcolens/internal/admission"
+	"telcolens/internal/analysis"
 	"telcolens/internal/ingest"
 	"telcolens/internal/query"
 	"telcolens/internal/trace"
@@ -154,16 +156,18 @@ type artifactView struct {
 	Err      string
 }
 
-// snapshot is one immutable serving generation: the warm analyzer plus
-// every rendered artifact. Refreshes build a new snapshot and swap it.
+// snapshot is one immutable serving generation: every rendered artifact
+// plus the scan counters at render time. Refreshes build a new snapshot
+// and swap it; the analyzer it was rendered from lives on in the server
+// and is refreshed in place, so nothing a handler reads refers to it.
 type snapshot struct {
-	analyzer    *telcolens.Analyzer
 	views       map[string]*artifactView
 	order       []string
 	days        int
 	partitions  int
 	manifestGen uint64
 	renderedAt  time.Time
+	scan        telcolens.ScanStats
 	// qview pins the partition set /query executions run against, so a
 	// query sees exactly this snapshot's generation even while new days
 	// are landing (nil only if the view could not be built).
@@ -185,6 +189,14 @@ type server struct {
 	// eng executes /query requests; its result cache is invalidated on
 	// every snapshot swap.
 	eng *query.Engine
+	// ds is the kept campaign and live the analyzer the serving snapshot
+	// was rendered from: a refresh reloads ds and refreshes live, both in
+	// place. Only the watch loop — and start-up before it runs — touches
+	// them; Dataset.Reload and Analyzer.Refresh are safe only on the
+	// goroutine that drives both. A nil ds makes the next refresh load
+	// the campaign cold, a nil live makes it rescan cold.
+	ds   *telcolens.Dataset
+	live *telcolens.Analyzer
 	// adm is the admission controller: per-endpoint concurrency
 	// limiters, the overload detector, and the /query deadline budget.
 	// Nil (tests) means no admission control.
@@ -203,17 +215,19 @@ type server struct {
 	// refresh is running leaves the store ahead of lastGen and is
 	// picked up by the next one.
 	lastGen uint64
-	// afterLoad, when set (tests), runs right after a refresh has loaded
-	// the campaign — the window in which a concurrent seal used to be
-	// marked served without having been loaded.
+	// afterLoad, when set (tests), runs right after a refresh has
+	// reloaded the campaign — the window in which a concurrent seal used
+	// to be marked served without having been loaded.
 	afterLoad func()
 
 	started        time.Time
 	refreshes      int64
 	fullRescans    int64
+	worldRebuilds  int64
 	refreshErrors  int64
 	lastScanned    int
 	lastRefreshDur time.Duration
+	lastStages     refreshStages
 
 	// Query serving counters (see noteQuery): totals plus the last
 	// uncached query's per-request scan metrics for /stats.
@@ -233,62 +247,85 @@ func (s *server) options() []telcolens.Option {
 	return nil
 }
 
-// render runs every experiment against the warm analyzer. Individual
+// refreshStages splits one refresh's wall time for /stats.
+type refreshStages struct {
+	// reload re-reads the campaign manifest (and builds the world when
+	// the campaign is new or changed identity).
+	reload time.Duration
+	// refresh is the analyzer's scan and finalize: the in-place merge of
+	// the new partitions, or the full scan of a cold rescan.
+	refresh time.Duration
+	// render runs and renders every experiment.
+	render time.Duration
+	// swap builds the query view and publishes the snapshot.
+	swap time.Duration
+}
+
+// render runs every experiment on the shared experiment pool. Individual
 // experiment failures (e.g. a window too short for home detection) are
-// served as error artifacts instead of taking the daemon down; a failed
-// warm scan is reported so the caller does not mark the state synced
-// (the poll loop then retries instead of serving errors forever).
-func render(ctx context.Context, a *telcolens.Analyzer) (views map[string]*artifactView, order []string, warmOK bool) {
-	// One fused pass computes every scan-state unit the experiments share
-	// (resumed analyzers already hold them and skip straight through);
-	// the per-experiment runs below then only read cached state.
-	warmOK = true
-	if _, err := a.Scan(ctx); err != nil {
-		warmOK = false
-		log.Printf("warming scan state: %v (experiments will retry individually)", err)
-	}
-	views = make(map[string]*artifactView)
-	for _, e := range telcolens.Experiments() {
+// served as error artifacts instead of taking the daemon down.
+func render(ctx context.Context, a *telcolens.Analyzer) (map[string]*artifactView, []string) {
+	exps := telcolens.Experiments()
+	outs := analysis.RunEach(ctx, a) // same order as exps
+	views := make(map[string]*artifactView, len(exps))
+	order := make([]string, len(exps))
+	for i, e := range exps {
 		v := &artifactView{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef}
-		art, err := e.Run(ctx, a)
-		if err != nil {
+		if err := outs[i].Err; err != nil {
 			v.Err = err.Error()
 			v.Text = []byte(fmt.Sprintf("%s — error: %v\n", e.ID, err))
 		} else {
 			var buf bytes.Buffer
-			if err := art.Render(&buf); err != nil {
+			if err := outs[i].Artifact.Render(&buf); err != nil {
 				v.Err = err.Error()
 			}
 			v.Text = buf.Bytes()
-			v.Artifact = art
+			v.Artifact = outs[i].Artifact
 		}
 		views[e.ID] = v
-		order = append(order, e.ID)
+		order[i] = e.ID
 	}
-	return views, order, warmOK
+	return views, order
 }
 
-// build turns a warm analyzer into a serving snapshot; warmOK reports
-// whether the shared scan state was computed (callers only mark the
-// state synced to the store generation when it was).
-func build(ctx context.Context, a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64) (*snapshot, bool) {
-	views, order, warmOK := render(ctx, a)
+// build renders a warm analyzer into a serving snapshot. warmErr reports
+// that the shared scan state could not be computed (callers then do not
+// mark the state synced to the store generation); the experiments still
+// ran, each retrying its own scan. st holds the scan, render and
+// query-view times.
+func build(ctx context.Context, a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64) (snap *snapshot, st refreshStages, warmErr error) {
+	t := time.Now()
+	// One fused pass computes every scan-state unit the experiments share
+	// and the ping-pong automata advance over the new days (an analyzer
+	// refreshed in place already holds the former); the experiments then
+	// only read cached state, so a failing read fails here rather than
+	// becoming a served error artifact.
+	if _, warmErr = a.Scan(ctx); warmErr == nil {
+		_, warmErr = a.PingPongAll(ctx, analysis.StandardPingPongWindows)
+	}
+	st.refresh = time.Since(t)
+	t = time.Now()
+	views, order := render(ctx, a)
+	st.render = time.Since(t)
+	t = time.Now()
 	parts, _ := a.Covered()
 	qv, err := query.NewView(ds.Store)
 	if err != nil {
 		log.Printf("building query view: %v (/query disabled for this snapshot)", err)
 		qv = nil
 	}
-	return &snapshot{
-		analyzer:    a,
+	snap = &snapshot{
 		views:       views,
 		order:       order,
 		days:        ds.Config.Days,
 		partitions:  parts,
 		manifestGen: gen,
 		renderedAt:  time.Now(),
+		scan:        a.ScanStats(),
 		qview:       qv,
-	}, warmOK
+	}
+	st.swap = time.Since(t)
+	return snap, st, warmErr
 }
 
 // saveCheckpoint persists the serving analyzer's state (no-op without
@@ -363,80 +400,127 @@ func loadCampaign(dir string) (*telcolens.Dataset, uint64, error) {
 	return ds, gen, err
 }
 
-// refresh reloads the campaign and brings the serving state up to date:
-// checkpoint the current analyzer, resume it against the reloaded
-// dataset, Refresh (scanning only new partitions), re-render, swap. On
-// any error the previous snapshot keeps serving and the next poll
-// retries — a store caught mid-append simply fails validation until the
-// day finishes landing.
+// reload brings the kept campaign up to date with its manifest and
+// returns the store generation read before it — the only generation the
+// reloaded state is known to cover (the store may move at any time
+// after). The first load, and the one after a failed reload, builds the
+// campaign cold; rebuilt reports a new world model, against which no
+// analyzer over the previous one may be refreshed.
+func (s *server) reload() (gen uint64, rebuilt bool, err error) {
+	if s.ds == nil {
+		ds, gen, err := loadCampaign(s.dir)
+		if err != nil {
+			return 0, false, err
+		}
+		s.ds = ds
+		return gen, true, nil
+	}
+	gen = manifestGen(s.ds.Store)
+	if rebuilt, err = s.ds.Reload(); err != nil {
+		// Start over from a cold load: a campaign regenerated with another
+		// codec, which Reload refuses against the kept store, loads fine.
+		s.ds = nil
+		return 0, false, err
+	}
+	return gen, rebuilt, nil
+}
+
+// refresh brings the serving state up to date at the cost of the delta:
+// the kept campaign reloads its manifest in place, the live analyzer
+// Refreshes in place (scanning only the new partitions), the experiments
+// re-render on the shared pool, and the new snapshot is swapped in. A
+// rebuilt world, or a live analyzer lost to an earlier failure, costs
+// one cold rescan instead. On any error the previous snapshot keeps
+// serving — its views are rendered bytes — and the next poll retries: a
+// failed Refresh may have merged part of its delta, so the live analyzer
+// is dropped and the retry rescans cold. A store caught mid-append
+// simply fails validation until the day finishes landing.
 func (s *server) refresh(ctx context.Context) error {
 	start := time.Now()
 	s.mu.RLock()
 	old := s.cur
 	s.mu.RUnlock()
 
-	ds, gen, err := loadCampaign(s.dir)
+	gen, rebuilt, err := s.reload()
 	if err != nil {
 		return fmt.Errorf("reloading campaign: %w", err)
+	}
+	if rebuilt {
+		s.mu.Lock()
+		s.worldRebuilds++
+		s.mu.Unlock()
 	}
 	if s.afterLoad != nil {
 		s.afterLoad()
 	}
-	var a *telcolens.Analyzer
-	fullRescan := false
-	var ckpt bytes.Buffer
-	if err := old.analyzer.Checkpoint(&ckpt); err != nil {
-		return fmt.Errorf("checkpointing: %w", err)
-	}
-	a, err = telcolens.ResumeAnalyzer(ds, &ckpt, s.options()...)
-	if err != nil {
-		// The campaign changed identity (regenerated with another seed or
-		// shape): fall back to a cold rebuild.
-		log.Printf("refresh: checkpoint not resumable (%v); rebuilding cold", err)
-		fullRescan = true
+	ds := s.ds
+	st := refreshStages{reload: time.Since(start)}
+
+	t := time.Now()
+	a, cold := s.live, rebuilt || s.live == nil
+	merged, fullRescan := 0, cold
+	if cold {
+		// Never left behind for a later in-place Refresh: it belongs to the
+		// previous world, or to no state at all.
+		s.live = nil
 		if a, err = telcolens.NewAnalyzer(ds, s.options()...); err != nil {
 			return err
 		}
-	}
-	res, err := a.Refresh(ctx)
-	if err != nil {
-		return fmt.Errorf("refreshing: %w", err)
-	}
-	if res.PartitionsScanned == 0 && !res.FullRescan && ds.Config.Days == old.days {
-		// Nothing new to merge — usually a mid-append poll (some shards
-		// of a day landed, the day is incomplete). Skip the re-render and
-		// swap; only mark the generation consumed when no landed
-		// partition is still waiting for the campaign manifest to
-		// describe it, because that manifest update does not bump the
-		// trace MANIFEST generation and must not be skipped past.
-		if !pendingBeyondWindow(ds) {
-			s.mu.Lock()
-			s.lastGen = gen
-			s.mu.Unlock()
+	} else {
+		res, err := a.Refresh(ctx)
+		if err != nil {
+			s.live = nil
+			return fmt.Errorf("refreshing: %w", err)
 		}
-		s.pokeIfMoved(ds.Store, gen)
-		return nil
+		if res.PartitionsScanned == 0 && !res.FullRescan && ds.Config.Days == old.days {
+			// Nothing new to merge — usually a mid-append poll (some shards
+			// of a day landed, the day is incomplete). Skip the re-render and
+			// swap; only mark the generation consumed when no landed
+			// partition is still waiting for the campaign manifest to
+			// describe it, because that manifest update does not bump the
+			// trace MANIFEST generation and must not be skipped past.
+			if !pendingBeyondWindow(ds) {
+				s.mu.Lock()
+				s.lastGen = gen
+				s.mu.Unlock()
+			}
+			s.pokeIfMoved(ds.Store, gen)
+			return nil
+		}
+		merged, fullRescan = res.PartitionsScanned, res.FullRescan
 	}
-	next, warmOK := build(ctx, a, ds, gen)
+	st.refresh = time.Since(t)
+	next, bst, err := build(ctx, a, ds, gen)
+	if err != nil {
+		s.live = nil
+		return fmt.Errorf("warming scan state: %w", err)
+	}
+	if cold {
+		merged = next.partitions
+	}
+	st.refresh += bst.refresh
+	st.render = bst.render
 
+	t = time.Now()
 	s.mu.Lock()
 	s.cur = next
-	if warmOK {
-		s.lastGen = gen
-	}
+	s.lastGen = gen
 	// Cached query results are keyed on the view generation; a swap
 	// makes them unreachable, so drop them rather than let them age out.
 	s.eng.InvalidateCache()
 	s.refreshes++
-	if fullRescan || res.FullRescan {
+	if fullRescan {
 		s.fullRescans++
 	}
-	s.lastScanned = res.PartitionsScanned
+	s.lastScanned = merged
+	st.swap = bst.swap + time.Since(t)
+	s.lastStages = st
 	s.lastRefreshDur = time.Since(start)
 	s.mu.Unlock()
+	s.live = a
 	s.saveCheckpoint(a)
-	log.Printf("refresh: %d partitions merged (full rescan: %v), %d days, %d artifacts, took %s",
-		res.PartitionsScanned, fullRescan || res.FullRescan, res.Days, len(next.order),
+	log.Printf("refresh: %d partitions merged (full rescan: %v, world rebuilt: %v), %d days, %d artifacts, took %s",
+		merged, fullRescan, rebuilt, ds.Config.Days, len(next.order),
 		time.Since(start).Round(time.Millisecond))
 	s.pokeIfMoved(ds.Store, gen)
 	return nil
@@ -462,6 +546,32 @@ func (s *server) pokeIfMoved(store telcolens.Store, gen uint64) {
 	}
 }
 
+// serveFirst renders the first snapshot of a freshly loaded campaign and
+// publishes it. Unlike a refresh it publishes even when the warm scan
+// failed — there is nothing older to serve — but then neither marks the
+// generation served nor keeps the analyzer, so the watch loop retries
+// with a cold rescan.
+func (s *server) serveFirst(ctx context.Context, ds *telcolens.Dataset, a *telcolens.Analyzer, gen uint64) *snapshot {
+	snap, _, warmErr := build(ctx, a, ds, gen)
+	if warmErr != nil {
+		log.Printf("warming scan state: %v (serving what the experiments computed on their own)", warmErr)
+	}
+	s.ds = ds
+	s.mu.Lock()
+	s.cur = snap
+	if warmErr == nil {
+		s.lastGen = gen
+	}
+	s.eng.InvalidateCache()
+	s.mu.Unlock()
+	if warmErr == nil {
+		s.live = a
+		s.saveCheckpoint(a)
+	}
+	s.pokeIfMoved(ds.Store, gen)
+	return snap
+}
+
 // bootstrap brings a pending server live once the campaign descriptor
 // exists: load, cold scan, serve.
 func (s *server) bootstrap(ctx context.Context) error {
@@ -473,17 +583,8 @@ func (s *server) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	snap, warmOK := build(ctx, a, ds, gen)
-	s.mu.Lock()
-	s.cur = snap
-	if warmOK {
-		s.lastGen = gen
-	}
-	s.eng.InvalidateCache()
-	s.mu.Unlock()
-	s.saveCheckpoint(a)
+	snap := s.serveFirst(ctx, ds, a, gen)
 	log.Printf("campaign bootstrapped: %d days, %d artifacts", snap.days, len(snap.order))
-	s.pokeIfMoved(ds.Store, gen)
 	return nil
 }
 
@@ -641,23 +742,29 @@ func (s *server) ingestView() map[string]any {
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	cur := s.cur
-	refreshes, fullRescans, refreshErrors := s.refreshes, s.fullRescans, s.refreshErrors
-	lastScanned, lastDur := s.lastScanned, s.lastRefreshDur
+	refreshes, fullRescans, rebuilds, refreshErrors := s.refreshes, s.fullRescans, s.worldRebuilds, s.refreshErrors
+	lastScanned, lastDur, stages := s.lastScanned, s.lastRefreshDur, s.lastStages
 	s.mu.RUnlock()
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	out := map[string]any{
 		"started":        s.started.UTC(),
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"pending":        cur == nil,
 		"refreshes":      refreshes,
 		"full_rescans":   fullRescans,
+		"world_rebuilds": rebuilds,
 		"refresh_errors": refreshErrors,
 		"last_refresh": map[string]any{
 			"partitions_merged": lastScanned,
 			"duration_seconds":  lastDur.Seconds(),
+			"reload_ms":         ms(stages.reload),
+			"refresh_ms":        ms(stages.refresh),
+			"render_ms":         ms(stages.render),
+			"swap_ms":           ms(stages.swap),
 		},
 	}
 	if cur != nil {
-		st := cur.analyzer.ScanStats()
+		st := cur.scan
 		out["days"] = cur.days
 		out["partitions"] = cur.partitions
 		out["manifest_gen"] = cur.manifestGen
@@ -903,16 +1010,9 @@ func run(cfg serveConfig) error {
 		start := time.Now()
 		log.Printf("warming analysis state for %s (%d days, resumed checkpoint: %v)...",
 			cfg.dir, ds.Config.Days, resumed)
-		snap, warmOK := build(ctx, a, ds, gen)
-		s.cur = snap
-		if warmOK {
-			// A failed warm-up leaves lastGen at 0, so the poll loop keeps
-			// retrying instead of serving error artifacts until restart.
-			s.lastGen = gen
-			s.saveCheckpoint(a)
-		}
+		snap := s.serveFirst(ctx, ds, a, gen)
 		log.Printf("serving %d artifacts on %s (initial scan took %s)",
-			len(s.cur.order), cfg.addr, time.Since(start).Round(time.Millisecond))
+			len(snap.order), cfg.addr, time.Since(start).Round(time.Millisecond))
 	case cfg.ingestOn:
 		// No campaign yet: serve 503s and bootstrap once the descriptor
 		// arrives over POST /ingest/init.

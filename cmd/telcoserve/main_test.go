@@ -15,8 +15,8 @@ import (
 )
 
 // newQueryServer builds a server around a small on-disk store, with a
-// snapshot that carries only the pinned query view (no analyzer — the
-// /query path never touches it).
+// snapshot that carries only the pinned query view (no artifacts — the
+// /query path never touches them).
 func newQueryServer(t *testing.T) *server {
 	t.Helper()
 	fs, err := trace.NewFileStore(t.TempDir())
@@ -268,13 +268,6 @@ func TestStatsQuerySection(t *testing.T) {
 		t.Fatalf("repeat query failed: %d", rec.Code)
 	}
 
-	// handleStats only needs the query section when no snapshot is
-	// mounted; drop it so the analyzer-backed sections stay out of the
-	// way while the accumulated query counters survive (they live on the
-	// server, not the snapshot).
-	s.mu.Lock()
-	s.cur = nil
-	s.mu.Unlock()
 	rec := httptest.NewRecorder()
 	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
 	if rec.Code != http.StatusOK {

@@ -1,16 +1,25 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"telcolens"
+	"telcolens/internal/chaos"
+	"telcolens/internal/faultfs"
+	"telcolens/internal/ingest"
 	"telcolens/internal/query"
+	"telcolens/internal/simulate"
 	"telcolens/internal/trace"
 )
 
@@ -31,6 +40,38 @@ func appendDay(t *testing.T, dir string) {
 	if err := ds.SaveManifest(dir); err != nil {
 		t.Error(err)
 	}
+}
+
+// generateServed batch-generates a small sharded campaign into dir and
+// saves its manifest; window > days declares the window it grows to.
+func generateServed(t *testing.T, dir string, seed uint64, days, window int) {
+	t.Helper()
+	store, err := trace.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := telcolens.DefaultConfig(seed)
+	cfg.UEs, cfg.Days, cfg.WindowDays, cfg.Districts, cfg.SitesTarget, cfg.Shards = 150, days, window, 40, 200, 2
+	cfg.Store = store
+	ds, err := telcolens.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SaveManifest(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newTestServer is a daemon over dir without admission control, ingest
+// or a listener; tests drive bootstrap and refresh directly.
+func newTestServer(t *testing.T, dir string, parallel int) *server {
+	t.Helper()
+	store, err := trace.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &server{dir: dir, parallel: parallel, started: time.Now(),
+		nudge: make(chan struct{}, 1), eng: query.New(store)}
 }
 
 func healthzDays(t *testing.T, s *server) int {
@@ -54,23 +95,9 @@ func healthzDays(t *testing.T, s *server) int {
 // an hour).
 func TestSealDuringRefreshBecomesVisible(t *testing.T) {
 	dir := t.TempDir()
-	store, err := trace.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := telcolens.DefaultConfig(3)
-	cfg.UEs, cfg.Days, cfg.Districts, cfg.SitesTarget, cfg.Shards = 150, 2, 40, 200, 2
-	cfg.Store = store
-	ds, err := telcolens.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.SaveManifest(dir); err != nil {
-		t.Fatal(err)
-	}
+	generateServed(t, dir, 3, 2, 0)
 
-	s := &server{dir: dir, parallel: 2, started: time.Now(),
-		nudge: make(chan struct{}, 1), eng: query.New(store)}
+	s := newTestServer(t, dir, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	if err := s.bootstrap(ctx); err != nil {
 		t.Fatal(err)
@@ -101,5 +128,332 @@ func TestSealDuringRefreshBecomesVisible(t *testing.T) {
 				healthzDays(t, s))
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// servedArtifacts is every /artifacts/{id} answer, as "status body".
+func servedArtifacts(t *testing.T, s *server) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, e := range telcolens.Experiments() {
+		rec := httptest.NewRecorder()
+		s.handleArtifacts(rec, httptest.NewRequest(http.MethodGet, "/artifacts/"+e.ID, nil))
+		out[e.ID] = fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes())
+	}
+	return out
+}
+
+// coldArtifacts is what the daemon must serve for the store in dir: a
+// fresh Load and a cold analyzer, every experiment run one by one — the
+// sequential render loop the experiment pool replaced — and shaped the
+// way handleArtifacts answers (a failed experiment is a 422 carrying its
+// error).
+func coldArtifacts(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ds, err := telcolens.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := telcolens.NewAnalyzer(ds, telcolens.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range telcolens.Experiments() {
+		art, err := e.Run(context.Background(), a)
+		if err != nil {
+			out[e.ID] = fmt.Sprintf("%d %s\n", http.StatusUnprocessableEntity, err)
+			continue
+		}
+		var buf bytes.Buffer
+		if err := art.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out[e.ID] = fmt.Sprintf("%d %s", http.StatusOK, buf.Bytes())
+	}
+	return out
+}
+
+// sameArtifacts fails the test at the first artifact that differs.
+func sameArtifacts(t *testing.T, what string, want, got map[string]string) {
+	t.Helper()
+	for _, e := range telcolens.Experiments() {
+		if want[e.ID] != got[e.ID] {
+			t.Fatalf("%s: /artifacts/%s differs\nwant:\n%s\ngot:\n%s", what, e.ID, want[e.ID], got[e.ID])
+		}
+	}
+}
+
+// dayRecords reads one study day back out of a campaign, across shards.
+func dayRecords(t *testing.T, dir string, day int) *trace.ColumnBatch {
+	t.Helper()
+	fs, err := trace.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := fs.Partitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := new(trace.ColumnBatch)
+	var rec trace.Record
+	for _, p := range parts {
+		if p.Day != day {
+			continue
+		}
+		it, err := fs.OpenPartition(p.Day, p.Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			ok, err := it.Next(&rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			cb.AppendRecord(&rec)
+		}
+		it.Close()
+	}
+	return cb
+}
+
+// TestInPlaceRefreshMatchesCold seals a campaign into a served ingest
+// directory one day at a time. After every refresh — the kept world and
+// the analyzer refreshed in place — each artifact must equal a cold
+// analyzer over the same store. Regenerating the directory as another
+// campaign with the same day count must rebuild the world and serve the
+// new campaign's cold report.
+func TestInPlaceRefreshMatchesCold(t *testing.T) {
+	const days = 3
+	src, dst := t.TempDir(), t.TempDir()
+	generateServed(t, src, 3, days, 0)
+	meta, err := simulate.LoadMeta(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := ingest.Open(dst, ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	declared := *meta
+	declared.Config.Days, declared.Config.WindowDays, declared.DayStats = 0, days, nil
+	if err := svc.Init(&declared); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	s := newTestServer(t, dst, 2)
+	if err := s.bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sameArtifacts(t, "bootstrap", coldArtifacts(t, dst), servedArtifacts(t, s))
+	for day := 0; day < days; day++ {
+		if _, err := svc.Append(1, uint64(day+1), dayRecords(t, src, day)); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.DayComplete(day, meta.DayStats[day]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.refresh(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := healthzDays(t, s); got != day+1 {
+			t.Fatalf("day %d sealed, /healthz shows %d days", day, got)
+		}
+		sameArtifacts(t, fmt.Sprintf("after day %d", day), coldArtifacts(t, dst), servedArtifacts(t, s))
+	}
+	if s.worldRebuilds != 0 || s.fullRescans != 0 {
+		t.Fatalf("growth inside the declared window rebuilt the world %d times, rescanned %d times",
+			s.worldRebuilds, s.fullRescans)
+	}
+
+	// The served directory becomes another campaign of the same length.
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dst); err != nil {
+		t.Fatal(err)
+	}
+	generateServed(t, dst, 4, days, 0)
+	if err := s.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s.worldRebuilds != 1 {
+		t.Fatalf("a regenerated campaign rebuilt the world %d times, want 1", s.worldRebuilds)
+	}
+	sameArtifacts(t, "regenerated", coldArtifacts(t, dst), servedArtifacts(t, s))
+}
+
+// copyDir copies the regular files of src into a fresh directory.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestInPlaceRefreshReadFaults fails each partition read of an in-place
+// refresh in turn. The previous views must keep serving, and the next
+// fault-free refresh — one cold rescan — must serve exactly what a cold
+// analyzer over the grown store renders.
+func TestInPlaceRefreshReadFaults(t *testing.T) {
+	// A declared window keeps the world across the appended day, so the
+	// refresh under test is an in-place one.
+	template := t.TempDir()
+	generateServed(t, template, 3, 2, 3)
+	ctx := context.Background()
+
+	// served bootstraps a copy of the template, lands one more day, and
+	// routes the kept campaign's store through fsys.
+	served := func(t *testing.T, fsys faultfs.FS) (*server, string) {
+		dir := copyDir(t, template)
+		s := newTestServer(t, dir, 1)
+		if err := s.bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+		appendDay(t, dir)
+		fstore, err := trace.NewFileStoreOpts(dir, trace.FileStoreOptions{FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ds.Store, s.ds.Config.Store = fstore, fstore
+		return s, dir
+	}
+
+	probe := faultfs.NewFault(nil, faultfs.Plan{})
+	ps, pdir := served(t, probe)
+	if err := ps.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ps.fullRescans != 0 {
+		t.Fatal("the probe refresh was not in place")
+	}
+	want := coldArtifacts(t, pdir)
+	sameArtifacts(t, "probe", want, servedArtifacts(t, ps))
+
+	fired := 0
+	for _, rule := range chaos.FailPoints(map[faultfs.Op]int{faultfs.OpRead: probe.OpCounts()[faultfs.OpRead]}, 0) {
+		rule.Path = "*.tlho"
+		t.Run(rule.String(), func(t *testing.T) {
+			ff := faultfs.NewFault(nil, faultfs.Plan{Rules: []faultfs.Rule{rule}})
+			s, _ := served(t, ff)
+			prev, before := s.cur, servedArtifacts(t, s)
+			err := s.refresh(ctx)
+			if len(ff.Fired()) == 0 {
+				// The refresh read fewer partition blocks than the rule
+				// counts to: it must simply have succeeded.
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameArtifacts(t, "unfaulted", want, servedArtifacts(t, s))
+				return
+			}
+			fired++
+			if !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("faulted refresh: err = %v, want the injected fault", err)
+			}
+			if s.cur != prev || s.live != nil {
+				t.Fatal("a failed refresh swapped the snapshot or kept its analyzer")
+			}
+			sameArtifacts(t, "after the fault", before, servedArtifacts(t, s))
+			if err := s.refresh(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if s.fullRescans != 1 {
+				t.Fatalf("recovery took %d full rescans, want 1", s.fullRescans)
+			}
+			sameArtifacts(t, "recovered", want, servedArtifacts(t, s))
+		})
+	}
+	if fired == 0 {
+		t.Fatal("no rule hit a partition read")
+	}
+}
+
+// statsOf decodes GET /stats.
+func statsOf(t *testing.T, s *server) map[string]any {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var out map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("stats body %q: %v", rec.Body.String(), err)
+	}
+	return out
+}
+
+// TestStatsRefreshSection: /stats explains the last refresh stage by
+// stage and counts the refreshes that rebuilt the world or rescanned.
+func TestStatsRefreshSection(t *testing.T) {
+	dir := t.TempDir()
+	generateServed(t, dir, 3, 1, 2)
+	ctx := context.Background()
+	s := newTestServer(t, dir, 2)
+	if err := s.bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	appendDay(t, dir)
+	if err := s.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := statsOf(t, s)
+	if st["refreshes"] != 1.0 || st["full_rescans"] != 0.0 || st["world_rebuilds"] != 0.0 {
+		t.Fatalf("refreshes/full_rescans/world_rebuilds = %v/%v/%v, want 1/0/0",
+			st["refreshes"], st["full_rescans"], st["world_rebuilds"])
+	}
+	last, ok := st["last_refresh"].(map[string]any)
+	if !ok {
+		t.Fatalf("no last_refresh section: %v", st)
+	}
+	if last["partitions_merged"] != 2.0 {
+		t.Fatalf("partitions_merged = %v, want the day's 2 shards", last["partitions_merged"])
+	}
+	var sum float64
+	for _, stage := range []string{"reload_ms", "refresh_ms", "render_ms", "swap_ms"} {
+		v, ok := last[stage].(float64)
+		if !ok || v <= 0 {
+			t.Fatalf("last_refresh.%s = %v", stage, last[stage])
+		}
+		sum += v
+	}
+	if total := last["duration_seconds"].(float64) * 1000; sum > total {
+		t.Fatalf("stages sum to %.3f ms, more than the %.3f ms refresh", sum, total)
+	}
+	if scan, ok := st["scan"].(map[string]any); !ok || scan["partitions"] != 4.0 {
+		t.Fatalf("scan section = %v, want 4 partitions read (2 cold + 2 merged)", st["scan"])
+	}
+
+	// Another campaign in the same directory: one world rebuild, one
+	// cold rescan.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	generateServed(t, dir, 4, 2, 0)
+	if err := s.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st = statsOf(t, s)
+	if st["refreshes"] != 2.0 || st["full_rescans"] != 1.0 || st["world_rebuilds"] != 1.0 {
+		t.Fatalf("after regeneration refreshes/full_rescans/world_rebuilds = %v/%v/%v, want 2/1/1",
+			st["refreshes"], st["full_rescans"], st["world_rebuilds"])
 	}
 }

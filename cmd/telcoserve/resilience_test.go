@@ -132,10 +132,8 @@ func TestOverloadShedsAndHealthz(t *testing.T) {
 		t.Fatalf("healthz overload section = %v", health["overload"])
 	}
 
-	// The admission counters feed the /stats "admission" section
-	// (handleStats needs a full analyzer snapshot, so assert on the
-	// controller's stats directly): the shed above must be booked
-	// against the query class.
+	// The admission counters feed the /stats "admission" section: the
+	// shed above must be booked against the query class.
 	classes, ok := s.adm.Stats()["classes"].([]admission.LimiterStats)
 	if !ok || len(classes) != 3 {
 		t.Fatalf("admission classes = %v", s.adm.Stats()["classes"])

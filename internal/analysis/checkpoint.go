@@ -49,7 +49,8 @@ type RefreshResult struct {
 // A grown study window (simulate.GenerateDays) is rebased transparently.
 //
 // Refresh must not run concurrently with experiments reading the
-// analyzer (the serving daemon swaps whole analyzers instead).
+// analyzer (the serving daemon refreshes on its watch loop, between
+// renders, and serves pre-rendered snapshots).
 func (a *Analyzer) Refresh(ctx context.Context) (*RefreshResult, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"telcolens/internal/census"
 	"telcolens/internal/ho"
@@ -428,12 +430,9 @@ func runTable5(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 	if err != nil {
 		return err
 	}
-	y, X, names := designFull(rows, false)
-	m, err := stats.FitOLS(y, X, names, true)
-	if err != nil {
+	if err := addFullModel(art, rows, false, paperTable5); err != nil {
 		return err
 	}
-	art.AddTable(modelTable(m, paperTable5))
 	art.AddNote("Outlier filter: HOF rate < 50%%, daily HOs in [2, 30k] (paper: [50, 30k] at full scale).")
 	art.AddNote("Area baseline is Urban (the paper's third 'unclassified postcode' level does not exist here), so only the Rural offset is estimated.")
 	return nil
@@ -446,13 +445,66 @@ func runTable7(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 	if err != nil {
 		return err
 	}
-	y, X, names := designFull(rows, true)
+	return addFullModel(art, rows, true, paperTable7)
+}
+
+// addFullModel fits the Table 5/7 design and adds its coefficient table.
+// A small campaign can leave a covariate level without a single row (no
+// Capital-area sector, no V4 antenna), and then the design does not
+// identify every coefficient: the artifact says so instead of failing
+// the whole report.
+func addFullModel(art *report.Artifact, rows []SectorDayRow, exclude2G bool, paper map[string]float64) error {
+	y, X, names := designFull(rows, exclude2G)
 	m, err := stats.FitOLS(y, X, names, true)
-	if err != nil {
+	switch {
+	case errors.Is(err, stats.ErrSingular), errors.Is(err, stats.ErrEmpty):
+		msg := fmt.Sprintf("Insufficient data: the %d filtered sector-day rows do not identify every coefficient, so the model is not fitted", len(rows))
+		if absent := absentLevels(rows); len(absent) > 0 {
+			msg += fmt.Sprintf(" (no rows for %s)", strings.Join(absent, ", "))
+		}
+		art.AddNote("%s.", msg)
+		return nil
+	case err != nil:
 		return err
 	}
-	art.AddTable(modelTable(m, paperTable7))
+	art.AddTable(modelTable(m, paper))
 	return nil
+}
+
+// absentLevels names the design's categorical levels, baselines
+// included, that no row carries.
+func absentLevels(rows []SectorDayRow) []string {
+	var to3G bool
+	var area [2]bool
+	var vendor [4]bool
+	var region [4]bool
+	for i := range rows {
+		r := &rows[i]
+		to3G = to3G || r.Type == ho.To3G
+		area[r.Area] = true
+		vendor[r.Vendor] = true
+		region[r.Region] = true
+	}
+	var out []string
+	if !to3G {
+		out = append(out, "HO type: 4G/5G-NSA->3G")
+	}
+	for _, at := range []census.AreaType{census.Rural, census.Urban} {
+		if !area[at] {
+			out = append(out, "Area Type: "+at.String())
+		}
+	}
+	for _, v := range topology.AllVendors() {
+		if !vendor[v] {
+			out = append(out, "Antenna Vendor: "+v.String())
+		}
+	}
+	for _, reg := range census.Regions() {
+		if !region[reg] {
+			out = append(out, "Sector Region: "+reg.String())
+		}
+	}
+	return out
 }
 
 var paperQuantile = map[float64][2]float64{ // tau -> paper coef {2G, 3G}, outlier-filtered (Table 8)

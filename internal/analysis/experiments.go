@@ -83,16 +83,55 @@ func IDs() []string {
 	return ids
 }
 
+// Outcome is one experiment's result from RunEach: the artifact, or the
+// error that stopped it.
+type Outcome struct {
+	Artifact *report.Artifact
+	Err      error
+}
+
+// RunEach runs every registered experiment against the analyzer and
+// returns one Outcome per experiment, in registration order. The bodies
+// fan out across a worker pool bounded by the analyzer's parallelism:
+// they are pure readers of the finalized scan state (plus the
+// mutex-protected ping-pong tracker), and each first Requires its own
+// needs, which serializes on the analyzer. Callers wanting one fused
+// trace pass Require the union of the needs beforehand, as RunAll does.
+func RunEach(ctx context.Context, a *Analyzer) []Outcome {
+	a.mu.Lock()
+	workers := a.parallelism
+	a.mu.Unlock()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(registry))
+	out := make([]Outcome, len(registry))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				art, err := registry[i].Run(ctx, a)
+				out[i] = Outcome{Artifact: art, Err: err}
+			}
+		}()
+	}
+	for i := range registry {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return out
+}
+
 // RunAll executes every experiment against the analyzer, rendering each
 // artifact to w. The first scan computes the union of every experiment's
-// needs in one fused pass, so the whole report costs a single trace read.
-//
-// After that union Require the scan state is complete and immutable, so
-// the experiment bodies (pure readers of the finalized state, plus the
-// mutex-protected ping-pong tracker) fan out across a worker pool bounded
-// by the analyzer's parallelism; rendering stays sequential in
+// needs in one fused pass, so the whole report costs a single trace read;
+// the bodies then run on RunEach's pool. Rendering stays sequential in
 // registration order, so the report bytes are identical to the serial
-// execution.
+// execution, and the first failing experiment fails the report.
 func RunAll(ctx context.Context, a *Analyzer, w io.Writer) error {
 	var union Need
 	for _, e := range registry {
@@ -103,43 +142,13 @@ func RunAll(ctx context.Context, a *Analyzer, w io.Writer) error {
 			return fmt.Errorf("analysis: scanning: %w", err)
 		}
 	}
-	a.mu.Lock()
-	workers := a.parallelism
-	a.mu.Unlock()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(registry) {
-		workers = len(registry)
-	}
-	type result struct {
-		art *report.Artifact
-		err error
-	}
-	results := make([]result, len(registry))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				art, err := registry[i].Run(ctx, a)
-				results[i] = result{art: art, err: err}
-			}
-		}()
-	}
-	for i := range registry {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for i, e := range registry {
-		if results[i].err != nil {
-			return fmt.Errorf("analysis: experiment %s: %w", e.ID, results[i].err)
+	for i, o := range RunEach(ctx, a) {
+		id := registry[i].ID
+		if o.Err != nil {
+			return fmt.Errorf("analysis: experiment %s: %w", id, o.Err)
 		}
-		if err := results[i].art.Render(w); err != nil {
-			return fmt.Errorf("analysis: rendering %s: %w", e.ID, err)
+		if err := o.Artifact.Render(w); err != nil {
+			return fmt.Errorf("analysis: rendering %s: %w", id, err)
 		}
 	}
 	return nil

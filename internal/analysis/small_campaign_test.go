@@ -45,3 +45,45 @@ func TestSmallCampaignReportRenders(t *testing.T) {
 		})
 	}
 }
+
+// At 100 UEs (seed 3) and 200 UEs (seed 8) over 7 days, no outlier-filtered
+// sector-day row lies in the Capital area, so the region dummies of the
+// Table 5/7 design sum to the intercept. The report must still render,
+// with both models saying why they are not fitted.
+func TestSmallCampaignFullModelRenders(t *testing.T) {
+	for _, shape := range []struct {
+		ues  int
+		seed uint64
+	}{{100, 3}, {200, 8}} {
+		t.Run(fmt.Sprintf("ues%d-seed%d", shape.ues, shape.seed), func(t *testing.T) {
+			cfg := simulate.DefaultConfig(shape.seed)
+			cfg.UEs, cfg.Days, cfg.Shards = shape.ues, 7, 1
+			ds, err := simulate.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := New(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := RunAll(context.Background(), a, io.Discard); err != nil {
+				t.Fatalf("RunAll: %v", err)
+			}
+			for _, id := range []string{"table5", "table7"} {
+				e, _ := ByID(id)
+				art, err := e.Run(context.Background(), a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := art.Render(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(buf.String(), "Insufficient data") ||
+					!strings.Contains(buf.String(), "Sector Region: Capital area") {
+					t.Fatalf("%s does not report the missing Capital-area rows:\n%s", id, buf.String())
+				}
+			}
+		})
+	}
+}

@@ -201,25 +201,10 @@ func LoadOpts(dir string, opts trace.FileStoreOptions) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Codec != 0 {
-		switch {
-		case opts.Codec == 0:
-			opts.Codec = m.Codec
-		case opts.Codec != m.Codec:
-			return nil, fmt.Errorf("simulate: campaign was written with codec v%d; requested v%d would mix formats (omit the codec option to keep the campaign's)",
-				m.Codec, opts.Codec)
-		}
-		if opts.Compress != m.Compress && opts.Compress {
-			return nil, fmt.Errorf("simulate: campaign was written without compression; requested compression would mix formats")
-		}
-		opts.Compress = m.Compress
-		if opts.FastCompress != m.FastCompress && opts.FastCompress {
-			return nil, fmt.Errorf("simulate: campaign was written without fast compression; requested fast compression would mix formats")
-		}
-		opts.FastCompress = m.FastCompress
+	if opts, err = storeOptions(m, opts); err != nil {
+		return nil, err
 	}
-	cfg := m.Config
-	ds, err := BuildWorld(cfg)
+	ds, err := BuildWorld(m.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -231,6 +216,84 @@ func LoadOpts(dir string, opts trace.FileStoreOptions) (*Dataset, error) {
 	ds.Store = store
 	ds.DayStats = m.DayStats
 	return ds, nil
+}
+
+// storeOptions resolves the file-store write options for a campaign:
+// zero codec fields fall back to what the manifest records, and a
+// requested codec or compression that contradicts it is refused.
+func storeOptions(m *CampaignMeta, opts trace.FileStoreOptions) (trace.FileStoreOptions, error) {
+	if m.Codec == 0 {
+		return opts, nil
+	}
+	switch {
+	case opts.Codec == 0:
+		opts.Codec = m.Codec
+	case opts.Codec != m.Codec:
+		return opts, fmt.Errorf("simulate: campaign was written with codec v%d; requested v%d would mix formats (omit the codec option to keep the campaign's)",
+			m.Codec, opts.Codec)
+	}
+	if opts.Compress != m.Compress && opts.Compress {
+		return opts, fmt.Errorf("simulate: campaign was written without compression; requested compression would mix formats")
+	}
+	opts.Compress = m.Compress
+	if opts.FastCompress != m.FastCompress && opts.FastCompress {
+		return opts, fmt.Errorf("simulate: campaign was written without fast compression; requested fast compression would mix formats")
+	}
+	opts.FastCompress = m.FastCompress
+	return opts, nil
+}
+
+// Reload brings a campaign opened with Load or LoadOpts up to date with
+// its manifest.json in place, for long-lived readers of a growing
+// campaign. Config.Days, Config.WindowDays and DayStats follow the
+// manifest and the trace store is kept. The world model is rebuilt only
+// when the manifest describes another world (see Config.worldKey): a
+// campaign growing toward its declared window — the streaming-ingest
+// shape — keeps it, while telcogen -append with no declared window
+// grows the world window and rebuilds, exactly as a fresh Load would.
+// rebuilt reports which happened. The codec checks of LoadOpts apply,
+// with the kept store's write options as the requested ones; on any
+// error the dataset is left unchanged.
+//
+// Reload mutates the dataset without synchronization, so it is only
+// safe on the goroutine that also drives every Analyzer over it — in
+// telcoserve, the watch loop. An analyzer reads Config and the world
+// model during its scans and experiment runs.
+func (d *Dataset) Reload() (rebuilt bool, err error) {
+	fs, ok := d.Store.(*trace.FileStore)
+	if !ok {
+		return false, fmt.Errorf("simulate: Reload needs a campaign opened with Load (store is %T)", d.Store)
+	}
+	cur := fs.Options()
+	m, err := LoadMetaFS(cur.FS, fs.Dir())
+	if err != nil {
+		return false, err
+	}
+	opts, err := storeOptions(m, cur)
+	if err != nil {
+		return false, err
+	}
+	if opts.Codec != cur.Codec || opts.Compress != cur.Compress || opts.FastCompress != cur.FastCompress {
+		// The manifest records write options the open store does not use
+		// (compression switched on since): adopt them, as LoadOpts would.
+		if fs, err = trace.NewFileStoreOpts(fs.Dir(), opts); err != nil {
+			return false, err
+		}
+	}
+	if m.Config.worldKey() == d.Config.worldKey() {
+		d.Config.Days, d.Config.WindowDays = m.Config.Days, m.Config.WindowDays
+		d.Config.Store, d.Store = fs, fs
+		d.DayStats = m.DayStats
+		return false, nil
+	}
+	next, err := BuildWorld(m.Config)
+	if err != nil {
+		return false, err
+	}
+	next.Config.Store, next.Store = fs, fs
+	next.DayStats = m.DayStats
+	*d = *next
+	return true, nil
 }
 
 // BuildWorld rebuilds the deterministic world model (census, topology,

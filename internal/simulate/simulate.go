@@ -72,6 +72,26 @@ func (c *Config) worldWindowDays() int {
 	return c.Days
 }
 
+// worldKey identifies the world a config describes: every persisted
+// field BuildWorld derives the world model from, plus the remaining
+// campaign identity (full-scale population, sharding). Two configs with
+// equal keys differ at most in their landed-day count inside one world
+// window.
+type worldKey struct {
+	seed                             uint64
+	ues, districts, sites, longTail  int
+	rareBoost                        float64
+	fullScaleUEs, shards, windowDays int
+}
+
+func (c *Config) worldKey() worldKey {
+	return worldKey{
+		seed: c.Seed, ues: c.UEs, districts: c.Districts, sites: c.SitesTarget,
+		longTail: c.LongTailCauses, rareBoost: c.RareBoost,
+		fullScaleUEs: c.FullScaleUEs, shards: c.Shards, windowDays: c.worldWindowDays(),
+	}
+}
+
 // DefaultConfig returns the calibrated laptop-scale configuration.
 func DefaultConfig(seed uint64) Config {
 	return Config{

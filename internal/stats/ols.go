@@ -6,6 +6,11 @@ import (
 	"math"
 )
 
+// ErrSingular is returned when a design does not identify every
+// coefficient: fewer observations than parameters, or perfectly
+// collinear covariates (a dummy level no row carries, say).
+var ErrSingular = errors.New("stats: singular design matrix")
+
 // LinearModel is a fitted ordinary-least-squares regression, mirroring the
 // regression summaries in the paper's Tables 4, 5 and 7: coefficients with
 // standard errors, t-values and two-sided p-values, plus global fit
@@ -50,7 +55,7 @@ func FitOLS(y []float64, X [][]float64, names []string, addIntercept bool) (*Lin
 		p++
 	}
 	if n <= p {
-		return nil, fmt.Errorf("stats: %d observations for %d parameters", n, p)
+		return nil, fmt.Errorf("%w: %d observations for %d parameters", ErrSingular, n, p)
 	}
 
 	// Build X'X and X'y without materializing the design matrix copy.
@@ -213,7 +218,7 @@ func invertSPD(a [][]float64) ([][]float64, error) {
 			}
 		}
 		if math.Abs(a[pivot][col]) < 1e-12 {
-			return nil, errors.New("stats: singular design matrix (collinear covariates?)")
+			return nil, fmt.Errorf("%w (collinear covariates?)", ErrSingular)
 		}
 		a[col], a[pivot] = a[pivot], a[col]
 		inv[col], inv[pivot] = inv[pivot], inv[col]
