@@ -13,17 +13,16 @@
 #   make bench-gate-run
 #                     the measured bench pass the CI regression gate
 #                     feeds to cmd/benchgate: BenchmarkScan +
-#                     BenchmarkScanSharded + the paired BenchmarkRunAll
-#                     (record-at-a-time vs batch-native, plus the
-#                     postscan leg timing repeat passes over a warm
-#                     analyzer — the post-scan constant) + the paired
-#                     BenchmarkRefresh (cold full state build vs
-#                     checkpoint-resume + 1-new-day refresh) + the paired
-#                     write-path benches BenchmarkWrite (legacy record
-#                     encoder vs column-native encoder) and
-#                     BenchmarkGenerateDay (record-writer vs columnar
-#                     generation; since the planner's spatial index its
-#                     one-day campaigns are mostly world build) + the
+#                     BenchmarkScanSharded + BenchmarkRunAll (a cold
+#                     all-experiment pass, plus the postscan leg timing
+#                     repeat passes over a warm analyzer — the post-scan
+#                     constant) + the paired BenchmarkRefresh (cold full
+#                     state build vs checkpoint-resume + 1-new-day
+#                     refresh) + the write-path benches BenchmarkWrite
+#                     (v2/v3 column encode, plain and compressed) and
+#                     BenchmarkGenerateDay (columnar generation; since
+#                     the planner's spatial index its one-day campaigns
+#                     are mostly world build) + the
 #                     generation hot path: paired BenchmarkNearestDistrict
 #                     (linear scan of the district centres vs the exact
 #                     geo.NearestIndex, with an index_speedup_x metric)
@@ -35,7 +34,7 @@
 #                     windowed slice, cold/cached paths, parallel load
 #                     with qps + tail latency), -count 5 with
 #                     -benchmem, written to $(BENCH_OUT)
-#   make alloc-check  assert the steady-state batch scan loop and the
+#   make alloc-check  assert the steady-state column scan loop and the
 #                     v2 column encode path allocate nothing per block
 #                     (internal/trace allocation tests), that a
 #                     UE-day of mobility planning through a warm worker
@@ -46,13 +45,17 @@
 #                     bench/ (its own go.mod, so `go test ./...` from
 #                     the root does not reach it); -short skips its
 #                     end-to-end smoke run
+#   make bench-e2e    the telcobench module's tests without -short:
+#                     TestQuickSmoke runs every workload end to end and
+#                     traced at -quick (~30 s), the one check that the
+#                     traced replay still runs against the trace API
 #   make profile      generate a campaign (once) and run telcoanalyze
 #                     under -cpuprofile/-memprofile, so perf work starts
 #                     from a pprof, not a guess; tune PROFILE_EXP/
 #                     PROFILE_DIR/PROFILE_ARGS (telcogen takes the same
 #                     two flags, and its summary line splits generation
 #                     wall time into world build / simulate / sort+encode)
-#   make fuzz-smoke   30s of FuzzDecodeBlock on the v2 block decoder
+#   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
 #                     mid-stream, restart, assert byte-identical
@@ -135,7 +138,7 @@ PROFILE_DIR ?= profile-campaign
 PROFILE_EXP ?= table5
 PROFILE_ARGS ?=
 
-.PHONY: all vet lint build test race bench-smoke bench-gate-run bench-baseline bench-unit alloc-check profile fuzz-smoke soak chaos chaos-soak netchaos ci
+.PHONY: all vet lint build test race bench-smoke bench-gate-run bench-baseline bench-unit bench-e2e alloc-check profile fuzz-smoke soak chaos chaos-soak netchaos ci
 
 all: ci
 
@@ -185,9 +188,12 @@ bench-baseline: bench-gate-run
 bench-unit:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# Steady-state allocation check: decoding a block into a ColumnBatch (or
-# record batch), encoding a block from columnar or record-batch ingest,
-# and the pooled scan loop must not allocate per block; planning a
+bench-e2e:
+	cd bench && $(GO) test -count 1 ./...
+
+# Steady-state allocation check: decoding a block into a ColumnBatch,
+# encoding a block from a ColumnBatch, and the pooled scan loop must not
+# allocate per block; planning a
 # UE-day through a warm mobility.Scratch and sealing a duration sampler
 # through a warm radix scratch must not allocate at all.
 # The tests are built out under -race (the detector skews allocation

@@ -153,7 +153,7 @@ func codecBenchStore(b *testing.B, label string, opts trace.FileStoreOptions) tr
 		if err != nil {
 			b.Fatal(err)
 		}
-		var batch []Record
+		var cb trace.ColumnBatch
 		for _, p := range parts {
 			it, err := a.DS.Store.OpenPartition(p.Day, p.Shard)
 			if err != nil {
@@ -163,17 +163,15 @@ func codecBenchStore(b *testing.B, label string, opts trace.FileStoreOptions) tr
 			if err != nil {
 				b.Fatal(err)
 			}
-			bi := it.(trace.BatchIterator)
-			bw := w.(trace.BatchWriter)
 			for {
-				n, err := bi.NextBatch(&batch)
+				n, err := it.NextColumns(&cb)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if n == 0 {
 					break
 				}
-				if err := bw.WriteBatch(batch[:n]); err != nil {
+				if err := w.WriteColumns(&cb); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -201,16 +199,8 @@ func (c *benchCountCollector) NewShardState(day, shard int) trace.ShardState {
 	return &benchCountShard{}
 }
 
-func (s *benchCountShard) Observe(day int, rec *trace.Record) error { s.n++; return nil }
-
-func (s *benchCountShard) ObserveBatch(day int, recs []trace.Record) error {
-	s.n += int64(len(recs))
-	return nil
-}
-
-// ObserveColumns makes the raw scan legs take the column-native scan
-// path — the one every production collector uses — so they measure pure
-// block decode (SoA, no record transposition) plus iteration.
+// ObserveColumns only counts, so the raw scan legs measure pure block
+// decode plus iteration.
 func (s *benchCountShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
 	s.n += int64(cb.Len())
 	return nil
@@ -340,52 +330,8 @@ func BenchmarkScan(b *testing.B) {
 	})
 }
 
-// recordOnlyStore strips the batch and column interfaces from a store's
-// iterators, forcing scans back onto the record-at-a-time path (one
-// iterator call plus one Observe interface call per collector per
-// record) — the baseline the batch-native engine is measured against.
-type recordOnlyStore struct{ trace.Store }
-
-type recordOnlyIterator struct{ inner trace.RecordIterator }
-
-func (s recordOnlyStore) OpenPartition(day, shard int) (trace.RecordIterator, error) {
-	it, err := s.Store.OpenPartition(day, shard)
-	if err != nil {
-		return nil, err
-	}
-	return recordOnlyIterator{it}, nil
-}
-
-func (it recordOnlyIterator) Next(rec *trace.Record) (bool, error) { return it.inner.Next(rec) }
-func (it recordOnlyIterator) Close() error                         { return it.inner.Close() }
-
-// The storage-layer capabilities (range pruning, column projection,
-// block stats) pass through — only the analysis-layer batch/column
-// interfaces are stripped, so the pair isolates the collector path.
-func (it recordOnlyIterator) SetTimeRange(minTS, maxTS int64) {
-	if rs, ok := it.inner.(trace.TimeRangeSetter); ok {
-		rs.SetTimeRange(minTS, maxTS)
-	}
-}
-
-func (it recordOnlyIterator) SetProjection(cols trace.ColumnSet) {
-	if ps, ok := it.inner.(trace.ProjectionSetter); ok {
-		ps.SetProjection(cols)
-	}
-}
-
-func (it recordOnlyIterator) ReadStats() trace.BlockStats {
-	if sr, ok := it.inner.(trace.BlockStatsReader); ok {
-		return sr.ReadStats()
-	}
-	return trace.BlockStats{}
-}
-
-// BenchmarkRunAll is the tentpole end-to-end pair: every experiment of
-// the paper regenerated from one v2 block store, once over the
-// record-at-a-time collector path and once over the batch-native
-// (columnar) path. The speedup sub-benchmark interleaves both inside
-// one timer window so machine drift cancels out of the reported ratio.
+// BenchmarkRunAll regenerates every experiment of the paper from one v2
+// block store in a fresh analyzer per iteration.
 func BenchmarkRunAll(b *testing.B) {
 	a := benchSetup(b)
 	s2 := codecBenchStore(b, "raw-v2", trace.FileStoreOptions{Codec: trace.CodecV2})
@@ -393,42 +339,19 @@ func BenchmarkRunAll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runOnce := func(s trace.Store) {
-		ds := *a.DS // shallow copy with the store swapped
-		ds.Store = s
-		fresh, err := NewAnalyzer(&ds)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := RunAll(context.Background(), fresh, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("record", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(recordOnlyStore{s2})
-		}
-		b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runOnce(s2)
+			ds := *a.DS // shallow copy with the store swapped
+			ds.Store = s2
+			fresh, err := NewAnalyzer(&ds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := RunAll(context.Background(), fresh, io.Discard); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	})
-	b.Run("speedup", func(b *testing.B) {
-		var dRec, dBatch time.Duration
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			runOnce(recordOnlyStore{s2})
-			dRec += time.Since(start)
-			start = time.Now()
-			runOnce(s2)
-			dBatch += time.Since(start)
-		}
-		if dBatch > 0 {
-			b.ReportMetric(dRec.Seconds()/dBatch.Seconds(), "batch_speedup_x")
-		}
 	})
 	// postscan isolates the post-scan constant: the analyzer is warmed
 	// once (collectors computed, state finalized), then each iteration
@@ -703,14 +626,13 @@ func shardLabel(n int) string {
 
 // writeBenchData synthesizes one partition's worth of records shaped
 // like real generation output (sorted timestamps, sequential UE id
-// space, a few hundred distinct TACs) plus its columnar transposition.
+// space, a few hundred distinct TACs) in columnar form.
 var (
 	writeBenchOnce sync.Once
-	writeBenchRecs []trace.Record
 	writeBenchCols trace.ColumnBatch
 )
 
-func writeBenchData() ([]trace.Record, *trace.ColumnBatch) {
+func writeBenchData() *trace.ColumnBatch {
 	writeBenchOnce.Do(func() {
 		rng := rand.New(rand.NewSource(9))
 		const n = 200_000
@@ -735,83 +657,49 @@ func writeBenchData() ([]trace.Record, *trace.ColumnBatch) {
 			}
 			recs[i] = rec
 		}
-		writeBenchRecs = recs
 		writeBenchCols.FromRecords(recs)
 	})
-	return writeBenchRecs, &writeBenchCols
+	return &writeBenchCols
 }
 
-// BenchmarkWrite is the write-side tentpole pair, mirroring
-// BenchmarkRunAll on the read side: encoding one partition's records as
-// a v2 block stream through the legacy record-at-a-time encoder
-// (buffered []Record, strided struct access, per-block dictionary
-// allocations) versus the column-native encoder (SoA slices in,
-// sequential per-column passes, pooled zero-alloc scratch). Both arms
-// produce byte-identical streams — TestWriteColumnsByteIdentical holds
-// the pair honest — so the ratio is pure encode throughput. The speedup
-// arm interleaves both inside one timer window so machine drift cancels
-// out.
+// BenchmarkWrite measures encoding one partition's records as a block
+// stream from SoA slices (sequential per-column passes, pooled zero-alloc
+// scratch): v2 plain and flate-compressed, v3 plain, TLZ- and
+// flate-compressed, plus the paired v2-vs-v3 ratio inside one timer
+// window so machine drift cancels out.
 func BenchmarkWrite(b *testing.B) {
-	recs, cb := writeBenchData()
+	cb := writeBenchData()
+	n := int64(cb.Len())
 	// encode takes the subtest's own *testing.B: each b.Run body runs on
 	// its own goroutine, and Fatal must be called from that goroutine.
-	encode := func(b *testing.B, compress, record bool) {
-		opts := trace.WriterV2Options{Compress: compress, RecordEncode: record}
-		w, err := trace.NewWriterV2(io.Discard, opts)
+	encode := func(b *testing.B, compress bool) {
+		w, err := trace.NewWriterV2(io.Discard, trace.WriterV2Options{Compress: compress})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if record {
-			err = w.WriteBatch(recs)
-		} else {
-			err = w.WriteColumns(cb)
-		}
-		if err != nil {
+		if err := w.WriteColumns(cb); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		if w.Count() != int64(len(recs)) {
-			b.Fatalf("encoded %d records, want %d", w.Count(), len(recs))
+		if w.Count() != n {
+			b.Fatalf("encoded %d records, want %d", w.Count(), n)
 		}
 		w.Release()
 	}
 	for _, c := range []struct {
 		name     string
 		compress bool
-	}{{"", false}, {"flate/", true}} {
-		b.Run(c.name+"record", func(b *testing.B) {
+	}{{"column", false}, {"flate/column", true}} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				encode(b, c.compress, true)
+				encode(b, c.compress)
 			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-		b.Run(c.name+"column", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				encode(b, c.compress, false)
-			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-		b.Run(c.name+"speedup", func(b *testing.B) {
-			var dRec, dCol time.Duration
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				encode(b, c.compress, true)
-				dRec += time.Since(start)
-				start = time.Now()
-				encode(b, c.compress, false)
-				dCol += time.Since(start)
-			}
-			if dCol > 0 {
-				b.ReportMetric(dRec.Seconds()/dCol.Seconds(), "column_speedup_x")
-			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
-	// v3 legs: bitpacked encode, plain and TLZ-compressed, plus the
-	// paired v2-vs-v3 ratio inside one timer window.
 	encodeV3 := func(b *testing.B, opts trace.WriterV3Options) {
 		w, err := trace.NewWriterV3(io.Discard, opts)
 		if err != nil {
@@ -823,8 +711,8 @@ func BenchmarkWrite(b *testing.B) {
 		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		if w.Count() != int64(len(recs)) {
-			b.Fatalf("encoded %d records, want %d", w.Count(), len(recs))
+		if w.Count() != n {
+			b.Fatalf("encoded %d records, want %d", w.Count(), n)
 		}
 		w.Release()
 	}
@@ -841,14 +729,14 @@ func BenchmarkWrite(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				encodeV3(b, c.opts)
 			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
 	b.Run("v3/speedup", func(b *testing.B) {
 		var d2, d3 time.Duration
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			encode(b, false, false)
+			encode(b, false)
 			d2 += time.Since(start)
 			start = time.Now()
 			encodeV3(b, trace.WriterV3Options{})
@@ -860,87 +748,25 @@ func BenchmarkWrite(b *testing.B) {
 	})
 }
 
-// recordWriteOnlyStore strips the ColumnWriter surface from a store's
-// writers, forcing generation onto the record-path compatibility
-// fallback — the old write pipeline, kept as the baseline arm of
-// BenchmarkGenerateDay (the write-side analog of recordOnlyStore).
-type recordWriteOnlyStore struct{ trace.Store }
-
-type recordWriteOnlyWriter struct{ inner trace.RecordWriter }
-
-func (s recordWriteOnlyStore) AppendPartition(day, shard int) (trace.RecordWriter, error) {
-	w, err := s.Store.AppendPartition(day, shard)
-	if err != nil {
-		return nil, err
-	}
-	return recordWriteOnlyWriter{w}, nil
-}
-
-func (w recordWriteOnlyWriter) Write(rec *trace.Record) error { return w.inner.Write(rec) }
-func (w recordWriteOnlyWriter) Close() error                  { return w.inner.Close() }
-
-func (w recordWriteOnlyWriter) WriteBatch(recs []trace.Record) error {
-	if bw, ok := w.inner.(trace.BatchWriter); ok {
-		return bw.WriteBatch(recs)
-	}
-	for i := range recs {
-		if err := w.inner.Write(&recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BenchmarkGenerateDay measures end-to-end generation throughput: the
 // full campaign build landing in an in-memory store through the
-// columnar write path (column arm) versus the record-writer fallback
-// (record arm). The simulation itself dominates, so the gap here is the
-// write path's share of end-to-end generation; the isolated encode
-// ratio is BenchmarkWrite.
+// columnar write path. The simulation itself dominates; the isolated
+// encode cost is BenchmarkWrite.
 func BenchmarkGenerateDay(b *testing.B) {
-	// genOnce takes the subtest's *testing.B for the same reason encode
-	// does in BenchmarkWrite.
-	genOnce := func(b *testing.B, i int, record bool) int64 {
-		cfg := simulate.DefaultConfig(7)
-		cfg.UEs = 1500
-		cfg.Days = 1
-		cfg.Seed = uint64(i + 1)
-		if record {
-			cfg.Store = recordWriteOnlyStore{trace.NewMemStore()}
-		}
-		ds, err := simulate.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ds.TotalHandovers()
-	}
-	b.Run("record", func(b *testing.B) {
-		var handovers int64
-		for i := 0; i < b.N; i++ {
-			handovers += genOnce(b, i, true)
-		}
-		b.ReportMetric(float64(handovers)/b.Elapsed().Seconds(), "HOs/s")
-	})
 	b.Run("column", func(b *testing.B) {
 		var handovers int64
 		for i := 0; i < b.N; i++ {
-			handovers += genOnce(b, i, false)
+			cfg := simulate.DefaultConfig(7)
+			cfg.UEs = 1500
+			cfg.Days = 1
+			cfg.Seed = uint64(i + 1)
+			ds, err := simulate.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			handovers += ds.TotalHandovers()
 		}
 		b.ReportMetric(float64(handovers)/b.Elapsed().Seconds(), "HOs/s")
-	})
-	b.Run("speedup", func(b *testing.B) {
-		var dRec, dCol time.Duration
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			genOnce(b, i, true)
-			dRec += time.Since(start)
-			start = time.Now()
-			genOnce(b, i, false)
-			dCol += time.Since(start)
-		}
-		if dCol > 0 {
-			b.ReportMetric(dRec.Seconds()/dCol.Seconds(), "column_speedup_x")
-		}
 	})
 }
 
@@ -1309,23 +1135,17 @@ func censusR2(b *testing.B, a *Analyzer, counts []int) float64 {
 // export for one day of records (throughput and bytes per record).
 func BenchmarkAblationCodecVsCSV(b *testing.B) {
 	a := benchSetup(b)
-	var recs []trace.Record
-	it, err := a.DS.Store.OpenDay(0)
+	day := new(trace.ColumnBatch)
+	parts, err := a.DS.Store.Partitions()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rec trace.Record
-	for {
-		ok, err := it.Next(&rec)
-		if err != nil {
-			b.Fatal(err)
+	for _, p := range parts {
+		if p.Day == 0 {
+			day.AppendColumns(readPartition(b, a.DS.Store, p, false))
 		}
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
 	}
-	it.Close()
+	records := float64(day.Len())
 
 	b.Run("binary", func(b *testing.B) {
 		var n int64
@@ -1335,28 +1155,26 @@ func BenchmarkAblationCodecVsCSV(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for j := range recs {
-				if err := w.Write(&recs[j]); err != nil {
-					b.Fatal(err)
-				}
+			if err := w.WriteColumns(day); err != nil {
+				b.Fatal(err)
 			}
 			if err := w.Flush(); err != nil {
 				b.Fatal(err)
 			}
 			n = cw.n
 		}
-		b.ReportMetric(float64(n)/float64(len(recs)), "bytes/record")
+		b.ReportMetric(float64(n)/records, "bytes/record")
 	})
 	b.Run("csv", func(b *testing.B) {
 		var n int64
 		for i := 0; i < b.N; i++ {
 			cw := &countingWriter{}
-			if _, err := trace.ExportCSV(cw, &sliceIterator{recs: recs}); err != nil {
+			if _, err := trace.ExportCSV(cw, &batchIterator{cb: day}); err != nil {
 				b.Fatal(err)
 			}
 			n = cw.n
 		}
-		b.ReportMetric(float64(n)/float64(len(recs)), "bytes/record")
+		b.ReportMetric(float64(n)/records, "bytes/record")
 	})
 }
 
@@ -1367,21 +1185,48 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-type sliceIterator struct {
-	recs []trace.Record
-	pos  int
+// batchIterator hands out one in-memory batch, then end of stream.
+type batchIterator struct {
+	cb   *trace.ColumnBatch
+	done bool
 }
 
-func (it *sliceIterator) Next(rec *trace.Record) (bool, error) {
-	if it.pos >= len(it.recs) {
-		return false, nil
+func (it *batchIterator) NextColumns(cb *trace.ColumnBatch) (int, error) {
+	if it.done {
+		return 0, nil
 	}
-	*rec = it.recs[it.pos]
-	it.pos++
-	return true, nil
+	it.done = true
+	cb.Reset()
+	cb.AppendColumns(it.cb)
+	return cb.Len(), nil
 }
 
-func (it *sliceIterator) Close() error { return nil }
+func (it *batchIterator) Close() error { return nil }
+
+// readPartition reads partition p as one batch: only its first decoded
+// batch with firstOnly set, else every row.
+func readPartition(b *testing.B, s trace.Store, p trace.Partition, firstOnly bool) *trace.ColumnBatch {
+	it, err := s.OpenPartition(p.Day, p.Shard)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer it.Close()
+	out := new(trace.ColumnBatch)
+	var cb trace.ColumnBatch
+	for {
+		n, err := it.NextColumns(&cb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n == 0 {
+			return out
+		}
+		out.AppendColumns(&cb)
+		if firstOnly {
+			return out
+		}
+	}
+}
 
 // BenchmarkAblationRareBoost sweeps the 2G rare-event boost and reports
 // the fitted 3G coefficient, demonstrating the ordering invariance claimed
@@ -1441,17 +1286,12 @@ func BenchmarkQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Pin a real subscriber and device so the queries return rows.
-	it, err := store.OpenPartition(view.Partitions[0].Day, view.Partitions[0].Shard)
-	if err != nil {
-		b.Fatal(err)
+	probe := readPartition(b, store, view.Partitions[0].Partition(), true)
+	if probe.Len() == 0 {
+		b.Fatal("empty first partition")
 	}
-	var probe Record
-	if ok, err := it.Next(&probe); err != nil || !ok {
-		b.Fatalf("empty first partition: %v", err)
-	}
-	it.Close()
-	ue := probe.UE
-	tac := uint32(probe.TAC)
+	ue := probe.UEs[0]
+	tac := uint32(probe.TACs[0])
 	day0 := trace.DayRange(0, 0)
 	ctx := context.Background()
 
@@ -1544,16 +1384,11 @@ func BenchmarkOverload(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	it, err := store.OpenPartition(view.Partitions[0].Day, view.Partitions[0].Shard)
-	if err != nil {
-		b.Fatal(err)
+	probe := readPartition(b, store, view.Partitions[0].Partition(), true)
+	if probe.Len() == 0 {
+		b.Fatal("empty first partition")
 	}
-	var probe Record
-	if ok, err := it.Next(&probe); err != nil || !ok {
-		b.Fatalf("empty first partition: %v", err)
-	}
-	it.Close()
-	ue := probe.UE
+	ue := probe.UEs[0]
 
 	slots := runtime.GOMAXPROCS(0)
 	ctrl := admission.NewController(admission.Config{

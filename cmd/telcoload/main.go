@@ -243,7 +243,7 @@ func readDay(store *trace.FileStore, day int) (*trace.ColumnBatch, error) {
 		return nil, err
 	}
 	cols := new(trace.ColumnBatch)
-	var rec trace.Record
+	var cb trace.ColumnBatch
 	for _, p := range parts {
 		if p.Day != day {
 			continue
@@ -253,15 +253,15 @@ func readDay(store *trace.FileStore, day int) (*trace.ColumnBatch, error) {
 			return nil, err
 		}
 		for {
-			ok, err := it.Next(&rec)
+			n, err := it.NextColumns(&cb)
 			if err != nil {
 				it.Close()
 				return nil, err
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
-			cols.AppendRecord(&rec)
+			cols.AppendColumns(&cb)
 		}
 		if err := it.Close(); err != nil {
 			return nil, err

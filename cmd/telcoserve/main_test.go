@@ -14,6 +14,13 @@ import (
 	"telcolens/internal/trace"
 )
 
+// writeRecords lands recs through w as one columnar batch.
+func writeRecords(w trace.RecordWriter, recs []trace.Record) error {
+	var cb trace.ColumnBatch
+	cb.FromRecords(recs)
+	return w.WriteColumns(&cb)
+}
+
 // newQueryServer builds a server around a small on-disk store, with a
 // snapshot that carries only the pinned query view (no artifacts — the
 // /query path never touches them).
@@ -39,7 +46,7 @@ func newQueryServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.(trace.BatchWriter).WriteBatch(recs); err != nil {
+	if err := writeRecords(w, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -154,7 +161,7 @@ func TestQueryCacheSwapRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.(trace.BatchWriter).WriteBatch(recs); err != nil {
+		if err := writeRecords(w, recs); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

@@ -195,8 +195,8 @@ func dayRecords(t *testing.T, dir string, day int) *trace.ColumnBatch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := new(trace.ColumnBatch)
-	var rec trace.Record
+	out := new(trace.ColumnBatch)
+	var cb trace.ColumnBatch
 	for _, p := range parts {
 		if p.Day != day {
 			continue
@@ -206,18 +206,18 @@ func dayRecords(t *testing.T, dir string, day int) *trace.ColumnBatch {
 			t.Fatal(err)
 		}
 		for {
-			ok, err := it.Next(&rec)
+			n, err := it.NextColumns(&cb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
-			cb.AppendRecord(&rec)
+			out.AppendColumns(&cb)
 		}
 		it.Close()
 	}
-	return cb
+	return out
 }
 
 // TestInPlaceRefreshMatchesCold seals a campaign into a served ingest

@@ -76,12 +76,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var probe telcolens.Record
-	if ok, err := it.Next(&probe); err != nil || !ok {
+	var first trace.ColumnBatch
+	if n, err := it.NextColumns(&first); err != nil || n == 0 {
 		log.Fatal("campaign has no records")
 	}
 	it.Close()
-	ue := probe.UE
+	ue := first.UEs[0]
 
 	// One subscriber's full week, with the per-slice aggregate.
 	ctx := context.Background()
@@ -195,16 +195,18 @@ func rareTAC(store telcolens.Store) uint32 {
 	}
 	defer it.Close()
 	counts := make(map[uint32]int)
-	var rec telcolens.Record
+	var cb trace.ColumnBatch
 	for {
-		ok, err := it.Next(&rec)
+		n, err := it.NextColumns(&cb)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		counts[uint32(rec.TAC)]++
+		for _, tac := range cb.TACs {
+			counts[uint32(tac)]++
+		}
 	}
 	var rare uint32
 	best := 1 << 30

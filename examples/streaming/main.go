@@ -159,8 +159,8 @@ func readDay(dir string, day int) *trace.ColumnBatch {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cb := new(trace.ColumnBatch)
-	var rec trace.Record
+	out := new(trace.ColumnBatch)
+	var cb trace.ColumnBatch
 	for _, p := range parts {
 		if p.Day != day {
 			continue
@@ -170,16 +170,16 @@ func readDay(dir string, day int) *trace.ColumnBatch {
 			log.Fatal(err)
 		}
 		for {
-			ok, err := it.Next(&rec)
+			n, err := it.NextColumns(&cb)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
-			cb.AppendRecord(&rec)
+			out.AppendColumns(&cb)
 		}
 		it.Close()
 	}
-	return cb
+	return out
 }

@@ -20,10 +20,10 @@ import (
 // The v2 scan engine decomposes the old monolithic one-pass scan into
 // independent Collector units. Each unit implements the quartet
 //
-//	NewShardState(day, shard) — fresh accumulator for one partition
-//	Observe(day, *Record)     — per-record accumulation (shard-local)
-//	MergeShard(state)         — fold, in canonical (day, shard) order
-//	finalize(*scanState)      — publish the merged view
+//	NewShardState(day, shard)      — fresh accumulator for one partition
+//	ObserveColumns(day, *ColumnBatch) — batch accumulation (shard-local)
+//	MergeShard(state)              — fold, in canonical (day, shard) order
+//	finalize(*scanState)           — publish the merged view
 //
 // so an experiment pays only for the state it declares (Need bits) and
 // the scan parallelizes over trace partitions. Every unit is written so
@@ -49,7 +49,7 @@ type collector interface {
 	trace.Collector
 	finalize(s *scanState) error
 	// columns declares exactly which record fields the collector's
-	// Observe reads (timestamps are always available). Scans project the
+	// ObserveColumns reads (timestamps are always available). Scans project the
 	// union of the fused collectors' columns, so v2 block stores skip
 	// decoding everything else; an understated set would read
 	// unspecified field values.
@@ -231,8 +231,8 @@ func mix64(x uint64) uint64 {
 // recKey derives a per-record hash key from fields that identify the
 // record uniquely within a stream (a UE emits at most one record per
 // millisecond).
-func recKey(rec *trace.Record) uint64 {
-	return mix64(uint64(rec.Timestamp)) ^ uint64(rec.UE)*0x9e3779b97f4a7c15
+func recKey(ts int64, ue trace.UEID) uint64 {
+	return mix64(uint64(ts)) ^ uint64(ue)*0x9e3779b97f4a7c15
 }
 
 // sampler keeps the capacity values whose hashed priorities are smallest
@@ -689,30 +689,8 @@ func (c *typesCollector) NewShardState(day, shard int) trace.ShardState {
 	return &typesShard{env: c.env, day: day}
 }
 
-// Observe is the record-at-a-time compatibility path (stores without
-// batch support); it keeps the historical per-record catalog probe.
-// The batch path below replaces it with the dense TAC table.
-func (s *typesShard) Observe(day int, rec *trace.Record) error {
-	model := s.env.ds.Devices.ByTAC(rec.TAC)
-	if model == nil {
-		return fmt.Errorf("analysis: unknown TAC %d", rec.TAC)
-	}
-	t := rec.HOType()
-	s.hos++
-	s.counts[t]++
-	s.devCounts[t][model.Type]++
-	s.dayTypeDev[t][model.Type]++
-	s.vendor[t][s.env.sectors[rec.Source].vendor]++
-	if rec.Result == trace.Failure {
-		s.fails++
-		s.typeFails[t]++
-		s.dayFails[t]++
-	}
-	return nil
-}
-
-// ObserveColumns is the batch-native Observe: the record-count bump is
-// hoisted out of the loop and every per-record lookup is a slice index.
+// ObserveColumns hoists the record-count bump out of the loop; every
+// per-record lookup is a slice index.
 func (s *typesShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
 	env := s.env
 	n := cb.Len()
@@ -831,22 +809,13 @@ func (c *durationsCollector) NewShardState(day, shard int) trace.ShardState {
 	return s
 }
 
-func (s *durationsShard) Observe(day int, rec *trace.Record) error {
-	if rec.Result == trace.Failure {
-		s.durCause[causeIdx(rec.Cause)].Add(float64(rec.DurationMs), recKey(rec))
-	} else {
-		s.durSuccess[rec.HOType()].Add(float64(rec.DurationMs), recKey(rec))
-	}
-	return nil
-}
-
-// ObserveColumns computes the record key inline from the timestamp and
-// UE columns; the samplers' root-threshold fast path makes the common
+// ObserveColumns computes the record key from the timestamp and UE
+// columns; the samplers' root-threshold fast path makes the common
 // full-sampler case one compare per record.
 func (s *durationsShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
 	n := cb.Len()
 	for i := 0; i < n; i++ {
-		key := mix64(uint64(cb.Timestamps[i])) ^ uint64(cb.UEs[i])*0x9e3779b97f4a7c15
+		key := recKey(cb.Timestamps[i], cb.UEs[i])
 		if cb.Results[i] == trace.Failure {
 			s.durCause[causeIdx(cb.Causes[i])].Add(float64(cb.Durations[i]), key)
 		} else {
@@ -931,34 +900,6 @@ type causesShard struct {
 
 func (c *causesCollector) NewShardState(day, shard int) trace.ShardState {
 	return &causesShard{env: c.env, day: day}
-}
-
-// Observe is the record-at-a-time compatibility path, probing the
-// device catalog per failure the way the pre-batch engine did.
-func (s *causesShard) Observe(day int, rec *trace.Record) error {
-	if rec.Result != trace.Failure {
-		return nil
-	}
-	model := s.env.ds.Devices.ByTAC(rec.TAC)
-	if model == nil {
-		return fmt.Errorf("analysis: unknown TAC %d", rec.TAC)
-	}
-	t := rec.HOType()
-	ci := causeIdx(rec.Cause)
-	areaIdx := s.env.sectors[rec.Source].areaIdx
-	s.causeType[t][ci]++
-	s.dayCauseType[t][ci]++
-	s.causeByDev[model.Type][ci]++
-	s.causeByArea[areaIdx][ci]++
-	if model.Type == devices.Smartphone {
-		for m, name := range topManufacturers {
-			if name == model.Manufacturer {
-				s.causeByMfr[m][areaIdx][ci]++
-				break
-			}
-		}
-	}
-	return nil
 }
 
 // ObserveColumns skips the (dominant) success rows with one compare and
@@ -1091,13 +1032,6 @@ func (c *temporalCollector) NewShardState(day, shard int) trace.ShardState {
 	return &temporalShard{env: c.env, day: day, dayBase: c.env.dayStart(day)}
 }
 
-// binOf clamps a record's time-of-day into a 30-minute bin, recomputing
-// the day start per record — the record-path cost the batch path hoists
-// into the shard state (see binOfMs).
-func binOf(day int, ts int64) int {
-	return binOfMs(trace.DayStart(day).UnixMilli(), ts)
-}
-
 // binOfMs clamps a record's offset from its day-start millis into a
 // 30-minute bin. With the day start hoisted to the shard state the
 // per-record cost is one subtraction and one division.
@@ -1112,53 +1046,26 @@ func binOfMs(dayBase, ts int64) int {
 	return bin
 }
 
-// Observe is the record-at-a-time compatibility path; it re-derives the
-// day start per record as the pre-batch engine did.
-func (s *temporalShard) Observe(day int, rec *trace.Record) error {
-	areaIdx := s.env.sectors[rec.Source].areaIdx
-	bin := binOf(day, rec.Timestamp)
-	hour := bin / 2
-	s.binHOs[bin][areaIdx]++
-	if s.binSec[bin][areaIdx] == nil {
-		s.binSec[bin][areaIdx] = newBitset(s.env.nSectors)
-	}
-	s.binSec[bin][areaIdx].set(int(rec.Source))
-	if s.hourSec[hour][areaIdx] == nil {
-		s.hourSec[hour][areaIdx] = newBitset(s.env.nSectors)
-	}
-	s.hourSec[hour][areaIdx].set(int(rec.Source))
-	if rec.Result == trace.Failure {
-		s.hourHOFs[hour][areaIdx]++
-	}
-	return nil
-}
-
-func (s *temporalShard) observe(ts int64, src topology.SectorID, res trace.Result) error {
-	areaIdx := s.env.sectors[src].areaIdx
-	bin := binOfMs(s.dayBase, ts)
-	hour := bin / 2
-	s.binHOs[bin][areaIdx]++
-	if s.binSec[bin][areaIdx] == nil {
-		s.binSec[bin][areaIdx] = newBitset(s.env.nSectors)
-	}
-	s.binSec[bin][areaIdx].set(int(src))
-	if s.hourSec[hour][areaIdx] == nil {
-		s.hourSec[hour][areaIdx] = newBitset(s.env.nSectors)
-	}
-	s.hourSec[hour][areaIdx].set(int(src))
-	if res == trace.Failure {
-		s.hourHOFs[hour][areaIdx]++
-	}
-	return nil
-}
-
 // ObserveColumns runs the bin/bitset accumulation over the timestamp,
 // source and result columns only.
 func (s *temporalShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
 	n := cb.Len()
 	for i := 0; i < n; i++ {
-		if err := s.observe(cb.Timestamps[i], cb.Sources[i], cb.Results[i]); err != nil {
-			return err
+		src := cb.Sources[i]
+		areaIdx := s.env.sectors[src].areaIdx
+		bin := binOfMs(s.dayBase, cb.Timestamps[i])
+		hour := bin / 2
+		s.binHOs[bin][areaIdx]++
+		if s.binSec[bin][areaIdx] == nil {
+			s.binSec[bin][areaIdx] = newBitset(s.env.nSectors)
+		}
+		s.binSec[bin][areaIdx].set(int(src))
+		if s.hourSec[hour][areaIdx] == nil {
+			s.hourSec[hour][areaIdx] = newBitset(s.env.nSectors)
+		}
+		s.hourSec[hour][areaIdx].set(int(src))
+		if cb.Results[i] == trace.Failure {
+			s.hourHOFs[hour][areaIdx]++
 		}
 	}
 	return nil
@@ -1275,18 +1182,7 @@ func (c *districtsCollector) NewShardState(day, shard int) trace.ShardState {
 	}
 }
 
-func (s *districtsShard) Observe(day int, rec *trace.Record) error {
-	d := s.env.sectors[rec.Source].district
-	s.hos[d]++
-	s.types[d][rec.HOType()]++
-	if rec.Result == trace.Failure {
-		s.fails[d]++
-	}
-	return nil
-}
-
-// ObserveColumns is the batch loop over the source, RAT and result
-// columns.
+// ObserveColumns loops over the source, RAT and result columns.
 func (s *districtsShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
 	env := s.env
 	n := cb.Len()
@@ -1571,32 +1467,6 @@ func (c *uedayCollector) NewShardState(day, shard int) trace.ShardState {
 	return &uedayShard{env: c.env, day: day, dayBase: c.env.dayStart(day), lastIdx: -1}
 }
 
-// Observe is the record-at-a-time compatibility path; like the
-// pre-batch engine it re-derives the night-window bound per record.
-func (s *uedayShard) Observe(day int, rec *trace.Record) error {
-	st := s.tbl.at(rec.UE)
-	st.hos++
-	st.addSector(uint32(rec.Source))
-	hour := binOf(day, rec.Timestamp) / 2
-	if st.nightSite < 0 && hour < 8 {
-		st.nightSite = s.env.sectors[rec.Source].site
-	}
-	if rec.Result == trace.Failure {
-		st.fails++
-		return nil
-	}
-	st.addSector(uint32(rec.Target))
-	if st.hasLoc {
-		if w := float64(rec.Timestamp - st.lastTs); w > 0 {
-			st.appendVisit(secVisit{sector: st.lastSec, weight: w})
-		}
-	}
-	st.lastSec = int32(rec.Target)
-	st.lastTs = rec.Timestamp
-	st.hasLoc = true
-	return nil
-}
-
 // ObserveColumns runs the per-UE accumulation over the column batch with
 // the per-record work hoisted: the night-window cutoff is a precomputed
 // absolute timestamp, the column slices are bound once, and the UE state
@@ -1789,11 +1659,6 @@ func (s *sectordayShard) add(src int, t ho.Type, res trace.Result) {
 		s.touched = append(s.touched, int32(src))
 	}
 	s.totals[src]++
-}
-
-func (s *sectordayShard) Observe(day int, rec *trace.Record) error {
-	s.add(int(rec.Source), rec.HOType(), rec.Result)
-	return nil
 }
 
 // ObserveColumns is the dense-accumulator batch loop.

@@ -35,33 +35,20 @@ func collBenchDataset(b *testing.B) *simulate.Dataset {
 func BenchmarkCollectors(b *testing.B) {
 	ds := collBenchDataset(b)
 	env := newScanEnv(ds)
-	it, err := ds.Store.OpenDay(0)
+	parts, err := ds.Store.Partitions()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var recs []trace.Record
-	var rec trace.Record
-	for {
-		ok, err := it.Next(&rec)
-		if err != nil {
-			b.Fatal(err)
+	// Block-sized SoA chunks of day 0, as the scan engine delivers them.
+	var chunks []*trace.ColumnBatch
+	records := 0
+	for _, p := range parts {
+		if p.Day != 0 {
+			continue
 		}
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	it.Close()
-	// Block-sized SoA chunks, as the scan engine would deliver them.
-	var chunks []trace.ColumnBatch
-	for off := 0; off < len(recs); off += trace.DefaultBlockRecords {
-		end := off + trace.DefaultBlockRecords
-		if end > len(recs) {
-			end = len(recs)
-		}
-		var cb trace.ColumnBatch
-		cb.FromRecords(recs[off:end])
-		chunks = append(chunks, cb)
+		all := partitionBatch(b, ds.Store, p)
+		chunks = append(chunks, chunkBatch(all, trace.DefaultBlockRecords)...)
+		records += all.Len()
 	}
 
 	for need, name := range map[Need]string{
@@ -73,31 +60,18 @@ func BenchmarkCollectors(b *testing.B) {
 		NeedUEDay:     "ueday",
 		NeedSectorDay: "sectorday",
 	} {
-		b.Run(name+"/record", func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			col := collectorFor(need, env)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st := col.NewShardState(0, 0)
-				for j := range recs {
-					if err := st.Observe(0, &recs[j]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-		b.Run(name+"/batch", func(b *testing.B) {
-			col := collectorFor(need, env)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st := col.NewShardState(0, 0).(trace.ColumnShardState)
 				for c := range chunks {
-					if err := st.ObserveColumns(0, &chunks[c]); err != nil {
+					if err := st.ObserveColumns(0, chunks[c]); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+			b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
 }

@@ -12,14 +12,16 @@ import (
 	"telcolens/internal/trace"
 )
 
-// The batch≡record equivalence property: for EVERY collector, folding a
-// partition through ObserveColumns must produce state identical to the
-// per-record Observe loop — the invariant that lets the scan engine
-// pick any path without changing a single published byte. The test
-// drives both paths by hand over the same generated partitions (in
-// canonical order, like the engine) and compares the finalized views
-// with reflect.DeepEqual, so any vectorization drift in a current or
-// future collector fails here first.
+// The chunking-invariance property: for EVERY collector, folding a
+// partition through ObserveColumns must produce the same state however
+// the partition is cut into batches — one row per call (record-at-a-time
+// granularity), odd chunk sizes straddling block boundaries, whole
+// blocks, or the whole partition at once. That is what lets stores and
+// codecs batch rows any way they like without changing a single
+// published byte. The test drives the collectors by hand over the same
+// generated partitions (in canonical order, like the engine) and
+// compares the finalized views with reflect.DeepEqual, so any
+// vectorization drift in a current or future collector fails here first.
 
 // equivDataset is a small sharded campaign shared by the equivalence
 // runs (fresh per call: collectors are single-use).
@@ -36,33 +38,48 @@ func equivDataset(t *testing.T) *simulate.Dataset {
 	return ds
 }
 
-// partitionRecords loads one partition fully.
-func partitionRecords(t *testing.T, s trace.Store, p trace.Partition) []trace.Record {
+// partitionBatch loads one partition into a single column batch.
+func partitionBatch(t testing.TB, s trace.Store, p trace.Partition) *trace.ColumnBatch {
 	t.Helper()
 	it, err := s.OpenPartition(p.Day, p.Shard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	var out []trace.Record
-	var rec trace.Record
+	out := new(trace.ColumnBatch)
+	var cb trace.ColumnBatch
 	for {
-		ok, err := it.Next(&rec)
+		n, err := it.NextColumns(&cb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if n == 0 {
 			return out
 		}
-		out = append(out, rec)
+		out.AppendColumns(&cb)
 	}
 }
 
+// chunkBatch cuts all into consecutive batches of at most size rows.
+func chunkBatch(all *trace.ColumnBatch, size int) []*trace.ColumnBatch {
+	var out []*trace.ColumnBatch
+	for off := 0; off < all.Len(); off += size {
+		perm := make([]int32, 0, size)
+		for i := off; i < min(off+size, all.Len()); i++ {
+			perm = append(perm, int32(i))
+		}
+		cb := new(trace.ColumnBatch)
+		cb.AppendGather(all, perm)
+		out = append(out, cb)
+	}
+	return out
+}
+
 // foldCollector runs one collector over the dataset's partitions in
-// canonical order, through the record path or the column path (in
-// chunks of the given size, to exercise batch boundaries), and returns
-// its finalized scan state.
-func foldCollector(t *testing.T, ds *simulate.Dataset, need Need, columns bool, chunk int) *scanState {
+// canonical order, feeding each partition in batches of chunk rows (0 =
+// the whole partition as one batch), and returns its finalized scan
+// state.
+func foldCollector(t *testing.T, ds *simulate.Dataset, need Need, chunk int) *scanState {
 	t.Helper()
 	env := newScanEnv(ds)
 	col := collectorFor(need, env)
@@ -70,30 +87,16 @@ func foldCollector(t *testing.T, ds *simulate.Dataset, need Need, columns bool, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cb trace.ColumnBatch
 	for _, p := range parts {
-		recs := partitionRecords(t, ds.Store, p)
+		all := partitionBatch(t, ds.Store, p)
+		batches := []*trace.ColumnBatch{all}
+		if chunk > 0 {
+			batches = chunkBatch(all, chunk)
+		}
 		state := col.NewShardState(p.Day, p.Shard)
-		if columns {
-			cs, ok := state.(trace.ColumnShardState)
-			if !ok {
-				t.Fatalf("need %b: shard state %T does not implement ColumnShardState — every collector must be batch-native", need, state)
-			}
-			for off := 0; off < len(recs); off += chunk {
-				end := off + chunk
-				if end > len(recs) {
-					end = len(recs)
-				}
-				cb.FromRecords(recs[off:end])
-				if err := cs.ObserveColumns(p.Day, &cb); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			for i := range recs {
-				if err := state.Observe(p.Day, &recs[i]); err != nil {
-					t.Fatal(err)
-				}
+		for _, cb := range batches {
+			if err := state.ObserveColumns(p.Day, cb); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if err := col.MergeShard(state); err != nil {
@@ -107,6 +110,8 @@ func foldCollector(t *testing.T, ds *simulate.Dataset, need Need, columns bool, 
 	return out
 }
 
+// TestCollectorBatchRecordEquivalence holds every collector to the
+// chunking-invariance property; chunk 1 is the record-at-a-time leg.
 func TestCollectorBatchRecordEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a campaign")
@@ -127,14 +132,11 @@ func TestCollectorBatchRecordEquivalence(t *testing.T) {
 			name = fmt.Sprintf("need_%b", need)
 		}
 		t.Run(name, func(t *testing.T) {
-			want := foldCollector(t, ds, need, false, 0)
-			// Odd chunk sizes exercise mid-partition batch boundaries;
-			// chunk 1 degenerates to record-at-a-time through the batch
-			// entry point.
+			want := foldCollector(t, ds, need, 0)
 			for _, chunk := range []int{1, 113, 4096} {
-				got := foldCollector(t, ds, need, true, chunk)
+				got := foldCollector(t, ds, need, chunk)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("chunk %d: ObserveColumns state differs from Observe state", chunk)
+					t.Errorf("chunk %d: state differs from the whole-partition fold", chunk)
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -75,13 +76,10 @@ func (a *Analyzer) HomeDetection(ctx context.Context, minNights int) ([]int, int
 }
 
 // DefaultMinNights scales the paper's ≥14-of-28-nights rule to the
-// configured window length.
+// configured window length: half the nights, at least two, but never
+// more nights than the window holds.
 func (a *Analyzer) DefaultMinNights() int {
-	n := a.DS.Config.Days / 2
-	if n < 2 {
-		n = 2
-	}
-	return n
+	return min(max(a.DS.Config.Days/2, 2), a.DS.Config.Days)
 }
 
 func runFig5(ctx context.Context, a *Analyzer, art *report.Artifact) error {
@@ -98,19 +96,29 @@ func runFig5(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		xs = append(xs, float64(c))
 		ys = append(ys, float64(a.DS.Country.Districts[i].Population))
 	}
+	art.AddNote("Home detection: main night site (00:00–08:00) on ≥%d of %d days; %d of %d UEs resolved.",
+		minNights, a.DS.Config.Days, inferred, a.DS.Population.Len())
+	// A short or small campaign can resolve too few districts, or counts
+	// too uniform, for the census fit; say so instead of failing the
+	// whole report.
+	insufficient := func() error {
+		art.AddNote("Insufficient data: %d districts with inferred population do not identify the census fit.", len(xs))
+		return nil
+	}
 	if len(xs) < 3 {
-		return fmt.Errorf("home detection inferred too few districts (%d)", len(xs))
+		return insufficient()
 	}
 	X := make([][]float64, len(xs))
 	for i := range xs {
 		X[i] = []float64{xs[i]}
 	}
 	model, err := stats.FitOLS(ys, X, []string{"inferred"}, true)
-	if err != nil {
+	switch {
+	case errors.Is(err, stats.ErrSingular), errors.Is(err, stats.ErrEmpty):
+		return insufficient()
+	case err != nil:
 		return err
 	}
-	art.AddNote("Home detection: main night site (00:00–08:00) on ≥%d of %d days; %d of %d UEs resolved.",
-		minNights, a.DS.Config.Days, inferred, a.DS.Population.Len())
 	art.AddNote("Linear fit census = a + b·inferred: R² = %.3f (paper: 0.92).", model.R2)
 	art.AddTable(report.Table{
 		Title:   "Census vs inferred population (district level)",

@@ -526,7 +526,13 @@ func runQuantileTable(ctx context.Context, a *Analyzer, art *report.Artifact, fi
 	}
 	for _, tau := range []float64{0.2, 0.4, 0.6, 0.8} {
 		m, err := stats.FitQuantile(y, X, names, tau, true)
-		if err != nil {
+		switch {
+		case errors.Is(err, stats.ErrSingular), errors.Is(err, stats.ErrEmpty):
+			// As in addFullModel: a small campaign's rows may not identify
+			// every coefficient; say so instead of failing the report.
+			art.AddNote("Insufficient data: the %d filtered sector-day rows do not identify every coefficient, so the model is not fitted.", len(rows))
+			return nil
+		case err != nil:
 			return err
 		}
 		coefOf := func(name string) string {

@@ -121,8 +121,7 @@ func (t *ppTracker) observe(sectors []sectorMeta, ts int64, ue trace.UEID, src, 
 // advance replays the given partitions, in canonical order, through the
 // automata. The pass is sequential — the per-UE bounce state must
 // survive day boundaries, which the per-partition collector states do
-// not — but batched: column-capable partitions (v2 block files, memory
-// stores) stream SoA batches instead of one iterator call per record.
+// not — and streams each partition as SoA batches.
 func (t *ppTracker) advance(ctx context.Context, store trace.Store, parts []trace.Partition, sectors []sectorMeta) error {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Less(parts[j]) })
 	var cb trace.ColumnBatch
@@ -131,42 +130,21 @@ func (t *ppTracker) advance(ctx context.Context, store trace.Store, parts []trac
 		if err != nil {
 			return err
 		}
-		if ci, ok := it.(trace.ColumnIterator); ok {
-			for {
-				if err := ctx.Err(); err != nil {
-					it.Close()
-					return err
-				}
-				n, err := ci.NextColumns(&cb)
-				if err != nil {
-					it.Close()
-					return err
-				}
-				if n == 0 {
-					break
-				}
-				for i := 0; i < n; i++ {
-					t.observe(sectors, cb.Timestamps[i], cb.UEs[i], cb.Sources[i], cb.Targets[i], cb.Results[i])
-				}
+		for {
+			if err := ctx.Err(); err != nil {
+				it.Close()
+				return err
 			}
-		} else {
-			var rec trace.Record
-			for n := 0; ; n++ {
-				if n%8192 == 0 {
-					if err := ctx.Err(); err != nil {
-						it.Close()
-						return err
-					}
-				}
-				ok, err := it.Next(&rec)
-				if err != nil {
-					it.Close()
-					return err
-				}
-				if !ok {
-					break
-				}
-				t.observe(sectors, rec.Timestamp, rec.UE, rec.Source, rec.Target, rec.Result)
+			n, err := it.NextColumns(&cb)
+			if err != nil {
+				it.Close()
+				return err
+			}
+			if n == 0 {
+				break
+			}
+			for i := 0; i < n; i++ {
+				t.observe(sectors, cb.Timestamps[i], cb.UEs[i], cb.Sources[i], cb.Targets[i], cb.Results[i])
 			}
 		}
 		if err := it.Close(); err != nil {

@@ -87,3 +87,79 @@ func TestSmallCampaignFullModelRenders(t *testing.T) {
 		})
 	}
 }
+
+// A one-day campaign has one night to detect homes on: the night rule
+// must not ask for more nights than the window holds, so Figure 5 fits
+// instead of failing the whole report. At 3 UEs the three resolved
+// districts carry identical counts, which do not identify the census
+// fit, and Figure 5 says so.
+func TestOneDayCampaignReportRenders(t *testing.T) {
+	for _, ues := range []int{3, 100} {
+		t.Run(fmt.Sprintf("ues%d", ues), func(t *testing.T) {
+			cfg := simulate.DefaultConfig(1)
+			cfg.UEs, cfg.Days, cfg.Shards = ues, 1, 1
+			ds, err := simulate.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := New(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := a.DefaultMinNights(); got != 1 {
+				t.Fatalf("DefaultMinNights = %d for a 1-day window, want 1", got)
+			}
+			e, _ := ByID("fig5")
+			art, err := e.Run(context.Background(), a)
+			if err != nil {
+				t.Fatalf("fig5: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := art.Render(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if fitted := strings.Contains(buf.String(), "R²"); fitted != (ues > 3) {
+				t.Fatalf("fig5 fitted = %v at %d UEs:\n%s", fitted, ues, buf.String())
+			}
+			if ues == 3 && !strings.Contains(buf.String(), "Insufficient data") {
+				t.Fatalf("fig5 does not report insufficient data:\n%s", buf.String())
+			}
+			if ues > 3 {
+				if err := RunAll(context.Background(), a, io.Discard); err != nil {
+					t.Fatalf("RunAll: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// At 50 UEs over 2 days (seed 1) four filtered sector-day rows leave the
+// quantile design of Tables 8 and 9 singular. The report must still
+// render, with Table 8 saying why it is empty.
+func TestSmallCampaignQuantileTablesRender(t *testing.T) {
+	cfg := simulate.DefaultConfig(1)
+	cfg.UEs, cfg.Days, cfg.Shards = 50, 2, 1
+	ds, err := simulate.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunAll(context.Background(), a, io.Discard); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	e, _ := ByID("table8")
+	art, err := e.Run(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := art.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "Insufficient data") {
+		t.Fatalf("table8 does not report insufficient data:\n%s", buf.String())
+	}
+}

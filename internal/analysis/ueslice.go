@@ -32,8 +32,8 @@ type UESliceAggregate struct {
 	PingPongs map[string]int64 `json:"ping_pongs,omitempty"`
 }
 
-// UESliceTracker folds one UE's record stream, in order, into a
-// UESliceAggregate. It maintains one bounce automaton per standard
+// UESliceTracker folds one UE's record stream, row by row in order, into
+// a UESliceAggregate. It maintains one bounce automaton per standard
 // ping-pong window (StandardPingPongWindows); feeding records out of
 // timestamp order undercounts bounces exactly as the offline definition
 // would.
@@ -60,36 +60,30 @@ func NewUESliceTracker() *UESliceTracker {
 	return t
 }
 
-// Observe folds one record. All records must belong to the same UE and
-// arrive in canonical order.
-func (t *UESliceTracker) Observe(rec *trace.Record) {
+// ObserveRow folds row i of cb. All rows fed to one tracker must belong
+// to the same UE and arrive in canonical order.
+func (t *UESliceTracker) ObserveRow(cb *trace.ColumnBatch, i int) {
 	t.agg.Records++
-	if rec.Result != trace.Success {
+	if cb.Results[i] != trace.Success {
 		t.agg.Failures++
 		return
 	}
 	t.agg.Handovers++
-	if rec.HOType() == ho.Intra {
+	if hoTypeByRAT[cb.RATs[i]&0x0f] == ho.Intra {
 		t.agg.Horizontal++
 	} else {
 		t.agg.Vertical++
 	}
+	src, dst, ts := uint32(cb.Sources[i]), uint32(cb.Targets[i]), cb.Timestamps[i]
 	for w := range t.winMs {
 		st := &t.states[w]
-		if st.valid &&
-			uint32(rec.Source) == st.dst && uint32(rec.Target) == st.src &&
-			rec.Timestamp-st.ts <= t.winMs[w] {
+		if st.valid && src == st.dst && dst == st.src && ts-st.ts <= t.winMs[w] {
 			t.bounces[w]++
 			// A PP closes the pair; the bounce-back does not seed a new one.
 			st.valid = false
 			continue
 		}
-		*st = pingPongState{
-			src:   uint32(rec.Source),
-			dst:   uint32(rec.Target),
-			ts:    rec.Timestamp,
-			valid: true,
-		}
+		*st = pingPongState{src: src, dst: dst, ts: ts, valid: true}
 	}
 }
 

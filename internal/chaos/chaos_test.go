@@ -54,7 +54,9 @@ func writeDay(s *trace.FileStore, day, n int) error {
 	if err != nil {
 		return err
 	}
-	if err := w.(trace.BatchWriter).WriteBatch(dayRecords(day, n)); err != nil {
+	var cb trace.ColumnBatch
+	cb.FromRecords(dayRecords(day, n))
+	if err := w.WriteColumns(&cb); err != nil {
 		w.Close()
 		return err
 	}

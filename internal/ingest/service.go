@@ -749,20 +749,9 @@ func (s *Service) writePartitionLocked(day, shard int, src *trace.ColumnBatch, p
 	if err != nil {
 		return err
 	}
-	if cw, ok := w.(trace.ColumnWriter); ok {
-		if err := cw.WriteColumns(out); err != nil {
-			w.Close()
-			return err
-		}
-		return w.Close()
-	}
-	var rec trace.Record
-	for i := 0; i < out.Len(); i++ {
-		out.Record(i, &rec)
-		if err := w.Write(&rec); err != nil {
-			w.Close()
-			return err
-		}
+	if err := w.WriteColumns(out); err != nil {
+		w.Close()
+		return err
 	}
 	return w.Close()
 }

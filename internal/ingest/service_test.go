@@ -331,13 +331,8 @@ func TestCrashMidSealRecoversToSameBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	debris := mkBatch(0, 7, 2)
-	var rec trace.Record
-	for i := 0; i < debris.Len(); i++ {
-		debris.Record(i, &rec)
-		if err := w.Write(&rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.WriteColumns(mkBatch(0, 7, 2)); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -477,58 +477,33 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 			}
 		}
 
-		observe := func(r *trace.Record) {
-			m.RowsScanned++
-			if !p.matches(r.Timestamp, r.UE, uint32(r.TAC), uint32(r.Source), uint32(r.Target)) {
-				return
+		for {
+			if err := ctx.Err(); err != nil {
+				it.Close()
+				return nil, err
 			}
-			if tracker != nil {
-				tracker.Observe(r)
+			n, err := it.NextColumns(&cb)
+			if err != nil {
+				it.Close()
+				return nil, fmt.Errorf("query: day %d shard %d: %w", pi.Day, pi.Shard, err)
 			}
-			if len(res.Rows) < p.Limit {
-				res.Rows = append(res.Rows, rowFrom(r))
-			} else {
-				res.Truncated = true
+			if n == 0 {
+				break
 			}
-		}
-		if ci, ok := it.(trace.ColumnIterator); ok {
-			for {
-				if err := ctx.Err(); err != nil {
-					it.Close()
-					return nil, err
+			m.RowsScanned += int64(n)
+			for j := 0; j < n; j++ {
+				if !p.matches(cb.Timestamps[j], cb.UEs[j], uint32(cb.TACs[j]), uint32(cb.Sources[j]), uint32(cb.Targets[j])) {
+					continue
 				}
-				n, err := ci.NextColumns(&cb)
-				if err != nil {
-					it.Close()
-					return nil, fmt.Errorf("query: day %d shard %d: %w", pi.Day, pi.Shard, err)
+				if tracker != nil {
+					tracker.ObserveRow(&cb, j)
 				}
-				if n == 0 {
-					break
-				}
-				for j := 0; j < n; j++ {
+				if len(res.Rows) < p.Limit {
 					cb.Record(j, &rec)
-					observe(&rec)
+					res.Rows = append(res.Rows, rowFrom(&rec))
+				} else {
+					res.Truncated = true
 				}
-			}
-		} else {
-			for n := 0; ; n++ {
-				// The record fallback has no block boundary to check the
-				// deadline at; probe every few thousand rows instead.
-				if n%4096 == 0 {
-					if err := ctx.Err(); err != nil {
-						it.Close()
-						return nil, err
-					}
-				}
-				ok, err := it.Next(&rec)
-				if err != nil {
-					it.Close()
-					return nil, fmt.Errorf("query: day %d shard %d: %w", pi.Day, pi.Shard, err)
-				}
-				if !ok {
-					break
-				}
-				observe(&rec)
 			}
 		}
 		if sr, ok := it.(trace.BlockStatsReader); ok {

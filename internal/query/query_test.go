@@ -68,6 +68,13 @@ func genCorpus(seed int64, days, shards, perDay int) *corpus {
 	return c
 }
 
+// writeRecords lands recs through w as one columnar batch.
+func writeRecords(w trace.RecordWriter, recs []trace.Record) error {
+	var cb trace.ColumnBatch
+	cb.FromRecords(recs)
+	return w.WriteColumns(&cb)
+}
+
 // write lands the corpus into a fresh FileStore under dir.
 func (c *corpus) write(t *testing.T, dir string, opts trace.FileStoreOptions) *trace.FileStore {
 	t.Helper()
@@ -81,7 +88,7 @@ func (c *corpus) write(t *testing.T, dir string, opts trace.FileStoreOptions) *t
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.(trace.BatchWriter).WriteBatch(c.recs[trace.Partition{Day: day, Shard: sh}]); err != nil {
+			if err := writeRecords(w, c.recs[trace.Partition{Day: day, Shard: sh}]); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Close(); err != nil {
@@ -272,7 +279,7 @@ func TestQueryPointPrunesBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.(trace.BatchWriter).WriteBatch(recs); err != nil {
+			if err := writeRecords(w, recs); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Close(); err != nil {
@@ -290,13 +297,13 @@ func TestQueryPointPrunesBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		it.(trace.TimeRangeSetter).SetTimeRange(day15.MinTS, day15.MaxTS)
-		var rec trace.Record
+		var cb trace.ColumnBatch
 		for {
-			ok, err := it.Next(&rec)
+			n, err := it.NextColumns(&cb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
 		}
@@ -467,7 +474,7 @@ func TestQueryAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.(trace.BatchWriter).WriteBatch(recs); err != nil {
+	if err := writeRecords(w, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -52,23 +52,25 @@ func TestShardedGenerationSameRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rec trace.Record
+		var cb trace.ColumnBatch
 		var prevTs int64
 		for {
-			ok, err := it.Next(&rec)
+			n, err := it.NextColumns(&cb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
-			if got := trace.ShardOf(rec.UE, 4); got != p.Shard {
-				t.Fatalf("UE %d in shard %d, hashes to %d", rec.UE, p.Shard, got)
+			for i := 0; i < n; i++ {
+				if got := trace.ShardOf(cb.UEs[i], 4); got != p.Shard {
+					t.Fatalf("UE %d in shard %d, hashes to %d", cb.UEs[i], p.Shard, got)
+				}
+				if cb.Timestamps[i] < prevTs {
+					t.Fatalf("day %d shard %d not time-ordered", p.Day, p.Shard)
+				}
+				prevTs = cb.Timestamps[i]
 			}
-			if rec.Timestamp < prevTs {
-				t.Fatalf("day %d shard %d not time-ordered", p.Day, p.Shard)
-			}
-			prevTs = rec.Timestamp
 		}
 		it.Close()
 	}

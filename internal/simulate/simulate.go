@@ -470,54 +470,21 @@ func (g *generator) landDay(day int, dayCols *trace.ColumnBatch) error {
 }
 
 // writeGathered gathers the day rows selected by perm (in perm order)
-// into a pooled batch and lands them as one partition.
+// into a pooled batch and lands them as one partition. File-store
+// writers also build the partition's .tlix query-index sidecar inline
+// (see trace/index.go), so generated campaigns are index-prunable with
+// no extra pass.
 func writeGathered(store trace.Store, day, shard int, dayCols *trace.ColumnBatch, perm []int32) error {
 	out := getBatch()
 	defer putBatch(out)
 	out.AppendGather(dayCols, perm)
-	return writePartitionColumns(store, day, shard, out)
-}
-
-// writePartitionColumns lands one partition's columnar batch in the
-// store. Column-capable writers (the v2 block codec, MemStore) consume
-// the batch directly; anything else gets the record-path compatibility
-// fallback — the batch transposes block-wise into a scratch record slice
-// and goes through WriteBatch/Write, so stores without column support
-// see exactly the sequence of records they always did. File-store
-// writers also build the partition's .tlix query-index sidecar inline
-// on either path (see trace/index.go), so generated campaigns are
-// index-prunable with no extra pass.
-func writePartitionColumns(store trace.Store, day, shard int, cols *trace.ColumnBatch) error {
 	w, err := store.AppendPartition(day, shard)
 	if err != nil {
 		return err
 	}
-	if cw, ok := w.(trace.ColumnWriter); ok {
-		if err := cw.WriteColumns(cols); err != nil {
-			w.Close()
-			return err
-		}
-		return w.Close()
-	}
-	bw, isBatch := w.(trace.BatchWriter)
-	n := cols.Len()
-	recs := make([]trace.Record, min(n, trace.DefaultBlockRecords))
-	for off := 0; off < n; off += len(recs) {
-		k := min(len(recs), n-off)
-		for i := 0; i < k; i++ {
-			cols.Record(off+i, &recs[i])
-		}
-		if isBatch {
-			err = bw.WriteBatch(recs[:k])
-		} else {
-			for i := 0; i < k && err == nil; i++ {
-				err = w.Write(&recs[i])
-			}
-		}
-		if err != nil {
-			w.Close()
-			return err
-		}
+	if err := w.WriteColumns(out); err != nil {
+		w.Close()
+		return err
 	}
 	return w.Close()
 }

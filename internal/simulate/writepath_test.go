@@ -7,10 +7,8 @@ import (
 	"telcolens/internal/trace"
 )
 
-// recordWriteStore strips ColumnWriter from a store's writers, forcing
-// generation onto the record-path compatibility fallback (transpose +
-// WriteBatch/Write) — the write-side mirror of the scan benchmarks'
-// recordOnlyStore. The batch surface passes through untouched.
+// recordWriteStore wraps a store so its writers land every batch one
+// row per WriteColumns call — record-at-a-time granularity.
 type recordWriteStore struct{ trace.Store }
 
 type recordWriteWriter struct{ inner trace.RecordWriter }
@@ -23,20 +21,21 @@ func (s recordWriteStore) AppendPartition(day, shard int) (trace.RecordWriter, e
 	return recordWriteWriter{w}, nil
 }
 
-func (w recordWriteWriter) Write(rec *trace.Record) error { return w.inner.Write(rec) }
-func (w recordWriteWriter) Close() error                  { return w.inner.Close() }
-
-func (w recordWriteWriter) WriteBatch(recs []trace.Record) error {
-	if bw, ok := w.inner.(trace.BatchWriter); ok {
-		return bw.WriteBatch(recs)
-	}
-	for i := range recs {
-		if err := w.inner.Write(&recs[i]); err != nil {
+func (w recordWriteWriter) WriteColumns(cb *trace.ColumnBatch) error {
+	var row trace.ColumnBatch
+	var rec trace.Record
+	for i := 0; i < cb.Len(); i++ {
+		cb.Record(i, &rec)
+		row.Reset()
+		row.AppendRecord(&rec)
+		if err := w.inner.WriteColumns(&row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+func (w recordWriteWriter) Close() error { return w.inner.Close() }
 
 // writePathConfig is the shared small campaign for the write-path
 // identity property: big enough for multi-block partitions, small
@@ -56,8 +55,8 @@ func writePathConfig(shards int, store trace.Store) Config {
 // property: a campaign generated through the columnar write path
 // (workers → ColumnBatch → WriteColumns) must land byte-identical
 // partitions — equal manifest FNV fingerprints, byte counts and record
-// counts — to the same campaign forced through the record-writer path,
-// across codec options and shard counts.
+// counts — to the same campaign written one record per call, across
+// codec options and shard counts.
 func TestColumnWritePathByteIdentical(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, compress := range []bool{false, true} {

@@ -64,7 +64,7 @@ func checkQuantileDesign(y []float64, X [][]float64, names []string, tau float64
 		p++
 	}
 	if n <= p {
-		return 0, 0, fmt.Errorf("stats: %d observations for %d parameters", n, p)
+		return 0, 0, fmt.Errorf("%w: %d observations for %d parameters", ErrSingular, n, p)
 	}
 	return n, p, nil
 }

@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// The steady-state batch scan loop must not allocate: after the first
-// block warms the reusable buffers, decoding the next block into a
-// ColumnBatch (or a record batch) costs zero allocations per call.
+// The steady-state scan loop must not allocate: after the first block
+// warms the reusable buffers, decoding the next block into a ColumnBatch
+// costs zero allocations per call.
 // Gated off under -race (the detector instruments allocations).
 
 func steadyStateAllocs(t *testing.T, blocks int, decode func(r *Reader) bool) float64 {
@@ -48,17 +48,6 @@ func TestColumnDecodeSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("NextColumns allocates %.1f times per block in steady state, want 0", allocs)
-	}
-}
-
-func TestBatchDecodeSteadyStateAllocs(t *testing.T) {
-	var batch []Record
-	allocs := steadyStateAllocs(t, 128, func(r *Reader) bool {
-		n, err := r.NextBatch(&batch)
-		return err == nil && n > 0
-	})
-	if allocs > 0 {
-		t.Fatalf("NextBatch allocates %.1f times per block in steady state, want 0", allocs)
 	}
 }
 
@@ -100,9 +89,8 @@ func TestColumnDecodeFlateSteadyStateAllocs(t *testing.T) {
 
 // The steady-state encode loop mirrors the decode contract: once the
 // writer's pooled scratch (block buffer, payload, dictionary table,
-// flate writer) is warm, landing another block costs zero allocations —
-// on the columnar ingest path and on the record-batch ingest path, with
-// and without compression.
+// flate writer) is warm, landing another block costs zero allocations,
+// with and without compression.
 func steadyStateEncodeAllocs(t *testing.T, compress bool, emit func(w *WriterV2) error) float64 {
 	t.Helper()
 	w, err := NewWriterV2(io.Discard, WriterV2Options{BlockRecords: 256, Compress: compress})
@@ -144,23 +132,6 @@ func TestColumnEncodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestBatchEncodeSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	recs := make([]Record, 256)
-	for i := range recs {
-		recs[i] = randRecord(rng, StudyStart.UnixMilli())
-	}
-	for _, compress := range []bool{false, true} {
-		allocs := steadyStateEncodeAllocs(t, compress, func(w *WriterV2) error {
-			return w.WriteBatch(recs)
-		})
-		if allocs > 0 {
-			t.Fatalf("compress=%v: WriteBatch allocates %.1f times per block in steady state, want 0",
-				compress, allocs)
-		}
-	}
-}
-
 // TestScanSteadyStateBlockAllocs bounds the whole engine path: scanning
 // a store with many blocks per partition must allocate O(partitions),
 // not O(blocks) — the pooled batch buffers absorb the per-block cost.
@@ -180,7 +151,7 @@ func TestScanSteadyStateBlockAllocs(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(rng, StudyStart.UnixMilli())
 	}
-	if err := w.(BatchWriter).WriteBatch(recs); err != nil {
+	if err := writeRecords(w, recs...); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -140,44 +140,28 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: bw, buf: make([]byte, 0, RecordSize)}, nil
 }
 
-// Write encodes one record. After an error every subsequent call returns
-// the same error.
-func (w *Writer) Write(rec *Record) error {
+// WriteColumns encodes a columnar batch as fixed-width records, one
+// buffered write per DefaultBlockRecords chunk. After an error every
+// subsequent call returns the same error.
+func (w *Writer) WriteColumns(cb *ColumnBatch) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = AppendRecord(w.buf[:0], rec)
-	if _, err := w.w.Write(w.buf); err != nil {
-		w.err = fmt.Errorf("trace: writing record: %w", err)
-		return w.err
-	}
-	w.count++
-	return nil
-}
-
-// WriteBatch encodes a batch of records as one block-sized buffer write
-// per chunk instead of a buffered write per record.
-func (w *Writer) WriteBatch(recs []Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	const chunk = DefaultBlockRecords
-	for len(recs) > 0 {
-		n := min(chunk, len(recs))
+	var rec Record
+	for off, n := 0, cb.Len(); off < n; {
+		end := min(off+DefaultBlockRecords, n)
 		buf := w.buf[:0]
-		if cap(buf) < n*RecordSize {
-			buf = make([]byte, 0, n*RecordSize)
-		}
-		for i := 0; i < n; i++ {
-			buf = AppendRecord(buf, &recs[i])
+		for i := off; i < end; i++ {
+			cb.Record(i, &rec)
+			buf = AppendRecord(buf, &rec)
 		}
 		w.buf = buf
 		if _, err := w.w.Write(buf); err != nil {
 			w.err = fmt.Errorf("trace: writing record: %w", err)
 			return w.err
 		}
-		w.count += int64(n)
-		recs = recs[n:]
+		w.count += int64(end - off)
+		off = end
 	}
 	return nil
 }
@@ -193,28 +177,23 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Reader decodes records from an io.Reader, negotiating the stream
-// version (fixed-width v1, columnar-block v2 or bitpacked v3) from the
-// header. Next
-// reuses the caller's Record, so iteration is allocation-free; NextBatch
-// hands out whole decoded blocks. SetTimeRange restricts the stream to a
-// timestamp window — on v2 streams, blocks entirely outside the window
-// are skipped without decoding.
+// Reader decodes records from an io.Reader into columnar batches,
+// negotiating the stream version (fixed-width v1, columnar-block v2 or
+// bitpacked v3) from the header. NextColumns reuses the caller's batch,
+// so iteration is allocation-free in steady state. SetTimeRange
+// restricts the stream to a timestamp window — on block streams, blocks
+// entirely outside the window are skipped without decoding.
 type Reader struct {
 	r       *bufio.Reader
 	version uint16
 	flags   uint16
 	buf     [RecordSize]byte // v1 record scratch
 
-	// v2 state: the current decoded block and read cursor.
-	block    []Record
-	blockPos int
+	// Block-stream (v2, v3) decode scratch, reused across blocks.
 	head     [blockHeadSize]byte
 	payload  []byte
 	inflated []byte
 	tacDict  []devices.TAC
-	scratch  []Record    // v1 NextColumns transposition buffer
-	cols     ColumnBatch // v3 record-path transposition buffer
 	stats    BlockStats
 
 	// Compressed-stream scratch, reused across blocks: the flate reader
@@ -236,7 +215,7 @@ type Reader struct {
 }
 
 // readWindow is the Reader's buffer size, chosen so default v2 blocks
-// always fit a zero-copy Peek (see readBlockInto); larger blocks fall
+// always fit a zero-copy Peek (see nextBlockFrame); larger blocks fall
 // back to a copy.
 const readWindow = 1 << 18
 
@@ -308,169 +287,60 @@ func (r *Reader) SetBlockFilter(keep func(block int) bool) { r.blockFilter = kee
 
 // SetProjection restricts which columns v2 blocks decode (timestamps are
 // always decoded). Skipped sections are jumped over without reading;
-// the corresponding Record fields are left unspecified. A no-op on v1
+// the corresponding columns are left unspecified. A no-op on v1
 // streams, which are fixed-width and always decode fully — callers must
 // treat projection as an optimization hint, not a masking guarantee.
 func (r *Reader) SetProjection(cols ColumnSet) { r.proj = cols }
 
-// inRange reports whether ts passes the configured window.
-func (r *Reader) inRange(ts int64) bool {
-	return !r.hasRange || (ts >= r.minTS && ts <= r.maxTS)
-}
-
-// Next decodes the next record into rec. It returns io.EOF at a clean end
-// of stream and ErrTruncated if the stream ends mid-record.
-func (r *Reader) Next(rec *Record) error {
-	if r.version != Version {
-		for {
-			if r.blockPos < len(r.block) {
-				*rec = r.block[r.blockPos]
-				r.blockPos++
-				if r.inRange(rec.Timestamp) {
-					return nil
-				}
-				continue
-			}
-			if err := r.readBlock(); err != nil {
-				return err
-			}
-		}
+// NextColumns fills cb with the next run of records in columnar (SoA)
+// form and returns how many it holds. On block streams one call decodes
+// one block straight into the column slices (minus any rows outside the
+// time range, honoring the column projection); v1 streams fill up to
+// DefaultBlockRecords rows from their fixed-width records. It returns
+// (0, io.EOF) at a clean end of stream and ErrTruncated or
+// ErrCorruptBlock on a damaged one.
+func (r *Reader) NextColumns(cb *ColumnBatch) (int, error) {
+	if r.version == Version {
+		return r.nextColumnsV1(cb)
 	}
 	for {
-		n, err := io.ReadFull(r.r, r.buf[:])
-		if err == io.EOF && n == 0 {
-			return io.EOF
+		if err := r.readBlockColumns(cb); err != nil {
+			return 0, err
 		}
-		if err != nil {
-			return readErr(err)
+		if r.hasRange {
+			cb.FilterRange(r.minTS, r.maxTS)
 		}
-		r.stats.BytesRead += RecordSize
-		if err := DecodeRecord(r.buf[:], rec); err != nil {
-			return err
-		}
-		if r.inRange(rec.Timestamp) {
-			return nil
+		if n := cb.Len(); n > 0 {
+			return n, nil
 		}
 	}
 }
 
-// NextBatch fills *batch with the next run of records, growing it as
-// needed, and returns how many were decoded. On v2 streams one call
-// yields one decoded block (minus any records outside the time range);
-// on v1 streams it fills up to the batch capacity (DefaultBlockRecords
-// when the slice is empty). It returns (0, io.EOF) at a clean end of
-// stream.
-func (r *Reader) NextBatch(batch *[]Record) (int, error) {
-	if r.version != Version {
-		for {
-			if r.blockPos < len(r.block) {
-				// Remainder of a block partially consumed by Next.
-				recs := r.block[r.blockPos:]
-				r.blockPos = len(r.block)
-				*batch = append((*batch)[:0], recs...)
-			} else {
-				// Decode the next in-range block straight into the caller's
-				// batch — no intermediate copy.
-				n, err := r.readBlockInto(batch)
-				if err != nil {
-					return 0, err
-				}
-				*batch = (*batch)[:n]
-			}
-			n := len(*batch)
-			if r.hasRange {
-				n = filterRange(*batch, r.minTS, r.maxTS)
-				*batch = (*batch)[:n]
-			}
-			if n > 0 {
-				return n, nil
-			}
-		}
-	}
-	max := cap(*batch)
-	if max == 0 {
-		max = DefaultBlockRecords
-	}
-	*batch = (*batch)[:0]
+// nextColumnsV1 decodes fixed-width records into cb until it holds
+// DefaultBlockRecords in-range rows or the stream ends.
+func (r *Reader) nextColumnsV1(cb *ColumnBatch) (int, error) {
+	cb.Reset()
 	var rec Record
-	for len(*batch) < max {
-		err := r.Next(&rec)
-		if err == io.EOF {
+	for cb.Len() < DefaultBlockRecords {
+		n, err := io.ReadFull(r.r, r.buf[:])
+		if err == io.EOF && n == 0 {
 			break
 		}
 		if err != nil {
-			return len(*batch), err
+			return 0, readErr(err)
 		}
-		*batch = append(*batch, rec)
+		r.stats.BytesRead += RecordSize
+		if err := DecodeRecord(r.buf[:], &rec); err != nil {
+			return 0, err
+		}
+		if !r.hasRange || (rec.Timestamp >= r.minTS && rec.Timestamp <= r.maxTS) {
+			cb.AppendRecord(&rec)
+		}
 	}
-	if len(*batch) == 0 {
+	if cb.Len() == 0 {
 		return 0, io.EOF
 	}
-	return len(*batch), nil
-}
-
-// NextColumns fills cb with the next run of records in columnar (SoA)
-// form and returns how many it holds. On v2 streams one call decodes
-// one block straight into the column slices — the payload is already
-// columnar, so no []Record is materialized; v1 streams decode a record
-// batch and transpose it. Column projection and time-range semantics
-// match NextBatch exactly. It returns (0, io.EOF) at a clean end of
-// stream.
-func (r *Reader) NextColumns(cb *ColumnBatch) (int, error) {
-	if r.version != Version {
-		for {
-			if r.blockPos < len(r.block) {
-				// Remainder of a block partially consumed by Next.
-				cb.FromRecords(r.block[r.blockPos:])
-				r.blockPos = len(r.block)
-			} else if err := r.readBlockColumns(cb); err != nil {
-				return 0, err
-			}
-			if r.hasRange {
-				cb.FilterRange(r.minTS, r.maxTS)
-			}
-			if n := cb.Len(); n > 0 {
-				return n, nil
-			}
-		}
-	}
-	if cap(r.scratch) == 0 {
-		r.scratch = make([]Record, 0, DefaultBlockRecords)
-	}
-	n, err := r.NextBatch(&r.scratch)
-	if err != nil {
-		return 0, err
-	}
-	cb.FromRecords(r.scratch[:n])
-	return n, nil
-}
-
-// filterRange compacts recs to those inside [minTS, maxTS], preserving
-// order, and returns the new length.
-func filterRange(recs []Record, minTS, maxTS int64) int {
-	n := 0
-	for i := range recs {
-		if ts := recs[i].Timestamp; ts >= minTS && ts <= maxTS {
-			if n != i {
-				recs[n] = recs[i]
-			}
-			n++
-		}
-	}
-	return n
-}
-
-// readBlock loads the next v2 block into r.block, pruning blocks outside
-// the configured time range. It returns io.EOF at a clean block boundary
-// and ErrTruncated or ErrCorruptBlock otherwise.
-func (r *Reader) readBlock() error {
-	n, err := r.readBlockInto(&r.block)
-	if err != nil {
-		return err
-	}
-	r.block = r.block[:n]
-	r.blockPos = 0
-	return nil
+	return cb.Len(), nil
 }
 
 // blockFrame is one v2 block's descriptor plus its acquired (and, when
@@ -498,37 +368,6 @@ func (r *Reader) releaseFrame(f *blockFrame) error {
 	r.stats.BlocksRead++
 	r.stats.BytesRead += int64(blockHeadSize + f.encLen)
 	return nil
-}
-
-// readBlockInto reads the next block whose time bounds intersect the
-// configured range and decodes it into *dst, growing it as needed. It
-// returns the record count, io.EOF at a clean block boundary, and
-// ErrTruncated or ErrCorruptBlock otherwise.
-func (r *Reader) readBlockInto(dst *[]Record) (int, error) {
-	var f blockFrame
-	if err := r.nextBlockFrame(&f); err != nil {
-		return 0, err
-	}
-	if cap(*dst) < f.count {
-		*dst = make([]Record, f.count)
-	}
-	out := (*dst)[:f.count]
-	var decErr error
-	if r.version == VersionV3 {
-		// v3 decodes natively into columns; the record path transposes.
-		decErr = decodeBlockColumnsV3(f.payload, f.minTS, f.maxTS, f.secs, r.proj, f.count, &r.cols, &r.tacDict)
-		if decErr == nil {
-			r.cols.Records(out)
-		}
-	} else if r.proj == 0 || r.proj&optionalColumns == optionalColumns {
-		decErr = decodeBlockPayload(f.payload, f.minTS, f.maxTS, f.secs, out, &r.tacDict)
-	} else {
-		decErr = decodeBlockProjected(f.payload, f.minTS, f.maxTS, f.secs, r.proj, out, &r.tacDict)
-	}
-	if decErr != nil {
-		return 0, decErr
-	}
-	return f.count, r.releaseFrame(&f)
 }
 
 // readBlockColumns reads the next in-range block and decodes it

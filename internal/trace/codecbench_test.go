@@ -20,82 +20,52 @@ func benchStream(b *testing.B, codec Codec, compress bool) ([]byte, int) {
 		recs[i].Timestamp = base + int64(i)*700 // sorted, like real partitions
 		recs[i].UE = UEID(i % 20_000)           // sequential id space, like generation
 	}
+	var cb ColumnBatch
+	cb.FromRecords(recs)
 	var buf bytes.Buffer
+	var w streamWriter
+	var err error
 	switch codec {
 	case CodecV1:
-		w, err := NewWriter(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range recs {
-			if err := w.Write(&recs[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
+		w, err = NewWriter(&buf)
 	case CodecV3:
-		w, err := NewWriterV3(&buf, WriterV3Options{FastCompress: compress, BlockRecords: benchBlockRecords})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.WriteBatch(recs); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
+		w, err = NewWriterV3(&buf, WriterV3Options{FastCompress: compress, BlockRecords: benchBlockRecords})
 	default:
-		w, err := NewWriterV2(&buf, WriterV2Options{Compress: compress, BlockRecords: benchBlockRecords})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.WriteBatch(recs); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
+		w, err = NewWriterV2(&buf, WriterV2Options{Compress: compress, BlockRecords: benchBlockRecords})
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.WriteColumns(&cb); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
 	}
 	return buf.Bytes(), n
 }
 
-func benchDecode(b *testing.B, codec Codec, compress bool, batched bool) {
+func benchDecode(b *testing.B, codec Codec, compress bool) {
 	data, n := benchStream(b, codec, compress)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var cb ColumnBatch
 	for i := 0; i < b.N; i++ {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			b.Fatal(err)
 		}
 		total := 0
-		if batched {
-			var batch []Record
-			for {
-				k, err := r.NextBatch(&batch)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += k
+		for {
+			k, err := r.NextColumns(&cb)
+			if err == io.EOF {
+				break
 			}
-		} else {
-			var rec Record
-			for {
-				err := r.Next(&rec)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				total++
+			if err != nil {
+				b.Fatal(err)
 			}
+			total += k
 		}
 		if total != n {
 			b.Fatalf("decoded %d", total)
@@ -129,9 +99,8 @@ func BenchmarkUnpackColumn(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeStreamV1(b *testing.B)      { benchDecode(b, CodecV1, false, false) }
-func BenchmarkDecodeStreamV1Batch(b *testing.B) { benchDecode(b, CodecV1, false, true) }
-func BenchmarkDecodeStreamV2(b *testing.B)      { benchDecode(b, CodecV2, false, true) }
-func BenchmarkDecodeStreamV2Flate(b *testing.B) { benchDecode(b, CodecV2, true, true) }
-func BenchmarkDecodeStreamV3(b *testing.B)      { benchDecode(b, CodecV3, false, true) }
-func BenchmarkDecodeStreamV3TLZ(b *testing.B)   { benchDecode(b, CodecV3, true, true) }
+func BenchmarkDecodeStreamV1(b *testing.B)      { benchDecode(b, CodecV1, false) }
+func BenchmarkDecodeStreamV2(b *testing.B)      { benchDecode(b, CodecV2, false) }
+func BenchmarkDecodeStreamV2Flate(b *testing.B) { benchDecode(b, CodecV2, true) }
+func BenchmarkDecodeStreamV3(b *testing.B)      { benchDecode(b, CodecV3, false) }
+func BenchmarkDecodeStreamV3TLZ(b *testing.B)   { benchDecode(b, CodecV3, true) }

@@ -10,12 +10,9 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
-	"telcolens/internal/causes"
 	"telcolens/internal/devices"
-	"telcolens/internal/topology"
 )
 
 // v2 columnar block stream layout (little-endian), negotiated by the
@@ -32,7 +29,8 @@ import (
 //
 //	timestamps  zigzag-varint deltas (first delta is from minTS)
 //	UE          uvarint
-//	TAC dict    raw u32 entries in first-appearance order
+//	TAC dict    raw u32 entries, most frequent first (ties in
+//	            first-appearance order)
 //	TAC indexes uvarint per record into the dict
 //	source      uvarint
 //	target      uvarint
@@ -48,11 +46,9 @@ import (
 // block costs one Discard of encLen bytes.
 //
 // The descriptor also carries each varint column's byte extent (the
-// fixed-width tail is implied by count). That lets the decoder place an
-// independent cursor per column and fill whole records in one fused pass:
-// the six variable-width cursors advance as independent dependency
-// chains the CPU can overlap, instead of one serial varint chain per
-// column pass, and the batch is written once instead of once per column.
+// fixed-width tail is implied by count). That lets the decoder check
+// every section against its extent and jump over the sections a column
+// projection skips without reading them.
 //
 // Durations pass through the v1 fixed-point quantizer before encoding, so
 // a record decoded from a v2 stream is bit-identical to the same record
@@ -122,11 +118,6 @@ func quantizeDuration(ms float32) float32 {
 	return decodeDuration(buf[:])
 }
 
-// putZigzag appends the zigzag varint encoding of v.
-func putZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
-}
-
 // blockSections carries the byte extents of the variable-width columns
 // (and the TAC dictionary entry count), stored in each block's
 // descriptor so the decoder can run every column cursor independently.
@@ -140,258 +131,12 @@ type blockSections struct {
 	causeLen    uint32
 }
 
-// appendBlockPayload encodes recs column-at-a-time onto dst, returning
-// the extended slice and the column extents. minTS is the block's
-// timestamp floor (the first delta base). tacDict and tacIdx are
-// caller-owned scratch reused across blocks.
-func appendBlockPayload(dst []byte, recs []Record, minTS int64, tacDict *[]uint32, tacIdx map[devices.TAC]int) ([]byte, blockSections) {
-	var secs blockSections
-	// Timestamps: zigzag deltas.
-	prev := minTS
-	mark := len(dst)
-	for i := range recs {
-		dst = putZigzag(dst, recs[i].Timestamp-prev)
-		prev = recs[i].Timestamp
-	}
-	secs.tsLen = uint32(len(dst) - mark)
-	// UEs.
-	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(recs[i].UE))
-	}
-	secs.ueLen = uint32(len(dst) - mark)
-	// TAC dictionary, frequency-ordered (ties broken by first
-	// appearance, so the encoding stays deterministic): the most common
-	// device models land on the smallest — and most branch-predictable —
-	// one-byte indexes.
-	*tacDict = (*tacDict)[:0]
-	clear(tacIdx)
-	for i := range recs {
-		if _, ok := tacIdx[recs[i].TAC]; !ok {
-			tacIdx[recs[i].TAC] = len(*tacDict)
-			*tacDict = append(*tacDict, uint32(recs[i].TAC))
-		}
-	}
-	counts := make([]int, len(*tacDict))
-	for i := range recs {
-		counts[tacIdx[recs[i].TAC]]++
-	}
-	order := make([]int, len(*tacDict))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if counts[order[a]] != counts[order[b]] {
-			return counts[order[a]] > counts[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	rank := counts // reuse: counts are no longer needed
-	for r, old := range order {
-		rank[old] = r
-	}
-	secs.dictEntries = uint32(len(*tacDict))
-	for _, old := range order {
-		dst = binary.LittleEndian.AppendUint32(dst, (*tacDict)[old])
-	}
-	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(rank[tacIdx[recs[i].TAC]]))
-	}
-	secs.idxLen = uint32(len(dst) - mark)
-	// Sectors.
-	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(recs[i].Source))
-	}
-	secs.srcLen = uint32(len(dst) - mark)
-	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(recs[i].Target))
-	}
-	secs.dstLen = uint32(len(dst) - mark)
-	// Causes.
-	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(recs[i].Cause))
-	}
-	secs.causeLen = uint32(len(dst) - mark)
-	// Fixed-width tail: RAT pairs, results, then raw f32 durations of the
-	// canonically quantized values.
-	for i := range recs {
-		dst = append(dst, byte(recs[i].SourceRAT)<<4|byte(recs[i].TargetRAT)&0x0f)
-	}
-	for i := range recs {
-		dst = append(dst, byte(recs[i].Result))
-	}
-	for i := range recs {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(recs[i].DurationMs))
-	}
-	return dst, secs
-}
-
-// decodeBlockProjected decodes only the projected columns of a block
-// (timestamps always included), jumping the cursor over skipped sections
-// without reading them. Unprojected fields in out are left untouched and
-// unspecified. Used by scans that declared a column projection; the
-// full-decode path is decodeBlockPayload.
-func decodeBlockProjected(payload []byte, minTS, maxTS int64, secs blockSections, proj ColumnSet, out []Record, dictScratch *[]devices.TAC) error {
-	n := len(out)
-	pos := 0
-	// Timestamps.
-	prev := minTS
-	var tsOut uint64
-	for i := 0; i < n; i++ {
-		var u uint64
-		if uint(pos+1) < uint(len(payload)) && payload[pos]&payload[pos+1] < 0x80 {
-			b0 := payload[pos]
-			wide := b0 >> 7
-			mask := -uint64(wide)
-			u = uint64(b0&0x7f) | (uint64(payload[pos+1])<<7)&mask
-			pos += 1 + int(wide)
-		} else if u, pos = uvarintSlow(payload, pos); pos < 0 {
-			return fmt.Errorf("%w: timestamp column", ErrCorruptBlock)
-		}
-		prev += int64(u>>1) ^ -int64(u&1)
-		tsOut |= uint64(prev-minTS)>>63 | uint64(maxTS-prev)>>63
-		out[i].Timestamp = prev
-	}
-	if pos != int(secs.tsLen) || tsOut != 0 {
-		return fmt.Errorf("%w: timestamp column", ErrCorruptBlock)
-	}
-	// UE.
-	if proj&ColUE != 0 {
-		end := pos + int(secs.ueLen)
-		for i := 0; i < n; i++ {
-			var v uint64
-			if uint(pos+1) < uint(len(payload)) && payload[pos]&payload[pos+1] < 0x80 {
-				b0 := payload[pos]
-				wide := b0 >> 7
-				mask := -uint64(wide)
-				v = uint64(b0&0x7f) | (uint64(payload[pos+1])<<7)&mask
-				pos += 1 + int(wide)
-			} else if v, pos = uvarintSlow(payload, pos); pos < 0 || v > math.MaxUint32 {
-				return fmt.Errorf("%w: ue column", ErrCorruptBlock)
-			}
-			out[i].UE = UEID(v)
-		}
-		if pos != end {
-			return fmt.Errorf("%w: ue column", ErrCorruptBlock)
-		}
-	} else {
-		pos += int(secs.ueLen)
-	}
-	// TAC dictionary and indexes.
-	dictLen := uint64(secs.dictEntries)
-	if proj&ColTAC != 0 {
-		if dictLen > uint64(n) {
-			return fmt.Errorf("%w: tac dictionary size", ErrCorruptBlock)
-		}
-		if cap(*dictScratch) < int(dictLen) {
-			*dictScratch = make([]devices.TAC, dictLen)
-		}
-		dict := (*dictScratch)[:dictLen]
-		for i := range dict {
-			dict[i] = devices.TAC(binary.LittleEndian.Uint32(payload[pos+i*4:]))
-		}
-		pos += int(dictLen) * 4
-		end := pos + int(secs.idxLen)
-		for i := 0; i < n; i++ {
-			var idx uint64
-			if uint(pos+1) < uint(len(payload)) && payload[pos]&payload[pos+1] < 0x80 {
-				b0 := payload[pos]
-				wide := b0 >> 7
-				mask := -uint64(wide)
-				idx = uint64(b0&0x7f) | (uint64(payload[pos+1])<<7)&mask
-				pos += 1 + int(wide)
-			} else if idx, pos = uvarintSlow(payload, pos); pos < 0 {
-				return fmt.Errorf("%w: tac index column", ErrCorruptBlock)
-			}
-			if idx >= dictLen {
-				return fmt.Errorf("%w: tac index column", ErrCorruptBlock)
-			}
-			out[i].TAC = dict[idx]
-		}
-		if pos != end {
-			return fmt.Errorf("%w: tac index column", ErrCorruptBlock)
-		}
-	} else {
-		pos += int(dictLen)*4 + int(secs.idxLen)
-	}
-	// Sectors.
-	if proj&ColSectors != 0 {
-		for col, secLen := range [2]uint32{secs.srcLen, secs.dstLen} {
-			end := pos + int(secLen)
-			for i := 0; i < n; i++ {
-				var v uint64
-				if uint(pos+1) < uint(len(payload)) && payload[pos]&payload[pos+1] < 0x80 {
-					b0 := payload[pos]
-					wide := b0 >> 7
-					mask := -uint64(wide)
-					v = uint64(b0&0x7f) | (uint64(payload[pos+1])<<7)&mask
-					pos += 1 + int(wide)
-				} else if v, pos = uvarintSlow(payload, pos); pos < 0 || v > math.MaxUint32 {
-					return fmt.Errorf("%w: sector column", ErrCorruptBlock)
-				}
-				if col == 0 {
-					out[i].Source = topology.SectorID(v)
-				} else {
-					out[i].Target = topology.SectorID(v)
-				}
-			}
-			if pos != end {
-				return fmt.Errorf("%w: sector column", ErrCorruptBlock)
-			}
-		}
-	} else {
-		pos += int(secs.srcLen) + int(secs.dstLen)
-	}
-	// Cause.
-	if proj&ColCause != 0 {
-		end := pos + int(secs.causeLen)
-		for i := 0; i < n; i++ {
-			var v uint64
-			if uint(pos+1) < uint(len(payload)) && payload[pos]&payload[pos+1] < 0x80 {
-				b0 := payload[pos]
-				wide := b0 >> 7
-				mask := -uint64(wide)
-				v = uint64(b0&0x7f) | (uint64(payload[pos+1])<<7)&mask
-				pos += 1 + int(wide)
-			} else if v, pos = uvarintSlow(payload, pos); pos < 0 {
-				return fmt.Errorf("%w: cause column", ErrCorruptBlock)
-			}
-			if v > math.MaxUint16 {
-				return fmt.Errorf("%w: cause column", ErrCorruptBlock)
-			}
-			out[i].Cause = causes.Code(v)
-		}
-		if pos != end {
-			return fmt.Errorf("%w: cause column", ErrCorruptBlock)
-		}
-	} else {
-		pos += int(secs.causeLen)
-	}
-	// Fixed-width tail.
-	if proj&ColOutcome != 0 {
-		rats := payload[pos : pos+n]
-		results := payload[pos+n : pos+2*n]
-		durs := payload[pos+2*n : pos+6*n]
-		for i := 0; i < n; i++ {
-			b := rats[i]
-			out[i].SourceRAT = topology.RAT(b >> 4)
-			out[i].TargetRAT = topology.RAT(b & 0x0f)
-			out[i].Result = Result(results[i])
-			out[i].DurationMs = math.Float32frombits(binary.LittleEndian.Uint32(durs[i*4:]))
-		}
-	}
-	return nil
-}
-
 // uvarintColumn decodes one whole uvarint column section into out,
 // starting at pos and expected to end exactly at pos+secLen. Values
-// above max reject the block. The 1/2-byte branchless fast path matches
-// the fused record decoder; keeping the loop inside one generic helper
-// (instantiated per column type) means no per-value call overhead.
+// above max reject the block. The one- and two-byte varints that dominate
+// every column take a branchless fast path; keeping the loop inside one
+// generic helper (instantiated per column type) means no per-value call
+// overhead.
 func uvarintColumn[T ~uint16 | ~uint32 | ~uint64](payload []byte, pos int, secLen uint32, out []T, max uint64, col string) (int, error) {
 	end := pos + int(secLen)
 	for i := range out {
@@ -535,184 +280,14 @@ func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, 
 }
 
 // uvarintSlow handles varints of any width plus end-of-buffer edges; the
-// hot one- and two-byte cases are open-coded in decodeBlockPayload's
-// column loops (helpers with a fallback call blow the inlining budget).
+// hot one- and two-byte cases are open-coded in the column loops
+// (helpers with a fallback call blow the inlining budget).
 func uvarintSlow(buf []byte, pos int) (uint64, int) {
 	v, n := binary.Uvarint(buf[pos:])
 	if n <= 0 {
 		return 0, -1
 	}
 	return v, pos + n
-}
-
-// decodeBlockPayload decodes count records from payload into out, which
-// must have length count. It validates every column strictly and never
-// panics on corrupt input.
-//
-// The section extents from the block descriptor place one independent
-// cursor per variable-width column, so a single fused loop fills whole
-// records: the six varint dependency chains advance in parallel (the CPU
-// overlaps them) and the batch is written once, instead of one serial
-// chain and one batch pass per column. The one- and two-byte varint
-// cases (the dominant ones for every column) are open-coded because a
-// shared helper with a fallback call exceeds the inlining budget and
-// costs a call per value. dictScratch is reused across blocks for the
-// decoded TAC dictionary.
-func decodeBlockPayload(payload []byte, minTS, maxTS int64, secs blockSections, out []Record, dictScratch *[]devices.TAC) error {
-	n := len(out)
-	// Section layout (byte offsets into payload).
-	tsPos := 0
-	tsEnd := int(secs.tsLen)
-	uePos := tsEnd
-	ueEnd := uePos + int(secs.ueLen)
-	dictOff := ueEnd
-	dictLen := uint64(secs.dictEntries)
-	idxPos := dictOff + int(dictLen)*4
-	idxEnd := idxPos + int(secs.idxLen)
-	srcPos := idxEnd
-	srcEnd := srcPos + int(secs.srcLen)
-	dstPos := srcEnd
-	dstEnd := dstPos + int(secs.dstLen)
-	causePos := dstEnd
-	causeEnd := causePos + int(secs.causeLen)
-	ratsOff := causeEnd
-	resultsOff := ratsOff + n
-	dursOff := resultsOff + n
-	if dursOff+4*n != len(payload) {
-		return fmt.Errorf("%w: section extents disagree with payload size", ErrCorruptBlock)
-	}
-	if dictLen > uint64(n) {
-		return fmt.Errorf("%w: tac dictionary size", ErrCorruptBlock)
-	}
-	if cap(*dictScratch) < int(dictLen) {
-		*dictScratch = make([]devices.TAC, dictLen)
-	}
-	dict := (*dictScratch)[:dictLen]
-	for i := range dict {
-		dict[i] = devices.TAC(binary.LittleEndian.Uint32(payload[dictOff+i*4:]))
-	}
-	rats := payload[ratsOff:resultsOff]
-	results := payload[resultsOff:dursOff]
-	durs := payload[dursOff:]
-
-	prev := minTS
-	var tsOut uint64 // branchless out-of-bounds accumulator, checked once
-	for i := 0; i < n; i++ {
-		var u uint64
-		if uint(tsPos+1) < uint(len(payload)) && payload[tsPos]&payload[tsPos+1] < 0x80 {
-			// Branchless 1/2-byte fast path: width comes from b0's top bit,
-			// so the only data-dependent branch left is the rare >=3-byte
-			// fallback above.
-			b0 := payload[tsPos]
-			wide := b0 >> 7
-			mask := -uint64(wide)
-			u = uint64(b0&0x7f) | (uint64(payload[tsPos+1])<<7)&mask
-			tsPos += 1 + int(wide)
-		} else if u, tsPos = uvarintSlow(payload, tsPos); tsPos < 0 {
-			return fmt.Errorf("%w: timestamp column", ErrCorruptBlock)
-		}
-		prev += int64(u>>1) ^ -int64(u&1)
-		tsOut |= uint64(prev-minTS)>>63 | uint64(maxTS-prev)>>63
-		out[i].Timestamp = prev
-
-		var ue uint64
-		if uint(uePos+1) < uint(len(payload)) && payload[uePos]&payload[uePos+1] < 0x80 {
-			// Branchless 1/2-byte fast path: width comes from b0's top bit,
-			// so the only data-dependent branch left is the rare >=3-byte
-			// fallback above.
-			b0 := payload[uePos]
-			wide := b0 >> 7
-			mask := -uint64(wide)
-			ue = uint64(b0&0x7f) | (uint64(payload[uePos+1])<<7)&mask
-			uePos += 1 + int(wide)
-		} else if ue, uePos = uvarintSlow(payload, uePos); uePos < 0 || ue > math.MaxUint32 {
-			return fmt.Errorf("%w: ue column", ErrCorruptBlock)
-		}
-		out[i].UE = UEID(ue)
-
-		var idx uint64
-		if uint(idxPos+1) < uint(len(payload)) && payload[idxPos]&payload[idxPos+1] < 0x80 {
-			// Branchless 1/2-byte fast path: width comes from b0's top bit,
-			// so the only data-dependent branch left is the rare >=3-byte
-			// fallback above.
-			b0 := payload[idxPos]
-			wide := b0 >> 7
-			mask := -uint64(wide)
-			idx = uint64(b0&0x7f) | (uint64(payload[idxPos+1])<<7)&mask
-			idxPos += 1 + int(wide)
-		} else if idx, idxPos = uvarintSlow(payload, idxPos); idxPos < 0 {
-			return fmt.Errorf("%w: tac index column", ErrCorruptBlock)
-		}
-		if idx >= dictLen {
-			return fmt.Errorf("%w: tac index column", ErrCorruptBlock)
-		}
-		out[i].TAC = dict[idx]
-
-		var src uint64
-		if uint(srcPos+1) < uint(len(payload)) && payload[srcPos]&payload[srcPos+1] < 0x80 {
-			// Branchless 1/2-byte fast path: width comes from b0's top bit,
-			// so the only data-dependent branch left is the rare >=3-byte
-			// fallback above.
-			b0 := payload[srcPos]
-			wide := b0 >> 7
-			mask := -uint64(wide)
-			src = uint64(b0&0x7f) | (uint64(payload[srcPos+1])<<7)&mask
-			srcPos += 1 + int(wide)
-		} else if src, srcPos = uvarintSlow(payload, srcPos); srcPos < 0 || src > math.MaxUint32 {
-			return fmt.Errorf("%w: source column", ErrCorruptBlock)
-		}
-		out[i].Source = topology.SectorID(src)
-
-		var dst uint64
-		if uint(dstPos+1) < uint(len(payload)) && payload[dstPos]&payload[dstPos+1] < 0x80 {
-			// Branchless 1/2-byte fast path: width comes from b0's top bit,
-			// so the only data-dependent branch left is the rare >=3-byte
-			// fallback above.
-			b0 := payload[dstPos]
-			wide := b0 >> 7
-			mask := -uint64(wide)
-			dst = uint64(b0&0x7f) | (uint64(payload[dstPos+1])<<7)&mask
-			dstPos += 1 + int(wide)
-		} else if dst, dstPos = uvarintSlow(payload, dstPos); dstPos < 0 || dst > math.MaxUint32 {
-			return fmt.Errorf("%w: target column", ErrCorruptBlock)
-		}
-		out[i].Target = topology.SectorID(dst)
-
-		var cause uint64
-		if uint(causePos+1) < uint(len(payload)) && payload[causePos]&payload[causePos+1] < 0x80 {
-			// Branchless 1/2-byte fast path: width comes from b0's top bit,
-			// so the only data-dependent branch left is the rare >=3-byte
-			// fallback above.
-			b0 := payload[causePos]
-			wide := b0 >> 7
-			mask := -uint64(wide)
-			cause = uint64(b0&0x7f) | (uint64(payload[causePos+1])<<7)&mask
-			causePos += 1 + int(wide)
-		} else if cause, causePos = uvarintSlow(payload, causePos); causePos < 0 {
-			return fmt.Errorf("%w: cause column", ErrCorruptBlock)
-		}
-		if cause > math.MaxUint16 {
-			return fmt.Errorf("%w: cause column", ErrCorruptBlock)
-		}
-		out[i].Cause = causes.Code(cause)
-
-		b := rats[i]
-		out[i].SourceRAT = topology.RAT(b >> 4)
-		out[i].TargetRAT = topology.RAT(b & 0x0f)
-		out[i].Result = Result(results[i])
-		out[i].DurationMs = math.Float32frombits(binary.LittleEndian.Uint32(durs[i*4:]))
-	}
-	// Every cursor must land exactly on its section boundary; a varint
-	// straying into a neighboring section reads safely (payload-bounded)
-	// but is rejected here.
-	if tsPos != tsEnd || uePos != ueEnd || idxPos != idxEnd ||
-		srcPos != srcEnd || dstPos != dstEnd || causePos != causeEnd {
-		return fmt.Errorf("%w: column cursors misaligned with section extents", ErrCorruptBlock)
-	}
-	if tsOut != 0 {
-		return fmt.Errorf("%w: timestamp outside block bounds", ErrCorruptBlock)
-	}
-	return nil
 }
 
 // appendUvarintFast appends the uvarint encoding of v with open-coded
@@ -829,9 +404,6 @@ type encScratch struct {
 	packBuf []uint64
 	tlzB    []byte
 	tlzTab  []int32
-	// Legacy record-path scratch (WriterV2Options.RecordEncode).
-	recTacDict []uint32
-	recTacIdx  map[devices.TAC]int
 }
 
 var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
@@ -840,8 +412,8 @@ var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
 // dst: one sequential pass per column over a contiguous slice, the TAC
 // dictionary built through the open-addressed table, and durations
 // canonically quantized during the duration pass. The bytes produced are
-// identical to appendBlockPayload over the same records — that is the
-// write-path compatibility contract the byte-identity tests enforce.
+// identical to the record-at-a-time reference encoder the byte-identity
+// tests keep as their oracle.
 func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS int64, e *encScratch) ([]byte, blockSections) {
 	var secs blockSections
 	// Timestamps: zigzag deltas.
@@ -859,8 +431,7 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS int64, e 
 	}
 	secs.ueLen = uint32(len(dst) - mark)
 	// TAC dictionary, frequency-ordered with ties broken by first
-	// appearance — the same total order appendBlockPayload produces, so
-	// the sort algorithm is free to differ.
+	// appearance (a total order, so the sort algorithm is free to differ).
 	tacs := cb.TACs[lo:hi]
 	e.dictTab.reset()
 	dict := e.tacDict[:0]
@@ -922,36 +493,27 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS int64, e 
 }
 
 // WriterV2Options tunes a v2 block writer. The zero value means
-// DefaultBlockRecords per block, uncompressed, column-native encoding.
+// DefaultBlockRecords per block, uncompressed.
 type WriterV2Options struct {
 	// BlockRecords is the number of records per block (0 = default).
 	BlockRecords int
 	// Compress flate-compresses block payloads (FlagFlate).
 	Compress bool
-	// RecordEncode forces the pre-columnar record-at-a-time block
-	// encoder (buffered []Record, strided struct access). The stream
-	// bytes are identical either way; the flag exists as the baseline
-	// arm of the paired write benchmarks and the byte-identity property
-	// tests.
-	RecordEncode bool
 }
 
 // WriterV2 encodes records as a v2 columnar block stream. Rows are
 // buffered in SoA (ColumnBatch) form and each block is encoded
-// column-at-a-time from contiguous slices; WriteColumns ingests columnar
-// batches without ever materializing records, and full blocks encode
-// straight from the caller's batch without an intermediate copy.
+// column-at-a-time from contiguous slices; full blocks encode straight
+// from the caller's batch without an intermediate copy.
 type WriterV2 struct {
 	w        *bufio.Writer
 	version  uint16 // VersionV2, or VersionV3 when backing a WriterV3
 	perBlock int
 	compress bool
 	tlz      bool // TLZ-compress payloads (v3 only)
-	recEnc   bool
 	count    int64
 	err      error
 	enc      *encScratch
-	recs     []Record // legacy record-path block buffer
 }
 
 // initBlockWriter writes a block-stream header for version and
@@ -1012,13 +574,6 @@ func NewWriterV2(w io.Writer, opts WriterV2Options) (*WriterV2, error) {
 	if err := initBlockWriter(v2, w, VersionV2, opts.BlockRecords, opts.Compress, false); err != nil {
 		return nil, err
 	}
-	v2.recEnc = opts.RecordEncode
-	if opts.RecordEncode {
-		v2.recs = make([]Record, 0, v2.perBlock)
-		if v2.enc.recTacIdx == nil {
-			v2.enc.recTacIdx = make(map[devices.TAC]int)
-		}
-	}
 	return v2, nil
 }
 
@@ -1033,59 +588,6 @@ func (w *WriterV2) Release() {
 	}
 }
 
-// Write buffers one record, emitting a block when it fills.
-func (w *WriterV2) Write(rec *Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.recEnc {
-		r := *rec
-		r.DurationMs = quantizeDuration(r.DurationMs)
-		w.recs = append(w.recs, r)
-		w.count++
-		if len(w.recs) >= w.perBlock {
-			return w.flushRecordBlock()
-		}
-		return nil
-	}
-	w.enc.cols.AppendRecord(rec)
-	w.count++
-	if w.enc.cols.Len() >= w.perBlock {
-		return w.flushBlock()
-	}
-	return nil
-}
-
-// WriteBatch buffers a batch of records, emitting blocks as they fill.
-// The batch lands in block-sized column appends (one transpose pass per
-// field per chunk) instead of one buffered copy per record.
-func (w *WriterV2) WriteBatch(recs []Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.recEnc {
-		for i := range recs {
-			if err := w.Write(&recs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for len(recs) > 0 {
-		room := w.perBlock - w.enc.cols.Len()
-		n := min(room, len(recs))
-		w.enc.cols.appendRecords(recs[:n])
-		recs = recs[n:]
-		w.count += int64(n)
-		if w.enc.cols.Len() >= w.perBlock {
-			if err := w.flushBlock(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // WriteColumns buffers a columnar batch, emitting blocks as they fill.
 // Runs of whole blocks encode directly from cb's slices — no
 // intermediate copy at all; only a partial leading/trailing chunk lands
@@ -1093,16 +595,6 @@ func (w *WriterV2) WriteBatch(recs []Record) error {
 func (w *WriterV2) WriteColumns(cb *ColumnBatch) error {
 	if w.err != nil {
 		return w.err
-	}
-	if w.recEnc {
-		var rec Record
-		for i := 0; i < cb.Len(); i++ {
-			cb.Record(i, &rec)
-			if err := w.Write(&rec); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	n := cb.Len()
 	for off := 0; off < n; {
@@ -1162,29 +654,6 @@ func (w *WriterV2) emitColumns(cb *ColumnBatch, lo, hi int) error {
 	return w.emitBlock(hi-lo, minTS, maxTS, secs)
 }
 
-// flushRecordBlock encodes and emits the buffered records as one block
-// (legacy record path).
-func (w *WriterV2) flushRecordBlock() error {
-	if len(w.recs) == 0 {
-		return nil
-	}
-	minTS, maxTS := w.recs[0].Timestamp, w.recs[0].Timestamp
-	for i := 1; i < len(w.recs); i++ {
-		if ts := w.recs[i].Timestamp; ts < minTS {
-			minTS = ts
-		} else if ts > maxTS {
-			maxTS = ts
-		}
-	}
-	var secs blockSections
-	w.enc.payload, secs = appendBlockPayload(w.enc.payload[:0], w.recs, minTS, &w.enc.recTacDict, w.enc.recTacIdx)
-	if err := w.emitBlock(len(w.recs), minTS, maxTS, secs); err != nil {
-		return err
-	}
-	w.recs = w.recs[:0]
-	return nil
-}
-
 // emitBlock compresses (when configured) and writes the encoded payload
 // in w.enc.payload as one framed block.
 func (w *WriterV2) emitBlock(count int, minTS, maxTS int64, secs blockSections) error {
@@ -1235,11 +704,7 @@ func (w *WriterV2) Flush() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.recEnc {
-		if err := w.flushRecordBlock(); err != nil {
-			return err
-		}
-	} else if err := w.flushBlock(); err != nil {
+	if err := w.flushBlock(); err != nil {
 		return err
 	}
 	return w.w.Flush()

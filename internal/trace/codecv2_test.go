@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -42,10 +43,10 @@ func encodeV2(t testing.TB, recs []Record, opts WriterV2Options) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	var cb ColumnBatch
+	cb.FromRecords(recs)
+	if err := w.WriteColumns(&cb); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -56,24 +57,36 @@ func encodeV2(t testing.TB, recs []Record, opts WriterV2Options) []byte {
 	return buf.Bytes()
 }
 
+// encodeV1 writes recs as a v1 fixed-width stream.
+func encodeV1(t testing.TB, recs []Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb ColumnBatch
+	cb.FromRecords(recs)
+	if err := w.WriteColumns(&cb); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func decodeAll(t testing.TB, data []byte) []Record {
 	t.Helper()
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []Record
-	var rec Record
-	for {
-		err := r.Next(&rec)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, rec)
+	out, err := readerRecords(r)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 func TestCodecV2RoundTrip(t *testing.T) {
@@ -118,20 +131,7 @@ func TestCodecV1V2DecodeAgree(t *testing.T) {
 			recs[i] = randRecord(r, base)
 		}
 
-		var v1buf bytes.Buffer
-		w1, err := NewWriter(&v1buf)
-		if err != nil {
-			return false
-		}
-		for i := range recs {
-			if err := w1.Write(&recs[i]); err != nil {
-				return false
-			}
-		}
-		if err := w1.Flush(); err != nil {
-			return false
-		}
-		fromV1 := decodeAll(t, v1buf.Bytes())
+		fromV1 := decodeAll(t, encodeV1(t, recs))
 		fromV2 := decodeAll(t, encodeV2(t, recs, WriterV2Options{BlockRecords: 32}))
 		if len(fromV1) != len(fromV2) {
 			return false
@@ -149,7 +149,9 @@ func TestCodecV1V2DecodeAgree(t *testing.T) {
 	}
 }
 
-func TestCodecV2NextBatch(t *testing.T) {
+// TestCodecV2NextColumns: one NextColumns call hands out exactly one
+// decoded block.
+func TestCodecV2NextColumns(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	recs := make([]Record, 500)
 	base := StudyStart.UnixMilli()
@@ -161,72 +163,56 @@ func TestCodecV2NextBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	var batch []Record
-	batches := 0
+	var cb ColumnBatch
+	var sizes []int
 	for {
-		n, err := rd.NextBatch(&batch)
+		n, err := rd.NextColumns(&cb)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches++
-		got = append(got, batch[:n]...)
+		sizes = append(sizes, n)
 	}
-	if batches != 4 { // 128+128+128+116
-		t.Fatalf("read %d batches, want 4", batches)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("batched read yielded %d records, want %d", len(got), len(recs))
+	if fmt.Sprint(sizes) != "[128 128 128 116]" {
+		t.Fatalf("batch sizes %v, want one per block [128 128 128 116]", sizes)
 	}
 	if s := rd.Stats(); s.BlocksRead != 4 || s.BlocksSkipped != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
-	want := decodeAll(t, data)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("batch/next disagree at %d", i)
-		}
-	}
 }
 
-func TestReaderV1NextBatch(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+// TestReaderV1NextColumns: v1 streams fill batches of DefaultBlockRecords
+// rows from the fixed-width records, the last one short.
+func TestReaderV1NextColumns(t *testing.T) {
+	recs := make([]Record, DefaultBlockRecords+300)
+	for i := range recs {
+		recs[i] = sampleRecord()
+		recs[i].UE = UEID(i)
+		recs[i].Timestamp += int64(i)
+	}
+	r, err := NewReader(bytes.NewReader(encodeV1(t, recs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 300; i++ {
-		rec := sampleRecord()
-		rec.UE = UEID(i)
-		rec.Timestamp += int64(i)
-		if err := w.Write(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]Record, 0, 128)
-	var total int
+	var cb ColumnBatch
+	var sizes []int
 	for {
-		n, err := r.NextBatch(&batch)
+		n, err := r.NextColumns(&cb)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += n
+		if cb.UEs[0] != UEID(len(sizes)*DefaultBlockRecords) {
+			t.Fatalf("batch %d starts at UE %d", len(sizes), cb.UEs[0])
+		}
+		sizes = append(sizes, n)
 	}
-	if total != 300 {
-		t.Fatalf("batched v1 read yielded %d records", total)
+	if len(sizes) != 2 || sizes[0] != DefaultBlockRecords || sizes[1] != 300 {
+		t.Fatalf("v1 batch sizes %v, want [%d 300]", sizes, DefaultBlockRecords)
 	}
 }
 
@@ -247,17 +233,9 @@ func TestReaderSetTimeRange(t *testing.T) {
 		}
 		// Window covering records 250..349 inclusive.
 		rd.SetTimeRange(base+250_000, base+349_000)
-		var got []Record
-		var rec Record
-		for {
-			err := rd.Next(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, rec)
+		got, err := readerRecords(rd)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if len(got) != 100 {
 			t.Fatalf("compress=%v: %d records in range, want 100", compress, len(got))
@@ -285,21 +263,13 @@ func TestScanRangePrunesBlocks(t *testing.T) {
 	const days = 31
 	const perDay = 640 // 10 blocks per day
 	for day := 0; day < days; day++ {
-		w, err := fs.AppendDay(day)
-		if err != nil {
-			t.Fatal(err)
+		recs := make([]Record, perDay)
+		for i := range recs {
+			recs[i] = sampleRecord()
+			recs[i].UE = UEID(i)
+			recs[i].Timestamp = DayStart(day).UnixMilli() + int64(i)*1000
 		}
-		for i := 0; i < perDay; i++ {
-			rec := sampleRecord()
-			rec.UE = UEID(i)
-			rec.Timestamp = DayStart(day).UnixMilli() + int64(i)*1000
-			if err := w.Write(&rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writePartition(t, fs, day, 0, recs)
 	}
 
 	var full ScanMetrics
@@ -340,21 +310,13 @@ func TestScanRangePrunesBlocks(t *testing.T) {
 func TestScanRangeCodecAgreement(t *testing.T) {
 	build := func(s Store) {
 		for day := 0; day < 4; day++ {
-			w, err := s.AppendDay(day)
-			if err != nil {
-				t.Fatal(err)
+			recs := make([]Record, 300)
+			for i := range recs {
+				recs[i] = sampleRecord()
+				recs[i].UE = UEID(i % 37)
+				recs[i].Timestamp = DayStart(day).UnixMilli() + int64(i)*7000
 			}
-			for i := 0; i < 300; i++ {
-				rec := sampleRecord()
-				rec.UE = UEID(i % 37)
-				rec.Timestamp = DayStart(day).UnixMilli() + int64(i)*7000
-				if err := w.Write(&rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+			writePartition(t, s, day, 0, recs)
 		}
 	}
 	v1, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{Codec: CodecV1})
@@ -417,17 +379,9 @@ func TestProjectionMatchesFullDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		rd.SetProjection(proj)
-		var got []Record
-		var batch []Record
-		for {
-			n, err := rd.NextBatch(&batch)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("proj %b: %v", proj, err)
-			}
-			got = append(got, batch[:n]...)
+		got, err := readerRecords(rd)
+		if err != nil {
+			t.Fatalf("proj %b: %v", proj, err)
 		}
 		if len(got) != len(full) {
 			t.Fatalf("proj %b: %d records, want %d", proj, len(got), len(full))
@@ -466,20 +420,12 @@ func TestScanProjectionCounts(t *testing.T) {
 	}
 	const perDay = 500
 	for day := 0; day < 3; day++ {
-		w, err := fs.AppendDay(day)
-		if err != nil {
-			t.Fatal(err)
+		recs := make([]Record, perDay)
+		for i := range recs {
+			recs[i] = sampleRecord()
+			recs[i].Timestamp = DayStart(day).UnixMilli() + int64(i)
 		}
-		for i := 0; i < perDay; i++ {
-			rec := sampleRecord()
-			rec.Timestamp = DayStart(day).UnixMilli() + int64(i)
-			if err := w.Write(&rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writePartition(t, fs, day, 0, recs)
 	}
 	c := &countingCollector{}
 	err = Scan(context.Background(), fs, ScanOptions{Projection: ColTimestamp}, c)
@@ -491,6 +437,8 @@ func TestScanProjectionCounts(t *testing.T) {
 	}
 }
 
+// TestWriterV2BatchMatchesWrite: one whole-batch WriteColumns call and
+// the same rows written one per call produce the identical stream.
 func TestWriterV2BatchMatchesWrite(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	recs := make([]Record, 333)
@@ -498,31 +446,23 @@ func TestWriterV2BatchMatchesWrite(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(r, base)
 	}
-	var a, b bytes.Buffer
+	var a bytes.Buffer
 	wa, err := NewWriterV2(&a, WriterV2Options{BlockRecords: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var row ColumnBatch
 	for i := range recs {
-		if err := wa.Write(&recs[i]); err != nil {
+		row.FromRecords(recs[i : i+1])
+		if err := wa.WriteColumns(&row); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := wa.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	wb, err := NewWriterV2(&b, WriterV2Options{BlockRecords: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.WriteBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("WriteBatch stream differs from Write stream")
+	if b := encodeV2(t, recs, WriterV2Options{BlockRecords: 100}); !bytes.Equal(a.Bytes(), b) {
+		t.Fatal("whole-batch stream differs from row-by-row stream")
 	}
 }
 
@@ -533,29 +473,17 @@ func TestV2StreamSmallerThanV1(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(r, base+int64(i)*500)
 	}
-	var v1 bytes.Buffer
-	w1, err := NewWriter(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if err := w1.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	v1 := encodeV1(t, recs)
 	v2 := encodeV2(t, recs, WriterV2Options{})
-	if len(v2) >= v1.Len() {
-		t.Fatalf("v2 stream (%d B) not smaller than v1 (%d B)", len(v2), v1.Len())
+	if len(v2) >= len(v1) {
+		t.Fatalf("v2 stream (%d B) not smaller than v1 (%d B)", len(v2), len(v1))
 	}
 	v2c := encodeV2(t, recs, WriterV2Options{Compress: true})
 	if len(v2c) >= len(v2) {
 		t.Fatalf("compressed v2 (%d B) not smaller than raw v2 (%d B)", len(v2c), len(v2))
 	}
 	t.Logf("bytes/record: v1 %.1f, v2 %.1f, v2+flate %.1f",
-		float64(v1.Len())/float64(len(recs)), float64(len(v2))/float64(len(recs)),
+		float64(len(v1))/float64(len(recs)), float64(len(v2))/float64(len(recs)),
 		float64(len(v2c))/float64(len(recs)))
 }
 
@@ -568,14 +496,8 @@ func TestReaderRejectsCorruptV2(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		var rec Record
-		for {
-			if err := r.Next(&rec); err != nil {
-				if err == io.EOF {
-					t.Fatalf("cut=%d: truncated stream read cleanly", cut)
-				}
-				break
-			}
+		if _, err := readerRecords(r); err == nil {
+			t.Fatalf("cut=%d: truncated stream read cleanly", cut)
 		}
 	}
 	// Flipping descriptor bytes must produce errors, not panics.
@@ -586,11 +508,6 @@ func TestReaderRejectsCorruptV2(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		var rec Record
-		for i := 0; i < len(recs)+1; i++ {
-			if err := r.Next(&rec); err != nil {
-				break
-			}
-		}
+		readerRecords(r)
 	}
 }

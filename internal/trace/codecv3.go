@@ -534,12 +534,6 @@ func NewWriterV3(w io.Writer, opts WriterV3Options) (*WriterV3, error) {
 	return w3, nil
 }
 
-// Write buffers one record, emitting a block when it fills.
-func (w *WriterV3) Write(rec *Record) error { return w.w2.Write(rec) }
-
-// WriteBatch buffers a batch of records, emitting blocks as they fill.
-func (w *WriterV3) WriteBatch(recs []Record) error { return w.w2.WriteBatch(recs) }
-
 // WriteColumns buffers a columnar batch, emitting blocks as they fill;
 // runs of whole blocks encode directly from cb's slices.
 func (w *WriterV3) WriteColumns(cb *ColumnBatch) error { return w.w2.WriteColumns(cb) }

@@ -16,10 +16,10 @@ func encodeV3(t testing.TB, recs []Record, opts WriterV3Options) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	var cb ColumnBatch
+	cb.FromRecords(recs)
+	if err := w.WriteColumns(&cb); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestCodecV3MatchesV2Decode(t *testing.T) {
 	}
 }
 
-// TestCodecV3Columns checks the SoA decode path against the record path
+// TestCodecV3Columns checks the SoA decode against the written records
 // and the column projection contract on v3 streams.
 func TestCodecV3Columns(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
@@ -135,27 +135,11 @@ func TestCodecV3Columns(t *testing.T) {
 	}
 	data := encodeV3(t, recs, WriterV3Options{BlockRecords: 64, FastCompress: true})
 
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	got := decodeAll(t, data)
+	want := append([]Record(nil), recs...)
+	for i := range want {
+		want[i].DurationMs = quantizeDuration(want[i].DurationMs)
 	}
-	var cb ColumnBatch
-	var got []Record
-	for {
-		n, err := rd.NextColumns(&cb)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			var rec Record
-			cb.Record(i, &rec)
-			got = append(got, rec)
-		}
-	}
-	want := decodeAll(t, data)
 	if len(got) != len(want) {
 		t.Fatalf("columns decoded %d, records %d", len(got), len(want))
 	}
@@ -208,20 +192,12 @@ func TestCodecV3RangePrunesBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd.SetTimeRange(recs[200].Timestamp, recs[260].Timestamp)
-	var rec Record
-	n := 0
-	for {
-		err := rd.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
+	got, err := readerRecords(rd)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n != 61 {
-		t.Fatalf("windowed decode yielded %d records, want 61", n)
+	if len(got) != 61 {
+		t.Fatalf("windowed decode yielded %d records, want 61", len(got))
 	}
 	st := rd.Stats()
 	if st.BlocksSkipped == 0 {
@@ -252,14 +228,8 @@ func TestCodecV3RejectsCorrupt(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			var rec Record
-			for {
-				if err := rd.Next(&rec); err != nil {
-					if err != io.EOF && err != ErrTruncated && !isCorrupt(err) {
-						t.Fatalf("opts=%+v pos=%d: undeclared error kind: %v", opts, pos, err)
-					}
-					break
-				}
+			if _, err := readerRecords(rd); err != nil && err != ErrTruncated && !isCorrupt(err) {
+				t.Fatalf("opts=%+v pos=%d: undeclared error kind: %v", opts, pos, err)
 			}
 		}
 		// Truncations at every length must also land on a declared kind.
@@ -268,14 +238,8 @@ func TestCodecV3RejectsCorrupt(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			var rec Record
-			for {
-				if err := rd.Next(&rec); err != nil {
-					if err != io.EOF && err != ErrTruncated && !isCorrupt(err) {
-						t.Fatalf("opts=%+v cut=%d: undeclared error kind: %v", opts, cut, err)
-					}
-					break
-				}
+			if _, err := readerRecords(rd); err != nil && err != ErrTruncated && !isCorrupt(err) {
+				t.Fatalf("opts=%+v cut=%d: undeclared error kind: %v", opts, cut, err)
 			}
 		}
 	}
@@ -298,8 +262,8 @@ func TestCodecV3HeaderNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flags %#x rejected: %v", flags, err)
 		}
-		var rec Record
-		if err := rd.Next(&rec); err != io.EOF {
+		var cb ColumnBatch
+		if _, err := rd.NextColumns(&cb); err != io.EOF {
 			t.Fatalf("empty v3 stream: got %v, want EOF", err)
 		}
 	}

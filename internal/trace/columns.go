@@ -8,10 +8,10 @@ import (
 
 // ColumnBatch is the structure-of-arrays (SoA) view of one decoded run
 // of records: every field lives in its own parallel slice, all of the
-// same length. The v2 block codec decodes straight into this layout
-// (its payload is already columnar), so a column-native scan never
-// materializes []Record at all; stores without native column support
-// transpose record batches into it via FromRecords.
+// same length. It is the one shape records move in: stores take it on
+// write and hand it out on read, and the block codecs decode straight
+// into it (their payload is already columnar), so a scan never
+// materializes []Record at all.
 //
 // RAT pairs stay packed exactly as stored on the wire — source nibble
 // high, target nibble low — so batch consumers that only classify the
@@ -146,40 +146,6 @@ func (b *ColumnBatch) AppendGather(src *ColumnBatch, perm []int32) {
 	}
 }
 
-// appendRecords appends recs as new rows, transposing column-at-a-time
-// (one pass per field) rather than row-at-a-time.
-func (b *ColumnBatch) appendRecords(recs []Record) {
-	base := b.Len()
-	b.extend(base + len(recs))
-	for i := range recs {
-		b.Timestamps[base+i] = recs[i].Timestamp
-	}
-	for i := range recs {
-		b.UEs[base+i] = recs[i].UE
-	}
-	for i := range recs {
-		b.TACs[base+i] = recs[i].TAC
-	}
-	for i := range recs {
-		b.Sources[base+i] = recs[i].Source
-	}
-	for i := range recs {
-		b.Targets[base+i] = recs[i].Target
-	}
-	for i := range recs {
-		b.Causes[base+i] = recs[i].Cause
-	}
-	for i := range recs {
-		b.RATs[base+i] = byte(recs[i].SourceRAT)<<4 | byte(recs[i].TargetRAT)&0x0f
-	}
-	for i := range recs {
-		b.Results[base+i] = recs[i].Result
-	}
-	for i := range recs {
-		b.Durations[base+i] = recs[i].DurationMs
-	}
-}
-
 // appendRange appends rows [lo, hi) of src to b: nine contiguous copies.
 func (b *ColumnBatch) appendRange(src *ColumnBatch, lo, hi int) {
 	b.Timestamps = append(b.Timestamps, src.Timestamps[lo:hi]...)
@@ -207,41 +173,6 @@ func (b *ColumnBatch) FromRecords(recs []Record) {
 		b.RATs[i] = byte(r.SourceRAT)<<4 | byte(r.TargetRAT)&0x0f
 		b.Results[i] = r.Result
 		b.Durations[i] = r.DurationMs
-	}
-}
-
-// Records transposes the batch into out (unpacking RAT bytes), one pass
-// per column — the inverse of FromRecords, and much cheaper than a
-// per-row Record loop when draining whole blocks. out must have exactly
-// Len() rows.
-func (b *ColumnBatch) Records(out []Record) {
-	for i := range out {
-		out[i].Timestamp = b.Timestamps[i]
-	}
-	for i := range out {
-		out[i].UE = b.UEs[i]
-	}
-	for i := range out {
-		out[i].TAC = b.TACs[i]
-	}
-	for i := range out {
-		out[i].Source = b.Sources[i]
-	}
-	for i := range out {
-		out[i].Target = b.Targets[i]
-	}
-	for i := range out {
-		out[i].Cause = b.Causes[i]
-	}
-	for i := range out {
-		out[i].SourceRAT = topology.RAT(b.RATs[i] >> 4)
-		out[i].TargetRAT = topology.RAT(b.RATs[i] & 0x0f)
-	}
-	for i := range out {
-		out[i].Result = b.Results[i]
-	}
-	for i := range out {
-		out[i].DurationMs = b.Durations[i]
 	}
 }
 

@@ -9,31 +9,6 @@ import (
 	"testing"
 )
 
-// collectColumns drains a ColumnIterator into a flat record slice via
-// per-row transposition, exercising reuse of one batch across calls.
-func collectColumns(t testing.TB, ci ColumnIterator) []Record {
-	t.Helper()
-	var out []Record
-	var cb ColumnBatch
-	for {
-		n, err := ci.NextColumns(&cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			return out
-		}
-		if n != cb.Len() {
-			t.Fatalf("NextColumns returned %d but batch holds %d", n, cb.Len())
-		}
-		for i := 0; i < n; i++ {
-			var rec Record
-			cb.Record(i, &rec)
-			out = append(out, rec)
-		}
-	}
-}
-
 func TestColumnBatchFromRecordsRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	recs := make([]Record, 300)
@@ -71,10 +46,14 @@ func TestColumnBatchFilterRange(t *testing.T) {
 	cb.FromRecords(recs)
 	n := cb.FilterRange(lo, hi)
 
-	want := append([]Record(nil), recs...)
-	wantN := filterRange(want, lo, hi)
-	if n != wantN {
-		t.Fatalf("FilterRange kept %d rows, record filter kept %d", n, wantN)
+	var want []Record
+	for _, rec := range recs {
+		if rec.Timestamp >= lo && rec.Timestamp <= hi {
+			want = append(want, rec)
+		}
+	}
+	if n != len(want) {
+		t.Fatalf("FilterRange kept %d rows, record filter kept %d", n, len(want))
 	}
 	for i := 0; i < n; i++ {
 		var got Record
@@ -85,86 +64,59 @@ func TestColumnBatchFilterRange(t *testing.T) {
 	}
 }
 
-// TestReaderNextColumnsMatchesNextBatch: for every codec/compression/
-// range/projection combination, the SoA stream must contain exactly the
-// records the batch stream produces.
-func TestReaderNextColumnsMatchesNextBatch(t *testing.T) {
+// TestReaderNextColumnsMatchesFullDecode: for every codec/compression/
+// range/projection combination, the SoA stream must hold exactly the
+// in-range records, equal to the written ones on the projected fields.
+func TestReaderNextColumnsMatchesFullDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	base := StudyStart.UnixMilli()
 	recs := make([]Record, 3000)
 	for i := range recs {
 		recs[i] = randRecord(r, base)
 	}
-	v2 := encodeV2(t, recs, WriterV2Options{BlockRecords: 256})
-	v2flate := encodeV2(t, recs, WriterV2Options{BlockRecords: 256, Compress: true})
-	var v1buf bytes.Buffer
-	w1, err := NewWriter(&v1buf)
-	if err != nil {
-		t.Fatal(err)
+	streams := map[string][]byte{
+		"v1":      encodeV1(t, recs),
+		"v2":      encodeV2(t, recs, WriterV2Options{BlockRecords: 256}),
+		"v2flate": encodeV2(t, recs, WriterV2Options{BlockRecords: 256, Compress: true}),
 	}
-	for i := range recs {
-		if err := w1.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	streams := map[string][]byte{"v1": v1buf.Bytes(), "v2": v2, "v2flate": v2flate}
 	ranges := []*TimeRange{nil, {MinTS: base + 2*3600*1000, MaxTS: base + 7*3600*1000}}
 	projs := []ColumnSet{0, ColTimestamp, ColUE | ColOutcome, ColTAC | ColSectors | ColCause}
 	for name, data := range streams {
 		for ri, tr := range ranges {
+			var want []Record
+			for _, rec := range recs {
+				if tr == nil || tr.Contains(rec.Timestamp) {
+					rec.DurationMs = quantizeDuration(rec.DurationMs)
+					want = append(want, rec)
+				}
+			}
 			for _, proj := range projs {
-				mk := func() *Reader {
-					rd, err := NewReader(bytes.NewReader(data))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if tr != nil {
-						rd.SetTimeRange(tr.MinTS, tr.MaxTS)
-					}
-					rd.SetProjection(proj)
-					return rd
+				rd, err := NewReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
 				}
-				var want []Record
-				var batch []Record
-				br := mk()
-				for {
-					n, err := br.NextBatch(&batch)
-					if err != nil {
-						break
-					}
-					want = append(want, batch[:n]...)
+				if tr != nil {
+					rd.SetTimeRange(tr.MinTS, tr.MaxTS)
 				}
-				got := collectColumns(t, columnEOFAdapter{mk()})
+				rd.SetProjection(proj)
+				got, err := readerRecords(rd)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(got) != len(want) {
-					t.Fatalf("%s range=%d proj=%b: columns=%d batch=%d records", name, ri, proj, len(got), len(want))
+					t.Fatalf("%s range=%d proj=%b: %d records, want %d", name, ri, proj, len(got), len(want))
 				}
 				// Under a projection only the projected fields are
 				// specified; compare those.
 				for i := range want {
 					if !recordsEqualUnder(proj, &got[i], &want[i]) {
-						t.Fatalf("%s range=%d proj=%b row %d:\n col   %+v\n batch %+v",
+						t.Fatalf("%s range=%d proj=%b row %d:\n got  %+v\n want %+v",
 							name, ri, proj, i, got[i], want[i])
 					}
 				}
 			}
 		}
 	}
-}
-
-// columnEOFAdapter maps the Reader's io.EOF convention onto the
-// ColumnIterator end-of-stream convention (0, nil), like fileIterator.
-type columnEOFAdapter struct{ r *Reader }
-
-func (a columnEOFAdapter) NextColumns(cb *ColumnBatch) (int, error) {
-	n, err := a.r.NextColumns(cb)
-	if err != nil && n == 0 {
-		return 0, nil
-	}
-	return n, nil
 }
 
 // recordsEqualUnder compares only the fields inside proj (timestamps
@@ -196,51 +148,81 @@ func recordsEqualUnder(proj ColumnSet, a, b *Record) bool {
 	return true
 }
 
+// TestMemIteratorNextColumns: the in-memory iterator hands out the
+// written rows in order, in batches of at most DefaultBlockRecords, and
+// honors a time range.
 func TestMemIteratorNextColumns(t *testing.T) {
-	s := buildShardedStore(t, 2, 40, 3)
-	parts, err := s.Partitions()
+	rng := rand.New(rand.NewSource(15))
+	base := StudyStart.UnixMilli()
+	recs := make([]Record, 2*DefaultBlockRecords+5)
+	for i := range recs {
+		recs[i] = randRecord(rng, base)
+	}
+	s := NewMemStore()
+	writePartition(t, s, 0, 0, recs)
+
+	it, err := s.OpenPartition(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range parts {
-		recIt, err := s.OpenPartition(p.Day, p.Shard)
+	var cb ColumnBatch
+	var got []Record
+	var sizes []int
+	for {
+		n, err := it.NextColumns(&cb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []Record
-		var rec Record
-		for {
-			ok, err := recIt.Next(&rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
+		if n == 0 {
+			break
+		}
+		sizes = append(sizes, n)
+		for i := 0; i < n; i++ {
+			var rec Record
+			cb.Record(i, &rec)
+			got = append(got, rec)
+		}
+	}
+	it.Close()
+	if len(sizes) != 3 || sizes[0] != DefaultBlockRecords || sizes[2] != 5 {
+		t.Fatalf("batch sizes %v", sizes)
+	}
+	for i := range recs {
+		if got[i] != recs[i] {
+			t.Fatalf("row %d: got %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+
+	tr := TimeRange{MinTS: base + 3600*1000, MaxTS: base + 2*3600*1000}
+	it, err = s.OpenPartition(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.(TimeRangeSetter).SetTimeRange(tr.MinTS, tr.MaxTS)
+	ranged, err := readRecords(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.Close()
+	var want []Record
+	for _, rec := range recs {
+		if tr.Contains(rec.Timestamp) {
 			want = append(want, rec)
 		}
-		recIt.Close()
-
-		colIt, err := s.OpenPartition(p.Day, p.Shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectColumns(t, colIt.(ColumnIterator))
-		colIt.Close()
-		if len(got) != len(want) {
-			t.Fatalf("day %d shard %d: %d vs %d records", p.Day, p.Shard, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("day %d shard %d row %d mismatch", p.Day, p.Shard, i)
-			}
+	}
+	if len(ranged) != len(want) || len(want) == 0 {
+		t.Fatalf("ranged read: %d rows, want %d", len(ranged), len(want))
+	}
+	for i := range want {
+		if ranged[i] != want[i] {
+			t.Fatalf("ranged row %d differs", i)
 		}
 	}
 }
 
 // columnSumCollector accumulates order-free integer sums over every
-// column, implementing both the record and the column interfaces so the
-// scan paths can be pitted against each other.
+// column, so scans that batch the same rows differently can be pitted
+// against each other.
 type columnSumCollector struct {
 	mu    sync.Mutex
 	total int64
@@ -258,11 +240,6 @@ func (s *columnSumShard) observeOne(day int, rec *Record) {
 		uint64(rec.Source)*7 + uint64(rec.Target)*11 + uint64(rec.Cause)*13 +
 		uint64(rec.SourceRAT)*17 + uint64(rec.TargetRAT)*19 +
 		uint64(rec.Result)*23 + uint64(day)*29
-}
-
-func (s *columnSumShard) Observe(day int, rec *Record) error {
-	s.observeOne(day, rec)
-	return nil
 }
 
 func (s *columnSumShard) ObserveColumns(day int, cb *ColumnBatch) error {
@@ -285,46 +262,45 @@ func (c *columnSumCollector) MergeShard(st ShardState) error {
 	return nil
 }
 
-// stripColumnsStore hides ColumnIterator (and BatchIterator) from the
-// scan engine, forcing the record-at-a-time path.
-type stripColumnsStore struct{ Store }
+// rowStore wraps a store so its iterators hand out one row per batch —
+// record-at-a-time granularity — and hide TimeRangeSetter and
+// ProjectionSetter, so the scan engine filters ranges itself.
+type rowStore struct{ Store }
 
-type stripColumnsIterator struct{ inner RecordIterator }
+type rowIterator struct {
+	inner RecordIterator
+	buf   ColumnBatch
+	pos   int
+}
 
-func (s stripColumnsStore) OpenPartition(day, shard int) (RecordIterator, error) {
+func (s rowStore) OpenPartition(day, shard int) (RecordIterator, error) {
 	it, err := s.Store.OpenPartition(day, shard)
 	if err != nil {
 		return nil, err
 	}
-	return stripColumnsIterator{it}, nil
+	return &rowIterator{inner: it}, nil
 }
 
-func (it stripColumnsIterator) Next(rec *Record) (bool, error) { return it.inner.Next(rec) }
-func (it stripColumnsIterator) Close() error                   { return it.inner.Close() }
-
-// batchOnlyStore keeps NextBatch but hides NextColumns, forcing the
-// engine's batch + column-transposition path.
-type batchOnlyStore struct{ Store }
-
-type batchOnlyIterator struct{ inner RecordIterator }
-
-func (s batchOnlyStore) OpenPartition(day, shard int) (RecordIterator, error) {
-	it, err := s.Store.OpenPartition(day, shard)
-	if err != nil {
-		return nil, err
+func (it *rowIterator) NextColumns(cb *ColumnBatch) (int, error) {
+	if it.pos == it.buf.Len() {
+		n, err := it.inner.NextColumns(&it.buf)
+		if err != nil || n == 0 {
+			return 0, err
+		}
+		it.pos = 0
 	}
-	return batchOnlyIterator{it}, nil
+	cb.Reset()
+	cb.appendRange(&it.buf, it.pos, it.pos+1)
+	it.pos++
+	return 1, nil
 }
 
-func (it batchOnlyIterator) Next(rec *Record) (bool, error) { return it.inner.Next(rec) }
-func (it batchOnlyIterator) NextBatch(batch *[]Record) (int, error) {
-	return it.inner.(BatchIterator).NextBatch(batch)
-}
-func (it batchOnlyIterator) Close() error { return it.inner.Close() }
+func (it *rowIterator) Close() error { return it.inner.Close() }
 
-// TestScanColumnPathMatchesRecordPath: the pure-column scan path, the
-// mixed transposition path and the stripped-down record path must all
-// observe the identical record multiset, and report identical metrics.
+// TestScanColumnPathMatchesRecordPath: the native block-batched scan and
+// a record-at-a-time scan (one-row batches, engine-side range
+// filtering) must observe the identical record multiset and report
+// identical record metrics.
 func TestScanColumnPathMatchesRecordPath(t *testing.T) {
 	s := buildShardedStore(t, 3, 60, 4)
 	run := func(store Store) (int64, uint64, int64) {
@@ -335,38 +311,31 @@ func TestScanColumnPathMatchesRecordPath(t *testing.T) {
 		}
 		return c.total, c.sum, m.Records.Load()
 	}
-	// Baseline: the stripped store forces the per-record Observe loop.
-	wantTotal, wantSum, wantRecs := run(stripColumnsStore{s})
+	wantTotal, wantSum, wantRecs := run(rowStore{s})
 	if wantTotal == 0 {
 		t.Fatal("empty baseline")
 	}
-	for name, store := range map[string]Store{
-		"pure-column":     s,                 // native NextColumns
-		"batch-transpose": batchOnlyStore{s}, // NextBatch + engine transposition
-	} {
-		gotTotal, gotSum, gotRecs := run(store)
-		if gotTotal != wantTotal || gotSum != wantSum || gotRecs != wantRecs {
-			t.Fatalf("%s: (%d, %d, %d), want (%d, %d, %d)",
-				name, gotTotal, gotSum, gotRecs, wantTotal, wantSum, wantRecs)
-		}
+	if gotTotal, gotSum, gotRecs := run(s); gotTotal != wantTotal || gotSum != wantSum || gotRecs != wantRecs {
+		t.Fatalf("batched: (%d, %d, %d), want (%d, %d, %d)",
+			gotTotal, gotSum, gotRecs, wantTotal, wantSum, wantRecs)
 	}
-	// Windowed variant: native pruning vs record filtering must agree.
+	// Windowed variant: iterator-side vs engine-side filtering must agree.
 	tr := DayRange(1, 1)
 	c1 := &columnSumCollector{}
 	if err := ScanRange(context.Background(), s, ScanOptions{}, tr, c1); err != nil {
 		t.Fatal(err)
 	}
 	c2 := &columnSumCollector{}
-	if err := ScanRange(context.Background(), stripColumnsStore{s}, ScanOptions{}, tr, c2); err != nil {
+	if err := ScanRange(context.Background(), rowStore{s}, ScanOptions{}, tr, c2); err != nil {
 		t.Fatal(err)
 	}
 	if c1.total != c2.total || c1.sum != c2.sum || c1.total == 0 {
-		t.Fatalf("windowed: column (%d, %d) vs record (%d, %d)", c1.total, c1.sum, c2.total, c2.sum)
+		t.Fatalf("windowed: batched (%d, %d) vs record (%d, %d)", c1.total, c1.sum, c2.total, c2.sum)
 	}
 }
 
 // TestReaderBytesRead: a full decode of a stream must report exactly
-// its stored size, for every codec and both read shapes.
+// its stored size, for every codec.
 func TestReaderBytesRead(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	recs := make([]Record, 2500)
@@ -376,48 +345,21 @@ func TestReaderBytesRead(t *testing.T) {
 	// Time-ordered, as stored partitions are, so block descriptors carry
 	// narrow time bounds the pruning check below can exercise.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Timestamp < recs[j].Timestamp })
-	var v1buf bytes.Buffer
-	w1, err := NewWriter(&v1buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if err := w1.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	streams := map[string][]byte{
-		"v1":      v1buf.Bytes(),
+		"v1":      encodeV1(t, recs),
 		"v2":      encodeV2(t, recs, WriterV2Options{BlockRecords: 512}),
 		"v2flate": encodeV2(t, recs, WriterV2Options{BlockRecords: 512, Compress: true}),
 	}
 	for name, data := range streams {
-		for _, shape := range []string{"batch", "columns"} {
-			rd, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if shape == "batch" {
-				var batch []Record
-				for {
-					if _, err := rd.NextBatch(&batch); err != nil {
-						break
-					}
-				}
-			} else {
-				var cb ColumnBatch
-				for {
-					if _, err := rd.NextColumns(&cb); err != nil {
-						break
-					}
-				}
-			}
-			if got := rd.Stats().BytesRead; got != int64(len(data)) {
-				t.Errorf("%s/%s: BytesRead = %d, want stream size %d", name, shape, got, len(data))
-			}
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readerRecords(rd); err != nil {
+			t.Fatal(err)
+		}
+		if got := rd.Stats().BytesRead; got != int64(len(data)) {
+			t.Errorf("%s: BytesRead = %d, want stream size %d", name, got, len(data))
 		}
 	}
 	// A range-pruned read must not count skipped block bytes.

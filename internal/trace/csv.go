@@ -35,32 +35,36 @@ func ExportCSV(w io.Writer, it RecordIterator) (int64, error) {
 	if err := cw.Write(header); err != nil {
 		return finish(0, err)
 	}
+	var cb ColumnBatch
 	var rec Record
 	var n int64
 	for {
-		ok, err := it.Next(&rec)
+		k, err := it.NextColumns(&cb)
 		if err != nil {
 			return finish(n, err)
 		}
-		if !ok {
+		if k == 0 {
 			break
 		}
-		row := []string{
-			strconv.FormatInt(rec.Timestamp, 10),
-			strconv.FormatUint(uint64(rec.UE), 10),
-			strconv.FormatUint(uint64(rec.TAC), 10),
-			strconv.FormatUint(uint64(rec.Source), 10),
-			strconv.FormatUint(uint64(rec.Target), 10),
-			rec.SourceRAT.String(),
-			rec.TargetRAT.String(),
-			rec.Result.String(),
-			strconv.FormatUint(uint64(rec.Cause), 10),
-			strconv.FormatFloat(float64(rec.DurationMs), 'f', 1, 32),
+		for i := 0; i < k; i++ {
+			cb.Record(i, &rec)
+			row := []string{
+				strconv.FormatInt(rec.Timestamp, 10),
+				strconv.FormatUint(uint64(rec.UE), 10),
+				strconv.FormatUint(uint64(rec.TAC), 10),
+				strconv.FormatUint(uint64(rec.Source), 10),
+				strconv.FormatUint(uint64(rec.Target), 10),
+				rec.SourceRAT.String(),
+				rec.TargetRAT.String(),
+				rec.Result.String(),
+				strconv.FormatUint(uint64(rec.Cause), 10),
+				strconv.FormatFloat(float64(rec.DurationMs), 'f', 1, 32),
+			}
+			if err := cw.Write(row); err != nil {
+				return finish(n, err)
+			}
+			n++
 		}
-		if err := cw.Write(row); err != nil {
-			return finish(n, err)
-		}
-		n++
 	}
 	return finish(n, nil)
 }

@@ -50,8 +50,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 	}
 	// Column-written streams with degenerate column shapes (constant
-	// timestamps, single-entry TAC dictionary) — the WriteColumns →
-	// NextColumns round trip the column decode leg below chews on.
+	// timestamps, single-entry TAC dictionary).
 	for _, compress := range []bool{false, true} {
 		var cb ColumnBatch
 		cb.resize(96)
@@ -91,38 +90,19 @@ func FuzzDecodeBlock(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var rec Record
-		for i := 0; i < 4*maxBlockRecords; i++ {
-			if err := rd.Next(&rec); err != nil {
-				// Any terminal condition must be one of the codec's
-				// declared error kinds (or a wrapped form of them).
-				if err != io.EOF && err != ErrTruncated && !errors.Is(err, ErrCorruptBlock) {
-					t.Fatalf("undeclared error kind: %v", err)
-				}
-				break
-			}
-		}
-		// The batched path must agree error-for-error in kind (no panic).
-		rd2, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var batch []Record
-		for i := 0; i < 8; i++ {
-			if _, err := rd2.NextBatch(&batch); err != nil {
-				break
-			}
-		}
-		// And the columnar decode path (SoA, independent column cursors).
-		rd3, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
+		// Every call that succeeds consumes at least one block (or one v1
+		// record), so the loop ends; the terminal condition must be one of
+		// the codec's declared error kinds (or a wrapped form of them).
 		var cb ColumnBatch
-		for i := 0; i < 8; i++ {
-			if _, err := rd3.NextColumns(&cb); err != nil {
-				break
+		for {
+			_, err := rd.NextColumns(&cb)
+			if err == nil {
+				continue
 			}
+			if err != io.EOF && err != ErrTruncated && !errors.Is(err, ErrCorruptBlock) {
+				t.Fatalf("undeclared error kind: %v", err)
+			}
+			break
 		}
 	})
 }

@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-// writePartition lands recs into a fresh partition of fs.
-func writePartition(t *testing.T, fs *FileStore, day, shard int, recs []Record) {
-	t.Helper()
-	w, err := fs.AppendPartition(day, shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.(BatchWriter).WriteBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBloomNoFalseNegatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	keys := make([]uint32, 0, 5000)
@@ -147,9 +132,10 @@ func TestIndexDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestFileStoreWritesIndex asserts every write path (record, batch,
-// columnar) emits an aligned sidecar, that the manifest advertises it,
-// and that its block summaries agree with the stream's descriptors.
+// TestFileStoreWritesIndex asserts every write granularity (one record
+// per call, ragged batches, one whole batch) emits an aligned sidecar,
+// that the manifest advertises it, and that its block summaries agree
+// with the stream's descriptors.
 func TestFileStoreWritesIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	base := StudyStart.UnixMilli()
@@ -157,6 +143,7 @@ func TestFileStoreWritesIndex(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(rng, base)
 	}
+	chunks := map[string]int{"record": 1, "batch": 97, "columns": len(recs)}
 	for _, mode := range []string{"record", "batch", "columns"} {
 		t.Run(mode, func(t *testing.T) {
 			fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: 256})
@@ -167,21 +154,8 @@ func TestFileStoreWritesIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch mode {
-			case "record":
-				for i := range recs {
-					if err := w.Write(&recs[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case "batch":
-				if err := w.(BatchWriter).WriteBatch(recs); err != nil {
-					t.Fatal(err)
-				}
-			case "columns":
-				var cb ColumnBatch
-				cb.FromRecords(recs)
-				if err := w.(ColumnWriter).WriteColumns(&cb); err != nil {
+			for off := 0; off < len(recs); off += chunks[mode] {
+				if err := writeRecords(w, recs[off:min(off+chunks[mode], len(recs))]...); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -279,17 +253,9 @@ func TestReaderBlockFilter(t *testing.T) {
 	}
 	defer it.Close()
 	it.(BlockFilterSetter).SetBlockFilter(func(b int) bool { return b == 2 })
-	var got []Record
-	var rec Record
-	for {
-		ok, err := it.Next(&rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, rec)
+	got, err := readRecords(it)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != perBlock {
 		t.Fatalf("decoded %d records, want the %d of block 2", len(got), perBlock)

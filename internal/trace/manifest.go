@@ -221,21 +221,21 @@ func (d *partitionDigest) observeBytes(p []byte) {
 	d.bytes += int64(len(p))
 }
 
-// observeRecord folds one record into the extents and fingerprint for
+// observeRow folds row i of cb into the extents and fingerprint for
 // stores without a byte stream (MemStore): the fields are serialized
-// into a fixed little-endian image and hashed like stream bytes.
-func (d *partitionDigest) observeRecord(rec *Record) {
-	d.observeTS(rec.Timestamp)
+// into a fixed little-endian record image and hashed like stream bytes.
+func (d *partitionDigest) observeRow(cb *ColumnBatch, i int) {
+	d.observeTS(cb.Timestamps[i])
 	var buf [33]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(rec.Timestamp))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(rec.UE))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(rec.TAC))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(rec.Source))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(rec.Target))
-	binary.LittleEndian.PutUint16(buf[24:], uint16(rec.Cause))
-	buf[26] = byte(rec.SourceRAT)<<4 | byte(rec.TargetRAT)&0x0f
-	buf[27] = byte(rec.Result)
-	binary.LittleEndian.PutUint32(buf[28:], math.Float32bits(rec.DurationMs))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(cb.Timestamps[i]))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(cb.UEs[i]))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(cb.TACs[i]))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(cb.Sources[i]))
+	binary.LittleEndian.PutUint32(buf[20:], uint32(cb.Targets[i]))
+	binary.LittleEndian.PutUint16(buf[24:], uint16(cb.Causes[i]))
+	buf[26] = cb.RATs[i]
+	buf[27] = byte(cb.Results[i])
+	binary.LittleEndian.PutUint32(buf[28:], math.Float32bits(cb.Durations[i]))
 	d.observeBytes(buf[:])
 }
 

@@ -28,19 +28,11 @@ func manifestTestRecord(day int, i int) Record {
 
 func writeTestPartition(t *testing.T, s Store, day, shard, n int) {
 	t.Helper()
-	w, err := s.AppendPartition(day, shard)
-	if err != nil {
-		t.Fatal(err)
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = manifestTestRecord(day, i)
 	}
-	for i := 0; i < n; i++ {
-		rec := manifestTestRecord(day, i)
-		if err := w.Write(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writePartition(t, s, day, shard, recs)
 }
 
 func testManifestLifecycle(t *testing.T, s Store) {
@@ -317,7 +309,10 @@ func (c *subsetCollector) NewShardState(day, shard int) ShardState {
 	return &subsetShard{day: day}
 }
 
-func (s *subsetShard) Observe(day int, rec *Record) error { s.n++; return nil }
+func (s *subsetShard) ObserveColumns(day int, cb *ColumnBatch) error {
+	s.n += int64(cb.Len())
+	return nil
+}
 
 func (c *subsetCollector) MergeShard(st ShardState) error {
 	s := st.(*subsetShard)

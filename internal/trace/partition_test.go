@@ -12,20 +12,12 @@ func partitionRoundTrip(t *testing.T, s Store) {
 	// Two days, three shards each.
 	for day := 0; day < 2; day++ {
 		for shard := 0; shard < 3; shard++ {
-			w, err := s.AppendPartition(day, shard)
-			if err != nil {
-				t.Fatal(err)
+			recs := make([]Record, 10*(shard+1))
+			for i := range recs {
+				recs[i] = sampleRecord()
+				recs[i].UE = UEID(shard*1000 + i)
 			}
-			for i := 0; i < 10*(shard+1); i++ {
-				rec := sampleRecord()
-				rec.UE = UEID(shard*1000 + i)
-				if err := w.Write(&rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+			writePartition(t, s, day, shard, recs)
 		}
 	}
 	parts, err := s.Partitions()
@@ -48,28 +40,20 @@ func partitionRoundTrip(t *testing.T, s Store) {
 	if len(days) != 2 || days[0] != 0 || days[1] != 1 {
 		t.Fatalf("days = %v", days)
 	}
-	// OpenDay chains shards: each day holds 10+20+30 records.
-	it, err := s.OpenDay(0)
+	// Shard k of a day holds 10*(k+1) records of its own UEs.
+	it, err := s.OpenPartition(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	n := 0
-	for {
-		ok, err := it.Next(&rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
+	recs, err := readRecords(it)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 60 {
-		t.Fatalf("day 0 chained %d records, want 60", n)
+	if len(recs) != 30 || recs[0].UE != 2000 {
+		t.Fatalf("day 0 shard 2: %d records starting at UE %d, want 30 from UE 2000", len(recs), recs[0].UE)
 	}
 	total, err := Count(s)
 	if err != nil {
@@ -84,9 +68,6 @@ func partitionRoundTrip(t *testing.T, s Store) {
 	}
 	if _, err := s.OpenPartition(0, 9); err == nil {
 		t.Fatal("missing shard opened")
-	}
-	if _, err := s.OpenDay(7); err == nil {
-		t.Fatal("missing day opened")
 	}
 }
 
@@ -110,8 +91,7 @@ func TestFileStoreStrictNameParsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := sampleRecord()
-	if err := w.Write(&rec); err != nil {
+	if err := writeRecords(w, sampleRecord()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -215,55 +195,15 @@ func TestForEachPropagatesCallbackError(t *testing.T) {
 
 func TestForEachClosesIteratorsOnError(t *testing.T) {
 	es := &errStore{}
-	w, err := es.MemStore.AppendPartition(0, 0)
-	if err != nil {
-		t.Fatal(err)
+	recs := make([]Record, 10)
+	for i := range recs {
+		recs[i] = sampleRecord()
 	}
-	for i := 0; i < 10; i++ {
-		rec := sampleRecord()
-		if err := w.Write(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writePartition(t, &es.MemStore, 0, 0, recs)
 	if err := ForEach(es, func(int, *Record) error { return nil }); err == nil {
 		t.Fatal("iterator error not propagated")
 	}
 	if es.opened == 0 || es.opened != es.closed {
 		t.Fatalf("iterator leak: opened %d, closed %d", es.opened, es.closed)
-	}
-}
-
-func TestChainIteratorSurfacesOpenError(t *testing.T) {
-	// A day listed in Partitions but whose shard cannot be opened must
-	// surface the error from Next, not panic.
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := fs.AppendPartition(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := sampleRecord()
-	if err := w.Write(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	it, err := fs.OpenDay(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	// Corrupt the file out from under the chained iterator.
-	if err := os.Remove(filepath.Join(fs.Dir(), "ho_day_000.tlho")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := it.Next(&rec); err == nil {
-		t.Fatal("open failure not surfaced")
 	}
 }

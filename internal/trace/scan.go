@@ -16,32 +16,12 @@ import (
 // is bit-for-bit independent of worker scheduling.
 
 // ShardState accumulates one collector's view of a single partition.
-// Observe is called once per record, in the partition's storage order,
-// from exactly one goroutine.
+// ObserveColumns is called once per decoded batch, in the partition's
+// storage order, from exactly one goroutine. How a partition is cut into
+// batches is up to the iterator, so a state must end up the same however
+// its rows are chunked. The batch is engine-owned and reused — states
+// must not retain its slices across calls.
 type ShardState interface {
-	Observe(day int, rec *Record) error
-}
-
-// BatchShardState is implemented by shard states that can consume a
-// whole decoded block per call. ObserveBatch(day, recs) must be
-// equivalent to calling Observe(day, &recs[i]) for each record in order;
-// the engine uses it on the batched scan path to drop the per-record
-// interface call.
-type BatchShardState interface {
-	ObserveBatch(day int, recs []Record) error
-}
-
-// ColumnShardState is implemented by shard states that can consume a
-// decoded block in columnar (SoA) form. ObserveColumns(day, cols) must
-// be equivalent to calling Observe(day, &rec_i) for every row of cols
-// in order — the batch≡record property the analysis equivalence tests
-// enforce. The engine prefers this interface over ObserveBatch/Observe:
-// when every collector implements it and the iterator decodes columns
-// natively (v2 block files), the scan never materializes []Record at
-// all; otherwise the engine transposes the record batch once per block.
-// The batch is engine-owned and reused — states must not retain its
-// slices across calls.
-type ColumnShardState interface {
 	ObserveColumns(day int, cols *ColumnBatch) error
 }
 
@@ -103,8 +83,9 @@ type ScanOptions struct {
 	Progress func(done, total int)
 	// Range, if set, restricts the scan to records inside the window.
 	// Iterators that support TimeRangeSetter prune natively (the v2
-	// codec skips whole blocks); others are filtered record by record.
-	// Either way collectors observe exactly the same record sequence.
+	// codec skips whole blocks); the engine filters the batches of the
+	// others. Either way collectors observe exactly the same record
+	// sequence.
 	Range *TimeRange
 	// Projection, if nonzero, declares the columns the collectors read;
 	// v2 block partitions skip decoding everything else. This is an
@@ -121,20 +102,10 @@ type ScanOptions struct {
 	Partitions []Partition
 }
 
-// checkEvery is how many records a scan worker processes between context
-// cancellation checks.
-const checkEvery = 8192
-
-// Pooled scan buffers, shared across partitions and scans: the
+// columnBatchPool shares scan buffers across partitions and scans: the
 // steady-state scan loop reuses batch memory, so after warm-up it
 // allocates nothing per block.
-var (
-	recordBatchPool = sync.Pool{New: func() any {
-		s := make([]Record, 0, DefaultBlockRecords)
-		return &s
-	}}
-	columnBatchPool = sync.Pool{New: func() any { return new(ColumnBatch) }}
-)
+var columnBatchPool = sync.Pool{New: func() any { return new(ColumnBatch) }}
 
 // Scan streams every partition of the store through all collectors. Each
 // partition is read once; records are observed in storage order within a
@@ -214,8 +185,8 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 		if opts.Metrics != nil {
 			opts.Metrics.Partitions.Add(1)
 		}
-		// Push the range down to the iterator when it can prune (the v2
-		// codec skips whole blocks); otherwise filter record by record so
+		// Push the range down to the iterator when it can prune (the block
+		// codecs skip whole blocks); otherwise filter each batch so
 		// collectors observe an identical sequence either way.
 		filter := false
 		if opts.Range != nil {
@@ -230,140 +201,30 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 				ps.SetProjection(opts.Projection)
 			}
 		}
-		// Path selection, most vectorized first: column states fed from a
-		// column-native iterator never materialize records; otherwise the
-		// record batch is decoded once and column states get a transposed
-		// view, batch states the slice, and the rest a per-record loop.
-		colStates := make([]ColumnShardState, len(states))
-		allColumns := true
-		for c, st := range states {
-			if cs, ok := st.(ColumnShardState); ok {
-				colStates[c] = cs
-			} else {
-				allColumns = false
-			}
-		}
-		ci, haveCI := it.(ColumnIterator)
-		bi, haveBI := it.(BatchIterator)
+		// One SoA batch per decoded block, handed to every collector.
+		cb := columnBatchPool.Get().(*ColumnBatch)
+		defer columnBatchPool.Put(cb)
 		var nRecs int64
-		if allColumns && haveCI {
-			// Pure columnar path: one SoA batch per decoded block, handed
-			// to every collector.
-			cb := columnBatchPool.Get().(*ColumnBatch)
-			defer columnBatchPool.Put(cb)
-			for {
-				if err := scanCtx.Err(); err != nil {
-					return err
-				}
-				n, err := ci.NextColumns(cb)
-				if err != nil {
-					return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
-				}
-				if n == 0 {
-					break
-				}
-				if filter {
-					if n = cb.FilterRange(opts.Range.MinTS, opts.Range.MaxTS); n == 0 {
-						continue
-					}
-				}
-				nRecs += int64(n)
-				for _, cs := range colStates {
-					if err := cs.ObserveColumns(p.Day, cb); err != nil {
-						return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
-					}
-				}
+		for {
+			if err := scanCtx.Err(); err != nil {
+				return err
 			}
-		} else if haveBI {
-			// Batched path: one NextBatch per decoded block instead of one
-			// interface call per record; column-capable states get a SoA
-			// transposition of the block, batch-capable ones the slice.
-			batchStates := make([]BatchShardState, len(states))
-			anyCols := false
-			for c, st := range states {
-				if colStates[c] != nil {
-					anyCols = true
+			n, err := it.NextColumns(cb)
+			if err != nil {
+				return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
+			}
+			if n == 0 {
+				break
+			}
+			if filter {
+				if n = cb.FilterRange(opts.Range.MinTS, opts.Range.MaxTS); n == 0 {
 					continue
 				}
-				if bs, ok := st.(BatchShardState); ok {
-					batchStates[c] = bs
-				}
 			}
-			bp := recordBatchPool.Get().(*[]Record)
-			defer recordBatchPool.Put(bp)
-			var cb *ColumnBatch
-			if anyCols {
-				cb = columnBatchPool.Get().(*ColumnBatch)
-				defer columnBatchPool.Put(cb)
-			}
-			for {
-				if err := scanCtx.Err(); err != nil {
-					return err
-				}
-				n, err := bi.NextBatch(bp)
-				if err != nil {
+			nRecs += int64(n)
+			for _, st := range states {
+				if err := st.ObserveColumns(p.Day, cb); err != nil {
 					return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
-				}
-				if n == 0 {
-					break
-				}
-				if filter {
-					// Non-native range enforcement: compact the batch to the
-					// window first, so batch-capable states stay usable and
-					// semantics match the native-pruning path exactly.
-					n = filterRange((*bp)[:n], opts.Range.MinTS, opts.Range.MaxTS)
-					if n == 0 {
-						continue
-					}
-				}
-				nRecs += int64(n)
-				recs := (*bp)[:n]
-				if anyCols {
-					cb.FromRecords(recs)
-				}
-				for c, st := range states {
-					if cs := colStates[c]; cs != nil {
-						if err := cs.ObserveColumns(p.Day, cb); err != nil {
-							return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
-						}
-						continue
-					}
-					if bs := batchStates[c]; bs != nil {
-						if err := bs.ObserveBatch(p.Day, recs); err != nil {
-							return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
-						}
-						continue
-					}
-					for j := range recs {
-						if err := st.Observe(p.Day, &recs[j]); err != nil {
-							return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
-						}
-					}
-				}
-			}
-		} else {
-			var rec Record
-			for n := 0; ; n++ {
-				if n%checkEvery == 0 {
-					if err := scanCtx.Err(); err != nil {
-						return err
-					}
-				}
-				ok, err := it.Next(&rec)
-				if err != nil {
-					return classifyPartitionErr(p.Day, p.Shard, err)
-				}
-				if !ok {
-					break
-				}
-				if filter && !opts.Range.Contains(rec.Timestamp) {
-					continue
-				}
-				nRecs++
-				for _, st := range states {
-					if err := st.Observe(p.Day, &rec); err != nil {
-						return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
-					}
 				}
 			}
 		}

@@ -14,28 +14,18 @@ func buildShardedStore(t testing.TB, days, nUEs, shards int) *MemStore {
 	t.Helper()
 	s := NewMemStore()
 	for day := 0; day < days; day++ {
-		writers := make([]RecordWriter, shards)
-		for sh := 0; sh < shards; sh++ {
-			w, err := s.AppendPartition(day, sh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writers[sh] = w
-		}
 		// Timestamp-ordered within the day; bucketed by UE hash.
+		buckets := make([][]Record, shards)
 		for i := 0; i < nUEs*4; i++ {
 			ue := UEID(i % nUEs)
 			rec := sampleRecord()
 			rec.UE = ue
 			rec.Timestamp = DayStart(day).UnixMilli() + int64(i)*1000
-			if err := writers[ShardOf(ue, shards)].Write(&rec); err != nil {
-				t.Fatal(err)
-			}
+			sh := ShardOf(ue, shards)
+			buckets[sh] = append(buckets[sh], rec)
 		}
-		for _, w := range writers {
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+		for sh, recs := range buckets {
+			writePartition(t, s, day, sh, recs)
 		}
 	}
 	return s
@@ -60,9 +50,11 @@ func (c *countingCollector) NewShardState(day, shard int) ShardState {
 	return &countingShard{part: Partition{Day: day, Shard: shard}}
 }
 
-func (s *countingShard) Observe(day int, rec *Record) error {
-	s.count++
-	s.dsum += int64(day)*1_000_003 + int64(rec.UE)
+func (s *countingShard) ObserveColumns(day int, cb *ColumnBatch) error {
+	for _, ue := range cb.UEs {
+		s.count++
+		s.dsum += int64(day)*1_000_003 + int64(ue)
+	}
 	return nil
 }
 
@@ -131,7 +123,7 @@ func TestScanProgress(t *testing.T) {
 
 type failingCollector struct {
 	countingCollector
-	failObserveAt int64 // fail Observe after N records (0 = never)
+	failObserveAt int64 // fail once N records were observed (0 = never)
 	failMerge     bool
 }
 
@@ -147,12 +139,12 @@ func (c *failingCollector) NewShardState(day, shard int) ShardState {
 	return &failingShard{c: c, inner: c.countingCollector.NewShardState(day, shard)}
 }
 
-func (s *failingShard) Observe(day int, rec *Record) error {
-	s.seen++
+func (s *failingShard) ObserveColumns(day int, cb *ColumnBatch) error {
+	s.seen += int64(cb.Len())
 	if s.c.failObserveAt > 0 && s.seen >= s.c.failObserveAt {
 		return errBoom
 	}
-	return s.inner.Observe(day, rec)
+	return s.inner.ObserveColumns(day, cb)
 }
 
 func (c *failingCollector) MergeShard(st ShardState) error {
@@ -226,8 +218,8 @@ func TestShardOfStableAndBounded(t *testing.T) {
 	}
 }
 
-// errIterator fails after a few records; its store tracks Close calls so
-// the test can assert no iterator leaks on the error path.
+// errIterator fails after its first batch; its store tracks Close calls
+// so the test can assert no iterator leaks on the error path.
 type errStore struct {
 	MemStore
 	mu     sync.Mutex
@@ -252,12 +244,12 @@ type errIterator struct {
 	n     int
 }
 
-func (it *errIterator) Next(rec *Record) (bool, error) {
+func (it *errIterator) NextColumns(cb *ColumnBatch) (int, error) {
 	it.n++
-	if it.n > 3 {
-		return false, fmt.Errorf("disk gremlin")
+	if it.n > 1 {
+		return 0, fmt.Errorf("disk gremlin")
 	}
-	return it.inner.Next(rec)
+	return it.inner.NextColumns(cb)
 }
 
 func (it *errIterator) Close() error {
@@ -270,20 +262,12 @@ func (it *errIterator) Close() error {
 func TestScanClosesIteratorsOnReadError(t *testing.T) {
 	es := &errStore{}
 	for day := 0; day < 2; day++ {
-		w, err := es.MemStore.AppendPartition(day, 0)
-		if err != nil {
-			t.Fatal(err)
+		recs := make([]Record, 10)
+		for i := range recs {
+			recs[i] = sampleRecord()
+			recs[i].Timestamp = DayStart(day).UnixMilli() + int64(i)
 		}
-		for i := 0; i < 10; i++ {
-			rec := sampleRecord()
-			rec.Timestamp = DayStart(day).UnixMilli() + int64(i)
-			if err := w.Write(&rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writePartition(t, &es.MemStore, day, 0, recs)
 	}
 	err := Scan(context.Background(), es, ScanOptions{Parallelism: 2}, &countingCollector{})
 	if err == nil {

@@ -37,68 +37,31 @@ func (p Partition) Less(q Partition) bool {
 // AppendPartition returns a writer for one partition; OpenPartition
 // returns an iterator over it. A partition may only be written once and
 // must be closed before it is read. Partitions lists finished partitions
-// in canonical (day, shard) order.
-//
-// The day-level methods are the single-shard degenerate case kept for
-// writers that do not shard: AppendDay(d) is AppendPartition(d, 0), and
-// OpenDay(d) iterates every shard of the day in shard order.
+// in canonical (day, shard) order, Days their distinct days.
 type Store interface {
 	AppendPartition(day, shard int) (RecordWriter, error)
 	OpenPartition(day, shard int) (RecordIterator, error)
 	Partitions() ([]Partition, error)
-
-	AppendDay(day int) (RecordWriter, error)
-	OpenDay(day int) (RecordIterator, error)
 	Days() ([]int, error)
 }
 
-// RecordWriter receives records for one partition.
+// RecordWriter receives one partition's records as columnar (SoA)
+// batches. WriteColumns stores every row of cb, in row order; the batch
+// stays caller-owned and unmodified, so callers may reuse it. File-store
+// writers encode blocks straight from the column slices.
 type RecordWriter interface {
-	Write(*Record) error
-	Close() error
-}
-
-// BatchWriter is implemented by RecordWriters that can land a batch of
-// records more cheaply than record-at-a-time Write calls (the v2 block
-// writer appends a whole batch straight into its block buffer).
-type BatchWriter interface {
-	WriteBatch([]Record) error
-}
-
-// ColumnWriter is implemented by RecordWriters that can land a columnar
-// (SoA) batch without the caller materializing records — the write-side
-// mirror of ColumnIterator. WriteColumns(cb) must store exactly what
-// Write(&rec_i) for every row of cb would, in row order; the batch stays
-// caller-owned and unmodified. Writers backed by the v2 block codec
-// encode straight from the column slices.
-type ColumnWriter interface {
 	WriteColumns(*ColumnBatch) error
-}
-
-// RecordIterator streams records from one partition. Next fills the
-// caller's Record and reports false at end of stream.
-type RecordIterator interface {
-	Next(*Record) (bool, error)
 	Close() error
 }
 
-// BatchIterator is implemented by RecordIterators that can hand out
-// decoded batches. NextBatch fills *batch (growing it as needed) and
-// returns how many records it holds; 0 with a nil error means end of
-// stream. Records arrive in the same order Next would produce them.
-type BatchIterator interface {
-	NextBatch(batch *[]Record) (int, error)
-}
-
-// ColumnIterator is implemented by RecordIterators that can hand out
-// decoded batches in columnar (SoA) form. NextColumns fills cb, reusing
-// its slices, and returns how many records it holds; 0 with a nil error
-// means end of stream. Rows arrive in the same order Next would produce
-// them, so a column scan observes exactly the record-scan sequence.
-// Iterators backed by the v2 block codec decode straight into the
-// column slices without materializing records.
-type ColumnIterator interface {
+// RecordIterator streams one partition as columnar (SoA) batches.
+// NextColumns fills cb, reusing its slices, and returns how many rows it
+// holds; 0 with a nil error means end of stream. Rows arrive in storage
+// order. File-store iterators decode each block straight into the column
+// slices without materializing records.
+type RecordIterator interface {
 	NextColumns(cb *ColumnBatch) (int, error)
+	Close() error
 }
 
 // TimeRangeSetter is implemented by RecordIterators that can restrict
@@ -162,12 +125,14 @@ func daysOf(parts []Partition) []int {
 }
 
 // ForEach streams every record of every partition in canonical
-// (day, shard) order through fn.
+// (day, shard) order through fn: the record-granular convenience over
+// the columnar iterators. rec is reused between calls.
 func ForEach(s Store, fn func(day int, rec *Record) error) error {
 	parts, err := s.Partitions()
 	if err != nil {
 		return err
 	}
+	var cb ColumnBatch
 	var rec Record
 	for _, p := range parts {
 		it, err := s.OpenPartition(p.Day, p.Shard)
@@ -175,17 +140,20 @@ func ForEach(s Store, fn func(day int, rec *Record) error) error {
 			return err
 		}
 		for {
-			ok, err := it.Next(&rec)
+			n, err := it.NextColumns(&cb)
 			if err != nil {
 				it.Close()
 				return err
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
-			if err := fn(p.Day, &rec); err != nil {
-				it.Close()
-				return err
+			for i := 0; i < n; i++ {
+				cb.Record(i, &rec)
+				if err := fn(p.Day, &rec); err != nil {
+					it.Close()
+					return err
+				}
 			}
 		}
 		if err := it.Close(); err != nil {
@@ -214,87 +182,18 @@ func Count(s Store) (int64, error) {
 	return n, err
 }
 
-// chainIterator concatenates the shards of one day behind the day-level
-// OpenDay API.
-type chainIterator struct {
-	store  Store
-	parts  []Partition
-	cur    RecordIterator
-	closed bool
-}
-
-func (c *chainIterator) Next(rec *Record) (bool, error) {
-	for {
-		if c.cur == nil {
-			if len(c.parts) == 0 {
-				return false, nil
-			}
-			it, err := c.store.OpenPartition(c.parts[0].Day, c.parts[0].Shard)
-			if err != nil {
-				return false, err
-			}
-			c.cur = it
-			c.parts = c.parts[1:]
-		}
-		ok, err := c.cur.Next(rec)
-		if err != nil {
-			c.cur.Close()
-			c.cur = nil
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-		if err := c.cur.Close(); err != nil {
-			c.cur = nil
-			return false, err
-		}
-		c.cur = nil
-	}
-}
-
-func (c *chainIterator) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.cur != nil {
-		err := c.cur.Close()
-		c.cur = nil
-		return err
-	}
-	return nil
-}
-
-// openDay builds the day-level chained iterator shared by both stores.
-func openDay(s Store, day int) (RecordIterator, error) {
-	parts, err := s.Partitions()
-	if err != nil {
-		return nil, err
-	}
-	var dayParts []Partition
-	for _, p := range parts {
-		if p.Day == day {
-			dayParts = append(dayParts, p)
-		}
-	}
-	if len(dayParts) == 0 {
-		return nil, fmt.Errorf("trace: day %d not present", day)
-	}
-	return &chainIterator{store: s, parts: dayParts}, nil
-}
-
-// MemStore keeps partitions in memory. The zero value is ready to use.
+// MemStore keeps partitions in memory, one ColumnBatch each. The zero
+// value is ready to use.
 type MemStore struct {
 	mu       sync.Mutex
-	parts    map[Partition][]Record
+	parts    map[Partition]*ColumnBatch
 	open     map[Partition]bool
 	manifest Manifest
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{parts: make(map[Partition][]Record), open: make(map[Partition]bool)}
+	return &MemStore{parts: make(map[Partition]*ColumnBatch), open: make(map[Partition]bool)}
 }
 
 // Manifest returns the in-memory partition index (a copy). MemStore
@@ -319,14 +218,14 @@ func (m *MemStore) AppendPartition(day, shard int) (RecordWriter, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.parts == nil {
-		m.parts = make(map[Partition][]Record)
+		m.parts = make(map[Partition]*ColumnBatch)
 		m.open = make(map[Partition]bool)
 	}
 	p := Partition{Day: day, Shard: shard}
 	if _, exists := m.parts[p]; exists {
 		return nil, fmt.Errorf("trace: partition day %d shard %d already written", day, shard)
 	}
-	m.parts[p] = nil
+	m.parts[p] = new(ColumnBatch)
 	m.open[p] = true
 	return &memWriter{store: m, part: p, digest: newPartitionDigest()}, nil
 }
@@ -336,14 +235,14 @@ func (m *MemStore) OpenPartition(day, shard int) (RecordIterator, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p := Partition{Day: day, Shard: shard}
-	recs, ok := m.parts[p]
+	cols, ok := m.parts[p]
 	if !ok {
 		return nil, fmt.Errorf("trace: partition day %d shard %d not present", day, shard)
 	}
 	if m.open[p] {
 		return nil, fmt.Errorf("trace: partition day %d shard %d still open for writing", day, shard)
 	}
-	return &memIterator{recs: recs}, nil
+	return &memIterator{cols: cols}, nil
 }
 
 // Partitions lists finished partitions in canonical order.
@@ -359,12 +258,6 @@ func (m *MemStore) Partitions() ([]Partition, error) {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Less(parts[j]) })
 	return parts, nil
 }
-
-// AppendDay starts the single-shard partition of a day.
-func (m *MemStore) AppendDay(day int) (RecordWriter, error) { return m.AppendPartition(day, 0) }
-
-// OpenDay iterates every shard of a day in shard order.
-func (m *MemStore) OpenDay(day int) (RecordIterator, error) { return openDay(m, day) }
 
 // Days lists the distinct finished days in ascending order.
 func (m *MemStore) Days() ([]int, error) {
@@ -383,57 +276,20 @@ type memWriter struct {
 	count  int64
 }
 
-func (w *memWriter) Write(rec *Record) error {
-	if w.closed {
-		return fmt.Errorf("trace: write to closed partition day %d shard %d", w.part.Day, w.part.Shard)
-	}
-	w.digest.observeRecord(rec)
-	w.count++
-	w.store.mu.Lock()
-	w.store.parts[w.part] = append(w.store.parts[w.part], *rec)
-	w.store.mu.Unlock()
-	return nil
-}
-
-// WriteBatch appends a batch of records under one lock acquisition as a
-// single block-sized append (the slice grows once, pre-sized from the
-// batch length, never record by record).
-func (w *memWriter) WriteBatch(recs []Record) error {
-	if w.closed {
-		return fmt.Errorf("trace: write to closed partition day %d shard %d", w.part.Day, w.part.Shard)
-	}
-	for i := range recs {
-		w.digest.observeRecord(&recs[i])
-	}
-	w.count += int64(len(recs))
-	w.store.mu.Lock()
-	w.store.parts[w.part] = append(w.store.parts[w.part], recs...)
-	w.store.mu.Unlock()
-	return nil
-}
-
-// WriteColumns appends a columnar batch under one lock acquisition,
-// transposing straight into the partition's grown tail. The manifest
-// digest folds each row exactly as the record path does, so column- and
-// record-written MemStore partitions fingerprint identically.
+// WriteColumns appends a columnar batch under one lock acquisition. The
+// manifest digest folds each row into a fixed record image, so MemStore
+// partitions fingerprint their contents however the rows were batched.
 func (w *memWriter) WriteColumns(cb *ColumnBatch) error {
 	if w.closed {
 		return fmt.Errorf("trace: write to closed partition day %d shard %d", w.part.Day, w.part.Shard)
 	}
-	n := cb.Len()
-	w.count += int64(n)
+	for i := range cb.Timestamps {
+		w.digest.observeRow(cb, i)
+	}
+	w.count += int64(cb.Len())
 	w.store.mu.Lock()
-	recs := w.store.parts[w.part]
-	base := len(recs)
-	recs = append(recs, make([]Record, n)...)
-	for i := 0; i < n; i++ {
-		cb.Record(i, &recs[base+i])
-	}
-	w.store.parts[w.part] = recs
+	w.store.parts[w.part].AppendColumns(cb)
 	w.store.mu.Unlock()
-	for i := 0; i < n; i++ {
-		w.digest.observeRecord(&recs[base+i])
-	}
 	return nil
 }
 
@@ -450,55 +306,21 @@ func (w *memWriter) Close() error {
 }
 
 type memIterator struct {
-	recs     []Record
+	cols     *ColumnBatch
 	pos      int
 	hasRange bool
 	minTS    int64
 	maxTS    int64
 }
 
-func (it *memIterator) Next(rec *Record) (bool, error) {
-	for it.pos < len(it.recs) {
-		*rec = it.recs[it.pos]
-		it.pos++
-		if !it.hasRange || (rec.Timestamp >= it.minTS && rec.Timestamp <= it.maxTS) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// NextBatch copies the next run of records into *batch (up to its
-// capacity, or DefaultBlockRecords when empty).
-func (it *memIterator) NextBatch(batch *[]Record) (int, error) {
-	max := cap(*batch)
-	if max == 0 {
-		max = DefaultBlockRecords
-	}
-	*batch = (*batch)[:0]
-	var rec Record
-	for len(*batch) < max {
-		ok, err := it.Next(&rec)
-		if err != nil {
-			return len(*batch), err
-		}
-		if !ok {
-			break
-		}
-		*batch = append(*batch, rec)
-	}
-	return len(*batch), nil
-}
-
-// NextColumns transposes the next run of records into cb.
+// NextColumns copies the next run of up to DefaultBlockRecords rows
+// (minus any outside the time range) into cb.
 func (it *memIterator) NextColumns(cb *ColumnBatch) (int, error) {
-	for it.pos < len(it.recs) {
-		n := len(it.recs) - it.pos
-		if n > DefaultBlockRecords {
-			n = DefaultBlockRecords
-		}
-		cb.FromRecords(it.recs[it.pos : it.pos+n])
-		it.pos += n
+	for it.pos < it.cols.Len() {
+		end := min(it.pos+DefaultBlockRecords, it.cols.Len())
+		cb.Reset()
+		cb.appendRange(it.cols, it.pos, end)
+		it.pos = end
 		if it.hasRange {
 			cb.FilterRange(it.minTS, it.maxTS)
 		}
@@ -506,7 +328,7 @@ func (it *memIterator) NextColumns(cb *ColumnBatch) (int, error) {
 			return cb.Len(), nil
 		}
 	}
-	cb.resize(0)
+	cb.Reset()
 	return 0, nil
 }
 
@@ -861,17 +683,19 @@ func (f *FileStore) rebuildEntry(p Partition) (PartitionInfo, error) {
 	}
 	defer it.Close()
 	var records int64
-	var rec Record
+	var cb ColumnBatch
 	for {
-		ok, err := it.Next(&rec)
+		n, err := it.NextColumns(&cb)
 		if err != nil {
 			return PartitionInfo{}, err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		d.observeTS(rec.Timestamp)
-		records++
+		for _, ts := range cb.Timestamps {
+			d.observeTS(ts)
+		}
+		records += int64(n)
 	}
 	return d.info(p.Day, p.Shard, records), nil
 }
@@ -928,12 +752,6 @@ func (f *FileStore) Partitions() ([]Partition, error) {
 	return parts, nil
 }
 
-// AppendDay starts the single-shard partition of a day.
-func (f *FileStore) AppendDay(day int) (RecordWriter, error) { return f.AppendPartition(day, 0) }
-
-// OpenDay iterates every shard of a day in shard order.
-func (f *FileStore) OpenDay(day int) (RecordIterator, error) { return openDay(f, day) }
-
 // Days lists the distinct days present on disk in ascending order,
 // answering from the MANIFEST when it is usable.
 func (f *FileStore) Days() ([]int, error) {
@@ -953,7 +771,7 @@ func (f *FileStore) Days() ([]int, error) {
 
 // streamWriter is the codec-agnostic surface fileWriter needs.
 type streamWriter interface {
-	Write(*Record) error
+	WriteColumns(*ColumnBatch) error
 	Flush() error
 	Count() int64
 }
@@ -1015,56 +833,9 @@ func (w *fileWriter) abort(cause error) error {
 	return fmt.Errorf("trace: partition day %d shard %d aborted: %w", w.day, w.shard, cause)
 }
 
-func (w *fileWriter) Write(rec *Record) error {
-	if w.werr != nil {
-		return w.werr
-	}
-	w.digest.observeTS(rec.Timestamp)
-	if w.idx != nil {
-		w.idx.observe(rec.Timestamp, uint32(rec.UE), uint32(rec.TAC), uint32(rec.Source), uint32(rec.Target))
-	}
-	if err := w.w.Write(rec); err != nil {
-		return w.fail(err)
-	}
-	return nil
-}
-
-// WriteBatch lands a batch, going through the codec's batch path when it
-// has one. Both codecs land batches in block-sized appends, so no
-// per-record copy loop survives on this path.
-func (w *fileWriter) WriteBatch(recs []Record) error {
-	if w.werr != nil {
-		return w.werr
-	}
-	for i := range recs {
-		w.digest.observeTS(recs[i].Timestamp)
-	}
-	if w.idx != nil {
-		for i := range recs {
-			r := &recs[i]
-			w.idx.observe(r.Timestamp, uint32(r.UE), uint32(r.TAC), uint32(r.Source), uint32(r.Target))
-		}
-	}
-	if bw, ok := w.w.(BatchWriter); ok {
-		if err := bw.WriteBatch(recs); err != nil {
-			return w.fail(err)
-		}
-		return nil
-	}
-	for i := range recs {
-		if err := w.w.Write(&recs[i]); err != nil {
-			return w.fail(err)
-		}
-	}
-	return nil
-}
-
-// WriteColumns lands a columnar batch. The v2 codec encodes straight
-// from the column slices; the v1 fixed-width codec has no columnar
-// form, so the batch transposes block-wise into a scratch slice and
-// goes through the codec's chunked WriteBatch (one buffer write per
-// chunk, never a write per record). Timestamp extents fold into the
-// manifest digest from the contiguous timestamp column.
+// WriteColumns lands a columnar batch: timestamp extents fold into the
+// manifest digest and the batch into the index builder from the
+// contiguous columns, then the codec encodes it.
 func (w *fileWriter) WriteColumns(cb *ColumnBatch) error {
 	if w.werr != nil {
 		return w.werr
@@ -1075,33 +846,8 @@ func (w *fileWriter) WriteColumns(cb *ColumnBatch) error {
 	if w.idx != nil {
 		w.idx.observeColumns(cb)
 	}
-	if cw, ok := w.w.(ColumnWriter); ok {
-		if err := cw.WriteColumns(cb); err != nil {
-			return w.fail(err)
-		}
-		return nil
-	}
-	n := cb.Len()
-	if n == 0 {
-		return nil
-	}
-	recs := make([]Record, min(n, DefaultBlockRecords))
-	for off := 0; off < n; off += len(recs) {
-		k := min(len(recs), n-off)
-		for i := 0; i < k; i++ {
-			cb.Record(off+i, &recs[i])
-		}
-		if bw, ok := w.w.(BatchWriter); ok {
-			if err := bw.WriteBatch(recs[:k]); err != nil {
-				return w.fail(err)
-			}
-			continue
-		}
-		for i := 0; i < k; i++ {
-			if err := w.w.Write(&recs[i]); err != nil {
-				return w.fail(err)
-			}
-		}
+	if err := w.w.WriteColumns(cb); err != nil {
+		return w.fail(err)
 	}
 	return nil
 }
@@ -1221,37 +967,11 @@ func (it *fileIterator) atEnd() error {
 	return it.verify.finish(it.day, it.shard)
 }
 
-func (it *fileIterator) Next(rec *Record) (bool, error) {
-	err := it.r.Next(rec)
-	if err == io.EOF {
-		return false, it.atEnd()
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// NextBatch hands out the next decoded batch (one block on v2 streams).
-func (it *fileIterator) NextBatch(batch *[]Record) (int, error) {
-	n, err := it.r.NextBatch(batch)
-	if err == io.EOF {
-		return 0, it.atEnd()
-	}
-	if n == 0 && err == nil {
-		return 0, it.atEnd()
-	}
-	return n, err
-}
-
 // NextColumns hands out the next decoded batch in SoA form (one block
-// on v2 streams, decoded without materializing records).
+// on v2/v3 streams, decoded without materializing records).
 func (it *fileIterator) NextColumns(cb *ColumnBatch) (int, error) {
 	n, err := it.r.NextColumns(cb)
 	if err == io.EOF {
-		return 0, it.atEnd()
-	}
-	if n == 0 && err == nil {
 		return 0, it.atEnd()
 	}
 	return n, err

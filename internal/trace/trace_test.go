@@ -176,13 +176,14 @@ func TestWriterReaderStream(t *testing.T) {
 	}
 	want := make([]Record, 1000)
 	for i := range want {
-		rec := sampleRecord()
-		rec.UE = UEID(i)
-		rec.Timestamp += int64(i * 1000)
-		want[i] = rec
-		if err := w.Write(&rec); err != nil {
-			t.Fatal(err)
-		}
+		want[i] = sampleRecord()
+		want[i].UE = UEID(i)
+		want[i].Timestamp += int64(i * 1000)
+	}
+	var cb ColumnBatch
+	cb.FromRecords(want)
+	if err := w.WriteColumns(&cb); err != nil {
+		t.Fatal(err)
 	}
 	if w.Count() != 1000 {
 		t.Fatalf("count = %d", w.Count())
@@ -195,16 +196,19 @@ func TestWriterReaderStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
+	got, err := readerRecords(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d records, want %d", len(got), len(want))
+	}
 	for i := range want {
-		if err := r.Next(&rec); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if rec.UE != want[i].UE || rec.Timestamp != want[i].Timestamp {
+		if got[i].UE != want[i].UE || got[i].Timestamp != want[i].Timestamp {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	if err := r.Next(&rec); err != io.EOF {
+	if _, err := r.NextColumns(&cb); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
@@ -217,24 +221,13 @@ func TestReaderRejectsBadStreams(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 	// Valid header, truncated record.
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	data := encodeV1(t, []Record{sampleRecord()})
+	r, err := NewReader(bytes.NewReader(data[:len(data)-3]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := sampleRecord()
-	if err := w.Write(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	r, err := NewReader(bytes.NewReader(trunc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Next(&rec); err != ErrTruncated {
+	var cb ColumnBatch
+	if _, err := r.NextColumns(&cb); err != ErrTruncated {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }
@@ -242,20 +235,12 @@ func TestReaderRejectsBadStreams(t *testing.T) {
 func storeRoundTrip(t *testing.T, s Store) {
 	t.Helper()
 	for day := 0; day < 3; day++ {
-		w, err := s.AppendDay(day)
-		if err != nil {
-			t.Fatal(err)
+		recs := make([]Record, 100*(day+1))
+		for i := range recs {
+			recs[i] = sampleRecord()
+			recs[i].UE = UEID(day*1000 + i)
 		}
-		for i := 0; i < 100*(day+1); i++ {
-			rec := sampleRecord()
-			rec.UE = UEID(day*1000 + i)
-			if err := w.Write(&rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writePartition(t, s, day, 0, recs)
 	}
 	days, err := s.Days()
 	if err != nil {
@@ -272,11 +257,11 @@ func storeRoundTrip(t *testing.T, s Store) {
 		t.Fatalf("count = %d", total)
 	}
 	// Double-write rejection.
-	if _, err := s.AppendDay(1); err == nil {
+	if _, err := s.AppendPartition(1, 0); err == nil {
 		t.Fatal("rewriting day 1 accepted")
 	}
 	// Missing day rejection.
-	if _, err := s.OpenDay(99); err == nil {
+	if _, err := s.OpenPartition(99, 0); err == nil {
 		t.Fatal("missing day opened")
 	}
 }
@@ -293,22 +278,21 @@ func TestFileStore(t *testing.T) {
 
 func TestMemStoreOpenWhileWriting(t *testing.T) {
 	s := NewMemStore()
-	w, err := s.AppendDay(0)
+	w, err := s.AppendPartition(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.OpenDay(0); err == nil {
+	if _, err := s.OpenPartition(0, 0); err == nil {
 		t.Fatal("open of in-progress day accepted")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.OpenDay(0); err != nil {
+	if _, err := s.OpenPartition(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Writing after close fails.
-	rec := sampleRecord()
-	if err := w.Write(&rec); err == nil {
+	if err := writeRecords(w, sampleRecord()); err == nil {
 		t.Fatal("write after close accepted")
 	}
 }
@@ -316,18 +300,9 @@ func TestMemStoreOpenWhileWriting(t *testing.T) {
 func TestForEachOrdering(t *testing.T) {
 	s := NewMemStore()
 	for _, day := range []int{2, 0, 1} {
-		w, err := s.AppendDay(day)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rec := sampleRecord()
 		rec.UE = UEID(day)
-		if err := w.Write(&rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writePartition(t, s, day, 0, []Record{rec})
 	}
 	var seen []int
 	err := ForEach(s, func(day int, rec *Record) error {
@@ -347,13 +322,8 @@ func TestForEachOrdering(t *testing.T) {
 
 func TestExportCSV(t *testing.T) {
 	s := NewMemStore()
-	w, _ := s.AppendDay(0)
-	rec := sampleRecord()
-	if err := w.Write(&rec); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	it, err := s.OpenDay(0)
+	writePartition(t, s, 0, 0, []Record{sampleRecord()})
+	it, err := s.OpenPartition(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,19 +363,13 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestExportCSVSurfacesWriteErrors(t *testing.T) {
 	buildIt := func(n int) RecordIterator {
 		s := NewMemStore()
-		w, err := s.AppendDay(0)
-		if err != nil {
-			t.Fatal(err)
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = sampleRecord()
+			recs[i].UE = UEID(i)
 		}
-		for i := 0; i < n; i++ {
-			rec := sampleRecord()
-			rec.UE = UEID(i)
-			if err := w.Write(&rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w.Close()
-		it, err := s.OpenDay(0)
+		writePartition(t, s, 0, 0, recs)
+		it, err := s.OpenPartition(0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,19 +392,9 @@ func TestExportCSVSurfacesWriteErrors(t *testing.T) {
 	}
 	// Iterator failures flush what was buffered and return the iterator's
 	// error.
-	s := NewMemStore()
-	w, _ := s.AppendDay(0)
-	rec := sampleRecord()
-	if err := w.Write(&rec); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	inner, err := s.OpenDay(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := buildIt(1)
 	failing := &errIterator{store: &errStore{}, inner: inner}
-	failing.n = 3 // next call fails
+	failing.n = 1 // next call fails
 	var buf bytes.Buffer
 	if _, err := ExportCSV(&buf, failing); err == nil {
 		t.Fatal("iterator failure not surfaced")

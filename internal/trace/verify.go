@@ -65,24 +65,6 @@ func (e *CorruptionError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *CorruptionError) Unwrap() error { return e.Err }
 
-// classifyPartitionErr wraps an iterator-sourced error in a
-// CorruptionError with a best-effort class. Errors that already carry
-// a classification pass through unchanged.
-func classifyPartitionErr(day, shard int, err error) error {
-	var ce *CorruptionError
-	if errors.As(err, &ce) {
-		return err
-	}
-	class := CorruptDecode
-	switch {
-	case errors.Is(err, ErrChecksumMismatch):
-		class = CorruptChecksum
-	case errors.Is(err, iofs.ErrNotExist), errors.Is(err, iofs.ErrPermission):
-		class = CorruptIO
-	}
-	return &CorruptionError{Day: day, Shard: shard, Class: class, Err: err}
-}
-
 // VerifyIssue is one finding of a store audit.
 type VerifyIssue struct {
 	Day    int             `json:"day"`
@@ -145,16 +127,16 @@ func verifyPartitionData(data []byte, pi *PartitionInfo) (int64, *VerifyIssue) {
 		return 0, &VerifyIssue{Class: CorruptDecode, Detail: err.Error()}
 	}
 	var records int64
-	var rec Record
+	var cb ColumnBatch
 	for {
-		err := r.Next(&rec)
+		n, err := r.NextColumns(&cb)
+		if errors.Is(err, io.EOF) {
+			break
+		}
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
 			return 0, &VerifyIssue{Class: CorruptDecode, Detail: err.Error()}
 		}
-		records++
+		records += int64(n)
 	}
 	if pi != nil && records != pi.Records {
 		return 0, &VerifyIssue{Day: pi.Day, Shard: pi.Shard, Class: CorruptDecode,

@@ -47,8 +47,7 @@ func TestFailedWriteAbortsCleanly(t *testing.T) {
 			}
 			var failed error
 			for i := 0; i < 100000 && failed == nil; i++ {
-				rec := Record{Timestamp: DayStart(1).UnixMilli() + int64(i), UE: UEID(i)}
-				failed = w.Write(&rec)
+				failed = writeRecords(w, Record{Timestamp: DayStart(1).UnixMilli() + int64(i), UE: UEID(i)})
 			}
 			cerr := w.Close()
 			if failed == nil && cerr == nil {
@@ -121,18 +120,7 @@ func TestVerifyReadsCatchesBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	var rec Record
-	var scanErr error
-	for {
-		ok, err := it.Next(&rec)
-		if err != nil {
-			scanErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-	}
+	_, scanErr := readRecords(it)
 	if scanErr == nil {
 		t.Fatal("verified read of a flipped stream must fail")
 	}
@@ -318,8 +306,7 @@ func TestManifestRenameFailureKeepsOldManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := Record{Timestamp: DayStart(1).UnixMilli()}
-	if err := w.Write(&rec); err != nil {
+	if err := writeRecords(w, Record{Timestamp: DayStart(1).UnixMilli()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); !errors.Is(err, faultfs.ErrInjected) {

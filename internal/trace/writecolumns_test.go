@@ -2,20 +2,149 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"telcolens/internal/devices"
 )
 
-// The write-path compatibility contract: every ingest route into the v2
-// writer — the legacy record-at-a-time encoder, per-record Write,
-// WriteBatch, and columnar WriteColumns (whole batches or ragged chunks)
-// — must produce byte-identical streams. Manifest fingerprints, append
-// determinism and the codec determinism matrix all stand on this.
+// The write-path compatibility contract: every way of feeding the v2
+// writer — one row per WriteColumns call, one whole batch, or ragged
+// chunks — must produce a stream byte-identical to the record-at-a-time
+// reference encoder below. Manifest fingerprints, append determinism and
+// the codec determinism matrix all stand on this.
 
-// encodeVia drives one ingest route over recs and returns the stream.
+// putZigzag appends the zigzag varint encoding of v.
+func putZigzag(dst []byte, v int64) []byte {
+	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
+}
+
+// appendBlockPayload is the reference record-at-a-time v2 block encoder:
+// it encodes recs column-at-a-time onto dst with strided struct access
+// and a map-backed TAC dictionary, returning the extended slice and the
+// column extents. minTS is the block's timestamp floor (the first delta
+// base).
+func appendBlockPayload(dst []byte, recs []Record, minTS int64, tacDict *[]uint32, tacIdx map[devices.TAC]int) ([]byte, blockSections) {
+	var secs blockSections
+	// Timestamps: zigzag deltas.
+	prev := minTS
+	mark := len(dst)
+	for i := range recs {
+		dst = putZigzag(dst, recs[i].Timestamp-prev)
+		prev = recs[i].Timestamp
+	}
+	secs.tsLen = uint32(len(dst) - mark)
+	// UEs.
+	mark = len(dst)
+	for i := range recs {
+		dst = binary.AppendUvarint(dst, uint64(recs[i].UE))
+	}
+	secs.ueLen = uint32(len(dst) - mark)
+	// TAC dictionary, frequency-ordered, ties broken by first appearance.
+	*tacDict = (*tacDict)[:0]
+	clear(tacIdx)
+	for i := range recs {
+		if _, ok := tacIdx[recs[i].TAC]; !ok {
+			tacIdx[recs[i].TAC] = len(*tacDict)
+			*tacDict = append(*tacDict, uint32(recs[i].TAC))
+		}
+	}
+	counts := make([]int, len(*tacDict))
+	for i := range recs {
+		counts[tacIdx[recs[i].TAC]]++
+	}
+	order := make([]int, len(*tacDict))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if counts[order[a]] != counts[order[b]] {
+			return counts[order[a]] > counts[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	rank := counts // reuse: counts are no longer needed
+	for r, old := range order {
+		rank[old] = r
+	}
+	secs.dictEntries = uint32(len(*tacDict))
+	for _, old := range order {
+		dst = binary.LittleEndian.AppendUint32(dst, (*tacDict)[old])
+	}
+	mark = len(dst)
+	for i := range recs {
+		dst = binary.AppendUvarint(dst, uint64(rank[tacIdx[recs[i].TAC]]))
+	}
+	secs.idxLen = uint32(len(dst) - mark)
+	// Sectors.
+	mark = len(dst)
+	for i := range recs {
+		dst = binary.AppendUvarint(dst, uint64(recs[i].Source))
+	}
+	secs.srcLen = uint32(len(dst) - mark)
+	mark = len(dst)
+	for i := range recs {
+		dst = binary.AppendUvarint(dst, uint64(recs[i].Target))
+	}
+	secs.dstLen = uint32(len(dst) - mark)
+	// Causes.
+	mark = len(dst)
+	for i := range recs {
+		dst = binary.AppendUvarint(dst, uint64(recs[i].Cause))
+	}
+	secs.causeLen = uint32(len(dst) - mark)
+	// Fixed-width tail: RAT pairs, results, then raw f32 durations.
+	for i := range recs {
+		dst = append(dst, byte(recs[i].SourceRAT)<<4|byte(recs[i].TargetRAT)&0x0f)
+	}
+	for i := range recs {
+		dst = append(dst, byte(recs[i].Result))
+	}
+	for i := range recs {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(recs[i].DurationMs))
+	}
+	return dst, secs
+}
+
+// encodeRecordOracle encodes recs as a v2 stream through the reference
+// encoder: records are quantized and cut into blocks of opts'
+// BlockRecords, and each block is framed by the writer's own emitBlock.
+func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV2Options) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriterV2(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tacDict []uint32
+	tacIdx := make(map[devices.TAC]int)
+	for off := 0; off < len(recs); off += w.perBlock {
+		block := append([]Record(nil), recs[off:min(off+w.perBlock, len(recs))]...)
+		minTS, maxTS := block[0].Timestamp, block[0].Timestamp
+		for i := range block {
+			block[i].DurationMs = quantizeDuration(block[i].DurationMs)
+			minTS, maxTS = min(minTS, block[i].Timestamp), max(maxTS, block[i].Timestamp)
+		}
+		var secs blockSections
+		w.enc.payload, secs = appendBlockPayload(w.enc.payload[:0], block, minTS, &tacDict, tacIdx)
+		if err := w.emitBlock(len(block), minTS, maxTS, secs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.Release()
+	return buf.Bytes()
+}
+
+// encodeVia feeds recs to the column writer in chunks of the route's
+// size and returns the stream.
 func encodeVia(t *testing.T, recs []Record, opts WriterV2Options, route string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -23,38 +152,27 @@ func encodeVia(t *testing.T, recs []Record, opts WriterV2Options, route string) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sizes []int
 	switch route {
-	case "write":
-		for i := range recs {
-			if err := w.Write(&recs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	case "batch":
-		if err := w.WriteBatch(recs); err != nil {
-			t.Fatal(err)
-		}
+	case "rows":
+		sizes = []int{1}
 	case "columns":
-		var cb ColumnBatch
-		cb.FromRecords(recs)
-		if err := w.WriteColumns(&cb); err != nil {
-			t.Fatal(err)
-		}
+		sizes = []int{max(len(recs), 1)}
 	case "columns-ragged":
 		// Ragged chunk sizes exercise both the buffered partial-block
 		// path and the direct whole-block encode path.
-		var cb ColumnBatch
-		sizes := []int{1, 7, 130, 4096, 33}
-		for off, k := 0, 0; off < len(recs); k++ {
-			n := min(sizes[k%len(sizes)], len(recs)-off)
-			cb.FromRecords(recs[off : off+n])
-			if err := w.WriteColumns(&cb); err != nil {
-				t.Fatal(err)
-			}
-			off += n
-		}
+		sizes = []int{1, 7, 130, 4096, 33}
 	default:
 		t.Fatalf("unknown route %q", route)
+	}
+	var cb ColumnBatch
+	for off, k := 0, 0; off < len(recs); k++ {
+		n := min(sizes[k%len(sizes)], len(recs)-off)
+		cb.FromRecords(recs[off : off+n])
+		if err := w.WriteColumns(&cb); err != nil {
+			t.Fatal(err)
+		}
+		off += n
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -79,14 +197,12 @@ func TestWriteColumnsByteIdentical(t *testing.T) {
 				name := fmt.Sprintf("n=%d/compress=%v/block=%d", n, compress, blockRecs)
 				t.Run(name, func(t *testing.T) {
 					opts := WriterV2Options{BlockRecords: blockRecs, Compress: compress}
-					legacy := encodeVia(t, recs, WriterV2Options{
-						BlockRecords: blockRecs, Compress: compress, RecordEncode: true,
-					}, "write")
-					for _, route := range []string{"write", "batch", "columns", "columns-ragged"} {
+					oracle := encodeRecordOracle(t, recs, opts)
+					for _, route := range []string{"rows", "columns", "columns-ragged"} {
 						got := encodeVia(t, recs, opts, route)
-						if !bytes.Equal(got, legacy) {
-							t.Fatalf("route %s: stream differs from the legacy record encoder (%d vs %d bytes)",
-								route, len(got), len(legacy))
+						if !bytes.Equal(got, oracle) {
+							t.Fatalf("route %s: stream differs from the reference record encoder (%d vs %d bytes)",
+								route, len(got), len(oracle))
 						}
 					}
 				})
