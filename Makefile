@@ -8,32 +8,10 @@
 #                     (override STATICCHECK to pin a local binary)
 #   make test         go test ./...
 #   make race         go test -race ./...
-#   make bench-smoke  one pass over the scan benchmarks (cheap CI check
-#                     that benches still run; no statistics)
-#   make bench-gate-run
-#                     the measured bench pass the CI regression gate
-#                     feeds to cmd/benchgate: BenchmarkScan +
-#                     BenchmarkScanSharded + BenchmarkRunAll (a cold
-#                     all-experiment pass, plus the postscan leg timing
-#                     repeat passes over a warm analyzer — the post-scan
-#                     constant) + the paired BenchmarkRefresh (cold full
-#                     state build vs checkpoint-resume + 1-new-day
-#                     refresh) + the write-path benches BenchmarkWrite
-#                     (v2/v3 column encode, plain and compressed) and
-#                     BenchmarkGenerateDay (columnar generation; since
-#                     the planner's spatial index its one-day campaigns
-#                     are mostly world build) + the
-#                     generation hot path: paired BenchmarkNearestDistrict
-#                     (linear scan of the district centres vs the exact
-#                     geo.NearestIndex, with an index_speedup_x metric)
-#                     and BenchmarkPlanDay (a population-day of mobility
-#                     planning through a worker Scratch, 0 allocs/op)
-#                     + BenchmarkIngest (streaming WAL
-#                     append and whole-day seal cycle) + BenchmarkQuery
-#                     (ad-hoc /query serving: indexed point lookup,
-#                     windowed slice, cold/cached paths, parallel load
-#                     with qps + tail latency), -count 5 with
-#                     -benchmem, written to $(BENCH_OUT)
+#   make bench-smoke  run the root benchmarks once: the DESIGN.md §7
+#                     ablations and BenchmarkScanSharded (a cheap CI check
+#                     that they still run; no statistics — performance is
+#                     measured end to end by telcobench, `bash bench/run.sh`)
 #   make alloc-check  assert the steady-state column scan loop and the
 #                     v2 column encode path allocate nothing per block
 #                     (internal/trace allocation tests), that a
@@ -77,9 +55,9 @@
 #                     suites and the telcoserve overload/slow-client
 #                     tests
 #   make ci           vet + build + race + bench-smoke + alloc-check +
-#                     bench-unit
-#                     (the PR gate also runs lint, the determinism
-#                     matrix, netchaos and benchgate — see
+#                     bench-unit + bench-e2e, the CI test job's steps
+#                     (CI also runs lint, the determinism matrix, the
+#                     soaks, chaos, netchaos and fuzz — see
 #                     .github/workflows/ci.yml)
 #
 # Daemon / tool flag reference (see each command's doc comment):
@@ -132,13 +110,11 @@
 
 GO ?= go
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1
-BENCH_OUT ?= BENCH_out.txt
-BENCH_PATTERN ?= BenchmarkScanSharded|BenchmarkScan$$|BenchmarkRunAll|BenchmarkRefresh|BenchmarkWrite|BenchmarkGenerateDay|BenchmarkNearestDistrict|BenchmarkPlanDay|BenchmarkIngest|BenchmarkQuery|BenchmarkOverload
 PROFILE_DIR ?= profile-campaign
 PROFILE_EXP ?= table5
 PROFILE_ARGS ?=
 
-.PHONY: all vet lint build test race bench-smoke bench-gate-run bench-baseline bench-unit bench-e2e alloc-check profile fuzz-smoke soak chaos chaos-soak netchaos ci
+.PHONY: all vet lint build test race bench-smoke bench-unit bench-e2e alloc-check profile fuzz-smoke soak chaos chaos-soak netchaos ci
 
 all: ci
 
@@ -160,28 +136,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pass over the scan benchmarks to catch bench-only regressions
-# without paying for a full statistical run.
+# One pass over the root benchmarks to catch bench-only breakage without
+# paying for a statistical run.
 bench-smoke:
-	$(GO) test -run NONE -bench '$(BENCH_PATTERN)' -benchtime 1x .
-
-# The measured pass the CI bench gate compares across branches. Written
-# to the file first and cat'ed after, so a bench failure fails the
-# target (a `| tee` pipe under make's default shell would mask it).
-# -benchmem records B/op and allocs/op in the BENCH_* artifacts; the
-# hard zero-allocation assertion lives in `make alloc-check`.
-bench-gate-run:
-	@$(GO) test -run NONE -bench '$(BENCH_PATTERN)' -benchmem \
-		-benchtime 2x -count 5 . > $(BENCH_OUT); s=$$?; cat $(BENCH_OUT); exit $$s
-
-# Re-record the committed performance-trajectory anchor: run the gate's
-# benchmark set and snapshot the per-benchmark medians into
-# BENCH_baseline.json. The committed file is informational — the CI gate
-# always re-measures the merge base instead of trusting a file measured
-# on different hardware — but it pins where each perf PR started, so the
-# trajectory across PRs stays reviewable in the history of one file.
-bench-baseline: bench-gate-run
-	$(GO) run ./cmd/benchgate -snapshot $(BENCH_OUT) -json BENCH_baseline.json
+	$(GO) test -run NONE -bench . -benchtime 1x .
 
 # The benchmark harness is a separate module (bench/go.mod replaces
 # telcolens with this checkout), so the root targets never build it.
@@ -246,4 +204,4 @@ netchaos:
 	$(GO) test -race -count 1 ./internal/netchaos/ ./internal/admission/ \
 		./internal/ingest/ ./cmd/telcoserve/
 
-ci: vet build race bench-smoke alloc-check bench-unit
+ci: vet build race bench-smoke alloc-check bench-unit bench-e2e

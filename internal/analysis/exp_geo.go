@@ -176,7 +176,11 @@ func runFig6(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		}
 	}
 	r, err := stats.Pearson(logDens, logHOs)
-	if err != nil {
+	switch {
+	case errors.Is(err, stats.ErrEmpty):
+		art.AddNote("Insufficient data: %d districts carry handovers, too few to correlate with density.", len(logDens))
+		return nil
+	case err != nil:
 		return err
 	}
 	med := stats.Median(perKm2)

@@ -146,7 +146,8 @@ func runFig14a(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		return err
 	}
 	if s.totalFails == 0 {
-		return fmt.Errorf("no failures in dataset")
+		art.AddNote("Insufficient data: the campaign has no handover failure to split by cause.")
+		return nil
 	}
 	total := float64(s.totalFails)
 

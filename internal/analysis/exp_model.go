@@ -398,17 +398,29 @@ func (a *Analyzer) FitHOTypeModelWindow(ctx context.Context) (*stats.LinearModel
 	return stats.FitOLS(y, X, names, true)
 }
 
+// insufficientFit turns a fit its rows do not identify (stats.ErrSingular
+// or stats.ErrEmpty: a small campaign with one or two failing sector-days,
+// or none) into an "Insufficient data" note, as addFullModel does, and
+// returns any other error.
+func insufficientFit(art *report.Artifact, err error) error {
+	if errors.Is(err, stats.ErrSingular) || errors.Is(err, stats.ErrEmpty) {
+		art.AddNote("Insufficient data: the sector-day rows with at least one failure do not identify every coefficient, so the model is not fitted.")
+		return nil
+	}
+	return err
+}
+
 func runTable4(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 	m, err := a.FitHOTypeModel(ctx)
 	if err != nil {
-		return err
+		return insufficientFit(art, err)
 	}
 	art.AddNote("Sector-day granularity (the paper's unit):")
 	art.AddTable(modelTable(m, paperTable4))
 
 	mw, err := a.FitHOTypeModelWindow(ctx)
 	if err != nil {
-		return err
+		return insufficientFit(art, err)
 	}
 	art.AddNote("Window-aggregated granularity (corrects the small-count bias at simulation scale):")
 	art.AddTable(modelTable(mw, paperTable4))
@@ -724,32 +736,31 @@ func runANOVA(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		Title:   "One-way ANOVA / Kruskal-Wallis on log(HOF rate %)",
 		Columns: []string{"Factor", "F", "p", "eta^2", "KW H", "KW p", "Paper eta^2"},
 	}
-	addFactor := func(name string, groups [][]float64, paperEta string) error {
+	// Both tests refuse a factor only for its shape: fewer than two
+	// non-empty groups, or no more rows than groups. A small campaign may
+	// leave a factor so, and then it is skipped with a note.
+	addFactor := func(name string, groups [][]float64, paperEta string) {
 		av, err := stats.OneWayANOVA(groups)
-		if err != nil {
-			return err
+		var kw *stats.KruskalWallisResult
+		if err == nil {
+			kw, err = stats.KruskalWallis(groups)
 		}
-		kw, err := stats.KruskalWallis(groups)
 		if err != nil {
-			return err
+			art.AddNote("Insufficient data: %s is not tested (%v).", name, err)
+			return
 		}
 		tbl.Rows = append(tbl.Rows, []string{
 			name,
 			report.FormatFloat(av.F), report.FormatFloat(av.P), report.FormatFloat(av.EtaSq),
 			report.FormatFloat(kw.H), report.FormatFloat(kw.P), paperEta,
 		})
-		return nil
 	}
-	if err := addFactor("HO type", logByType, "0.81"); err != nil {
-		return err
+	addFactor("HO type", logByType, "0.81")
+	addFactor("Antenna vendor", logByVendor, "0.02")
+	addFactor("Area type", logByArea, "0.008")
+	if len(tbl.Rows) > 0 {
+		art.AddTable(tbl)
 	}
-	if err := addFactor("Antenna vendor", logByVendor, "0.02"); err != nil {
-		return err
-	}
-	if err := addFactor("Area type", logByArea, "0.008"); err != nil {
-		return err
-	}
-	art.AddTable(tbl)
 
 	// Post-hoc pairwise comparisons (Bonferroni-corrected Welch tests
 	// standing in for Tukey's HSD; see DESIGN.md substitutions).

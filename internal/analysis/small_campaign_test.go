@@ -4,162 +4,156 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
 	"telcolens/internal/simulate"
 )
 
-// At 300 UEs over 7 days, seeds 4 and 5 leave no manufacturer with
-// enough UEs in three districts for Figure 11. The report must still
-// render every artifact, with Figure 11 saying why it is empty.
-func TestSmallCampaignReportRenders(t *testing.T) {
-	for _, seed := range []uint64{4, 5} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			cfg := simulate.DefaultConfig(seed)
-			cfg.UEs, cfg.Days, cfg.Shards = 300, 7, 1
-			ds, err := simulate.Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := New(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := RunAll(context.Background(), a, io.Discard); err != nil {
-				t.Fatalf("RunAll: %v", err)
-			}
-			e, _ := ByID("fig11")
-			art, err := e.Run(context.Background(), a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := art.Render(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(buf.String(), "Insufficient data") {
-				t.Fatalf("fig11 does not report insufficient data:\n%s", buf.String())
-			}
-		})
-	}
+// smallShape is one campaign shape of the small-campaign sweep, with the
+// shape-specific assertions it was added for.
+type smallShape struct {
+	ues, days int
+	seed      uint64
+	check     func(t *testing.T, a *Analyzer)
 }
 
-// At 100 UEs (seed 3) and 200 UEs (seed 8) over 7 days, no outlier-filtered
-// sector-day row lies in the Capital area, so the region dummies of the
-// Table 5/7 design sum to the intercept. The report must still render,
-// with both models saying why they are not fitted.
-func TestSmallCampaignFullModelRenders(t *testing.T) {
-	for _, shape := range []struct {
-		ues  int
-		seed uint64
-	}{{100, 3}, {200, 8}} {
-		t.Run(fmt.Sprintf("ues%d-seed%d", shape.ues, shape.seed), func(t *testing.T) {
-			cfg := simulate.DefaultConfig(shape.seed)
-			cfg.UEs, cfg.Days, cfg.Shards = shape.ues, 7, 1
-			ds, err := simulate.Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
+// TestSmallCampaignReportRenders sweeps campaign shapes far below the
+// paper's scale. Every shape must render the whole report without error
+// or panic, byte-identical between a 1-shard and a 4-shard campaign; the
+// shapes that once failed also assert why their artifact is empty.
+func TestSmallCampaignReportRenders(t *testing.T) {
+	shapes := []smallShape{
+		// At 300 UEs over 7 days, seeds 4 and 5 leave no manufacturer
+		// with enough UEs in three districts for Figure 11.
+		{300, 7, 4, expectInsufficient("fig11")},
+		{300, 7, 5, expectInsufficient("fig11")},
+		// At 100 UEs (seed 3) and 200 UEs (seed 8) over 7 days, no
+		// outlier-filtered sector-day row lies in the Capital area, so the
+		// region dummies of the Table 5/7 design sum to the intercept.
+		{100, 7, 3, expectMissingCapital},
+		{200, 7, 8, expectMissingCapital},
+		// A one-day campaign has one night to detect homes on: the night
+		// rule must not ask for more nights than the window holds. At 3
+		// UEs the three resolved districts carry identical counts, which
+		// do not identify Figure 5's census fit.
+		{3, 1, 1, expectOneNightFig5(false)},
+		{100, 1, 1, expectOneNightFig5(true)},
+		// At 50 UEs over 2 days (seed 1) four filtered sector-day rows
+		// leave the quantile design of Tables 8 and 9 singular.
+		{50, 2, 1, expectInsufficient("table8")},
+		// A few failing sector-days leave Table 4's univariate fit with
+		// one or two rows for two parameters, or one HO type only
+		// (collinear), and every ANOVA factor with one group or one row
+		// per group. With no failure at all Table 4 has no rows and
+		// Figure 14a nothing to split; with handovers in one district
+		// Figure 6 has nothing to correlate.
+		{5, 1, 1, expectInsufficient("table4", "anova")},
+		{10, 1, 1, expectInsufficient("table4", "anova")},
+		{30, 1, 1, expectInsufficient("table4", "anova")},
+		{20, 2, 8, expectInsufficient("table4", "anova")},
+		{5, 1, 2, expectInsufficient("table4", "anova", "fig14a")},
+		{5, 1, 5, expectInsufficient("table4", "anova", "fig14a", "fig6")},
+		{200, 3, 4, nil},
+	}
+	for _, ues := range []int{5, 10, 20, 30} {
+		for days := 1; days <= 3; days++ {
+			for seed := uint64(1); seed <= 3; seed++ {
+				shapes = append(shapes, smallShape{ues, days, seed, nil})
 			}
-			a, err := New(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := RunAll(context.Background(), a, io.Discard); err != nil {
-				t.Fatalf("RunAll: %v", err)
-			}
-			for _, id := range []string{"table5", "table7"} {
-				e, _ := ByID(id)
-				art, err := e.Run(context.Background(), a)
+		}
+	}
+	seen := make(map[string]bool)
+	for _, sh := range shapes {
+		name := fmt.Sprintf("ues%d-days%d-seed%d", sh.ues, sh.days, sh.seed)
+		if seen[name] {
+			continue // the sweep re-visits a shape listed above
+		}
+		seen[name] = true
+		t.Run(name, func(t *testing.T) {
+			var reports [2][]byte
+			for i, shards := range []int{1, 4} {
+				cfg := simulate.DefaultConfig(sh.seed)
+				cfg.UEs, cfg.Days, cfg.Shards = sh.ues, sh.days, shards
+				ds, err := simulate.Generate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := New(ds)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if err := art.Render(&buf); err != nil {
-					t.Fatal(err)
+				if err := RunAll(context.Background(), a, &buf); err != nil {
+					t.Fatalf("RunAll (%d shards): %v", shards, err)
 				}
-				if !strings.Contains(buf.String(), "Insufficient data") ||
-					!strings.Contains(buf.String(), "Sector Region: Capital area") {
-					t.Fatalf("%s does not report the missing Capital-area rows:\n%s", id, buf.String())
+				reports[i] = buf.Bytes()
+				if i == 0 && sh.check != nil {
+					sh.check(t, a)
 				}
+			}
+			if !bytes.Equal(reports[0], reports[1]) {
+				t.Fatal("report differs between 1 and 4 shards")
 			}
 		})
 	}
 }
 
-// A one-day campaign has one night to detect homes on: the night rule
-// must not ask for more nights than the window holds, so Figure 5 fits
-// instead of failing the whole report. At 3 UEs the three resolved
-// districts carry identical counts, which do not identify the census
-// fit, and Figure 5 says so.
-func TestOneDayCampaignReportRenders(t *testing.T) {
-	for _, ues := range []int{3, 100} {
-		t.Run(fmt.Sprintf("ues%d", ues), func(t *testing.T) {
-			cfg := simulate.DefaultConfig(1)
-			cfg.UEs, cfg.Days, cfg.Shards = ues, 1, 1
-			ds, err := simulate.Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := New(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := a.DefaultMinNights(); got != 1 {
-				t.Fatalf("DefaultMinNights = %d for a 1-day window, want 1", got)
-			}
-			e, _ := ByID("fig5")
-			art, err := e.Run(context.Background(), a)
-			if err != nil {
-				t.Fatalf("fig5: %v", err)
-			}
-			var buf bytes.Buffer
-			if err := art.Render(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if fitted := strings.Contains(buf.String(), "R²"); fitted != (ues > 3) {
-				t.Fatalf("fig5 fitted = %v at %d UEs:\n%s", fitted, ues, buf.String())
-			}
-			if ues == 3 && !strings.Contains(buf.String(), "Insufficient data") {
-				t.Fatalf("fig5 does not report insufficient data:\n%s", buf.String())
-			}
-			if ues > 3 {
-				if err := RunAll(context.Background(), a, io.Discard); err != nil {
-					t.Fatalf("RunAll: %v", err)
-				}
-			}
-		})
+// renderExp renders one experiment of a.
+func renderExp(t *testing.T, a *Analyzer, id string) string {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("unknown experiment %q", id)
 	}
-}
-
-// At 50 UEs over 2 days (seed 1) four filtered sector-day rows leave the
-// quantile design of Tables 8 and 9 singular. The report must still
-// render, with Table 8 saying why it is empty.
-func TestSmallCampaignQuantileTablesRender(t *testing.T) {
-	cfg := simulate.DefaultConfig(1)
-	cfg.UEs, cfg.Days, cfg.Shards = 50, 2, 1
-	ds, err := simulate.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := New(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RunAll(context.Background(), a, io.Discard); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	e, _ := ByID("table8")
 	art, err := e.Run(context.Background(), a)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", id, err)
 	}
 	var buf bytes.Buffer
 	if err := art.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Insufficient data") {
-		t.Fatalf("table8 does not report insufficient data:\n%s", buf.String())
+	return buf.String()
+}
+
+// expectInsufficient asserts that each named artifact says why it is
+// empty.
+func expectInsufficient(ids ...string) func(*testing.T, *Analyzer) {
+	return func(t *testing.T, a *Analyzer) {
+		for _, id := range ids {
+			if out := renderExp(t, a, id); !strings.Contains(out, "Insufficient data") {
+				t.Fatalf("%s does not report insufficient data:\n%s", id, out)
+			}
+		}
+	}
+}
+
+// expectMissingCapital asserts that Tables 5 and 7 name the absent
+// Capital-area rows as the reason they are not fitted.
+func expectMissingCapital(t *testing.T, a *Analyzer) {
+	for _, id := range []string{"table5", "table7"} {
+		out := renderExp(t, a, id)
+		if !strings.Contains(out, "Insufficient data") ||
+			!strings.Contains(out, "Sector Region: Capital area") {
+			t.Fatalf("%s does not report the missing Capital-area rows:\n%s", id, out)
+		}
+	}
+}
+
+// expectOneNightFig5 asserts a one-night home-detection rule and whether
+// Figure 5 fits its census model.
+func expectOneNightFig5(fitted bool) func(*testing.T, *Analyzer) {
+	return func(t *testing.T, a *Analyzer) {
+		if got := a.DefaultMinNights(); got != 1 {
+			t.Fatalf("DefaultMinNights = %d for a 1-day window, want 1", got)
+		}
+		out := renderExp(t, a, "fig5")
+		if strings.Contains(out, "R²") != fitted {
+			t.Fatalf("fig5 fitted = %v, want %v:\n%s", !fitted, fitted, out)
+		}
+		if !fitted && !strings.Contains(out, "Insufficient data") {
+			t.Fatalf("fig5 does not report insufficient data:\n%s", out)
+		}
 	}
 }

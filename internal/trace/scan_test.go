@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -186,6 +188,55 @@ func TestScanWithoutCollectors(t *testing.T) {
 	s := buildShardedStore(t, 1, 5, 1)
 	if err := Scan(context.Background(), s, ScanOptions{}); err == nil {
 		t.Fatal("collector-less scan accepted")
+	}
+}
+
+// TestScanCountsEveryCodec: a full parallel scan of a file store observes
+// exactly the records written to it, and as many as the manifest counts,
+// in every codec and compression variant a store can write.
+func TestScanCountsEveryCodec(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, c := range []struct {
+		name string
+		opts FileStoreOptions
+	}{
+		{"v1", FileStoreOptions{Codec: CodecV1}},
+		{"v2", FileStoreOptions{Codec: CodecV2}},
+		{"v2flate", FileStoreOptions{Codec: CodecV2, Compress: true}},
+		{"v3", FileStoreOptions{Codec: CodecV3}},
+		{"v3tlz", FileStoreOptions{Codec: CodecV3, FastCompress: true}},
+		{"v3flate", FileStoreOptions{Codec: CodecV3, Compress: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.opts.BlockRecords = 100
+			fs, err := NewFileStoreOpts(t.TempDir(), c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var written int64
+			for day := 0; day < 3; day++ {
+				for shard := 0; shard < 2; shard++ {
+					recs := make([]Record, 150+r.Intn(300))
+					for i := range recs {
+						recs[i] = randRecord(r, DayStart(day).UnixMilli())
+					}
+					sort.Slice(recs, func(i, j int) bool { return recs[i].Timestamp < recs[j].Timestamp })
+					writePartition(t, fs, day, shard, recs)
+					written += int64(len(recs))
+				}
+			}
+			col := &countingCollector{}
+			if err := Scan(context.Background(), fs, ScanOptions{Parallelism: 2}, col); err != nil {
+				t.Fatal(err)
+			}
+			total, err := Count(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if col.total != written || total != written {
+				t.Fatalf("scan saw %d records, manifest counts %d, wrote %d", col.total, total, written)
+			}
+		})
 	}
 }
 
