@@ -13,6 +13,7 @@ import (
 // smallShape is one campaign shape of the small-campaign sweep, with the
 // shape-specific assertions it was added for.
 type smallShape struct {
+	name      string // subtest name; empty names the row by its shape
 	ues, days int
 	seed      uint64
 	check     func(t *testing.T, a *Analyzer)
@@ -26,46 +27,68 @@ func TestSmallCampaignReportRenders(t *testing.T) {
 	shapes := []smallShape{
 		// At 300 UEs over 7 days, seeds 4 and 5 leave no manufacturer
 		// with enough UEs in three districts for Figure 11.
-		{300, 7, 4, expectInsufficient("fig11")},
-		{300, 7, 5, expectInsufficient("fig11")},
-		// At 100 UEs (seed 3) and 200 UEs (seed 8) over 7 days, no
-		// outlier-filtered sector-day row lies in the Capital area, so the
-		// region dummies of the Table 5/7 design sum to the intercept.
-		{100, 7, 3, expectMissingCapital},
-		{200, 7, 8, expectMissingCapital},
-		// A one-day campaign has one night to detect homes on: the night
-		// rule must not ask for more nights than the window holds. At 3
-		// UEs the three resolved districts carry identical counts, which
-		// do not identify Figure 5's census fit.
-		{3, 1, 1, expectOneNightFig5(false)},
-		{100, 1, 1, expectOneNightFig5(true)},
+		{"", 300, 7, 4, expectInsufficient("fig11")},
+		{"", 300, 7, 5, expectInsufficient("fig11")},
 		// At 50 UEs over 2 days (seed 1) four filtered sector-day rows
 		// leave the quantile design of Tables 8 and 9 singular.
-		{50, 2, 1, expectInsufficient("table8")},
+		{"", 50, 2, 1, expectInsufficient("table8")},
 		// A few failing sector-days leave Table 4's univariate fit with
 		// one or two rows for two parameters, or one HO type only
 		// (collinear), and every ANOVA factor with one group or one row
 		// per group. With no failure at all Table 4 has no rows and
 		// Figure 14a nothing to split; with handovers in one district
 		// Figure 6 has nothing to correlate.
-		{5, 1, 1, expectInsufficient("table4", "anova")},
-		{10, 1, 1, expectInsufficient("table4", "anova")},
-		{30, 1, 1, expectInsufficient("table4", "anova")},
-		{20, 2, 8, expectInsufficient("table4", "anova")},
-		{5, 1, 2, expectInsufficient("table4", "anova", "fig14a")},
-		{5, 1, 5, expectInsufficient("table4", "anova", "fig14a", "fig6")},
-		{200, 3, 4, nil},
+		{"", 5, 1, 1, expectInsufficient("table4", "anova")},
+		{"", 10, 1, 1, expectInsufficient("table4", "anova")},
+		{"", 30, 1, 1, expectInsufficient("table4", "anova")},
+		{"", 20, 2, 8, expectInsufficient("table4", "anova")},
+		{"", 5, 1, 2, expectInsufficient("table4", "anova", "fig14a")},
+		{"", 5, 1, 5, expectInsufficient("table4", "anova", "fig14a", "fig6")},
+		{"", 200, 3, 4, nil},
 	}
 	for _, ues := range []int{5, 10, 20, 30} {
 		for days := 1; days <= 3; days++ {
 			for seed := uint64(1); seed <= 3; seed++ {
-				shapes = append(shapes, smallShape{ues, days, seed, nil})
+				shapes = append(shapes, smallShape{"", ues, days, seed, nil})
 			}
 		}
 	}
+	runSmallShapes(t, shapes)
+}
+
+// TestSmallCampaignFullModelRenders: at 100 UEs (seed 3) and 200 UEs
+// (seed 8) over 7 days, no outlier-filtered sector-day row lies in the
+// Capital area, so the region dummies of the Table 5/7 design sum to the
+// intercept.
+func TestSmallCampaignFullModelRenders(t *testing.T) {
+	runSmallShapes(t, []smallShape{
+		{"ues100-seed3", 100, 7, 3, expectMissingCapital},
+		{"ues200-seed8", 200, 7, 8, expectMissingCapital},
+	})
+}
+
+// TestOneDayCampaignReportRenders: a one-day campaign has one night to
+// detect homes on, so the night rule must not ask for more nights than
+// the window holds. At 3 UEs the three resolved districts carry identical
+// counts, which do not identify Figure 5's census fit.
+func TestOneDayCampaignReportRenders(t *testing.T) {
+	runSmallShapes(t, []smallShape{
+		{"ues3", 3, 1, 1, expectOneNightFig5(false)},
+		{"ues100", 100, 1, 1, expectOneNightFig5(true)},
+	})
+}
+
+// runSmallShapes renders the whole report of each shape on 1 and 4
+// shards, requires the two to be byte-identical, and runs the shape's
+// check on the 1-shard campaign.
+func runSmallShapes(t *testing.T, shapes []smallShape) {
+	t.Helper()
 	seen := make(map[string]bool)
 	for _, sh := range shapes {
-		name := fmt.Sprintf("ues%d-days%d-seed%d", sh.ues, sh.days, sh.seed)
+		name := sh.name
+		if name == "" {
+			name = fmt.Sprintf("ues%d-days%d-seed%d", sh.ues, sh.days, sh.seed)
+		}
 		if seen[name] {
 			continue // the sweep re-visits a shape listed above
 		}
