@@ -13,7 +13,7 @@
 #                     that they still run; no statistics — performance is
 #                     measured end to end by telcobench, `bash bench/run.sh`)
 #   make alloc-check  assert the steady-state column scan loop and the
-#                     v2 column encode path allocate nothing per block
+#                     v2/v3 column encode paths allocate nothing per block
 #                     (internal/trace allocation tests), that a
 #                     UE-day of mobility planning through a warm worker
 #                     Scratch allocates nothing (internal/mobility), and

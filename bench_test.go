@@ -184,8 +184,9 @@ func censusR2(b *testing.B, a *Analyzer, counts []int) float64 {
 	return m.R2
 }
 
-// BenchmarkAblationCodecVsCSV compares the binary trace codec against CSV
-// export for one day of records (throughput and bytes per record).
+// BenchmarkAblationCodecVsCSV compares the binary trace codec (the v3
+// block writer every partition goes through) against CSV export for one
+// day of records (throughput and bytes per record).
 func BenchmarkAblationCodecVsCSV(b *testing.B) {
 	a := benchSetup(b)
 	day := new(trace.ColumnBatch)
@@ -204,7 +205,7 @@ func BenchmarkAblationCodecVsCSV(b *testing.B) {
 		var n int64
 		for i := 0; i < b.N; i++ {
 			cw := &countingWriter{}
-			w, err := trace.NewWriter(cw)
+			w, err := trace.NewWriterV3(cw, trace.WriterV3Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -214,6 +215,7 @@ func BenchmarkAblationCodecVsCSV(b *testing.B) {
 			if err := w.Flush(); err != nil {
 				b.Fatal(err)
 			}
+			w.Release()
 			n = cw.n
 		}
 		b.ReportMetric(float64(n)/records, "bytes/record")

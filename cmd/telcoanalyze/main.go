@@ -85,7 +85,7 @@ func run(data, exp string, parallel int, progress, verbose, finProfile bool, fro
 	}
 	opts := []telcolens.Option{telcolens.WithParallelism(parallel)}
 	if fromDay >= 0 || toDay >= 0 {
-		// Time-windowed run: v2 block stores skip the out-of-window blocks
+		// Time-windowed run: file stores skip the out-of-window blocks
 		// instead of paying for a full-month scan.
 		opts = append(opts, telcolens.WithWindow(fromDay, toDay))
 	}

@@ -13,7 +13,11 @@
 //	telcofsck -data ./campaign -json      # machine-readable report
 //
 // Exit status: 0 clean (or fully repaired by -scrub), 1 issues found
-// and not repaired, 2 the audit itself failed.
+// and not repaired, 2 the audit itself failed. A partition whose bytes
+// match the MANIFEST but whose stream format this binary does not read
+// fails the audit (status 2) and -scrub moves nothing: the message names
+// the partition and format, and regenerating the campaign with telcogen
+// makes it readable again.
 package main
 
 import (

@@ -1,15 +1,14 @@
 // Command telcogen generates a synthetic countrywide handover measurement
-// campaign: a four-week (configurable) trace of handover records plus the
-// census open-data CSV, written to a directory that telcoanalyze and
-// telcoreport can reopen.
+// campaign: a four-week (configurable) trace of handover records, stored
+// as v3 bitpacked block streams, plus the census open-data CSV, written
+// to a directory that telcoanalyze and telcoreport can reopen. A
+// campaign is a function of (seed, config), so regenerating one in a
+// format this version no longer reads reproduces every record.
 //
 // Usage:
 //
 //	telcogen -out ./campaign -seed 42 -ues 20000 -days 28
 //	telcogen -out ./campaign -shards 8        # hash-sharded day partitions
-//	telcogen -out ./campaign -codec 1         # legacy fixed-width v1 streams
-//	telcogen -out ./campaign -compress        # flate-compressed v2 blocks
-//	telcogen -out ./campaign -codec 3 -fastcompress  # bitpacked v3, TLZ-compressed
 //	telcogen -out ./campaign -append 1        # extend the campaign by a day
 //	telcogen -out ./campaign -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -52,9 +51,6 @@ func main() {
 		districts  = flag.Int("districts", 320, "census districts")
 		shards     = flag.Int("shards", 1, "trace shards per day (hash-partitioned by UE)")
 		rareBoost  = flag.Float64("rareboost", 1, "2G fallback probability multiplier (see DESIGN.md)")
-		codec      = flag.Int("codec", 2, "trace stream codec: 1 (fixed-width records), 2 (columnar blocks) or 3 (bitpacked blocks)")
-		compress   = flag.Bool("compress", false, "flate-compress v2/v3 block payloads (smaller files, slower scans)")
-		fastcomp   = flag.Bool("fastcompress", false, "TLZ-compress v3 block payloads (fast decode at a lower ratio than flate)")
 		appendN    = flag.Int("append", 0, "extend the existing campaign in -out by N days instead of generating")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile taken after the run to this file")
@@ -62,7 +58,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*out, *seed, *ues, *days, *sites, *districts, *shards, *rareBoost,
-		*codec, *compress, *fastcomp, *appendN, *cpuprofile, *memprofile); err != nil {
+		*appendN, *cpuprofile, *memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, "telcogen:", err)
 		os.Exit(1)
 	}
@@ -72,7 +68,7 @@ func main() {
 // fatal os.Exit would silently drop a pending CPU profile) — the same
 // contract telcoanalyze keeps.
 func run(out string, seed uint64, ues, days, sites, districts, shards int, rareBoost float64,
-	codec int, compress, fastcomp bool, appendN int, cpuprofile, memprofile string) error {
+	appendN int, cpuprofile, memprofile string) error {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -100,20 +96,7 @@ func run(out string, seed uint64, ues, days, sites, districts, shards int, rareB
 	}
 
 	if appendN > 0 {
-		// Only explicitly set codec flags are passed down: zero-value
-		// options make LoadOpts default to the codec settings recorded in
-		// the campaign manifest (and refuse explicit contradictions).
-		var opts trace.FileStoreOptions
-		if flagVal("codec") != nil {
-			opts.Codec = trace.Codec(codec)
-		}
-		if flagVal("compress") != nil {
-			opts.Compress = compress
-		}
-		if flagVal("fastcompress") != nil {
-			opts.FastCompress = fastcomp
-		}
-		return appendDays(out, appendN, opts)
+		return appendDays(out, appendN)
 	}
 
 	cfg := telcolens.DefaultConfig(seed)
@@ -124,22 +107,15 @@ func run(out string, seed uint64, ues, days, sites, districts, shards int, rareB
 	cfg.Shards = shards
 	cfg.RareBoost = rareBoost
 
-	if codec != int(trace.CodecV1) && codec != int(trace.CodecV2) && codec != int(trace.CodecV3) {
-		return fmt.Errorf("unknown codec %d (want 1, 2 or 3)", codec)
-	}
-	store, err := trace.NewFileStoreOpts(out, trace.FileStoreOptions{
-		Codec:        trace.Codec(codec),
-		Compress:     compress,
-		FastCompress: fastcomp,
-	})
+	store, err := trace.NewFileStore(out)
 	if err != nil {
 		return err
 	}
 	cfg.Store = store
 
 	start := time.Now()
-	fmt.Printf("generating campaign: seed=%d ues=%d days=%d sites=%d districts=%d shards=%d codec=v%d\n",
-		seed, ues, days, sites, districts, shards, codec)
+	fmt.Printf("generating campaign: seed=%d ues=%d days=%d sites=%d districts=%d shards=%d\n",
+		seed, ues, days, sites, districts, shards)
 	ds, err := telcolens.Generate(cfg)
 	if err != nil {
 		return err
@@ -180,8 +156,8 @@ func run(out string, seed uint64, ues, days, sites, districts, shards int, rareB
 // fingerprint the campaign manifest records — appending days generated
 // under a different seed, population or shard layout would silently
 // corrupt the study.
-func appendDays(dir string, n int, opts trace.FileStoreOptions) error {
-	ds, err := simulate.LoadOpts(dir, opts)
+func appendDays(dir string, n int) error {
+	ds, err := simulate.Load(dir)
 	if err != nil {
 		return err
 	}
@@ -192,13 +168,6 @@ func appendDays(dir string, n int, opts trace.FileStoreOptions) error {
 		"sites":     {flagVal("sites"), ds.Config.SitesTarget},
 		"districts": {flagVal("districts"), ds.Config.Districts},
 		"rareboost": {flagVal("rareboost"), ds.Config.RareBoost},
-	}
-	if fs, ok := ds.Store.(*trace.FileStore); ok {
-		// LoadOpts resolved the campaign's recorded write options (and
-		// already refused an explicit codec contradiction); an explicit
-		// -compress that disagrees is refused the same way.
-		checks["compress"] = struct{ got, want any }{flagVal("compress"), fs.Options().Compress}
-		checks["fastcompress"] = struct{ got, want any }{flagVal("fastcompress"), fs.Options().FastCompress}
 	}
 	for name, c := range checks {
 		if c.got != nil && fmt.Sprint(c.got) != fmt.Sprint(c.want) {

@@ -417,8 +417,8 @@ func (s *server) reload() (gen uint64, rebuilt bool, err error) {
 	}
 	gen = manifestGen(s.ds.Store)
 	if rebuilt, err = s.ds.Reload(); err != nil {
-		// Start over from a cold load: a campaign regenerated with another
-		// codec, which Reload refuses against the kept store, loads fine.
+		// Start over from a cold load: the kept dataset is not known to
+		// match whatever Reload failed on.
 		s.ds = nil
 		return 0, false, err
 	}

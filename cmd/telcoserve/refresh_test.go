@@ -21,6 +21,7 @@ import (
 	"telcolens/internal/query"
 	"telcolens/internal/simulate"
 	"telcolens/internal/trace"
+	"telcolens/internal/trace/tracetest"
 )
 
 // appendDay extends the campaign in dir by one day the way telcogen
@@ -309,6 +310,44 @@ func copyDir(t *testing.T, src string) string {
 		}
 	}
 	return dst
+}
+
+// TestServesV2Campaign: a campaign stored as v2 — the format of every
+// campaign written before v3 became the only write format — serves the
+// same artifacts and the same /query rows as the campaign in v3.
+func TestServesV2Campaign(t *testing.T) {
+	v3 := t.TempDir()
+	generateServed(t, v3, 3, 3, 0)
+	v2 := copyDir(t, v3)
+	if err := tracetest.ReencodeV2(v2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if head, err := os.ReadFile(filepath.Join(v2, "ho_day_000.tlho")); err != nil || head[4] != 2 {
+		t.Fatalf("re-encoded partition is not v2: %v", err)
+	}
+	ctx := context.Background()
+	s3, s2 := newTestServer(t, v3, 2), newTestServer(t, v2, 2)
+	for _, s := range []*server{s3, s2} {
+		if err := s.bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameArtifacts(t, "v2 campaign", servedArtifacts(t, s3), servedArtifacts(t, s2))
+	day1 := trace.DayRange(1, 1)
+	for _, target := range []string{
+		"/query?ue=3&format=csv",
+		"/query?ue=3&noindex=1&format=csv",
+		"/query?sector=10&format=csv",
+		fmt.Sprintf("/query?from=%d&to=%d&limit=100000&format=csv", day1.MinTS, day1.MinTS+3600_000),
+	} {
+		want, got := get(t, s3, target), get(t, s2, target)
+		if want.Code != http.StatusOK || got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: v2 campaign answers %d\n%s\nv3 campaign %d\n%s", target, got.Code, got.Body, want.Code, want.Body)
+		}
+		if bytes.Count(want.Body.Bytes(), []byte("\n")) < 2 {
+			t.Fatalf("%s: no rows to compare:\n%s", target, want.Body)
+		}
+	}
 }
 
 // TestInPlaceRefreshReadFaults fails each partition read of an in-place

@@ -3,7 +3,7 @@
 // re-delivered as a live stream — per-day order shuffled, cut into
 // request-sized batches, sent over HTTP with the retrying ingest
 // client — into an ingest service mounted on a local listener. Sealed
-// days come out as ordinary v2 partitions, byte-identical to the batch
+// days come out as ordinary partitions, byte-identical to the batch
 // generator's (the canonical seal sort makes sealed bytes a function of
 // the record multiset alone), and the streamed directory loads and
 // analyzes like any other campaign.

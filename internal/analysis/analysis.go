@@ -77,7 +77,7 @@ func WithProgress(fn func(ProgressEvent)) Option {
 
 // WithWindow restricts the analysis to study days [fromDay, toDay]
 // inclusive; -1 leaves the corresponding bound open. Scans become
-// time-ranged (trace.ScanRange), so v2 block stores only decode the
+// time-ranged (trace.ScanRange), so file stores only decode the
 // blocks inside the window, and window-aware experiments average over
 // window days only. Changing the window invalidates any cached scan
 // state.
@@ -136,7 +136,7 @@ type Analyzer struct {
 
 // ScanStats snapshots the trace-scan observability counters an Analyzer
 // has accumulated across its Require passes: partitions and records
-// read, v2 blocks decoded vs pruned by time-range descriptors, and the
+// read, blocks decoded vs pruned by time-range descriptors, and the
 // stored bytes consumed by decoded data (zero for stores without byte
 // accounting, such as the in-memory store).
 type ScanStats struct {
@@ -545,7 +545,7 @@ func (a *Analyzer) checkPartitionDaysLocked(infos []trace.PartitionInfo) error {
 func (a *Analyzer) scanIntoLocked(ctx context.Context, cols []collector, parts []trace.Partition) error {
 	tcols := make([]trace.Collector, len(cols))
 	// Project the union of the fused collectors' declared columns, so a
-	// v2 block store only decodes what this pass actually reads (e.g. a
+	// file store only decodes what this pass actually reads (e.g. a
 	// temporal-only scan skips the UE, device and cause columns).
 	var proj trace.ColumnSet
 	for i, c := range cols {
@@ -564,7 +564,7 @@ func (a *Analyzer) scanIntoLocked(ctx context.Context, cols []collector, parts [
 		opts.Progress = func(done, total int) { progress(ProgressEvent{Done: done, Total: total}) }
 	}
 	if a.winFrom >= 0 || a.winTo >= 0 {
-		// Time-ranged scan: v2 block partitions prune whole blocks outside
+		// Time-ranged scan: file partitions prune whole blocks outside
 		// the window; everything else filters record by record, so the
 		// observed sequence is codec-independent. Validate here rather
 		// than silently scanning an empty range: Configure (the per-call

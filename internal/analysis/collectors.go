@@ -50,7 +50,7 @@ type collector interface {
 	finalize(s *scanState) error
 	// columns declares exactly which record fields the collector's
 	// ObserveColumns reads (timestamps are always available). Scans project the
-	// union of the fused collectors' columns, so v2 block stores skip
+	// union of the fused collectors' columns, so file stores skip
 	// decoding everything else; an understated set would read
 	// unspecified field values.
 	columns() trace.ColumnSet
@@ -753,7 +753,7 @@ func (c *typesCollector) finalize(out *scanState) error {
 	out.vendorByType = c.vendorByType
 	// Actual on-disk stored bytes when the scans provided byte
 	// accounting; raw record-equivalent fallback otherwise (e.g. the
-	// in-memory store) — v2 blocks compress, so the two can differ by
+	// in-memory store) — blocks compress, so the two can differ by
 	// the compression factor.
 	if c.bytesRead > 0 {
 		out.bytesStored = c.bytesRead

@@ -11,6 +11,7 @@ import (
 
 	"telcolens/internal/simulate"
 	"telcolens/internal/trace"
+	"telcolens/internal/trace/tracetest"
 )
 
 // The acceptance bar for the v2 engine: scanning a sharded store with a
@@ -195,9 +196,10 @@ func truncate(b []byte) []byte {
 	return b
 }
 
-// detFileDataset generates the detSeed campaign into a file store with an
-// explicit codec, so tests can pit stream formats against each other.
-func detFileDataset(t *testing.T, shards int, opts trace.FileStoreOptions) *simulate.Dataset {
+// detFileDataset generates the detSeed campaign into a file store, so
+// tests can pit stream formats against each other. With v2 set, the
+// written v3 partitions are re-encoded as v2 at the store's block size.
+func detFileDataset(t *testing.T, shards int, opts trace.FileStoreOptions, v2 bool) *simulate.Dataset {
 	t.Helper()
 	fs, err := trace.NewFileStoreOpts(t.TempDir(), opts)
 	if err != nil {
@@ -211,6 +213,11 @@ func detFileDataset(t *testing.T, shards int, opts trace.FileStoreOptions) *simu
 	ds, err := simulate.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v2 {
+		if err := tracetest.ReencodeV2(fs.Dir(), opts.BlockRecords); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return ds
 }
@@ -263,16 +270,17 @@ func compareArtifacts(t *testing.T, label string, want, got map[string][]byte) {
 }
 
 // TestCodecMatrixByteIdentical is the cross-codec acceptance bar: the
-// same seed generated through the legacy v1 fixed-width codec (one shard,
-// scanned sequentially) and through the v2 columnar block codec (8
-// shards, parallel workers, with and without flate) must render every
-// experiment byte-identically. Durations make this non-trivial: both
-// codecs quantize through the same canonical fixed-point transform.
+// same seed stored in both formats the file store reads (v3 as written,
+// v2 re-encoded), on one shard scanned sequentially or eight scanned in
+// parallel, at several block sizes, must render every experiment
+// byte-identically to the one-shard v3 campaign scanned sequentially.
+// Durations make this non-trivial: both codecs quantize through the
+// same canonical fixed-point transform.
 func TestCodecMatrixByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates several campaigns")
 	}
-	baseline, err := New(detFileDataset(t, 1, trace.FileStoreOptions{Codec: trace.CodecV1}), WithParallelism(1))
+	baseline, err := New(detFileDataset(t, 1, trace.FileStoreOptions{}, false), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,17 +291,16 @@ func TestCodecMatrixByteIdentical(t *testing.T) {
 		shards int
 		par    int
 		opts   trace.FileStoreOptions
+		v2     bool
 	}{
-		{"v1-sharded-parallel", 8, 8, trace.FileStoreOptions{Codec: trace.CodecV1}},
-		{"v2-sequential", 1, 1, trace.FileStoreOptions{Codec: trace.CodecV2}},
-		{"v2-sharded-parallel", 8, 8, trace.FileStoreOptions{Codec: trace.CodecV2, BlockRecords: 512}},
-		{"v2-flate-sharded-parallel", 8, 8, trace.FileStoreOptions{Codec: trace.CodecV2, Compress: true}},
-		{"v3-sequential", 1, 1, trace.FileStoreOptions{Codec: trace.CodecV3}},
-		{"v3-tlz-sharded-parallel", 8, 8, trace.FileStoreOptions{Codec: trace.CodecV3, FastCompress: true}},
+		{"v2-sequential", 1, 1, trace.FileStoreOptions{}, true},
+		{"v2-sharded-parallel", 8, 8, trace.FileStoreOptions{BlockRecords: 512}, true},
+		{"v3-sequential", 1, 1, trace.FileStoreOptions{BlockRecords: 64}, false},
+		{"v3-sharded-parallel", 8, 8, trace.FileStoreOptions{BlockRecords: 512}, false},
 	}
 	for _, v := range variants {
 		t.Run(v.label, func(t *testing.T) {
-			a, err := New(detFileDataset(t, v.shards, v.opts), WithParallelism(v.par))
+			a, err := New(detFileDataset(t, v.shards, v.opts, v.v2), WithParallelism(v.par))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,24 +309,39 @@ func TestCodecMatrixByteIdentical(t *testing.T) {
 	}
 }
 
+// recordFilterStore hides the file store's TimeRangeSetter, so a
+// windowed scan decodes every block and the scan engine filters records.
+type recordFilterStore struct{ *trace.FileStore }
+
+func (s recordFilterStore) OpenPartition(day, shard int) (trace.RecordIterator, error) {
+	it, err := s.FileStore.OpenPartition(day, shard)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ trace.RecordIterator }{it}, nil
+}
+
 // TestWindowByteIdenticalAcrossCodecs: a day-windowed analysis must not
-// depend on whether the window was enforced by v2 block pruning or by
-// v1 record filtering.
+// depend on whether the window was enforced by v2 or v3 block pruning or
+// by filtering decoded records.
 func TestWindowByteIdenticalAcrossCodecs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("generates two campaigns")
+		t.Skip("generates three campaigns")
 	}
 	lo, hi := 1, 2
-	v1, err := New(detFileDataset(t, 1, trace.FileStoreOptions{Codec: trace.CodecV1}),
-		WithParallelism(1), WithWindow(lo, hi))
+	ds := detFileDataset(t, 1, trace.FileStoreOptions{}, false)
+	ds.Store = recordFilterStore{ds.Store.(*trace.FileStore)}
+	filtered, err := New(ds, WithParallelism(1), WithWindow(lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderAll(t, v1)
-	v2, err := New(detFileDataset(t, 8, trace.FileStoreOptions{Codec: trace.CodecV2, BlockRecords: 256}),
-		WithParallelism(8), WithWindow(lo, hi))
-	if err != nil {
-		t.Fatal(err)
+	want := renderAll(t, filtered)
+	for _, v2 := range []bool{true, false} {
+		a, err := New(detFileDataset(t, 8, trace.FileStoreOptions{BlockRecords: 256}, v2),
+			WithParallelism(8), WithWindow(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareArtifacts(t, fmt.Sprintf("window-%d-%d-v2=%v", lo, hi, v2), want, renderAll(t, a))
 	}
-	compareArtifacts(t, fmt.Sprintf("v2-window-%d-%d", lo, hi), want, renderAll(t, v2))
 }

@@ -10,6 +10,7 @@ import (
 
 	"telcolens/internal/simulate"
 	"telcolens/internal/trace"
+	"telcolens/internal/trace/tracetest"
 )
 
 // The chunking-invariance property: for EVERY collector, folding a
@@ -145,23 +146,14 @@ func TestCollectorBatchRecordEquivalence(t *testing.T) {
 
 // TestBytesStoredReportsOnDiskBytes: the NeedTypes view's bytesStored
 // must be the trace's actual stored size, not totalHOs×RecordSize —
-// v2 blocks (especially flate-compressed ones) store fewer bytes.
+// v2 and v3 blocks store fewer bytes than the fixed-width image.
 func TestBytesStoredReportsOnDiskBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates campaigns")
 	}
-	for _, tc := range []struct {
-		label string
-		opts  trace.FileStoreOptions
-	}{
-		{"v1", trace.FileStoreOptions{Codec: trace.CodecV1}},
-		{"v2", trace.FileStoreOptions{Codec: trace.CodecV2}},
-		{"v2flate", trace.FileStoreOptions{Codec: trace.CodecV2, Compress: true}},
-		{"v3", trace.FileStoreOptions{Codec: trace.CodecV3}},
-		{"v3tlz", trace.FileStoreOptions{Codec: trace.CodecV3, FastCompress: true}},
-	} {
-		t.Run(tc.label, func(t *testing.T) {
-			fs, err := trace.NewFileStoreOpts(t.TempDir(), tc.opts)
+	for _, label := range []string{"v2", "v3"} {
+		t.Run(label, func(t *testing.T) {
+			fs, err := trace.NewFileStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,6 +164,11 @@ func TestBytesStoredReportsOnDiskBytes(t *testing.T) {
 			ds, err := simulate.Generate(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if label == "v2" {
+				if err := tracetest.ReencodeV2(fs.Dir(), 0); err != nil {
+					t.Fatal(err)
+				}
 			}
 			a, err := New(ds)
 			if err != nil {
@@ -199,9 +196,8 @@ func TestBytesStoredReportsOnDiskBytes(t *testing.T) {
 			if s.bytesStored != onDisk {
 				t.Fatalf("bytesStored = %d, want on-disk %d", s.bytesStored, onDisk)
 			}
-			rawEquivalent := s.totalHOs * trace.RecordSize
-			if tc.label == "v2flate" && s.bytesStored >= rawEquivalent {
-				t.Fatalf("compressed store reports %d stored bytes, not smaller than raw equivalent %d",
+			if rawEquivalent := s.totalHOs * trace.RecordSize; s.bytesStored >= rawEquivalent {
+				t.Fatalf("store reports %d stored bytes, not smaller than raw equivalent %d",
 					s.bytesStored, rawEquivalent)
 			}
 		})
@@ -237,7 +233,7 @@ func TestScanStatsExposed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates campaigns")
 	}
-	fs, err := trace.NewFileStoreOpts(t.TempDir(), trace.FileStoreOptions{Codec: trace.CodecV2, BlockRecords: 512})
+	fs, err := trace.NewFileStoreOpts(t.TempDir(), trace.FileStoreOptions{BlockRecords: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +270,7 @@ func TestScanStatsExposed(t *testing.T) {
 		t.Fatalf("after one pass: %+v (want scans=1 records=%d partitions=%d)", st, total, len(parts))
 	}
 	if st.BlocksRead == 0 || st.BytesRead == 0 {
-		t.Fatalf("v2 store reported no blocks/bytes: %+v", st)
+		t.Fatalf("file store reported no blocks/bytes: %+v", st)
 	}
 	// A second Require for a missing unit runs one more scan.
 	if _, err := a.Require(context.Background(), NeedTemporal); err != nil {

@@ -28,9 +28,8 @@ func runTable1(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 	dailyHOs := float64(s.totalHOs) / float64(ds.Config.Days)
 	// The paper's "≈8 TB daily" is the raw capture size, so the
 	// comparable figure is the fixed-width record equivalent — not
-	// s.bytesStored, which reports the (codec-dependent, possibly
-	// compressed) on-disk bytes and would make the artifact differ
-	// across storage codecs.
+	// s.bytesStored, which reports the codec-dependent on-disk bytes and
+	// would make the artifact differ across storage codecs.
 	dailyBytes := float64(s.totalHOs) * trace.RecordSize / float64(ds.Config.Days)
 
 	// Deployment scale: the paper's network has 24k+ sites.

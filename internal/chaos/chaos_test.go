@@ -166,7 +166,6 @@ func ingestMeta(windowDays int) *simulate.CampaignMeta {
 			WindowDays: windowDays,
 			UEs:        10,
 		},
-		Codec: trace.CodecV2,
 	}
 }
 

@@ -229,12 +229,11 @@ func (s *Service) Meta() *simulate.CampaignMeta {
 }
 
 // Init establishes the campaign: the descriptor is validated, written
-// atomically as manifest.json, and the store is opened with the
-// descriptor's codec options. Initializing an already-initialized
-// service is idempotent when the configs agree and ErrConfigMismatch
-// when they do not. The descriptor's landed-day count must equal its
-// DayStats length (a fresh stream target starts at 0 days with the full
-// study window declared in WindowDays).
+// atomically as manifest.json, and the store is opened. Initializing an
+// already-initialized service is idempotent when the configs agree and
+// ErrConfigMismatch when they do not. The descriptor's landed-day count
+// must equal its DayStats length (a fresh stream target starts at 0
+// days with the full study window declared in WindowDays).
 func (s *Service) Init(meta *simulate.CampaignMeta) error {
 	s.mu.Lock()
 	if s.meta != nil {
@@ -267,8 +266,7 @@ func configsAgree(a, b *simulate.CampaignMeta) bool {
 		ac.SitesTarget == bc.SitesTarget && ac.RareBoost == bc.RareBoost &&
 		ac.LongTailCauses == bc.LongTailCauses && ac.FullScaleUEs == bc.FullScaleUEs &&
 		max(ac.Shards, 1) == max(bc.Shards, 1) &&
-		windowOf(ac) == windowOf(bc) &&
-		a.Codec == b.Codec && a.Compress == b.Compress && a.FastCompress == b.FastCompress
+		windowOf(ac) == windowOf(bc)
 }
 
 // windowOf is the effective world-model window of a config: the declared
@@ -290,9 +288,7 @@ func (s *Service) attachLocked(meta *simulate.CampaignMeta, create bool) ([]int,
 	if cfg.Shards > 256 {
 		return nil, fmt.Errorf("ingest: %d shards exceeds the 256-shard cap", cfg.Shards)
 	}
-	store, err := trace.NewFileStoreOpts(s.dir, trace.FileStoreOptions{
-		Codec: meta.Codec, Compress: meta.Compress, FastCompress: meta.FastCompress, FS: s.fs,
-	})
+	store, err := trace.NewFileStoreOpts(s.dir, trace.FileStoreOptions{FS: s.fs})
 	if err != nil {
 		return nil, err
 	}
@@ -683,7 +679,7 @@ func (s *Service) maybeSealByAge() []int {
 }
 
 // sealLocked turns one completed day's memtable into ordinary (day,
-// shard) v2 partitions and commits: partitions first, then the campaign
+// shard) partitions and commits: partitions first, then the campaign
 // descriptor (day count + aggregate), then the WAL deletion. A crash
 // anywhere in that sequence recovers idempotently — debris partitions
 // are removed and the canonical-order re-seal lands byte-identical

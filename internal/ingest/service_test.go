@@ -32,7 +32,6 @@ func testMeta(windowDays int) *simulate.CampaignMeta {
 			WindowDays: windowDays,
 			UEs:        10,
 		},
-		Codec: trace.CodecV2,
 	}
 }
 

@@ -2,7 +2,7 @@
 // endpoint (see Service.Handler) that accepts batched handover records,
 // makes them durable in a per-day write-ahead log, accumulates them in
 // in-memory columnar memtables, and seals completed study days into
-// ordinary v2 (day, shard) trace partitions through the batch-native
+// ordinary (day, shard) trace partitions through the batch-native
 // column write path — bumping the store MANIFEST generation so an
 // incremental consumer (telcoserve's Refresh loop) merges the delta
 // without any change to the analysis layer.

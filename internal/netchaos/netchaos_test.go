@@ -94,7 +94,6 @@ func chaosMeta(windowDays int) *simulate.CampaignMeta {
 			WindowDays: windowDays,
 			UEs:        10,
 		},
-		Codec: trace.CodecV2,
 	}
 }
 

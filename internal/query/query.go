@@ -12,8 +12,8 @@
 //  2. partition bloom filters — the .tlix sidecar's UE/TAC/sector
 //     filters drop partitions that definitely lack the key;
 //  3. block summaries — the sidecar's per-block time extents and
-//     UE/TAC blooms turn into a block allow-list pushed down to the v2
-//     reader (SetBlockFilter), so excluded blocks are never decoded.
+//     UE/TAC blooms turn into a block allow-list pushed down to the
+//     stream reader (SetBlockFilter), so excluded blocks are never decoded.
 //
 // Every stage is conservative: a missing, stale or corrupt index only
 // widens the set of blocks decoded, never narrows the result. Exact
@@ -174,7 +174,7 @@ func rowFrom(rec *trace.Record) Row {
 }
 
 // Metrics reports what one query execution touched. BlocksPruned
-// counts v2 blocks excluded without decoding — by the time range, the
+// counts blocks excluded without decoding — by the time range, the
 // block allow-list, or a whole-partition index prune; BlocksDecoded
 // counts blocks whose payload was read. The two are the query layer's
 // efficiency contract: a point query should prune nearly everything.

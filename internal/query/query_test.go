@@ -3,9 +3,12 @@ package query
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"telcolens/internal/devices"
 	"telcolens/internal/topology"
 	"telcolens/internal/trace"
+	"telcolens/internal/trace/tracetest"
 )
 
 // corpus is a deterministic synthetic campaign kept both as ground
@@ -134,10 +138,13 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 // TestQueryMatchesScan is the cross-codec equivalence property: for
-// every codec variant, for stores written with and without index
-// sidecars, and across window edges, the indexed execution returns
-// rows byte-identical to both the forced scan fallback (NoIndex) and
-// the brute-force ground truth.
+// both formats the store reads (v3 as written, v2 re-encoded), at two
+// block sizes, for stores written with and without index sidecars, and
+// across window edges, the indexed execution returns rows byte-identical
+// to both the forced scan fallback (NoIndex) and the brute-force ground
+// truth. Stores whose streams name a format earlier versions wrote (v1,
+// flate, TLZ) must fail every query that has to decode them with
+// ErrBadVersion, never answer as if the partitions were empty.
 func TestQueryMatchesScan(t *testing.T) {
 	c := genCorpus(29, 3, 2, 900)
 
@@ -164,21 +171,37 @@ func TestQueryMatchesScan(t *testing.T) {
 	}
 
 	stores := []struct {
-		name string
-		opts trace.FileStoreOptions
+		name           string
+		opts           trace.FileStoreOptions
+		v2             bool
+		version, flags uint16 // header stamped over the v3 streams; 0 keeps them
 	}{
-		{"v1", trace.FileStoreOptions{Codec: trace.CodecV1}},
-		{"v2", trace.FileStoreOptions{Codec: trace.CodecV2, BlockRecords: 64}},
-		{"v2flate", trace.FileStoreOptions{Codec: trace.CodecV2, BlockRecords: 64, Compress: true}},
-		{"v2-noindex", trace.FileStoreOptions{Codec: trace.CodecV2, BlockRecords: 64, NoIndex: true}},
-		{"v3", trace.FileStoreOptions{Codec: trace.CodecV3, BlockRecords: 64}},
-		{"v3tlz", trace.FileStoreOptions{Codec: trace.CodecV3, BlockRecords: 64, FastCompress: true}},
+		{name: "v2", opts: trace.FileStoreOptions{BlockRecords: 64}, v2: true},
+		{name: "v2-noindex", opts: trace.FileStoreOptions{BlockRecords: 64, NoIndex: true}, v2: true},
+		{name: "v2-block4096", opts: trace.FileStoreOptions{}, v2: true},
+		{name: "v3", opts: trace.FileStoreOptions{BlockRecords: 64}},
+		{name: "v3-block4096", opts: trace.FileStoreOptions{}},
+		{name: "v1", opts: trace.FileStoreOptions{BlockRecords: 64}, version: 1},
+		{name: "v2flate", opts: trace.FileStoreOptions{BlockRecords: 64}, version: 2, flags: 1},
+		{name: "v3tlz", opts: trace.FileStoreOptions{BlockRecords: 64}, version: 3, flags: 2},
 	}
 
 	ctx := context.Background()
 	for _, sc := range stores {
 		t.Run(sc.name, func(t *testing.T) {
-			fs := c.write(t, t.TempDir(), sc.opts)
+			dir := t.TempDir()
+			fs := c.write(t, dir, sc.opts)
+			if sc.v2 {
+				if err := tracetest.ReencodeV2(dir, sc.opts.BlockRecords); err != nil {
+					t.Fatal(err)
+				}
+				if rep, err := trace.Verify(ctx, fs); err != nil || !rep.OK() || len(rep.Issues) > 0 {
+					t.Fatalf("re-encoded store does not verify: %+v, %v", rep, err)
+				}
+			}
+			if sc.version != 0 {
+				stampHeaders(t, dir, sc.version, sc.flags)
+			}
 			eng := New(fs)
 			v, err := NewView(fs)
 			if err != nil {
@@ -190,14 +213,33 @@ func TestQueryMatchesScan(t *testing.T) {
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
 					indexed, _, err := eng.Query(ctx, v, tc.p)
+					fb := tc.p
+					fb.NoIndex = true
+					fallback, _, fbErr := eng.Query(ctx, v, fb)
+					if sc.version != 0 {
+						// Only a query the zone maps and sidecars answer
+						// without decoding may succeed, and then its
+						// ground truth is empty.
+						wantRows, _ := c.expected(tc.p)
+						for _, q := range []struct {
+							res *Result
+							err error
+						}{{indexed, err}, {fallback, fbErr}} {
+							if q.err == nil && (len(wantRows) > 0 || len(q.res.Rows) > 0) {
+								t.Fatalf("query over unreadable streams answered %d rows (ground truth %d)",
+									len(q.res.Rows), len(wantRows))
+							}
+							if q.err != nil && !errors.Is(q.err, trace.ErrBadVersion) {
+								t.Fatalf("err = %v, want ErrBadVersion", q.err)
+							}
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					fb := tc.p
-					fb.NoIndex = true
-					fallback, _, err := eng.Query(ctx, v, fb)
-					if err != nil {
-						t.Fatal(err)
+					if fbErr != nil {
+						t.Fatal(fbErr)
 					}
 					gotIdx := mustJSON(t, indexed.Rows)
 					gotFb := mustJSON(t, fallback.Rows)
@@ -214,6 +256,27 @@ func TestQueryMatchesScan(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// stampHeaders rewrites the version and flags of every partition stream
+// under dir, leaving MANIFEST and sidecars untouched.
+func stampHeaders(t *testing.T, dir string, version, flags uint16) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.tlho"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no partitions under %s: %v", dir, err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(data[4:], version)
+		binary.LittleEndian.PutUint16(data[6:], flags)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // a second.
 func pinConfig(t *testing.T, seed uint64, shards, workers int) Config {
 	t.Helper()
-	store, err := trace.NewFileStoreOpts(t.TempDir(), trace.FileStoreOptions{Codec: trace.CodecV2})
+	store, err := trace.NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +44,49 @@ func partitionsDigest(t *testing.T, s trace.Store) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
+// recordsDigest condenses every decoded record of a store, in canonical
+// partition order, into one string. It hashes column values, not stream
+// bytes, so it is the same whichever format the partitions are stored in.
+func recordsDigest(t *testing.T, s trace.Store) string {
+	t.Helper()
+	parts, err := s.Partitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var cb trace.ColumnBatch
+	var buf []byte
+	for _, p := range parts {
+		it, err := s.OpenPartition(p.Day, p.Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%d/%d\n", p.Day, p.Shard)
+		for {
+			n, err := it.NextColumns(&cb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			for i := 0; i < n; i++ {
+				buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(cb.Timestamps[i]))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(cb.UEs[i]))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(cb.TACs[i]))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(cb.Sources[i]))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(cb.Targets[i]))
+				buf = binary.LittleEndian.AppendUint16(buf, uint16(cb.Causes[i]))
+				buf = append(buf, cb.RATs[i], byte(cb.Results[i]))
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(cb.Durations[i]))
+				h.Write(buf)
+			}
+		}
+		it.Close()
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
 // dayStatsDigest condenses the campaign descriptor's per-day aggregates
 // bit for bit (floats by their IEEE representation).
 func dayStatsDigest(stats []DayAggregate) string {
@@ -61,35 +104,36 @@ func dayStatsDigest(stats []DayAggregate) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// TestGenerateByteIdenticalToParent pins generation to the bytes it
-// produced before the planner's brute-force geometry was replaced by the
-// spatial index and trig tables: MANIFEST digests recorded from the
-// parent commit (PR 11, 9a05957), and day-aggregate digests recorded
-// from its Workers=1 run — the sequential sums every worker count must
-// now reproduce. A change that moves any of these changed what the
-// simulator generates, not merely how fast.
+// TestGenerateByteIdenticalToParent pins what generation produces.
+// records is the decoded record content, recorded when campaigns were
+// still written as v2: every format must reproduce it. parts pins the
+// MANIFEST of the v3 streams written today; dstats the day aggregates,
+// recorded from the sequential Workers=1 run every worker count must
+// reproduce. A change that moves records or dstats changed what the
+// simulator generates; one that moves only parts changed the stream
+// encoding.
 func TestGenerateByteIdenticalToParent(t *testing.T) {
 	pins := []struct {
-		seed          uint64
-		shards        int
-		parts, dstats string
+		seed                   uint64
+		shards                 int
+		records, parts, dstats string
 	}{
-		{7, 1, "acc3497543fea24f", "01feb4ad91fbd04d"},
-		{7, 4, "0253456e0e935c17", "01feb4ad91fbd04d"},
-		{11, 1, "a6f48017991e0d26", "0e18cf44bc65d1af"},
-		{11, 4, "b6cf72baa308e799", "0e18cf44bc65d1af"},
-		{42, 1, "a461366b26160793", "912e2d2edf8027f9"},
-		{42, 4, "6c702331f54d639c", "912e2d2edf8027f9"},
+		{7, 1, "45ef30cef876883c", "77d05b41f326dad4", "01feb4ad91fbd04d"},
+		{7, 4, "622bfe60e56dd13c", "d6060d87346f81cc", "01feb4ad91fbd04d"},
+		{11, 1, "84ff9cfaabed560d", "837603ed420ef48d", "0e18cf44bc65d1af"},
+		{11, 4, "aab09ec19bda559a", "450cc9dc5d3980cf", "0e18cf44bc65d1af"},
+		{42, 1, "714e112fcc20c2f9", "d28bd03f28626254", "912e2d2edf8027f9"},
+		{42, 4, "5fbd4bbfe170ba0b", "079a5c24e50f7338", "912e2d2edf8027f9"},
 	}
 	for _, pin := range pins {
 		ds, err := Generate(pinConfig(t, pin.seed, pin.shards, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, dstats := partitionsDigest(t, ds.Store), dayStatsDigest(ds.DayStats)
-		if parts != pin.parts || dstats != pin.dstats {
-			t.Errorf("seed %d shards %d: partitions %s day stats %s, pinned %s / %s",
-				pin.seed, pin.shards, parts, dstats, pin.parts, pin.dstats)
+		records, parts, dstats := recordsDigest(t, ds.Store), partitionsDigest(t, ds.Store), dayStatsDigest(ds.DayStats)
+		if records != pin.records || parts != pin.parts || dstats != pin.dstats {
+			t.Errorf("seed %d shards %d: records %s partitions %s day stats %s, pinned %s / %s / %s",
+				pin.seed, pin.shards, records, parts, dstats, pin.records, pin.parts, pin.dstats)
 		}
 	}
 }

@@ -29,9 +29,9 @@ type manifest struct {
 	DayStats []DayAggregate `json:"day_stats"`
 }
 
-// manifestConfig mirrors Config without the non-serializable store,
-// plus the trace codec settings the campaign was written with (so
-// appenders keep writing the same format without being told).
+// manifestConfig mirrors Config without the non-serializable store.
+// Descriptors written before v3 became the only trace format also carry
+// codec, compress and fast_compress keys; decoding ignores them.
 type manifestConfig struct {
 	Seed           uint64  `json:"seed"`
 	Days           int     `json:"days"`
@@ -43,16 +43,13 @@ type manifestConfig struct {
 	LongTailCauses int     `json:"long_tail_causes"`
 	FullScaleUEs   int     `json:"full_scale_ues"`
 	Shards         int     `json:"shards,omitempty"`
-	Codec          int     `json:"codec,omitempty"`
-	Compress       bool    `json:"compress,omitempty"`
-	FastCompress   bool    `json:"fast_compress,omitempty"`
 }
 
 // CampaignMeta is the campaign descriptor a directory carries as
-// manifest.json, decoupled from the live Dataset: the world config, the
-// per-day generation aggregates, and the trace codec settings. The
-// streaming ingest path reads and rewrites it without ever building the
-// world model (which Load derives from the config deterministically).
+// manifest.json, decoupled from the live Dataset: the world config and
+// the per-day generation aggregates. The streaming ingest path reads and
+// rewrites it without ever building the world model (which Load derives
+// from the config deterministically).
 type CampaignMeta struct {
 	// Config describes the campaign; its Store field is not persisted and
 	// is ignored. Config.Days counts fully landed days; Config.WindowDays
@@ -60,11 +57,6 @@ type CampaignMeta struct {
 	Config Config
 	// DayStats holds one generation-ground-truth aggregate per landed day.
 	DayStats []DayAggregate
-	// Codec/Compress/FastCompress are the trace write options recorded
-	// for appenders (0 codec = unrecorded, pre-recording campaign).
-	Codec        trace.Codec
-	Compress     bool
-	FastCompress bool
 }
 
 // Encode renders the descriptor in the manifest.json wire format.
@@ -81,9 +73,6 @@ func (m *CampaignMeta) Encode() ([]byte, error) {
 			LongTailCauses: m.Config.LongTailCauses,
 			FullScaleUEs:   m.Config.FullScaleUEs,
 			Shards:         m.Config.Shards,
-			Codec:          int(m.Codec),
-			Compress:       m.Compress,
-			FastCompress:   m.FastCompress,
 		},
 		DayStats: m.DayStats,
 	}
@@ -122,10 +111,7 @@ func DecodeMeta(data []byte) (*CampaignMeta, error) {
 			FullScaleUEs:   om.Config.FullScaleUEs,
 			Shards:         om.Config.Shards,
 		},
-		DayStats:     om.DayStats,
-		Codec:        trace.Codec(om.Config.Codec),
-		Compress:     om.Config.Compress,
-		FastCompress: om.Config.FastCompress,
+		DayStats: om.DayStats,
 	}, nil
 }
 
@@ -167,12 +153,6 @@ func (m *CampaignMeta) SaveFS(fsys faultfs.FS, dir string) error {
 func (d *Dataset) Meta() *CampaignMeta {
 	m := &CampaignMeta{Config: d.Config, DayStats: d.DayStats}
 	m.Config.Store = nil
-	if fs, ok := d.Store.(*trace.FileStore); ok {
-		opts := fs.Options()
-		m.Codec = opts.Codec
-		m.Compress = opts.Compress
-		m.FastCompress = opts.FastCompress
-	}
 	return m
 }
 
@@ -188,20 +168,11 @@ func Load(dir string) (*Dataset, error) {
 	return LoadOpts(dir, trace.FileStoreOptions{})
 }
 
-// LoadOpts is Load with explicit file-store write options. Zero fields
-// fall back to the codec settings the campaign manifest records, so an
-// appender (telcogen -append) keeps writing the format the campaign was
-// generated with; an explicitly requested codec that contradicts the
-// recorded one is refused — silently mixing formats in one campaign is
-// almost never intended (reading always negotiates per file either
-// way). Campaigns saved before the settings were recorded behave as
-// before (explicit options or the store defaults).
+// LoadOpts is Load with explicit file-store options (the filesystem,
+// read verification, block size for appended days).
 func LoadOpts(dir string, opts trace.FileStoreOptions) (*Dataset, error) {
 	m, err := LoadMeta(dir)
 	if err != nil {
-		return nil, err
-	}
-	if opts, err = storeOptions(m, opts); err != nil {
 		return nil, err
 	}
 	ds, err := BuildWorld(m.Config)
@@ -218,31 +189,6 @@ func LoadOpts(dir string, opts trace.FileStoreOptions) (*Dataset, error) {
 	return ds, nil
 }
 
-// storeOptions resolves the file-store write options for a campaign:
-// zero codec fields fall back to what the manifest records, and a
-// requested codec or compression that contradicts it is refused.
-func storeOptions(m *CampaignMeta, opts trace.FileStoreOptions) (trace.FileStoreOptions, error) {
-	if m.Codec == 0 {
-		return opts, nil
-	}
-	switch {
-	case opts.Codec == 0:
-		opts.Codec = m.Codec
-	case opts.Codec != m.Codec:
-		return opts, fmt.Errorf("simulate: campaign was written with codec v%d; requested v%d would mix formats (omit the codec option to keep the campaign's)",
-			m.Codec, opts.Codec)
-	}
-	if opts.Compress != m.Compress && opts.Compress {
-		return opts, fmt.Errorf("simulate: campaign was written without compression; requested compression would mix formats")
-	}
-	opts.Compress = m.Compress
-	if opts.FastCompress != m.FastCompress && opts.FastCompress {
-		return opts, fmt.Errorf("simulate: campaign was written without fast compression; requested fast compression would mix formats")
-	}
-	opts.FastCompress = m.FastCompress
-	return opts, nil
-}
-
 // Reload brings a campaign opened with Load or LoadOpts up to date with
 // its manifest.json in place, for long-lived readers of a growing
 // campaign. Config.Days, Config.WindowDays and DayStats follow the
@@ -251,9 +197,8 @@ func storeOptions(m *CampaignMeta, opts trace.FileStoreOptions) (trace.FileStore
 // campaign growing toward its declared window — the streaming-ingest
 // shape — keeps it, while telcogen -append with no declared window
 // grows the world window and rebuilds, exactly as a fresh Load would.
-// rebuilt reports which happened. The codec checks of LoadOpts apply,
-// with the kept store's write options as the requested ones; on any
-// error the dataset is left unchanged.
+// rebuilt reports which happened. On any error the dataset is left
+// unchanged.
 //
 // Reload mutates the dataset without synchronization, so it is only
 // safe on the goroutine that also drives every Analyzer over it — in
@@ -264,25 +209,12 @@ func (d *Dataset) Reload() (rebuilt bool, err error) {
 	if !ok {
 		return false, fmt.Errorf("simulate: Reload needs a campaign opened with Load (store is %T)", d.Store)
 	}
-	cur := fs.Options()
-	m, err := LoadMetaFS(cur.FS, fs.Dir())
+	m, err := LoadMetaFS(fs.Options().FS, fs.Dir())
 	if err != nil {
 		return false, err
-	}
-	opts, err := storeOptions(m, cur)
-	if err != nil {
-		return false, err
-	}
-	if opts.Codec != cur.Codec || opts.Compress != cur.Compress || opts.FastCompress != cur.FastCompress {
-		// The manifest records write options the open store does not use
-		// (compression switched on since): adopt them, as LoadOpts would.
-		if fs, err = trace.NewFileStoreOpts(fs.Dir(), opts); err != nil {
-			return false, err
-		}
 	}
 	if m.Config.worldKey() == d.Config.worldKey() {
 		d.Config.Days, d.Config.WindowDays = m.Config.Days, m.Config.WindowDays
-		d.Config.Store, d.Store = fs, fs
 		d.DayStats = m.DayStats
 		return false, nil
 	}

@@ -1,6 +1,8 @@
 package simulate
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,29 +143,36 @@ func TestReloadKeepsWorld(t *testing.T) {
 	})
 
 	t.Run("contradicting codec", func(t *testing.T) {
+		// Descriptors written before v3 became the only trace format carry
+		// codec and compression keys. Whatever they say, Reload keeps the
+		// world and the store, and a re-save drops them.
 		dir := t.TempDir()
 		reloadCampaign(t, dir, 1, 0)
 		d, err := Load(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := LoadMeta(dir)
+		store := d.Store
+		path := filepath.Join(dir, manifestName)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Codec != trace.CodecV2 {
-			t.Fatalf("campaign recorded codec v%d, want v2", m.Codec)
-		}
-		m.Codec = trace.CodecV3
-		m.Config.Days = 2
-		if err := m.Save(dir); err != nil {
+		old := strings.Replace(string(data), `"config": {`, `"config": {"codec": 1, "compress": true, "fast_compress": true,`, 1)
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Reload(); err == nil || !strings.Contains(err.Error(), "mix formats") {
-			t.Fatalf("Reload over a contradicting codec: err = %v", err)
+		rebuilt, err := d.Reload()
+		if err != nil || rebuilt || d.Store != store {
+			t.Fatalf("Reload over a descriptor with codec keys: rebuilt %v, store kept %v, err %v",
+				rebuilt, d.Store == store, err)
 		}
-		if d.Config.Days != 1 || d.Store.(*trace.FileStore).Options().Codec != trace.CodecV2 {
-			t.Fatal("a refused Reload changed the dataset")
+		mustEqualFreshLoad(t, d, dir)
+		if err := d.SaveManifest(dir); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := os.ReadFile(path); err != nil || strings.Contains(string(data), "compress") {
+			t.Fatalf("re-saved descriptor keeps the codec keys: %s (%v)", data, err)
 		}
 	})
 }

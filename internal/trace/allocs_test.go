@@ -15,14 +15,8 @@ import (
 // costs zero allocations per call.
 // Gated off under -race (the detector instruments allocations).
 
-func steadyStateAllocs(t *testing.T, blocks int, decode func(r *Reader) bool) float64 {
+func steadyStateAllocs(t *testing.T, data []byte, decode func(r *Reader) bool) float64 {
 	t.Helper()
-	rng := rand.New(rand.NewSource(21))
-	recs := make([]Record, blocks*256)
-	for i := range recs {
-		recs[i] = randRecord(rng, StudyStart.UnixMilli())
-	}
-	data := encodeV2(t, recs, WriterV2Options{BlockRecords: 256})
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -41,78 +35,30 @@ func steadyStateAllocs(t *testing.T, blocks int, decode func(r *Reader) bool) fl
 }
 
 func TestColumnDecodeSteadyStateAllocs(t *testing.T) {
-	var cb ColumnBatch
-	allocs := steadyStateAllocs(t, 128, func(r *Reader) bool {
-		n, err := r.NextColumns(&cb)
-		return err == nil && n > 0
-	})
-	if allocs > 0 {
-		t.Fatalf("NextColumns allocates %.1f times per block in steady state, want 0", allocs)
-	}
-}
-
-// TestColumnDecodeFlateSteadyStateAllocs covers the compressed decode
-// path: the flate reader is Reset-reused across blocks, which removes
-// the per-block decompressor, window and source-reader allocations. What
-// remains is compress/flate's own per-flate-block dynamic-Huffman link
-// tables (allocated inside huffmanDecoder.init on every dynamic block —
-// unreachable from outside the stdlib), so the assertion is a tight
-// bound, not zero.
-func TestColumnDecodeFlateSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+	rng := rand.New(rand.NewSource(21))
 	recs := make([]Record, 128*256)
 	for i := range recs {
 		recs[i] = randRecord(rng, StudyStart.UnixMilli())
 	}
-	data := encodeV2(t, recs, WriterV2Options{BlockRecords: 256, Compress: true})
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cb ColumnBatch
-	for i := 0; i < 4; i++ {
-		if n, err := r.NextColumns(&cb); err != nil || n == 0 {
-			t.Fatal("stream too short to warm up")
+	for codec, data := range map[string][]byte{
+		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 256}),
+		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 256}),
+	} {
+		var cb ColumnBatch
+		allocs := steadyStateAllocs(t, data, func(r *Reader) bool {
+			n, err := r.NextColumns(&cb)
+			return err == nil && n > 0
+		})
+		if allocs > 0 {
+			t.Fatalf("%s: NextColumns allocates %.1f times per block in steady state, want 0", codec, allocs)
 		}
-	}
-	allocs := testing.AllocsPerRun(64, func() {
-		if n, err := r.NextColumns(&cb); err != nil || n == 0 {
-			t.Fatal("stream exhausted mid-measurement")
-		}
-	})
-	const maxFlateAllocs = 28
-	if allocs > maxFlateAllocs {
-		t.Fatalf("flate NextColumns allocates %.1f times per block in steady state, want <= %d (huffman tables only)",
-			allocs, maxFlateAllocs)
 	}
 }
 
 // The steady-state encode loop mirrors the decode contract: once the
-// writer's pooled scratch (block buffer, payload, dictionary table,
-// flate writer) is warm, landing another block costs zero allocations,
-// with and without compression.
-func steadyStateEncodeAllocs(t *testing.T, compress bool, emit func(w *WriterV2) error) float64 {
-	t.Helper()
-	w, err := NewWriterV2(io.Discard, WriterV2Options{BlockRecords: 256, Compress: compress})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ { // warm the scratch buffers
-		if err := emit(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(64, func() {
-		if err := emit(w); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return allocs
-}
-
+// writer's pooled scratch (block buffer, payload, dictionary table) is
+// warm, landing another block costs zero allocations, in either block
+// format.
 func TestColumnEncodeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	recs := make([]Record, 256)
@@ -121,13 +67,33 @@ func TestColumnEncodeSteadyStateAllocs(t *testing.T) {
 	}
 	var cb ColumnBatch
 	cb.FromRecords(recs)
-	for _, compress := range []bool{false, true} {
-		allocs := steadyStateEncodeAllocs(t, compress, func(w *WriterV2) error {
-			return w.WriteColumns(&cb)
+	v2, err := NewWriterV2(io.Discard, WriterV2Options{BlockRecords: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := NewWriterV3(io.Discard, WriterV3Options{BlockRecords: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for codec, w := range map[string]interface {
+		WriteColumns(*ColumnBatch) error
+		Flush() error
+	}{"v2": v2, "v3": v3} {
+		for i := 0; i < 4; i++ { // warm the scratch buffers
+			if err := w.WriteColumns(&cb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(64, func() {
+			if err := w.WriteColumns(&cb); err != nil {
+				t.Fatal(err)
+			}
 		})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if allocs > 0 {
-			t.Fatalf("compress=%v: WriteColumns allocates %.1f times per block in steady state, want 0",
-				compress, allocs)
+			t.Fatalf("%s: WriteColumns allocates %.1f times per block in steady state, want 0", codec, allocs)
 		}
 	}
 }

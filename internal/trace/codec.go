@@ -2,46 +2,42 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 
-	"telcolens/internal/causes"
 	"telcolens/internal/devices"
-	"telcolens/internal/topology"
 )
 
-// Binary stream layout (little-endian):
+// Every stream starts with the same 8-byte header (little-endian):
 //
-//	header:  magic "TLHO" | version u16 | flags u16
-//	record:  ts i64 | ue u32 | tac u32 | src u32 | dst u32 |
-//	         rats u8 (src<<4|dst) | result u8 | cause u16 | duration f32
+//	magic "TLHO" | version u16 | flags u16
 //
-// Records are fixed width (RecordSize bytes) so readers can seek and shard
-// by offset; the format is append-only.
+// followed by framed column blocks (see codecv2.go for the block frame
+// and the v2 payload, codecv3.go for the v3 payload). Writers produce
+// v3; readers also decode v2, the format of campaigns written before v3
+// became the only write format. No flag is defined: a stream with any
+// flag set is one this package does not read.
 
 // Magic identifies telcolens handover trace streams.
 var Magic = [4]byte{'T', 'L', 'H', 'O'}
 
-// Version is the legacy fixed-width stream format version. New streams
-// default to VersionV2 (see codecv2.go); readers negotiate either from
-// the shared header.
-const Version uint16 = 1
-
 // HeaderSize is the encoded header length in bytes.
 const HeaderSize = 8
 
-// RecordSize is the encoded record length in bytes.
+// RecordSize is the size of one record as a fixed-width image (ts i64,
+// four u32 ids, RAT pair, result, cause u16, fixed-point duration u16):
+// the raw-equivalent size the storage inventory compares stored bytes
+// against.
 const RecordSize = 30
 
 // ErrBadMagic is returned when a stream does not start with Magic.
 var ErrBadMagic = errors.New("trace: bad magic (not a telcolens trace)")
 
-// ErrBadVersion is returned for unsupported stream versions.
+// ErrBadVersion is returned for stream versions and flags this package
+// does not read.
 var ErrBadVersion = errors.New("trace: unsupported stream version")
 
 // ErrTruncated is returned when a stream ends mid-record.
@@ -58,30 +54,12 @@ func readErr(err error) error {
 	return fmt.Errorf("trace: read: %w", err)
 }
 
-// AppendRecord appends the binary encoding of rec to buf and returns the
-// extended slice.
-func AppendRecord(buf []byte, rec *Record) []byte {
-	var tmp [RecordSize]byte
-	binary.LittleEndian.PutUint64(tmp[0:8], uint64(rec.Timestamp))
-	binary.LittleEndian.PutUint32(tmp[8:12], uint32(rec.UE))
-	binary.LittleEndian.PutUint32(tmp[12:16], uint32(rec.TAC))
-	binary.LittleEndian.PutUint32(tmp[16:20], uint32(rec.Source))
-	binary.LittleEndian.PutUint32(tmp[20:24], uint32(rec.Target))
-	tmp[24] = byte(rec.SourceRAT)<<4 | byte(rec.TargetRAT)&0x0f
-	tmp[25] = byte(rec.Result)
-	binary.LittleEndian.PutUint16(tmp[26:28], uint16(rec.Cause))
-	// Duration is stored as fixed-point 0.1 ms units in 16 bits when it
-	// fits, else a sentinel redirects to a float side-channel; to keep the
-	// format single-pass we clamp to the 16-bit fixed-point range
-	// (6553.5 ms) only for the compact path and fall back to whole
-	// milliseconds with a scale flag for longer failures.
-	encodeDuration(tmp[28:30], rec.DurationMs)
-	return append(buf, tmp[:]...)
-}
-
 // Duration encoding: 15 bits of magnitude plus a scale bit. Scale 0 stores
 // 0.1 ms units (0–3276.7 ms, covering all successful HOs); scale 1 stores
 // whole milliseconds (0–32767 ms, covering timeout failures up to ~32 s).
+// The block codecs store durations as f32 but pass them through this
+// fixed-point round trip first (quantizeDuration), so every stream
+// version holds exactly the same value.
 func encodeDuration(dst []byte, ms float32) {
 	if ms < 0 {
 		ms = 0
@@ -102,125 +80,54 @@ func decodeDuration(src []byte) float32 {
 	return float32(v) / 10
 }
 
-// DecodeRecord decodes exactly RecordSize bytes into rec.
-func DecodeRecord(buf []byte, rec *Record) error {
-	if len(buf) < RecordSize {
-		return ErrTruncated
+// retiredFormat names a stream format earlier versions wrote and this
+// one no longer reads, or "" for a header no version ever wrote.
+func retiredFormat(version, flags uint16) string {
+	switch {
+	case version == 1:
+		return "v1 fixed-width records"
+	case (version == VersionV2 || version == VersionV3) && flags == 1:
+		return fmt.Sprintf("v%d with flate-compressed blocks", version)
+	case version == VersionV3 && flags == 2:
+		return "v3 with TLZ-compressed blocks"
 	}
-	rec.Timestamp = int64(binary.LittleEndian.Uint64(buf[0:8]))
-	rec.UE = UEID(binary.LittleEndian.Uint32(buf[8:12]))
-	rec.TAC = devices.TAC(binary.LittleEndian.Uint32(buf[12:16]))
-	rec.Source = topology.SectorID(binary.LittleEndian.Uint32(buf[16:20]))
-	rec.Target = topology.SectorID(binary.LittleEndian.Uint32(buf[20:24]))
-	rec.SourceRAT = topology.RAT(buf[24] >> 4)
-	rec.TargetRAT = topology.RAT(buf[24] & 0x0f)
-	rec.Result = Result(buf[25])
-	rec.Cause = causes.Code(binary.LittleEndian.Uint16(buf[26:28]))
-	rec.DurationMs = decodeDuration(buf[28:30])
-	return nil
+	return ""
 }
 
-// Writer encodes records onto an io.Writer with buffering.
-type Writer struct {
-	w     *bufio.Writer
-	buf   []byte
-	count int64
-	err   error
-}
-
-// NewWriter writes the stream header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [HeaderSize]byte
-	copy(hdr[0:4], Magic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], Version)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{w: bw, buf: make([]byte, 0, RecordSize)}, nil
-}
-
-// WriteColumns encodes a columnar batch as fixed-width records, one
-// buffered write per DefaultBlockRecords chunk. After an error every
-// subsequent call returns the same error.
-func (w *Writer) WriteColumns(cb *ColumnBatch) error {
-	if w.err != nil {
-		return w.err
-	}
-	var rec Record
-	for off, n := 0, cb.Len(); off < n; {
-		end := min(off+DefaultBlockRecords, n)
-		buf := w.buf[:0]
-		for i := off; i < end; i++ {
-			cb.Record(i, &rec)
-			buf = AppendRecord(buf, &rec)
-		}
-		w.buf = buf
-		if _, err := w.w.Write(buf); err != nil {
-			w.err = fmt.Errorf("trace: writing record: %w", err)
-			return w.err
-		}
-		w.count += int64(end - off)
-		off = end
-	}
-	return nil
-}
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() int64 { return w.count }
-
-// Flush flushes buffered records to the underlying writer.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
-// Reader decodes records from an io.Reader into columnar batches,
-// negotiating the stream version (fixed-width v1, columnar-block v2 or
-// bitpacked v3) from the header. NextColumns reuses the caller's batch,
-// so iteration is allocation-free in steady state. SetTimeRange
-// restricts the stream to a timestamp window — on block streams, blocks
-// entirely outside the window are skipped without decoding.
+// Reader decodes a v2 or v3 block stream into columnar batches,
+// negotiating the version from the header. NextColumns reuses the
+// caller's batch, so iteration is allocation-free in steady state.
+// SetTimeRange restricts the stream to a timestamp window; blocks
+// entirely outside it are skipped without decoding.
 type Reader struct {
 	r       *bufio.Reader
 	version uint16
-	flags   uint16
-	buf     [RecordSize]byte // v1 record scratch
 
-	// Block-stream (v2, v3) decode scratch, reused across blocks.
-	head     [blockHeadSize]byte
-	payload  []byte
-	inflated []byte
-	tacDict  []devices.TAC
-	stats    BlockStats
-
-	// Compressed-stream scratch, reused across blocks: the flate reader
-	// is Reset onto flateSrc per block instead of re-allocated, so the
-	// steady-state decode loop stays allocation-free under FlagFlate too.
-	flateSrc bytes.Reader
-	flateR   io.ReadCloser
-	trailing [1]byte
+	// Decode scratch, reused across blocks.
+	head    [blockHeadSize]byte
+	payload []byte
+	tacDict []devices.TAC
+	stats   BlockStats
 
 	hasRange     bool
 	minTS, maxTS int64
 	proj         ColumnSet // 0 = decode everything
 
-	// Block-ordinal pruning (v2): blockOrd counts every descriptor seen
-	// in stream order; blockFilter, when set, vetoes decoding a block by
+	// Block-ordinal pruning: blockOrd counts every descriptor seen in
+	// stream order; blockFilter, when set, vetoes decoding a block by
 	// that ordinal (see SetBlockFilter).
 	blockOrd    int
 	blockFilter func(block int) bool
 }
 
-// readWindow is the Reader's buffer size, chosen so default v2 blocks
+// readWindow is the Reader's buffer size, chosen so default blocks
 // always fit a zero-copy Peek (see nextBlockFrame); larger blocks fall
 // back to a copy.
 const readWindow = 1 << 18
 
-// NewReader validates the stream header and returns a Reader for either
-// supported version.
+// NewReader validates the stream header and returns a Reader. A header
+// naming a format this package does not read fails with ErrBadVersion;
+// for the formats earlier versions wrote, the message names the format.
 func NewReader(r io.Reader) (*Reader, error) { return newReaderSize(r, readWindow) }
 
 // newReaderSize is NewReader for a stream known to be size bytes long.
@@ -237,72 +144,51 @@ func newReaderSize(r io.Reader, size int64) (*Reader, error) {
 		return nil, ErrBadMagic
 	}
 	v := binary.LittleEndian.Uint16(hdr[4:6])
-	if v != Version && v != VersionV2 && v != VersionV3 {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
 	flags := binary.LittleEndian.Uint16(hdr[6:8])
-	if v == Version && flags != 0 {
-		return nil, fmt.Errorf("%w: v1 stream with flags %#x", ErrBadVersion, flags)
-	}
-	if v == VersionV2 && flags&^FlagFlate != 0 {
-		return nil, fmt.Errorf("%w: unknown v2 flags %#x", ErrBadVersion, flags)
-	}
-	if v == VersionV3 {
-		if flags&^(FlagFlate|FlagTLZ) != 0 {
-			return nil, fmt.Errorf("%w: unknown v3 flags %#x", ErrBadVersion, flags)
+	if (v != VersionV2 && v != VersionV3) || flags != 0 {
+		if name := retiredFormat(v, flags); name != "" {
+			return nil, fmt.Errorf("%w: %s is no longer readable; regenerate the campaign with telcogen", ErrBadVersion, name)
 		}
-		if flags&FlagFlate != 0 && flags&FlagTLZ != 0 {
-			return nil, fmt.Errorf("%w: v3 stream with both flate and TLZ flags", ErrBadVersion)
-		}
+		return nil, fmt.Errorf("%w: version %d flags %#x", ErrBadVersion, v, flags)
 	}
 	// Byte accounting starts at the header, so a fully decoded stream
 	// reports exactly its stored size.
-	return &Reader{r: br, version: v, flags: flags, stats: BlockStats{BytesRead: HeaderSize}}, nil
+	return &Reader{r: br, version: v, stats: BlockStats{BytesRead: HeaderSize}}, nil
 }
 
-// Version reports the negotiated stream version.
-func (r *Reader) Version() uint16 { return r.version }
-
-// Stats returns block read/skip counters (v2 streams only; zero for v1).
+// Stats returns the block read/skip counters so far.
 func (r *Reader) Stats() BlockStats { return r.stats }
 
 // SetTimeRange restricts the stream to records with
-// minTS <= Timestamp <= maxTS. On v2 streams, blocks whose [min, max]
-// descriptor misses the window are skipped without decoding.
+// minTS <= Timestamp <= maxTS. Blocks whose [min, max] descriptor
+// misses the window are skipped without decoding.
 func (r *Reader) SetTimeRange(minTS, maxTS int64) {
 	r.hasRange = true
 	r.minTS = minTS
 	r.maxTS = maxTS
 }
 
-// SetBlockFilter restricts which v2 blocks are decoded: keep is called
+// SetBlockFilter restricts which blocks are decoded: keep is called
 // with each block's stream ordinal (0-based, counting every block in the
 // stream — including blocks the time range prunes, so ordinals stay
 // aligned with any external per-block index) and a false return skips
 // the block without reading its payload. Like SetTimeRange this is a
 // pruning facility: callers that know from a PartitionIndex which
-// blocks cannot match use it to avoid decoding the rest. A no-op on v1
-// streams, which have no blocks.
+// blocks cannot match use it to avoid decoding the rest.
 func (r *Reader) SetBlockFilter(keep func(block int) bool) { r.blockFilter = keep }
 
-// SetProjection restricts which columns v2 blocks decode (timestamps are
+// SetProjection restricts which columns blocks decode (timestamps are
 // always decoded). Skipped sections are jumped over without reading;
-// the corresponding columns are left unspecified. A no-op on v1
-// streams, which are fixed-width and always decode fully — callers must
-// treat projection as an optimization hint, not a masking guarantee.
+// the corresponding columns are left unspecified.
 func (r *Reader) SetProjection(cols ColumnSet) { r.proj = cols }
 
 // NextColumns fills cb with the next run of records in columnar (SoA)
-// form and returns how many it holds. On block streams one call decodes
-// one block straight into the column slices (minus any rows outside the
-// time range, honoring the column projection); v1 streams fill up to
-// DefaultBlockRecords rows from their fixed-width records. It returns
-// (0, io.EOF) at a clean end of stream and ErrTruncated or
-// ErrCorruptBlock on a damaged one.
+// form and returns how many it holds: one call decodes one block
+// straight into the column slices (minus any rows outside the time
+// range, honoring the column projection). It returns (0, io.EOF) at a
+// clean end of stream and ErrTruncated or ErrCorruptBlock on a damaged
+// one.
 func (r *Reader) NextColumns(cb *ColumnBatch) (int, error) {
-	if r.version == Version {
-		return r.nextColumnsV1(cb)
-	}
 	for {
 		if err := r.readBlockColumns(cb); err != nil {
 			return 0, err
@@ -316,43 +202,15 @@ func (r *Reader) NextColumns(cb *ColumnBatch) (int, error) {
 	}
 }
 
-// nextColumnsV1 decodes fixed-width records into cb until it holds
-// DefaultBlockRecords in-range rows or the stream ends.
-func (r *Reader) nextColumnsV1(cb *ColumnBatch) (int, error) {
-	cb.Reset()
-	var rec Record
-	for cb.Len() < DefaultBlockRecords {
-		n, err := io.ReadFull(r.r, r.buf[:])
-		if err == io.EOF && n == 0 {
-			break
-		}
-		if err != nil {
-			return 0, readErr(err)
-		}
-		r.stats.BytesRead += RecordSize
-		if err := DecodeRecord(r.buf[:], &rec); err != nil {
-			return 0, err
-		}
-		if !r.hasRange || (rec.Timestamp >= r.minTS && rec.Timestamp <= r.maxTS) {
-			cb.AppendRecord(&rec)
-		}
-	}
-	if cb.Len() == 0 {
-		return 0, io.EOF
-	}
-	return cb.Len(), nil
-}
-
-// blockFrame is one v2 block's descriptor plus its acquired (and, when
-// compressed, inflated) payload, ready to decode. When peeked is set
-// the payload aliases the bufio window and must be fully consumed —
-// releaseFrame discards it — before the next read.
+// blockFrame is one block's descriptor plus its acquired payload, ready
+// to decode. When peeked is set the payload aliases the bufio window and
+// must be fully consumed — releaseFrame discards it — before the next
+// read.
 type blockFrame struct {
 	count        int
 	minTS, maxTS int64
 	secs         blockSections
 	payload      []byte
-	encLen       int
 	peeked       bool
 }
 
@@ -361,12 +219,12 @@ type blockFrame struct {
 func (r *Reader) releaseFrame(f *blockFrame) error {
 	if f.peeked {
 		// The peeked window is decoded; release it to the bufio reader.
-		if _, err := r.r.Discard(f.encLen); err != nil {
+		if _, err := r.r.Discard(len(f.payload)); err != nil {
 			return readErr(err)
 		}
 	}
 	r.stats.BlocksRead++
-	r.stats.BytesRead += int64(blockHeadSize + f.encLen)
+	r.stats.BytesRead += int64(blockHeadSize + len(f.payload))
 	return nil
 }
 
@@ -391,8 +249,8 @@ func (r *Reader) readBlockColumns(cb *ColumnBatch) error {
 
 // nextBlockFrame reads block descriptors until one intersects the
 // configured time range, validates it structurally, and acquires its
-// (inflated) payload. It returns io.EOF at a clean block boundary and
-// ErrTruncated or ErrCorruptBlock otherwise.
+// payload. It returns io.EOF at a clean block boundary and ErrTruncated
+// or ErrCorruptBlock otherwise.
 func (r *Reader) nextBlockFrame(f *blockFrame) error {
 	for {
 		n, err := io.ReadFull(r.r, r.head[:])
@@ -416,10 +274,14 @@ func (r *Reader) nextBlockFrame(f *blockFrame) error {
 			dstLen:      binary.LittleEndian.Uint32(r.head[48:52]),
 			causeLen:    binary.LittleEndian.Uint32(r.head[52:56]),
 		}
-		if count == 0 || count > maxBlockRecords || minTS > maxTS ||
-			rawLen > maxBlockPayload || encLen > maxBlockPayload {
+		if count == 0 || count > maxBlockRecords || minTS > maxTS || rawLen > maxBlockPayload {
 			return fmt.Errorf("%w: bad block descriptor (count=%d raw=%d enc=%d)",
 				ErrCorruptBlock, count, rawLen, encLen)
+		}
+		if rawLen != encLen {
+			// Payloads are stored as encoded; the two lengths only ever
+			// differed in the compressed formats.
+			return fmt.Errorf("%w: block with raw %d != enc %d", ErrCorruptBlock, rawLen, encLen)
 		}
 		// Structural bounds before any allocation; the sections plus the
 		// fixed-width tail must tile rawLen exactly either way, so a lying
@@ -449,34 +311,17 @@ func (r *Reader) nextBlockFrame(f *blockFrame) error {
 			return fmt.Errorf("%w: column extents sum %d != payload %d",
 				ErrCorruptBlock, sum, rawLen)
 		}
-		switch {
-		case r.flags&(FlagFlate|FlagTLZ) == 0:
-			if rawLen != encLen {
-				return fmt.Errorf("%w: uncompressed block with raw %d != enc %d",
-					ErrCorruptBlock, rawLen, encLen)
-			}
-		case r.flags&FlagFlate != 0:
-			if uint64(rawLen) > uint64(encLen)*maxFlateRatio+64 {
-				return fmt.Errorf("%w: implausible compression ratio (raw %d from enc %d)",
-					ErrCorruptBlock, rawLen, encLen)
-			}
-		default: // FlagTLZ
-			if uint64(rawLen) > uint64(encLen)*maxTLZRatio+64 {
-				return fmt.Errorf("%w: implausible compression ratio (raw %d from enc %d)",
-					ErrCorruptBlock, rawLen, encLen)
-			}
-		}
 		ord := r.blockOrd
 		r.blockOrd++
 		if r.hasRange && (maxTS < r.minTS || minTS > r.maxTS) {
-			if _, err := r.r.Discard(int(encLen)); err != nil {
+			if _, err := r.r.Discard(int(rawLen)); err != nil {
 				return readErr(err)
 			}
 			r.stats.BlocksSkipped++
 			continue
 		}
 		if r.blockFilter != nil && !r.blockFilter(ord) {
-			if _, err := r.r.Discard(int(encLen)); err != nil {
+			if _, err := r.r.Discard(int(rawLen)); err != nil {
 				return readErr(err)
 			}
 			r.stats.BlocksFiltered++
@@ -487,52 +332,22 @@ func (r *Reader) nextBlockFrame(f *blockFrame) error {
 		// read invalidates the peek). Oversized blocks fall back to a copy.
 		var payload []byte
 		peeked := false
-		if int(encLen) <= r.r.Size() {
-			p, err := r.r.Peek(int(encLen))
+		if int(rawLen) <= r.r.Size() {
+			p, err := r.r.Peek(int(rawLen))
 			if err != nil {
 				return readErr(err)
 			}
 			payload = p
 			peeked = true
 		} else {
-			if cap(r.payload) < int(encLen) {
-				r.payload = make([]byte, encLen)
+			if cap(r.payload) < int(rawLen) {
+				r.payload = make([]byte, rawLen)
 			}
-			r.payload = r.payload[:encLen]
+			r.payload = r.payload[:rawLen]
 			if _, err := io.ReadFull(r.r, r.payload); err != nil {
 				return readErr(err)
 			}
 			payload = r.payload
-		}
-		if r.flags&FlagTLZ != 0 {
-			if cap(r.inflated) < int(rawLen) {
-				r.inflated = make([]byte, rawLen)
-			}
-			r.inflated = r.inflated[:rawLen]
-			if err := tlzDecompress(r.inflated, payload); err != nil {
-				return fmt.Errorf("%w: decompressing payload: %v", ErrCorruptBlock, err)
-			}
-			payload = r.inflated
-		}
-		if r.flags&FlagFlate != 0 {
-			r.flateSrc.Reset(payload)
-			if r.flateR == nil {
-				r.flateR = flate.NewReader(&r.flateSrc)
-			} else if err := r.flateR.(flate.Resetter).Reset(&r.flateSrc, nil); err != nil {
-				return fmt.Errorf("%w: inflating payload: %v", ErrCorruptBlock, err)
-			}
-			if cap(r.inflated) < int(rawLen) {
-				r.inflated = make([]byte, rawLen)
-			}
-			r.inflated = r.inflated[:rawLen]
-			if _, err := io.ReadFull(r.flateR, r.inflated); err != nil {
-				return fmt.Errorf("%w: inflating payload: %v", ErrCorruptBlock, err)
-			}
-			// The compressed payload must not hide extra data.
-			if n, _ := r.flateR.Read(r.trailing[:]); n != 0 {
-				return fmt.Errorf("%w: compressed payload longer than rawLen", ErrCorruptBlock)
-			}
-			payload = r.inflated
 		}
 		*f = blockFrame{
 			count:   int(count),
@@ -540,7 +355,6 @@ func (r *Reader) nextBlockFrame(f *blockFrame) error {
 			maxTS:   maxTS,
 			secs:    secs,
 			payload: payload,
-			encLen:  int(encLen),
 			peeked:  peeked,
 		}
 		return nil

@@ -10,7 +10,7 @@ import (
 
 var benchBlockRecords = DefaultBlockRecords
 
-func benchStream(b *testing.B, codec Codec, compress bool) ([]byte, int) {
+func benchStream(b *testing.B, version uint16) ([]byte, int) {
 	r := rand.New(rand.NewSource(5))
 	const n = 200_000
 	recs := make([]Record, n)
@@ -23,15 +23,15 @@ func benchStream(b *testing.B, codec Codec, compress bool) ([]byte, int) {
 	var cb ColumnBatch
 	cb.FromRecords(recs)
 	var buf bytes.Buffer
-	var w streamWriter
+	var w interface {
+		WriteColumns(*ColumnBatch) error
+		Flush() error
+	}
 	var err error
-	switch codec {
-	case CodecV1:
-		w, err = NewWriter(&buf)
-	case CodecV3:
-		w, err = NewWriterV3(&buf, WriterV3Options{FastCompress: compress, BlockRecords: benchBlockRecords})
-	default:
-		w, err = NewWriterV2(&buf, WriterV2Options{Compress: compress, BlockRecords: benchBlockRecords})
+	if version == VersionV3 {
+		w, err = NewWriterV3(&buf, WriterV3Options{BlockRecords: benchBlockRecords})
+	} else {
+		w, err = NewWriterV2(&buf, WriterV2Options{BlockRecords: benchBlockRecords})
 	}
 	if err != nil {
 		b.Fatal(err)
@@ -45,8 +45,8 @@ func benchStream(b *testing.B, codec Codec, compress bool) ([]byte, int) {
 	return buf.Bytes(), n
 }
 
-func benchDecode(b *testing.B, codec Codec, compress bool) {
-	data, n := benchStream(b, codec, compress)
+func benchDecode(b *testing.B, version uint16) {
+	data, n := benchStream(b, version)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -99,8 +99,5 @@ func BenchmarkUnpackColumn(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeStreamV1(b *testing.B)      { benchDecode(b, CodecV1, false) }
-func BenchmarkDecodeStreamV2(b *testing.B)      { benchDecode(b, CodecV2, false) }
-func BenchmarkDecodeStreamV2Flate(b *testing.B) { benchDecode(b, CodecV2, true) }
-func BenchmarkDecodeStreamV3(b *testing.B)      { benchDecode(b, CodecV3, false) }
-func BenchmarkDecodeStreamV3TLZ(b *testing.B)   { benchDecode(b, CodecV3, true) }
+func BenchmarkDecodeStreamV2(b *testing.B) { benchDecode(b, VersionV2) }
+func BenchmarkDecodeStreamV3(b *testing.B) { benchDecode(b, VersionV3) }

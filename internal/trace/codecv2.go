@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,7 +14,10 @@ import (
 )
 
 // v2 columnar block stream layout (little-endian), negotiated by the
-// shared 8-byte header (magic "TLHO" | version=2 u16 | flags u16):
+// shared 8-byte header (magic "TLHO" | version=2 u16 | flags=0 u16).
+// Programs write v3 (codecv3.go); v2 stays readable because campaigns
+// written before v3 became the only write format are v2, and NewWriterV2
+// remains for tests that need such a campaign:
 //
 //	block:  count u32 | minTS i64 | maxTS i64 | rawLen u32 | encLen u32 |
 //	        tsLen u32 | ueLen u32 | dictEntries u32 | idxLen u32 |
@@ -40,28 +41,25 @@ import (
 //	duration    raw f32, canonically quantized (see quantizeDuration)
 //
 // The per-block (minTS, maxTS, count) descriptor lets readers skip whole
-// blocks that fall outside a requested time range without decoding (or,
-// when FlagFlate is set, without inflating) the payload: rawLen is the
-// payload size before compression, encLen the stored size, so a pruned
-// block costs one Discard of encLen bytes.
+// blocks that fall outside a requested time range without decoding the
+// payload: a pruned block costs one Discard of its payload. rawLen and
+// encLen are the payload size, stored twice; they could differ only in
+// the compressed formats earlier versions wrote.
 //
 // The descriptor also carries each varint column's byte extent (the
 // fixed-width tail is implied by count). That lets the decoder check
 // every section against its extent and jump over the sections a column
 // projection skips without reading them.
 //
-// Durations pass through the v1 fixed-point quantizer before encoding, so
+// Durations pass through the fixed-point quantizer before encoding, so
 // a record decoded from a v2 stream is bit-identical to the same record
-// decoded from a v1 stream. That invariant is what keeps rendered
+// decoded from a v3 stream. That invariant is what keeps rendered
 // analysis artifacts byte-identical across codecs.
 
 // VersionV2 identifies the columnar block stream format.
 const VersionV2 uint16 = 2
 
-// FlagFlate marks a v2 stream whose block payloads are flate-compressed.
-const FlagFlate uint16 = 1 << 0
-
-// DefaultBlockRecords is the default number of records per v2 block.
+// DefaultBlockRecords is the default number of records per block.
 const DefaultBlockRecords = 4096
 
 // Sanity caps enforced while decoding untrusted streams.
@@ -69,14 +67,12 @@ const (
 	maxBlockRecords = 1 << 20
 	maxBlockPayload = 1 << 28
 	blockHeadSize   = 4 + 8 + 8 + 4 + 4 + 7*4
-	// maxFlateRatio is DEFLATE's theoretical expansion bound (~1032:1).
-	maxFlateRatio = 1032
 )
 
-// ErrCorruptBlock is returned when a v2 block fails structural validation.
-var ErrCorruptBlock = errors.New("trace: corrupt v2 block")
+// ErrCorruptBlock is returned when a block fails structural validation.
+var ErrCorruptBlock = errors.New("trace: corrupt block")
 
-// ColumnSet selects which record fields a v2 scan must decode. The
+// ColumnSet selects which record fields a scan must decode. The
 // sectioned block layout makes skipping a column free: the decoder jumps
 // the cursor straight to the section end without touching the bytes.
 // Timestamps are always decoded (range filtering and block validation
@@ -84,7 +80,7 @@ var ErrCorruptBlock = errors.New("trace: corrupt v2 block")
 // — collectors must only read what they projected.
 type ColumnSet uint8
 
-// Projectable column groups of a v2 block.
+// Projectable column groups of a block.
 const (
 	// ColUE is the subscriber id column.
 	ColUE ColumnSet = 1 << iota
@@ -110,7 +106,7 @@ const AllColumns ColumnSet = ColUE | ColTAC | ColSectors | ColCause | ColOutcome
 const optionalColumns ColumnSet = ColUE | ColTAC | ColSectors | ColCause | ColOutcome
 
 // quantizeDuration maps a duration onto the codec's canonical resolution
-// (the v1 fixed-point encode/decode round trip), so every stream version
+// (the fixed-point encode/decode round trip), so every stream version
 // stores exactly the same value.
 func quantizeDuration(ms float32) float32 {
 	var buf [2]byte
@@ -384,8 +380,8 @@ func sortDictOrder(order []int32, counts []int32) {
 }
 
 // encScratch is a writer's reusable encode state. It is pooled across
-// writers (partitions are written through many short-lived WriterV2
-// instances), so a fresh writer starts with buffers already sized by the
+// writers (partitions are written through many short-lived block
+// writers), so a fresh writer starts with buffers already sized by the
 // previous one's blocks and the steady-state encode path allocates
 // nothing per block.
 type encScratch struct {
@@ -397,13 +393,8 @@ type encScratch struct {
 	tacDict []uint32
 	counts  []int32
 	order   []int32
-	flateW  *flate.Writer
-	flateB  bytes.Buffer
-	// v3 encode scratch: bitpack staging values, TLZ output buffer and
-	// the TLZ compressor's hash table.
+	// packBuf stages the v3 encoder's values before bitpacking.
 	packBuf []uint64
-	tlzB    []byte
-	tlzTab  []int32
 }
 
 var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
@@ -493,12 +484,10 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS int64, e 
 }
 
 // WriterV2Options tunes a v2 block writer. The zero value means
-// DefaultBlockRecords per block, uncompressed.
+// DefaultBlockRecords per block.
 type WriterV2Options struct {
 	// BlockRecords is the number of records per block (0 = default).
 	BlockRecords int
-	// Compress flate-compresses block payloads (FlagFlate).
-	Compress bool
 }
 
 // WriterV2 encodes records as a v2 columnar block stream. Rows are
@@ -509,8 +498,6 @@ type WriterV2 struct {
 	w        *bufio.Writer
 	version  uint16 // VersionV2, or VersionV3 when backing a WriterV3
 	perBlock int
-	compress bool
-	tlz      bool // TLZ-compress payloads (v3 only)
 	count    int64
 	err      error
 	enc      *encScratch
@@ -518,9 +505,8 @@ type WriterV2 struct {
 
 // initBlockWriter writes a block-stream header for version and
 // initializes v2's buffering around it. Both the v2 and v3 writers are
-// built on this machinery; only the per-block payload encoder and the
-// compression flag differ.
-func initBlockWriter(v2 *WriterV2, w io.Writer, version uint16, blockRecords int, compress, tlz bool) error {
+// built on this machinery; only the per-block payload encoder differs.
+func initBlockWriter(v2 *WriterV2, w io.Writer, version uint16, blockRecords int) error {
 	perBlock := blockRecords
 	if perBlock <= 0 {
 		perBlock = DefaultBlockRecords
@@ -529,57 +515,31 @@ func initBlockWriter(v2 *WriterV2, w io.Writer, version uint16, blockRecords int
 		return fmt.Errorf("trace: block size %d exceeds %d", perBlock, maxBlockRecords)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var flags uint16
-	if compress {
-		flags |= FlagFlate
-	}
-	if tlz {
-		flags |= FlagTLZ
-	}
 	var hdr [HeaderSize]byte
 	copy(hdr[0:4], Magic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], version)
-	binary.LittleEndian.PutUint16(hdr[6:8], flags)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("trace: writing header: %w", err)
 	}
 	enc := encScratchPool.Get().(*encScratch)
 	enc.cols.Reset()
 	enc.dictTab.init(perBlock)
-	*v2 = WriterV2{
-		w:        bw,
-		version:  version,
-		perBlock: perBlock,
-		compress: compress,
-		tlz:      tlz,
-		enc:      enc,
-	}
-	if compress && enc.flateW == nil {
-		fw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-		if err != nil {
-			encScratchPool.Put(enc)
-			return err
-		}
-		enc.flateW = fw
-	}
-	if tlz && enc.tlzTab == nil {
-		enc.tlzTab = make([]int32, tlzTableSize)
-	}
+	*v2 = WriterV2{w: bw, version: version, perBlock: perBlock, enc: enc}
 	return nil
 }
 
 // NewWriterV2 writes a v2 stream header and returns the block writer.
 func NewWriterV2(w io.Writer, opts WriterV2Options) (*WriterV2, error) {
 	v2 := &WriterV2{}
-	if err := initBlockWriter(v2, w, VersionV2, opts.BlockRecords, opts.Compress, false); err != nil {
+	if err := initBlockWriter(v2, w, VersionV2, opts.BlockRecords); err != nil {
 		return nil, err
 	}
 	return v2, nil
 }
 
 // Release returns the writer's pooled encode scratch (block buffer,
-// payload/frame buffers, dictionary table, flate writer) for reuse by
-// the next writer. Call it after Flush; the writer must not be used
+// payload/frame buffers, dictionary table) for reuse by the next
+// writer. Call it after Flush; the writer must not be used
 // afterwards. Skipping Release only costs a pool miss.
 func (w *WriterV2) Release() {
 	if w.enc != nil {
@@ -654,33 +614,16 @@ func (w *WriterV2) emitColumns(cb *ColumnBatch, lo, hi int) error {
 	return w.emitBlock(hi-lo, minTS, maxTS, secs)
 }
 
-// emitBlock compresses (when configured) and writes the encoded payload
-// in w.enc.payload as one framed block.
+// emitBlock writes the encoded payload in w.enc.payload as one framed
+// block.
 func (w *WriterV2) emitBlock(count int, minTS, maxTS int64, secs blockSections) error {
 	e := w.enc
-	stored := e.payload
-	if w.tlz {
-		e.tlzB = appendTLZ(e.tlzB[:0], e.payload, e.tlzTab)
-		stored = e.tlzB
-	} else if w.compress {
-		e.flateB.Reset()
-		e.flateW.Reset(&e.flateB)
-		if _, err := e.flateW.Write(e.payload); err != nil {
-			w.err = fmt.Errorf("trace: compressing block: %w", err)
-			return w.err
-		}
-		if err := e.flateW.Close(); err != nil {
-			w.err = fmt.Errorf("trace: compressing block: %w", err)
-			return w.err
-		}
-		stored = e.flateB.Bytes()
-	}
 	e.frame = e.frame[:0]
 	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(count))
 	e.frame = binary.LittleEndian.AppendUint64(e.frame, uint64(minTS))
 	e.frame = binary.LittleEndian.AppendUint64(e.frame, uint64(maxTS))
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(e.payload)))
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(stored)))
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(e.payload))) // rawLen
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(e.payload))) // encLen
 	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.tsLen)
 	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.ueLen)
 	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.dictEntries)
@@ -692,7 +635,7 @@ func (w *WriterV2) emitBlock(count int, minTS, maxTS int64, secs blockSections) 
 		w.err = fmt.Errorf("trace: writing block: %w", err)
 		return w.err
 	}
-	if _, err := w.w.Write(stored); err != nil {
+	if _, err := w.w.Write(e.payload); err != nil {
 		w.err = fmt.Errorf("trace: writing block: %w", err)
 		return w.err
 	}
@@ -722,9 +665,8 @@ type BlockStats struct {
 	// their payload. Range-pruned blocks count as skipped, not filtered.
 	BlocksFiltered int64
 	// BytesRead is the number of stored stream bytes consumed by decoded
-	// data: the stream header plus, on v2, each decoded block's
-	// descriptor and stored (possibly compressed) payload, and on v1
-	// each decoded record. Range-pruned blocks do not count, so a full
-	// unwindowed read reports exactly the stream's on-disk size.
+	// data: the stream header plus each decoded block's descriptor and
+	// payload. Pruned blocks do not count, so a full unwindowed read
+	// reports exactly the stream's on-disk size.
 	BytesRead int64
 }

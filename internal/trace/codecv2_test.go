@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"testing"
-	"testing/quick"
 
 	"telcolens/internal/causes"
 	"telcolens/internal/devices"
@@ -57,23 +57,52 @@ func encodeV2(t testing.TB, recs []Record, opts WriterV2Options) []byte {
 	return buf.Bytes()
 }
 
-// encodeV1 writes recs as a v1 fixed-width stream.
-func encodeV1(t testing.TB, recs []Record) []byte {
+// writeV2Partition lands recs in fs as a v2 partition with no sidecar
+// — what a campaign written before v3 became the only write format
+// holds — and folds it into the MANIFEST like any closed partition.
+func writeV2Partition(t testing.TB, fs *FileStore, day, shard int, recs []Record, blockRecords int) {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	data := encodeV2(t, recs, WriterV2Options{BlockRecords: blockRecords})
+	if err := os.WriteFile(fs.partitionPath(day, shard), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := newPartitionDigest()
+	d.observeBytes(data)
+	for i := range recs {
+		d.observeTS(recs[i].Timestamp)
+	}
+	if err := fs.notePartitionClosed(d.info(day, shard, int64(len(recs)))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stampHeader rewrites the version and flags of every partition stream
+// in fs, leaving the MANIFEST and sidecars as they were: the store then
+// holds a format this package no longer reads, in files whose layout is
+// otherwise intact.
+func stampHeader(t testing.TB, fs *FileStore, version, flags uint16) {
+	t.Helper()
+	parts, err := fs.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cb ColumnBatch
-	cb.FromRecords(recs)
-	if err := w.WriteColumns(&cb); err != nil {
+	for _, p := range parts {
+		stampPartition(t, fs, p, version, flags)
+	}
+}
+
+// stampPartition is stampHeader for one partition.
+func stampPartition(t testing.TB, fs *FileStore, p Partition, version, flags uint16) {
+	t.Helper()
+	path := fs.partitionPath(p.Day, p.Shard)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	data[4], data[5], data[6], data[7] = byte(version), byte(version>>8), byte(flags), byte(flags>>8)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
 }
 
 func decodeAll(t testing.TB, data []byte) []Record {
@@ -95,7 +124,6 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
 		for _, opts := range []WriterV2Options{
 			{BlockRecords: 64},
-			{BlockRecords: 64, Compress: true},
 			{}, // default block size
 		} {
 			recs := make([]Record, n)
@@ -114,38 +142,6 @@ func TestCodecV2RoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCodecV1V2DecodeAgree is the cross-codec property: the same records
-// written through v1 and v2 decode to bit-identical streams (durations
-// included, thanks to the shared canonical quantizer). This is what makes
-// analysis artifacts byte-identical across codecs.
-func TestCodecV1V2DecodeAgree(t *testing.T) {
-	f := func(seed int64, count uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := int(count%200) + 1
-		recs := make([]Record, n)
-		base := StudyStart.UnixMilli()
-		for i := range recs {
-			recs[i] = randRecord(r, base)
-		}
-
-		fromV1 := decodeAll(t, encodeV1(t, recs))
-		fromV2 := decodeAll(t, encodeV2(t, recs, WriterV2Options{BlockRecords: 32}))
-		if len(fromV1) != len(fromV2) {
-			return false
-		}
-		for i := range fromV1 {
-			if fromV1[i] != fromV2[i] {
-				t.Logf("record %d:\n v1 %+v\n v2 %+v", i, fromV1[i], fromV2[i])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -183,41 +179,8 @@ func TestCodecV2NextColumns(t *testing.T) {
 	}
 }
 
-// TestReaderV1NextColumns: v1 streams fill batches of DefaultBlockRecords
-// rows from the fixed-width records, the last one short.
-func TestReaderV1NextColumns(t *testing.T) {
-	recs := make([]Record, DefaultBlockRecords+300)
-	for i := range recs {
-		recs[i] = sampleRecord()
-		recs[i].UE = UEID(i)
-		recs[i].Timestamp += int64(i)
-	}
-	r, err := NewReader(bytes.NewReader(encodeV1(t, recs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cb ColumnBatch
-	var sizes []int
-	for {
-		n, err := r.NextColumns(&cb)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cb.UEs[0] != UEID(len(sizes)*DefaultBlockRecords) {
-			t.Fatalf("batch %d starts at UE %d", len(sizes), cb.UEs[0])
-		}
-		sizes = append(sizes, n)
-	}
-	if len(sizes) != 2 || sizes[0] != DefaultBlockRecords || sizes[1] != 300 {
-		t.Fatalf("v1 batch sizes %v, want [%d 300]", sizes, DefaultBlockRecords)
-	}
-}
-
 // TestReaderSetTimeRange checks exact record filtering plus block-level
-// pruning counters on a time-sorted v2 stream.
+// pruning counters on time-sorted v2 and v3 streams.
 func TestReaderSetTimeRange(t *testing.T) {
 	base := StudyStart.UnixMilli()
 	recs := make([]Record, 1000)
@@ -225,8 +188,10 @@ func TestReaderSetTimeRange(t *testing.T) {
 		recs[i] = sampleRecord()
 		recs[i].Timestamp = base + int64(i)*1000
 	}
-	for _, compress := range []bool{false, true} {
-		data := encodeV2(t, recs, WriterV2Options{BlockRecords: 100, Compress: compress})
+	for codec, data := range map[string][]byte{
+		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 100}),
+		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 100}),
+	} {
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
@@ -238,25 +203,25 @@ func TestReaderSetTimeRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got) != 100 {
-			t.Fatalf("compress=%v: %d records in range, want 100", compress, len(got))
+			t.Fatalf("%s: %d records in range, want 100", codec, len(got))
 		}
 		if got[0].Timestamp != base+250_000 || got[99].Timestamp != base+349_000 {
-			t.Fatalf("compress=%v: wrong window edges", compress)
+			t.Fatalf("%s: wrong window edges", codec)
 		}
 		s := rd.Stats()
 		// Records 250..349 span blocks 2 and 3 of ten; the other eight are
 		// pruned from their descriptors alone.
 		if s.BlocksRead != 2 || s.BlocksSkipped != 8 {
-			t.Fatalf("compress=%v: stats = %+v, want 2 read / 8 skipped", compress, s)
+			t.Fatalf("%s: stats = %+v, want 2 read / 8 skipped", codec, s)
 		}
 	}
 }
 
 // TestScanRangePrunesBlocks is the acceptance check: a 1-day window over
-// a 31-day v2 store must touch <10% of the blocks, while observing
-// exactly the day's records.
+// a 31-day store must touch <10% of the blocks, while observing exactly
+// the day's records.
 func TestScanRangePrunesBlocks(t *testing.T) {
-	fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{Codec: CodecV2, BlockRecords: 64})
+	fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,33 +270,30 @@ func TestScanRangePrunesBlocks(t *testing.T) {
 }
 
 // TestScanRangeCodecAgreement: a ranged scan observes the identical
-// record sequence whether the store is v1 (record filtering) or v2
-// (block pruning + filtering) or in-memory.
+// record sequence whether the store is v2 or v3 (block pruning +
+// filtering) or in-memory (record filtering).
 func TestScanRangeCodecAgreement(t *testing.T) {
-	build := func(s Store) {
-		for day := 0; day < 4; day++ {
-			recs := make([]Record, 300)
-			for i := range recs {
-				recs[i] = sampleRecord()
-				recs[i].UE = UEID(i % 37)
-				recs[i].Timestamp = DayStart(day).UnixMilli() + int64(i)*7000
-			}
-			writePartition(t, s, day, 0, recs)
-		}
-	}
-	v1, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{Codec: CodecV1})
+	v2, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{Codec: CodecV2, BlockRecords: 50})
+	v3, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := NewMemStore()
-	stores := map[string]Store{"v1": v1, "v2": v2, "mem": mem}
-	for _, s := range stores {
-		build(s)
+	for day := 0; day < 4; day++ {
+		recs := make([]Record, 300)
+		for i := range recs {
+			recs[i] = sampleRecord()
+			recs[i].UE = UEID(i % 37)
+			recs[i].Timestamp = DayStart(day).UnixMilli() + int64(i)*7000
+		}
+		writeV2Partition(t, v2, day, 0, recs, 50)
+		writePartition(t, v3, day, 0, recs)
+		writePartition(t, mem, day, 0, recs)
 	}
+	stores := map[string]Store{"v2": v2, "v3": v3, "mem": mem}
 	tr := DayRange(1, 2)
 	results := map[string]*countingCollector{}
 	for name, s := range stores {
@@ -414,7 +376,7 @@ func TestProjectionMatchesFullDecode(t *testing.T) {
 // TestScanProjectionCounts: a projected scan observes every record even
 // though it decodes almost nothing.
 func TestScanProjectionCounts(t *testing.T) {
-	fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{Codec: CodecV2, BlockRecords: 64})
+	fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,6 +428,9 @@ func TestWriterV2BatchMatchesWrite(t *testing.T) {
 	}
 }
 
+// TestV2StreamSmallerThanV1: the block formats store less than the
+// fixed-width record image (v1's layout, RecordSize bytes a record), and
+// v3's bitpacking less than v2's varints.
 func TestV2StreamSmallerThanV1(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	recs := make([]Record, 20_000)
@@ -473,18 +438,14 @@ func TestV2StreamSmallerThanV1(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(r, base+int64(i)*500)
 	}
-	v1 := encodeV1(t, recs)
-	v2 := encodeV2(t, recs, WriterV2Options{})
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 stream (%d B) not smaller than v1 (%d B)", len(v2), len(v1))
+	v1 := HeaderSize + len(recs)*RecordSize
+	v2 := len(encodeV2(t, recs, WriterV2Options{}))
+	v3 := len(encodeV3(t, recs, WriterV3Options{}))
+	if v2 >= v1 || v3 >= v2 {
+		t.Fatalf("stream sizes v1 %d B, v2 %d B, v3 %d B; want strictly shrinking", v1, v2, v3)
 	}
-	v2c := encodeV2(t, recs, WriterV2Options{Compress: true})
-	if len(v2c) >= len(v2) {
-		t.Fatalf("compressed v2 (%d B) not smaller than raw v2 (%d B)", len(v2c), len(v2))
-	}
-	t.Logf("bytes/record: v1 %.1f, v2 %.1f, v2+flate %.1f",
-		float64(len(v1))/float64(len(recs)), float64(len(v2))/float64(len(recs)),
-		float64(len(v2c))/float64(len(recs)))
+	t.Logf("bytes/record: v1 %.1f, v2 %.1f, v3 %.1f", float64(v1)/float64(len(recs)),
+		float64(v2)/float64(len(recs)), float64(v3)/float64(len(recs)))
 }
 
 func TestReaderRejectsCorruptV2(t *testing.T) {

@@ -11,9 +11,10 @@ import (
 )
 
 // v3 bitpacked block stream layout (little-endian), negotiated by the
-// same 8-byte header as v2 (magic "TLHO" | version=3 u16 | flags u16)
+// same 8-byte header as v2 (magic "TLHO" | version=3 u16 | flags=0 u16)
 // and framed by the same 56-byte block descriptor, so readers prune,
-// filter and skip v3 blocks exactly as they do v2 blocks.
+// filter and skip v3 blocks exactly as they do v2 blocks. v3 is the
+// only format any program writes.
 //
 // Where v2 stores one varint per value, v3 stores each variable-width
 // column as frame-of-reference (FOR) bitpacked words:
@@ -39,25 +40,12 @@ import (
 //
 // The fixed-width tail is byte-identical to v2 (including the duration
 // quantizer), so a record decoded from a v3 stream is bit-identical to
-// the same record decoded from a v1 or v2 stream — the cross-codec
-// artifact byte-identity invariant carries over unchanged.
-//
-// Compression: FlagFlate works as on v2. FlagTLZ selects the homegrown
-// byte-oriented LZ compressor below — much faster than flate on both
-// ends at a lower ratio. A stream sets at most one of the two.
+// the same record decoded from a v2 stream — the cross-codec artifact
+// byte-identity invariant carries over unchanged.
 
 // VersionV3 identifies the bitpacked frame-of-reference block stream
 // format.
 const VersionV3 uint16 = 3
-
-// FlagTLZ marks a v3 stream whose block payloads are compressed with
-// the fast byte-oriented TLZ compressor (see appendTLZ). Mutually
-// exclusive with FlagFlate.
-const FlagTLZ uint16 = 1 << 1
-
-// maxTLZRatio is TLZ's theoretical expansion bound: one extension byte
-// adds at most 255 bytes of match, on top of a 3-byte minimum sequence.
-const maxTLZRatio = 255
 
 // packedLen returns the byte length of n values bitpacked at width w:
 // whole 64-bit words, so the unpacker's two-load fast path never reads
@@ -502,33 +490,23 @@ func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections
 }
 
 // WriterV3Options tunes a v3 block writer. The zero value means
-// DefaultBlockRecords per block, uncompressed. At most one of Compress
-// and FastCompress may be set.
+// DefaultBlockRecords per block.
 type WriterV3Options struct {
 	// BlockRecords is the number of records per block (0 = default).
 	BlockRecords int
-	// Compress flate-compresses block payloads (FlagFlate).
-	Compress bool
-	// FastCompress compresses block payloads with the fast TLZ
-	// compressor (FlagTLZ): a lower ratio than flate at a fraction of
-	// the encode and decode cost.
-	FastCompress bool
 }
 
 // WriterV3 encodes records as a v3 bitpacked block stream. It shares
 // the v2 writer's columnar row buffering; only the per-block payload
-// encoding, the optional TLZ compression and the stream header differ.
+// encoding and the stream header differ.
 type WriterV3 struct {
 	w2 WriterV2
 }
 
 // NewWriterV3 writes a v3 stream header and returns the block writer.
 func NewWriterV3(w io.Writer, opts WriterV3Options) (*WriterV3, error) {
-	if opts.Compress && opts.FastCompress {
-		return nil, fmt.Errorf("trace: v3 writer with both flate and TLZ compression")
-	}
 	w3 := &WriterV3{}
-	if err := initBlockWriter(&w3.w2, w, VersionV3, opts.BlockRecords, opts.Compress, opts.FastCompress); err != nil {
+	if err := initBlockWriter(&w3.w2, w, VersionV3, opts.BlockRecords); err != nil {
 		return nil, err
 	}
 	return w3, nil
@@ -547,161 +525,3 @@ func (w *WriterV3) Flush() error { return w.w2.Flush() }
 // Release returns the writer's pooled encode scratch for reuse; call it
 // after Flush. The writer must not be used afterwards.
 func (w *WriterV3) Release() { w.w2.Release() }
-
-// appendTLZ compresses src onto dst with a greedy byte-oriented LZ
-// (token format): each sequence is one token byte — literal length in
-// the high nibble, match length minus 4 in the low nibble, 15 meaning
-// "extension bytes follow, each adding up to 255" — then the literals,
-// then a 2-byte LE match offset (>= 1, within the produced output) and
-// any match-length extension bytes. The stream ends with a
-// literals-only sequence (match nibble 0, no offset). table is the
-// compressor's 4-byte-hash chain head array (tlzTableSize entries).
-func appendTLZ(dst, src []byte, table []int32) []byte {
-	clear(table)
-	n := len(src)
-	i, lit := 0, 0
-	for i+tlzMinMatch <= n {
-		u := binary.LittleEndian.Uint32(src[i:])
-		h := tlzHash(u)
-		cand := int(table[h]) - 1 // slots store pos+1 so 0 means empty
-		table[h] = int32(i + 1)
-		if cand >= 0 && i-cand <= tlzMaxOffset && binary.LittleEndian.Uint32(src[cand:]) == u {
-			mlen := tlzMinMatch
-			for i+mlen < n && src[cand+mlen] == src[i+mlen] {
-				mlen++
-			}
-			dst = tlzEmit(dst, src[lit:i], i-cand, mlen)
-			i += mlen
-			lit = i
-		} else {
-			i++
-		}
-	}
-	return tlzEmit(dst, src[lit:], 0, 0)
-}
-
-// TLZ compressor parameters.
-const (
-	tlzMinMatch  = 4
-	tlzMaxOffset = 1<<16 - 1
-	tlzHashBits  = 13
-	// tlzTableSize is the compressor hash table length (int32 slots).
-	tlzTableSize = 1 << tlzHashBits
-)
-
-// tlzHash maps 4 source bytes onto a table slot.
-func tlzHash(u uint32) uint32 {
-	return (u * 2654435761) >> (32 - tlzHashBits)
-}
-
-// tlzEmit appends one sequence: lits, then (when offset > 0) a match of
-// mlen bytes at offset back. offset == 0 emits the final literals-only
-// sequence.
-func tlzEmit(dst []byte, lits []byte, offset, mlen int) []byte {
-	ll := len(lits)
-	token := byte(min(ll, 15)) << 4
-	ml := 0
-	if offset > 0 {
-		ml = mlen - tlzMinMatch
-		token |= byte(min(ml, 15))
-	}
-	dst = append(dst, token)
-	if ll >= 15 {
-		dst = appendTLZLen(dst, ll-15)
-	}
-	dst = append(dst, lits...)
-	if offset > 0 {
-		dst = append(dst, byte(offset), byte(offset>>8))
-		if ml >= 15 {
-			dst = appendTLZLen(dst, ml-15)
-		}
-	}
-	return dst
-}
-
-// appendTLZLen appends a length extension: 255-bytes until the
-// remainder fits one byte.
-func appendTLZLen(dst []byte, v int) []byte {
-	for v >= 255 {
-		dst = append(dst, 255)
-		v -= 255
-	}
-	return append(dst, byte(v))
-}
-
-// tlzDecompress inflates src into dst, which must be pre-sized to the
-// exact decompressed length. Any structural violation — truncated
-// sequence, offset outside the produced output, output over- or
-// underrun, non-canonical final sequence — is an error; it never
-// panics on corrupt input.
-func tlzDecompress(dst, src []byte) error {
-	di, si := 0, 0
-	for si < len(src) {
-		token := src[si]
-		si++
-		ll := int(token >> 4)
-		if ll == 15 {
-			for {
-				if si >= len(src) {
-					return fmt.Errorf("trace: tlz: truncated literal length")
-				}
-				b := src[si]
-				si++
-				ll += int(b)
-				if b != 255 {
-					break
-				}
-			}
-		}
-		if si+ll > len(src) || di+ll > len(dst) {
-			return fmt.Errorf("trace: tlz: literal run overflows")
-		}
-		copy(dst[di:], src[si:si+ll])
-		si += ll
-		di += ll
-		if si == len(src) {
-			if token&0x0f != 0 {
-				return fmt.Errorf("trace: tlz: final sequence carries a match")
-			}
-			break
-		}
-		if si+2 > len(src) {
-			return fmt.Errorf("trace: tlz: truncated match offset")
-		}
-		off := int(src[si]) | int(src[si+1])<<8
-		si += 2
-		ml := int(token&0x0f) + tlzMinMatch
-		if token&0x0f == 15 {
-			for {
-				if si >= len(src) {
-					return fmt.Errorf("trace: tlz: truncated match length")
-				}
-				b := src[si]
-				si++
-				ml += int(b)
-				if b != 255 {
-					break
-				}
-			}
-		}
-		if off == 0 || off > di {
-			return fmt.Errorf("trace: tlz: match offset %d outside output %d", off, di)
-		}
-		if di+ml > len(dst) {
-			return fmt.Errorf("trace: tlz: match overflows output")
-		}
-		for k := 0; k < ml; k++ { // byte-at-a-time: overlapping copies are legal
-			dst[di+k] = dst[di+k-off]
-		}
-		di += ml
-		if si == len(src) {
-			// Canonical streams always end with a literals-only sequence
-			// (possibly empty), so a stream ending on a match is truncated.
-			return fmt.Errorf("trace: tlz: stream ends without a final literal sequence")
-		}
-	}
-	if di != len(dst) {
-		return fmt.Errorf("trace: tlz: output underrun (%d of %d bytes)", di, len(dst))
-	}
-	return nil
-}

@@ -64,9 +64,9 @@ func TestColumnBatchFilterRange(t *testing.T) {
 	}
 }
 
-// TestReaderNextColumnsMatchesFullDecode: for every codec/compression/
-// range/projection combination, the SoA stream must hold exactly the
-// in-range records, equal to the written ones on the projected fields.
+// TestReaderNextColumnsMatchesFullDecode: for every codec/range/
+// projection combination, the SoA stream must hold exactly the in-range
+// records, equal to the written ones on the projected fields.
 func TestReaderNextColumnsMatchesFullDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	base := StudyStart.UnixMilli()
@@ -75,9 +75,8 @@ func TestReaderNextColumnsMatchesFullDecode(t *testing.T) {
 		recs[i] = randRecord(r, base)
 	}
 	streams := map[string][]byte{
-		"v1":      encodeV1(t, recs),
-		"v2":      encodeV2(t, recs, WriterV2Options{BlockRecords: 256}),
-		"v2flate": encodeV2(t, recs, WriterV2Options{BlockRecords: 256, Compress: true}),
+		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 256}),
+		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 256}),
 	}
 	ranges := []*TimeRange{nil, {MinTS: base + 2*3600*1000, MaxTS: base + 7*3600*1000}}
 	projs := []ColumnSet{0, ColTimestamp, ColUE | ColOutcome, ColTAC | ColSectors | ColCause}
@@ -346,9 +345,8 @@ func TestReaderBytesRead(t *testing.T) {
 	// narrow time bounds the pruning check below can exercise.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Timestamp < recs[j].Timestamp })
 	streams := map[string][]byte{
-		"v1":      encodeV1(t, recs),
-		"v2":      encodeV2(t, recs, WriterV2Options{BlockRecords: 512}),
-		"v2flate": encodeV2(t, recs, WriterV2Options{BlockRecords: 512, Compress: true}),
+		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 512}),
+		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 512}),
 	}
 	for name, data := range streams {
 		rd, err := NewReader(bytes.NewReader(data))

@@ -11,11 +11,11 @@ import (
 // The partition secondary index: a small ".tlix" sidecar written next
 // to each partition file, holding partition-level bloom filters over
 // the UE, TAC and sector columns plus a per-block summary (record
-// count, timestamp extents, UE and TAC blooms) aligned with the v2
-// block layout. The query layer uses it to prune partitions and blocks
-// before a single payload byte is decoded; the sidecar is strictly an
-// accelerator — an absent, stale or corrupt index degrades to the scan
-// path, never to a wrong answer.
+// count, timestamp extents, UE and TAC blooms) aligned with the
+// stream's block layout. The query layer uses it to prune partitions
+// and blocks before a single payload byte is decoded; the sidecar is
+// strictly an accelerator — an absent, stale or corrupt index degrades
+// to the scan path, never to a wrong answer.
 //
 // Layout (little-endian):
 //
@@ -29,8 +29,9 @@ import (
 // The fingerprint must equal the partition's manifest/stream
 // fingerprint; loaders reject a mismatch so a rewritten partition can
 // never be served through a stale index. blockRecords is the writer's
-// records-per-block setting; 0 means the stream has no per-block
-// summaries (v1 fixed-width files index at partition granularity only).
+// records-per-block setting. (Sidecars of v1 streams, which had no
+// blocks, stored 0 and no block summaries; their streams no longer
+// decode, so such a sidecar never matters.)
 
 // IndexVersionCurrent is the sidecar format version this package
 // writes. Loaders return ErrIndexVersion for newer versions so old
@@ -180,7 +181,7 @@ func readBloom(src []byte) (*Bloom, []byte, error) {
 	return b, src[int(words)*8:], nil
 }
 
-// BlockSummary is one v2 block's index entry: its record count and
+// BlockSummary is one block's index entry: its record count and
 // timestamp extents (mirroring the block descriptor, so pruning needs
 // no stream access) plus bloom filters over its UE and TAC columns.
 type BlockSummary struct {
@@ -191,22 +192,20 @@ type BlockSummary struct {
 }
 
 // PartitionIndex is a decoded .tlix sidecar. Partition-level filters
-// cover every record; Blocks aligns 1:1 with the v2 stream's blocks in
-// stream order (empty for v1 streams, which index at partition
-// granularity only).
+// cover every record; Blocks aligns 1:1 with the stream's blocks in
+// stream order.
 type PartitionIndex struct {
 	// Version is the decoded sidecar format version.
 	Version uint16
 	// Fingerprint is the indexed partition's content fingerprint; it
 	// must match the MANIFEST entry or the index is stale.
 	Fingerprint uint64
-	// BlockRecords is the writer's records-per-block setting (0 for v1
-	// streams with no per-block summaries).
+	// BlockRecords is the writer's records-per-block setting.
 	BlockRecords int
 	// UEs/TACs/Sectors are partition-level membership filters; Sectors
 	// covers both source and target sector IDs.
 	UEs, TACs, Sectors *Bloom
-	// Blocks summarizes each v2 block in stream order.
+	// Blocks summarizes each block in stream order.
 	Blocks []BlockSummary
 }
 
@@ -398,12 +397,12 @@ func (s *keySet) reset() {
 
 // indexBuilder accumulates a PartitionIndex while a partition is being
 // written. The writer wrappers feed it every record's (ts, ue, tac,
-// source, target); block boundaries are replicated from the v2 writer's
-// rule — a block seals exactly every perBlock records, with a final
+// source, target); block boundaries are replicated from the block
+// writer's rule — a block seals exactly every perBlock records, with a final
 // partial block at flush — so summaries align 1:1 with the stream's
 // blocks without touching the encoder.
 type indexBuilder struct {
-	perBlock int // 0 = no per-block summaries (v1 stream)
+	perBlock int
 
 	fill      int
 	curMin    int64
@@ -417,17 +416,14 @@ type indexBuilder struct {
 }
 
 func newIndexBuilder(perBlock int) *indexBuilder {
-	b := &indexBuilder{
+	return &indexBuilder{
 		perBlock:  perBlock,
+		blockUEs:  newKeySet(perBlock),
+		blockTACs: newKeySet(64),
 		partUEs:   newKeySet(1024),
 		partTACs:  newKeySet(256),
 		partSects: newKeySet(256),
 	}
-	if perBlock > 0 {
-		b.blockUEs = newKeySet(perBlock)
-		b.blockTACs = newKeySet(64)
-	}
-	return b
 }
 
 // observe folds one record into the builder.
@@ -436,9 +432,6 @@ func (b *indexBuilder) observe(ts int64, ue, tac, src, dst uint32) {
 	b.partTACs.add(tac)
 	b.partSects.add(src)
 	b.partSects.add(dst)
-	if b.perBlock == 0 {
-		return
-	}
 	if b.fill == 0 {
 		b.curMin, b.curMax = ts, ts
 	} else {
@@ -482,7 +475,7 @@ func (b *indexBuilder) sealBlock() {
 // finish seals any partial block and materializes the index with the
 // partition's content fingerprint.
 func (b *indexBuilder) finish(fingerprint uint64) *PartitionIndex {
-	if b.perBlock > 0 && b.fill > 0 {
+	if b.fill > 0 {
 		b.sealBlock()
 	}
 	return &PartitionIndex{

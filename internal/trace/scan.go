@@ -60,11 +60,11 @@ type ScanMetrics struct {
 	Partitions atomic.Int64
 	// Records is the number of records observed (post range filtering).
 	Records atomic.Int64
-	// BlocksRead / BlocksSkipped count v2 codec blocks decoded vs pruned
-	// by the time range without decoding (zero for v1/memory stores).
+	// BlocksRead / BlocksSkipped count stream blocks decoded vs pruned
+	// by the time range without decoding (zero for memory stores).
 	BlocksRead    atomic.Int64
 	BlocksSkipped atomic.Int64
-	// BlocksFiltered counts v2 blocks pruned by a block filter fed from
+	// BlocksFiltered counts blocks pruned by a block filter fed from
 	// a partition index (see BlockFilterSetter).
 	BlocksFiltered atomic.Int64
 	// BytesRead is the number of stored trace bytes consumed by decoded
@@ -82,13 +82,13 @@ type ScanOptions struct {
 	// the number of merged partitions and the total.
 	Progress func(done, total int)
 	// Range, if set, restricts the scan to records inside the window.
-	// Iterators that support TimeRangeSetter prune natively (the v2
-	// codec skips whole blocks); the engine filters the batches of the
+	// Iterators that support TimeRangeSetter prune natively (file
+	// stores skip whole blocks); the engine filters the batches of the
 	// others. Either way collectors observe exactly the same record
 	// sequence.
 	Range *TimeRange
 	// Projection, if nonzero, declares the columns the collectors read;
-	// v2 block partitions skip decoding everything else. This is an
+	// file-store partitions skip decoding everything else. This is an
 	// optimization hint — iterators without projection support decode
 	// all fields — so collectors must only read projected columns.
 	// Timestamps are always decoded.
@@ -308,7 +308,7 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 
 // ScanRange is Scan restricted to records with Timestamp inside tr.
 // Partitions are still all opened (partition naming carries no time
-// bounds), but v2-codec partitions only decode the blocks whose
+// bounds), but file-store partitions only decode the blocks whose
 // [minTS, maxTS] descriptor intersects the window — a one-day query over
 // a month-long store touches a small fraction of the blocks.
 func ScanRange(ctx context.Context, s Store, opts ScanOptions, tr TimeRange, collectors ...Collector) error {

@@ -193,23 +193,28 @@ func TestScanWithoutCollectors(t *testing.T) {
 
 // TestScanCountsEveryCodec: a full parallel scan of a file store observes
 // exactly the records written to it, and as many as the manifest counts,
-// in every codec and compression variant a store can write.
+// in both formats it reads and at several block sizes. A store whose
+// streams name a format earlier versions wrote (v1, flate, TLZ) fails
+// the scan with ErrBadVersion instead of counting short.
 func TestScanCountsEveryCodec(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, c := range []struct {
-		name string
-		opts FileStoreOptions
+		name           string
+		v2             bool
+		blockRecords   int
+		version, flags uint16 // header stamped over v3 streams; 0 keeps them
 	}{
-		{"v1", FileStoreOptions{Codec: CodecV1}},
-		{"v2", FileStoreOptions{Codec: CodecV2}},
-		{"v2flate", FileStoreOptions{Codec: CodecV2, Compress: true}},
-		{"v3", FileStoreOptions{Codec: CodecV3}},
-		{"v3tlz", FileStoreOptions{Codec: CodecV3, FastCompress: true}},
-		{"v3flate", FileStoreOptions{Codec: CodecV3, Compress: true}},
+		{name: "v2", v2: true, blockRecords: 100},
+		{name: "v2-block4096", v2: true, blockRecords: DefaultBlockRecords},
+		{name: "v3", blockRecords: 100},
+		{name: "v3-block4096", blockRecords: DefaultBlockRecords},
+		{name: "v1", blockRecords: 100, version: 1},
+		{name: "v2flate", blockRecords: 100, version: VersionV2, flags: 1},
+		{name: "v3flate", blockRecords: 100, version: VersionV3, flags: 1},
+		{name: "v3tlz", blockRecords: 100, version: VersionV3, flags: 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			c.opts.BlockRecords = 100
-			fs, err := NewFileStoreOpts(t.TempDir(), c.opts)
+			fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: c.blockRecords})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,20 +226,37 @@ func TestScanCountsEveryCodec(t *testing.T) {
 						recs[i] = randRecord(r, DayStart(day).UnixMilli())
 					}
 					sort.Slice(recs, func(i, j int) bool { return recs[i].Timestamp < recs[j].Timestamp })
-					writePartition(t, fs, day, shard, recs)
+					if c.v2 {
+						writeV2Partition(t, fs, day, shard, recs, c.blockRecords)
+					} else {
+						writePartition(t, fs, day, shard, recs)
+					}
 					written += int64(len(recs))
 				}
 			}
-			col := &countingCollector{}
-			if err := Scan(context.Background(), fs, ScanOptions{Parallelism: 2}, col); err != nil {
-				t.Fatal(err)
+			if c.version != 0 {
+				stampHeader(t, fs, c.version, c.flags)
 			}
-			total, err := Count(fs)
+			col := &countingCollector{}
+			err = Scan(context.Background(), fs, ScanOptions{Parallelism: 2}, col)
+			total, cerr := Count(fs)
+			if cerr != nil {
+				t.Fatal(cerr)
+			}
+			if total != written {
+				t.Fatalf("manifest counts %d, wrote %d", total, written)
+			}
+			if c.version != 0 {
+				if !errors.Is(err, ErrBadVersion) {
+					t.Fatalf("scan over v%d flags %#x streams: err = %v, want ErrBadVersion", c.version, c.flags, err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if col.total != written || total != written {
-				t.Fatalf("scan saw %d records, manifest counts %d, wrote %d", col.total, total, written)
+			if col.total != written {
+				t.Fatalf("scan saw %d records, wrote %d", col.total, written)
 			}
 		})
 	}

@@ -65,28 +65,28 @@ type RecordIterator interface {
 }
 
 // TimeRangeSetter is implemented by RecordIterators that can restrict
-// themselves to minTS <= Timestamp <= maxTS. Iterators backed by the v2
-// block codec additionally prune whole blocks outside the window without
-// decoding them.
+// themselves to minTS <= Timestamp <= maxTS. File-store iterators
+// additionally prune whole blocks outside the window without decoding
+// them.
 type TimeRangeSetter interface {
 	SetTimeRange(minTS, maxTS int64)
 }
 
 // ProjectionSetter is implemented by RecordIterators that can skip
-// decoding columns outside the projection (v2 block files). Projection
+// decoding columns outside the projection (file-store iterators). Projection
 // is an optimization hint: non-supporting iterators decode everything,
 // so collectors may only rely on projected fields being valid.
 type ProjectionSetter interface {
 	SetProjection(cols ColumnSet)
 }
 
-// BlockStatsReader is implemented by iterators that track v2 block
+// BlockStatsReader is implemented by iterators that track block
 // read/skip counters (see ScanMetrics).
 type BlockStatsReader interface {
 	ReadStats() BlockStats
 }
 
-// BlockFilterSetter is implemented by iterators that can skip whole v2
+// BlockFilterSetter is implemented by iterators that can skip whole
 // blocks by stream ordinal before decoding their payload. The filter is
 // consulted for every block the time range did not already prune; block
 // ordinals count every block in stream order (including range-pruned
@@ -341,33 +341,12 @@ func (it *memIterator) SetTimeRange(minTS, maxTS int64) {
 
 func (it *memIterator) Close() error { return nil }
 
-// Codec selects the on-disk stream format a FileStore writes for new
-// partitions. Reading always negotiates the per-file version, so a
-// directory may mix codecs.
-type Codec uint16
-
-// Supported partition codecs.
-const (
-	// CodecV1 is the legacy fixed-width record stream.
-	CodecV1 Codec = Codec(Version)
-	// CodecV2 is the columnar block format with per-block time bounds.
-	CodecV2 Codec = Codec(VersionV2)
-	// CodecV3 is the bitpacked frame-of-reference block format.
-	CodecV3 Codec = Codec(VersionV3)
-)
-
-// FileStoreOptions tunes how a FileStore writes new partitions.
+// FileStoreOptions tunes how a FileStore writes new partitions. New
+// partitions are always v3 streams; reading negotiates the per-file
+// version, so a directory may mix v2 and v3 partitions.
 type FileStoreOptions struct {
-	// Codec is the stream format for new partitions (0 = CodecV2).
-	Codec Codec
-	// BlockRecords is the v2/v3 records-per-block size (0 = default).
+	// BlockRecords is the records-per-block size (0 = default).
 	BlockRecords int
-	// Compress flate-compresses v2/v3 block payloads.
-	Compress bool
-	// FastCompress TLZ-compresses block payloads (CodecV3 only):
-	// a lower ratio than flate at a fraction of the CPU cost. Mutually
-	// exclusive with Compress.
-	FastCompress bool
 	// NoIndex disables writing .tlix secondary-index sidecars for new
 	// partitions. Queries over unindexed partitions fall back to
 	// scanning; results are identical, only slower.
@@ -404,27 +383,14 @@ type FileStore struct {
 }
 
 // NewFileStore creates (if needed) and opens a directory-backed store
-// writing the default codec (v2 blocks, uncompressed).
+// with default options.
 func NewFileStore(dir string) (*FileStore, error) {
 	return NewFileStoreOpts(dir, FileStoreOptions{})
 }
 
 // NewFileStoreOpts creates (if needed) and opens a directory-backed
-// store with explicit codec options.
+// store with explicit options.
 func NewFileStoreOpts(dir string, opts FileStoreOptions) (*FileStore, error) {
-	switch opts.Codec {
-	case 0:
-		opts.Codec = CodecV2
-	case CodecV1, CodecV2, CodecV3:
-	default:
-		return nil, fmt.Errorf("trace: unsupported codec %d", opts.Codec)
-	}
-	if opts.FastCompress && opts.Codec != CodecV3 {
-		return nil, fmt.Errorf("trace: FastCompress requires CodecV3 (got codec %d)", opts.Codec)
-	}
-	if opts.FastCompress && opts.Compress {
-		return nil, fmt.Errorf("trace: Compress and FastCompress are mutually exclusive")
-	}
 	fsys := faultfs.Resolve(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trace: creating store dir: %w", err)
@@ -435,8 +401,7 @@ func NewFileStoreOpts(dir string, opts FileStoreOptions) (*FileStore, error) {
 // Dir returns the backing directory.
 func (f *FileStore) Dir() string { return f.dir }
 
-// Options returns the write options this store was opened with (the
-// resolved codec, never 0).
+// Options returns the options this store was opened with.
 func (f *FileStore) Options() FileStoreOptions { return f.opts }
 
 func (f *FileStore) partitionPath(day, shard int) string {
@@ -512,23 +477,7 @@ func (f *FileStore) AppendPartition(day, shard int) (RecordWriter, error) {
 	// The codec writes through the digest tee, so the manifest
 	// fingerprint covers exactly the stored stream bytes.
 	digest := newPartitionDigest()
-	tee := &digestWriter{w: file, d: digest}
-	var w streamWriter
-	switch f.opts.Codec {
-	case CodecV1:
-		w, err = NewWriter(tee)
-	case CodecV3:
-		w, err = NewWriterV3(tee, WriterV3Options{
-			BlockRecords: f.opts.BlockRecords,
-			Compress:     f.opts.Compress,
-			FastCompress: f.opts.FastCompress,
-		})
-	default:
-		w, err = NewWriterV2(tee, WriterV2Options{
-			BlockRecords: f.opts.BlockRecords,
-			Compress:     f.opts.Compress,
-		})
-	}
+	w, err := NewWriterV3(&digestWriter{w: file, d: digest}, WriterV3Options{BlockRecords: f.opts.BlockRecords})
 	if err != nil {
 		file.Close()
 		f.fs.Remove(path)
@@ -536,16 +485,12 @@ func (f *FileStore) AppendPartition(day, shard int) (RecordWriter, error) {
 	}
 	fw := &fileWriter{file: file, w: w, store: f, day: day, shard: shard, digest: digest}
 	if !f.opts.NoIndex {
-		// The index builder mirrors the codec's blocking rule (v2 and v3
-		// seal a block exactly every BlockRecords records; v1 has no
-		// blocks), so block summaries align with the stream without
-		// touching the encoder.
-		perBlock := 0
-		if f.opts.Codec == CodecV2 || f.opts.Codec == CodecV3 {
-			perBlock = f.opts.BlockRecords
-			if perBlock <= 0 {
-				perBlock = DefaultBlockRecords
-			}
+		// The index builder mirrors the writer's blocking rule (a block
+		// seals exactly every BlockRecords records), so block summaries
+		// align with the stream without touching the encoder.
+		perBlock := f.opts.BlockRecords
+		if perBlock <= 0 {
+			perBlock = DefaultBlockRecords
 		}
 		fw.idx = newIndexBuilder(perBlock)
 	}
@@ -769,13 +714,6 @@ func (f *FileStore) Days() ([]int, error) {
 	return daysOf(parts), nil
 }
 
-// streamWriter is the codec-agnostic surface fileWriter needs.
-type streamWriter interface {
-	WriteColumns(*ColumnBatch) error
-	Flush() error
-	Count() int64
-}
-
 // digestWriter tees stream bytes into the manifest digest on their way
 // to the partition file.
 type digestWriter struct {
@@ -789,7 +727,7 @@ func (t *digestWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// fileWriter wraps a codec stream writer with the store-level
+// fileWriter wraps the v3 stream writer with the store-level
 // bookkeeping every landed record needs: timestamp extents and stream
 // fingerprint for the MANIFEST entry (digest) and, unless the store was
 // opened with NoIndex, the secondary-index builder feeding the .tlix
@@ -801,7 +739,7 @@ func (t *digestWriter) Write(p []byte) (int, error) {
 // append leaves the store exactly as it was.
 type fileWriter struct {
 	file   faultfs.File
-	w      streamWriter
+	w      *WriterV3
 	store  *FileStore
 	day    int
 	shard  int
@@ -824,9 +762,7 @@ func (w *fileWriter) fail(err error) error {
 // MANIFEST keep agreeing (a stray partial .tlho would otherwise make
 // the manifest unusable for every future consumer).
 func (w *fileWriter) abort(cause error) error {
-	if rel, ok := w.w.(interface{ Release() }); ok {
-		rel.Release()
-	}
+	w.w.Release()
 	w.file.Close()
 	w.store.fs.Remove(w.store.partitionPath(w.day, w.shard))
 	w.store.fs.Remove(w.store.indexPath(w.day, w.shard))
@@ -870,10 +806,8 @@ func (w *fileWriter) Close() error {
 		return w.abort(err)
 	}
 	// Return the codec's pooled encode scratch now that the stream is
-	// complete (v2 writers; a no-op surface for v1).
-	if rel, ok := w.w.(interface{ Release() }); ok {
-		rel.Release()
-	}
+	// complete.
+	w.w.Release()
 	if err := w.file.Sync(); err != nil {
 		return w.abort(err)
 	}
@@ -967,8 +901,8 @@ func (it *fileIterator) atEnd() error {
 	return it.verify.finish(it.day, it.shard)
 }
 
-// NextColumns hands out the next decoded batch in SoA form (one block
-// on v2/v3 streams, decoded without materializing records).
+// NextColumns hands out the next decoded batch in SoA form (one block,
+// decoded without materializing records).
 func (it *fileIterator) NextColumns(cb *ColumnBatch) (int, error) {
 	n, err := it.r.NextColumns(cb)
 	if err == io.EOF {
@@ -977,17 +911,17 @@ func (it *fileIterator) NextColumns(cb *ColumnBatch) (int, error) {
 	return n, err
 }
 
-// SetTimeRange restricts the stream; v2 files prune whole blocks.
+// SetTimeRange restricts the stream, pruning whole blocks.
 func (it *fileIterator) SetTimeRange(minTS, maxTS int64) { it.r.SetTimeRange(minTS, maxTS) }
 
-// SetProjection restricts which columns v2 files decode.
+// SetProjection restricts which columns blocks decode.
 func (it *fileIterator) SetProjection(cols ColumnSet) { it.r.SetProjection(cols) }
 
-// SetBlockFilter prunes v2 blocks by stream ordinal without decoding
+// SetBlockFilter prunes blocks by stream ordinal without decoding
 // them (see BlockFilterSetter).
 func (it *fileIterator) SetBlockFilter(keep func(block int) bool) { it.r.SetBlockFilter(keep) }
 
-// ReadStats reports block read/skip counters (zero for v1 files).
+// ReadStats reports block read/skip counters.
 func (it *fileIterator) ReadStats() BlockStats { return it.r.Stats() }
 
 func (it *fileIterator) Close() error { return it.file.Close() }

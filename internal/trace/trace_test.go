@@ -81,27 +81,26 @@ func TestDayHelpers(t *testing.T) {
 	}
 }
 
+// TestCodecRoundTrip: one record survives the v3 stream intact, its
+// duration within the fixed-point quantizer's resolution.
 func TestCodecRoundTrip(t *testing.T) {
 	rec := sampleRecord()
-	buf := AppendRecord(nil, &rec)
-	if len(buf) != RecordSize {
-		t.Fatalf("encoded size = %d, want %d", len(buf), RecordSize)
+	got := decodeAll(t, encodeV3(t, []Record{rec}, WriterV3Options{}))
+	if len(got) != 1 {
+		t.Fatalf("decoded %d records, want 1", len(got))
 	}
-	var got Record
-	if err := DecodeRecord(buf, &got); err != nil {
-		t.Fatal(err)
+	if math.Abs(float64(got[0].DurationMs-rec.DurationMs)) > 0.06 {
+		t.Fatalf("duration drift: %g vs %g", got[0].DurationMs, rec.DurationMs)
 	}
-	if got.Timestamp != rec.Timestamp || got.UE != rec.UE || got.TAC != rec.TAC ||
-		got.Source != rec.Source || got.Target != rec.Target ||
-		got.SourceRAT != rec.SourceRAT || got.TargetRAT != rec.TargetRAT ||
-		got.Result != rec.Result || got.Cause != rec.Cause {
-		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", rec, got)
-	}
-	if math.Abs(float64(got.DurationMs-rec.DurationMs)) > 0.06 {
-		t.Fatalf("duration drift: %g vs %g", got.DurationMs, rec.DurationMs)
+	got[0].DurationMs = rec.DurationMs
+	if got[0] != rec {
+		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", rec, got[0])
 	}
 }
 
+// TestCodecRoundTripProperty: records over the full field ranges survive
+// the v3 and v2 streams identically, durations within the quantizer's
+// resolution in each scale regime.
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(ts int64, ue, tac, src, dst uint32, srcRAT, dstRAT uint8, fail bool, cause uint16, durMilli uint16) bool {
 		rec := Record{
@@ -119,11 +118,12 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			rec.Cause = causes.Code(cause)
 		}
 		rec.DurationMs = float32(durMilli) / 10 // 0..6553.5ms
-		buf := AppendRecord(nil, &rec)
-		var got Record
-		if err := DecodeRecord(buf, &got); err != nil {
+		v3 := decodeAll(t, encodeV3(t, []Record{rec}, WriterV3Options{}))
+		v2 := decodeAll(t, encodeV2(t, []Record{rec}, WriterV2Options{}))
+		if len(v3) != 1 || len(v2) != 1 || v3[0] != v2[0] {
 			return false
 		}
+		got := v3[0]
 		// duration tolerance depends on scale regime
 		tol := 0.06
 		if rec.DurationMs > 3276.7 {
@@ -170,7 +170,7 @@ func TestDurationEncodingRegimes(t *testing.T) {
 
 func TestWriterReaderStream(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterV3(&buf, WriterV3Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +220,8 @@ func TestReaderRejectsBadStreams(t *testing.T) {
 	if _, err := NewReader(strings.NewReader("XXXXxxxx")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	// Valid header, truncated record.
-	data := encodeV1(t, []Record{sampleRecord()})
+	// Valid header, truncated block.
+	data := encodeV3(t, []Record{sampleRecord()}, WriterV3Options{})
 	r, err := NewReader(bytes.NewReader(data[:len(data)-3]))
 	if err != nil {
 		t.Fatal(err)
@@ -401,26 +401,5 @@ func TestExportCSVSurfacesWriteErrors(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Fatal("buffered rows dropped on iterator failure")
-	}
-}
-
-func BenchmarkEncodeRecord(b *testing.B) {
-	rec := sampleRecord()
-	buf := make([]byte, 0, RecordSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = AppendRecord(buf[:0], &rec)
-	}
-}
-
-func BenchmarkDecodeRecord(b *testing.B) {
-	rec := sampleRecord()
-	buf := AppendRecord(nil, &rec)
-	var out Record
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeRecord(buf, &out); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -104,8 +104,10 @@ func (r *VerifyReport) OK() bool {
 
 // verifyPartitionData audits one partition's raw stream against its
 // manifest entry (fingerprint, size, record count) and the codec.
-// A nil entry (no manifest) runs the structural checks only.
-func verifyPartitionData(data []byte, pi *PartitionInfo) (int64, *VerifyIssue) {
+// A nil entry (no manifest) runs the structural checks only. Intact
+// bytes whose header names a format this package does not read are not
+// corruption: that case returns the ErrBadVersion error, not an issue.
+func verifyPartitionData(data []byte, pi *PartitionInfo) (int64, *VerifyIssue, error) {
 	if pi != nil {
 		d := newPartitionDigest()
 		d.observeBytes(data)
@@ -115,16 +117,19 @@ func verifyPartitionData(data []byte, pi *PartitionInfo) (int64, *VerifyIssue) {
 				class = CorruptTruncated
 			}
 			return 0, &VerifyIssue{Day: pi.Day, Shard: pi.Shard, Class: class,
-				Detail: fmt.Sprintf("stored %d bytes, manifest records %d", d.bytes, pi.Bytes)}
+				Detail: fmt.Sprintf("stored %d bytes, manifest records %d", d.bytes, pi.Bytes)}, nil
 		}
 		if d.hash != pi.Fingerprint {
 			return 0, &VerifyIssue{Day: pi.Day, Shard: pi.Shard, Class: CorruptChecksum,
-				Detail: fmt.Sprintf("stream hash %016x, manifest fingerprint %016x", d.hash, pi.Fingerprint)}
+				Detail: fmt.Sprintf("stream hash %016x, manifest fingerprint %016x", d.hash, pi.Fingerprint)}, nil
 		}
 	}
 	r, err := NewReader(bytes.NewReader(data))
+	if errors.Is(err, ErrBadVersion) {
+		return 0, nil, err
+	}
 	if err != nil {
-		return 0, &VerifyIssue{Class: CorruptDecode, Detail: err.Error()}
+		return 0, &VerifyIssue{Class: CorruptDecode, Detail: err.Error()}, nil
 	}
 	var records int64
 	var cb ColumnBatch
@@ -134,20 +139,24 @@ func verifyPartitionData(data []byte, pi *PartitionInfo) (int64, *VerifyIssue) {
 			break
 		}
 		if err != nil {
-			return 0, &VerifyIssue{Class: CorruptDecode, Detail: err.Error()}
+			return 0, &VerifyIssue{Class: CorruptDecode, Detail: err.Error()}, nil
 		}
 		records += int64(n)
 	}
 	if pi != nil && records != pi.Records {
 		return 0, &VerifyIssue{Day: pi.Day, Shard: pi.Shard, Class: CorruptDecode,
-			Detail: fmt.Sprintf("decoded %d records, manifest records %d", records, pi.Records)}
+			Detail: fmt.Sprintf("decoded %d records, manifest records %d", records, pi.Records)}, nil
 	}
-	return records, nil
+	return records, nil, nil
 }
 
 // Verify audits every partition of a FileStore: stream fingerprints
 // and sizes against the MANIFEST, a full decode pass, record counts,
-// and .tlix sidecar integrity. It never modifies the store.
+// and .tlix sidecar integrity. It never modifies the store. A partition
+// whose bytes match the MANIFEST but whose header names a stream format
+// this package does not read fails the audit with an ErrBadVersion
+// error naming the partition and the format: the data is intact, and
+// regenerating the campaign with telcogen makes it readable again.
 func Verify(ctx context.Context, f *FileStore) (*VerifyReport, error) {
 	report := &VerifyReport{}
 	m, err := loadManifest(f.fs, f.manifestPath())
@@ -189,7 +198,11 @@ func Verify(ctx context.Context, f *FileStore) (*VerifyReport, error) {
 				Day: p.Day, Shard: p.Shard, Class: CorruptIO, Detail: err.Error()})
 			continue
 		}
-		records, issue := verifyPartitionData(data, pi)
+		records, issue, err := verifyPartitionData(data, pi)
+		if err != nil {
+			return nil, fmt.Errorf("trace: day %d shard %d (%s): %w",
+				p.Day, p.Shard, filepath.Base(f.partitionPath(p.Day, p.Shard)), err)
+		}
 		if issue != nil {
 			issue.Day, issue.Shard = p.Day, p.Shard
 			report.Issues = append(report.Issues, *issue)
@@ -294,7 +307,9 @@ type ScrubResult struct {
 // for missing or quarantined partitions are dropped so the rewritten
 // MANIFEST matches the surviving files and the store serves the
 // remaining days. The store's data files are never deleted — only
-// moved — so an operator can attempt recovery from quarantine/.
+// moved — so an operator can attempt recovery from quarantine/. When
+// Verify fails (a partition in a format this package does not read
+// among them), Scrub returns its error and moves nothing.
 func Scrub(ctx context.Context, f *FileStore) (*ScrubResult, error) {
 	report, err := Verify(ctx, f)
 	if err != nil {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"telcolens/internal/chaos"
 	"telcolens/internal/faultfs"
 )
 
@@ -224,6 +226,84 @@ func TestScrubQuarantinesCorruptPartition(t *testing.T) {
 	rep2, err := Verify(context.Background(), s)
 	if err != nil || !rep2.OK() {
 		t.Fatalf("store not clean after scrub: %+v, %v", rep2, err)
+	}
+}
+
+// A partition whose bytes match its MANIFEST entry but whose header
+// names a format this package does not read is intact data, not
+// corruption: Verify and Scrub fail with an error naming the partition
+// and the format, and the directory tree is left exactly as it was.
+// The same header flipped behind the store's back is still quarantined,
+// because the fingerprint check runs first.
+func TestScrubKeepsUnreadableFormat(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		version, flags uint16
+		format         string
+	}{
+		{"v1", 1, 0, "v1 fixed-width records"},
+		{"v2flate", VersionV2, 1, "v2 with flate-compressed blocks"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for day := 0; day < 3; day++ {
+				writeTestPartition(t, s, day, 0, 300)
+			}
+			stampPartition(t, s, Partition{Day: 1}, c.version, c.flags)
+			// Re-record day 1's fingerprint, as the writer of that format
+			// would have.
+			m, err := s.Manifest()
+			if err != nil || m == nil {
+				t.Fatalf("manifest: %v, %v", m, err)
+			}
+			pi, _ := m.Lookup(Partition{Day: 1})
+			data, err := os.ReadFile(filepath.Join(dir, "ho_day_001.tlho"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newPartitionDigest()
+			d.observeBytes(data)
+			pi.Fingerprint = d.hash
+			if err := s.notePartitionClosed(pi); err != nil {
+				t.Fatal(err)
+			}
+
+			before, err := chaos.TreeDigest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Verify(context.Background(), s); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("verify: err = %v, want ErrBadVersion", err)
+			}
+			_, err = Scrub(context.Background(), s)
+			if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "day 1 shard 0") ||
+				!strings.Contains(err.Error(), c.format) {
+				t.Fatalf("scrub: err = %v, want ErrBadVersion naming day 1 shard 0 and %q", err, c.format)
+			}
+			after, err := chaos.TreeDigest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := chaos.DiffTrees(before, after); diff != "" {
+				t.Fatalf("scrub changed the store: %s", diff)
+			}
+
+			// Flipped behind the store's back: the fingerprint no longer
+			// matches, so this is corruption and day 1 is quarantined.
+			stampPartition(t, s, Partition{Day: 1}, c.version, c.flags^4)
+			res, err := Scrub(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Quarantined) != 1 || res.Quarantined[0] != (Partition{Day: 1}) ||
+				res.Report.Issues[0].Class != CorruptChecksum {
+				t.Fatalf("scrub of a flipped header: %+v", res)
+			}
+		})
 	}
 }
 

@@ -13,11 +13,12 @@ import (
 	"telcolens/internal/devices"
 )
 
-// The write-path compatibility contract: every way of feeding the v2
+// The write-path compatibility contract: every way of feeding a block
 // writer — one row per WriteColumns call, one whole batch, or ragged
-// chunks — must produce a stream byte-identical to the record-at-a-time
-// reference encoder below. Manifest fingerprints, append determinism and
-// the codec determinism matrix all stand on this.
+// chunks — must produce the same stream, and for v2 one byte-identical
+// to the record-at-a-time reference encoder below. Manifest
+// fingerprints, append determinism and the codec determinism matrix all
+// stand on this.
 
 // putZigzag appends the zigzag varint encoding of v.
 func putZigzag(dst []byte, v int64) []byte {
@@ -143,13 +144,13 @@ func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV2Options) []byt
 	return buf.Bytes()
 }
 
-// encodeVia feeds recs to the column writer in chunks of the route's
-// size and returns the stream.
-func encodeVia(t *testing.T, recs []Record, opts WriterV2Options, route string) []byte {
+// encodeVia feeds recs to the version's block writer in chunks of the
+// route's size and returns the stream.
+func encodeVia(t *testing.T, recs []Record, version uint16, blockRecords int, route string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterV2(&buf, opts)
-	if err != nil {
+	w := &WriterV2{}
+	if err := initBlockWriter(w, &buf, version, blockRecords); err != nil {
 		t.Fatal(err)
 	}
 	var sizes []int
@@ -192,21 +193,23 @@ func TestWriteColumnsByteIdentical(t *testing.T) {
 		for i := range recs {
 			recs[i] = randRecord(rng, base)
 		}
-		for _, compress := range []bool{false, true} {
-			for _, blockRecs := range []int{64, 256, DefaultBlockRecords} {
-				name := fmt.Sprintf("n=%d/compress=%v/block=%d", n, compress, blockRecs)
-				t.Run(name, func(t *testing.T) {
-					opts := WriterV2Options{BlockRecords: blockRecs, Compress: compress}
-					oracle := encodeRecordOracle(t, recs, opts)
-					for _, route := range []string{"rows", "columns", "columns-ragged"} {
-						got := encodeVia(t, recs, opts, route)
-						if !bytes.Equal(got, oracle) {
-							t.Fatalf("route %s: stream differs from the reference record encoder (%d vs %d bytes)",
-								route, len(got), len(oracle))
-						}
+		for _, blockRecs := range []int{64, 256, DefaultBlockRecords} {
+			// The compress=false segment dates from when the writer had a
+			// compression option; it keeps subtest names stable.
+			t.Run(fmt.Sprintf("n=%d/compress=false/block=%d", n, blockRecs), func(t *testing.T) {
+				oracle := encodeRecordOracle(t, recs, WriterV2Options{BlockRecords: blockRecs})
+				v3 := encodeVia(t, recs, VersionV3, blockRecs, "columns")
+				for _, route := range []string{"rows", "columns", "columns-ragged"} {
+					if got := encodeVia(t, recs, VersionV2, blockRecs, route); !bytes.Equal(got, oracle) {
+						t.Fatalf("v2 route %s: stream differs from the reference record encoder (%d vs %d bytes)",
+							route, len(got), len(oracle))
 					}
-				})
-			}
+					if got := encodeVia(t, recs, VersionV3, blockRecs, route); !bytes.Equal(got, v3) {
+						t.Fatalf("v3 route %s: stream differs from the whole-batch stream (%d vs %d bytes)",
+							route, len(got), len(v3))
+					}
+				}
+			})
 		}
 	}
 }
@@ -223,19 +226,11 @@ func TestWriteColumnsRoundTrip(t *testing.T) {
 	}
 	var in ColumnBatch
 	in.FromRecords(recs)
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		w, err := NewWriterV2(&buf, WriterV2Options{BlockRecords: 128, Compress: compress})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteColumns(&in); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	for codec, data := range map[string][]byte{
+		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 128}),
+		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 128}),
+	} {
+		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,17 +253,17 @@ func TestWriteColumnsRoundTrip(t *testing.T) {
 					cb.TACs[i] != in.TACs[j] || cb.Sources[i] != in.Sources[j] ||
 					cb.Targets[i] != in.Targets[j] || cb.Causes[i] != in.Causes[j] ||
 					cb.RATs[i] != in.RATs[j] || cb.Results[i] != in.Results[j] {
-					t.Fatalf("compress=%v: row %d differs after round trip", compress, j)
+					t.Fatalf("%s: row %d differs after round trip", codec, j)
 				}
 				if want := quantizeDuration(in.Durations[j]); cb.Durations[i] != want &&
 					!(math.IsNaN(float64(cb.Durations[i])) && math.IsNaN(float64(want))) {
-					t.Fatalf("compress=%v: row %d duration %g, want %g", compress, j, cb.Durations[i], want)
+					t.Fatalf("%s: row %d duration %g, want %g", codec, j, cb.Durations[i], want)
 				}
 			}
 			pos += n
 		}
 		if pos != len(recs) {
-			t.Fatalf("compress=%v: round trip saw %d rows, want %d", compress, pos, len(recs))
+			t.Fatalf("%s: round trip saw %d rows, want %d", codec, pos, len(recs))
 		}
 	}
 }

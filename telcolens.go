@@ -66,7 +66,7 @@ type Partition = trace.Partition
 type ProgressEvent = analysis.ProgressEvent
 
 // ScanStats snapshots the trace-scan counters an Analyzer accumulated
-// (partitions/records read, v2 blocks decoded vs pruned, stored bytes);
+// (partitions/records read, blocks decoded vs pruned, stored bytes);
 // read it after RunExperiment/RunAll via Analyzer.ScanStats.
 type ScanStats = analysis.ScanStats
 
@@ -151,7 +151,7 @@ func WithProgress(fn func(ProgressEvent)) Option {
 
 // WithWindow restricts the analysis to study days [fromDay, toDay]
 // inclusive (-1 leaves a bound open). Scans become time-ranged: stores
-// written with the v2 block codec only decode blocks inside the window.
+// backed by partition files only decode blocks inside the window.
 func WithWindow(fromDay, toDay int) Option {
 	return func(o *options) {
 		o.winFrom, o.winTo, o.winSet = fromDay, toDay, true
