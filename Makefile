@@ -33,7 +33,8 @@
 #                     PROFILE_DIR/PROFILE_ARGS (telcogen takes the same
 #                     two flags, and its summary line splits generation
 #                     wall time into world build / simulate / sort+encode)
-#   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders
+#   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders, then
+#                     30s of FuzzResultJSON on the /query JSON renderer
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
 #                     mid-stream, restart, assert byte-identical
@@ -170,6 +171,7 @@ profile: build
 
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecodeBlock -fuzztime 30s ./internal/trace/
+	$(GO) test -run NONE -fuzz FuzzResultJSON -fuzztime 30s ./internal/query/
 
 # End-to-end streaming ingest soak: telcoload replays a reference
 # campaign into telcoserve -ingest at a fixed rate, the daemon is

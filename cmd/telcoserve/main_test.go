@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -113,7 +114,7 @@ func TestHandleQuery(t *testing.T) {
 	if rec = get(t, s, "/query?ue=notanumber"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad ue: status %d", rec.Code)
 	}
-	if rec = get(t, s, "/query?from=10&to=5"); rec.Code != http.StatusInternalServerError {
+	if rec = get(t, s, "/query?from=10&to=5"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("inverted window: status %d", rec.Code)
 	}
 
@@ -127,6 +128,77 @@ func TestHandleQuery(t *testing.T) {
 	pending := &server{started: time.Now(), eng: s.eng}
 	if rec = get(t, pending, "/query?ue=1"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("pending server: status %d", rec.Code)
+	}
+}
+
+// An inverted window is the client's mistake: 400, and nothing reaches
+// the result cache or the served counters.
+func TestQueryInvertedWindowIs400(t *testing.T) {
+	s := newQueryServer(t)
+	for _, target := range []string{"/query?from=day:13&to=day:6", "/query?ue=1&from=10&to=5"} {
+		rec := get(t, s, target)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body.String())
+		}
+		if !strings.Contains(rec.Body.String(), "after to") {
+			t.Fatalf("%s: body %q does not name the inverted window", target, rec.Body.String())
+		}
+	}
+	if cs := s.eng.CacheStats(); cs.Entries != 0 || cs.Hits != 0 || cs.Misses != 0 {
+		t.Fatalf("a rejected query touched the cache: %+v", cs)
+	}
+	if s.queries != 0 {
+		t.Fatalf("%d rejected queries counted as served", s.queries)
+	}
+}
+
+// TestQueryBodyHitMissIdentical asserts a cache hit serves the same
+// bytes as the miss that filled it, those bytes are what json.Encoder
+// with SetIndent("", " ") writes for the result, and Content-Length
+// matches the body.
+func TestQueryBodyHitMissIdentical(t *testing.T) {
+	s := newQueryServer(t)
+	for _, target := range []string{
+		"/query?ue=3",
+		"/query?ue=3&agg=1",
+		"/query?tac=35000001&limit=7",
+		"/query?day=0&agg=1",
+		"/query?ue=99",
+		"/query?sector=2&noindex=1&limit=3&agg",
+	} {
+		miss, hit := get(t, s, target), get(t, s, target)
+		if miss.Code != http.StatusOK || miss.Header().Get("X-Cache") != "miss" || hit.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("%s: status %d, X-Cache %q then %q", target, miss.Code,
+				miss.Header().Get("X-Cache"), hit.Header().Get("X-Cache"))
+		}
+		if !bytes.Equal(miss.Body.Bytes(), hit.Body.Bytes()) {
+			t.Fatalf("%s: hit body differs from miss body\nmiss: %s\nhit:  %s", target, miss.Body, hit.Body)
+		}
+		for _, rec := range []*httptest.ResponseRecorder{miss, hit} {
+			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+				t.Fatalf("%s: Content-Length %q for a %d-byte body", target, cl, rec.Body.Len())
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("%s: Content-Type %q", target, ct)
+			}
+		}
+		p, _, err := parseQueryParams(httptest.NewRequest(http.MethodGet, target, nil).URL.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := s.eng.Cached(s.cur.qview, p)
+		if res == nil {
+			t.Fatalf("%s: result not cached", target)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(miss.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: body differs from json.Encoder\n got: %s\nwant: %s", target, miss.Body, want.Bytes())
+		}
 	}
 }
 

@@ -36,7 +36,8 @@ import (
 //	                  the server's -query-timeout budget; expiry is a
 //	                  distinct 503 JSON body and nothing is cached
 //
-// The response carries X-Cache (hit/miss) and X-Manifest-Gen headers;
+// A malformed parameter or an inverted from/to window is a 400. The
+// response carries X-Cache (hit/miss) and X-Manifest-Gen headers;
 // per-request prune/decode metrics ride in the JSON body and accumulate
 // into the "query" section of /stats.
 
@@ -186,6 +187,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
+		if errors.Is(err, query.ErrBadParams) {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -199,6 +204,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeQueryResult renders one query answer in the requested format.
+// JSON goes out in one Write with its Content-Length, rendered by
+// Result.AppendJSON into the bytes writeJSON's indenting encoder would
+// produce.
 func writeQueryResult(w http.ResponseWriter, res *query.Result, format string) {
 	if format == "csv" {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
@@ -207,7 +215,14 @@ func writeQueryResult(w http.ResponseWriter, res *query.Result, format string) {
 		}
 		return
 	}
-	writeJSON(w, res)
+	body, err := res.AppendJSON(nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // noteQuery folds one served query into the /stats counters.

@@ -5,11 +5,16 @@ import (
 	"sync"
 )
 
-// defaultCacheEntries bounds the result cache. Results are whole
-// Result values (rows capped at the query limit), so the cache is a
-// few MB at worst; repeated dashboard-style queries hit it, anything
-// long-tail evicts quickly.
-const defaultCacheEntries = 128
+// The result cache holds at most defaultCacheEntries results and
+// defaultCacheRows rows across them. Each entry is charged its row
+// count: a Row is about 80 bytes, so the row budget caps what the cache
+// retains near 10 MB whatever limits the queries ask for (128 results
+// at MaxLimit would otherwise pin about 1 GB). Repeated dashboard-style
+// queries hit it, anything long-tail evicts quickly.
+const (
+	defaultCacheEntries = 128
+	defaultCacheRows    = defaultCacheEntries * DefaultLimit
+)
 
 // CacheStats reports result-cache activity.
 type CacheStats struct {
@@ -18,11 +23,14 @@ type CacheStats struct {
 	Entries int   `json:"entries"`
 }
 
-// lruCache is a small mutex-guarded LRU of query results. Values are
-// shared with callers and must be treated as immutable.
+// lruCache is a small mutex-guarded LRU of query results, bounded both
+// in entries and in total rows. Values are shared with callers and must
+// be treated as immutable.
 type lruCache struct {
 	mu      sync.Mutex
 	cap     int
+	maxRows int
+	rows    int        // rows held across all entries
 	order   *list.List // front = most recent; values are *lruEntry
 	entries map[string]*list.Element
 	hits    int64
@@ -34,9 +42,10 @@ type lruEntry struct {
 	res *Result
 }
 
-func newLRUCache(capacity int) *lruCache {
+func newLRUCache(capacity, maxRows int) *lruCache {
 	return &lruCache{
 		cap:     capacity,
+		maxRows: maxRows,
 		order:   list.New(),
 		entries: make(map[string]*list.Element, capacity),
 	}
@@ -56,20 +65,29 @@ func (c *lruCache) get(key string) *Result {
 	return el.Value.(*lruEntry).res
 }
 
-// put stores a result, evicting the least recently used entry at cap.
+// put stores a result, evicting least recently used entries while the
+// cache is over its entry cap or row budget. A result larger than the
+// whole row budget is not stored.
 func (c *lruCache) put(key string, res *Result) {
+	n := len(res.Rows)
+	if n > c.maxRows {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*lruEntry).res = res
+		e := el.Value.(*lruEntry)
+		c.rows += n - len(e.res.Rows)
+		e.res = res
 		c.order.MoveToFront(el)
-		return
+	} else {
+		c.entries[key] = c.order.PushFront(&lruEntry{key: key, res: res})
+		c.rows += n
 	}
-	c.entries[key] = c.order.PushFront(&lruEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruEntry).key)
+	for c.order.Len() > c.cap || c.rows > c.maxRows {
+		oldest := c.order.Remove(c.order.Back()).(*lruEntry)
+		delete(c.entries, oldest.key)
+		c.rows -= len(oldest.res.Rows)
 	}
 }
 
@@ -79,6 +97,7 @@ func (c *lruCache) purge() {
 	defer c.mu.Unlock()
 	c.order.Init()
 	clear(c.entries)
+	c.rows = 0
 }
 
 // stats snapshots the counters.

@@ -29,12 +29,16 @@ package query
 import (
 	"context"
 	"encoding/csv"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"telcolens/internal/analysis"
 	"telcolens/internal/trace"
@@ -73,13 +77,17 @@ type Params struct {
 	NoIndex bool
 }
 
+// ErrBadParams wraps every error Params validation returns: the
+// request itself is wrong (telcoserve answers 400), not the engine.
+var ErrBadParams = errors.New("query: bad parameters")
+
 // normalize resolves defaults and validates the window.
 func (p Params) normalize() (Params, error) {
 	if p.From != 0 && p.To != 0 && p.From > p.To {
-		return p, fmt.Errorf("query: from %d after to %d", p.From, p.To)
+		return p, fmt.Errorf("%w: from %d after to %d", ErrBadParams, p.From, p.To)
 	}
 	if p.Limit < 0 {
-		return p, fmt.Errorf("query: negative limit %d", p.Limit)
+		return p, fmt.Errorf("%w: negative limit %d", ErrBadParams, p.Limit)
 	}
 	if p.Limit == 0 {
 		p.Limit = DefaultLimit
@@ -238,6 +246,166 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// rowJSONBytes over-estimates one indented row for AppendJSON's single
+// up-front allocation; a typical row renders in about 230 bytes.
+const rowJSONBytes = 256
+
+// AppendJSON appends the result to b as indented JSON and returns the
+// extended buffer. The bytes are exactly what a json.Encoder with
+// SetIndent("", " ") writes for r, trailing newline included: rows are
+// rendered by hand, the small aggregate and metrics objects through
+// json.MarshalIndent. A NaN or infinite duration fails with
+// *json.UnsupportedValueError, as it does in encoding/json.
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	b = slices.Grow(b, 512+len(r.Rows)*rowJSONBytes)
+	b = append(b, "{\n \"gen\": "...)
+	b = strconv.AppendUint(b, r.Gen, 10)
+	b = append(b, ",\n \"rows\": "...)
+	switch {
+	case r.Rows == nil:
+		b = append(b, "null"...)
+	case len(r.Rows) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i := range r.Rows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = r.Rows[i].appendJSON(b); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, "\n ]"...)
+	}
+	if r.Truncated {
+		b = append(b, ",\n \"truncated\": true"...)
+	}
+	if r.Aggregate != nil {
+		agg, err := json.MarshalIndent(r.Aggregate, " ", " ")
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, ",\n \"aggregate\": "...)
+		b = append(b, agg...)
+	}
+	met, err := json.MarshalIndent(&r.Metrics, " ", " ")
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, ",\n \"metrics\": "...)
+	b = append(b, met...)
+	return append(b, "\n}\n"...), nil
+}
+
+// appendJSON appends the row as an element of AppendJSON's rows array.
+func (row *Row) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, "\n  {\n   \"ts\": "...)
+	b = strconv.AppendInt(b, row.Timestamp, 10)
+	b = append(b, ",\n   \"ue\": "...)
+	b = strconv.AppendUint(b, uint64(row.UE), 10)
+	b = append(b, ",\n   \"tac\": "...)
+	b = strconv.AppendUint(b, uint64(row.TAC), 10)
+	b = append(b, ",\n   \"source\": "...)
+	b = strconv.AppendUint(b, uint64(row.Source), 10)
+	b = append(b, ",\n   \"target\": "...)
+	b = strconv.AppendUint(b, uint64(row.Target), 10)
+	b = append(b, ",\n   \"source_rat\": "...)
+	b = appendJSONString(b, row.SourceRAT)
+	b = append(b, ",\n   \"target_rat\": "...)
+	b = appendJSONString(b, row.TargetRAT)
+	b = append(b, ",\n   \"result\": "...)
+	b = appendJSONString(b, row.Result)
+	if row.Cause != 0 {
+		b = append(b, ",\n   \"cause\": "...)
+		b = strconv.AppendUint(b, uint64(row.Cause), 10)
+	}
+	b = append(b, ",\n   \"duration_ms\": "...)
+	b, err := appendJSONFloat32(b, row.DurationMs)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, "\n  }"...), nil
+}
+
+// appendJSONFloat32 appends f as encoding/json renders a float32: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 up with a
+// one-digit negative exponent unpadded (1e-07 becomes 1e-7).
+func appendJSONFloat32(b []byte, f float32) ([]byte, error) {
+	f64 := float64(f)
+	if math.IsInf(f64, 0) || math.IsNaN(f64) {
+		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(f64, 'g', -1, 32)}
+	}
+	format := byte('f')
+	if abs := float32(math.Abs(f64)); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f64, format, -1, 32)
+	if format == 'e' {
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
+// appendJSONString appends s as a quoted JSON string escaped exactly as
+// encoding/json escapes with HTML escaping on (its default): '"', '\\',
+// control bytes, '<', '>' and '&', invalid UTF-8 as U+FFFD, and the
+// JavaScript line terminators U+2028 and U+2029.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
 // View pins the partition set of one manifest generation. Partitions
 // are write-once, so a view stays internally consistent while new days
 // land; queries against it see exactly the generation's data.
@@ -323,7 +491,7 @@ type Engine struct {
 
 // New returns an engine over s with the default cache size.
 func New(s trace.Store) *Engine {
-	e := &Engine{store: s, cache: newLRUCache(defaultCacheEntries)}
+	e := &Engine{store: s, cache: newLRUCache(defaultCacheEntries, defaultCacheRows)}
 	if is, ok := s.(IndexSource); ok {
 		e.idx = is
 	}

@@ -601,11 +601,11 @@ func TestQueryParamValidation(t *testing.T) {
 	eng := New(trace.NewMemStore())
 	v := &View{}
 	ctx := context.Background()
-	if _, _, err := eng.Query(ctx, v, Params{From: 10, To: 5}); err == nil {
-		t.Fatal("inverted window accepted")
+	if _, _, err := eng.Query(ctx, v, Params{From: 10, To: 5}); !errors.Is(err, ErrBadParams) {
+		t.Fatalf("inverted window: %v, want ErrBadParams", err)
 	}
-	if _, _, err := eng.Query(ctx, v, Params{Limit: -1}); err == nil {
-		t.Fatal("negative limit accepted")
+	if _, _, err := eng.Query(ctx, v, Params{Limit: -1}); !errors.Is(err, ErrBadParams) {
+		t.Fatalf("negative limit: %v, want ErrBadParams", err)
 	}
 	p, err := Params{Limit: MaxLimit + 1}.normalize()
 	if err != nil || p.Limit != MaxLimit {
