@@ -14,7 +14,9 @@
 #                     measured end to end by telcobench, `bash bench/run.sh`)
 #   make alloc-check  assert the steady-state column scan loop and the
 #                     v2/v3 column encode paths allocate nothing per block
-#                     (internal/trace allocation tests), that a
+#                     and that a warm partition open allocates no read
+#                     window (internal/trace allocation tests, among them
+#                     TestOpenPartitionSteadyStateAllocs), that a
 #                     UE-day of mobility planning through a warm worker
 #                     Scratch allocates nothing (internal/mobility), and
 #                     that sealing a duration sampler through a warm
@@ -33,8 +35,10 @@
 #                     PROFILE_DIR/PROFILE_ARGS (telcogen takes the same
 #                     two flags, and its summary line splits generation
 #                     wall time into world build / simulate / sort+encode)
-#   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders, then
-#                     30s of FuzzResultJSON on the /query JSON renderer
+#   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders, 30s
+#                     of FuzzDecodeIndex on the .tlix sidecar decoder,
+#                     then 30s of FuzzResultJSON on the /query JSON
+#                     renderer
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
 #                     mid-stream, restart, assert byte-identical
@@ -152,7 +156,7 @@ bench-e2e:
 
 # Steady-state allocation check: decoding a block into a ColumnBatch,
 # encoding a block from a ColumnBatch, and the pooled scan loop must not
-# allocate per block; planning a
+# allocate per block, nor a warm partition open a read window; planning a
 # UE-day through a warm mobility.Scratch and sealing a duration sampler
 # through a warm radix scratch must not allocate at all.
 # The tests are built out under -race (the detector skews allocation
@@ -171,6 +175,7 @@ profile: build
 
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecodeBlock -fuzztime 30s ./internal/trace/
+	$(GO) test -run NONE -fuzz FuzzDecodeIndex -fuzztime 30s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzResultJSON -fuzztime 30s ./internal/query/
 
 # End-to-end streaming ingest soak: telcoload replays a reference

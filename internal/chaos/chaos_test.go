@@ -387,7 +387,11 @@ func TestMatrixCheckpointSave(t *testing.T) {
 // TestIndexedQueryFaults drives /query's engine against a store whose
 // reads flip bits or fail outright. Invariant: a query either errors
 // cleanly (classified corruption) or returns exactly the control rows
-// — never silently wrong data.
+// — never silently wrong data. Every rule queries twice on one view,
+// through two engines so the result cache answers neither: the second
+// query runs on whatever sidecar outcome the view pinned. A one-shot
+// read error on a sidecar is transient and is not pinned, so the second
+// query loads the index again and prunes with it.
 func TestIndexedQueryFaults(t *testing.T) {
 	dir := t.TempDir()
 	s, err := trace.NewFileStore(dir)
@@ -401,6 +405,25 @@ func TestIndexedQueryFaults(t *testing.T) {
 	ue := trace.UEID(3)
 	params.UE = &ue
 	params.Limit = 100000
+	// Day 1 lacks the queried UE, so its sidecar alone prunes it.
+	w, err := s.AppendPartition(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var day1 []trace.Record
+	for _, rec := range dayRecords(1, 4000) {
+		if rec.UE != ue {
+			day1 = append(day1, rec)
+		}
+	}
+	var cb trace.ColumnBatch
+	cb.FromRecords(day1)
+	if err := w.WriteColumns(&cb); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	view, err := query.NewView(s)
 	if err != nil {
@@ -413,13 +436,19 @@ func TestIndexedQueryFaults(t *testing.T) {
 	if len(control.Rows) == 0 {
 		t.Fatal("control query returned nothing")
 	}
+	if control.Metrics.PartitionsPruned != 1 {
+		t.Fatalf("control query pruned %d partitions, want day 1 pruned by its sidecar",
+			control.Metrics.PartitionsPruned)
+	}
 
+	transient := faultfs.Rule{Op: faultfs.OpRead, Path: "ho_day_001.tlix", Kind: faultfs.KindErr}
 	rules := []faultfs.Rule{
 		{Op: faultfs.OpRead, Path: "*.tlho", Kind: faultfs.KindFlip, Bit: 7, After: 0},
 		{Op: faultfs.OpRead, Path: "*.tlho", Kind: faultfs.KindFlip, Bit: 4001, After: 1},
 		{Op: faultfs.OpRead, Path: "*.tlho", Kind: faultfs.KindErr},
 		{Op: faultfs.OpOpen, Path: "*.tlix", Kind: faultfs.KindErr},
 		{Op: faultfs.OpRead, Path: "*.tlix", Kind: faultfs.KindErr},
+		transient,
 	}
 	for _, rule := range rules {
 		t.Run(rule.String(), func(t *testing.T) {
@@ -432,18 +461,34 @@ func TestIndexedQueryFaults(t *testing.T) {
 			if err != nil {
 				return // clean refusal at view build is acceptable
 			}
-			res, _, err := query.New(fs).Query(context.Background(), fview, params)
-			if err != nil {
-				return // clean error: the contract allows refusing
-			}
-			if len(res.Rows) != len(control.Rows) {
-				t.Fatalf("faulted query silently returned %d rows, control %d",
-					len(res.Rows), len(control.Rows))
-			}
-			for i := range res.Rows {
-				if res.Rows[i] != control.Rows[i] {
-					t.Fatalf("faulted query silently diverged at row %d", i)
+			var answers []*query.Result
+			for i := 0; i < 2; i++ {
+				res, _, err := query.New(fs).Query(context.Background(), fview, params)
+				if err != nil {
+					continue // clean error: the contract allows refusing
 				}
+				if len(res.Rows) != len(control.Rows) {
+					t.Fatalf("faulted query %d silently returned %d rows, control %d",
+						i, len(res.Rows), len(control.Rows))
+				}
+				for j := range res.Rows {
+					if res.Rows[j] != control.Rows[j] {
+						t.Fatalf("faulted query %d silently diverged at row %d", i, j)
+					}
+				}
+				answers = append(answers, res)
+			}
+			if rule != transient {
+				return
+			}
+			if len(answers) != 2 {
+				t.Fatalf("a sidecar read error failed %d of 2 queries; it must only cost pruning", 2-len(answers))
+			}
+			if got := answers[0].Metrics.PartitionsPruned; got != 0 {
+				t.Fatalf("first query pruned %d partitions through an unreadable sidecar", got)
+			}
+			if got := answers[1].Metrics.PartitionsPruned; got != 1 {
+				t.Fatalf("second query pruned %d partitions, want 1: the transient error was pinned", got)
 			}
 		})
 	}

@@ -37,6 +37,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -409,6 +410,14 @@ func appendJSONString(b []byte, s string) []byte {
 // View pins the partition set of one manifest generation. Partitions
 // are write-once, so a view stays internally consistent while new days
 // land; queries against it see exactly the generation's data.
+//
+// The view also pins each partition's .tlix sidecar the first time a
+// query needs it, so later queries on the view neither re-read nor
+// re-decode it. A decoded index, a missing sidecar and a corrupt or
+// future-versioned one are settled for the view's lifetime (the last
+// two as "scan"); a transient read error is not, and the next query
+// retries the load. Nothing carries over to a new view: it reloads
+// lazily.
 type View struct {
 	// Gen is the manifest generation the view was built from (0 when
 	// the store has no usable manifest).
@@ -423,6 +432,45 @@ type View struct {
 	// set is exactly {0..k-1} — the layout ShardOf writes — so a UE
 	// query can drop the day's other shards with zero false negatives.
 	shardsOf map[int]int
+	// sidecars holds one slot per Partitions entry: nil until a query
+	// settles the partition's sidecar, then the decoded index or
+	// noSidecar. Hits take no lock.
+	sidecars []atomic.Pointer[trace.PartitionIndex]
+}
+
+// noSidecar marks a settled slot whose partition has no usable index:
+// the sidecar is missing, corrupt or of a newer version.
+var noSidecar = new(trace.PartitionIndex)
+
+// partitionIndex returns partition i's sidecar through src, loading and
+// pinning it on first use; nil means scan the partition. Concurrent
+// first uses may both load; they decode the same write-once file, so
+// either result may win the slot.
+func (v *View) partitionIndex(i int, src IndexSource) *trace.PartitionIndex {
+	if i < len(v.sidecars) { // a View not built by NewView pins nothing
+		if idx := v.sidecars[i].Load(); idx != nil {
+			if idx == noSidecar {
+				return nil
+			}
+			return idx
+		}
+	}
+	pi := &v.Partitions[i]
+	idx, err := src.PartitionIndex(pi.Day, pi.Shard)
+	if err != nil {
+		if !errors.Is(err, trace.ErrIndexCorrupt) && !errors.Is(err, trace.ErrIndexVersion) {
+			return nil // transient: scan this time, retry next query
+		}
+		idx = nil
+	}
+	if i < len(v.sidecars) {
+		if idx == nil {
+			v.sidecars[i].Store(noSidecar)
+		} else {
+			v.sidecars[i].Store(idx)
+		}
+	}
+	return idx
 }
 
 // NewView snapshots the store's current partition set. Stores with a
@@ -454,6 +502,7 @@ func NewView(s trace.Store) (*View, error) {
 	sort.Slice(v.Partitions, func(i, j int) bool {
 		return v.Partitions[i].Partition().Less(v.Partitions[j].Partition())
 	})
+	v.sidecars = make([]atomic.Pointer[trace.PartitionIndex], len(v.Partitions))
 	v.shardsOf = make(map[int]int)
 	byDay := make(map[int][]int)
 	for i := range v.Partitions {
@@ -475,7 +524,10 @@ func NewView(s trace.Store) (*View, error) {
 }
 
 // IndexSource loads per-partition secondary indexes; *trace.FileStore
-// implements it. Absent (nil, nil) indexes mean "scan".
+// implements it. Absent (nil, nil) indexes mean "scan", and so do
+// ErrIndexCorrupt and ErrIndexVersion. The engine loads each
+// partition's index at most once per View (see View); any other error
+// counts as transient and is retried by the view's next query.
 type IndexSource interface {
 	PartitionIndex(day, shard int) (*trace.PartitionIndex, error)
 }
@@ -585,10 +637,7 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 		// Stages 2 and 3: sidecar prune, when one is present and fresh.
 		var allow []bool
 		if !p.NoIndex && e.idx != nil {
-			idx, err := e.idx.PartitionIndex(pi.Day, pi.Shard)
-			if err != nil {
-				idx = nil // corrupt or future-versioned: treat as unindexed
-			}
+			idx := v.partitionIndex(i, e.idx)
 			if idx != nil && v.hasStats && pi.Fingerprint != 0 && idx.Fingerprint != pi.Fingerprint {
 				idx = nil // stale: partition rewritten behind the index
 			}

@@ -7,6 +7,8 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"os"
+	"runtime"
 	"testing"
 )
 
@@ -144,5 +146,67 @@ func TestScanSteadyStateBlockAllocs(t *testing.T) {
 	if allocs > maxPerScan {
 		t.Fatalf("steady-state scan allocates %.0f times per run over %d blocks, want <= %d (per-partition setup only)",
 			allocs, blocksPerPart, maxPerScan)
+	}
+}
+
+// TestOpenPartitionSteadyStateAllocs opens, drains and closes a
+// one-block partition over and over: once the window pool is warm, an
+// open must not allocate a read window. What an open still allocates
+// (the file handle, path, iterator and decoder state) is a small fixed
+// cost far below the partition's size, which is what a fresh window
+// for it would take.
+func TestOpenPartitionSteadyStateAllocs(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(25))
+	recs := make([]Record, DefaultBlockRecords)
+	for i := range recs {
+		recs[i] = randRecord(rng, StudyStart.UnixMilli())
+	}
+	writePartition(t, fs, 0, 0, recs)
+	st, err := os.Stat(fs.partitionPath(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var cb ColumnBatch
+	openDrainClose := func() {
+		it, err := fs.OpenPartition(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for {
+			n, err := it.NextColumns(&cb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			rows += n
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rows != len(recs) {
+			t.Fatalf("drained %d rows, want %d", rows, len(recs))
+		}
+	}
+	openDrainClose() // warm the window pool and the batch
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		openDrainClose()
+	}
+	runtime.ReadMemStats(&after)
+	perOpen := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("partition %d bytes, %d bytes allocated per open", st.Size(), perOpen)
+	if perOpen >= uint64(st.Size())/4 {
+		t.Fatalf("a warm open allocates %d bytes, want well under the %d-byte partition (no read window)",
+			perOpen, st.Size())
 	}
 }

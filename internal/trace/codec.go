@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"telcolens/internal/devices"
 )
@@ -128,14 +129,32 @@ const readWindow = 1 << 18
 // NewReader validates the stream header and returns a Reader. A header
 // naming a format this package does not read fails with ErrBadVersion;
 // for the formats earlier versions wrote, the message names the format.
-func NewReader(r io.Reader) (*Reader, error) { return newReaderSize(r, readWindow) }
+func NewReader(r io.Reader) (*Reader, error) {
+	return newWindowReader(bufio.NewReaderSize(r, readWindow))
+}
 
-// newReaderSize is NewReader for a stream known to be size bytes long.
-// Every block of it fits a window that size, so a stream shorter than
-// readWindow — most partitions, a scan opening one per partition — gets
-// a window no larger than itself.
-func newReaderSize(r io.Reader, size int64) (*Reader, error) {
-	br := bufio.NewReaderSize(r, int(min(size, readWindow)))
+// windowPool recycles readWindow-sized read windows across partition
+// opens: scans and queries open one partition after another, and the
+// window is by far the largest thing an open would otherwise allocate.
+var windowPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readWindow) }}
+
+// getWindow takes a pooled read window and points it at r.
+func getWindow(r io.Reader) *bufio.Reader {
+	br := windowPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// putWindow detaches a window from its source and returns it to the
+// pool. The caller must not touch br afterwards.
+func putWindow(br *bufio.Reader) {
+	br.Reset(nil)
+	windowPool.Put(br)
+}
+
+// newWindowReader validates the stream header read through br and
+// returns a Reader decoding from br.
+func newWindowReader(br *bufio.Reader) (*Reader, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)

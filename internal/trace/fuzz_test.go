@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -99,6 +100,51 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("undeclared error kind: %v", err)
 			}
 			break
+		}
+	})
+}
+
+// FuzzDecodeIndex feeds arbitrary sidecar bodies to DecodeIndex. Each
+// input is sealed with a valid FNV-1a checksum first, so it reaches the
+// parser instead of stopping at the checksum. The decoder must never
+// panic, and any sidecar it accepts must re-encode to exactly the bytes
+// it was given.
+func FuzzDecodeIndex(f *testing.F) {
+	r := rand.New(rand.NewSource(2))
+	base := StudyStart.UnixMilli()
+	for _, n := range []int{0, 1, 70, 300} {
+		for _, perBlock := range []int{16, 128} {
+			b := newIndexBuilder(perBlock)
+			for i := 0; i < n; i++ {
+				rec := randRecord(r, base)
+				b.observe(rec.Timestamp, uint32(rec.UE), uint32(rec.TAC), uint32(rec.Source), uint32(rec.Target))
+			}
+			data := encodeIndex(b.finish(r.Uint64()))
+			body := data[:len(data)-8]
+			f.Add(bytes.Clone(body))
+			f.Add(bytes.Clone(body[:len(body)-1]))
+			mut := bytes.Clone(body)
+			mut[6] = 1 // flags
+			f.Add(mut)
+			mut = bytes.Clone(body)
+			mut[20] ^= 0x40 // block count
+			f.Add(mut)
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte("TLIX"))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := binary.LittleEndian.AppendUint64(bytes.Clone(body), fnv1a(body))
+		x, err := DecodeIndex(data)
+		if err != nil {
+			if !errors.Is(err, ErrIndexCorrupt) && !errors.Is(err, ErrIndexVersion) {
+				t.Fatalf("undeclared error kind: %v", err)
+			}
+			return
+		}
+		if again := encodeIndex(x); !bytes.Equal(again, data) {
+			t.Fatalf("accepted sidecar re-encodes to %d different bytes (input %d)", len(again), len(data))
 		}
 	})
 }

@@ -257,9 +257,15 @@ func fnv1a(p []byte) uint64 {
 // most a day of records, so this is generous.
 const maxIndexBlocks = 1 << 22
 
-// DecodeIndex parses sidecar bytes. Newer format versions return
-// ErrIndexVersion and structural damage ErrIndexCorrupt; callers treat
-// both as "no index".
+// minBlockSummaryBytes is the smallest serialized block summary: the
+// count and time extents, then two empty blooms of k u8 | words u32.
+const minBlockSummaryBytes = 4 + 8 + 8 + 2*5
+
+// DecodeIndex parses sidecar bytes. Newer format versions and any set
+// flag return ErrIndexVersion, structural damage ErrIndexCorrupt;
+// callers treat both as "no index". The block list is sized only after
+// the bytes left for it could hold that many summaries, so a lying
+// header cannot make the decoder allocate more than the input implies.
 func DecodeIndex(data []byte) (*PartitionIndex, error) {
 	if len(data) < 24+8 || [4]byte(data[0:4]) != indexMagic {
 		return nil, ErrIndexCorrupt
@@ -273,7 +279,9 @@ func DecodeIndex(data []byte) (*PartitionIndex, error) {
 		Fingerprint:  binary.LittleEndian.Uint64(data[8:16]),
 		BlockRecords: int(binary.LittleEndian.Uint32(data[16:20])),
 	}
-	if x.Version != IndexVersionCurrent {
+	// No flag is defined; a flagged sidecar is a format this package
+	// does not read, like a flagged stream.
+	if x.Version != IndexVersionCurrent || binary.LittleEndian.Uint16(data[6:8]) != 0 {
 		return nil, ErrIndexVersion
 	}
 	nBlocks := binary.LittleEndian.Uint32(data[20:24])
@@ -290,6 +298,9 @@ func DecodeIndex(data []byte) (*PartitionIndex, error) {
 	}
 	if x.Sectors, rest, err = readBloom(rest); err != nil {
 		return nil, err
+	}
+	if uint64(nBlocks)*minBlockSummaryBytes > uint64(len(rest)) {
+		return nil, ErrIndexCorrupt
 	}
 	x.Blocks = make([]BlockSummary, nBlocks)
 	for i := range x.Blocks {

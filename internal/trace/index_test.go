@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -129,6 +133,48 @@ func TestIndexDecodeRejectsDamage(t *testing.T) {
 	future[4] = 99 // version field
 	if _, err := DecodeIndex(future); err == nil {
 		t.Fatal("future-versioned index decoded")
+	}
+}
+
+// resealIndex recomputes a sidecar's trailing checksum after a test has
+// patched its body, so the damage reaches the parser.
+func resealIndex(data []byte) []byte {
+	body := data[:len(data)-8]
+	return binary.LittleEndian.AppendUint64(body, fnv1a(body))
+}
+
+// TestIndexDecodeBoundsBlockCount patches a valid sidecar's block count
+// to just under maxIndexBlocks: the decoder must refuse it from the
+// bytes present instead of first allocating ~168 MB of summaries.
+func TestIndexDecodeBoundsBlockCount(t *testing.T) {
+	b := newIndexBuilder(64)
+	b.observe(StudyStart.UnixMilli(), 1, 2, 3, 4)
+	data := bytes.Clone(encodeIndex(b.finish(42)))
+	binary.LittleEndian.PutUint32(data[20:24], maxIndexBlocks-1)
+	data = resealIndex(data)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeIndex(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrIndexCorrupt) {
+		t.Fatalf("lying block count: err = %v, want ErrIndexCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoder allocated %d bytes for a %d-byte sidecar", grew, len(data))
+	}
+}
+
+// TestIndexDecodeRejectsFlags sets a flag on a valid sidecar. No flag is
+// defined, so the decoder must treat it as a format it cannot read.
+func TestIndexDecodeRejectsFlags(t *testing.T) {
+	b := newIndexBuilder(64)
+	b.observe(StudyStart.UnixMilli(), 1, 2, 3, 4)
+	data := bytes.Clone(encodeIndex(b.finish(42)))
+	binary.LittleEndian.PutUint16(data[6:8], 1)
+	data = resealIndex(data)
+	if _, err := DecodeIndex(data); !errors.Is(err, ErrIndexVersion) {
+		t.Fatalf("flagged sidecar: err = %v, want ErrIndexVersion", err)
 	}
 }
 

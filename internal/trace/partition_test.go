@@ -207,3 +207,53 @@ func TestForEachClosesIteratorsOnError(t *testing.T) {
 		t.Fatalf("iterator leak: opened %d, closed %d", es.opened, es.closed)
 	}
 }
+
+// TestPartitionIteratorUseAfterClose reads a partition iterator after
+// Close while another open drains a partition, possibly through the
+// very window the closed iterator gave back. The closed iterator must
+// fail without touching that window; under -race any access to it
+// would be reported.
+func TestPartitionIteratorUseAfterClose(t *testing.T) {
+	fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]Record, 300)
+	for i := range recs {
+		recs[i] = sampleRecord()
+		recs[i].UE = UEID(i)
+		recs[i].Timestamp += int64(i)
+	}
+	writePartition(t, fs, 0, 0, recs)
+	writePartition(t, fs, 1, 0, recs)
+
+	it, err := fs.OpenPartition(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb ColumnBatch
+	if n, err := it.NextColumns(&cb); err != nil || n == 0 {
+		t.Fatalf("first batch: n=%d err=%v", n, err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error)
+	go func() {
+		other, err := fs.OpenPartition(1, 0)
+		if err == nil {
+			_, err = readRecords(other)
+			other.Close()
+		}
+		done <- err
+	}()
+	var late ColumnBatch
+	n, err := it.NextColumns(&late)
+	if otherErr := <-done; otherErr != nil {
+		t.Fatal(otherErr)
+	}
+	if n != 0 || !errors.Is(err, errIteratorClosed) {
+		t.Fatalf("NextColumns after Close: n=%d err=%v, want errIteratorClosed", n, err)
+	}
+}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -649,6 +650,12 @@ func (f *FileStore) rebuildEntry(p Partition) (PartitionInfo, error) {
 // stream is re-hashed while it is read and checked against the
 // partition's manifest fingerprint at end of stream (see
 // FileStoreOptions.VerifyReads).
+//
+// The iterator reads through a read window taken from a pool shared by
+// every open (scans, queries and refreshes alike); Close returns it, so
+// opening partition after partition allocates no window in steady
+// state. An iterator used after Close fails instead of reading a window
+// another open may already own.
 func (f *FileStore) OpenPartition(day, shard int) (RecordIterator, error) {
 	file, err := faultfs.Open(f.fs, f.partitionPath(day, shard))
 	if err != nil {
@@ -665,20 +672,14 @@ func (f *FileStore) OpenPartition(day, shard int) (RecordIterator, error) {
 			}
 		}
 	}
-	size, err := file.Seek(0, io.SeekEnd)
-	if err == nil {
-		_, err = file.Seek(0, io.SeekStart)
-	}
+	window := getWindow(src)
+	r, err := newWindowReader(window)
 	if err != nil {
-		file.Close()
-		return nil, fmt.Errorf("trace: sizing day %d shard %d: %w", day, shard, err)
-	}
-	r, err := newReaderSize(src, size)
-	if err != nil {
+		putWindow(window)
 		file.Close()
 		return nil, err
 	}
-	return &fileIterator{file: file, r: r, day: day, shard: shard, verify: verify}, nil
+	return &fileIterator{file: file, r: r, window: window, day: day, shard: shard, verify: verify}, nil
 }
 
 // Partitions lists partition files present on disk in canonical order.
@@ -886,12 +887,18 @@ func (v *readVerifier) finish(day, shard int) error {
 }
 
 type fileIterator struct {
-	file   faultfs.File
-	r      *Reader
+	file faultfs.File
+	r    *Reader
+	// window is r's pooled read window, nil once Close has returned it.
+	window *bufio.Reader
 	day    int
 	shard  int
 	verify *readVerifier
 }
+
+// errIteratorClosed is what a partition iterator returns when it is
+// read after Close.
+var errIteratorClosed = errors.New("trace: partition iterator used after Close")
 
 // atEnd runs the verification pass when the stream is exhausted.
 func (it *fileIterator) atEnd() error {
@@ -904,6 +911,9 @@ func (it *fileIterator) atEnd() error {
 // NextColumns hands out the next decoded batch in SoA form (one block,
 // decoded without materializing records).
 func (it *fileIterator) NextColumns(cb *ColumnBatch) (int, error) {
+	if it.window == nil {
+		return 0, errIteratorClosed
+	}
 	n, err := it.r.NextColumns(cb)
 	if err == io.EOF {
 		return 0, it.atEnd()
@@ -924,4 +934,13 @@ func (it *fileIterator) SetBlockFilter(keep func(block int) bool) { it.r.SetBloc
 // ReadStats reports block read/skip counters.
 func (it *fileIterator) ReadStats() BlockStats { return it.r.Stats() }
 
-func (it *fileIterator) Close() error { return it.file.Close() }
+// Close closes the file and returns the read window to the pool. Later
+// reads fail with errIteratorClosed.
+func (it *fileIterator) Close() error {
+	if it.window != nil {
+		it.r.r = nil
+		putWindow(it.window)
+		it.window = nil
+	}
+	return it.file.Close()
+}
