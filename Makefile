@@ -29,12 +29,14 @@
 #                     TestQuickSmoke runs every workload end to end and
 #                     traced at -quick (~30 s), the one check that the
 #                     traced replay still runs against the trace API
-#   make profile      generate a campaign (once) and run telcoanalyze
+#   make profile      generate a campaign (once) and run telcoreport
 #                     under -cpuprofile/-memprofile, so perf work starts
-#                     from a pprof, not a guess; tune PROFILE_EXP/
-#                     PROFILE_DIR/PROFILE_ARGS (telcogen takes the same
-#                     two flags, and its summary line splits generation
-#                     wall time into world build / simulate / sort+encode)
+#                     from a pprof, not a guess; PROFILE_EXP names one
+#                     experiment (empty, the default, profiles the whole
+#                     30-artifact pass); tune PROFILE_DIR/PROFILE_ARGS
+#                     too (telcogen takes the same two profile flags,
+#                     and its summary line splits generation wall time
+#                     into world build / simulate / sort+encode)
 #   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders, 30s
 #                     of FuzzDecodeIndex on the .tlix sidecar decoder,
 #                     then 30s of FuzzResultJSON on the /query JSON
@@ -73,25 +75,12 @@
 #               -parallel N   scan parallelism (0 = GOMAXPROCS)
 #               -ingest       mount the streaming /ingest/* endpoints
 #               -wal-sync     fsync the ingest WAL on every batch
-#               -ingest-pending N
-#                             ingest backlog budget in records before
-#                             the daemon answers 429 (0 = default)
-#               -query-inflight / -query-queue / -ingest-inflight /
-#               -ingest-queue / -artifact-inflight / -artifact-queue
-#                             per-endpoint admission limits: concurrent
-#                             slots and bounded wait-queue depth per
-#                             class (0 = defaults, negative queue = none)
-#               -query-timeout DUR
-#                             server-side cap on any /query deadline
-#                             (the ?timeout= param is clamped to it)
-#               -overload-window / -overload-threshold / -overload-cooldown
-#                             sliding-window overload detector: this many
-#                             rejections inside the window flips the
-#                             daemon into declared degraded mode
-#                             (cache-only /query, 429 elsewhere) for the
-#                             cooldown
-#               -retry-after DUR
-#                             wait advertised in 429 Retry-After
+#               -scrub        audit and quarantine before serving
+#               -checkpoint F resume from and save an analyzer checkpoint
+#               -drain DUR    graceful-shutdown drain budget
+#               admission limits and the ingest backlog budget are the
+#               package defaults (admission.Default*,
+#               ingest.DefaultMaxPendingRecords; DESIGN.md §6c)
 #               serves /artifacts, /query (indexed ad-hoc slices),
 #               /stats and /healthz (both answer during overload)
 #   telcoload   -src DIR -url http://HOST:PORT  replay a campaign into
@@ -102,11 +91,6 @@
 #               -retry-for DUR    per-send retry budget
 #               -max-backoff DUR  cap on any retry wait (including
 #                                 server Retry-After values)
-#               -max-attempts N   attempt cap per send (0 = unlimited)
-#               -breaker-fails N / -breaker-cooldown DUR
-#                                 circuit breaker: consecutive transport
-#                                 failures that open it, and how long it
-#                                 short-circuits before a half-open probe
 #               -chaos-faults PLAN / -chaos-seed N
 #                                 route the replay through an in-process
 #                                 netchaos proxy injecting the PLAN
@@ -116,7 +100,7 @@
 GO ?= go
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1
 PROFILE_DIR ?= profile-campaign
-PROFILE_EXP ?= table5
+PROFILE_EXP ?=
 PROFILE_ARGS ?=
 
 .PHONY: all vet lint build test race bench-smoke bench-unit bench-e2e alloc-check profile fuzz-smoke soak chaos chaos-soak netchaos ci
@@ -164,12 +148,13 @@ bench-e2e:
 alloc-check:
 	$(GO) test -run 'SteadyStateAllocs|SteadyStateBlockAllocs' -count 1 ./internal/trace/ ./internal/mobility/ ./internal/analysis/
 
-# Profile an experiment end to end. The campaign is generated once and
+# Profile a report pass end to end: the whole evaluation, or the one
+# experiment PROFILE_EXP names. The campaign is generated once and
 # reused; delete $(PROFILE_DIR) to regenerate.
 profile: build
 	@test -d $(PROFILE_DIR) || $(GO) run ./cmd/telcogen -out $(PROFILE_DIR) \
 		-ues 6000 -days 14 -shards 4
-	$(GO) run ./cmd/telcoanalyze -data $(PROFILE_DIR) -exp $(PROFILE_EXP) -v \
+	$(GO) run ./cmd/telcoreport -data $(PROFILE_DIR) $(if $(PROFILE_EXP),-exp $(PROFILE_EXP)) -v \
 		-cpuprofile cpu.pprof -memprofile mem.pprof $(PROFILE_ARGS) > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof — inspect with: $(GO) tool pprof cpu.pprof"
 

@@ -1,7 +1,7 @@
 // Command telcogen generates a synthetic countrywide handover measurement
 // campaign: a four-week (configurable) trace of handover records, stored
 // as v3 bitpacked block streams, plus the census open-data CSV, written
-// to a directory that telcoanalyze and telcoreport can reopen. A
+// to a directory that telcoreport and telcoserve can reopen. A
 // campaign is a function of (seed, config), so regenerating one in a
 // format this version no longer reads reproduces every record.
 //
@@ -14,7 +14,7 @@
 //
 // Generation reports a records/s summary on completion, with wall time
 // split into world build / simulate / sort+encode, and the
-// -cpuprofile/-memprofile flags (parity with telcoanalyze) capture pprof
+// -cpuprofile/-memprofile flags (parity with telcoreport) capture pprof
 // profiles of the generate → encode pipeline, so write-path perf work
 // starts from a profile rather than a guess.
 //
@@ -66,7 +66,7 @@ func main() {
 
 // run wraps generation so profiles are flushed on every exit path (a
 // fatal os.Exit would silently drop a pending CPU profile) — the same
-// contract telcoanalyze keeps.
+// contract telcoreport keeps.
 func run(out string, seed uint64, ues, days, sites, districts, shards int, rareBoost float64,
 	appendN int, cpuprofile, memprofile string) error {
 	if cpuprofile != "" {

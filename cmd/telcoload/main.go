@@ -62,11 +62,8 @@ type loadConfig struct {
 	seed     int64
 	noInit   bool
 
-	retryFor        time.Duration
-	maxBackoff      time.Duration
-	maxAttempts     int
-	breakerFails    int
-	breakerCooldown time.Duration
+	retryFor   time.Duration
+	maxBackoff time.Duration
 
 	chaosFaults string
 	chaosSeed   int64
@@ -86,9 +83,6 @@ func main() {
 	flag.BoolVar(&cfg.noInit, "noinit", false, "skip POST /ingest/init (the target is already initialized)")
 	flag.DurationVar(&cfg.retryFor, "retry-for", 2*time.Minute, "per-send retry budget before a stream gives up")
 	flag.DurationVar(&cfg.maxBackoff, "max-backoff", 0, "cap on any retry wait, including server Retry-After (0 = client default)")
-	flag.IntVar(&cfg.maxAttempts, "max-attempts", 0, "attempt cap per send, on top of -retry-for (0 = unlimited)")
-	flag.IntVar(&cfg.breakerFails, "breaker-fails", 0, "consecutive transport failures that open the circuit breaker (0 = client default)")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 0, "how long an open breaker short-circuits sends before a half-open probe (0 = client default)")
 	flag.StringVar(&cfg.chaosFaults, "chaos-faults", "", "netchaos fault plan, e.g. 'reset:up:after=10:every=50' (empty = no proxy; see internal/netchaos)")
 	flag.Int64Var(&cfg.chaosSeed, "chaos-seed", 1, "jitter seed for the chaos proxy (deterministic per seed)")
 	flag.Parse()
@@ -152,13 +146,10 @@ func run(ctx context.Context, cfg loadConfig) error {
 	clients := make([]*ingest.Client, streams)
 	for i := range clients {
 		clients[i] = &ingest.Client{
-			Base:            url,
-			Stream:          uint32(i + 1),
-			RetryFor:        cfg.retryFor,
-			MaxBackoff:      cfg.maxBackoff,
-			MaxAttempts:     cfg.maxAttempts,
-			FailThreshold:   cfg.breakerFails,
-			BreakerCooldown: cfg.breakerCooldown,
+			Base:       url,
+			Stream:     uint32(i + 1),
+			RetryFor:   cfg.retryFor,
+			MaxBackoff: cfg.maxBackoff,
 		}
 	}
 	// The resilience summary prints even when a stream gives up — on a

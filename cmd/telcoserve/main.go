@@ -63,28 +63,15 @@ import (
 
 func main() {
 	var (
-		data      = flag.String("data", "campaign", "campaign directory (from telcogen)")
-		addr      = flag.String("addr", ":8480", "HTTP listen address")
-		poll      = flag.Duration("poll", 2*time.Second, "store manifest poll interval")
-		parallel  = flag.Int("parallel", 0, "scan parallelism (0 = GOMAXPROCS)")
-		ingestOn  = flag.Bool("ingest", false, "mount the streaming ingest endpoints (/ingest/*) on this address")
-		walSync   = flag.Bool("wal-sync", false, "fsync the ingest WAL on every batch (machine-crash durability)")
-		ingestMax = flag.Int64("ingest-pending", 0, "ingest backlog budget in records before 429s (0 = default)")
-		scrub     = flag.Bool("scrub", false, "audit the store at startup and quarantine corrupt partitions before serving")
-		ckptPath  = flag.String("checkpoint", "", "analyzer checkpoint file: resumed at startup, saved after every refresh (empty = cold scans only)")
-		drain     = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
-
-		queryInflight = flag.Int("query-inflight", 0, "concurrent /query executions admitted (0 = default)")
-		queryQueue    = flag.Int("query-queue", 0, "bounded /query wait queue beyond the inflight slots (0 = default, negative = none)")
-		queryTimeout  = flag.Duration("query-timeout", 0, "server-side /query execution budget; a request ?timeout= may only shorten it (0 = default)")
-		ingInflight   = flag.Int("ingest-inflight", 0, "concurrent /ingest requests admitted (0 = default)")
-		ingQueue      = flag.Int("ingest-queue", 0, "bounded /ingest wait queue (0 = default, negative = none)")
-		artInflight   = flag.Int("artifact-inflight", 0, "concurrent artifact/index requests admitted (0 = default)")
-		artQueue      = flag.Int("artifact-queue", 0, "bounded artifact wait queue (0 = default, negative = none)")
-		ovWindow      = flag.Duration("overload-window", 0, "sliding window the overload detector counts rejections over (0 = default)")
-		ovThreshold   = flag.Int("overload-threshold", 0, "queue-full rejections inside the window that declare overload (0 = default, negative = never)")
-		ovCooldown    = flag.Duration("overload-cooldown", 0, "minimum degraded window once overload is declared (0 = default)")
-		retryAfter    = flag.Duration("retry-after", 0, "wait suggested to shed clients via Retry-After (0 = default)")
+		data     = flag.String("data", "campaign", "campaign directory (from telcogen)")
+		addr     = flag.String("addr", ":8480", "HTTP listen address")
+		poll     = flag.Duration("poll", 2*time.Second, "store manifest poll interval")
+		parallel = flag.Int("parallel", 0, "scan parallelism (0 = GOMAXPROCS)")
+		ingestOn = flag.Bool("ingest", false, "mount the streaming ingest endpoints (/ingest/*) on this address")
+		walSync  = flag.Bool("wal-sync", false, "fsync the ingest WAL on every batch (machine-crash durability)")
+		scrub    = flag.Bool("scrub", false, "audit the store at startup and quarantine corrupt partitions before serving")
+		ckptPath = flag.String("checkpoint", "", "analyzer checkpoint file: resumed at startup, saved after every refresh (empty = cold scans only)")
+		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
 	)
 	flag.Parse()
 
@@ -95,17 +82,9 @@ func main() {
 		parallel:   *parallel,
 		ingestOn:   *ingestOn,
 		walSync:    *walSync,
-		ingestMax:  *ingestMax,
 		scrub:      *scrub,
 		checkpoint: *ckptPath,
 		drain:      *drain,
-		admission: admission.Config{
-			QuerySlots: *queryInflight, QueryQueue: *queryQueue, QueryBudget: *queryTimeout,
-			IngestSlots: *ingInflight, IngestQueue: *ingQueue,
-			ArtifactSlots: *artInflight, ArtifactQueue: *artQueue,
-			OverloadWindow: *ovWindow, OverloadThreshold: *ovThreshold,
-			OverloadCooldown: *ovCooldown, RetryAfter: *retryAfter,
-		},
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "telcoserve:", err)
@@ -121,13 +100,9 @@ type serveConfig struct {
 	parallel   int
 	ingestOn   bool
 	walSync    bool
-	ingestMax  int64
 	scrub      bool
 	checkpoint string
 	drain      time.Duration
-	// admission tunes the per-endpoint concurrency limiters and the
-	// overload detector (zero fields use the package defaults).
-	admission admission.Config
 }
 
 // HTTP hardening bounds: header/body read and response write deadlines
@@ -958,7 +933,7 @@ func run(cfg serveConfig) error {
 
 	s := &server{dir: cfg.dir, parallel: cfg.parallel, checkpoint: cfg.checkpoint,
 		started: time.Now(), nudge: make(chan struct{}, 1),
-		adm: admission.NewController(cfg.admission)}
+		adm: admission.NewController(admission.Config{})}
 	// The query engine reads partitions through its own store handle —
 	// FileStore is stateless, so one handle serves every generation; the
 	// per-snapshot view pins which partitions a query may touch.
@@ -969,8 +944,7 @@ func run(cfg serveConfig) error {
 	s.eng = query.New(qstore)
 	if cfg.ingestOn {
 		svc, err := ingest.Open(cfg.dir, ingest.Options{
-			MaxPendingRecords: cfg.ingestMax,
-			SyncEvery:         cfg.walSync,
+			SyncEvery: cfg.walSync,
 			OnSeal: func(day int) {
 				log.Printf("ingest: day %d sealed", day)
 				s.poke()

@@ -33,7 +33,7 @@ import (
 //	noindex           disable index pruning, forcing scan fallback
 //	format            json (default) or csv
 //	timeout           execution deadline (duration or millis), capped by
-//	                  the server's -query-timeout budget; expiry is a
+//	                  admission.DefaultQueryBudget; expiry is a
 //	                  distinct 503 JSON body and nothing is cached
 //
 // A malformed parameter or an inverted from/to window is a 400. The

@@ -148,14 +148,14 @@ type ScanStats struct {
 	BytesRead     int64
 	// ScanNanos/FinalizeNanos split the wall time between the streaming
 	// trace passes and the post-scan collector finalization, so the
-	// post-scan constant stays visible in bench artifacts (-finalizeprofile
-	// in telcoanalyze/telcoreport prints the split).
+	// post-scan constant stays visible in bench artifacts (telcoreport
+	// -finalizeprofile prints the split).
 	ScanNanos     int64
 	FinalizeNanos int64
 }
 
-// ProfileSummary renders the scan-vs-finalize wall-time split the CLI
-// -finalizeprofile flags print.
+// ProfileSummary renders the scan-vs-finalize wall-time split that
+// telcoreport -finalizeprofile prints.
 func (s ScanStats) ProfileSummary() string {
 	return fmt.Sprintf("profile: scan %.3fs, finalize %.3fs",
 		float64(s.ScanNanos)/1e9, float64(s.FinalizeNanos)/1e9)

@@ -13,8 +13,8 @@ import (
 // File-backed checkpoints: the durable form of the incremental-refresh
 // state. telcoserve persists one after every refresh so a restart
 // resumes from the last merged manifest generation instead of a cold
-// full scan; telcoanalyze pipelines use them to hand state between
-// runs. Saves go through the atomic-publish discipline (stage + fsync
+// full scan; library callers (telcolens.ResumeAnalyzerFile) use them to
+// hand state between runs. Saves go through the atomic-publish discipline (stage + fsync
 // + rename + dir fsync), so the file on disk is always a complete,
 // checksummed checkpoint — a crashed save leaves the previous one.
 
