@@ -271,13 +271,10 @@ func render(ctx context.Context, a *telcolens.Analyzer) (map[string]*artifactVie
 func build(ctx context.Context, a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64) (snap *snapshot, st refreshStages, warmErr error) {
 	t := time.Now()
 	// One fused pass computes every scan-state unit the experiments share
-	// and the ping-pong automata advance over the new days (an analyzer
-	// refreshed in place already holds the former); the experiments then
-	// only read cached state, so a failing read fails here rather than
-	// becoming a served error artifact.
-	if _, warmErr = a.Scan(ctx); warmErr == nil {
-		_, warmErr = a.PingPongAll(ctx, analysis.StandardPingPongWindows)
-	}
+	// (an analyzer refreshed in place already holds them); the experiments
+	// then only read cached state, so a failing read fails here rather
+	// than becoming a served error artifact.
+	_, warmErr = a.Scan(ctx)
 	st.refresh = time.Since(t)
 	t = time.Now()
 	views, order := render(ctx, a)

@@ -47,6 +47,9 @@ const (
 	NeedUEDay
 	// NeedSectorDay: the §6.3 sector-day regression dataset.
 	NeedSectorDay
+	// NeedPingPong: the §7 ping-pong automata over
+	// StandardPingPongWindows.
+	NeedPingPong
 
 	needSentinel
 )
@@ -120,8 +123,6 @@ type Analyzer struct {
 	covered    []trace.PartitionInfo
 	coveredGen uint64
 	stats      ScanStats
-	// pp is the incremental ping-pong tracker (see exp_pingpong.go).
-	pp *ppTracker
 
 	// rowCache memoizes RegressionRows per filter. Eight experiment
 	// bodies share four distinct filters, and they run concurrently under
@@ -218,9 +219,7 @@ func (a *Analyzer) Configure(opts ...Option) {
 }
 
 // resetScanStateLocked drops every computed collector and its coverage;
-// the next Require recomputes from the store's current partitions. The
-// ping-pong tracker survives (it is window-independent and maintains its
-// own coverage).
+// the next Require recomputes from the store's current partitions.
 func (a *Analyzer) resetScanStateLocked() {
 	a.cols = nil
 	a.have = 0
@@ -356,6 +355,9 @@ type scanState struct {
 	// NeedSectorDay: regression rows, canonically ordered by
 	// (day, sector, type).
 	sectorDay []SectorDayRow
+
+	// NeedPingPong: one entry per StandardPingPongWindows window.
+	pingPong []*PingPongStats
 }
 
 // topManufacturers tracked for Fig 11/15 stacked views. The array index
@@ -382,6 +384,8 @@ func collectorFor(need Need, env *scanEnv) collector {
 		return newUEDayCollector(env)
 	case NeedSectorDay:
 		return newSectorDayCollector(env)
+	case NeedPingPong:
+		return newPingPongCollector(env)
 	}
 	panic(fmt.Sprintf("analysis: unknown need %b", need))
 }
@@ -403,7 +407,6 @@ func (a *Analyzer) syncEnvLocked() error {
 	if next.days < a.env.days || next.nUEs != a.env.nUEs ||
 		next.nSectors != a.env.nSectors || next.nDistricts != a.env.nDistricts {
 		a.resetScanStateLocked()
-		a.pp = nil
 		a.env = next
 		return nil
 	}

@@ -12,10 +12,10 @@ import (
 )
 
 // The incremental engine: a warm Analyzer can persist its entire scan
-// state (every live collector snapshot, the partition coverage, the
-// ping-pong automata) into a checkpoint, be resumed from it against the
-// same — possibly grown — campaign, and then Refresh by scanning only
-// the partitions the checkpoint does not cover. The contract, enforced
+// state (every live collector snapshot, the ping-pong automata among
+// them, and the partition coverage) into a checkpoint, be resumed from
+// it against the same — possibly grown — campaign, and then Refresh by
+// scanning only the partitions the checkpoint does not cover. The contract, enforced
 // by TestIncrementalEqualsFull, is that artifacts rendered from
 // checkpoint+Refresh state are byte-identical to a cold full scan of
 // the same store.
@@ -74,7 +74,6 @@ func (a *Analyzer) Refresh(ctx context.Context) (*RefreshResult, error) {
 	if !ok {
 		needs := a.have
 		a.resetScanStateLocked()
-		a.pp = nil
 		a.covered = cur
 		a.coveredGen = gen
 		res.FullRescan = true
@@ -101,7 +100,6 @@ func (a *Analyzer) Refresh(ctx context.Context) (*RefreshResult, error) {
 		// A failed delta scan may have partially merged into the live
 		// collectors; drop everything so the next call rebuilds cleanly.
 		a.resetScanStateLocked()
-		a.pp = nil
 		return nil, err
 	}
 	a.covered = cur
@@ -193,9 +191,9 @@ func readAllSized(r io.Reader) ([]byte, error) {
 }
 
 // Checkpoint serializes the analyzer's entire cached scan state — which
-// units are computed, their collector snapshots, the partition coverage
-// and the incremental ping-pong automata — so a later process can
-// ResumeAnalyzer from it and Refresh instead of rescanning the store.
+// units are computed, their collector snapshots and the partition
+// coverage — so a later process can ResumeAnalyzer from it and Refresh
+// instead of rescanning the store.
 // Only call it at a quiescent point (no scan in flight).
 func (a *Analyzer) Checkpoint(w io.Writer) error {
 	a.mu.Lock()
@@ -229,12 +227,6 @@ func (a *Analyzer) Checkpoint(w io.Writer) error {
 		}
 		e.u32(uint32(len(data)))
 		e.b = append(e.b, data...)
-	}
-	if a.pp != nil {
-		e.u8(1)
-		a.pp.encode(e)
-	} else {
-		e.u8(0)
 	}
 	e.u64(checksum64(e.b))
 	_, err := w.Write(e.b)
@@ -328,15 +320,8 @@ func ResumeAnalyzer(ds *simulate.Dataset, r io.Reader, opts ...Option) (*Analyze
 	a.covered = covered
 	a.coveredGen = coveredGen
 	a.stateDirty = have != 0
-	if d.u8() == 1 {
-		pp, err := decodePPTracker(d, a.env.nUEs)
-		if err != nil {
-			return nil, err
-		}
-		a.pp = pp
-	}
-	if d.err != nil {
-		return nil, d.err
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("analysis: %d trailing checkpoint bytes", len(d.b))
 	}
 	return a, nil
 }

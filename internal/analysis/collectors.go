@@ -26,7 +26,10 @@ import (
 //	finalize(*scanState)           — publish the merged view
 //
 // so an experiment pays only for the state it declares (Need bits) and
-// the scan parallelizes over trace partitions. Every unit is written so
+// the scan parallelizes over trace partitions. MergeShard runs on the
+// scan's one merge goroutine, so work that depends on a single partition
+// belongs in the state's FinishPartition (trace.PartitionFinisher),
+// which runs on the worker that scanned it. Every unit is written so
 // its merged output is bit-identical whether the store holds one shard
 // per day or many, and whatever the scan parallelism:
 //
@@ -1454,8 +1457,12 @@ type uedayShard struct {
 	// growth.
 	lastUE  trace.UEID
 	lastIdx int32
+	// rows holds the partition's finished UE-day metrics, built by
+	// FinishPartition on the scan worker; the buffer is recycled with
+	// the state.
+	rows []UEDayMetric
 	// trigScratch is the reusable per-flush buffer the compact visit log
-	// expands into (no per-UE allocation at merge time).
+	// expands into (no per-UE allocation at finish time).
 	trigScratch []geo.TrigVisit
 }
 
@@ -1510,6 +1517,16 @@ func (s *uedayShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
 		st.hasLoc = true
 	}
 	s.lastUE, s.lastIdx = lastUE, lastIdx
+	return nil
+}
+
+// FinishPartition builds the partition's UE-day rows on the scan worker:
+// a UE's whole day lies in this one partition (shards are UE-hash
+// partitioned), so its rows depend on this state alone, and the serial
+// MergeShard is left with the sums and the append.
+func (s *uedayShard) FinishPartition() error {
+	s.rows = s.flush(s.rows[:0])
+	s.tbl.reset()
 	return nil
 }
 
@@ -1578,13 +1595,13 @@ func (c *uedayCollector) MergeShard(st trace.ShardState) error {
 		c.flushDay()
 		c.curDay = s.day
 	}
-	for i := range s.tbl.states {
-		st := &s.tbl.states[i]
-		c.ueHOs[st.ue] += st.hos
-		c.ueFails[st.ue] += st.fails
+	for i := range s.rows {
+		m := &s.rows[i]
+		c.ueHOs[m.UE] += m.HOs
+		c.ueFails[m.UE] += m.Fails
 	}
-	c.dayBuf = s.flush(c.dayBuf)
-	s.tbl.reset()
+	c.dayBuf = append(c.dayBuf, s.rows...)
+	s.rows = s.rows[:0]
 	c.shards.put(s)
 	return nil
 }

@@ -100,6 +100,11 @@ func foldCollector(t *testing.T, ds *simulate.Dataset, need Need, chunk int) *sc
 				t.Fatal(err)
 			}
 		}
+		if f, ok := state.(trace.PartitionFinisher); ok {
+			if err := f.FinishPartition(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := col.MergeShard(state); err != nil {
 			t.Fatal(err)
 		}
@@ -126,6 +131,7 @@ func TestCollectorBatchRecordEquivalence(t *testing.T) {
 		NeedDistricts: "districts",
 		NeedUEDay:     "ueday",
 		NeedSectorDay: "sectorday",
+		NeedPingPong:  "pingpong",
 	}
 	for need := NeedTypes; need < needSentinel; need <<= 1 {
 		name := needNames[need]

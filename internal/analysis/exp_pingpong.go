@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"telcolens/internal/report"
@@ -20,7 +19,7 @@ import (
 // "future work" direction the related-work section implies.
 
 func init() {
-	register("pingpong", "Ping-pong handover analysis (extension, §7 related work)", "§7 (Feher'12, Zidic'23)", 0, runPingPong)
+	register("pingpong", "Ping-pong handover analysis (extension, §7 related work)", "§7 (Feher'12, Zidic'23)", NeedPingPong, runPingPong)
 }
 
 // PingPongStats summarizes ping-pong behaviour for one detection window.
@@ -40,17 +39,6 @@ func (p *PingPongStats) Rate() float64 {
 	return float64(p.PingPongs) / float64(p.HOs)
 }
 
-// PingPong scans the trace for A→B→A bounces completed within the window.
-// Only successful handovers advance the serving sector, matching the PP
-// definition of the prior studies.
-func (a *Analyzer) PingPong(ctx context.Context, window time.Duration) (*PingPongStats, error) {
-	out, err := a.PingPongAll(ctx, []time.Duration{window})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // pingPongState is one UE's bounce automaton for one window.
 type pingPongState struct {
 	src, dst uint32
@@ -59,18 +47,18 @@ type pingPongState struct {
 }
 
 // StandardPingPongWindows are the detection windows the pingpong
-// experiment renders. PingPongAll maintains incremental automaton state
-// for exactly this window set, so refreshing after a day lands replays
-// only the new partitions; other window sets pay a one-shot full pass.
+// experiment renders. The NeedPingPong collector runs the automata for
+// exactly this window set inside the fused scan, so a refresh after a
+// day lands feeds only the new partitions through them.
 var StandardPingPongWindows = []time.Duration{2 * time.Second, 10 * time.Second, time.Minute, 5 * time.Minute}
 
 // ppTracker is the resumable ping-pong engine: the per-UE per-window
-// bounce automata plus the counters, and the partitions already folded.
-// Because the automata advance strictly in canonical partition order and
-// a UE's whole record sequence is preserved by that order, the state
-// after partition k is a pure function of partitions 0..k — appending
-// partitions continues the sequence exactly, which makes incremental
-// counts identical to a cold pass.
+// bounce automata plus the counters. Because the automata advance
+// strictly in canonical partition order and a UE's whole record sequence
+// is preserved by that order, the state after partition k is a pure
+// function of partitions 0..k — appending partitions continues the
+// sequence exactly, which makes incremental counts identical to a cold
+// pass.
 type ppTracker struct {
 	winMs     []int64
 	states    []pingPongState // nUEs × len(winMs), window-major per UE
@@ -78,7 +66,6 @@ type ppTracker struct {
 	areaHOs   [2]int64
 	pingPongs []int64
 	byArea    [][2]int64
-	covered   []trace.PartitionInfo
 }
 
 func newPPTracker(nUEs int, windows []time.Duration) *ppTracker {
@@ -116,42 +103,6 @@ func (t *ppTracker) observe(sectors []sectorMeta, ts int64, ue trace.UEID, src, 
 		}
 		*st = pingPongState{src: uint32(src), dst: uint32(dst), ts: ts, valid: true}
 	}
-}
-
-// advance replays the given partitions, in canonical order, through the
-// automata. The pass is sequential — the per-UE bounce state must
-// survive day boundaries, which the per-partition collector states do
-// not — and streams each partition as SoA batches.
-func (t *ppTracker) advance(ctx context.Context, store trace.Store, parts []trace.Partition, sectors []sectorMeta) error {
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Less(parts[j]) })
-	var cb trace.ColumnBatch
-	for _, p := range parts {
-		it, err := store.OpenPartition(p.Day, p.Shard)
-		if err != nil {
-			return err
-		}
-		for {
-			if err := ctx.Err(); err != nil {
-				it.Close()
-				return err
-			}
-			n, err := it.NextColumns(&cb)
-			if err != nil {
-				it.Close()
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				t.observe(sectors, cb.Timestamps[i], cb.UEs[i], cb.Sources[i], cb.Targets[i], cb.Results[i])
-			}
-		}
-		if err := it.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // stats renders the tracker's counters for the given window set.
@@ -193,10 +144,9 @@ func (t *ppTracker) encode(e *enc) {
 			e.u8(0)
 		}
 	}
-	encodeCoverage(e, t.covered)
 }
 
-func decodePPTracker(d *dec, nUEs int) (*ppTracker, error) {
+func decodePPTracker(d *dec) (*ppTracker, error) {
 	t := &ppTracker{}
 	t.winMs = d.i64s()
 	t.hos = d.i64()
@@ -224,13 +174,11 @@ func decodePPTracker(d *dec, nUEs int) (*ppTracker, error) {
 		st.ts = d.i64()
 		st.valid = d.u8() == 1
 	}
-	t.covered = decodeCoverage(d)
 	if d.err != nil {
 		return nil, d.err
 	}
-	if nStates != nUEs*len(t.winMs) || len(t.pingPongs) != len(t.winMs) || len(t.byArea) != len(t.winMs) {
-		return nil, fmt.Errorf("analysis: ping-pong tracker shape mismatch (%d states for %d UEs × %d windows)",
-			nStates, nUEs, len(t.winMs))
+	if len(t.winMs) == 0 || nStates%len(t.winMs) != 0 || len(t.pingPongs) != len(t.winMs) || len(t.byArea) != len(t.winMs) {
+		return nil, fmt.Errorf("analysis: ping-pong tracker shape mismatch (%d states, %d windows)", nStates, len(t.winMs))
 	}
 	// The tracker is only ever maintained for the standard window set;
 	// counts restored under any other set (a build whose standard windows
@@ -246,71 +194,136 @@ func decodePPTracker(d *dec, nUEs int) (*ppTracker, error) {
 	return t, nil
 }
 
-// PingPongAll computes ping-pong stats for every window in ONE pass over
-// the trace (the automata are independent, so all windows advance per
-// record); the v1 implementation re-scanned the whole store per window.
-// For the standard window set the pass is also incremental: the analyzer
-// keeps the automata and counters between calls, so after new partitions
-// land only they are replayed (and the state rides along in checkpoints).
-// The result is sharding-invariant because the canonical partition order
-// preserves every UE's record sequence, and incremental-invariant
-// because appended partitions continue that sequence exactly.
-func (a *Analyzer) PingPongAll(ctx context.Context, windows []time.Duration) ([]*PingPongStats, error) {
-	if len(windows) == 0 {
-		return nil, fmt.Errorf("analysis: ping-pong without windows")
-	}
-	if slices.Equal(windows, StandardPingPongWindows) {
-		return a.pingPongIncremental(ctx)
-	}
-	// One-shot pass over the store's current partitions.
-	t := newPPTracker(a.DS.Population.Len(), windows)
-	sectors := a.sharedEnv().sectors
-	parts, err := a.DS.Store.Partitions()
-	if err != nil {
-		return nil, err
-	}
-	if err := t.advance(ctx, a.DS.Store, parts, sectors); err != nil {
-		return nil, err
-	}
-	return t.stats(windows), nil
+// clone returns a deep copy of the tracker.
+func (t *ppTracker) clone() *ppTracker {
+	c := *t
+	c.winMs = slices.Clone(t.winMs)
+	c.states = slices.Clone(t.states)
+	c.pingPongs = slices.Clone(t.pingPongs)
+	c.byArea = slices.Clone(t.byArea)
+	return &c
 }
 
-// pingPongIncremental advances (or rebuilds) the tracker for the
-// standard windows to cover the store's current partitions.
-func (a *Analyzer) pingPongIncremental(ctx context.Context) ([]*PingPongStats, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.syncEnvLocked(); err != nil {
-		return nil, err
+// --- ping-pong collector ---------------------------------------------------
+
+// pingpongCollector runs the standard-window automata inside the fused
+// scan. The per-UE bounce state crosses day boundaries, so it advances
+// only on the merge, in canonical partition order — the order that
+// preserves every UE's record sequence — which makes the counts
+// independent of sharding, parallelism and refresh splits.
+type pingpongCollector struct {
+	env *scanEnv
+	t   *ppTracker
+
+	shards shardFree[pingpongShard]
+}
+
+func newPingPongCollector(env *scanEnv) *pingpongCollector {
+	return &pingpongCollector{env: env, t: newPPTracker(env.nUEs, StandardPingPongWindows)}
+}
+
+// ppHO is one successful handover as the automata consume it.
+type ppHO struct {
+	ts       int64
+	ue       trace.UEID
+	src, dst topology.SectorID
+}
+
+// pingpongShard buffers its partition's successful handovers in storage
+// order; the buffer is recycled with the state.
+type pingpongShard struct {
+	hos []ppHO
+}
+
+func (c *pingpongCollector) NewShardState(day, shard int) trace.ShardState {
+	if s := c.shards.get(); s != nil {
+		return s
 	}
-	// Whole-day coverage (shared with the scan state): the automata could
-	// continue mid-day exactly, but advancing in the same units keeps the
-	// checkpointed coverages aligned.
-	cur, _, err := a.currentCoverageLocked()
+	return &pingpongShard{}
+}
+
+// ObserveColumns keeps the successful handovers: only they advance the
+// serving sector, matching the PP definition of the prior studies.
+func (s *pingpongShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
+	n := cb.Len()
+	for i := 0; i < n; i++ {
+		if cb.Results[i] == trace.Success {
+			s.hos = append(s.hos, ppHO{ts: cb.Timestamps[i], ue: cb.UEs[i], src: cb.Sources[i], dst: cb.Targets[i]})
+		}
+	}
+	return nil
+}
+
+// pingpongShard reads the UE, both sectors and the result bit.
+func (c *pingpongCollector) columns() trace.ColumnSet {
+	return trace.ColUE | trace.ColSectors | trace.ColOutcome
+}
+
+func (c *pingpongCollector) MergeShard(st trace.ShardState) error {
+	s := st.(*pingpongShard)
+	for i := range s.hos {
+		h := &s.hos[i]
+		c.t.observe(c.env.sectors, h.ts, h.ue, h.src, h.dst, trace.Success)
+	}
+	s.hos = s.hos[:0]
+	c.shards.put(s)
+	return nil
+}
+
+func (c *pingpongCollector) finalize(out *scanState) error {
+	c.shards.drop()
+	out.pingPong = c.t.stats(StandardPingPongWindows)
+	return nil
+}
+
+// pingpongState is the collector's snapshot: the whole tracker, automata
+// included, so a resumed analyzer continues every UE's bounce state.
+type pingpongState struct {
+	t *ppTracker
+}
+
+func (s *pingpongState) Need() Need { return NeedPingPong }
+
+func (s *pingpongState) MarshalBinary() ([]byte, error) {
+	e := &enc{}
+	header(e, NeedPingPong)
+	s.t.encode(e)
+	return e.b, nil
+}
+
+func (s *pingpongState) UnmarshalBinary(data []byte) error {
+	d := &dec{b: data}
+	if err := checkHeader(d, NeedPingPong); err != nil {
+		return err
+	}
+	t, err := decodePPTracker(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t := a.pp
-	var delta []trace.PartitionInfo
-	if t != nil {
-		var ok bool
-		if delta, ok = coverageDelta(t.covered, cur); !ok {
-			t = nil // non-append change: rebuild from scratch
-		}
+	s.t = t
+	return nil
+}
+
+func (c *pingpongCollector) Snapshot() CollectorState {
+	return &pingpongState{t: c.t.clone()}
+}
+
+// Merge restores a snapshot into an empty collector. Automata cannot be
+// summed, so a collector that has already observed handovers refuses.
+func (c *pingpongCollector) Merge(st CollectorState) error {
+	s, ok := st.(*pingpongState)
+	if !ok {
+		return fmt.Errorf("analysis: merging %T into pingpong collector", st)
 	}
-	if t == nil {
-		t = newPPTracker(a.env.nUEs, StandardPingPongWindows)
-		delta = cur
+	if c.t.hos != 0 {
+		return fmt.Errorf("analysis: merging a ping-pong state into a non-empty collector")
 	}
-	if len(delta) > 0 {
-		if err := t.advance(ctx, a.DS.Store, partitionsOf(delta), a.env.sectors); err != nil {
-			a.pp = nil // partially advanced automata are unusable
-			return nil, err
-		}
+	if len(s.t.states) != c.env.nUEs*len(s.t.winMs) {
+		return fmt.Errorf("analysis: ping-pong state has %d automata for %d UEs × %d windows",
+			len(s.t.states), c.env.nUEs, len(s.t.winMs))
 	}
-	t.covered = cur
-	a.pp = t
-	return t.stats(StandardPingPongWindows), nil
+	c.t = s.t.clone()
+	return nil
 }
 
 func runPingPong(ctx context.Context, a *Analyzer, art *report.Artifact) error {
@@ -318,11 +331,11 @@ func runPingPong(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		Title:   "Ping-pong handovers (A→B→A within window)",
 		Columns: []string{"Window", "HOs", "Ping-pongs", "Rate", "Urban rate", "Rural rate"},
 	}
-	all, err := a.PingPongAll(ctx, StandardPingPongWindows)
+	st, err := a.Require(ctx, NeedPingPong)
 	if err != nil {
 		return err
 	}
-	for _, s := range all {
+	for _, s := range st.pingPong {
 		rate := func(area int) string {
 			if s.AreaHOs[area] == 0 {
 				return "-"

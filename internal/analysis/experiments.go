@@ -93,10 +93,10 @@ type Outcome struct {
 // RunEach runs every registered experiment against the analyzer and
 // returns one Outcome per experiment, in registration order. The bodies
 // fan out across a worker pool bounded by the analyzer's parallelism:
-// they are pure readers of the finalized scan state (plus the
-// mutex-protected ping-pong tracker), and each first Requires its own
-// needs, which serializes on the analyzer. Callers wanting one fused
-// trace pass Require the union of the needs beforehand, as RunAll does.
+// they are pure readers of the finalized scan state, and each first
+// Requires its own needs, which serializes on the analyzer. Callers
+// wanting one fused trace pass Require the union of the needs
+// beforehand, as RunAll does.
 func RunEach(ctx context.Context, a *Analyzer) []Outcome {
 	a.mu.Lock()
 	workers := a.parallelism

@@ -51,17 +51,14 @@ func TestIncrementalEqualsFull(t *testing.T) {
 			ds := incDataset(t, t.TempDir(), split, shards)
 
 			// Warm the full scan state on the partial store and checkpoint
-			// it. (Require + the ping-pong pass rather than renderAll: some
-			// experiments legitimately refuse very short windows, e.g. the
-			// 1-day split has too few nights for home detection.)
+			// it. (Require rather than renderAll: some experiments
+			// legitimately refuse very short windows, e.g. the 1-day split
+			// has too few nights for home detection.)
 			warm, err := New(ds, WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := warm.Require(context.Background(), NeedAll); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := warm.PingPongAll(context.Background(), StandardPingPongWindows); err != nil {
 				t.Fatal(err)
 			}
 			var ckpt bytes.Buffer

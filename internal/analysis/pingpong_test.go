@@ -1,21 +1,105 @@
 package analysis
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"time"
+
+	"telcolens/internal/simulate"
+	"telcolens/internal/trace"
 )
+
+// advance is the ping-pong oracle: a sequential replay of the given
+// partitions, in canonical order, one at a time through the automata,
+// restricted to the records inside tr when tr is set. The NeedPingPong
+// collector must count exactly what it counts.
+func (t *ppTracker) advance(ctx context.Context, store trace.Store, parts []trace.Partition, sectors []sectorMeta, tr *trace.TimeRange) error {
+	sort.Slice(parts, func(i, j int) bool { return parts[i].Less(parts[j]) })
+	var cb trace.ColumnBatch
+	for _, p := range parts {
+		it, err := store.OpenPartition(p.Day, p.Shard)
+		if err != nil {
+			return err
+		}
+		for {
+			if err := ctx.Err(); err != nil {
+				it.Close()
+				return err
+			}
+			n, err := it.NextColumns(&cb)
+			if err != nil {
+				it.Close()
+				return err
+			}
+			if n == 0 {
+				break
+			}
+			for i := 0; i < n; i++ {
+				if tr != nil && !tr.Contains(cb.Timestamps[i]) {
+					continue
+				}
+				t.observe(sectors, cb.Timestamps[i], cb.UEs[i], cb.Sources[i], cb.Targets[i], cb.Results[i])
+			}
+		}
+		if err := it.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// oraclePingPong runs the oracle over every partition of the dataset's
+// store for the given windows.
+func oraclePingPong(t *testing.T, ds *simulate.Dataset, windows []time.Duration, tr *trace.TimeRange) []*PingPongStats {
+	t.Helper()
+	parts, err := ds.Store.Partitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := newPPTracker(ds.Population.Len(), windows)
+	if err := tk.advance(context.Background(), ds.Store, parts, newScanEnv(ds).sectors, tr); err != nil {
+		t.Fatal(err)
+	}
+	return tk.stats(windows)
+}
+
+// collectorPingPong returns the analyzer's NeedPingPong view.
+func collectorPingPong(t *testing.T, a *Analyzer) []*PingPongStats {
+	t.Helper()
+	st, err := a.Require(context.Background(), NeedPingPong)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.pingPong
+}
+
+func samePingPong(t *testing.T, label string, got, want []*PingPongStats) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: collector ping-pong counts differ from the oracle\ngot  %s\nwant %s", label, ppString(got), ppString(want))
+	}
+}
+
+func ppString(ss []*PingPongStats) string {
+	var b bytes.Buffer
+	for _, s := range ss {
+		fmt.Fprintf(&b, "%+v ", *s)
+	}
+	return b.String()
+}
 
 func TestPingPongMonotoneInWindow(t *testing.T) {
 	a := shared(t)
+	all := oraclePingPong(t, a.DS, []time.Duration{time.Second, 30 * time.Second, 5 * time.Minute}, nil)
 	var prev int64 = -1
-	for _, w := range []time.Duration{time.Second, 30 * time.Second, 5 * time.Minute} {
-		s, err := a.PingPong(context.Background(), w)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range all {
 		if s.PingPongs < prev {
-			t.Fatalf("PP count decreased with a larger window at %v", w)
+			t.Fatalf("PP count decreased with a larger window at %v", s.Window)
 		}
 		prev = s.PingPongs
 		if s.Rate() < 0 || s.Rate() > 1 {
@@ -28,10 +112,7 @@ func TestPingPongDetectsBounces(t *testing.T) {
 	a := shared(t)
 	// Local random walks bounce between neighbor sites regularly: at a
 	// 5-minute window the PP rate should be visible but far from total.
-	s, err := a.PingPong(context.Background(), 5*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := oraclePingPong(t, a.DS, []time.Duration{5 * time.Minute}, nil)[0]
 	if s.PingPongs == 0 {
 		t.Fatal("no ping-pongs detected at a 5-minute window")
 	}
@@ -40,5 +121,168 @@ func TestPingPongDetectsBounces(t *testing.T) {
 	}
 	if s.AreaHOs[0]+s.AreaHOs[1] != s.HOs {
 		t.Fatal("area split does not cover all HOs")
+	}
+}
+
+// TestPingPongCollectorMatchesOracle holds the fused-scan collector to
+// the sequential replay: same counts on 1 and 4 shards at any scan
+// parallelism, and after a refresh at every split point — in place and
+// from a checkpoint.
+func TestPingPongCollectorMatchesOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates campaigns")
+	}
+	for _, shards := range []int{1, 4} {
+		ds := detDataset(t, shards)
+		want := oraclePingPong(t, ds, StandardPingPongWindows, nil)
+		for _, par := range []int{1, 8} {
+			a, err := New(ds, WithParallelism(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePingPong(t, fmt.Sprintf("shards=%d parallelism=%d", shards, par), collectorPingPong(t, a), want)
+		}
+	}
+
+	ds := detDataset(t, 2)
+	want := oraclePingPong(t, ds, StandardPingPongWindows, nil)
+	for split := 1; split < detDays; split++ {
+		// The analyzer first sees only the days before the split, then
+		// the rest lands.
+		view := *ds
+		store := &countingStore{Store: ds.Store, maxDay: split}
+		view.Store = store
+		a, err := New(&view, WithParallelism(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		collectorPingPong(t, a)
+		var ckpt bytes.Buffer
+		if err := a.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		store.setMaxDay(detDays)
+		if _, err := a.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		samePingPong(t, fmt.Sprintf("split=%d in place", split), collectorPingPong(t, a), want)
+
+		store.setMaxDay(split)
+		resumed, err := ResumeAnalyzer(&view, bytes.NewReader(ckpt.Bytes()), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.setMaxDay(detDays)
+		res, err := resumed.Refresh(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FullRescan || res.PartitionsScanned != (detDays-split)*2 {
+			t.Fatalf("split=%d: resumed refresh scanned %d partitions (full rescan %v), want only the new days",
+				split, res.PartitionsScanned, res.FullRescan)
+		}
+		samePingPong(t, fmt.Sprintf("split=%d resumed", split), collectorPingPong(t, resumed), want)
+	}
+}
+
+// TestPingPongHonoursWindow: a windowed analysis counts ping-pongs over
+// the window's records only, as every other experiment does.
+func TestPingPongHonoursWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a campaign")
+	}
+	ds := detDataset(t, 4)
+	for _, w := range [][2]int{{1, 2}, {0, 0}, {2, -1}} {
+		a, err := New(ds, WithWindow(w[0], w[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.DayRange(clampWindow(w[0], w[1], detDays))
+		want := oraclePingPong(t, ds, StandardPingPongWindows, &tr)
+		got := collectorPingPong(t, a)
+		samePingPong(t, fmt.Sprintf("window %v", w), got, want)
+		if full := oraclePingPong(t, ds, StandardPingPongWindows, nil); got[0].HOs >= full[0].HOs {
+			t.Fatalf("window %v: %d HOs, not fewer than the whole study's %d", w, got[0].HOs, full[0].HOs)
+		}
+	}
+}
+
+// countingStore counts OpenPartition calls per partition and lists only
+// the partitions before maxDay. It hides the wrapped store's manifest, so
+// the analyzer's coverage comes from Partitions.
+type countingStore struct {
+	trace.Store
+	mu     sync.Mutex
+	maxDay int
+	opens  map[trace.Partition]int
+}
+
+func (s *countingStore) setMaxDay(d int) {
+	s.mu.Lock()
+	s.maxDay = d
+	s.mu.Unlock()
+}
+
+func (s *countingStore) Partitions() ([]trace.Partition, error) {
+	parts, err := s.Store.Partitions()
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var kept []trace.Partition
+	for _, p := range parts {
+		if p.Day < s.maxDay {
+			kept = append(kept, p)
+		}
+	}
+	return kept, nil
+}
+
+func (s *countingStore) OpenPartition(day, shard int) (trace.RecordIterator, error) {
+	s.mu.Lock()
+	if s.opens == nil {
+		s.opens = make(map[trace.Partition]int)
+	}
+	s.opens[trace.Partition{Day: day, Shard: shard}]++
+	s.mu.Unlock()
+	return s.Store.OpenPartition(day, shard)
+}
+
+// TestRunAllReadsEachPartitionOnce: the whole report, ping-pong included,
+// costs one read of the trace, and the scan counters say so.
+func TestRunAllReadsEachPartitionOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a campaign")
+	}
+	ds := detDataset(t, 4)
+	parts, err := ds.Store.Partitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 8} {
+		view := *ds
+		store := &countingStore{Store: ds.Store, maxDay: detDays}
+		view.Store = store
+		a, err := New(&view, WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := RunAll(context.Background(), a, &out); err != nil {
+			t.Fatal(err)
+		}
+		if len(store.opens) != len(parts) {
+			t.Fatalf("parallelism=%d: RunAll opened %d of %d partitions", par, len(store.opens), len(parts))
+		}
+		for p, n := range store.opens {
+			if n != 1 {
+				t.Fatalf("parallelism=%d: RunAll opened %v %d times, want once", par, p, n)
+			}
+		}
+		if st := a.ScanStats(); st.Partitions != int64(len(parts)) || st.Scans != 1 {
+			t.Fatalf("parallelism=%d: ScanStats reports %d scans over %d partitions, want 1 over %d",
+				par, st.Scans, st.Partitions, len(parts))
+		}
 	}
 }

@@ -51,13 +51,16 @@ func newCollectorState(need Need) (CollectorState, error) {
 		return &uedayState{}, nil
 	case NeedSectorDay:
 		return &sectordayState{}, nil
+	case NeedPingPong:
+		return &pingpongState{}, nil
 	}
 	return nil, fmt.Errorf("analysis: no collector state for need %b", need)
 }
 
 // snapshotVersion tags every marshaled collector state; bump on any
-// encoding change.
-const snapshotVersion = 1
+// encoding change. Version 2 added the ping-pong state, which version 1
+// checkpoints carried in a section of their own.
+const snapshotVersion = 2
 
 // --- deterministic binary encoding helpers -----------------------------
 

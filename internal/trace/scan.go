@@ -25,9 +25,21 @@ type ShardState interface {
 	ObserveColumns(day int, cols *ColumnBatch) error
 }
 
+// PartitionFinisher is an optional ShardState extension for work that
+// depends on one partition alone. Scan calls FinishPartition exactly once
+// per partition, on the worker that scanned it, after the partition's
+// last ObserveColumns and before the state reaches MergeShard — so that
+// work runs in parallel instead of on the serial merge. An error fails
+// the scan like an ObserveColumns error. A partition whose read failed,
+// or that was skipped after a failure or cancel, is never finished.
+type PartitionFinisher interface {
+	FinishPartition() error
+}
+
 // Collector builds per-partition states and folds them. NewShardState may
 // be called from any goroutine; MergeShard is called exactly once per
-// partition, sequentially, in canonical (day, shard) order.
+// partition, sequentially, in canonical (day, shard) order, with a state
+// its worker has already finished (see PartitionFinisher).
 type Collector interface {
 	NewShardState(day, shard int) ShardState
 	MergeShard(s ShardState) error
@@ -224,6 +236,13 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 			nRecs += int64(n)
 			for _, st := range states {
 				if err := st.ObserveColumns(p.Day, cb); err != nil {
+					return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
+				}
+			}
+		}
+		for _, st := range states {
+			if f, ok := st.(PartitionFinisher); ok {
+				if err := f.FinishPartition(); err != nil {
 					return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
 				}
 			}

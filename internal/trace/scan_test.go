@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // buildShardedStore writes records for nUEs over days, hash-partitioned
@@ -350,5 +352,176 @@ func TestScanClosesIteratorsOnReadError(t *testing.T) {
 	defer es.mu.Unlock()
 	if es.opened == 0 || es.opened != es.closed {
 		t.Fatalf("iterator leak: opened %d, closed %d", es.opened, es.closed)
+	}
+}
+
+// finishCollector checks the PartitionFinisher contract from inside the
+// scan: every state records its batches and finishes, and the merge
+// checks that it receives a state finished exactly once, after its last
+// batch. failObserve/failFinish name a partition whose ObserveColumns or
+// FinishPartition fails; onFinish and onMerge, if set, run on each
+// finish and before each merge.
+type finishCollector struct {
+	failObserve, failFinish *Partition
+	onFinish, onMerge       func(Partition)
+
+	mu         sync.Mutex
+	finished   map[Partition]int
+	merged     []Partition
+	violations []string
+}
+
+type finishShard struct {
+	c        *finishCollector
+	part     Partition
+	batches  int
+	finishes int
+}
+
+func (c *finishCollector) NewShardState(day, shard int) ShardState {
+	return &finishShard{c: c, part: Partition{Day: day, Shard: shard}}
+}
+
+func (c *finishCollector) violate(format string, args ...any) {
+	c.mu.Lock()
+	c.violations = append(c.violations, fmt.Sprintf(format, args...))
+	c.mu.Unlock()
+}
+
+func (s *finishShard) ObserveColumns(day int, cb *ColumnBatch) error {
+	if s.finishes != 0 {
+		s.c.violate("%v: ObserveColumns after FinishPartition", s.part)
+	}
+	s.batches++
+	if s.c.failObserve != nil && *s.c.failObserve == s.part {
+		return errBoom
+	}
+	return nil
+}
+
+func (s *finishShard) FinishPartition() error {
+	s.finishes++
+	s.c.mu.Lock()
+	if s.c.finished == nil {
+		s.c.finished = make(map[Partition]int)
+	}
+	s.c.finished[s.part]++
+	s.c.mu.Unlock()
+	if s.c.onFinish != nil {
+		s.c.onFinish(s.part)
+	}
+	if s.c.failFinish != nil && *s.c.failFinish == s.part {
+		return errBoom
+	}
+	return nil
+}
+
+func (c *finishCollector) MergeShard(st ShardState) error {
+	s := st.(*finishShard)
+	if c.onMerge != nil {
+		c.onMerge(s.part)
+	}
+	if s.finishes != 1 || s.batches == 0 {
+		c.violate("%v: merged after %d finishes and %d batches, want 1 finish after every batch", s.part, s.finishes, s.batches)
+	}
+	c.mu.Lock()
+	c.merged = append(c.merged, s.part)
+	c.mu.Unlock()
+	return nil
+}
+
+func TestScanFinishPartitionContract(t *testing.T) {
+	s := buildShardedStore(t, 3, 40, 4)
+	for _, par := range []int{1, 4, 16} {
+		c := &finishCollector{}
+		if err := Scan(context.Background(), s, ScanOptions{Parallelism: par}, c, &countingCollector{}); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.violations) > 0 {
+			t.Fatalf("parallelism=%d: %v", par, c.violations)
+		}
+		if len(c.merged) != 12 || len(c.finished) != 12 {
+			t.Fatalf("parallelism=%d: %d merges and %d finished partitions, want 12 each", par, len(c.merged), len(c.finished))
+		}
+		for p, n := range c.finished {
+			if n != 1 {
+				t.Fatalf("parallelism=%d: %v finished %d times", par, p, n)
+			}
+		}
+	}
+}
+
+// TestScanFinishPartitionOnWorker holds the merge of the first partition
+// until the second partition is finished. Were FinishPartition called on
+// the merge goroutine, that could never happen.
+func TestScanFinishPartitionOnWorker(t *testing.T) {
+	s := buildShardedStore(t, 2, 40, 2)
+	second := Partition{Day: 0, Shard: 1}
+	secondDone := make(chan struct{})
+	c := &finishCollector{}
+	c.onFinish = func(p Partition) {
+		if p == second {
+			close(secondDone)
+		}
+	}
+	c.onMerge = func(p Partition) {
+		if p != (Partition{Day: 0, Shard: 0}) {
+			return
+		}
+		select {
+		case <-secondDone:
+		case <-time.After(10 * time.Second):
+			c.violate("partition %v was not finished while the merge waited", second)
+		}
+	}
+	if err := Scan(context.Background(), s, ScanOptions{Parallelism: 2}, c); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.violations) > 0 {
+		t.Fatal(c.violations)
+	}
+}
+
+func TestScanFinishPartitionSkippedAfterFailure(t *testing.T) {
+	s := buildShardedStore(t, 3, 40, 2)
+	bad := Partition{Day: 1, Shard: 0}
+	c := &finishCollector{failObserve: &bad}
+	err := Scan(context.Background(), s, ScanOptions{Parallelism: 1}, c)
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want errBoom", err)
+	}
+	// One worker scans in canonical order: the two partitions before the
+	// failing one are finished, it and everything after are not.
+	want := map[Partition]int{{Day: 0, Shard: 0}: 1, {Day: 0, Shard: 1}: 1}
+	if fmt.Sprint(c.finished) != fmt.Sprint(want) {
+		t.Fatalf("finished %v, want %v", c.finished, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c = &finishCollector{}
+	if err := Scan(ctx, s, ScanOptions{Parallelism: 4}, c); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(c.finished) != 0 {
+		t.Fatalf("a canceled scan finished %v", c.finished)
+	}
+}
+
+func TestScanFinishPartitionError(t *testing.T) {
+	s := buildShardedStore(t, 2, 40, 4)
+	bad := Partition{Day: 1, Shard: 2}
+	c := &finishCollector{failFinish: &bad}
+	err := Scan(context.Background(), s, ScanOptions{Parallelism: 4}, c)
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want errBoom", err)
+	}
+	if !strings.Contains(err.Error(), "day 1 shard 2") {
+		t.Fatalf("err = %v, want the failing partition named", err)
+	}
+	for _, p := range c.merged {
+		if p == bad {
+			t.Fatalf("partition %v merged after its finish failed", p)
+		}
 	}
 }
