@@ -20,7 +20,10 @@
 #                     UE-day of mobility planning through a warm worker
 #                     Scratch allocates nothing (internal/mobility), and
 #                     that sealing a duration sampler through a warm
-#                     radix scratch allocates nothing (internal/analysis)
+#                     radix scratch and offering 5×capacity entries to a
+#                     reset one allocate nothing (internal/analysis:
+#                     TestSealSteadyStateAllocs,
+#                     TestSamplerOfferSteadyStateAllocs)
 #   make bench-unit   vet and unit-test the telcobench module under
 #                     bench/ (its own go.mod, so `go test ./...` from
 #                     the root does not reach it); -short skips its

@@ -80,7 +80,7 @@ func WithProgress(fn func(ProgressEvent)) Option {
 
 // WithWindow restricts the analysis to study days [fromDay, toDay]
 // inclusive; -1 leaves the corresponding bound open. Scans become
-// time-ranged (trace.ScanRange), so file stores only decode the
+// time-ranged (trace.ScanOptions.Range), so file stores only decode the
 // blocks inside the window, and window-aware experiments average over
 // window days only. Changing the window invalidates any cached scan
 // state.
@@ -578,8 +578,12 @@ func (a *Analyzer) scanIntoLocked(ctx context.Context, cols []collector, parts [
 		if a.winFrom >= a.env.days {
 			return fmt.Errorf("analysis: window starts at day %d but the study has %d days", a.winFrom, a.env.days)
 		}
-		tr := trace.DayRange(clampWindow(a.winFrom, a.winTo, a.env.days))
-		opts.Range = &tr
+		// A zero-day study clamps to an empty span; it has nothing to
+		// range over, and Scan rejects an inverted range.
+		if lo, hi := clampWindow(a.winFrom, a.winTo, a.env.days); lo <= hi {
+			tr := trace.DayRange(lo, hi)
+			opts.Range = &tr
+		}
 	}
 	scanStart := time.Now()
 	if err := trace.Scan(ctx, a.DS.Store, opts, tcols...); err != nil {

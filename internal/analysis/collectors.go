@@ -243,27 +243,32 @@ func recKey(ts int64, ue trace.UEID) uint64 {
 // observed multiset, it is identical for any partitioning or scan order —
 // unlike an RNG reservoir — while still being a uniform sample.
 //
-// The arrays are maintained lazily: the fill phase is plain appends, a
-// single O(k) heapify establishes the max-heap the first time an
-// eviction is needed, and absorb concatenates whole shard samplers,
-// pruning back to the exact bottom-k by quickselect only when the
-// buffer grows past a multiple of the capacity. Everything is an exact
-// bottom-k selection, so the kept set — and every artifact derived from
-// it — is independent of which maintenance path ran.
+// Every entry, from Add, absorb or a merged snapshot, takes one path
+// (offer): once the sampler has held an exact bottom-k, an entry at or
+// above its k-th smallest is rejected with one compare; any other entry
+// is appended, and a buffer of 2×capacity is cut back to the exact
+// bottom-k by quickselect. Rejecting an entry that k kept entries
+// already dominate cannot change the bottom-k of the union, so the kept
+// set — and every artifact derived from it — is independent of the
+// order and grouping the entries arrived in.
 type sampler struct {
 	capacity int
 	salt     uint64
 	n        int64
 	pri      []uint64
 	val      []float64
-	heaped   bool
-	sealed   bool
+	// full records that the first capacity entries were, at the last
+	// prune, seal or snapshot adoption, the exact bottom-k of everything
+	// kept, with the largest of them at capacity-1: that entry is the
+	// bound offer rejects against. Appends never move it.
+	full   bool
+	sealed bool
 	// sortedPrefix is the length of the leading run already in canonical
 	// (priority, value) order — established by a previous seal and
-	// preserved by absorb's append path. Re-sealing after an incremental
+	// preserved by offer's appends. Re-sealing after an incremental
 	// delta then only sorts the small suffix and merges the two runs,
-	// instead of re-sorting the whole bottom-k. Any reordering operation
-	// (heapify, quickselect pruning) resets it to 0.
+	// instead of re-sorting the whole bottom-k. A quickselect prune
+	// resets it to 0.
 	sortedPrefix int
 	// sortedVal caches the values in ascending order for SortedSamples;
 	// any mutation of the kept set clears it. Several experiments take
@@ -286,63 +291,34 @@ func pvLess(p1 uint64, v1 float64, p2 uint64, v2 float64) bool {
 	return v1 < v2
 }
 
-// Add offers one value keyed by the record hash. The root-threshold
-// fast path makes the steady-state common case — a full sampler
-// rejecting a candidate — one hash, one compare and no heap motion,
-// without the insert call.
+// Add offers one value keyed by the record hash.
 func (s *sampler) Add(v float64, key uint64) {
 	s.n++
-	p := mix64(key ^ s.salt)
-	if s.heaped && p > s.pri[0] {
-		// Root-threshold fast path: strictly above the max-heap root can
-		// never enter the bottom-k — one compare, no heap motion, and
-		// the dominant case once a sampler is full. (p == root falls
-		// through to insert for the value tiebreak.)
-		return
-	}
-	s.insert(p, v)
+	s.offer(mix64(key^s.salt), v)
 }
 
-func (s *sampler) insert(p uint64, v float64) {
+// offer is the one way an entry enters the sampler. Once full, the
+// common case — a candidate at or above the bound — is one compare.
+func (s *sampler) offer(p uint64, v float64) {
+	if s.full && !pvLess(p, v, s.pri[s.capacity-1], s.val[s.capacity-1]) {
+		return
+	}
+	if len(s.pri) == cap(s.pri) {
+		s.reserve(1)
+	}
+	s.pri = append(s.pri, p)
+	s.val = append(s.val, v)
 	s.sealed = false
 	s.sortedVal = nil
-	if len(s.pri) < s.capacity {
-		// Fill phase: append, growing by doubling (see reserve).
-		// Shard-local samplers that never fill pay nothing but the
-		// appends.
-		if len(s.pri) == cap(s.pri) {
-			s.reserve(1, s.capacity)
-		}
-		s.pri = append(s.pri, p)
-		s.val = append(s.val, v)
-		return
+	if len(s.pri) == 2*s.capacity {
+		s.pruneToCapacity()
 	}
-	if !s.heaped {
-		s.heapify()
-	}
-	// Keep the k smallest: replace the max root when the candidate is
-	// smaller. With more than capacity entries buffered (post-absorb),
-	// this maintains a bottom-len superset of the bottom-k; seal prunes
-	// exactly.
-	if !pvLess(p, v, s.pri[0], s.val[0]) {
-		return
-	}
-	s.pri[0], s.val[0] = p, v
-	s.siftDown(0)
-}
-
-// heapify establishes the max-heap invariant over the buffered entries.
-func (s *sampler) heapify() {
-	for i := len(s.pri)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-	s.heaped = true
-	s.sortedPrefix = 0
 }
 
 // pruneToCapacity shrinks the buffer to exactly the bottom-capacity
-// entries by (priority, value) using in-place quickselect — O(len)
-// instead of one heap eviction per entry.
+// entries by (priority, value) using in-place quickselect, O(len). Like
+// nth_element it leaves the k-th smallest entry at k-1, which becomes
+// offer's bound.
 func (s *sampler) pruneToCapacity() {
 	if len(s.pri) <= s.capacity {
 		return
@@ -390,7 +366,7 @@ func (s *sampler) pruneToCapacity() {
 	}
 	s.pri = s.pri[:s.capacity]
 	s.val = s.val[:s.capacity]
-	s.heaped = false
+	s.full = true
 }
 
 func (s *sampler) swap(i, j int) {
@@ -398,93 +374,31 @@ func (s *sampler) swap(i, j int) {
 	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
 
-func (s *sampler) siftDown(i int) {
-	n := len(s.pri)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && pvLess(s.pri[largest], s.val[largest], s.pri[l], s.val[l]) {
-			largest = l
-		}
-		if r < n && pvLess(s.pri[largest], s.val[largest], s.pri[r], s.val[r]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		s.pri[i], s.pri[largest] = s.pri[largest], s.pri[i]
-		s.val[i], s.val[largest] = s.val[largest], s.val[i]
-		i = largest
-	}
-}
-
-// absorb folds another sampler (same capacity and salt) into s: a bulk
-// concatenation with amortized-linear quickselect pruning, instead of
-// one heap insertion per entry. Exactness is unaffected — the kept set
-// after seal is still the bottom-capacity of everything observed, which
-// is also why absorbing is the exact merge operation for snapshots:
-// bottom-k(A ∪ B) = bottom-k(bottom-k(A) ∪ bottom-k(B)). A previously
-// sealed sampler unseals (the next seal re-establishes canonical order).
+// absorb folds another sampler (same capacity and salt) into s, entry
+// by entry through offer. Exactness is unaffected — the kept set after
+// seal is still the bottom-capacity of everything observed, which is
+// also why absorbing is the exact merge operation for snapshots:
+// bottom-k(A ∪ B) = bottom-k(bottom-k(A) ∪ bottom-k(B)).
 func (s *sampler) absorb(o *sampler) {
 	s.n += o.n
-	if len(o.pri) > 0 {
-		s.sealed = false
-		s.sortedVal = nil
-	}
-	if s.heaped {
-		// Already in eviction mode (a single stream overflowed):
-		// fall back to per-entry inserts.
-		for i := range o.pri {
-			s.insert(o.pri[i], o.val[i])
-		}
-		return
-	}
-	if p := s.sortedPrefix; p >= s.capacity && p <= len(s.pri) {
-		// Sealed-full fast path (incremental refresh): the sorted prefix
-		// is an exact bottom-k at capacity, so anything at or above its
-		// k-th smallest can never enter the kept set — filter before
-		// appending, which keeps the re-seal's suffix sort tiny. Exact:
-		// the bottom-k of the union is unchanged by dropping elements
-		// that k smaller elements already dominate.
-		mp, mv := s.pri[p-1], s.val[p-1]
-		for i := range o.pri {
-			if pvLess(o.pri[i], o.val[i], mp, mv) {
-				s.pri = append(s.pri, o.pri[i])
-				s.val = append(s.val, o.val[i])
-			}
-		}
-		// Keep the same memory bound as the plain append path: a
-		// pathological delta that lands mostly under the threshold still
-		// prunes (which drops the sorted run — the next seal re-sorts).
-		if len(s.pri) >= 4*s.capacity {
-			s.pruneToCapacity()
-		}
-		return
-	}
-	if s.sortedPrefix == 0 {
-		// A cold scan absorbs partition after partition into an unsorted
-		// buffer; an incremental one appends a small delta to a sealed
-		// run, which doubling would hold twice over.
-		s.reserve(len(o.pri), 4*s.capacity)
-	}
-	s.pri = append(s.pri, o.pri...)
-	s.val = append(s.val, o.val...)
-	if len(s.pri) >= 4*s.capacity {
-		s.pruneToCapacity()
+	s.reserve(len(o.pri))
+	for i := range o.pri {
+		s.offer(o.pri[i], o.val[i])
 	}
 }
 
 // reserve makes room for n more entries, doubling the buffers but not
-// past limit (what the caller's phase can hold: capacity while filling,
-// the 4×capacity prune bound while absorbing). Growing sample buffers
-// by append's ≈1.25× steps for large slices copies them about five
-// times over; doubling copies them at most twice.
-func (s *sampler) reserve(n, limit int) {
-	need := len(s.pri) + n
-	if need <= cap(s.pri) {
+// past the 2×capacity prune bound. Growing sample buffers by append's
+// ≈1.25× steps for large slices copies them about five times over;
+// doubling copies them at most twice. A sealed run is left to append:
+// an incremental refresh adds a small delta to it, which doubling
+// would hold twice over.
+func (s *sampler) reserve(n int) {
+	need := min(len(s.pri)+n, 2*s.capacity)
+	if need <= cap(s.pri) || s.sortedPrefix > 0 {
 		return
 	}
-	c := max(need, min(2*cap(s.pri), limit))
+	c := max(need, min(2*cap(s.pri), 2*s.capacity))
 	pri := make([]uint64, len(s.pri), c)
 	val := make([]float64, len(s.val), c)
 	copy(pri, s.pri)
@@ -502,8 +416,9 @@ func (s *sampler) reset() {
 // sorted run survived (incremental absorbs only append), only the
 // suffix is sorted and the two runs merge in linear time, truncated at
 // capacity — ascending order makes the first k entries exactly the
-// bottom-k, so the result is identical to the full re-sort. With a warm
-// scratch, sealing allocates nothing.
+// bottom-k, so the result is identical to the full re-sort. A seal that
+// keeps exactly capacity entries sets the bound. With a warm scratch,
+// sealing allocates nothing.
 func (s *sampler) seal(sc *sealScratch) {
 	if s.sealed {
 		return
@@ -511,15 +426,15 @@ func (s *sampler) seal(sc *sealScratch) {
 	switch {
 	case s.sortedPrefix == len(s.pri) && len(s.pri) <= s.capacity:
 		// Nothing new since the last seal.
-	case s.sortedPrefix > 0 && s.sortedPrefix <= len(s.pri) && !s.heaped:
+	case s.sortedPrefix > 0:
 		s.sealMerge(sc)
 	default:
 		s.pruneToCapacity()
 		radixSortPV(s.pri, s.val, sc)
 	}
-	s.heaped = false
 	s.sealed = true
 	s.sortedPrefix = len(s.pri)
+	s.full = len(s.pri) == s.capacity
 }
 
 // sealMerge merges the sorted prefix with the (sorted here) appended
@@ -813,8 +728,8 @@ func (c *durationsCollector) NewShardState(day, shard int) trace.ShardState {
 }
 
 // ObserveColumns computes the record key from the timestamp and UE
-// columns; the samplers' root-threshold fast path makes the common
-// full-sampler case one compare per record.
+// columns; the samplers' bound makes the common full-sampler case one
+// compare per record.
 func (s *durationsShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
 	n := cb.Len()
 	for i := 0; i < n; i++ {

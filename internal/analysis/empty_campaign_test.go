@@ -39,3 +39,26 @@ func TestExperimentsOnEmptyCampaign(t *testing.T) {
 		}
 	}
 }
+
+// A window with an open start clamps to no day at all on a zero-day
+// campaign; the scan must still succeed, as it does without a window,
+// rather than hand the trace an inverted range.
+func TestWindowedScanOnEmptyCampaign(t *testing.T) {
+	cfg := simulate.DefaultConfig(3)
+	cfg.UEs = 300
+	cfg.Days = 0
+	cfg.WindowDays = 5
+	ds, err := simulate.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Store = trace.NewMemStore()
+	ds.Config.Store = ds.Store
+	a, err := New(ds, WithWindow(-1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Scan(context.Background()); err != nil {
+		t.Fatalf("windowed scan of a zero-day campaign: %v", err)
+	}
+}

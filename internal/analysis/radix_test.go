@@ -34,7 +34,7 @@ func oracleSeal(s *sampler) {
 	}
 	switch {
 	case s.sortedPrefix == len(s.pri) && len(s.pri) <= s.capacity:
-	case s.sortedPrefix > 0 && s.sortedPrefix <= len(s.pri) && !s.heaped:
+	case s.sortedPrefix > 0:
 		pre := s.sortedPrefix
 		sort.Sort(pvPairs{s.pri[pre:], s.val[pre:]})
 		n := min(len(s.pri), s.capacity)
@@ -55,9 +55,9 @@ func oracleSeal(s *sampler) {
 		s.pruneToCapacity()
 		sort.Sort(pvPairs{s.pri, s.val})
 	}
-	s.heaped = false
 	s.sealed = true
 	s.sortedPrefix = len(s.pri)
+	s.full = len(s.pri) == s.capacity
 }
 
 // pvGen draws the i-th (priority, value) pair of an input class. Values
@@ -158,21 +158,38 @@ func filled(g pvGen, r *rand.Rand, n int) *sampler {
 	s := newSampler(pathCap, 1)
 	pri, val := genPairs(g, r, n)
 	for i := range pri {
-		s.insert(pri[i], val[i])
+		s.offer(pri[i], val[i])
 	}
 	return s
+}
+
+// snapshotOf returns src, sealed by seal, as a decoded snapshot.
+func snapshotOf(src *sampler, seal func(*sampler)) *samplerState {
+	seal(src)
+	return &samplerState{capacity: src.capacity, salt: src.salt, n: src.n,
+		pri: slices.Clone(src.pri), val: slices.Clone(src.val)}
+}
+
+// mustBeFull panics unless s holds the bound that filters the next
+// delta: exactly capacity entries from a seal or an adopted snapshot.
+func mustBeFull(s *sampler) {
+	if !s.full || len(s.pri) != s.capacity {
+		panic(fmt.Sprintf("no bound at capacity: full=%v len=%d", s.full, len(s.pri)))
+	}
 }
 
 var sealPaths = []sealPath{
 	{"fill-only", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
 		return filled(g, r, pathCap-7)
 	}},
-	{"heaped", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
+	{"one-stream-repeated-prune", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
+		// One shard sampler offered far past 2×capacity, as one
+		// partition of a default-scale campaign fills it.
 		return filled(g, r, 9*pathCap)
 	}},
-	{"quickselect-prune", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
+	{"absorb-prune", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
 		s := newSampler(pathCap, 1)
-		for range 6 { // the fifth shard crosses 4×capacity
+		for range 6 { // the third shard crosses 2×capacity
 			s.absorb(filled(g, r, pathCap-3))
 		}
 		return s
@@ -192,30 +209,58 @@ var sealPaths = []sealPath{
 		s.absorb(filled(g, r, 3*pathCap))
 		return s
 	}},
+	{"seal-at-capacity-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
+		s := filled(g, r, pathCap) // never pruned: the seal sets the bound
+		seal(s)
+		mustBeFull(s)
+		s.absorb(filled(g, r, pathCap))
+		return s
+	}},
 	{"snapshot-merge", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
-		src := filled(g, r, 3*pathCap)
-		seal(src)
-		st := samplerState{capacity: src.capacity, salt: src.salt, n: src.n,
-			pri: slices.Clone(src.pri), val: slices.Clone(src.val)}
+		st := snapshotOf(filled(g, r, 3*pathCap), seal)
 		s := newSampler(pathCap, 1)
 		s.absorb(filled(g, r, pathCap/2))
-		if err := mergeSampler(s, &st); err != nil {
+		if err := mergeSampler(s, st); err != nil {
 			panic(err)
 		}
 		return s
 	}},
 	{"snapshot-adopt-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
-		src := filled(g, r, 2*pathCap)
-		seal(src)
-		st := samplerState{capacity: src.capacity, salt: src.salt, n: src.n,
-			pri: slices.Clone(src.pri), val: slices.Clone(src.val)}
+		st := snapshotOf(filled(g, r, pathCap/2), seal)
 		s := newSampler(pathCap, 1)
-		if err := mergeSampler(s, &st); err != nil {
+		if err := mergeSampler(s, st); err != nil {
 			panic(err)
 		}
 		s.absorb(filled(g, r, pathCap))
 		return s
 	}},
+	{"snapshot-adopt-at-capacity-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
+		st := snapshotOf(filled(g, r, pathCap), seal)
+		s := newSampler(pathCap, 1)
+		if err := mergeSampler(s, st); err != nil {
+			panic(err)
+		}
+		mustBeFull(s) // the adopt sets the bound
+		s.absorb(filled(g, r, pathCap))
+		return s
+	}},
+}
+
+// checkBound asserts the invariant offer's one-compare rejection rests
+// on: a full sampler's first capacity entries hold their largest at
+// capacity-1.
+func checkBound(t *testing.T, what string, s *sampler) {
+	t.Helper()
+	if !s.full {
+		return
+	}
+	k := s.capacity
+	for i := range k {
+		if pvLess(s.pri[k-1], s.val[k-1], s.pri[i], s.val[i]) {
+			t.Fatalf("%s: entry %d = (%#x, %v) above the bound (%#x, %v)",
+				what, i, s.pri[i], s.val[i], s.pri[k-1], s.val[k-1])
+		}
+	}
 }
 
 func TestSealMatchesOracleOnEveryPath(t *testing.T) {
@@ -226,13 +271,15 @@ func TestSealMatchesOracleOnEveryPath(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				got := p.build(g, rand.New(rand.NewSource(seed)), radixSeal)
 				want := p.build(g, rand.New(rand.NewSource(seed)), oracleSeal)
+				what := fmt.Sprintf("%s/%s/seed%d", g.name, p.name, seed)
+				checkBound(t, what, got)
 				got.seal(&sc)
 				oracleSeal(want)
-				what := fmt.Sprintf("%s/%s/seed%d", g.name, p.name, seed)
 				samePairs(t, what, got.pri, want.pri, got.val, want.val)
-				if got.n != want.n || got.sortedPrefix != want.sortedPrefix || !got.sealed || got.heaped {
-					t.Fatalf("%s: n=%d prefix=%d sealed=%v heaped=%v, want n=%d prefix=%d sealed",
-						what, got.n, got.sortedPrefix, got.sealed, got.heaped, want.n, want.sortedPrefix)
+				if got.n != want.n || got.sortedPrefix != want.sortedPrefix || !got.sealed ||
+					got.full != (len(got.pri) == got.capacity) {
+					t.Fatalf("%s: n=%d prefix=%d sealed=%v full=%v, want n=%d prefix=%d sealed, full iff %d entries",
+						what, got.n, got.sortedPrefix, got.sealed, got.full, want.n, want.sortedPrefix, got.capacity)
 				}
 			}
 		}

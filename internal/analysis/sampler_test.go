@@ -154,3 +154,83 @@ func TestSamplerBelowCapacityKeepsEverything(t *testing.T) {
 		t.Fatalf("kept %d of 40 (N=%d)", len(s.Samples()), s.N())
 	}
 }
+
+// A sampler that holds exactly capacity entries from a seal, or from an
+// adopted snapshot, rejects the following delta against the bound that
+// seal or mergeSampler set, with no prune in between; the kept set must
+// still be the true bottom-k of everything offered.
+func TestSamplerBoundKeepsTrueBottomK(t *testing.T) {
+	const cap = 40
+	entries := makeEntries(12*cap, 5)
+	want := bruteBottomK(newSampler(cap, 11), entries, cap)
+	first := func() *sampler {
+		s := newSampler(cap, 11)
+		for _, e := range entries[:cap] {
+			s.Add(e.v, e.p)
+		}
+		s.seal(&sealScratch{})
+		return s
+	}
+	adopted := func() *sampler {
+		st := snapshotSampler(first(), &sealScratch{})
+		s := newSampler(cap, 11)
+		if err := mergeSampler(s, &st); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		s    *sampler
+	}{{"sealed", first()}, {"adopted", adopted()}} {
+		name, s := c.name, c.s
+		if !s.full {
+			t.Fatalf("%s: %d entries at capacity %d set no bound", name, len(s.pri), cap)
+		}
+		for lo := cap; lo < len(entries); lo += 3 * cap / 2 {
+			delta := newSampler(cap, 11)
+			for _, e := range entries[lo:min(lo+3*cap/2, len(entries))] {
+				delta.Add(e.v, e.p)
+			}
+			s.absorb(delta)
+		}
+		if s.N() != int64(len(entries)) {
+			t.Fatalf("%s: N = %d, want %d", name, s.N(), len(entries))
+		}
+		s.seal(&sealScratch{})
+		got := s.Samples()
+		if len(got) != cap {
+			t.Fatalf("%s: kept %d samples, want %d", name, len(got), cap)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: sample %d = %g, want %g (the bound rejected a bottom-k entry)", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// A sealed run takes an incremental delta the way append grows a slice,
+// not by doubling: a daemon appends one day to every resumed sampler,
+// and doubling there held the whole run twice over.
+func TestSealedRunGrowsAsAppend(t *testing.T) {
+	const capacity, run = 5000, 1000
+	src := newSampler(capacity, 3)
+	for _, e := range makeEntries(run, 6) {
+		src.Add(e.v, e.p)
+	}
+	st := snapshotSampler(src, &sealScratch{})
+	s := newSampler(capacity, 3)
+	if err := mergeSampler(s, &st); err != nil {
+		t.Fatal(err)
+	}
+	delta := newSampler(capacity, 3)
+	for _, e := range makeEntries(run/10, 7) {
+		delta.Add(e.v, e.p+1)
+	}
+	s.absorb(delta)
+	if len(s.pri) != run+run/10 || cap(s.pri) >= 2*run || cap(s.val) >= 2*run {
+		t.Fatalf("sealed run of %d + delta of %d: len %d, cap %d/%d; want below %d",
+			run, run/10, len(s.pri), cap(s.pri), cap(s.val), 2*run)
+	}
+}

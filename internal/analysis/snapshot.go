@@ -418,7 +418,8 @@ func snapshotSampler(s *sampler, sc *sealScratch) samplerState {
 // mergeSampler folds a snapshot into a live sampler (exact: bottom-k of
 // the union). An empty receiver adopts the snapshot's arrays directly —
 // they are already in sealed canonical order (Snapshot copies, decode
-// verifies), so the restored sampler needs no re-sort.
+// verifies), so the restored sampler needs no re-sort, and a snapshot
+// at capacity brings its bound, so the first delta is filtered.
 func mergeSampler(dst *sampler, st *samplerState) error {
 	if dst.capacity != st.capacity || dst.salt != st.salt {
 		return fmt.Errorf("analysis: sampler state (cap %d, salt %x) does not match collector (cap %d, salt %x)",
@@ -430,6 +431,7 @@ func mergeSampler(dst *sampler, st *samplerState) error {
 		dst.val = st.val
 		dst.sealed = true
 		dst.sortedPrefix = len(st.pri)
+		dst.full = len(st.pri) == st.capacity
 		dst.sortedVal = nil
 		return nil
 	}

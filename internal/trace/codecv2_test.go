@@ -250,7 +250,8 @@ func TestScanRangePrunesBlocks(t *testing.T) {
 	var pruned ScanMetrics
 	rc := &countingCollector{}
 	day := 12
-	err = ScanRange(context.Background(), fs, ScanOptions{Metrics: &pruned}, DayRange(day, day), rc)
+	tr := DayRange(day, day)
+	err = Scan(context.Background(), fs, ScanOptions{Metrics: &pruned, Range: &tr}, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestScanRangeCodecAgreement(t *testing.T) {
 	results := map[string]*countingCollector{}
 	for name, s := range stores {
 		c := &countingCollector{}
-		if err := ScanRange(context.Background(), s, ScanOptions{Parallelism: 2}, tr, c); err != nil {
+		if err := Scan(context.Background(), s, ScanOptions{Parallelism: 2, Range: &tr}, c); err != nil {
 			t.Fatal(err)
 		}
 		results[name] = c

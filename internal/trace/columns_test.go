@@ -321,11 +321,11 @@ func TestScanColumnPathMatchesRecordPath(t *testing.T) {
 	// Windowed variant: iterator-side vs engine-side filtering must agree.
 	tr := DayRange(1, 1)
 	c1 := &columnSumCollector{}
-	if err := ScanRange(context.Background(), s, ScanOptions{}, tr, c1); err != nil {
+	if err := Scan(context.Background(), s, ScanOptions{Range: &tr}, c1); err != nil {
 		t.Fatal(err)
 	}
 	c2 := &columnSumCollector{}
-	if err := ScanRange(context.Background(), rowStore{s}, ScanOptions{}, tr, c2); err != nil {
+	if err := Scan(context.Background(), rowStore{s}, ScanOptions{Range: &tr}, c2); err != nil {
 		t.Fatal(err)
 	}
 	if c1.total != c2.total || c1.sum != c2.sum || c1.total == 0 {

@@ -76,9 +76,6 @@ type ScanMetrics struct {
 	// by the time range without decoding (zero for memory stores).
 	BlocksRead    atomic.Int64
 	BlocksSkipped atomic.Int64
-	// BlocksFiltered counts blocks pruned by a block filter fed from
-	// a partition index (see BlockFilterSetter).
-	BlocksFiltered atomic.Int64
 	// BytesRead is the number of stored trace bytes consumed by decoded
 	// data (see BlockStats.BytesRead); zero for stores without byte
 	// accounting, such as the in-memory store.
@@ -93,11 +90,12 @@ type ScanOptions struct {
 	// Progress, if set, is invoked after each partition is merged with
 	// the number of merged partitions and the total.
 	Progress func(done, total int)
-	// Range, if set, restricts the scan to records inside the window.
-	// Iterators that support TimeRangeSetter prune natively (file
-	// stores skip whole blocks); the engine filters the batches of the
-	// others. Either way collectors observe exactly the same record
-	// sequence.
+	// Range, if set, restricts the scan to records inside the window;
+	// MinTS > MaxTS is an error. Partitions are still all opened
+	// (partition naming carries no time bounds), but iterators that
+	// support TimeRangeSetter prune natively (file stores skip whole
+	// blocks); the engine filters the batches of the others. Either way
+	// collectors observe exactly the same record sequence.
 	Range *TimeRange
 	// Projection, if nonzero, declares the columns the collectors read;
 	// file-store partitions skip decoding everything else. This is an
@@ -126,6 +124,9 @@ var columnBatchPool = sync.Pool{New: func() any { return new(ColumnBatch) }}
 func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collector) error {
 	if len(collectors) == 0 {
 		return fmt.Errorf("trace: scan without collectors")
+	}
+	if tr := opts.Range; tr != nil && tr.MinTS > tr.MaxTS {
+		return fmt.Errorf("trace: invalid time range [%d, %d]", tr.MinTS, tr.MaxTS)
 	}
 	parts := opts.Partitions
 	if parts == nil {
@@ -253,7 +254,6 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 				bs := sr.ReadStats()
 				opts.Metrics.BlocksRead.Add(bs.BlocksRead)
 				opts.Metrics.BlocksSkipped.Add(bs.BlocksSkipped)
-				opts.Metrics.BlocksFiltered.Add(bs.BlocksFiltered)
 				opts.Metrics.BytesRead.Add(bs.BytesRead)
 			}
 		}
@@ -323,17 +323,4 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 		return err
 	}
 	return ctx.Err()
-}
-
-// ScanRange is Scan restricted to records with Timestamp inside tr.
-// Partitions are still all opened (partition naming carries no time
-// bounds), but file-store partitions only decode the blocks whose
-// [minTS, maxTS] descriptor intersects the window — a one-day query over
-// a month-long store touches a small fraction of the blocks.
-func ScanRange(ctx context.Context, s Store, opts ScanOptions, tr TimeRange, collectors ...Collector) error {
-	if tr.MinTS > tr.MaxTS {
-		return fmt.Errorf("trace: invalid time range [%d, %d]", tr.MinTS, tr.MaxTS)
-	}
-	opts.Range = &tr
-	return Scan(ctx, s, opts, collectors...)
 }

@@ -193,6 +193,22 @@ func TestScanWithoutCollectors(t *testing.T) {
 	}
 }
 
+// An inverted window is an error, on an empty store too, rather than a
+// scan that observes nothing.
+func TestScanRejectsInvertedRange(t *testing.T) {
+	tr := DayRange(2, 1)
+	for name, s := range map[string]Store{"records": buildShardedStore(t, 3, 5, 1), "empty": NewMemStore()} {
+		c := &countingCollector{}
+		err := Scan(context.Background(), s, ScanOptions{Range: &tr}, c)
+		if err == nil || !strings.Contains(err.Error(), "invalid time range") {
+			t.Fatalf("%s: err = %v, want an invalid time range error", name, err)
+		}
+		if c.total != 0 {
+			t.Fatalf("%s: observed %d records", name, c.total)
+		}
+	}
+}
+
 // TestScanCountsEveryCodec: a full parallel scan of a file store observes
 // exactly the records written to it, and as many as the manifest counts,
 // in both formats it reads and at several block sizes. A store whose
