@@ -3,8 +3,9 @@
 #   make build        compile everything
 #   make vet          go vet
 #   make lint         gofmt -l must be empty + doc-comment check on the
-#                     public surfaces (scripts/doccheck.sh: telcolens.go
-#                     and internal/trace) + staticcheck ./...
+#                     public surfaces (scripts/doccheck.sh: telcolens.go,
+#                     internal/trace, internal/stats and internal/analysis)
+#                     + staticcheck ./...
 #                     (override STATICCHECK to pin a local binary)
 #   make test         go test ./...
 #   make race         go test -race ./...

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"telcolens/internal/ho"
+	"telcolens/internal/report"
 	"telcolens/internal/simulate"
 	"telcolens/internal/stats"
 )
@@ -274,14 +276,21 @@ func TestQuantileRegressionOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, X, names := designHOType(rows)
-	for _, tau := range []float64{0.2, 0.8} {
-		m, err := stats.FitQuantile(y, X, names, tau, true)
+	var art report.Artifact
+	addQuantileTable(&art, rows, "Table 9")
+	if len(art.Tables) != 1 {
+		t.Fatalf("no coefficient table: %q", art.Notes)
+	}
+	for _, row := range art.Tables[0].Rows {
+		if row[0] != "0.2" && row[0] != "0.8" {
+			continue
+		}
+		coef3G, err := strconv.ParseFloat(row[3], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Coef[2] < 0.5 { // 3G coefficient
-			t.Fatalf("tau=%.1f: 3G quantile coefficient %.2f too small", tau, m.Coef[2])
+		if coef3G < 0.5 {
+			t.Fatalf("tau=%s: 3G quantile coefficient %.2f too small", row[0], coef3G)
 		}
 	}
 }

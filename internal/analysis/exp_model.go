@@ -330,7 +330,7 @@ func (a *Analyzer) FitHOTypeModel(ctx context.Context) (*stats.LinearModel, erro
 // counts are small, so conditioning on "at least one failure" inflates the
 // intra-4G/5G rates and compresses the HO-type contrast; window-level
 // aggregation restores per-row volume and recovers coefficients close to
-// the paper's (see EXPERIMENTS.md).
+// the paper's.
 func (a *Analyzer) WindowRows(ctx context.Context, f RowFilter) ([]SectorDayRow, error) {
 	s, err := a.Require(ctx, NeedSectorDay)
 	if err != nil {
@@ -359,26 +359,12 @@ func (a *Analyzer) WindowRows(ctx context.Context, f RowFilter) ([]SectorDayRow,
 	out := make([]SectorDayRow, 0, len(agg))
 	for _, w := range agg {
 		w.TotalDayHOs = totals[w.Sector]
-		if f.NonZeroOnly && w.Fails == 0 {
-			continue
+		if f.keep(w) {
+			out = append(out, *w)
 		}
-		rate := w.HOFRatePct()
-		if f.MaxHOFRatePct > 0 && rate >= f.MaxHOFRatePct {
-			continue
-		}
-		if f.MinHOs > 0 && w.TotalDayHOs < f.MinHOs {
-			continue
-		}
-		if f.MaxHOs > 0 && w.TotalDayHOs > f.MaxHOs {
-			continue
-		}
-		if f.Exclude2G && w.Type == ho.To2G {
-			continue
-		}
-		out = append(out, *w)
 	}
 	// Canonical (sector, type) order: map iteration would otherwise feed
-	// the OLS/quantile fits in a different order every run.
+	// the OLS fits in a different order every run.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Sector != out[j].Sector {
 			return out[i].Sector < out[j].Sector
@@ -526,49 +512,67 @@ var paperQuantile = map[float64][2]float64{ // tau -> paper coef {2G, 3G}, outli
 	0.8: {5.72, 4.97},
 }
 
+// runQuantileTable renders Table 8 or 9 over the rows that filter selects.
 func runQuantileTable(ctx context.Context, a *Analyzer, art *report.Artifact, filter RowFilter, paperRef string) error {
 	rows, err := a.RegressionRows(ctx, filter)
 	if err != nil {
 		return err
 	}
-	y, X, names := designHOType(rows)
+	addQuantileTable(art, rows, paperRef)
+	return nil
+}
+
+// addQuantileTable adds the Table 8/9 coefficient table for rows, or an
+// "Insufficient data" note. The tables are quantile regressions of
+// log(HOF rate %) on HO-type dummies, intra as the baseline. That design
+// is saturated, so each fit is solved group by group: the intercept is the
+// intra group's τ-quantile and each coefficient is its group's τ-quantile
+// minus the intra one (stats.LowerQuantileSorted). No design matrix is
+// built.
+func addQuantileTable(art *report.Artifact, rows []SectorDayRow, paperRef string) {
+	var groups [ho.NumTypes][]float64
+	for i := range rows {
+		t := rows[i].Type
+		groups[t] = append(groups[t], math.Log(rows[i].HOFRatePct()))
+	}
+	// The parameters are the intercept, the 3G coefficient and, when any
+	// row is a 2G HO, the 2G one. As in addFullModel, a small campaign's
+	// rows may not identify them all; say so instead of failing the report.
+	params := 2
+	if len(groups[ho.To2G]) > 0 {
+		params++
+	}
+	if len(groups[ho.Intra]) == 0 || len(groups[ho.To3G]) == 0 || len(rows) <= params {
+		art.AddNote("Insufficient data: the %d filtered sector-day rows do not identify every coefficient, so the model is not fitted.", len(rows))
+		return
+	}
+	for _, g := range groups {
+		sort.Float64s(g)
+	}
 	tbl := report.Table{
 		Title:   fmt.Sprintf("Quantile regression of log(HOF rate %%) on HO type (N = %d)", len(rows)),
-		Columns: []string{"tau", "(Intercept)", "Coef 2G", "Coef 3G", "Paper 2G", "Paper 3G", "Solver iters"},
+		Columns: []string{"tau", "(Intercept)", "Coef 2G", "Coef 3G", "Paper 2G", "Paper 3G"},
 	}
 	for _, tau := range []float64{0.2, 0.4, 0.6, 0.8} {
-		m, err := stats.FitQuantile(y, X, names, tau, true)
-		switch {
-		case errors.Is(err, stats.ErrSingular), errors.Is(err, stats.ErrEmpty):
-			// As in addFullModel: a small campaign's rows may not identify
-			// every coefficient; say so instead of failing the report.
-			art.AddNote("Insufficient data: the %d filtered sector-day rows do not identify every coefficient, so the model is not fitted.", len(rows))
-			return nil
-		case err != nil:
-			return err
-		}
-		coefOf := func(name string) string {
-			for i, n := range m.Names {
-				if n == name {
-					return report.FormatFloat(m.Coef[i])
-				}
+		intercept := stats.LowerQuantileSorted(groups[ho.Intra], tau)
+		coef := func(t ho.Type) string {
+			if len(groups[t]) == 0 {
+				return "- (no rows)"
 			}
-			return "- (no rows)"
+			return report.FormatFloat(stats.LowerQuantileSorted(groups[t], tau) - intercept)
 		}
 		p := paperQuantile[tau]
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.1f", tau),
-			report.FormatFloat(m.Coef[0]),
-			coefOf("HO type: 4G/5G-NSA->2G"),
-			coefOf("HO type: 4G/5G-NSA->3G"),
+			report.FormatFloat(intercept),
+			coef(ho.To2G),
+			coef(ho.To3G),
 			report.FormatFloat(p[0]),
 			report.FormatFloat(p[1]),
-			fmt.Sprintf("%d", m.Iter),
 		})
 	}
 	art.AddTable(tbl)
 	art.AddNote("Paper reference: %s.", paperRef)
-	return nil
 }
 
 func runTable8(ctx context.Context, a *Analyzer, art *report.Artifact) error {

@@ -29,8 +29,9 @@ func TestSmallCampaignReportRenders(t *testing.T) {
 		// with enough UEs in three districts for Figure 11.
 		{"", 300, 7, 4, expectInsufficient("fig11")},
 		{"", 300, 7, 5, expectInsufficient("fig11")},
-		// At 50 UEs over 2 days (seed 1) four filtered sector-day rows
-		// leave the quantile design of Tables 8 and 9 singular.
+		// At 50 UEs over 2 days (seed 1) the four outlier-filtered
+		// sector-day rows are all intra HOs: with no 3G group, Table 8
+		// does not identify the 3G coefficient.
 		{"", 50, 2, 1, expectInsufficient("table8")},
 		// A few failing sector-days leave Table 4's univariate fit with
 		// one or two rows for two parameters, or one HO type only

@@ -1,11 +1,12 @@
 // Package stats implements the statistical toolbox the paper relies on:
 // descriptive statistics, empirical CDFs, correlation, ordinary least
-// squares with t/F inference, one-way ANOVA, the Kruskal–Wallis test and
-// quantile regression. Everything is stdlib-only and deterministic.
+// squares with t/F inference, one-way ANOVA and the Kruskal–Wallis test.
+// Everything is stdlib-only and deterministic.
 //
 // Quantiles use linear interpolation between order statistics (the same
 // convention as R's default type-7 quantile), which keeps medians and p95s
-// comparable with the values the paper reports.
+// comparable with the values the paper reports. LowerQuantileSorted is the
+// exception: it selects an order statistic, the pinball-loss minimiser.
 package stats
 
 import (
@@ -97,6 +98,26 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := h - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// LowerQuantileSorted returns the q-th quantile (0 < q < 1) of an
+// ascending sample as its lower order statistic, the ⌈n·q⌉-th smallest
+// value (R's type 1), with no interpolation. That value minimises the
+// pinball loss Σ ρ_q(x − c) over c, so a quantile regression on a
+// saturated set of group dummies is solved group by group: the intercept
+// is the baseline group's LowerQuantileSorted and each coefficient is its
+// group's minus the baseline's. When n·q is an integer k, every c in
+// [x₍ₖ₎, x₍ₖ₊₁₎] minimises the loss; this returns the lower end. Returns 0
+// for an empty sample.
+func LowerQuantileSorted(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
+	// The slack keeps a product that rounds above its integer, such as
+	// 100·0.07 = 7.000000000000001, on the tie's lower end.
+	k := int(math.Ceil(float64(n)*q - 1e-9))
+	return sorted[min(max(k, 1), n)-1]
 }
 
 // Median returns the 50th percentile.

@@ -3,14 +3,16 @@
 #
 # Every exported top-level declaration — funcs, methods on exported
 # receivers (methods on unexported types never render in godoc), types,
-# and single-declaration vars/consts — in the telcolens facade and in
-# internal/trace (the storage layer other packages program against)
-# must carry a doc comment. Runs offline as part of `make lint`.
+# and single-declaration vars/consts — in the telcolens facade, in
+# internal/trace (the storage layer other packages program against) and
+# in internal/stats and internal/analysis (the statistics and the
+# experiments behind every artifact) must carry a doc comment. Runs
+# offline as part of `make lint`.
 set -eu
 cd "$(dirname "$0")/.."
 
 files="telcolens.go"
-for f in internal/trace/*.go; do
+for f in internal/trace/*.go internal/stats/*.go internal/analysis/*.go; do
     case "$f" in
     *_test.go) ;;
     *) files="$files $f" ;;
