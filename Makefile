@@ -43,8 +43,9 @@
 #                     into world build / simulate / sort+encode)
 #   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders, 30s
 #                     of FuzzDecodeIndex on the .tlix sidecar decoder,
-#                     then 30s of FuzzResultJSON on the /query JSON
-#                     renderer
+#                     30s of FuzzResultJSON on the /query JSON renderer,
+#                     then 30s of FuzzResumeAnalyzer on checkpoint
+#                     decoding
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
 #                     mid-stream, restart, assert byte-identical
@@ -166,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecodeBlock -fuzztime 30s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzDecodeIndex -fuzztime 30s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzResultJSON -fuzztime 30s ./internal/query/
+	$(GO) test -run NONE -fuzz FuzzResumeAnalyzer -fuzztime 30s ./internal/analysis/
 
 # End-to-end streaming ingest soak: telcoload replays a reference
 # campaign into telcoserve -ingest at a fixed rate, the daemon is

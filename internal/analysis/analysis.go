@@ -94,9 +94,9 @@ func WithWindow(fromDay, toDay int) Option {
 // Analyzer wraps a generated dataset with the cached derived views the
 // experiments share. Views are built on demand by parallel streaming
 // passes over the trace; each Need unit is computed at most once — and
-// kept as a live mergeable collector, so new partitions fold in
-// incrementally (Refresh) and the whole analysis state can round-trip
-// through a checkpoint (Checkpoint / ResumeAnalyzer).
+// kept as a live collector, so new partitions fold in incrementally
+// (Refresh) and the whole analysis state can round-trip through a
+// checkpoint (Checkpoint / ResumeAnalyzer).
 type Analyzer struct {
 	DS *simulate.Dataset
 
@@ -114,7 +114,8 @@ type Analyzer struct {
 	cols map[Need]collector
 	have Need
 	// state is the finalized view the experiments read, rebuilt from the
-	// collectors whenever stateDirty (a scan or merge happened).
+	// collectors whenever stateDirty (a scan, restore or day growth
+	// happened).
 	state      *scanState
 	stateDirty bool
 	// covered lists the partitions folded into every computed collector,
@@ -174,17 +175,6 @@ func (s ScanStats) Summary() string {
 	return fmt.Sprintf("%d scan(s), %d partitions, %d records, %d blocks decoded, %d blocks pruned, %.2f MB read",
 		s.Scans, s.Partitions, s.Records, s.BlocksRead, s.BlocksSkipped,
 		float64(s.BytesRead)/1e6)
-}
-
-// sharedEnv returns the per-dataset lookup tables, building them on
-// first use (pure tabulation, no scan).
-func (a *Analyzer) sharedEnv() *scanEnv {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.env == nil {
-		a.env = newScanEnv(a.DS)
-	}
-	return a.env
 }
 
 // New returns an Analyzer over the dataset.
@@ -390,36 +380,29 @@ func collectorFor(need Need, env *scanEnv) collector {
 	panic(fmt.Sprintf("analysis: unknown need %b", need))
 }
 
-// syncEnvLocked (re)builds the shared env, rebasing live collectors when
-// the dataset's study window grew in place (simulate.GenerateDays): each
-// collector is snapshotted and re-merged into a fresh instance sized to
-// the new day count. A dataset whose fixed dimensions changed (different
-// world) drops all cached state instead.
-func (a *Analyzer) syncEnvLocked() error {
+// syncEnvLocked builds the shared env on first use and follows the
+// dataset's landed-day count. A study window that grew in place
+// (simulate.GenerateDays, Dataset.Reload) only advances env.days: the
+// live collectors grow their day-indexed state as the new days merge.
+// A dataset whose fixed dimensions changed (different world), or whose
+// day count shrank, drops all cached state instead.
+func (a *Analyzer) syncEnvLocked() {
 	if a.env == nil {
 		a.env = newScanEnv(a.DS)
-		return nil
+		return
 	}
-	if a.env.days == a.DS.Config.Days {
-		return nil
+	days := a.DS.Config.Days
+	if days == a.env.days {
+		return
 	}
-	next := newScanEnv(a.DS)
-	if next.days < a.env.days || next.nUEs != a.env.nUEs ||
-		next.nSectors != a.env.nSectors || next.nDistricts != a.env.nDistricts {
+	if days < a.env.days || a.DS.Population.Len() != a.env.nUEs ||
+		len(a.DS.Network.Sectors) != a.env.nSectors || len(a.DS.Country.Districts) != a.env.nDistricts {
 		a.resetScanStateLocked()
-		a.env = next
-		return nil
+		a.env = newScanEnv(a.DS)
+		return
 	}
-	for need, col := range a.cols {
-		fresh := collectorFor(need, next)
-		if err := fresh.Merge(col.Snapshot()); err != nil {
-			return fmt.Errorf("analysis: rebasing %b onto %d days: %w", need, next.days, err)
-		}
-		a.cols[need] = fresh
-	}
-	a.env = next
+	a.env.days = days
 	a.stateDirty = true
-	return nil
 }
 
 // storeCoverage resolves the store's current partition set, preferring
@@ -661,9 +644,7 @@ func (a *Analyzer) Require(ctx context.Context, need Need) (*scanState, error) {
 }
 
 func (a *Analyzer) requireLocked(ctx context.Context, need Need) (*scanState, error) {
-	if err := a.syncEnvLocked(); err != nil {
-		return nil, err
-	}
+	a.syncEnvLocked()
 	missing := need &^ a.have
 	if missing == 0 {
 		if a.state == nil || a.stateDirty {

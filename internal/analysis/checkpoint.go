@@ -12,13 +12,13 @@ import (
 )
 
 // The incremental engine: a warm Analyzer can persist its entire scan
-// state (every live collector snapshot, the ping-pong automata among
+// state (every live collector's encoding, the ping-pong automata among
 // them, and the partition coverage) into a checkpoint, be resumed from
 // it against the same — possibly grown — campaign, and then Refresh by
-// scanning only the partitions the checkpoint does not cover. The contract, enforced
-// by TestIncrementalEqualsFull, is that artifacts rendered from
-// checkpoint+Refresh state are byte-identical to a cold full scan of
-// the same store.
+// scanning only the partitions the checkpoint does not cover. The
+// contract, enforced by TestIncrementalEqualsFull, is that artifacts
+// rendered from checkpoint+Refresh state are byte-identical to a cold
+// full scan of the same store.
 
 // checkpointMagic brackets every checkpoint stream; the trailing byte is
 // the format version.
@@ -46,7 +46,8 @@ type RefreshResult struct {
 // into the live collectors, after which every cached view reflects the
 // full store exactly as a cold scan would. A store that changed in a
 // non-append way triggers a full rebuild of the computed units instead.
-// A grown study window (simulate.GenerateDays) is rebased transparently.
+// A study window grown in place (simulate.GenerateDays) keeps the same
+// collectors: their day-indexed state grows as the new days merge.
 //
 // Refresh must not run concurrently with experiments reading the
 // analyzer (the serving daemon refreshes on its watch loop, between
@@ -54,9 +55,7 @@ type RefreshResult struct {
 func (a *Analyzer) Refresh(ctx context.Context) (*RefreshResult, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.syncEnvLocked(); err != nil {
-		return nil, err
-	}
+	a.syncEnvLocked()
 	res := &RefreshResult{Days: a.env.days}
 	if a.have == 0 {
 		// Nothing computed yet: drop any pinned coverage so the next
@@ -191,16 +190,14 @@ func readAllSized(r io.Reader) ([]byte, error) {
 }
 
 // Checkpoint serializes the analyzer's entire cached scan state — which
-// units are computed, their collector snapshots and the partition
+// units are computed, each collector's encoding and the partition
 // coverage — so a later process can ResumeAnalyzer from it and Refresh
 // instead of rescanning the store.
 // Only call it at a quiescent point (no scan in flight).
 func (a *Analyzer) Checkpoint(w io.Writer) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.syncEnvLocked(); err != nil {
-		return err
-	}
+	a.syncEnvLocked()
 	e := &enc{b: append([]byte(nil), checkpointMagic...)}
 	cfg := a.DS.Config
 	e.u64(cfg.Seed)
@@ -221,12 +218,10 @@ func (a *Analyzer) Checkpoint(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		data, err := col.Snapshot().MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("analysis: checkpointing %b: %w", n, err)
-		}
-		e.u32(uint32(len(data)))
-		e.b = append(e.b, data...)
+		at := len(e.b)
+		e.u32(0) // the state's length, filled in below
+		encodeState(e, n, col)
+		binary.LittleEndian.PutUint32(e.b[at:], uint32(len(e.b)-at-4))
 	}
 	e.u64(checksum64(e.b))
 	_, err := w.Write(e.b)
@@ -234,11 +229,12 @@ func (a *Analyzer) Checkpoint(w io.Writer) error {
 }
 
 // ResumeAnalyzer reconstructs a warm analyzer from a checkpoint written
-// by Checkpoint against the same campaign. The dataset's world
-// fingerprint (seed, population, deployment, sharding) must match the
-// checkpoint's; the study window may have grown (simulate.GenerateDays /
-// telcogen -append) — the restored state is rebased onto the larger day
-// span and a subsequent Refresh merges exactly the new partitions.
+// by Checkpoint against the same campaign: each unit's encoding is
+// restored into a fresh collector. The dataset's world fingerprint
+// (seed, population, deployment, sharding) must match the checkpoint's;
+// the study window may have grown (simulate.GenerateDays / telcogen
+// -append) — the restored collectors cover the checkpoint's days, and a
+// subsequent Refresh merges exactly the new partitions.
 // WithWindow options must match the checkpointed analysis window (use
 // Configure afterwards to change it, which drops the restored state).
 func ResumeAnalyzer(ds *simulate.Dataset, r io.Reader, opts ...Option) (*Analyzer, error) {
@@ -293,6 +289,9 @@ func ResumeAnalyzer(ds *simulate.Dataset, r io.Reader, opts ...Option) (*Analyze
 	if d.err != nil {
 		return nil, d.err
 	}
+	if have&^NeedAll != 0 {
+		return nil, fmt.Errorf("analysis: checkpoint holds unknown units %b", have&^NeedAll)
+	}
 	a.env = newScanEnv(ds)
 	a.cols = make(map[Need]collector)
 	for n := NeedTypes; n < needSentinel; n <<= 1 {
@@ -303,15 +302,8 @@ func ResumeAnalyzer(ds *simulate.Dataset, r io.Reader, opts ...Option) (*Analyze
 		if d.err != nil {
 			return nil, d.err
 		}
-		cs, err := newCollectorState(n)
-		if err != nil {
-			return nil, err
-		}
-		if err := cs.UnmarshalBinary(payload); err != nil {
-			return nil, fmt.Errorf("analysis: restoring %b: %w", n, err)
-		}
 		col := collectorFor(n, a.env)
-		if err := col.Merge(cs); err != nil {
+		if err := restoreState(col, n, payload); err != nil {
 			return nil, fmt.Errorf("analysis: restoring %b: %w", n, err)
 		}
 		a.cols[n] = col

@@ -79,13 +79,11 @@ func versionOneCheckpoint(t *testing.T, a *Analyzer) []byte {
 		if !ok {
 			continue
 		}
-		data, err := col.Snapshot().MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] = 1
-		e.u32(uint32(len(data)))
-		e.b = append(e.b, data...)
+		state := &enc{}
+		encodeState(state, n, col)
+		state.b[0] = 1
+		e.u32(uint32(len(state.b)))
+		e.b = append(e.b, state.b...)
 	}
 	e.u8(1)
 	a.cols[NeedPingPong].(*pingpongCollector).t.encode(e)

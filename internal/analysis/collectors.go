@@ -44,10 +44,11 @@ import (
 
 // collector is a trace.Collector that can publish its merged result into
 // the shared scan view once every partition has been folded. Collectors
-// are long-lived mergeable accumulators: the analyzer keeps them between
-// scans, folds delta partitions into them on Refresh, and snapshots them
-// for checkpoints, so finalize must be re-runnable (it publishes the
-// current merged view without consuming state).
+// are long-lived accumulators: the analyzer keeps them between scans,
+// folds delta partitions into them on Refresh (their day-indexed state
+// grows in place as days land), and encodes them into checkpoints, so
+// finalize must be re-runnable (it publishes the current merged view
+// without consuming state).
 type collector interface {
 	trace.Collector
 	finalize(s *scanState) error
@@ -57,25 +58,21 @@ type collector interface {
 	// decoding everything else; an understated set would read
 	// unspecified field values.
 	columns() trace.ColumnSet
-	// Snapshot returns a serializable copy of the merged accumulators,
-	// detached from the collector (later merges do not mutate it). Only
+	// encode appends the collector's persisted form: its own merged
+	// fields, deterministically (the same state, the same bytes). Only
 	// call it at a quiescent point — after finalize, never mid-scan.
-	Snapshot() CollectorState
-	// Merge folds a snapshot into the collector. Counter state merges
-	// freely; row state (UE-day metrics, sector-day observations) and
-	// per-day distinct counts require the snapshot's day range to be
-	// disjoint from and after everything already folded — the analyzer
-	// only merges snapshots into empty collectors (resume, day-growth
-	// rebase), which always satisfies this.
-	Merge(CollectorState) error
+	encode(e *enc)
+	// restore fills a fresh collector (from collectorFor) from encode's
+	// bytes, checking them against the dataset.
+	restore(d *dec) error
 }
 
-// scanEnv is the immutable per-dataset context shared by all collectors:
-// dimension sizes plus flat metadata tables so the per-record hot loops
-// resolve everything with one slice index — per-sector
-// area/vendor/district/site/location, per-TAC device metadata (replacing
-// the Devices.ByTAC map probe), and per-day start millis (replacing the
-// DayStart time arithmetic).
+// scanEnv is the per-dataset context shared by all collectors: the
+// study's landed-day count, which grows in place as days land, plus
+// dimension sizes and flat metadata tables that are fixed for a given
+// world, so the per-record hot loops resolve everything with one slice
+// index — per-sector area/vendor/district/site/location and per-TAC
+// device metadata (replacing the Devices.ByTAC map probe).
 type scanEnv struct {
 	ds         *simulate.Dataset
 	days       int
@@ -83,8 +80,6 @@ type scanEnv struct {
 	nSectors   int
 	nDistricts int
 	sectors    []sectorMeta
-	// dayStartMs[d] is DayStart(d).UnixMilli() for d in [0, days].
-	dayStartMs []int64
 	// tacInfo is the dense TAC → device metadata table, indexed by
 	// TAC - tacBase; nil when the catalog's TAC space is too sparse to
 	// tabulate (lookupTAC then falls back to the catalog map).
@@ -127,7 +122,6 @@ func newScanEnv(ds *simulate.Dataset) *scanEnv {
 		nSectors:   len(ds.Network.Sectors),
 		nDistricts: len(ds.Country.Districts),
 		sectors:    make([]sectorMeta, len(ds.Network.Sectors)),
-		dayStartMs: make([]int64, ds.Config.Days+1),
 	}
 	for i := range env.sectors {
 		sec := ds.Network.Sector(topology.SectorID(i))
@@ -140,9 +134,6 @@ func newScanEnv(ds *simulate.Dataset) *scanEnv {
 		if sec.Area == census.Urban {
 			m.areaIdx = 1
 		}
-	}
-	for d := range env.dayStartMs {
-		env.dayStartMs[d] = trace.DayStart(d).UnixMilli()
 	}
 	if models := ds.Devices.Models; len(models) > 0 {
 		minT, maxT := models[0].TAC, models[0].TAC
@@ -199,14 +190,20 @@ func (env *scanEnv) lookupTACSlow(t devices.TAC) (tacInfo, bool) {
 	return tacInfoOf(m), true
 }
 
-// dayStart returns DayStart(day).UnixMilli() from the hoisted table
-// (falling back to time arithmetic for out-of-window days, which only
-// direct trace.Scan callers can produce).
-func (env *scanEnv) dayStart(day int) int64 {
-	if day >= 0 && day < len(env.dayStartMs) {
-		return env.dayStartMs[day]
+// dayStart returns trace.DayStart(day).UnixMilli(). StudyStart is UTC,
+// so every study day is exactly 86 400 000 ms long.
+func dayStart(day int) int64 {
+	return trace.StudyStart.UnixMilli() + int64(day)*86_400_000
+}
+
+// growDays extends a per-day array with zeroed days up to n. The
+// collectors' day-indexed state grows on demand as days land: MergeShard
+// grows it to the partition's day, finalize and encode to the study's.
+func growDays[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
 	}
-	return trace.DayStart(day).UnixMilli()
+	return s
 }
 
 // hoTypeByRAT maps a packed RAT byte's target nibble to its handover
@@ -243,7 +240,7 @@ func recKey(ts int64, ue trace.UEID) uint64 {
 // observed multiset, it is identical for any partitioning or scan order —
 // unlike an RNG reservoir — while still being a uniform sample.
 //
-// Every entry, from Add, absorb or a merged snapshot, takes one path
+// Every entry, from Add or absorb, takes one path
 // (offer): once the sampler has held an exact bottom-k, an entry at or
 // above its k-th smallest is rejected with one compare; any other entry
 // is appended, and a buffer of 2×capacity is cut back to the exact
@@ -258,7 +255,7 @@ type sampler struct {
 	pri      []uint64
 	val      []float64
 	// full records that the first capacity entries were, at the last
-	// prune, seal or snapshot adoption, the exact bottom-k of everything
+	// prune, seal or restore, the exact bottom-k of everything
 	// kept, with the largest of them at capacity-1: that entry is the
 	// bound offer rejects against. Appends never move it.
 	full   bool
@@ -377,7 +374,7 @@ func (s *sampler) swap(i, j int) {
 // absorb folds another sampler (same capacity and salt) into s, entry
 // by entry through offer. Exactness is unaffected — the kept set after
 // seal is still the bottom-capacity of everything observed, which is
-// also why absorbing is the exact merge operation for snapshots:
+// why absorbing shard by shard and day by day is exact:
 // bottom-k(A ∪ B) = bottom-k(bottom-k(A) ∪ bottom-k(B)).
 func (s *sampler) absorb(o *sampler) {
 	s.n += o.n
@@ -584,11 +581,13 @@ type typesCollector struct {
 }
 
 func newTypesCollector(env *scanEnv) *typesCollector {
-	return &typesCollector{
-		env:           env,
-		perDayTypeDev: make([][ho.NumTypes][3]int64, env.days),
-		perDayFails:   make([][ho.NumTypes]int64, env.days),
-	}
+	return &typesCollector{env: env}
+}
+
+// grow extends the per-day arrays to n days.
+func (c *typesCollector) grow(n int) {
+	c.perDayTypeDev = growDays(c.perDayTypeDev, n)
+	c.perDayFails = growDays(c.perDayFails, n)
 }
 
 type typesShard struct {
@@ -643,6 +642,7 @@ func (c *typesCollector) MergeShard(st trace.ShardState) error {
 	if err := checkDay(c.env, s.day); err != nil {
 		return err
 	}
+	c.grow(s.day + 1)
 	c.totalHOs += s.hos
 	c.totalFails += s.fails
 	for t := 0; t < int(ho.NumTypes); t++ {
@@ -661,6 +661,7 @@ func (c *typesCollector) MergeShard(st trace.ShardState) error {
 }
 
 func (c *typesCollector) finalize(out *scanState) error {
+	c.grow(c.env.days)
 	out.totalHOs = c.totalHOs
 	out.totalFails = c.totalFails
 	out.typeCounts = c.typeCounts
@@ -800,10 +801,7 @@ type causesCollector struct {
 }
 
 func newCausesCollector(env *scanEnv) *causesCollector {
-	return &causesCollector{
-		env:             env,
-		perDayCauseType: make([][ho.NumTypes][nCauseIdx]int64, env.days),
-	}
+	return &causesCollector{env: env}
 }
 
 type causesShard struct {
@@ -858,6 +856,7 @@ func (c *causesCollector) MergeShard(st trace.ShardState) error {
 	if err := checkDay(c.env, s.day); err != nil {
 		return err
 	}
+	c.perDayCauseType = growDays(c.perDayCauseType, s.day+1)
 	for t := 0; t < int(ho.NumTypes); t++ {
 		for ci := 0; ci < nCauseIdx; ci++ {
 			c.causeType[t][ci] += s.causeType[t][ci]
@@ -885,6 +884,7 @@ func (c *causesCollector) MergeShard(st trace.ShardState) error {
 }
 
 func (c *causesCollector) finalize(out *scanState) error {
+	c.perDayCauseType = growDays(c.perDayCauseType, c.env.days)
 	out.causeType = c.causeType
 	out.perDayCauseType = c.perDayCauseType
 	out.causeByDev = c.causeByDev
@@ -922,14 +922,15 @@ type temporalCollector struct {
 }
 
 func newTemporalCollector(env *scanEnv) *temporalCollector {
-	return &temporalCollector{
-		env:        env,
-		binHOs:     make([][mobility.BinsPerDay][2]int64, env.days),
-		binActive:  make([][mobility.BinsPerDay][2]int32, env.days),
-		hourHOFs:   make([][24][2]int64, env.days),
-		hourActive: make([][24][2]int32, env.days),
-		curDay:     -1,
-	}
+	return &temporalCollector{env: env, curDay: -1}
+}
+
+// grow extends the per-day profiles to n days.
+func (c *temporalCollector) grow(n int) {
+	c.binHOs = growDays(c.binHOs, n)
+	c.binActive = growDays(c.binActive, n)
+	c.hourHOFs = growDays(c.hourHOFs, n)
+	c.hourActive = growDays(c.hourActive, n)
 }
 
 type temporalShard struct {
@@ -944,10 +945,10 @@ type temporalShard struct {
 
 func (c *temporalCollector) NewShardState(day, shard int) trace.ShardState {
 	if s := c.shards.get(); s != nil {
-		s.day, s.dayBase = day, c.env.dayStart(day)
+		s.day, s.dayBase = day, dayStart(day)
 		return s
 	}
-	return &temporalShard{env: c.env, day: day, dayBase: c.env.dayStart(day)}
+	return &temporalShard{env: c.env, day: day, dayBase: dayStart(day)}
 }
 
 // binOfMs clamps a record's offset from its day-start millis into a
@@ -1028,6 +1029,7 @@ func (c *temporalCollector) MergeShard(st trace.ShardState) error {
 	if s.day != c.curDay {
 		c.flushDay()
 		c.curDay = s.day
+		c.grow(s.day + 1)
 	}
 	n := c.env.nSectors
 	for b := 0; b < mobility.BinsPerDay; b++ {
@@ -1059,6 +1061,7 @@ func (c *temporalCollector) finalize(out *scanState) error {
 	c.flushDay()
 	c.curDay = -1
 	c.curBinSec, c.curHourSec = [mobility.BinsPerDay][2]bitset{}, [24][2]bitset{}
+	c.grow(c.env.days)
 	out.binHOs = c.binHOs
 	out.binActive = c.binActive
 	out.hourHOFs = c.hourHOFs
@@ -1383,10 +1386,10 @@ type uedayShard struct {
 
 func (c *uedayCollector) NewShardState(day, shard int) trace.ShardState {
 	if s := c.shards.get(); s != nil {
-		s.day, s.dayBase, s.lastIdx = day, c.env.dayStart(day), -1
+		s.day, s.dayBase, s.lastIdx = day, dayStart(day), -1
 		return s
 	}
-	return &uedayShard{env: c.env, day: day, dayBase: c.env.dayStart(day), lastIdx: -1}
+	return &uedayShard{env: c.env, day: day, dayBase: dayStart(day), lastIdx: -1}
 }
 
 // ObserveColumns runs the per-UE accumulation over the column batch with
@@ -1449,7 +1452,7 @@ func (s *uedayShard) FinishPartition() error {
 // metrics (in first-appearance order — the collector sorts each day's
 // buffer canonically).
 func (s *uedayShard) flush(out []UEDayMetric) []UEDayMetric {
-	endOfDay := s.env.dayStart(s.day + 1)
+	endOfDay := dayStart(s.day + 1)
 	out = slices.Grow(out, len(s.tbl.states))
 	trig := s.trigScratch
 	for i := range s.tbl.states {

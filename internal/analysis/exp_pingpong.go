@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"telcolens/internal/report"
@@ -44,6 +43,18 @@ type pingPongState struct {
 	src, dst uint32
 	ts       int64
 	valid    bool
+}
+
+// step feeds the automaton one successful handover src→dst at ts and
+// reports whether it bounced back within winMs, closing a ping-pong.
+func (st *pingPongState) step(src, dst uint32, ts, winMs int64) bool {
+	if st.valid && src == st.dst && dst == st.src && ts-st.ts <= winMs {
+		// A PP closes the pair; the bounce-back does not seed a new one.
+		st.valid = false
+		return true
+	}
+	*st = pingPongState{src: src, dst: dst, ts: ts, valid: true}
+	return false
 }
 
 // StandardPingPongWindows are the detection windows the pingpong
@@ -91,17 +102,10 @@ func (t *ppTracker) observe(sectors []sectorMeta, ts int64, ue trace.UEID, src, 
 	nW := len(t.winMs)
 	base := int(ue) * nW
 	for w := 0; w < nW; w++ {
-		st := &t.states[base+w]
-		if st.valid &&
-			uint32(src) == st.dst && uint32(dst) == st.src &&
-			ts-st.ts <= t.winMs[w] {
+		if t.states[base+w].step(uint32(src), uint32(dst), ts, t.winMs[w]) {
 			t.pingPongs[w]++
 			t.byArea[w][areaIdx]++
-			// A PP closes the pair; the bounce-back does not seed a new one.
-			st.valid = false
-			continue
 		}
-		*st = pingPongState{src: uint32(src), dst: uint32(dst), ts: ts, valid: true}
 	}
 }
 
@@ -194,16 +198,6 @@ func decodePPTracker(d *dec) (*ppTracker, error) {
 	return t, nil
 }
 
-// clone returns a deep copy of the tracker.
-func (t *ppTracker) clone() *ppTracker {
-	c := *t
-	c.winMs = slices.Clone(t.winMs)
-	c.states = slices.Clone(t.states)
-	c.pingPongs = slices.Clone(t.pingPongs)
-	c.byArea = slices.Clone(t.byArea)
-	return &c
-}
-
 // --- ping-pong collector ---------------------------------------------------
 
 // pingpongCollector runs the standard-window automata inside the fused
@@ -276,53 +270,24 @@ func (c *pingpongCollector) finalize(out *scanState) error {
 	return nil
 }
 
-// pingpongState is the collector's snapshot: the whole tracker, automata
-// included, so a resumed analyzer continues every UE's bounce state.
-type pingpongState struct {
-	t *ppTracker
+// encode writes the whole tracker, automata included, so a resumed
+// analyzer continues every UE's bounce state.
+func (c *pingpongCollector) encode(e *enc) {
+	c.t.encode(e)
 }
 
-func (s *pingpongState) Need() Need { return NeedPingPong }
-
-func (s *pingpongState) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	header(e, NeedPingPong)
-	s.t.encode(e)
-	return e.b, nil
-}
-
-func (s *pingpongState) UnmarshalBinary(data []byte) error {
-	d := &dec{b: data}
-	if err := checkHeader(d, NeedPingPong); err != nil {
-		return err
-	}
+// restore replaces the fresh collector's tracker with the encoded one.
+// Automata cannot be summed, so there is nothing to merge into.
+func (c *pingpongCollector) restore(d *dec) error {
 	t, err := decodePPTracker(d)
 	if err != nil {
 		return err
 	}
-	s.t = t
-	return nil
-}
-
-func (c *pingpongCollector) Snapshot() CollectorState {
-	return &pingpongState{t: c.t.clone()}
-}
-
-// Merge restores a snapshot into an empty collector. Automata cannot be
-// summed, so a collector that has already observed handovers refuses.
-func (c *pingpongCollector) Merge(st CollectorState) error {
-	s, ok := st.(*pingpongState)
-	if !ok {
-		return fmt.Errorf("analysis: merging %T into pingpong collector", st)
-	}
-	if c.t.hos != 0 {
-		return fmt.Errorf("analysis: merging a ping-pong state into a non-empty collector")
-	}
-	if len(s.t.states) != c.env.nUEs*len(s.t.winMs) {
+	if len(t.states) != c.env.nUEs*len(t.winMs) {
 		return fmt.Errorf("analysis: ping-pong state has %d automata for %d UEs × %d windows",
-			len(s.t.states), c.env.nUEs, len(s.t.winMs))
+			len(t.states), c.env.nUEs, len(t.winMs))
 	}
-	c.t = s.t.clone()
+	c.t = t
 	return nil
 }
 

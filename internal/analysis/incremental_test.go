@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -114,8 +115,8 @@ func TestIncrementalEqualsFull(t *testing.T) {
 }
 
 // TestRefreshInPlace: the same analyzer instance survives its dataset
-// growing in place (no checkpoint round-trip): Refresh rebases the live
-// collectors onto the larger study window and merges only the new days.
+// growing in place (no checkpoint round-trip): Refresh grows the live
+// collectors to the larger study window and merges only the new days.
 func TestRefreshInPlace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a campaign")
@@ -152,6 +153,69 @@ func TestRefreshInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareArtifacts(t, "refresh-in-place", renderAll(t, cold), renderAll(t, a))
+}
+
+// TestRefreshGrowsInPlace: a campaign that lands one day at a time into
+// its declared window, as a streamed feed does, keeps every live
+// collector. Each Refresh grows the same collector objects, and after
+// every day the artifacts and the checkpoint bytes equal a cold
+// analyzer's.
+func TestRefreshGrowsInPlace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a campaign")
+	}
+	const window, shards = 4, 2
+	fs, err := trace.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simulate.DefaultConfig(detSeed)
+	cfg.UEs, cfg.Days, cfg.WindowDays, cfg.Shards, cfg.Store = detUEs, 0, window, shards, fs
+	ds, err := simulate.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	a, err := New(ds, WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Require(ctx, NeedAll); err != nil {
+		t.Fatal(err)
+	}
+	for day := 1; day <= window; day++ {
+		before := maps.Clone(a.cols)
+		if err := ds.GenerateDays(1); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Refresh(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FullRescan || res.PartitionsScanned != shards || res.Days != day {
+			t.Fatalf("day %d: refresh %+v, want %d partitions merged in place", day, *res, shards)
+		}
+		for n, col := range before {
+			if a.cols[n] != col {
+				t.Fatalf("day %d: the collector for %b was replaced", day, n)
+			}
+		}
+		cold, err := New(ds, WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareArtifacts(t, fmt.Sprintf("grown-to-day%d", day), renderAll(t, cold), renderAll(t, a))
+		var grown, want bytes.Buffer
+		if err := a.Checkpoint(&grown); err != nil {
+			t.Fatal(err)
+		}
+		if err := cold.Checkpoint(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(grown.Bytes(), want.Bytes()) {
+			t.Fatalf("day %d: the grown analyzer's checkpoint differs from a cold one", day)
+		}
+	}
 }
 
 // TestRefreshNoChange: refreshing an up-to-date analyzer scans nothing.

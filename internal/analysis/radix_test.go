@@ -163,15 +163,14 @@ func filled(g pvGen, r *rand.Rand, n int) *sampler {
 	return s
 }
 
-// snapshotOf returns src, sealed by seal, as a decoded snapshot.
-func snapshotOf(src *sampler, seal func(*sampler)) *samplerState {
+// restoredOf returns src, sealed by seal, encoded and restored.
+func restoredOf(src *sampler, seal func(*sampler)) *sampler {
 	seal(src)
-	return &samplerState{capacity: src.capacity, salt: src.salt, n: src.n,
-		pri: slices.Clone(src.pri), val: slices.Clone(src.val)}
+	return restored(src)
 }
 
 // mustBeFull panics unless s holds the bound that filters the next
-// delta: exactly capacity entries from a seal or an adopted snapshot.
+// delta: exactly capacity entries from a seal or a restore.
 func mustBeFull(s *sampler) {
 	if !s.full || len(s.pri) != s.capacity {
 		panic(fmt.Sprintf("no bound at capacity: full=%v len=%d", s.full, len(s.pri)))
@@ -216,31 +215,14 @@ var sealPaths = []sealPath{
 		s.absorb(filled(g, r, pathCap))
 		return s
 	}},
-	{"snapshot-merge", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
-		st := snapshotOf(filled(g, r, 3*pathCap), seal)
-		s := newSampler(pathCap, 1)
-		s.absorb(filled(g, r, pathCap/2))
-		if err := mergeSampler(s, st); err != nil {
-			panic(err)
-		}
-		return s
-	}},
-	{"snapshot-adopt-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
-		st := snapshotOf(filled(g, r, pathCap/2), seal)
-		s := newSampler(pathCap, 1)
-		if err := mergeSampler(s, st); err != nil {
-			panic(err)
-		}
+	{"restore-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
+		s := restoredOf(filled(g, r, pathCap/2), seal)
 		s.absorb(filled(g, r, pathCap))
 		return s
 	}},
-	{"snapshot-adopt-at-capacity-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
-		st := snapshotOf(filled(g, r, pathCap), seal)
-		s := newSampler(pathCap, 1)
-		if err := mergeSampler(s, st); err != nil {
-			panic(err)
-		}
-		mustBeFull(s) // the adopt sets the bound
+	{"restore-at-capacity-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
+		s := restoredOf(filled(g, r, pathCap), seal)
+		mustBeFull(s) // the restore sets the bound
 		s.absorb(filled(g, r, pathCap))
 		return s
 	}},

@@ -155,10 +155,10 @@ func TestSamplerBelowCapacityKeepsEverything(t *testing.T) {
 	}
 }
 
-// A sampler that holds exactly capacity entries from a seal, or from an
-// adopted snapshot, rejects the following delta against the bound that
-// seal or mergeSampler set, with no prune in between; the kept set must
-// still be the true bottom-k of everything offered.
+// A sampler that holds exactly capacity entries from a seal, or from a
+// restore, rejects the following delta against the bound that seal or
+// restore set, with no prune in between; the kept set must still be the
+// true bottom-k of everything offered.
 func TestSamplerBoundKeepsTrueBottomK(t *testing.T) {
 	const cap = 40
 	entries := makeEntries(12*cap, 5)
@@ -171,18 +171,10 @@ func TestSamplerBoundKeepsTrueBottomK(t *testing.T) {
 		s.seal(&sealScratch{})
 		return s
 	}
-	adopted := func() *sampler {
-		st := snapshotSampler(first(), &sealScratch{})
-		s := newSampler(cap, 11)
-		if err := mergeSampler(s, &st); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 	for _, c := range []struct {
 		name string
 		s    *sampler
-	}{{"sealed", first()}, {"adopted", adopted()}} {
+	}{{"sealed", first()}, {"restored", restored(first())}} {
 		name, s := c.name, c.s
 		if !s.full {
 			t.Fatalf("%s: %d entries at capacity %d set no bound", name, len(s.pri), cap)
@@ -219,11 +211,7 @@ func TestSealedRunGrowsAsAppend(t *testing.T) {
 	for _, e := range makeEntries(run, 6) {
 		src.Add(e.v, e.p)
 	}
-	st := snapshotSampler(src, &sealScratch{})
-	s := newSampler(capacity, 3)
-	if err := mergeSampler(s, &st); err != nil {
-		t.Fatal(err)
-	}
+	s := restored(src)
 	delta := newSampler(capacity, 3)
 	for _, e := range makeEntries(run/10, 7) {
 		delta.Add(e.v, e.p+1)
@@ -233,4 +221,17 @@ func TestSealedRunGrowsAsAppend(t *testing.T) {
 		t.Fatalf("sealed run of %d + delta of %d: len %d, cap %d/%d; want below %d",
 			run, run/10, len(s.pri), cap(s.pri), cap(s.val), 2*run)
 	}
+}
+
+// restored encodes src and restores it into a fresh sampler of the same
+// capacity and salt, as a checkpoint resume does.
+func restored(src *sampler) *sampler {
+	e := &enc{}
+	src.encode(e, &sealScratch{})
+	s := &sampler{capacity: src.capacity, salt: src.salt}
+	d := &dec{b: e.b}
+	if s.restore(d); d.err != nil {
+		panic(d.err)
+	}
+	return s
 }

@@ -11,53 +11,15 @@ import (
 	"telcolens/internal/trace"
 )
 
-// Collector snapshots: every scan-state unit can be snapshotted into a
-// CollectorState — a detached, mergeable copy of its dense accumulators
-// with a versioned, deterministic binary encoding. Snapshots are what
-// make analysis incremental: Analyzer.Checkpoint serializes them,
-// ResumeAnalyzer merges them back into empty collectors, and the
-// day-growth rebase re-homes them onto a larger study window. The
-// encoding is fixed-field-order little-endian (bulk fixed-width rows for
-// the large row sets), so marshaling the same state twice yields the
-// same bytes — the property the snapshot round-trip tests pin down.
+// Collector encoding: every scan-state unit has one persisted form, a
+// versioned, deterministic binary encoding of its own merged fields.
+// Analyzer.Checkpoint writes it, and ResumeAnalyzer restores it into
+// fresh collectors. The encoding is fixed-field-order little-endian
+// (bulk fixed-width rows for the large row sets), so encoding the same
+// state twice yields the same bytes — the property the round-trip tests
+// pin down.
 
-// CollectorState is a serializable, mergeable snapshot of one
-// collector's merged accumulators.
-type CollectorState interface {
-	// Need identifies the scan-state unit the snapshot belongs to.
-	Need() Need
-	// MarshalBinary encodes the state deterministically (same state,
-	// same bytes).
-	MarshalBinary() ([]byte, error)
-	// UnmarshalBinary decodes an encoding produced by MarshalBinary.
-	UnmarshalBinary(data []byte) error
-}
-
-// newCollectorState returns the empty concrete state for one unit,
-// ready for UnmarshalBinary.
-func newCollectorState(need Need) (CollectorState, error) {
-	switch need {
-	case NeedTypes:
-		return &typesState{}, nil
-	case NeedDurations:
-		return &durationsState{}, nil
-	case NeedCauses:
-		return &causesState{}, nil
-	case NeedTemporal:
-		return &temporalState{}, nil
-	case NeedDistricts:
-		return &districtsState{}, nil
-	case NeedUEDay:
-		return &uedayState{}, nil
-	case NeedSectorDay:
-		return &sectordayState{}, nil
-	case NeedPingPong:
-		return &pingpongState{}, nil
-	}
-	return nil, fmt.Errorf("analysis: no collector state for need %b", need)
-}
-
-// snapshotVersion tags every marshaled collector state; bump on any
+// snapshotVersion tags every encoded collector state; bump on any
 // encoding change. Version 2 added the ping-pong state, which version 1
 // checkpoints carried in a section of their own.
 const snapshotVersion = 2
@@ -216,19 +178,40 @@ func (d *dec) f64s() []float64 {
 	return out
 }
 
-// header/checkHeader bracket every state encoding with the version and
-// the unit it belongs to.
-func header(e *enc, need Need) {
+// encodeState appends one unit's state: a header of the encoding
+// version and the unit, then the collector's own fields.
+func encodeState(e *enc, need Need, col collector) {
 	e.u8(snapshotVersion)
 	e.u32(uint32(need))
+	col.encode(e)
 }
 
-func checkHeader(d *dec, need Need) error {
+// restoreState fills a fresh collector from one unit's state encoding,
+// which must be consumed exactly.
+func restoreState(col collector, need Need, b []byte) error {
+	d := &dec{b: b}
 	if v := d.u8(); d.err == nil && v != snapshotVersion {
 		return fmt.Errorf("analysis: collector state version %d, want %d", v, snapshotVersion)
 	}
 	if got := Need(d.u32()); d.err == nil && got != need {
 		return fmt.Errorf("analysis: collector state for need %b, want %b", got, need)
+	}
+	if d.err != nil {
+		return d.err
+	}
+	if err := col.restore(d); err != nil {
+		return err
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("analysis: %d trailing bytes in collector state", len(d.b))
+	}
+	return nil
+}
+
+// checkDays bounds a state's day count by the study's.
+func checkDays(d *dec, unit string, days, studyDays int) error {
+	if d.err == nil && days > studyDays {
+		return fmt.Errorf("analysis: %s state covers %d days, collector only %d", unit, days, studyDays)
 	}
 	return d.err
 }
@@ -237,143 +220,69 @@ const nTypes = int(ho.NumTypes)
 
 // --- types --------------------------------------------------------------
 
-type typesState struct {
-	days          int
-	totalHOs      int64
-	totalFails    int64
-	typeCounts    [ho.NumTypes]int64
-	typeDevCounts [ho.NumTypes][3]int64
-	perDayTypeDev [][ho.NumTypes][3]int64
-	typeFails     [ho.NumTypes]int64
-	perDayFails   [][ho.NumTypes]int64
-	vendorByType  [ho.NumTypes][4]int64
-	bytesRead     int64
-}
-
-func (s *typesState) Need() Need { return NeedTypes }
-
-func (s *typesState) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	header(e, NeedTypes)
-	e.u32(uint32(s.days))
-	e.i64(s.totalHOs)
-	e.i64(s.totalFails)
-	e.i64(s.bytesRead)
+func (c *typesCollector) encode(e *enc) {
+	c.grow(c.env.days)
+	e.u32(uint32(c.env.days))
+	e.i64(c.totalHOs)
+	e.i64(c.totalFails)
+	e.i64(c.bytesRead)
 	for t := 0; t < nTypes; t++ {
-		e.i64(s.typeCounts[t])
-		e.i64(s.typeFails[t])
+		e.i64(c.typeCounts[t])
+		e.i64(c.typeFails[t])
 		for d := 0; d < 3; d++ {
-			e.i64(s.typeDevCounts[t][d])
+			e.i64(c.typeDevCounts[t][d])
 		}
 		for v := 0; v < 4; v++ {
-			e.i64(s.vendorByType[t][v])
+			e.i64(c.vendorByType[t][v])
 		}
 	}
-	for day := 0; day < s.days; day++ {
+	for day := 0; day < c.env.days; day++ {
 		for t := 0; t < nTypes; t++ {
-			e.i64(s.perDayFails[day][t])
+			e.i64(c.perDayFails[day][t])
 			for d := 0; d < 3; d++ {
-				e.i64(s.perDayTypeDev[day][t][d])
+				e.i64(c.perDayTypeDev[day][t][d])
 			}
 		}
 	}
-	return e.b, nil
 }
 
-func (s *typesState) UnmarshalBinary(data []byte) error {
-	d := &dec{b: data}
-	if err := checkHeader(d, NeedTypes); err != nil {
+func (c *typesCollector) restore(d *dec) error {
+	days := int(d.u32())
+	if err := checkDays(d, "types", days, c.env.days); err != nil {
 		return err
 	}
-	s.days = int(d.u32())
-	if d.err == nil && s.days > len(d.b) {
-		return fmt.Errorf("analysis: types state day count %d exceeds payload", s.days)
-	}
-	s.totalHOs = d.i64()
-	s.totalFails = d.i64()
-	s.bytesRead = d.i64()
+	c.totalHOs = d.i64()
+	c.totalFails = d.i64()
+	c.bytesRead = d.i64()
 	for t := 0; t < nTypes; t++ {
-		s.typeCounts[t] = d.i64()
-		s.typeFails[t] = d.i64()
+		c.typeCounts[t] = d.i64()
+		c.typeFails[t] = d.i64()
 		for dv := 0; dv < 3; dv++ {
-			s.typeDevCounts[t][dv] = d.i64()
+			c.typeDevCounts[t][dv] = d.i64()
 		}
 		for v := 0; v < 4; v++ {
-			s.vendorByType[t][v] = d.i64()
+			c.vendorByType[t][v] = d.i64()
 		}
 	}
-	s.perDayFails = make([][ho.NumTypes]int64, s.days)
-	s.perDayTypeDev = make([][ho.NumTypes][3]int64, s.days)
-	for day := 0; day < s.days; day++ {
+	c.grow(days)
+	for day := 0; day < days; day++ {
 		for t := 0; t < nTypes; t++ {
-			s.perDayFails[day][t] = d.i64()
+			c.perDayFails[day][t] = d.i64()
 			for dv := 0; dv < 3; dv++ {
-				s.perDayTypeDev[day][t][dv] = d.i64()
+				c.perDayTypeDev[day][t][dv] = d.i64()
 			}
 		}
 	}
 	return d.err
 }
 
-func (c *typesCollector) Snapshot() CollectorState {
-	s := &typesState{
-		days:          c.env.days,
-		totalHOs:      c.totalHOs,
-		totalFails:    c.totalFails,
-		typeCounts:    c.typeCounts,
-		typeDevCounts: c.typeDevCounts,
-		typeFails:     c.typeFails,
-		vendorByType:  c.vendorByType,
-		bytesRead:     c.bytesRead,
-		perDayTypeDev: append([][ho.NumTypes][3]int64(nil), c.perDayTypeDev...),
-		perDayFails:   append([][ho.NumTypes]int64(nil), c.perDayFails...),
-	}
-	return s
-}
-
-func (c *typesCollector) Merge(st CollectorState) error {
-	s, ok := st.(*typesState)
-	if !ok {
-		return fmt.Errorf("analysis: merging %T into types collector", st)
-	}
-	if s.days > c.env.days {
-		return fmt.Errorf("analysis: types state covers %d days, collector only %d", s.days, c.env.days)
-	}
-	c.totalHOs += s.totalHOs
-	c.totalFails += s.totalFails
-	c.bytesRead += s.bytesRead
-	for t := 0; t < nTypes; t++ {
-		c.typeCounts[t] += s.typeCounts[t]
-		c.typeFails[t] += s.typeFails[t]
-		for d := 0; d < 3; d++ {
-			c.typeDevCounts[t][d] += s.typeDevCounts[t][d]
-		}
-		for v := 0; v < 4; v++ {
-			c.vendorByType[t][v] += s.vendorByType[t][v]
-		}
-	}
-	for day := 0; day < s.days; day++ {
-		for t := 0; t < nTypes; t++ {
-			c.perDayFails[day][t] += s.perDayFails[day][t]
-			for d := 0; d < 3; d++ {
-				c.perDayTypeDev[day][t][d] += s.perDayTypeDev[day][t][d]
-			}
-		}
-	}
-	return nil
-}
-
 // --- durations ----------------------------------------------------------
 
-type samplerState struct {
-	capacity int
-	salt     uint64
-	n        int64
-	pri      []uint64
-	val      []float64
-}
-
-func (s *samplerState) encode(e *enc) {
+// encode writes the sampler's exact bottom-k in canonical order (seal
+// prunes and sorts; it is idempotent, so encoding a finalized collector
+// sorts nothing).
+func (s *sampler) encode(e *enc, sc *sealScratch) {
+	s.seal(sc)
 	e.u32(uint32(s.capacity))
 	e.u64(s.salt)
 	e.i64(s.n)
@@ -381,473 +290,221 @@ func (s *samplerState) encode(e *enc) {
 	e.f64s(s.val)
 }
 
-func (s *samplerState) decode(d *dec) {
-	s.capacity = int(d.u32())
-	s.salt = d.u64()
-	s.n = d.i64()
-	s.pri = d.u64s()
-	s.val = d.f64s()
-	if d.err == nil && len(s.pri) != len(s.val) {
+// restore fills an empty sampler from encode's bytes. The entries are
+// checked to be what encode writes — at most capacity of them, in
+// canonical order — so the restored sampler is sealed without a re-sort,
+// and one restored at capacity brings its bound, so the first delta is
+// filtered.
+func (s *sampler) restore(d *dec) {
+	capacity, salt, n := int(d.u32()), d.u64(), d.i64()
+	pri, val := d.u64s(), d.f64s()
+	switch {
+	case d.err != nil:
+		return
+	case capacity != s.capacity || salt != s.salt:
+		d.err = fmt.Errorf("analysis: sampler state (cap %d, salt %x) does not match collector (cap %d, salt %x)",
+			capacity, salt, s.capacity, s.salt)
+		return
+	case len(pri) != len(val):
 		d.err = fmt.Errorf("analysis: sampler state pri/val lengths differ")
 		return
+	case len(pri) > capacity:
+		d.err = fmt.Errorf("analysis: sampler state holds %d entries, capacity %d", len(pri), capacity)
+		return
 	}
-	// Snapshots are written in canonical ascending order; verify it so a
-	// corrupt stream cannot poison the sorted-run invariant mergeSampler
-	// hands the sampler.
-	for i := 1; i < len(s.pri) && d.err == nil; i++ {
-		if pvLess(s.pri[i], s.val[i], s.pri[i-1], s.val[i-1]) {
+	for i := 1; i < len(pri); i++ {
+		if pvLess(pri[i], val[i], pri[i-1], val[i-1]) {
 			d.err = fmt.Errorf("analysis: sampler state not in canonical order")
+			return
 		}
 	}
+	s.n, s.pri, s.val = n, pri, val
+	s.sealed = true
+	s.sortedPrefix = len(pri)
+	s.full = len(pri) == capacity
 }
 
-// snapshotSampler copies a sampler's exact bottom-k in canonical order
-// (seal prunes and sorts; it is idempotent, so snapshotting a live
-// collector between scans is free when nothing changed).
-func snapshotSampler(s *sampler, sc *sealScratch) samplerState {
-	s.seal(sc)
-	return samplerState{
-		capacity: s.capacity,
-		salt:     s.salt,
-		n:        s.n,
-		pri:      append([]uint64(nil), s.pri...),
-		val:      append([]float64(nil), s.val...),
+func (c *durationsCollector) encode(e *enc) {
+	var sc sealScratch
+	for _, s := range c.durSuccess {
+		s.encode(e, &sc)
+	}
+	for _, s := range c.durCause {
+		s.encode(e, &sc)
 	}
 }
 
-// mergeSampler folds a snapshot into a live sampler (exact: bottom-k of
-// the union). An empty receiver adopts the snapshot's arrays directly —
-// they are already in sealed canonical order (Snapshot copies, decode
-// verifies), so the restored sampler needs no re-sort, and a snapshot
-// at capacity brings its bound, so the first delta is filtered.
-func mergeSampler(dst *sampler, st *samplerState) error {
-	if dst.capacity != st.capacity || dst.salt != st.salt {
-		return fmt.Errorf("analysis: sampler state (cap %d, salt %x) does not match collector (cap %d, salt %x)",
-			st.capacity, st.salt, dst.capacity, dst.salt)
+func (c *durationsCollector) restore(d *dec) error {
+	for _, s := range c.durSuccess {
+		s.restore(d)
 	}
-	if dst.n == 0 && len(dst.pri) == 0 && len(st.pri) <= st.capacity {
-		dst.n = st.n
-		dst.pri = st.pri
-		dst.val = st.val
-		dst.sealed = true
-		dst.sortedPrefix = len(st.pri)
-		dst.full = len(st.pri) == st.capacity
-		dst.sortedVal = nil
-		return nil
-	}
-	dst.absorb(&sampler{
-		capacity: st.capacity,
-		salt:     st.salt,
-		n:        st.n,
-		pri:      st.pri,
-		val:      st.val,
-	})
-	return nil
-}
-
-type durationsState struct {
-	durSuccess [ho.NumTypes]samplerState
-	durCause   [nCauseIdx]samplerState
-}
-
-func (s *durationsState) Need() Need { return NeedDurations }
-
-func (s *durationsState) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	header(e, NeedDurations)
-	for i := range s.durSuccess {
-		s.durSuccess[i].encode(e)
-	}
-	for i := range s.durCause {
-		s.durCause[i].encode(e)
-	}
-	return e.b, nil
-}
-
-func (s *durationsState) UnmarshalBinary(data []byte) error {
-	d := &dec{b: data}
-	if err := checkHeader(d, NeedDurations); err != nil {
-		return err
-	}
-	for i := range s.durSuccess {
-		s.durSuccess[i].decode(d)
-	}
-	for i := range s.durCause {
-		s.durCause[i].decode(d)
+	for _, s := range c.durCause {
+		s.restore(d)
 	}
 	return d.err
-}
-
-func (c *durationsCollector) Snapshot() CollectorState {
-	s := &durationsState{}
-	var sc sealScratch
-	for i := range c.durSuccess {
-		s.durSuccess[i] = snapshotSampler(c.durSuccess[i], &sc)
-	}
-	for i := range c.durCause {
-		s.durCause[i] = snapshotSampler(c.durCause[i], &sc)
-	}
-	return s
-}
-
-func (c *durationsCollector) Merge(st CollectorState) error {
-	s, ok := st.(*durationsState)
-	if !ok {
-		return fmt.Errorf("analysis: merging %T into durations collector", st)
-	}
-	for i := range c.durSuccess {
-		if err := mergeSampler(c.durSuccess[i], &s.durSuccess[i]); err != nil {
-			return err
-		}
-	}
-	for i := range c.durCause {
-		if err := mergeSampler(c.durCause[i], &s.durCause[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- causes -------------------------------------------------------------
 
-type causesState struct {
-	days            int
-	causeType       [ho.NumTypes][nCauseIdx]int64
-	perDayCauseType [][ho.NumTypes][nCauseIdx]int64
-	causeByDev      [3][nCauseIdx]int64
-	causeByArea     [2][nCauseIdx]int64
-	causeByMfr      [nTopMfr][2][nCauseIdx]int64
-}
-
-func (s *causesState) Need() Need { return NeedCauses }
-
-func (s *causesState) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	header(e, NeedCauses)
-	e.u32(uint32(s.days))
+func (c *causesCollector) encode(e *enc) {
+	c.perDayCauseType = growDays(c.perDayCauseType, c.env.days)
+	e.u32(uint32(c.env.days))
 	for t := 0; t < nTypes; t++ {
 		for ci := 0; ci < nCauseIdx; ci++ {
-			e.i64(s.causeType[t][ci])
+			e.i64(c.causeType[t][ci])
 		}
 	}
 	for d := 0; d < 3; d++ {
 		for ci := 0; ci < nCauseIdx; ci++ {
-			e.i64(s.causeByDev[d][ci])
+			e.i64(c.causeByDev[d][ci])
 		}
 	}
 	for a := 0; a < 2; a++ {
 		for ci := 0; ci < nCauseIdx; ci++ {
-			e.i64(s.causeByArea[a][ci])
+			e.i64(c.causeByArea[a][ci])
 		}
 	}
 	for m := 0; m < nTopMfr; m++ {
 		for a := 0; a < 2; a++ {
 			for ci := 0; ci < nCauseIdx; ci++ {
-				e.i64(s.causeByMfr[m][a][ci])
+				e.i64(c.causeByMfr[m][a][ci])
 			}
 		}
 	}
-	for day := 0; day < s.days; day++ {
+	for day := 0; day < c.env.days; day++ {
 		for t := 0; t < nTypes; t++ {
 			for ci := 0; ci < nCauseIdx; ci++ {
-				e.i64(s.perDayCauseType[day][t][ci])
+				e.i64(c.perDayCauseType[day][t][ci])
 			}
 		}
 	}
-	return e.b, nil
 }
 
-func (s *causesState) UnmarshalBinary(data []byte) error {
-	d := &dec{b: data}
-	if err := checkHeader(d, NeedCauses); err != nil {
+func (c *causesCollector) restore(d *dec) error {
+	days := int(d.u32())
+	if err := checkDays(d, "causes", days, c.env.days); err != nil {
 		return err
-	}
-	s.days = int(d.u32())
-	if d.err == nil && s.days > len(d.b) {
-		return fmt.Errorf("analysis: causes state day count %d exceeds payload", s.days)
 	}
 	for t := 0; t < nTypes; t++ {
 		for ci := 0; ci < nCauseIdx; ci++ {
-			s.causeType[t][ci] = d.i64()
+			c.causeType[t][ci] = d.i64()
 		}
 	}
 	for dv := 0; dv < 3; dv++ {
 		for ci := 0; ci < nCauseIdx; ci++ {
-			s.causeByDev[dv][ci] = d.i64()
+			c.causeByDev[dv][ci] = d.i64()
 		}
 	}
 	for a := 0; a < 2; a++ {
 		for ci := 0; ci < nCauseIdx; ci++ {
-			s.causeByArea[a][ci] = d.i64()
+			c.causeByArea[a][ci] = d.i64()
 		}
 	}
 	for m := 0; m < nTopMfr; m++ {
 		for a := 0; a < 2; a++ {
 			for ci := 0; ci < nCauseIdx; ci++ {
-				s.causeByMfr[m][a][ci] = d.i64()
+				c.causeByMfr[m][a][ci] = d.i64()
 			}
 		}
 	}
-	s.perDayCauseType = make([][ho.NumTypes][nCauseIdx]int64, s.days)
-	for day := 0; day < s.days; day++ {
+	c.perDayCauseType = growDays(c.perDayCauseType, days)
+	for day := 0; day < days; day++ {
 		for t := 0; t < nTypes; t++ {
 			for ci := 0; ci < nCauseIdx; ci++ {
-				s.perDayCauseType[day][t][ci] = d.i64()
+				c.perDayCauseType[day][t][ci] = d.i64()
 			}
 		}
 	}
 	return d.err
-}
-
-func (c *causesCollector) Snapshot() CollectorState {
-	return &causesState{
-		days:            c.env.days,
-		causeType:       c.causeType,
-		perDayCauseType: append([][ho.NumTypes][nCauseIdx]int64(nil), c.perDayCauseType...),
-		causeByDev:      c.causeByDev,
-		causeByArea:     c.causeByArea,
-		causeByMfr:      c.causeByMfr,
-	}
-}
-
-func (c *causesCollector) Merge(st CollectorState) error {
-	s, ok := st.(*causesState)
-	if !ok {
-		return fmt.Errorf("analysis: merging %T into causes collector", st)
-	}
-	if s.days > c.env.days {
-		return fmt.Errorf("analysis: causes state covers %d days, collector only %d", s.days, c.env.days)
-	}
-	for t := 0; t < nTypes; t++ {
-		for ci := 0; ci < nCauseIdx; ci++ {
-			c.causeType[t][ci] += s.causeType[t][ci]
-		}
-	}
-	for d := 0; d < 3; d++ {
-		for ci := 0; ci < nCauseIdx; ci++ {
-			c.causeByDev[d][ci] += s.causeByDev[d][ci]
-		}
-	}
-	for a := 0; a < 2; a++ {
-		for ci := 0; ci < nCauseIdx; ci++ {
-			c.causeByArea[a][ci] += s.causeByArea[a][ci]
-		}
-	}
-	for m := 0; m < nTopMfr; m++ {
-		for a := 0; a < 2; a++ {
-			for ci := 0; ci < nCauseIdx; ci++ {
-				c.causeByMfr[m][a][ci] += s.causeByMfr[m][a][ci]
-			}
-		}
-	}
-	for day := 0; day < s.days; day++ {
-		for t := 0; t < nTypes; t++ {
-			for ci := 0; ci < nCauseIdx; ci++ {
-				c.perDayCauseType[day][t][ci] += s.perDayCauseType[day][t][ci]
-			}
-		}
-	}
-	return nil
 }
 
 // --- temporal -----------------------------------------------------------
 
-type temporalState struct {
-	days       int
-	binHOs     [][mobility.BinsPerDay][2]int64
-	binActive  [][mobility.BinsPerDay][2]int32
-	hourHOFs   [][24][2]int64
-	hourActive [][24][2]int32
-}
-
-func (s *temporalState) Need() Need { return NeedTemporal }
-
-func (s *temporalState) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	header(e, NeedTemporal)
-	e.u32(uint32(s.days))
-	for day := 0; day < s.days; day++ {
+func (c *temporalCollector) encode(e *enc) {
+	c.grow(c.env.days)
+	e.u32(uint32(c.env.days))
+	for day := 0; day < c.env.days; day++ {
 		for b := 0; b < mobility.BinsPerDay; b++ {
 			for a := 0; a < 2; a++ {
-				e.i64(s.binHOs[day][b][a])
-				e.i32(s.binActive[day][b][a])
+				e.i64(c.binHOs[day][b][a])
+				e.i32(c.binActive[day][b][a])
 			}
 		}
 		for h := 0; h < 24; h++ {
 			for a := 0; a < 2; a++ {
-				e.i64(s.hourHOFs[day][h][a])
-				e.i32(s.hourActive[day][h][a])
+				e.i64(c.hourHOFs[day][h][a])
+				e.i32(c.hourActive[day][h][a])
 			}
 		}
 	}
-	return e.b, nil
 }
 
-func (s *temporalState) UnmarshalBinary(data []byte) error {
-	d := &dec{b: data}
-	if err := checkHeader(d, NeedTemporal); err != nil {
+func (c *temporalCollector) restore(d *dec) error {
+	days := int(d.u32())
+	if err := checkDays(d, "temporal", days, c.env.days); err != nil {
 		return err
 	}
-	s.days = int(d.u32())
-	if d.err == nil && s.days > len(d.b) {
-		return fmt.Errorf("analysis: temporal state day count %d exceeds payload", s.days)
-	}
-	s.binHOs = make([][mobility.BinsPerDay][2]int64, s.days)
-	s.binActive = make([][mobility.BinsPerDay][2]int32, s.days)
-	s.hourHOFs = make([][24][2]int64, s.days)
-	s.hourActive = make([][24][2]int32, s.days)
-	for day := 0; day < s.days; day++ {
+	c.grow(days)
+	for day := 0; day < days; day++ {
 		for b := 0; b < mobility.BinsPerDay; b++ {
 			for a := 0; a < 2; a++ {
-				s.binHOs[day][b][a] = d.i64()
-				s.binActive[day][b][a] = d.i32()
+				c.binHOs[day][b][a] = d.i64()
+				c.binActive[day][b][a] = d.i32()
 			}
 		}
 		for h := 0; h < 24; h++ {
 			for a := 0; a < 2; a++ {
-				s.hourHOFs[day][h][a] = d.i64()
-				s.hourActive[day][h][a] = d.i32()
+				c.hourHOFs[day][h][a] = d.i64()
+				c.hourActive[day][h][a] = d.i32()
 			}
 		}
 	}
 	return d.err
-}
-
-func (c *temporalCollector) Snapshot() CollectorState {
-	// Quiescent-point contract: flush any in-flight day so the distinct
-	// counts are final (idempotent; a no-op after finalize).
-	c.flushDay()
-	c.curDay = -1
-	return &temporalState{
-		days:       c.env.days,
-		binHOs:     append([][mobility.BinsPerDay][2]int64(nil), c.binHOs...),
-		binActive:  append([][mobility.BinsPerDay][2]int32(nil), c.binActive...),
-		hourHOFs:   append([][24][2]int64(nil), c.hourHOFs...),
-		hourActive: append([][24][2]int32(nil), c.hourActive...),
-	}
-}
-
-// Merge folds per-day profiles in. The distinct-sector counts are
-// per-day finals (not summable within a day), so the snapshot must not
-// cover a day the collector already holds data for — guaranteed by the
-// merge-into-empty discipline; the counts add correctly because the
-// receiving entries are zero.
-func (c *temporalCollector) Merge(st CollectorState) error {
-	s, ok := st.(*temporalState)
-	if !ok {
-		return fmt.Errorf("analysis: merging %T into temporal collector", st)
-	}
-	if s.days > c.env.days {
-		return fmt.Errorf("analysis: temporal state covers %d days, collector only %d", s.days, c.env.days)
-	}
-	for day := 0; day < s.days; day++ {
-		for b := 0; b < mobility.BinsPerDay; b++ {
-			for a := 0; a < 2; a++ {
-				c.binHOs[day][b][a] += s.binHOs[day][b][a]
-				c.binActive[day][b][a] += s.binActive[day][b][a]
-			}
-		}
-		for h := 0; h < 24; h++ {
-			for a := 0; a < 2; a++ {
-				c.hourHOFs[day][h][a] += s.hourHOFs[day][h][a]
-				c.hourActive[day][h][a] += s.hourActive[day][h][a]
-			}
-		}
-	}
-	return nil
 }
 
 // --- districts ----------------------------------------------------------
 
-type districtsState struct {
-	districtHOs   []int64
-	districtFails []int64
-	districtType  [][ho.NumTypes]int64
-}
-
-func (s *districtsState) Need() Need { return NeedDistricts }
-
-func (s *districtsState) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	header(e, NeedDistricts)
-	e.i64s(s.districtHOs)
-	e.i64s(s.districtFails)
-	e.u32(uint32(len(s.districtType)))
-	for i := range s.districtType {
+func (c *districtsCollector) encode(e *enc) {
+	e.i64s(c.districtHOs)
+	e.i64s(c.districtFails)
+	e.u32(uint32(len(c.districtType)))
+	for i := range c.districtType {
 		for t := 0; t < nTypes; t++ {
-			e.i64(s.districtType[i][t])
+			e.i64(c.districtType[i][t])
 		}
 	}
-	return e.b, nil
 }
 
-func (s *districtsState) UnmarshalBinary(data []byte) error {
-	d := &dec{b: data}
-	if err := checkHeader(d, NeedDistricts); err != nil {
-		return err
-	}
-	s.districtHOs = d.i64s()
-	s.districtFails = d.i64s()
+func (c *districtsCollector) restore(d *dec) error {
+	hos := d.i64s()
+	fails := d.i64s()
 	n := d.length(8 * nTypes)
 	if d.err != nil {
 		return d.err
 	}
-	s.districtType = make([][ho.NumTypes]int64, n)
-	for i := 0; i < n; i++ {
+	if nd := c.env.nDistricts; len(hos) != nd || len(fails) != nd || n != nd {
+		return fmt.Errorf("analysis: districts state has %d/%d/%d districts, dataset %d", len(hos), len(fails), n, nd)
+	}
+	c.districtHOs, c.districtFails = hos, fails
+	for i := range c.districtType {
 		for t := 0; t < nTypes; t++ {
-			s.districtType[i][t] = d.i64()
+			c.districtType[i][t] = d.i64()
 		}
 	}
 	return d.err
 }
 
-func (c *districtsCollector) Snapshot() CollectorState {
-	return &districtsState{
-		districtHOs:   append([]int64(nil), c.districtHOs...),
-		districtFails: append([]int64(nil), c.districtFails...),
-		districtType:  append([][ho.NumTypes]int64(nil), c.districtType...),
-	}
-}
-
-func (c *districtsCollector) Merge(st CollectorState) error {
-	s, ok := st.(*districtsState)
-	if !ok {
-		return fmt.Errorf("analysis: merging %T into districts collector", st)
-	}
-	if len(s.districtHOs) != c.env.nDistricts {
-		return fmt.Errorf("analysis: districts state has %d districts, dataset %d", len(s.districtHOs), c.env.nDistricts)
-	}
-	for i := range s.districtHOs {
-		c.districtHOs[i] += s.districtHOs[i]
-		c.districtFails[i] += s.districtFails[i]
-		for t := 0; t < nTypes; t++ {
-			c.districtType[i][t] += s.districtType[i][t]
-		}
-	}
-	return nil
-}
-
 // --- UE-day -------------------------------------------------------------
-
-type uedayState struct {
-	ueHOs   []int32
-	ueFails []int32
-	ueDay   []UEDayMetric
-}
-
-func (s *uedayState) Need() Need { return NeedUEDay }
 
 // ueDayMetricBytes is the fixed row width of one encoded UEDayMetric.
 const ueDayMetricBytes = 4 + 4 + 4 + 4 + 4 + 4 + 4
 
-func (s *uedayState) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	header(e, NeedUEDay)
-	e.i32s(s.ueHOs)
-	e.i32s(s.ueFails)
-	e.u32(uint32(len(s.ueDay)))
-	for i := range s.ueDay {
-		m := &s.ueDay[i]
+func (c *uedayCollector) encode(e *enc) {
+	e.i32s(c.ueHOs)
+	e.i32s(c.ueFails)
+	e.u32(uint32(len(c.ueDay)))
+	for i := range c.ueDay {
+		m := &c.ueDay[i]
 		e.u32(uint32(m.UE))
 		e.i32(m.Day)
 		e.i32(m.Sectors)
@@ -856,23 +513,22 @@ func (s *uedayState) MarshalBinary() ([]byte, error) {
 		e.f32(m.GyrationKm)
 		e.i32(m.NightSite)
 	}
-	return e.b, nil
 }
 
-func (s *uedayState) UnmarshalBinary(data []byte) error {
-	d := &dec{b: data}
-	if err := checkHeader(d, NeedUEDay); err != nil {
-		return err
-	}
-	s.ueHOs = d.i32s()
-	s.ueFails = d.i32s()
+func (c *uedayCollector) restore(d *dec) error {
+	hos := d.i32s()
+	fails := d.i32s()
 	n := d.length(ueDayMetricBytes)
 	if d.err != nil {
 		return d.err
 	}
-	s.ueDay = make([]UEDayMetric, n)
-	for i := range s.ueDay {
-		m := &s.ueDay[i]
+	if len(hos) != c.env.nUEs || len(fails) != c.env.nUEs {
+		return fmt.Errorf("analysis: ueday state has %d/%d UEs, dataset %d", len(hos), len(fails), c.env.nUEs)
+	}
+	c.ueHOs, c.ueFails = hos, fails
+	c.ueDay = make([]UEDayMetric, n)
+	for i := range c.ueDay {
+		m := &c.ueDay[i]
 		m.UE = trace.UEID(d.u32())
 		m.Day = d.i32()
 		m.Sectors = d.i32()
@@ -884,59 +540,19 @@ func (s *uedayState) UnmarshalBinary(data []byte) error {
 	return d.err
 }
 
-func (c *uedayCollector) Snapshot() CollectorState {
-	c.flushDay()
-	c.curDay = -1
-	return &uedayState{
-		ueHOs:   append([]int32(nil), c.ueHOs...),
-		ueFails: append([]int32(nil), c.ueFails...),
-		ueDay:   append([]UEDayMetric(nil), c.ueDay...),
-	}
-}
-
-func (c *uedayCollector) Merge(st CollectorState) error {
-	s, ok := st.(*uedayState)
-	if !ok {
-		return fmt.Errorf("analysis: merging %T into ueday collector", st)
-	}
-	if len(s.ueHOs) != c.env.nUEs {
-		return fmt.Errorf("analysis: ueday state has %d UEs, dataset %d", len(s.ueHOs), c.env.nUEs)
-	}
-	c.flushDay()
-	c.curDay = -1
-	if len(c.ueDay) > 0 && len(s.ueDay) > 0 && s.ueDay[0].Day <= c.ueDay[len(c.ueDay)-1].Day {
-		return fmt.Errorf("analysis: ueday state starting day %d overlaps collector rows through day %d",
-			s.ueDay[0].Day, c.ueDay[len(c.ueDay)-1].Day)
-	}
-	for i := range s.ueHOs {
-		c.ueHOs[i] += s.ueHOs[i]
-		c.ueFails[i] += s.ueFails[i]
-	}
-	c.ueDay = append(c.ueDay, s.ueDay...)
-	return nil
-}
-
 // --- sector-day ---------------------------------------------------------
-
-type sectordayState struct {
-	rows []SectorDayRow
-}
-
-func (s *sectordayState) Need() Need { return NeedSectorDay }
 
 // sectorDayRowBytes is the fixed row width of one encoded SectorDayRow.
 // Only the measured fields travel; the Table 3 covariates (region, area,
 // vendor, district population) are pure functions of the sector and are
-// re-derived from the world model on Merge — the row set is the largest
-// checkpoint payload, and every byte here is paid on each resume.
+// re-derived from the world model on restore — the row set is the
+// largest checkpoint payload, and every byte here is paid on each resume.
 const sectorDayRowBytes = 4 + 2 + 1 + 4 + 4 + 4
 
-func (s *sectordayState) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	header(e, NeedSectorDay)
-	e.u32(uint32(len(s.rows)))
-	for i := range s.rows {
-		r := &s.rows[i]
+func (c *sectordayCollector) encode(e *enc) {
+	e.u32(uint32(len(c.sectorDay)))
+	for i := range c.sectorDay {
+		r := &c.sectorDay[i]
 		e.u32(uint32(r.Sector))
 		e.u16(uint16(r.Day))
 		e.u8(uint8(r.Type))
@@ -944,64 +560,31 @@ func (s *sectordayState) MarshalBinary() ([]byte, error) {
 		e.i32(r.Fails)
 		e.i32(r.TotalDayHOs)
 	}
-	return e.b, nil
 }
 
-func (s *sectordayState) UnmarshalBinary(data []byte) error {
-	d := &dec{b: data}
-	if err := checkHeader(d, NeedSectorDay); err != nil {
-		return err
-	}
+func (c *sectordayCollector) restore(d *dec) error {
 	n := d.length(sectorDayRowBytes)
 	if d.err != nil {
 		return d.err
 	}
-	s.rows = make([]SectorDayRow, n)
-	for i := range s.rows {
-		r := &s.rows[i]
+	c.sectorDay = make([]SectorDayRow, n)
+	for i := range c.sectorDay {
+		r := &c.sectorDay[i]
 		r.Sector = topology.SectorID(d.u32())
 		r.Day = int16(d.u16())
 		r.Type = ho.Type(d.u8())
 		r.HOs = d.i32()
 		r.Fails = d.i32()
 		r.TotalDayHOs = d.i32()
-	}
-	return d.err
-}
-
-func (c *sectordayCollector) Snapshot() CollectorState {
-	c.flushDay()
-	c.curDay = -1
-	return &sectordayState{rows: append([]SectorDayRow(nil), c.sectorDay...)}
-}
-
-func (c *sectordayCollector) Merge(st CollectorState) error {
-	s, ok := st.(*sectordayState)
-	if !ok {
-		return fmt.Errorf("analysis: merging %T into sectorday collector", st)
-	}
-	c.flushDay()
-	c.curDay = -1
-	if len(c.sectorDay) > 0 && len(s.rows) > 0 && s.rows[0].Day <= c.sectorDay[len(c.sectorDay)-1].Day {
-		return fmt.Errorf("analysis: sectorday state starting day %d overlaps collector rows through day %d",
-			s.rows[0].Day, c.sectorDay[len(c.sectorDay)-1].Day)
-	}
-	base := len(c.sectorDay)
-	c.sectorDay = append(c.sectorDay, s.rows...)
-	// Resolve the sector-derived covariates from the world model — the
-	// same lookups flushDay performs — so unmarshaled rows (which do not
-	// carry them) and snapshot rows end up identical.
-	for i := base; i < len(c.sectorDay); i++ {
-		r := &c.sectorDay[i]
 		if int(r.Sector) >= c.env.nSectors {
 			return fmt.Errorf("analysis: sectorday state row references sector %d of %d", r.Sector, c.env.nSectors)
 		}
+		// The same lookups flushDay performs.
 		sector := c.env.ds.Network.Sector(r.Sector)
-		district := c.env.ds.Country.District(sector.DistrictID)
 		r.Region = sector.Region
 		r.Area = sector.Area
 		r.Vendor = sector.Vendor
-		r.DistrictPop = int32(district.Population)
+		r.DistrictPop = int32(c.env.ds.Country.District(sector.DistrictID).Population)
 	}
-	return nil
+	return d.err
 }

@@ -76,14 +76,9 @@ func (t *UESliceTracker) ObserveRow(cb *trace.ColumnBatch, i int) {
 	}
 	src, dst, ts := uint32(cb.Sources[i]), uint32(cb.Targets[i]), cb.Timestamps[i]
 	for w := range t.winMs {
-		st := &t.states[w]
-		if st.valid && src == st.dst && dst == st.src && ts-st.ts <= t.winMs[w] {
+		if t.states[w].step(src, dst, ts, t.winMs[w]) {
 			t.bounces[w]++
-			// A PP closes the pair; the bounce-back does not seed a new one.
-			st.valid = false
-			continue
 		}
-		*st = pingPongState{src: src, dst: dst, ts: ts, valid: true}
 	}
 }
 

@@ -75,10 +75,6 @@ type ScanStats = analysis.ScanStats
 // changed in a way that forced a full rebuild.
 type RefreshResult = analysis.RefreshResult
 
-// CollectorState is a serializable, mergeable snapshot of one analysis
-// collector (the unit Checkpoint/ResumeAnalyzer round-trip).
-type CollectorState = analysis.CollectorState
-
 // DistrictProfile is the per-district drill-down summary.
 type DistrictProfile = analysis.DistrictProfile
 
