@@ -44,8 +44,9 @@
 #   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders, 30s
 #                     of FuzzDecodeIndex on the .tlix sidecar decoder,
 #                     30s of FuzzResultJSON on the /query JSON renderer,
-#                     then 30s of FuzzResumeAnalyzer on checkpoint
-#                     decoding
+#                     30s of FuzzResumeAnalyzer on checkpoint
+#                     decoding, then 30s of FuzzLoadManifest on the
+#                     store MANIFEST loader
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
 #                     mid-stream, restart, assert byte-identical
@@ -168,6 +169,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecodeIndex -fuzztime 30s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzResultJSON -fuzztime 30s ./internal/query/
 	$(GO) test -run NONE -fuzz FuzzResumeAnalyzer -fuzztime 30s ./internal/analysis/
+	$(GO) test -run NONE -fuzz FuzzLoadManifest -fuzztime 30s ./internal/trace/
 
 # End-to-end streaming ingest soak: telcoload replays a reference
 # campaign into telcoserve -ingest at a fixed rate, the daemon is

@@ -102,11 +102,7 @@ func run(ctx context.Context, dir string, scrub, asJSON bool) error {
 }
 
 func printReport(dir string, report *trace.VerifyReport, res *trace.ScrubResult, quarantine []trace.QuarantineRecord) {
-	fmt.Printf("%s: %d partitions, %d records", dir, report.Partitions, report.Records)
-	if !report.ManifestUsable {
-		fmt.Printf(" (no manifest: structural checks only)")
-	}
-	fmt.Println()
+	fmt.Printf("%s: %d partitions, %d records\n", dir, report.Partitions, report.Records)
 	for _, issue := range report.Issues {
 		fmt.Printf("  CORRUPT %s\n", issue)
 	}

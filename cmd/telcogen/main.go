@@ -227,21 +227,12 @@ func discardOrphanDays(ds *simulate.Dataset) error {
 	if !ok {
 		return nil
 	}
-	parts, err := fs.Partitions()
-	if err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if p.Day < ds.Config.Days {
-			continue
-		}
-		fmt.Printf("discarding orphan partition day %d shard %d (interrupted append; will be regenerated)\n",
+	removed, err := fs.DiscardFrom(ds.Config.Days)
+	for _, p := range removed {
+		fmt.Printf("discarded orphan partition day %d shard %d (interrupted append; will be regenerated)\n",
 			p.Day, p.Shard)
-		if err := fs.RemovePartition(p.Day, p.Shard); err != nil {
-			return err
-		}
 	}
-	return nil
+	return err
 }
 
 // flagVal returns the value of a flag only if it was explicitly set.

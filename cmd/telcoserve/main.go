@@ -330,12 +330,8 @@ func (s *server) degradedDays() []int {
 // not bump the trace MANIFEST generation, so skipping now would skip
 // forever.
 func pendingBeyondWindow(ds *telcolens.Dataset) bool {
-	mr, ok := ds.Store.(trace.ManifestReader)
-	if !ok {
-		return false
-	}
-	m, err := mr.Manifest()
-	if err != nil || m == nil {
+	m, err := ds.Store.Manifest()
+	if err != nil {
 		return false
 	}
 	for i := range m.Partitions {
@@ -347,14 +343,10 @@ func pendingBeyondWindow(ds *telcolens.Dataset) bool {
 }
 
 // manifestGen reads the trace store's current manifest generation
-// without touching partition files (0 when no usable manifest).
+// without touching partition files (0 when the MANIFEST is unreadable).
 func manifestGen(store telcolens.Store) uint64 {
-	mr, ok := store.(trace.ManifestReader)
-	if !ok {
-		return 0
-	}
-	m, err := mr.Manifest()
-	if err != nil || m == nil {
+	m, err := store.Manifest()
+	if err != nil {
 		return 0
 	}
 	return m.Gen

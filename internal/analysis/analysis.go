@@ -3,12 +3,12 @@
 // the generated dataset and produces a report Artifact comparing measured
 // values against the paper's published ones.
 //
-// The v2 engine replaces the single monolithic one-pass scan with
-// composable Collector units (see collectors.go). Each experiment
-// declares the scan state it needs (Need bits); the Analyzer fuses
-// exactly the missing collectors into one parallel pass over the trace
-// store's (day, shard) partitions and caches the results, so running one
-// experiment never pays for state only other experiments use.
+// The scan state is built from composable Collector units (see
+// collectors.go). Each experiment declares the scan state it needs
+// (Need bits); the Analyzer fuses exactly the missing collectors into
+// one parallel pass over the trace store's (day, shard) partitions and
+// caches the results, so running one experiment never pays for state
+// only other experiments use.
 package analysis
 
 import (
@@ -405,47 +405,19 @@ func (a *Analyzer) syncEnvLocked() {
 	a.stateDirty = true
 }
 
-// storeCoverage resolves the store's current partition set, preferring
-// the manifest (record counts, extents, fingerprints, generation) and
-// falling back to a bare listing for stores without one.
-func storeCoverage(s trace.Store) ([]trace.PartitionInfo, uint64, error) {
-	if mr, ok := s.(trace.ManifestReader); ok {
-		m, err := mr.Manifest()
-		if err != nil {
-			return nil, 0, err
-		}
-		if m != nil {
-			return m.Partitions, m.Gen, nil
-		}
-	}
-	parts, err := s.Partitions()
-	if err != nil {
-		return nil, 0, err
-	}
-	infos := make([]trace.PartitionInfo, len(parts))
-	for i, p := range parts {
-		infos[i] = trace.PartitionInfo{Day: p.Day, Shard: p.Shard}
-	}
-	return infos, 0, nil
-}
-
 // coverageDelta reports whether cur extends old append-only: old must be
-// a prefix of cur partition-for-partition (fingerprints matching where
-// both sides have them), with every extra partition strictly after it in
-// canonical order — exactly the shape a growing campaign produces. The
-// returned delta is the extra partitions; ok=false means the store
-// changed some other way and the consumer must rebuild from scratch.
+// a prefix of cur partition-for-partition (same fingerprints and record
+// counts), with every extra partition strictly after it in canonical
+// order — exactly the shape a growing campaign produces. The returned
+// delta is the extra partitions; ok=false means the store changed some
+// other way and the consumer must rebuild from scratch.
 func coverageDelta(old, cur []trace.PartitionInfo) (delta []trace.PartitionInfo, ok bool) {
 	if len(cur) < len(old) {
 		return nil, false
 	}
 	for i := range old {
 		o, c := &old[i], &cur[i]
-		if o.Partition() != c.Partition() {
-			return nil, false
-		}
-		if o.Fingerprint != 0 && c.Fingerprint != 0 &&
-			(o.Fingerprint != c.Fingerprint || o.Records != c.Records) {
+		if o.Partition() != c.Partition() || o.Fingerprint != c.Fingerprint || o.Records != c.Records {
 			return nil, false
 		}
 	}
@@ -492,18 +464,18 @@ func completeDayPrefix(infos []trace.PartitionInfo, shards int) []trace.Partitio
 // span instead of erroring, and a later Refresh picks the days up once
 // the campaign manifest describes them.
 func (a *Analyzer) currentCoverageLocked() ([]trace.PartitionInfo, uint64, error) {
-	infos, gen, err := storeCoverage(a.DS.Store)
+	m, err := a.DS.Store.Manifest()
 	if err != nil {
 		return nil, 0, err
 	}
-	days := a.DS.Config.Days
+	infos, days := m.Partitions, a.DS.Config.Days
 	for i := range infos {
 		if infos[i].Day >= days {
 			infos = infos[:i]
 			break
 		}
 	}
-	return completeDayPrefix(infos, a.DS.Config.Shards), gen, nil
+	return completeDayPrefix(infos, a.DS.Config.Shards), m.Gen, nil
 }
 
 // partitionsOf projects a coverage list to bare partition keys.
@@ -692,8 +664,8 @@ func (a *Analyzer) requireLocked(ctx context.Context, need Need) (*scanState, er
 	return a.state, nil
 }
 
-// Scan builds every cached view (the v1 behavior). Experiments that know
-// their needs should let the registry Require them instead.
+// Scan builds every cached view. Experiments that know their needs
+// should let the registry Require them instead.
 func (a *Analyzer) Scan(ctx context.Context) (*scanState, error) {
 	return a.Require(ctx, NeedAll)
 }

@@ -33,8 +33,7 @@ type RefreshResult struct {
 	// (partitions rewritten or removed), so the state was rebuilt from
 	// scratch instead of merged incrementally.
 	FullRescan bool
-	// ManifestGen is the store manifest generation the state now covers
-	// (0 for stores without a manifest).
+	// ManifestGen is the store manifest generation the state now covers.
 	ManifestGen uint64
 	// Days is the study window length after the refresh.
 	Days int

@@ -245,8 +245,8 @@ func TestRefreshNoChange(t *testing.T) {
 }
 
 // TestRefreshFullRescanOnDivergence: a store that changed in a
-// non-append way (here: a partition removed, manifest invalidated)
-// rebuilds the state from scratch and still matches a cold run.
+// non-append way (here: a partition quarantined by Scrub) rebuilds the
+// state from scratch and still matches a cold run.
 func TestRefreshFullRescanOnDivergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a campaign")
@@ -259,9 +259,21 @@ func TestRefreshFullRescanOnDivergence(t *testing.T) {
 	}
 	renderAll(t, a)
 
-	// Drop the last day behind the analyzer's back.
-	if err := os.Remove(filepath.Join(dir, "ho_day_002.tlho")); err != nil {
+	// Corrupt day 1 and let Scrub quarantine it: the generation bumps and
+	// the coverage loses a partition in its middle.
+	if err := os.WriteFile(filepath.Join(dir, "ho_day_001.tlho"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	fs, err := trace.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrub, err := trace.Scrub(context.Background(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scrub.Quarantined) != 1 {
+		t.Fatalf("scrub quarantined %v, want day 1", scrub.Quarantined)
 	}
 	res, err := a.Refresh(context.Background())
 	if err != nil {
@@ -271,7 +283,7 @@ func TestRefreshFullRescanOnDivergence(t *testing.T) {
 		t.Fatal("shrunken store did not trigger a full rescan")
 	}
 
-	// A cold analyzer over the (shrunken) store must agree. Day 2 still
+	// A cold analyzer over the scrubbed store must agree. Day 1 still
 	// exists in the dataset config; it just has no partitions.
 	cold, err := New(ds)
 	if err != nil {

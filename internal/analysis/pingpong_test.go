@@ -208,8 +208,7 @@ func TestPingPongHonoursWindow(t *testing.T) {
 }
 
 // countingStore counts OpenPartition calls per partition and lists only
-// the partitions before maxDay. It hides the wrapped store's manifest, so
-// the analyzer's coverage comes from Partitions.
+// the partitions before maxDay, in both Partitions and Manifest.
 type countingStore struct {
 	trace.Store
 	mu     sync.Mutex
@@ -237,6 +236,24 @@ func (s *countingStore) Partitions() ([]trace.Partition, error) {
 		}
 	}
 	return kept, nil
+}
+
+// Manifest hides the same days Partitions does.
+func (s *countingStore) Manifest() (*trace.Manifest, error) {
+	m, err := s.Store.Manifest()
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	kept := m.Partitions[:0]
+	for _, pi := range m.Partitions {
+		if pi.Day < s.maxDay {
+			kept = append(kept, pi)
+		}
+	}
+	m.Partitions = kept
+	return m, nil
 }
 
 func (s *countingStore) OpenPartition(day, shard int) (trace.RecordIterator, error) {

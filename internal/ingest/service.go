@@ -367,27 +367,17 @@ func (s *Service) recoverLocked() ([]int, error) {
 	}
 	// Partition debris beyond the sealed prefix is the leavings of a
 	// crashed seal; remove it so the re-seal starts clean.
-	if err := s.removeDebrisLocked(-1); err != nil {
+	if err := s.removeDebrisLocked(); err != nil {
 		return nil, err
 	}
 	return s.drainSealsLocked()
 }
 
-// removeDebrisLocked deletes partitions that are not covered by the
-// sealed prefix: every partition of day (or, when day < 0, of any day >=
-// the sealed prefix).
-func (s *Service) removeDebrisLocked(day int) error {
-	parts, err := s.store.Partitions()
-	if err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if (day >= 0 && p.Day != day) || (day < 0 && p.Day < s.meta.Config.Days) {
-			continue
-		}
-		if err := s.store.RemovePartition(p.Day, p.Shard); err != nil {
-			return fmt.Errorf("ingest: removing partition debris day %d shard %d: %w", p.Day, p.Shard, err)
-		}
+// removeDebrisLocked deletes every partition not covered by the sealed
+// prefix: those of the first unsealed day and later.
+func (s *Service) removeDebrisLocked() error {
+	if _, err := s.store.DiscardFrom(s.meta.Config.Days); err != nil {
+		return fmt.Errorf("ingest: removing partition debris: %w", err)
 	}
 	return nil
 }
@@ -686,26 +676,17 @@ func (s *Service) maybeSealByAge() []int {
 // streams, and a WAL that outlived the descriptor update is simply
 // deleted.
 func (s *Service) sealLocked(ds *dayState) error {
-	if err := s.removeDebrisLocked(ds.day); err != nil {
+	if err := s.removeDebrisLocked(); err != nil {
 		return err
 	}
-	s.perm = ds.cols.SortPermCanonical(s.perm)
-	shards := max(s.meta.Config.Shards, 1)
-	if shards == 1 {
-		if err := s.writePartitionLocked(ds.day, 0, ds.cols, s.perm); err != nil {
-			return err
-		}
-	} else {
-		buckets := make([][]int32, shards)
-		for _, p := range s.perm {
-			sh := trace.ShardOf(ds.cols.UEs[p], shards)
-			buckets[sh] = append(buckets[sh], p)
-		}
-		for sh := 0; sh < shards; sh++ {
-			if err := s.writePartitionLocked(ds.day, sh, ds.cols, buckets[sh]); err != nil {
-				return err
-			}
-		}
+	// The ordinary FileStore writer, so sealed partitions get the same
+	// .tlix query-index sidecar (and manifest index version)
+	// batch-generated ones do: streamed days are immediately
+	// index-prunable by /query.
+	var err error
+	s.perm, err = trace.WriteDay(s.store, ds.day, s.meta.Config.Shards, ds.cols, s.perm, &s.outBatch)
+	if err != nil {
+		return err
 	}
 	s.meta.Config.Days = ds.day + 1
 	s.meta.DayStats = append(s.meta.DayStats, ds.agg)
@@ -730,26 +711,6 @@ func (s *Service) sealLocked(ds *dayState) error {
 	s.lastSealRecords = records
 	s.lastSealAt = s.opts.Now()
 	return nil
-}
-
-// writePartitionLocked gathers the rows selected by perm (in perm order)
-// and lands them as one partition through the column write path. Because
-// this is the ordinary FileStore writer, sealed partitions get the same
-// .tlix query-index sidecar (and manifest index version) batch-generated
-// ones do — streamed days are immediately index-prunable by /query.
-func (s *Service) writePartitionLocked(day, shard int, src *trace.ColumnBatch, perm []int32) error {
-	out := &s.outBatch
-	out.Reset()
-	out.AppendGather(src, perm)
-	w, err := s.store.AppendPartition(day, shard)
-	if err != nil {
-		return err
-	}
-	if err := w.WriteColumns(out); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }
 
 // notifySealed runs the OnSeal hook outside the lock.

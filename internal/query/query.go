@@ -35,7 +35,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -419,15 +418,12 @@ func appendJSONString(b []byte, s string) []byte {
 // retries the load. Nothing carries over to a new view: it reloads
 // lazily.
 type View struct {
-	// Gen is the manifest generation the view was built from (0 when
-	// the store has no usable manifest).
+	// Gen is the manifest generation the view was built from.
 	Gen uint64
 	// Partitions lists the view's partitions in canonical order. Zone
-	// pruning uses each entry's MinTS/MaxTS/Records; entries built
-	// without a manifest carry no statistics (hasStats false).
+	// pruning uses each entry's MinTS/MaxTS/Records.
 	Partitions []trace.PartitionInfo
 
-	hasStats bool
 	// shardsOf caches, per day, the shard modulus when the day's shard
 	// set is exactly {0..k-1} — the layout ShardOf writes — so a UE
 	// query can drop the day's other shards with zero false negatives.
@@ -473,35 +469,14 @@ func (v *View) partitionIndex(i int, src IndexSource) *trace.PartitionIndex {
 	return idx
 }
 
-// NewView snapshots the store's current partition set. Stores with a
-// usable manifest get zone statistics and a generation; others fall
-// back to the bare partition listing (every partition is considered).
+// NewView snapshots the store's current manifest: its partitions with
+// their zone statistics, and its generation.
 func NewView(s trace.Store) (*View, error) {
-	v := &View{}
-	if mr, ok := s.(trace.ManifestReader); ok {
-		m, err := mr.Manifest()
-		if err != nil {
-			return nil, err
-		}
-		if m != nil {
-			v.Gen = m.Gen
-			v.Partitions = append([]trace.PartitionInfo(nil), m.Partitions...)
-			v.hasStats = true
-		}
+	m, err := s.Manifest()
+	if err != nil {
+		return nil, err
 	}
-	if !v.hasStats {
-		parts, err := s.Partitions()
-		if err != nil {
-			return nil, err
-		}
-		v.Partitions = make([]trace.PartitionInfo, len(parts))
-		for i, p := range parts {
-			v.Partitions[i] = trace.PartitionInfo{Day: p.Day, Shard: p.Shard}
-		}
-	}
-	sort.Slice(v.Partitions, func(i, j int) bool {
-		return v.Partitions[i].Partition().Less(v.Partitions[j].Partition())
-	})
+	v := &View{Gen: m.Gen, Partitions: m.Partitions}
 	v.sidecars = make([]atomic.Pointer[trace.PartitionIndex], len(v.Partitions))
 	v.shardsOf = make(map[int]int)
 	byDay := make(map[int][]int)
@@ -622,7 +597,7 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 			continue
 		}
 		// Stage 1a: zone-map prune on the manifest's time extents.
-		if v.hasStats && pi.Records > 0 && (pi.MaxTS < from || pi.MinTS > to) {
+		if pi.Records > 0 && (pi.MaxTS < from || pi.MinTS > to) {
 			m.PartitionsPruned++
 			continue
 		}
@@ -638,7 +613,7 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 		var allow []bool
 		if !p.NoIndex && e.idx != nil {
 			idx := v.partitionIndex(i, e.idx)
-			if idx != nil && v.hasStats && pi.Fingerprint != 0 && idx.Fingerprint != pi.Fingerprint {
+			if idx != nil && idx.Fingerprint != pi.Fingerprint {
 				idx = nil // stale: partition rewritten behind the index
 			}
 			if idx != nil {

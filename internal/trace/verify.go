@@ -84,10 +84,6 @@ type VerifyReport struct {
 	Partitions int `json:"partitions"`
 	// Records is the total record count decoded across clean partitions.
 	Records int64 `json:"records"`
-	// ManifestUsable reports whether a MANIFEST was present; without one
-	// (legacy directory) only structural decode checks run — there is no
-	// recorded fingerprint to compare against.
-	ManifestUsable bool `json:"manifest_usable"`
 	// Issues lists everything that failed, in canonical partition order
 	// (partition-level issues before their index issues).
 	Issues []VerifyIssue `json:"issues,omitempty"`
@@ -104,7 +100,7 @@ func (r *VerifyReport) OK() bool {
 
 // verifyPartitionData audits one partition's raw stream against its
 // manifest entry (fingerprint, size, record count) and the codec.
-// A nil entry (no manifest) runs the structural checks only. Intact
+// A nil entry (an orphan file) runs the structural checks only. Intact
 // bytes whose header names a format this package does not read are not
 // corruption: that case returns the ErrBadVersion error, not an issue.
 func verifyPartitionData(data []byte, pi *PartitionInfo) (int64, *VerifyIssue, error) {
@@ -150,21 +146,24 @@ func verifyPartitionData(data []byte, pi *PartitionInfo) (int64, *VerifyIssue, e
 	return records, nil, nil
 }
 
-// Verify audits every partition of a FileStore: stream fingerprints
-// and sizes against the MANIFEST, a full decode pass, record counts,
-// and .tlix sidecar integrity. It never modifies the store. A partition
-// whose bytes match the MANIFEST but whose header names a stream format
-// this package does not read fails the audit with an ErrBadVersion
-// error naming the partition and the format: the data is intact, and
-// regenerating the campaign with telcogen makes it readable again.
+// Verify audits every partition file of a FileStore: stream
+// fingerprints and sizes against the MANIFEST, a full decode pass,
+// record counts, and .tlix sidecar integrity. Files the MANIFEST does
+// not list are reported as Orphans (and decoded structurally), entries
+// without a file as Missing. It never modifies the store. A directory
+// with partition files but no MANIFEST fails with ErrNoManifest. A
+// partition whose bytes match the MANIFEST but whose header names a
+// stream format this package does not read fails the audit with an
+// ErrBadVersion error naming the partition and the format: the data is
+// intact, and regenerating the campaign with telcogen makes it readable
+// again.
 func Verify(ctx context.Context, f *FileStore) (*VerifyReport, error) {
 	report := &VerifyReport{}
-	m, err := loadManifest(f.fs, f.manifestPath())
+	m, err := f.Manifest()
 	if err != nil {
 		return nil, err
 	}
-	report.ManifestUsable = m != nil
-	onDisk, err := f.Partitions()
+	onDisk, err := f.listPartitions()
 	if err != nil {
 		return nil, err
 	}
@@ -172,15 +171,13 @@ func Verify(ctx context.Context, f *FileStore) (*VerifyReport, error) {
 	for _, p := range onDisk {
 		present[p] = true
 	}
-	entries := make(map[Partition]*PartitionInfo)
-	if m != nil {
-		for i := range m.Partitions {
-			pi := &m.Partitions[i]
-			p := pi.Partition()
-			entries[p] = pi
-			if !present[p] {
-				report.Missing = append(report.Missing, p)
-			}
+	entries := make(map[Partition]*PartitionInfo, len(m.Partitions))
+	for i := range m.Partitions {
+		pi := &m.Partitions[i]
+		p := pi.Partition()
+		entries[p] = pi
+		if !present[p] {
+			report.Missing = append(report.Missing, p)
 		}
 	}
 	for _, p := range onDisk {
@@ -189,7 +186,7 @@ func Verify(ctx context.Context, f *FileStore) (*VerifyReport, error) {
 		}
 		report.Partitions++
 		pi := entries[p]
-		if m != nil && pi == nil {
+		if pi == nil {
 			report.Orphans = append(report.Orphans, p)
 		}
 		data, err := f.fs.ReadFile(f.partitionPath(p.Day, p.Shard))
@@ -308,8 +305,9 @@ type ScrubResult struct {
 // MANIFEST matches the surviving files and the store serves the
 // remaining days. The store's data files are never deleted — only
 // moved — so an operator can attempt recovery from quarantine/. When
-// Verify fails (a partition in a format this package does not read
-// among them), Scrub returns its error and moves nothing.
+// Verify fails (a partition in a format this package does not read, or
+// a directory without a MANIFEST), Scrub returns its error and moves
+// nothing.
 func Scrub(ctx context.Context, f *FileStore) (*ScrubResult, error) {
 	report, err := Verify(ctx, f)
 	if err != nil {
@@ -376,32 +374,28 @@ func Scrub(ctx context.Context, f *FileStore) (*ScrubResult, error) {
 	// Rewrite the manifest without the quarantined and missing entries,
 	// so the index matches the surviving files again and incremental
 	// consumers observe the change as a generation bump.
-	m, err := loadManifest(f.fs, f.manifestPath())
+	m, err := f.Manifest()
 	if err != nil {
 		return res, err
 	}
-	if m != nil {
-		gone := make(map[Partition]bool, len(res.Quarantined)+len(report.Missing))
-		for _, p := range res.Quarantined {
-			gone[p] = true
-		}
-		for _, p := range report.Missing {
-			gone[p] = true
-			res.EntriesDropped = append(res.EntriesDropped, p)
-		}
-		if len(gone) > 0 {
-			kept := m.Partitions[:0]
-			for _, pi := range m.Partitions {
-				if !gone[pi.Partition()] {
-					kept = append(kept, pi)
-				}
-			}
-			m.Partitions = kept
-			m.Gen++
-			if err := writeManifest(f.fs, f.manifestPath(), m); err != nil {
-				return res, err
-			}
+	gone := make(map[Partition]bool, len(res.Quarantined)+len(report.Missing))
+	for _, p := range res.Quarantined {
+		gone[p] = true
+	}
+	for _, p := range report.Missing {
+		gone[p] = true
+		res.EntriesDropped = append(res.EntriesDropped, p)
+	}
+	if len(gone) == 0 {
+		return res, nil
+	}
+	kept := m.Partitions[:0]
+	for _, pi := range m.Partitions {
+		if !gone[pi.Partition()] {
+			kept = append(kept, pi)
 		}
 	}
-	return res, nil
+	m.Partitions = kept
+	m.Gen++
+	return res, writeManifest(f.fs, f.manifestPath(), m)
 }

@@ -74,18 +74,11 @@ func TestFailedWriteAbortsCleanly(t *testing.T) {
 			if len(parts) != 1 || parts[0] != (Partition{Day: 0}) {
 				t.Fatalf("partitions after abort = %v", parts)
 			}
-			m, err := after.Manifest()
-			if err != nil || m == nil {
-				t.Fatalf("manifest unusable after abort: %v, %v", m, err)
-			}
-			if len(m.Partitions) != 1 {
-				t.Fatalf("manifest entries = %v", m.Partitions)
-			}
 			if got := countRecords(t, after); got != 500 {
 				t.Fatalf("records after abort = %d", got)
 			}
 			rep, err := Verify(context.Background(), after)
-			if err != nil || !rep.OK() {
+			if err != nil || !rep.OK() || len(rep.Orphans) != 0 {
 				t.Fatalf("verify after abort: %+v, %v", rep, err)
 			}
 		})
@@ -208,17 +201,10 @@ func TestScrubQuarantinesCorruptPartition(t *testing.T) {
 		t.Fatalf("quarantined days = %v", days)
 	}
 
-	// Survivors serve: manifest usable, days 0 and 2 scan clean.
-	m, err := s.Manifest()
-	if err != nil || m == nil {
-		t.Fatalf("manifest after scrub: %v, %v", m, err)
-	}
-	if len(m.Partitions) != 2 {
-		t.Fatalf("manifest entries = %v", m.Partitions)
-	}
-	days, err := s.Days()
-	if err != nil || len(days) != 2 || days[0] != 0 || days[1] != 2 {
-		t.Fatalf("days = %v, %v", days, err)
+	// Survivors serve: days 0 and 2 scan clean.
+	parts, err := s.Partitions()
+	if err != nil || len(parts) != 2 || parts[0] != (Partition{Day: 0}) || parts[1] != (Partition{Day: 2}) {
+		t.Fatalf("partitions after scrub = %v, %v", parts, err)
 	}
 	if got := countRecords(t, s); got != 600 {
 		t.Fatalf("surviving records = %d", got)
@@ -257,8 +243,8 @@ func TestScrubKeepsUnreadableFormat(t *testing.T) {
 			// Re-record day 1's fingerprint, as the writer of that format
 			// would have.
 			m, err := s.Manifest()
-			if err != nil || m == nil {
-				t.Fatalf("manifest: %v, %v", m, err)
+			if err != nil {
+				t.Fatal(err)
 			}
 			pi, _ := m.Lookup(Partition{Day: 1})
 			data, err := os.ReadFile(filepath.Join(dir, "ho_day_001.tlho"))
@@ -335,8 +321,8 @@ func TestScrubDropsCorruptIndexOnly(t *testing.T) {
 	}
 }
 
-// A manifest entry whose file vanished is dropped by Scrub so the
-// survivors' manifest becomes usable again.
+// A manifest entry whose file vanished stays listed until Scrub drops
+// it, after which the survivors read clean.
 func TestScrubDropsMissingEntries(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewFileStore(dir)
@@ -349,8 +335,8 @@ func TestScrubDropsMissingEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Remove(filepath.Join(dir, "ho_day_001.tlix"))
-	if m, err := s.Manifest(); err != nil || m != nil {
-		t.Fatalf("manifest should be unusable before scrub: %v, %v", m, err)
+	if m, err := s.Manifest(); err != nil || len(m.Partitions) != 2 {
+		t.Fatalf("manifest before scrub = %+v, %v; want both entries", m, err)
 	}
 	res, err := Scrub(context.Background(), s)
 	if err != nil {
@@ -360,8 +346,11 @@ func TestScrubDropsMissingEntries(t *testing.T) {
 		t.Fatalf("scrub result = %+v", res)
 	}
 	m, err := s.Manifest()
-	if err != nil || m == nil || len(m.Partitions) != 1 {
+	if err != nil || len(m.Partitions) != 1 {
 		t.Fatalf("manifest after scrub: %+v, %v", m, err)
+	}
+	if got := countRecords(t, s); got != 100 {
+		t.Fatalf("records after scrub = %d", got)
 	}
 }
 
@@ -398,7 +387,7 @@ func TestManifestRenameFailureKeepsOldManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := after.Manifest()
-	if err != nil || m == nil || len(m.Partitions) != 1 {
+	if err != nil || len(m.Partitions) != 1 {
 		t.Fatalf("manifest after failed publish: %+v, %v", m, err)
 	}
 }

@@ -7,7 +7,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"telcolens/internal/query"
+	"telcolens/internal/trace"
 )
 
 var (
@@ -152,5 +156,102 @@ func TestFacadeProfiles(t *testing.T) {
 		if ranked[i].VerticalPct > ranked[i-1].VerticalPct {
 			t.Fatal("ranking not descending")
 		}
+	}
+}
+
+// rowCounter is a trace collector that counts scanned rows.
+type rowCounter struct{ rows atomic.Int64 }
+
+type rowCounterShard struct{ c *rowCounter }
+
+func (c *rowCounter) NewShardState(day, shard int) trace.ShardState { return rowCounterShard{c} }
+func (c *rowCounter) MergeShard(trace.ShardState) error             { return nil }
+func (s rowCounterShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
+	s.c.rows.Add(int64(cb.Len()))
+	return nil
+}
+
+// TestUncommittedPartitionIsInvisible: a .tlho file the MANIFEST does not
+// list is not part of the store. Scan, Count, a query view and an
+// analyzer never see it, and Verify reports it as an orphan.
+func TestUncommittedPartitionIsInvisible(t *testing.T) {
+	generate := func(dir string, days int) *Dataset {
+		t.Helper()
+		store, err := NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(9)
+		cfg.UEs = 300
+		cfg.Days = days
+		cfg.Store = store
+		ds, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	dir, longer := t.TempDir(), t.TempDir()
+	generate(dir, 2)
+	full := generate(longer, 3)
+	store, err := trace.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := trace.Count(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A three-day world over the two committed days, so day 2 lies inside
+	// the analyzer's window.
+	view := *full
+	view.Store = store
+	render := func() string {
+		t.Helper()
+		a, err := NewAnalyzer(&view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := RunExperiment(context.Background(), "table2", a, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := render()
+
+	data, err := os.ReadFile(filepath.Join(longer, "ho_day_002.tlho"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ho_day_002.tlho"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if n, err := trace.Count(store); err != nil || n != committed {
+		t.Fatalf("Count = %d, %v; want the committed %d", n, err, committed)
+	}
+	var col rowCounter
+	if err := trace.Scan(context.Background(), store, trace.ScanOptions{}, &col); err != nil || col.rows.Load() != committed {
+		t.Fatalf("Scan saw %d rows (%v), want %d", col.rows.Load(), err, committed)
+	}
+	qv, err := query.NewView(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pi := range qv.Partitions {
+		if pi.Day == 2 {
+			t.Fatalf("query view holds the uncommitted partition: %+v", qv.Partitions)
+		}
+	}
+	if got := render(); got != want {
+		t.Fatalf("analyzer output changed with an uncommitted partition:\n%s\nwant:\n%s", got, want)
+	}
+	rep, err := trace.Verify(context.Background(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || len(rep.Orphans) != 1 || rep.Orphans[0] != (trace.Partition{Day: 2}) {
+		t.Fatalf("verify = %+v, want one orphan (day 2)", rep)
 	}
 }
