@@ -2,12 +2,16 @@ package telcolens
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 
 	"telcolens/internal/analysis"
+	"telcolens/internal/randx"
 	"telcolens/internal/simulate"
 	"telcolens/internal/stats"
 	"telcolens/internal/trace"
@@ -129,7 +133,7 @@ func BenchmarkAblationQuantileSketch(b *testing.B) {
 	})
 	b.Run("loghist", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			h := stats.NewLogHist(0.1, 100000, 400)
+			h := newLogHist(0.1, 100000, 400)
 			for _, d := range durations {
 				h.Add(d)
 			}
@@ -137,12 +141,92 @@ func BenchmarkAblationQuantileSketch(b *testing.B) {
 		}
 	})
 	// Report the approximation error once.
-	h := stats.NewLogHist(0.1, 100000, 400)
+	h := newLogHist(0.1, 100000, 400)
 	for _, d := range durations {
 		h.Add(d)
 	}
 	exact := stats.Quantile(durations, 0.95)
 	b.ReportMetric(math.Abs(h.Quantile(0.95)-exact)/exact*100, "sketch_err_pct")
+}
+
+// logHist is a fixed-memory quantile sketch over positive values using
+// logarithmically spaced bins: the ablation alternative to exact sample
+// collection for duration ECDFs (DESIGN.md §7). Relative quantile error
+// is bounded by the bin growth factor.
+type logHist struct {
+	lo     float64 // lower bound of the first bin
+	ratio  float64 // bin growth factor
+	logR   float64
+	counts []uint64
+	zero   uint64 // values <= lo
+	total  uint64
+}
+
+// newLogHist covers (lo, hi] with bins bins; lo > 0, hi > lo, bins >= 1.
+func newLogHist(lo, hi float64, bins int) *logHist {
+	ratio := math.Pow(hi/lo, 1/float64(bins))
+	return &logHist{lo: lo, ratio: ratio, logR: math.Log(ratio), counts: make([]uint64, bins)}
+}
+
+func (h *logHist) Add(x float64) {
+	h.total++
+	if x <= h.lo {
+		h.zero++
+		return
+	}
+	if idx := int(math.Log(x/h.lo) / h.logR); idx < len(h.counts) {
+		h.counts[idx]++
+	}
+}
+
+// Quantile returns the geometric midpoint of the bin holding the q-th
+// quantile; the under- and overflow regions return the range bounds.
+func (h *logHist) Quantile(q float64) float64 {
+	if h.total == 0 {
+		return 0
+	}
+	target := min(uint64(q*float64(h.total)), h.total-1)
+	if target < h.zero {
+		return h.lo
+	}
+	cum := h.zero
+	for i, c := range h.counts {
+		cum += c
+		if target < cum {
+			return h.lo * math.Pow(h.ratio, float64(i)) * math.Sqrt(h.ratio)
+		}
+	}
+	return h.lo * math.Pow(h.ratio, float64(len(h.counts)))
+}
+
+func TestLogHistQuantiles(t *testing.T) {
+	r := randx.New(3)
+	h := newLogHist(0.1, 100000, 400)
+	exact := make([]float64, 0, 100000)
+	for i := 0; i < 100000; i++ {
+		v := r.LogNormalMedP95(43, 92)
+		h.Add(v)
+		exact = append(exact, v)
+	}
+	for _, q := range []float64{0.1, 0.5, 0.9, 0.95} {
+		approx, want := h.Quantile(q), stats.Quantile(exact, q)
+		if math.Abs(approx-want)/want > 0.05 {
+			t.Errorf("q=%g: sketch %g vs exact %g", q, approx, want)
+		}
+	}
+}
+
+func TestLogHistBounds(t *testing.T) {
+	h := newLogHist(1, 100, 10)
+	h.Add(0.5) // underflow
+	h.Add(1e9) // overflow
+	h.Add(10)  // in range
+	if q := h.Quantile(0); q != 1 {
+		t.Fatalf("underflow quantile = %g", q)
+	}
+	if q := h.Quantile(0.99); q < 100 {
+		t.Fatalf("overflow quantile = %g", q)
+	}
 }
 
 // BenchmarkAblationHomeDetectionWindow sweeps the minimum-nights rule of
@@ -224,7 +308,7 @@ func BenchmarkAblationCodecVsCSV(b *testing.B) {
 		var n int64
 		for i := 0; i < b.N; i++ {
 			cw := &countingWriter{}
-			if _, err := trace.ExportCSV(cw, &batchIterator{cb: day}); err != nil {
+			if err := writeCSV(cw, day); err != nil {
 				b.Fatal(err)
 			}
 			n = cw.n
@@ -240,23 +324,37 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// batchIterator hands out one in-memory batch, then end of stream.
-type batchIterator struct {
-	cb   *trace.ColumnBatch
-	done bool
-}
-
-func (it *batchIterator) NextColumns(cb *trace.ColumnBatch) (int, error) {
-	if it.done {
-		return 0, nil
+// writeCSV writes a batch as CSV, one row per handover: the paper's six
+// captured variables plus the TAC join key.
+func writeCSV(w io.Writer, cb *trace.ColumnBatch) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{
+		"timestamp_ms", "ue", "tac", "source_sector", "target_sector",
+		"source_rat", "target_rat", "result", "cause", "duration_ms",
+	}); err != nil {
+		return err
 	}
-	it.done = true
-	cb.Reset()
-	cb.AppendColumns(it.cb)
-	return cb.Len(), nil
+	var rec trace.Record
+	for i := 0; i < cb.Len(); i++ {
+		cb.Record(i, &rec)
+		if err := cw.Write([]string{
+			strconv.FormatInt(rec.Timestamp, 10),
+			strconv.FormatUint(uint64(rec.UE), 10),
+			strconv.FormatUint(uint64(rec.TAC), 10),
+			strconv.FormatUint(uint64(rec.Source), 10),
+			strconv.FormatUint(uint64(rec.Target), 10),
+			rec.SourceRAT.String(),
+			rec.TargetRAT.String(),
+			rec.Result.String(),
+			strconv.FormatUint(uint64(rec.Cause), 10),
+			strconv.FormatFloat(float64(rec.DurationMs), 'f', 1, 32),
+		}); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
-
-func (it *batchIterator) Close() error { return nil }
 
 // BenchmarkAblationRareBoost sweeps the 2G rare-event boost and reports
 // the fitted 3G coefficient, demonstrating the ordering invariance claimed

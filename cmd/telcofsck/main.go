@@ -13,7 +13,9 @@
 //	telcofsck -data ./campaign -json      # machine-readable report
 //
 // Exit status: 0 clean (or fully repaired by -scrub), 1 issues found
-// and not repaired, 2 the audit itself failed. A partition whose bytes
+// and not repaired, 2 the audit itself failed. A -data that does not
+// exist or is not a directory fails the audit, and nothing is created.
+// A partition whose bytes
 // match the MANIFEST but whose stream format this binary does not read
 // fails the audit (status 2) and -scrub moves nothing: the message names
 // the partition and format, and regenerating the campaign with telcogen
@@ -25,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -40,18 +43,32 @@ func main() {
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if err := run(ctx, *data, *scrub, *asJSON); err != nil {
+	clean, err := run(ctx, os.Stdout, *data, *scrub, *asJSON)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "telcofsck:", err)
 		os.Exit(2)
 	}
+	if !clean {
+		os.Exit(1)
+	}
 }
 
-func run(ctx context.Context, dir string, scrub, asJSON bool) error {
+// run audits the store in dir (and with scrub repairs it), writes the
+// report to stdout, and reports whether the store is clean. An error
+// means the audit itself failed.
+func run(ctx context.Context, stdout io.Writer, dir string, scrub, asJSON bool) (clean bool, err error) {
+	// NewFileStore creates a missing directory; an audit must not.
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return false, err
+	}
+	if !fi.IsDir() {
+		return false, fmt.Errorf("%s is not a directory", dir)
+	}
 	store, err := trace.NewFileStore(dir)
 	if err != nil {
-		return err
+		return false, err
 	}
 
 	var report *trace.VerifyReport
@@ -59,18 +76,18 @@ func run(ctx context.Context, dir string, scrub, asJSON bool) error {
 	if scrub {
 		res, err = trace.Scrub(ctx, store)
 		if err != nil {
-			return err
+			return false, err
 		}
 		report = res.Report
 	} else {
 		report, err = trace.Verify(ctx, store)
 		if err != nil {
-			return err
+			return false, err
 		}
 	}
 	quarantine, err := trace.LoadQuarantine(nil, dir)
 	if err != nil {
-		return err
+		return false, err
 	}
 
 	if asJSON {
@@ -83,50 +100,47 @@ func run(ctx context.Context, dir string, scrub, asJSON bool) error {
 		if len(quarantine) > 0 {
 			out["quarantine_log"] = quarantine
 		}
-		e := json.NewEncoder(os.Stdout)
+		e := json.NewEncoder(stdout)
 		e.SetIndent("", " ")
 		if err := e.Encode(out); err != nil {
-			return err
+			return false, err
 		}
 	} else {
-		printReport(dir, report, res, quarantine)
+		printReport(stdout, dir, report, res, quarantine)
 	}
 
 	// After a scrub every issue has been resolved (quarantined, dropped,
 	// or pruned), so the store serves again: exit clean. A plain audit
 	// exits 1 on any finding so CI and cron wrappers can alert.
-	if !report.OK() && res == nil {
-		os.Exit(1)
-	}
-	return nil
+	return report.OK() || res != nil, nil
 }
 
-func printReport(dir string, report *trace.VerifyReport, res *trace.ScrubResult, quarantine []trace.QuarantineRecord) {
-	fmt.Printf("%s: %d partitions, %d records\n", dir, report.Partitions, report.Records)
+func printReport(w io.Writer, dir string, report *trace.VerifyReport, res *trace.ScrubResult, quarantine []trace.QuarantineRecord) {
+	fmt.Fprintf(w, "%s: %d partitions, %d records\n", dir, report.Partitions, report.Records)
 	for _, issue := range report.Issues {
-		fmt.Printf("  CORRUPT %s\n", issue)
+		fmt.Fprintf(w, "  CORRUPT %s\n", issue)
 	}
 	for _, p := range report.Missing {
-		fmt.Printf("  MISSING day %d shard %d: manifest entry without a file\n", p.Day, p.Shard)
+		fmt.Fprintf(w, "  MISSING day %d shard %d: manifest entry without a file\n", p.Day, p.Shard)
 	}
 	for _, p := range report.Orphans {
-		fmt.Printf("  ORPHAN  day %d shard %d: file without a manifest entry\n", p.Day, p.Shard)
+		fmt.Fprintf(w, "  ORPHAN  day %d shard %d: file without a manifest entry\n", p.Day, p.Shard)
 	}
 	if res != nil {
 		for _, p := range res.Quarantined {
-			fmt.Printf("  -> quarantined day %d shard %d\n", p.Day, p.Shard)
+			fmt.Fprintf(w, "  -> quarantined day %d shard %d\n", p.Day, p.Shard)
 		}
 		for _, p := range res.IndexesDropped {
-			fmt.Printf("  -> dropped corrupt index for day %d shard %d\n", p.Day, p.Shard)
+			fmt.Fprintf(w, "  -> dropped corrupt index for day %d shard %d\n", p.Day, p.Shard)
 		}
 		for _, p := range res.EntriesDropped {
-			fmt.Printf("  -> dropped manifest entry for day %d shard %d\n", p.Day, p.Shard)
+			fmt.Fprintf(w, "  -> dropped manifest entry for day %d shard %d\n", p.Day, p.Shard)
 		}
 	}
 	if days := trace.QuarantinedDays(quarantine); len(days) > 0 {
-		fmt.Printf("  quarantined days (excluded from serving): %v\n", days)
+		fmt.Fprintf(w, "  quarantined days (excluded from serving): %v\n", days)
 	}
 	if report.OK() {
-		fmt.Println("  clean")
+		fmt.Fprintln(w, "  clean")
 	}
 }

@@ -459,9 +459,6 @@ func (c *Controller) RetryAfter() int {
 	return s
 }
 
-// QueryBudget is the server-side execution deadline cap.
-func (c *Controller) QueryBudget() time.Duration { return c.budget }
-
 // QueryContext derives the per-request execution context: the
 // requested timeout (0 = none) capped by the server budget.
 func (c *Controller) QueryContext(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {

@@ -243,6 +243,14 @@ func (a *Analyzer) windowSpan(days int) (lo, hi int) {
 	return clampWindow(winFrom, winTo, days)
 }
 
+// windowDays returns how many study days the configured window spans
+// (the whole study when no window is set): the divisor of every
+// per-day average.
+func (a *Analyzer) windowDays() int {
+	lo, hi := a.windowSpan(a.DS.Config.Days)
+	return hi - lo + 1
+}
+
 // UEDayMetric is one UE's mobility/performance summary for one day
 // (§3.3): distinct sectors successfully communicated with, radius of
 // gyration over time-weighted sector visits, and HO/HOF counts.

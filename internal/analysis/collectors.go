@@ -17,8 +17,8 @@ import (
 	"telcolens/internal/trace"
 )
 
-// The v2 scan engine decomposes the old monolithic one-pass scan into
-// independent Collector units. Each unit implements the quartet
+// The scan engine is a set of independent Collector units, all fed by
+// one pass over the trace. Each unit implements the quartet
 //
 //	NewShardState(day, shard)      — fresh accumulator for one partition
 //	ObserveColumns(day, *ColumnBatch) — batch accumulation (shard-local)
@@ -459,9 +459,6 @@ func (s *sampler) sealMerge(sc *sealScratch) {
 	s.pri, s.val = pri, val
 }
 
-// Samples returns the sampled values (not a copy).
-func (s *sampler) Samples() []float64 { return s.val }
-
 // SortedSamples returns the sampled values in ascending order, cached
 // until the kept set changes. The durations collector warms the cache at
 // finalize, so the experiment bodies — which run concurrently and take
@@ -684,7 +681,9 @@ func (c *typesCollector) finalize(out *scanState) error {
 
 // --- durations collector: bottom-k sampled signaling times -------------
 
-// Sample capacities follow the v1 reservoir sizes.
+// Sample capacities: the bottom-k size per HO type (successes) and per
+// main cause (failures), bounding the samples behind every duration
+// quantile and ECDF.
 const (
 	successSampleCap = 200_000
 	causeSampleCap   = 50_000
@@ -1280,14 +1279,8 @@ type ueTable struct {
 	states []ueState
 }
 
-// at returns the state for ue, inserting a fresh one if needed. The
-// pointer is only valid until the next at call (the arena may move).
-func (t *ueTable) at(ue trace.UEID) *ueState {
-	return &t.states[t.index(ue)]
-}
-
 // index returns the arena index of ue's state, inserting a fresh one if
-// needed. Unlike the pointer from at, the index stays valid across
+// needed. Unlike a pointer into the arena, the index stays valid across
 // inserts, so batch loops can cache it per UE.
 func (t *ueTable) index(ue trace.UEID) int32 {
 	if len(t.slots) == 0 {

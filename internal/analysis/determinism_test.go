@@ -309,8 +309,8 @@ func TestCodecMatrixByteIdentical(t *testing.T) {
 	}
 }
 
-// recordFilterStore hides the file store's TimeRangeSetter, so a
-// windowed scan decodes every block and the scan engine filters records.
+// recordFilterStore's iterators keep the window to themselves, so a
+// windowed scan decodes every block and filters the decoded records.
 type recordFilterStore struct{ *trace.FileStore }
 
 func (s recordFilterStore) OpenPartition(day, shard int) (trace.RecordIterator, error) {
@@ -318,7 +318,29 @@ func (s recordFilterStore) OpenPartition(day, shard int) (trace.RecordIterator, 
 	if err != nil {
 		return nil, err
 	}
-	return struct{ trace.RecordIterator }{it}, nil
+	return &recordFilterIterator{RecordIterator: it}, nil
+}
+
+type recordFilterIterator struct {
+	trace.RecordIterator
+	hasRange     bool
+	minTS, maxTS int64
+}
+
+func (it *recordFilterIterator) SetTimeRange(minTS, maxTS int64) {
+	it.hasRange, it.minTS, it.maxTS = true, minTS, maxTS
+}
+
+func (it *recordFilterIterator) NextColumns(cb *trace.ColumnBatch) (int, error) {
+	for {
+		n, err := it.RecordIterator.NextColumns(cb)
+		if err != nil || n == 0 || !it.hasRange {
+			return n, err
+		}
+		if n = cb.FilterRange(it.minTS, it.maxTS); n > 0 {
+			return n, nil
+		}
+	}
 }
 
 // TestWindowByteIdenticalAcrossCodecs: a day-windowed analysis must not

@@ -76,10 +76,11 @@ func (a *Analyzer) HomeDetection(ctx context.Context, minNights int) ([]int, int
 }
 
 // DefaultMinNights scales the paper's ≥14-of-28-nights rule to the
-// configured window length: half the nights, at least two, but never
+// analysis window's length: half the nights, at least two, but never
 // more nights than the window holds.
 func (a *Analyzer) DefaultMinNights() int {
-	return min(max(a.DS.Config.Days/2, 2), a.DS.Config.Days)
+	days := a.windowDays()
+	return min(max(days/2, 2), days)
 }
 
 func runFig5(ctx context.Context, a *Analyzer, art *report.Artifact) error {
@@ -97,7 +98,7 @@ func runFig5(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		ys = append(ys, float64(a.DS.Country.Districts[i].Population))
 	}
 	art.AddNote("Home detection: main night site (00:00–08:00) on ≥%d of %d days; %d of %d UEs resolved.",
-		minNights, a.DS.Config.Days, inferred, a.DS.Population.Len())
+		minNights, a.windowDays(), inferred, a.DS.Population.Len())
 	// A short or small campaign can resolve too few districts, or counts
 	// too uniform, for the census fit; say so instead of failing the
 	// whole report.
@@ -152,7 +153,7 @@ func runFig6(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		return err
 	}
 	ds := a.DS
-	days := float64(ds.Config.Days)
+	days := float64(a.windowDays())
 	scale := ds.ScaleFactor()
 
 	var logDens, logHOs []float64

@@ -25,12 +25,13 @@ func runTable1(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 	}
 	ds := a.DS
 	scale := ds.ScaleFactor()
-	dailyHOs := float64(s.totalHOs) / float64(ds.Config.Days)
+	days := a.windowDays()
+	dailyHOs := float64(s.totalHOs) / float64(days)
 	// The paper's "≈8 TB daily" is the raw capture size, so the
 	// comparable figure is the fixed-width record equivalent — not
 	// s.bytesStored, which reports the codec-dependent on-disk bytes and
 	// would make the artifact differ across storage codecs.
-	dailyBytes := float64(s.totalHOs) * trace.RecordSize / float64(ds.Config.Days)
+	dailyBytes := float64(s.totalHOs) * trace.RecordSize / float64(days)
 
 	// Deployment scale: the paper's network has 24k+ sites.
 	siteScale := 24_000 / float64(len(ds.Network.Sites))
@@ -46,7 +47,7 @@ func runTable1(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 			{"# of radio sectors", fmt.Sprintf("%d", len(ds.Network.Sectors)), fmt.Sprintf("%.0f", float64(len(ds.Network.Sectors))*siteScale), "350k+"},
 			{"# of UEs measured", fmt.Sprintf("%d", ds.Population.Len()), fmt.Sprintf("%.2g", float64(ds.Population.Len())*scale), "≈40M"},
 			{"# handovers (daily)", fmt.Sprintf("%.0f", dailyHOs), fmt.Sprintf("%.3g", dailyHOs*scale), "1.7B+"},
-			{"Measurement duration", fmt.Sprintf("%d days", ds.Config.Days), "-", "4 weeks (28 days)"},
+			{"Measurement duration", fmt.Sprintf("%d days", days), "-", "4 weeks (28 days)"},
 			{"Trace size (daily)", formatBytes(dailyBytes), formatBytes(dailyBytes * scale), "≈8 TB"},
 		},
 	})

@@ -40,7 +40,7 @@ func (t *ppTracker) advance(ctx context.Context, store trace.Store, parts []trac
 				break
 			}
 			for i := 0; i < n; i++ {
-				if tr != nil && !tr.Contains(cb.Timestamps[i]) {
+				if tr != nil && (cb.Timestamps[i] < tr.MinTS || cb.Timestamps[i] > tr.MaxTS) {
 					continue
 				}
 				t.observe(sectors, cb.Timestamps[i], cb.UEs[i], cb.Sources[i], cb.Targets[i], cb.Results[i])

@@ -67,7 +67,7 @@ func (a *Analyzer) DistrictProfile(ctx context.Context, id int) (*DistrictProfil
 		p.Share3G = float64(s.districtType[id][ho.To3G]) / float64(p.HOs)
 		p.Share2G = float64(s.districtType[id][ho.To2G]) / float64(p.HOs)
 	}
-	p.DailyHOsKm2 = float64(p.HOs) / float64(a.DS.Config.Days) / d.AreaKm2
+	p.DailyHOsKm2 = float64(p.HOs) / float64(a.windowDays()) / d.AreaKm2
 	return p, nil
 }
 

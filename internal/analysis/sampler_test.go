@@ -12,6 +12,9 @@ import (
 // campaign-scale determinism tests stay below the 200k/50k capacities,
 // so eviction is exercised here, directly, well past capacity.
 
+// Samples returns the sampled values in storage order (not a copy).
+func (s *sampler) Samples() []float64 { return s.val }
+
 type pv struct {
 	p uint64
 	v float64

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"telcolens/internal/ho"
 	"telcolens/internal/simulate"
 )
 
@@ -17,6 +18,11 @@ type smallShape struct {
 	ues, days int
 	seed      uint64
 	check     func(t *testing.T, a *Analyzer)
+	// districts and sites size the world; 0 keeps the defaults (320
+	// districts, 2400 sites). rareBoost scales the 2G fallback; 0 keeps
+	// the default 1.
+	districts, sites int
+	rareBoost        float64
 }
 
 // TestSmallCampaignReportRenders sweeps campaign shapes far below the
@@ -27,32 +33,49 @@ func TestSmallCampaignReportRenders(t *testing.T) {
 	shapes := []smallShape{
 		// At 300 UEs over 7 days, seeds 4 and 5 leave no manufacturer
 		// with enough UEs in three districts for Figure 11.
-		{"", 300, 7, 4, expectInsufficient("fig11")},
-		{"", 300, 7, 5, expectInsufficient("fig11")},
+		{ues: 300, days: 7, seed: 4, check: expectInsufficient("fig11")},
+		{ues: 300, days: 7, seed: 5, check: expectInsufficient("fig11")},
 		// At 50 UEs over 2 days (seed 1) the four outlier-filtered
 		// sector-day rows are all intra HOs: with no 3G group, Table 8
 		// does not identify the 3G coefficient.
-		{"", 50, 2, 1, expectInsufficient("table8")},
+		{ues: 50, days: 2, seed: 1, check: expectInsufficient("table8")},
 		// A few failing sector-days leave Table 4's univariate fit with
 		// one or two rows for two parameters, or one HO type only
 		// (collinear), and every ANOVA factor with one group or one row
 		// per group. With no failure at all Table 4 has no rows and
 		// Figure 14a nothing to split; with handovers in one district
 		// Figure 6 has nothing to correlate.
-		{"", 5, 1, 1, expectInsufficient("table4", "anova")},
-		{"", 10, 1, 1, expectInsufficient("table4", "anova")},
-		{"", 30, 1, 1, expectInsufficient("table4", "anova")},
-		{"", 20, 2, 8, expectInsufficient("table4", "anova")},
-		{"", 5, 1, 2, expectInsufficient("table4", "anova", "fig14a")},
-		{"", 5, 1, 5, expectInsufficient("table4", "anova", "fig14a", "fig6")},
-		{"", 200, 3, 4, nil},
+		{ues: 5, days: 1, seed: 1, check: expectInsufficient("table4", "anova")},
+		{ues: 10, days: 1, seed: 1, check: expectInsufficient("table4", "anova")},
+		{ues: 30, days: 1, seed: 1, check: expectInsufficient("table4", "anova")},
+		{ues: 20, days: 2, seed: 8, check: expectInsufficient("table4", "anova")},
+		{ues: 5, days: 1, seed: 2, check: expectInsufficient("table4", "anova", "fig14a")},
+		{ues: 5, days: 1, seed: 5, check: expectInsufficient("table4", "anova", "fig14a", "fig6")},
+		{ues: 200, days: 3, seed: 4},
 	}
 	for _, ues := range []int{5, 10, 20, 30} {
 		for days := 1; days <= 3; days++ {
 			for seed := uint64(1); seed <= 3; seed++ {
-				shapes = append(shapes, smallShape{"", ues, days, seed, nil})
+				shapes = append(shapes, smallShape{ues: ues, days: days, seed: seed})
 			}
 		}
+	}
+	runSmallShapes(t, shapes)
+}
+
+// TestSmallWorldReportRenders: the smallest world the generator builds,
+// 8 districts of 8 sites (the census needs at least 8 districts, and the
+// deployment one site per district), renders at every population and
+// window, and so does a mix without 2G: a 2G fallback boost of 1e-12
+// leaves no handover to 2G (a boost of 0 means the default boost, 1).
+func TestSmallWorldReportRenders(t *testing.T) {
+	var shapes []smallShape
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, sz := range []struct{ ues, days int }{{5, 1}, {50, 2}, {200, 3}} {
+			shapes = append(shapes, smallShape{ues: sz.ues, days: sz.days, seed: seed, districts: 8, sites: 8})
+		}
+		shapes = append(shapes, smallShape{ues: 100, days: 2, seed: seed, districts: 8, sites: 8,
+			rareBoost: 1e-12, check: expectNo2G})
 	}
 	runSmallShapes(t, shapes)
 }
@@ -63,8 +86,8 @@ func TestSmallCampaignReportRenders(t *testing.T) {
 // intercept.
 func TestSmallCampaignFullModelRenders(t *testing.T) {
 	runSmallShapes(t, []smallShape{
-		{"ues100-seed3", 100, 7, 3, expectMissingCapital},
-		{"ues200-seed8", 200, 7, 8, expectMissingCapital},
+		{name: "ues100-seed3", ues: 100, days: 7, seed: 3, check: expectMissingCapital},
+		{name: "ues200-seed8", ues: 200, days: 7, seed: 8, check: expectMissingCapital},
 	})
 }
 
@@ -74,8 +97,8 @@ func TestSmallCampaignFullModelRenders(t *testing.T) {
 // counts, which do not identify Figure 5's census fit.
 func TestOneDayCampaignReportRenders(t *testing.T) {
 	runSmallShapes(t, []smallShape{
-		{"ues3", 3, 1, 1, expectOneNightFig5(false)},
-		{"ues100", 100, 1, 1, expectOneNightFig5(true)},
+		{name: "ues3", ues: 3, days: 1, seed: 1, check: expectOneNightFig5(false)},
+		{name: "ues100", ues: 100, days: 1, seed: 1, check: expectOneNightFig5(true)},
 	})
 }
 
@@ -89,6 +112,12 @@ func runSmallShapes(t *testing.T, shapes []smallShape) {
 		name := sh.name
 		if name == "" {
 			name = fmt.Sprintf("ues%d-days%d-seed%d", sh.ues, sh.days, sh.seed)
+			if sh.districts > 0 || sh.sites > 0 {
+				name = fmt.Sprintf("districts%d-sites%d-%s", sh.districts, sh.sites, name)
+			}
+			if sh.rareBoost != 0 {
+				name += fmt.Sprintf("-rareboost%g", sh.rareBoost)
+			}
 		}
 		if seen[name] {
 			continue // the sweep re-visits a shape listed above
@@ -99,6 +128,15 @@ func runSmallShapes(t *testing.T, shapes []smallShape) {
 			for i, shards := range []int{1, 4} {
 				cfg := simulate.DefaultConfig(sh.seed)
 				cfg.UEs, cfg.Days, cfg.Shards = sh.ues, sh.days, shards
+				if sh.districts > 0 {
+					cfg.Districts = sh.districts
+				}
+				if sh.sites > 0 {
+					cfg.SitesTarget = sh.sites
+				}
+				if sh.rareBoost != 0 {
+					cfg.RareBoost = sh.rareBoost
+				}
 				ds, err := simulate.Generate(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -178,6 +216,19 @@ func expectOneNightFig5(fitted bool) func(*testing.T, *Analyzer) {
 		}
 		if !fitted && !strings.Contains(out, "Insufficient data") {
 			t.Fatalf("fig5 does not report insufficient data:\n%s", out)
+		}
+	}
+}
+
+// expectNo2G asserts the campaign holds no handover to 2G.
+func expectNo2G(t *testing.T, a *Analyzer) {
+	s, err := a.Require(context.Background(), NeedDistricts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, counts := range s.districtType {
+		if n := counts[ho.To2G]; n != 0 {
+			t.Fatalf("district %d: %d handovers to 2G, want none", i, n)
 		}
 	}
 }

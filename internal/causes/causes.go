@@ -101,15 +101,6 @@ var mainCauses = []Cause{
 	},
 }
 
-// MainCodes lists the eight dominant cause codes.
-func MainCodes() []Code {
-	out := make([]Code, len(mainCauses))
-	for i, c := range mainCauses {
-		out[i] = c.Code
-	}
-	return out
-}
-
 // Catalog is the full cause database plus sampling machinery.
 type Catalog struct {
 	byCode map[Code]*Cause
@@ -187,9 +178,6 @@ func (c *Catalog) ByCode(code Code) *Cause {
 
 // Len returns the total number of catalog entries.
 func (c *Catalog) Len() int { return len(c.all) }
-
-// All returns all causes (main followed by long tail).
-func (c *Catalog) All() []Cause { return c.all }
 
 // IsMain reports whether the code is one of the eight dominant causes.
 func IsMain(code Code) bool { return code >= 1 && code <= 8 }

@@ -27,10 +27,11 @@ func TestCatalogSize(t *testing.T) {
 	if c.Len() < 1000 {
 		t.Fatalf("catalog has %d causes, want 1k+", c.Len())
 	}
-	if len(MainCodes()) != 8 {
-		t.Fatalf("%d main codes", len(MainCodes()))
+	if len(mainCauses) != 8 {
+		t.Fatalf("%d main codes", len(mainCauses))
 	}
-	for _, code := range MainCodes() {
+	for _, mc := range mainCauses {
+		code := mc.Code
 		if !IsMain(code) {
 			t.Fatalf("code %d not recognized as main", code)
 		}
@@ -227,8 +228,8 @@ func TestCatalogDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.All() {
-		if a.All()[i] != b.All()[i] {
+	for i := range a.all {
+		if a.all[i] != b.all[i] {
 			t.Fatalf("cause %d differs across identical seeds", i)
 		}
 	}

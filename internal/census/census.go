@@ -24,7 +24,6 @@ const (
 	North
 	South
 	West
-	numRegions
 )
 
 // Regions lists all regions in canonical order.
@@ -108,17 +107,6 @@ func (d District) Density() float64 {
 	return float64(d.Population) / d.AreaKm2
 }
 
-// UrbanAreaKm2 returns the total area of the district's urban postcodes.
-func (d District) UrbanAreaKm2() float64 {
-	var a float64
-	for _, p := range d.Postcodes {
-		if p.Type() == Urban {
-			a += p.AreaKm2
-		}
-	}
-	return a
-}
-
 // Country is the full census frame: every district with its postcodes.
 type Country struct {
 	Name      string
@@ -135,29 +123,6 @@ func (c *Country) TotalPopulation() int {
 		t += d.Population
 	}
 	return t
-}
-
-// TotalAreaKm2 returns the summed district area.
-func (c *Country) TotalAreaKm2() float64 {
-	var t float64
-	for _, d := range c.Districts {
-		t += d.AreaKm2
-	}
-	return t
-}
-
-// UrbanAreaShare returns the fraction of territory covered by urban
-// postcodes (the paper reports 49.6% for the studied country).
-func (c *Country) UrbanAreaShare() float64 {
-	var urban, total float64
-	for _, d := range c.Districts {
-		urban += d.UrbanAreaKm2()
-		total += d.AreaKm2
-	}
-	if total == 0 {
-		return 0
-	}
-	return urban / total
 }
 
 // District returns the district with the given ID, or nil.

@@ -2,8 +2,9 @@ package census
 
 import (
 	"bytes"
-	"math"
-	"strings"
+	"encoding/csv"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -28,8 +29,12 @@ func TestGenerateBasicShape(t *testing.T) {
 	if pop < 40_000_000 || pop > 50_000_000 {
 		t.Fatalf("population = %d", pop)
 	}
-	if a := c.TotalAreaKm2(); a < 200_000 || a > 900_000 {
-		t.Fatalf("area = %.0f", a)
+	var area float64
+	for _, d := range c.Districts {
+		area += d.AreaKm2
+	}
+	if area < 200_000 || area > 900_000 {
+		t.Fatalf("area = %.0f", area)
 	}
 }
 
@@ -97,7 +102,16 @@ func TestCapitalCenterIsDensest(t *testing.T) {
 
 func TestUrbanAreaShareNearGoal(t *testing.T) {
 	c := testCountry(t)
-	share := c.UrbanAreaShare()
+	var urban, total float64
+	for _, d := range c.Districts {
+		total += d.AreaKm2
+		for _, p := range d.Postcodes {
+			if p.Type() == Urban {
+				urban += p.AreaKm2
+			}
+		}
+	}
+	share := urban / total
 	// Paper: urban postcodes cover 49.6% of territory. Allow ±12pp since
 	// the share is emergent from the density distribution.
 	if share < 0.38 || share > 0.62 {
@@ -170,7 +184,8 @@ func TestDistrictLookup(t *testing.T) {
 func TestDistrictCentersInsideBounds(t *testing.T) {
 	c := testCountry(t)
 	for _, d := range c.Districts {
-		if !c.Bounds.Contains(d.Center) {
+		b, p := c.Bounds, d.Center
+		if p.Lat < b.MinLat || p.Lat > b.MaxLat || p.Lon < b.MinLon || p.Lon > b.MaxLon {
 			t.Fatalf("district %s center outside bounds", d.Name)
 		}
 	}
@@ -190,46 +205,42 @@ func TestGenerateConfigValidation(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip: the census.csv telcogen writes parses back to the
+// header and one row per postcode, in district order, carrying each
+// postcode's code, district and population.
 func TestCSVRoundTrip(t *testing.T) {
 	c := testCountry(t)
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Districts) != len(c.Districts) {
-		t.Fatalf("districts %d != %d", len(got.Districts), len(c.Districts))
+	if !slices.Equal(rows[0], csvHeader) {
+		t.Fatalf("header = %v", rows[0])
 	}
-	if got.TotalPopulation() != c.TotalPopulation() {
-		t.Fatalf("population %d != %d", got.TotalPopulation(), c.TotalPopulation())
+	rows = rows[1:]
+	pop := 0
+	for _, d := range c.Districts {
+		for _, p := range d.Postcodes {
+			if len(rows) == 0 {
+				t.Fatal("fewer rows than postcodes")
+			}
+			row := rows[0]
+			rows = rows[1:]
+			if row[0] != p.Code || row[1] != strconv.Itoa(d.ID) || row[9] != strconv.Itoa(p.Population) {
+				t.Fatalf("row for postcode %s = %v", p.Code, row)
+			}
+			pop += p.Population
+		}
 	}
-	for i := range c.Districts {
-		a, b := c.Districts[i], got.Districts[i]
-		if a.Name != b.Name || a.Region != b.Region || a.Population != b.Population {
-			t.Fatalf("district %d mismatch after round trip", i)
-		}
-		if len(a.Postcodes) != len(b.Postcodes) {
-			t.Fatalf("district %d postcode count mismatch", i)
-		}
-		if math.Abs(a.AreaKm2-b.AreaKm2) > 1e-9 {
-			t.Fatalf("district %d area drift", i)
-		}
+	if len(rows) != 0 {
+		t.Fatalf("%d rows beyond the last postcode", len(rows))
 	}
-}
-
-func TestReadCSVRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"not,a,census\n1,2,3\n",
-		strings.Join(csvHeader, ",") + "\nabc,notanint,x,0,1,1,1,false,false,5,1,1,1\n",
-	}
-	for i, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
+	if pop != c.TotalPopulation() {
+		t.Fatalf("rows hold %d residents, country %d", pop, c.TotalPopulation())
 	}
 }
 

@@ -2,15 +2,14 @@ package census
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
 
 // The census office publishes open data as flat tables; we mirror that with
-// a postcode-level CSV. One row per postcode carries everything needed to
-// rebuild the Country frame, so the analysis pipeline can also ingest
-// externally supplied census files with the same schema.
+// a postcode-level CSV that telcogen writes beside each campaign. One row
+// per postcode carries the district and postcode attributes of the
+// Country frame.
 
 var csvHeader = []string{
 	"postcode", "district_id", "district_name", "region",
@@ -49,107 +48,6 @@ func WriteCSV(w io.Writer, c *Country) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV reconstructs a Country from postcode-level open data produced by
-// WriteCSV (or any file with the same schema).
-func ReadCSV(r io.Reader) (*Country, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("census: reading header: %w", err)
-	}
-	if len(header) != len(csvHeader) {
-		return nil, fmt.Errorf("census: header has %d columns, want %d", len(header), len(csvHeader))
-	}
-	for i, h := range csvHeader {
-		if header[i] != h {
-			return nil, fmt.Errorf("census: column %d is %q, want %q", i, header[i], h)
-		}
-	}
-
-	byID := make(map[int]*District)
-	var order []int
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("census: line %d: %w", line, err)
-		}
-		line++
-		id, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("census: line %d: bad district id %q", line, rec[1])
-		}
-		d, ok := byID[id]
-		if !ok {
-			region, err := strconv.Atoi(rec[3])
-			if err != nil || region < 0 || Region(region) >= numRegions {
-				return nil, fmt.Errorf("census: line %d: bad region %q", line, rec[3])
-			}
-			area, err1 := strconv.ParseFloat(rec[4], 64)
-			lat, err2 := strconv.ParseFloat(rec[5], 64)
-			lon, err3 := strconv.ParseFloat(rec[6], 64)
-			capital, err4 := strconv.ParseBool(rec[7])
-			capCenter, err5 := strconv.ParseBool(rec[8])
-			if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
-				return nil, fmt.Errorf("census: line %d: malformed district fields", line)
-			}
-			d = &District{
-				ID:            id,
-				Name:          rec[2],
-				Region:        Region(region),
-				AreaKm2:       area,
-				Capital:       capital,
-				CapitalCenter: capCenter,
-			}
-			d.Center.Lat, d.Center.Lon = lat, lon
-			byID[id] = d
-			order = append(order, id)
-		}
-		pop, err1 := strconv.Atoi(rec[9])
-		pcArea, err2 := strconv.ParseFloat(rec[10], 64)
-		pcLat, err3 := strconv.ParseFloat(rec[11], 64)
-		pcLon, err4 := strconv.ParseFloat(rec[12], 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return nil, fmt.Errorf("census: line %d: malformed postcode fields", line)
-		}
-		pc := Postcode{
-			Code:       rec[0],
-			DistrictID: id,
-			Population: pop,
-			AreaKm2:    pcArea,
-		}
-		pc.Center.Lat, pc.Center.Lon = pcLat, pcLon
-		d.Postcodes = append(d.Postcodes, pc)
-		d.Population += pop
-	}
-
-	c := &Country{Name: "imported"}
-	// Districts must be stored by ID for Country.District; require a dense
-	// 0..n-1 ID space as produced by Generate.
-	maxID := -1
-	for _, id := range order {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	c.Districts = make([]District, maxID+1)
-	for _, id := range order {
-		c.Districts[id] = *byID[id]
-	}
-	for i := range c.Districts {
-		if c.Districts[i].Postcodes == nil {
-			return nil, fmt.Errorf("census: district ID space has a hole at %d", i)
-		}
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

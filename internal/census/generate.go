@@ -32,10 +32,6 @@ func DefaultGenConfig(seed uint64) GenConfig {
 	}
 }
 
-// regionShare is the share of districts assigned to each region, in
-// canonical region order (CapitalArea, North, South, West).
-var regionShare = [numRegions]float64{0.12, 0.28, 0.35, 0.25}
-
 // Generate builds a deterministic synthetic country from the config.
 func Generate(cfg GenConfig) (*Country, error) {
 	if cfg.Districts < 8 {

@@ -209,15 +209,6 @@ func (e *EPC) buildFallbackTables() {
 	e.fallback3G[rank[n-1]] = 0.002
 }
 
-// Fallback3G exposes the 3G fallback probability for sectors of the given
-// area type in a district (used by tests and the decommissioning example).
-func (e *EPC) Fallback3G(districtID int, area census.AreaType) float64 {
-	if area == census.Urban {
-		return e.fallback3GUrban[districtID]
-	}
-	return e.fallback3G[districtID]
-}
-
 // HORequest is one handover trigger from the RAN.
 type HORequest struct {
 	TimeMs      int64 // Unix ms

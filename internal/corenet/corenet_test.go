@@ -223,9 +223,9 @@ func TestRareBoostScales2G(t *testing.T) {
 func TestRuralDistrictsFallBackMore(t *testing.T) {
 	w := buildWorld(t, Config{})
 	rank := w.country.DensityRank()
-	least := w.epc.Fallback3G(rank[0], census.Rural)
-	most := w.epc.Fallback3G(rank[len(rank)-1], census.Rural)
-	urban := w.epc.Fallback3G(rank[len(rank)-1], census.Urban)
+	least := w.epc.fallback3G[rank[0]]
+	most := w.epc.fallback3G[rank[len(rank)-1]]
+	urban := w.epc.fallback3GUrban[rank[len(rank)-1]]
 	// Fig 9: the remotest district reaches ≈58% vertical HOs; rural
 	// pockets of dense districts fall back far less; urban sectors rely
 	// on 4G/5G for >99.8% of HOs.

@@ -1,12 +1,11 @@
 // Package devices models the GSMA device catalog the paper joins against
-// (§3.1): TAC-indexed device models with manufacturer, device type and
-// maximum supported RAT, plus the APN-keyword classification heuristic used
-// to separate smartphones, M2M/IoT devices and low-tier feature phones.
+// (§3.1): TAC-indexed device models with manufacturer, device type
+// (smartphone, M2M/IoT or low-tier feature phone) and maximum supported
+// RAT.
 package devices
 
 import (
 	"fmt"
-	"strings"
 
 	"telcolens/internal/topology"
 )
@@ -20,7 +19,6 @@ const (
 	Smartphone DeviceType = iota
 	M2MIoT
 	FeaturePhone
-	numDeviceTypes
 )
 
 // AllDeviceTypes lists the device types in canonical order.
@@ -54,16 +52,13 @@ type Quirk struct {
 	HOFMult float64 // multiplier on handover failure probability
 }
 
-// DefaultQuirk is neutral behaviour.
-var DefaultQuirk = Quirk{HOMult: 1, HOFMult: 1}
-
 // Model is one catalog entry (a device model identified by TAC).
 type Model struct {
 	TAC          TAC
 	Manufacturer string
-	Type         DeviceType // ground-truth type (hidden from the classifier)
+	Type         DeviceType
 	MaxRAT       topology.RAT
-	Category     string // the GSMA marketing category the classifier sees
+	Category     string // the GSMA marketing category
 	Quirk        Quirk
 	Weight       float64 // relative population share of this model
 }
@@ -99,32 +94,4 @@ func (c *Catalog) buildIndex() error {
 		c.byTAC[m.TAC] = i
 	}
 	return nil
-}
-
-// m2mAPNKeywords are the APN substrings the paper's heuristic associates
-// with IoT verticals (§3.1).
-var m2mAPNKeywords = []string{"m2m", "smart-meter", "smartmeter", "telemetry", "iot", "fleet", "scada"}
-
-// Classify reproduces the paper's device classification heuristic: the APN
-// is checked for IoT-vertical keywords first; otherwise the GSMA marketing
-// category decides. It never consults the hidden ground-truth type, so
-// tests can measure its accuracy against the generator's truth.
-func Classify(m *Model, apn string) DeviceType {
-	lower := strings.ToLower(apn)
-	for _, kw := range m2mAPNKeywords {
-		if strings.Contains(lower, kw) {
-			return M2MIoT
-		}
-	}
-	if m == nil {
-		return Smartphone // unknown TAC: the dominant class
-	}
-	switch m.Category {
-	case "Module", "Router", "Modem", "Wearable", "Tracker", "Meter":
-		return M2MIoT
-	case "Basic Phone", "Feature Phone":
-		return FeaturePhone
-	default: // "Handheld", "Smartphone", "Tablet", ...
-		return Smartphone
-	}
 }

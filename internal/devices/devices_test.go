@@ -193,61 +193,6 @@ func TestQuirkOutliersPresent(t *testing.T) {
 	}
 }
 
-func TestClassifierAPNKeywordWins(t *testing.T) {
-	m := &Model{Category: "Smartphone", Type: Smartphone}
-	if got := Classify(m, "smart-meter.grid.example"); got != M2MIoT {
-		t.Fatalf("APN keyword ignored: %s", got)
-	}
-	if got := Classify(m, "M2M.OPERATOR.example"); got != M2MIoT {
-		t.Fatal("classifier is case-sensitive")
-	}
-	if got := Classify(nil, "internet"); got != Smartphone {
-		t.Fatal("nil model should default to smartphone")
-	}
-}
-
-func TestClassifierAccuracy(t *testing.T) {
-	c := testCatalog(t)
-	s, err := NewSampler(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := randx.New(3)
-	const n = 50000
-	correct := 0
-	for i := 0; i < n; i++ {
-		m := s.Sample(r)
-		apn := SampleAPN(r, m.Type)
-		if Classify(m, apn) == m.Type {
-			correct++
-		}
-	}
-	acc := float64(correct) / n
-	// The heuristic should be good but not magically perfect.
-	if acc < 0.95 {
-		t.Fatalf("classifier accuracy = %.4f, want ≥0.95", acc)
-	}
-	if acc == 1.0 {
-		t.Fatal("classifier accuracy exactly 1.0: catalog noise is not being exercised")
-	}
-}
-
-func TestSampleOfType(t *testing.T) {
-	c := testCatalog(t)
-	s, err := NewSampler(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := randx.New(11)
-	for _, dt := range AllDeviceTypes() {
-		for i := 0; i < 100; i++ {
-			if m := s.SampleOfType(r, dt); m.Type != dt {
-				t.Fatalf("SampleOfType(%s) returned %s", dt, m.Type)
-			}
-		}
-	}
-}
-
 func TestDeviceTypeStrings(t *testing.T) {
 	if Smartphone.String() != "Smartphone" || M2MIoT.String() != "M2M/IoT" || FeaturePhone.String() != "Feature Phone" {
 		t.Fatal("device type names wrong")

@@ -75,8 +75,8 @@ var ratSupportMix = map[DeviceType][4]float64{
 	FeaturePhone: {0.287, 0.234, 0.479, 0.000},
 }
 
-// categoryOf maps (type, manufacturer) to the GSMA marketing category the
-// classifier sees. A small error rate models catalog noise.
+// categoryOf maps (type, manufacturer) to the GSMA marketing category. A
+// small error rate models catalog noise.
 func categoryOf(r *randx.Rand, t DeviceType) string {
 	noise := r.Float64()
 	switch t {
@@ -178,19 +178,13 @@ func assignMaxRATs(c *Catalog, t DeviceType, mix [4]float64) {
 }
 
 // Sampler draws device models with probability proportional to their
-// population weight, optionally restricted to a device type.
+// population weight.
 type Sampler struct {
 	catalog *Catalog
 	all     *randx.WeightedChoice
-	byType  map[DeviceType]*typeSampler
 }
 
-type typeSampler struct {
-	choice  *randx.WeightedChoice
-	indexes []int
-}
-
-// NewSampler prepares weighted samplers over the catalog.
+// NewSampler prepares a weighted sampler over the catalog.
 func NewSampler(c *Catalog) (*Sampler, error) {
 	if c.Len() == 0 {
 		return nil, fmt.Errorf("devices: empty catalog")
@@ -203,37 +197,12 @@ func NewSampler(c *Catalog) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{catalog: c, all: all, byType: make(map[DeviceType]*typeSampler)}
-	for _, t := range AllDeviceTypes() {
-		var idx []int
-		var w []float64
-		for i, m := range c.Models {
-			if m.Type == t {
-				idx = append(idx, i)
-				w = append(w, m.Weight)
-			}
-		}
-		if len(idx) == 0 {
-			return nil, fmt.Errorf("devices: no models of type %s", t)
-		}
-		choice, err := randx.NewWeightedChoice(w)
-		if err != nil {
-			return nil, err
-		}
-		s.byType[t] = &typeSampler{choice: choice, indexes: idx}
-	}
-	return s, nil
+	return &Sampler{catalog: c, all: all}, nil
 }
 
 // Sample draws a model according to population weights.
 func (s *Sampler) Sample(r *randx.Rand) *Model {
 	return &s.catalog.Models[s.all.Sample(r)]
-}
-
-// SampleOfType draws a model of the given device type.
-func (s *Sampler) SampleOfType(r *randx.Rand, t DeviceType) *Model {
-	ts := s.byType[t]
-	return &s.catalog.Models[ts.indexes[ts.choice.Sample(r)]]
 }
 
 // SampleAPN draws an APN string consistent with a device's true type: IoT

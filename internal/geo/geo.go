@@ -207,12 +207,6 @@ type BoundingBox struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
 }
 
-// Contains reports whether p lies inside the box (inclusive).
-func (b BoundingBox) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat &&
-		p.Lon >= b.MinLon && p.Lon <= b.MaxLon
-}
-
 // Center returns the box midpoint.
 func (b BoundingBox) Center() Point {
 	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
@@ -229,6 +223,3 @@ func (b BoundingBox) WidthKm() float64 {
 func (b BoundingBox) HeightKm() float64 {
 	return DistanceKm(Point{b.MinLat, b.MinLon}, Point{b.MaxLat, b.MinLon})
 }
-
-// AreaKm2 returns the approximate box area in square kilometers.
-func (b BoundingBox) AreaKm2() float64 { return b.WidthKm() * b.HeightKm() }

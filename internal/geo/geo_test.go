@@ -176,18 +176,9 @@ func TestGyrationIgnoresNonPositiveWeights(t *testing.T) {
 
 func TestBoundingBox(t *testing.T) {
 	b := BoundingBox{MinLat: 39, MinLon: -4, MaxLat: 41, MaxLon: -2}
-	if !b.Contains(Point{40, -3}) {
-		t.Fatal("center not contained")
-	}
-	if b.Contains(Point{42, -3}) || b.Contains(Point{40, -5}) {
-		t.Fatal("outside point contained")
-	}
 	c := b.Center()
 	if c.Lat != 40 || c.Lon != -3 {
 		t.Fatalf("center = %+v", c)
-	}
-	if b.AreaKm2() <= 0 {
-		t.Fatal("non-positive area")
 	}
 	// Height of 2 degrees latitude is ~222 km.
 	if h := b.HeightKm(); math.Abs(h-222.4) > 2 {

@@ -215,19 +215,6 @@ func (s *Service) Initialized() bool {
 	return s.meta != nil
 }
 
-// Meta returns a copy of the campaign descriptor (nil when
-// uninitialized).
-func (s *Service) Meta() *simulate.CampaignMeta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.meta == nil {
-		return nil
-	}
-	cp := *s.meta
-	cp.DayStats = append([]simulate.DayAggregate(nil), s.meta.DayStats...)
-	return &cp
-}
-
 // Init establishes the campaign: the descriptor is validated, written
 // atomically as manifest.json, and the store is opened. Initializing an
 // already-initialized service is idempotent when the configs agree and

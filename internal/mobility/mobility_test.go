@@ -14,6 +14,35 @@ import (
 	"telcolens/internal/topology"
 )
 
+// VisitsOf converts a day plan into time-weighted visits for the mobility
+// metrics: each move's destination is occupied until the next move (the
+// final site until end of day), and the starting site from midnight to the
+// first move.
+func (p *Planner) VisitsOf(plan DayPlan, home topology.SiteID) []geo.Visit {
+	const dayMs = 24 * 60 * 60 * 1000
+	if len(plan.Moves) == 0 {
+		return []geo.Visit{{Loc: p.net.Site(home).Loc, Weight: dayMs}}
+	}
+	visits := make([]geo.Visit, 0, len(plan.Moves)+1)
+	first := plan.Moves[0]
+	visits = append(visits, geo.Visit{
+		Loc:    p.net.Site(first.From).Loc,
+		Weight: float64(first.Offset.Milliseconds()),
+	})
+	for i, mv := range plan.Moves {
+		end := int64(dayMs)
+		if i+1 < len(plan.Moves) {
+			end = plan.Moves[i+1].Offset.Milliseconds()
+		}
+		w := float64(end - mv.Offset.Milliseconds())
+		if w < 0 {
+			w = 0
+		}
+		visits = append(visits, geo.Visit{Loc: p.net.Site(mv.To).Loc, Weight: w})
+	}
+	return visits
+}
+
 func TestIntensityProfiles(t *testing.T) {
 	wd := Intensity(0) // Monday
 	we := Intensity(5) // Saturday

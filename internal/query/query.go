@@ -654,9 +654,7 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 		}
 		m.PartitionsScanned++
 		if window {
-			if rs, ok := it.(trace.TimeRangeSetter); ok {
-				rs.SetTimeRange(from, to)
-			}
+			it.SetTimeRange(from, to)
 		}
 		if allow != nil {
 			if bf, ok := it.(trace.BlockFilterSetter); ok {

@@ -139,7 +139,7 @@ func mustJSON(t *testing.T, v any) string {
 
 // TestQueryMatchesScan is the cross-codec equivalence property: for
 // both formats the store reads (v3 as written, v2 re-encoded), at two
-// block sizes, for stores written with and without index sidecars, and
+// block sizes, for stores with and without their index sidecars, and
 // across window edges, the indexed execution returns rows byte-identical
 // to both the forced scan fallback (NoIndex) and the brute-force ground
 // truth. Stores whose streams name a format earlier versions wrote (v1,
@@ -174,10 +174,11 @@ func TestQueryMatchesScan(t *testing.T) {
 		name           string
 		opts           trace.FileStoreOptions
 		v2             bool
+		noIndex        bool   // delete the .tlix sidecars after writing
 		version, flags uint16 // header stamped over the v3 streams; 0 keeps them
 	}{
 		{name: "v2", opts: trace.FileStoreOptions{BlockRecords: 64}, v2: true},
-		{name: "v2-noindex", opts: trace.FileStoreOptions{BlockRecords: 64, NoIndex: true}, v2: true},
+		{name: "v2-noindex", opts: trace.FileStoreOptions{BlockRecords: 64}, v2: true, noIndex: true},
 		{name: "v2-block4096", opts: trace.FileStoreOptions{}, v2: true},
 		{name: "v3", opts: trace.FileStoreOptions{BlockRecords: 64}},
 		{name: "v3-block4096", opts: trace.FileStoreOptions{}},
@@ -197,6 +198,19 @@ func TestQueryMatchesScan(t *testing.T) {
 				}
 				if rep, err := trace.Verify(ctx, fs); err != nil || !rep.OK() || len(rep.Issues) > 0 {
 					t.Fatalf("re-encoded store does not verify: %+v, %v", rep, err)
+				}
+			}
+			if sc.noIndex {
+				// How an unindexed partition arises in a real store: its
+				// sidecar is lost after the MANIFEST advertised it.
+				sidecars, err := filepath.Glob(filepath.Join(dir, "*"+trace.IndexSuffix))
+				if err != nil || len(sidecars) == 0 {
+					t.Fatalf("no sidecars under %s: %v", dir, err)
+				}
+				for _, p := range sidecars {
+					if err := os.Remove(p); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			if sc.version != 0 {
@@ -359,7 +373,7 @@ func TestQueryPointPrunesBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it.(trace.TimeRangeSetter).SetTimeRange(day15.MinTS, day15.MaxTS)
+		it.SetTimeRange(day15.MinTS, day15.MaxTS)
 		var cb trace.ColumnBatch
 		for {
 			n, err := it.NextColumns(&cb)

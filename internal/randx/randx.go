@@ -123,11 +123,6 @@ func LogNormalParams(median, p95 float64) (mu, sigma float64) {
 	return mu, sigma
 }
 
-// Exponential samples an exponential variate with the given mean.
-func (r *Rand) Exponential(mean float64) float64 {
-	return r.ExpFloat64() * mean
-}
-
 // Pareto samples a Pareto (type I) variate with minimum xm and shape alpha.
 // Used for heavy-tailed population densities and traffic volumes.
 func (r *Rand) Pareto(xm, alpha float64) float64 {
@@ -163,31 +158,4 @@ func (r *Rand) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Triangular samples from a triangular distribution on [min, max] with the
-// given mode. Used for bounded quantities like dwell-time jitter.
-func (r *Rand) Triangular(min, mode, max float64) float64 {
-	if max <= min {
-		return min
-	}
-	u := r.Float64()
-	c := (mode - min) / (max - min)
-	if u < c {
-		return min + math.Sqrt(u*(max-min)*(mode-min))
-	}
-	return max - math.Sqrt((1-u)*(max-min)*(max-mode))
-}
-
-// TruncNormal samples a normal variate with the given mean and standard
-// deviation, rejected into [lo, hi]. Falls back to clamping after 64
-// rejections so pathological bounds cannot stall the simulator.
-func (r *Rand) TruncNormal(mean, std, lo, hi float64) float64 {
-	for i := 0; i < 64; i++ {
-		v := mean + std*r.NormFloat64()
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	return math.Min(hi, math.Max(lo, mean))
 }

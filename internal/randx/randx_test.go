@@ -164,46 +164,6 @@ func TestParetoBounds(t *testing.T) {
 	}
 }
 
-func TestTriangularBounds(t *testing.T) {
-	r := New(21)
-	for i := 0; i < 10000; i++ {
-		v := r.Triangular(1, 2, 5)
-		if v < 1 || v > 5 {
-			t.Fatalf("Triangular sample %g out of [1,5]", v)
-		}
-	}
-	if v := r.Triangular(3, 3, 3); v != 3 {
-		t.Fatalf("degenerate Triangular = %g", v)
-	}
-}
-
-func TestTruncNormalBounds(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 10000; i++ {
-		v := r.TruncNormal(0, 1, -0.5, 0.5)
-		if v < -0.5 || v > 0.5 {
-			t.Fatalf("TruncNormal sample %g out of bounds", v)
-		}
-	}
-	// Pathological bounds: must clamp, not loop forever.
-	v := r.TruncNormal(0, 0.001, 100, 101)
-	if v != 100 {
-		t.Fatalf("TruncNormal clamp = %g, want 100", v)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(29)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(7)
-	}
-	if got := sum / n; math.Abs(got-7)/7 > 0.03 {
-		t.Fatalf("Exponential(7) empirical mean %.3f", got)
-	}
-}
-
 // Property: seeds are a pure function of inputs.
 func TestSeedPure(t *testing.T) {
 	f := func(root, idx uint64, label string) bool {

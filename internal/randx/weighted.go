@@ -1,9 +1,6 @@
 package randx
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // WeightedChoice selects indices in proportion to fixed non-negative weights
 // using Vose's alias method: O(n) construction, O(1) sampling. It is the
@@ -91,40 +88,6 @@ func (wc *WeightedChoice) Sample(r *Rand) int {
 		return i
 	}
 	return wc.alias[i]
-}
-
-// CumulativeChoice is a simpler weighted sampler using binary search over a
-// cumulative weight vector: O(log n) sampling but trivially verifiable.
-// Retained both as an oracle for alias-method tests and for tiny tables.
-type CumulativeChoice struct {
-	cum []float64
-}
-
-// NewCumulativeChoice builds a cumulative table for the given weights.
-func NewCumulativeChoice(weights []float64) (*CumulativeChoice, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("randx: empty weight vector")
-	}
-	cum := make([]float64, len(weights))
-	var total float64
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("randx: negative weight %g at index %d", w, i)
-		}
-		total += w
-		cum[i] = total
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("randx: all weights are zero")
-	}
-	return &CumulativeChoice{cum: cum}, nil
-}
-
-// Sample draws a category index.
-func (c *CumulativeChoice) Sample(r *Rand) int {
-	total := c.cum[len(c.cum)-1]
-	u := r.Float64() * total
-	return sort.SearchFloat64s(c.cum, u)
 }
 
 // Shuffle permutes the integers [0, n) deterministically under r and

@@ -1,7 +1,9 @@
 package randx
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +60,40 @@ func TestWeightedChoiceSingleCategory(t *testing.T) {
 			t.Fatal("single-category sampler returned nonzero index")
 		}
 	}
+}
+
+// CumulativeChoice is a simpler weighted sampler using binary search over a
+// cumulative weight vector: O(log n) sampling but trivially verifiable,
+// the oracle for the alias-method tests.
+type CumulativeChoice struct {
+	cum []float64
+}
+
+// NewCumulativeChoice builds a cumulative table for the given weights.
+func NewCumulativeChoice(weights []float64) (*CumulativeChoice, error) {
+	if len(weights) == 0 {
+		return nil, fmt.Errorf("randx: empty weight vector")
+	}
+	cum := make([]float64, len(weights))
+	var total float64
+	for i, w := range weights {
+		if w < 0 {
+			return nil, fmt.Errorf("randx: negative weight %g at index %d", w, i)
+		}
+		total += w
+		cum[i] = total
+	}
+	if total <= 0 {
+		return nil, fmt.Errorf("randx: all weights are zero")
+	}
+	return &CumulativeChoice{cum: cum}, nil
+}
+
+// Sample draws a category index.
+func (c *CumulativeChoice) Sample(r *Rand) int {
+	total := c.cum[len(c.cum)-1]
+	u := r.Float64() * total
+	return sort.SearchFloat64s(c.cum, u)
 }
 
 // Property: alias method agrees with the cumulative-search oracle in

@@ -35,17 +35,8 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// Spearman returns the Spearman rank correlation coefficient, i.e. the
-// Pearson correlation of the ranks, with average ranks for ties.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
 // Ranks returns the 1-based ranks of xs, assigning tied values their
-// average rank (the convention required by Spearman and Kruskal–Wallis).
+// average rank (the convention the Kruskal–Wallis test requires).
 func Ranks(xs []float64) []float64 {
 	n := len(xs)
 	idx := make([]int, n)
@@ -66,27 +57,4 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// RSquared returns the coefficient of determination between observed ys and
-// fitted yhats: 1 - SS_res/SS_tot.
-func RSquared(ys, yhats []float64) (float64, error) {
-	if len(ys) != len(yhats) {
-		return 0, ErrLengthMismatch
-	}
-	if len(ys) < 2 {
-		return 0, ErrEmpty
-	}
-	my := Mean(ys)
-	var ssRes, ssTot float64
-	for i := range ys {
-		r := ys[i] - yhats[i]
-		d := ys[i] - my
-		ssRes += r * r
-		ssTot += d * d
-	}
-	if ssTot == 0 {
-		return 0, errors.New("stats: zero variance response")
-	}
-	return 1 - ssRes/ssTot, nil
 }

@@ -54,36 +54,3 @@ func TestPearsonErrors(t *testing.T) {
 		t.Fatal("zero-variance sample accepted")
 	}
 }
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Monotone but non-linear relationship: Spearman = 1.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125}
-	rho, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(rho, 1, 1e-12) {
-		t.Fatalf("rho = %g", rho)
-	}
-}
-
-func TestRSquared(t *testing.T) {
-	ys := []float64{1, 2, 3, 4}
-	fit := []float64{1.1, 1.9, 3.05, 3.95}
-	r2, err := RSquared(ys, fit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 < 0.98 || r2 > 1 {
-		t.Fatalf("r2 = %g", r2)
-	}
-	// Perfect fit
-	r2, _ = RSquared(ys, ys)
-	if r2 != 1 {
-		t.Fatalf("perfect r2 = %g", r2)
-	}
-	if _, err := RSquared(ys, fit[:2]); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}

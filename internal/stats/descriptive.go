@@ -48,23 +48,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the sample extrema. It returns (0, 0) for an empty sample.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using type-7 linear
 // interpolation. xs does not need to be sorted. Returns 0 for an empty
 // sample.
@@ -251,18 +234,6 @@ func NewECDFSorted(xs []float64) (*ECDF, error) {
 	return &ECDF{sorted: xs}, nil
 }
 
-// Eval returns the fraction of the sample that is ≤ x.
-func (e *ECDF) Eval(x float64) float64 {
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th quantile of the underlying sample.
-func (e *ECDF) Quantile(q float64) float64 { return QuantileSorted(e.sorted, q) }
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // Points returns up to max evenly spaced (x, F(x)) pairs for plotting or
 // reporting. If max <= 0 or exceeds the sample size, all points are used.
 func (e *ECDF) Points(max int) (xs, fs []float64) {
@@ -285,57 +256,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Histogram bins observations into fixed intervals.
-type Histogram struct {
-	Edges  []float64 // len = bins+1, ascending
-	Counts []int     // len = bins
-	Under  int       // observations below Edges[0]
-	Over   int       // observations at or above Edges[len-1]
-}
-
-// NewHistogram creates a histogram with the given bin edges, which must be
-// strictly ascending and at least two.
-func NewHistogram(edges []float64) (*Histogram, error) {
-	if len(edges) < 2 {
-		return nil, errors.New("stats: need at least two bin edges")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, errors.New("stats: bin edges must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		Edges:  append([]float64(nil), edges...),
-		Counts: make([]int, len(edges)-1),
-	}, nil
-}
-
-// Add bins a single observation.
-func (h *Histogram) Add(x float64) {
-	if x < h.Edges[0] {
-		h.Under++
-		return
-	}
-	if x >= h.Edges[len(h.Edges)-1] {
-		h.Over++
-		return
-	}
-	// binary search for the bin: greatest i with Edges[i] <= x
-	i := sort.SearchFloat64s(h.Edges, x)
-	if i < len(h.Edges) && h.Edges[i] == x {
-		h.Counts[i]++
-		return
-	}
-	h.Counts[i-1]++
-}
-
-// Total returns the number of binned observations including under/overflow.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }

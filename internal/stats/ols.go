@@ -152,30 +152,6 @@ func FitOLS(y []float64, X [][]float64, names []string, addIntercept bool) (*Lin
 	return m, nil
 }
 
-// Predict evaluates the fitted model on a covariate row (without the
-// intercept column, which is applied automatically if the model has one).
-func (m *LinearModel) Predict(x []float64) (float64, error) {
-	p := len(m.Coef)
-	hasIntercept := len(m.Names) > 0 && m.Names[0] == "(Intercept)"
-	want := p
-	if hasIntercept {
-		want = p - 1
-	}
-	if len(x) != want {
-		return 0, fmt.Errorf("stats: predict row has %d values, want %d", len(x), want)
-	}
-	var fit float64
-	i := 0
-	if hasIntercept {
-		fit = m.Coef[0]
-		i = 1
-	}
-	for j := 0; j < len(x); j++ {
-		fit += m.Coef[i+j] * x[j]
-	}
-	return fit, nil
-}
-
 func sign(v float64) int {
 	if v < 0 {
 		return -1

@@ -158,25 +158,6 @@ func TestFitOLSErrors(t *testing.T) {
 	}
 }
 
-func TestPredict(t *testing.T) {
-	y := []float64{1, 3, 5, 7}
-	X := [][]float64{{0}, {1}, {2}, {3}}
-	m, err := FitOLS(y, X, []string{"x"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Predict([]float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 21, 1e-9) {
-		t.Fatalf("Predict(10) = %g", got)
-	}
-	if _, err := m.Predict([]float64{1, 2}); err == nil {
-		t.Fatal("wrong arity accepted")
-	}
-}
-
 func TestOLSNoIntercept(t *testing.T) {
 	y := []float64{2, 4, 6, 8}
 	X := [][]float64{{1}, {2}, {3}, {4}}

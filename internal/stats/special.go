@@ -141,31 +141,6 @@ func gammaCF(a, x float64) float64 {
 	return h * math.Exp(-x+a*math.Log(x)-lg)
 }
 
-// NormalCDF returns P(Z ≤ z) for a standard normal Z.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// StudentTCDF returns P(T ≤ t) for a Student-t variate with df degrees of
-// freedom.
-func StudentTCDF(t, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	if math.IsInf(t, 1) {
-		return 1
-	}
-	if math.IsInf(t, -1) {
-		return 0
-	}
-	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
 // StudentTTwoSidedP returns the two-sided p-value for |T| ≥ |t| under a
 // Student-t distribution with df degrees of freedom.
 func StudentTTwoSidedP(t, df float64) float64 {

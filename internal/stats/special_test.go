@@ -48,6 +48,32 @@ func TestRegIncGammaKnownValues(t *testing.T) {
 	}
 }
 
+// NormalCDF returns P(Z ≤ z) for a standard normal Z; the oracle
+// TestStudentTCDF checks the large-df limit against.
+func NormalCDF(z float64) float64 {
+	return 0.5 * math.Erfc(-z/math.Sqrt2)
+}
+
+// StudentTCDF returns P(T ≤ t) for a Student-t variate with df degrees of
+// freedom: the oracle for FCDF's identity check and for TestCDFsMonotone.
+func StudentTCDF(t, df float64) float64 {
+	if df <= 0 {
+		return math.NaN()
+	}
+	if math.IsInf(t, 1) {
+		return 1
+	}
+	if math.IsInf(t, -1) {
+		return 0
+	}
+	x := df / (df + t*t)
+	p := 0.5 * RegIncBeta(df/2, 0.5, x)
+	if t > 0 {
+		return 1 - p
+	}
+	return p
+}
+
 func TestNormalCDF(t *testing.T) {
 	cases := []struct{ z, want float64 }{
 		{0, 0.5},

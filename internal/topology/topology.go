@@ -57,7 +57,6 @@ const (
 	V2
 	V3
 	V4
-	numVendors
 )
 
 // AllVendors lists the vendors.
@@ -186,21 +185,6 @@ func (n *Network) ShareByRAT() map[RAT]float64 {
 		m[r] = float64(c) / float64(total)
 	}
 	return m
-}
-
-// UrbanSectorShare returns the fraction of sectors in urban postcodes (the
-// paper reports ≈80%).
-func (n *Network) UrbanSectorShare() float64 {
-	if len(n.Sectors) == 0 {
-		return 0
-	}
-	urban := 0
-	for _, s := range n.Sectors {
-		if s.Area == census.Urban {
-			urban++
-		}
-	}
-	return float64(urban) / float64(len(n.Sectors))
 }
 
 // VendorShareByRegion returns, per region, each vendor's share of sectors.

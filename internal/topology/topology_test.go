@@ -57,7 +57,13 @@ func TestRATMixMatchesPaper(t *testing.T) {
 
 func TestUrbanSectorShare(t *testing.T) {
 	net, _ := testNetwork(t)
-	got := net.UrbanSectorShare()
+	urban := 0
+	for _, s := range net.Sectors {
+		if s.Area == census.Urban {
+			urban++
+		}
+	}
+	got := float64(urban) / float64(len(net.Sectors))
 	// Paper §5.1: ≈80% of sectors are in urban areas.
 	if got < 0.70 || got > 0.92 {
 		t.Fatalf("urban sector share = %.3f, want ≈0.80", got)

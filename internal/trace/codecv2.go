@@ -102,9 +102,6 @@ const (
 // the same).
 const AllColumns ColumnSet = ColUE | ColTAC | ColSectors | ColCause | ColOutcome | ColTimestamp
 
-// optionalColumns are the groups a projection can actually skip.
-const optionalColumns ColumnSet = ColUE | ColTAC | ColSectors | ColCause | ColOutcome
-
 // quantizeDuration maps a duration onto the codec's canonical resolution
 // (the fixed-point encode/decode round trip), so every stream version
 // stores exactly the same value.

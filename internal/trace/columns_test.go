@@ -84,7 +84,7 @@ func TestReaderNextColumnsMatchesFullDecode(t *testing.T) {
 		for ri, tr := range ranges {
 			var want []Record
 			for _, rec := range recs {
-				if tr == nil || tr.Contains(rec.Timestamp) {
+				if tr == nil || (rec.Timestamp >= tr.MinTS && rec.Timestamp <= tr.MaxTS) {
 					rec.DurationMs = quantizeDuration(rec.DurationMs)
 					want = append(want, rec)
 				}
@@ -197,7 +197,7 @@ func TestMemIteratorNextColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it.(TimeRangeSetter).SetTimeRange(tr.MinTS, tr.MaxTS)
+	it.SetTimeRange(tr.MinTS, tr.MaxTS)
 	ranged, err := readRecords(it)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestMemIteratorNextColumns(t *testing.T) {
 	it.Close()
 	var want []Record
 	for _, rec := range recs {
-		if tr.Contains(rec.Timestamp) {
+		if rec.Timestamp >= tr.MinTS && rec.Timestamp <= tr.MaxTS {
 			want = append(want, rec)
 		}
 	}
@@ -262,14 +262,16 @@ func (c *columnSumCollector) MergeShard(st ShardState) error {
 }
 
 // rowStore wraps a store so its iterators hand out one row per batch —
-// record-at-a-time granularity — and hide TimeRangeSetter and
-// ProjectionSetter, so the scan engine filters ranges itself.
+// record-at-a-time granularity — test each row against the time range
+// themselves, and hide ProjectionSetter.
 type rowStore struct{ Store }
 
 type rowIterator struct {
-	inner RecordIterator
-	buf   ColumnBatch
-	pos   int
+	inner        RecordIterator
+	buf          ColumnBatch
+	pos          int
+	hasRange     bool
+	minTS, maxTS int64
 }
 
 func (s rowStore) OpenPartition(day, shard int) (RecordIterator, error) {
@@ -281,24 +283,34 @@ func (s rowStore) OpenPartition(day, shard int) (RecordIterator, error) {
 }
 
 func (it *rowIterator) NextColumns(cb *ColumnBatch) (int, error) {
-	if it.pos == it.buf.Len() {
-		n, err := it.inner.NextColumns(&it.buf)
-		if err != nil || n == 0 {
-			return 0, err
+	for {
+		if it.pos == it.buf.Len() {
+			n, err := it.inner.NextColumns(&it.buf)
+			if err != nil || n == 0 {
+				return 0, err
+			}
+			it.pos = 0
 		}
-		it.pos = 0
+		ts := it.buf.Timestamps[it.pos]
+		it.pos++
+		if it.hasRange && (ts < it.minTS || ts > it.maxTS) {
+			continue
+		}
+		cb.Reset()
+		cb.appendRange(&it.buf, it.pos-1, it.pos)
+		return 1, nil
 	}
-	cb.Reset()
-	cb.appendRange(&it.buf, it.pos, it.pos+1)
-	it.pos++
-	return 1, nil
+}
+
+func (it *rowIterator) SetTimeRange(minTS, maxTS int64) {
+	it.hasRange, it.minTS, it.maxTS = true, minTS, maxTS
 }
 
 func (it *rowIterator) Close() error { return it.inner.Close() }
 
 // TestScanColumnPathMatchesRecordPath: the native block-batched scan and
-// a record-at-a-time scan (one-row batches, engine-side range
-// filtering) must observe the identical record multiset and report
+// a record-at-a-time scan (one-row batches, per-row range filtering)
+// must observe the identical record multiset and report
 // identical record metrics.
 func TestScanColumnPathMatchesRecordPath(t *testing.T) {
 	s := buildShardedStore(t, 3, 60, 4)
@@ -318,7 +330,7 @@ func TestScanColumnPathMatchesRecordPath(t *testing.T) {
 		t.Fatalf("batched: (%d, %d, %d), want (%d, %d, %d)",
 			gotTotal, gotSum, gotRecs, wantTotal, wantSum, wantRecs)
 	}
-	// Windowed variant: iterator-side vs engine-side filtering must agree.
+	// Windowed variant: block pruning and per-row filtering must agree.
 	tr := DayRange(1, 1)
 	c1 := &columnSumCollector{}
 	if err := Scan(context.Background(), s, ScanOptions{Range: &tr}, c1); err != nil {

@@ -128,14 +128,6 @@ func (b *Bloom) MayContain(key uint32) bool {
 	return true
 }
 
-// Bits returns the filter size in bits.
-func (b *Bloom) Bits() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.words) * 64
-}
-
 // bloomFrom builds a filter from a distinct-key slice.
 func bloomFrom(keys []uint32) *Bloom {
 	b := newBloom(len(keys))

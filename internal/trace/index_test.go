@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
 	"runtime"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	}
 	if rate := float64(fps) / float64(probes); rate > 0.01 {
 		t.Fatalf("false positive rate %.4f over %d probes, want < 0.01 (%d bits for %d keys)",
-			rate, probes, b.Bits(), nKeys)
+			rate, probes, len(b.words)*64, nKeys)
 	}
 }
 
@@ -239,22 +240,33 @@ func TestFileStoreWritesIndex(t *testing.T) {
 	}
 }
 
-func TestFileStoreNoIndexOption(t *testing.T) {
-	fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{NoIndex: true})
+// TestFileStoreMissingSidecar: a partition whose .tlix sidecar is gone
+// (deleted or lost after the write) loads no index, and still reads in
+// full.
+func TestFileStoreMissingSidecar(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	writePartition(t, fs, 0, 0, []Record{randRecord(rand.New(rand.NewSource(1)), StudyStart.UnixMilli())})
-	idx, err := fs.PartitionIndex(0, 0)
+	rec := randRecord(rand.New(rand.NewSource(1)), StudyStart.UnixMilli())
+	writePartition(t, fs, 0, 0, []Record{rec})
+	if idx, err := fs.PartitionIndex(0, 0); err != nil || idx == nil {
+		t.Fatalf("fresh partition index = %v, %v", idx, err)
+	}
+	if err := os.Remove(fs.indexPath(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err := fs.PartitionIndex(0, 0); err != nil || idx != nil {
+		t.Fatalf("index without a sidecar = %v, %v; want nil, nil", idx, err)
+	}
+	it, err := fs.OpenPartition(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != nil {
-		t.Fatal("NoIndex store wrote a sidecar")
-	}
-	m, _ := fs.Manifest()
-	if pi, ok := m.Lookup(Partition{Day: 0, Shard: 0}); !ok || pi.IndexVersion != 0 {
-		t.Fatalf("manifest advertises index version %d for unindexed partition", pi.IndexVersion)
+	defer it.Close()
+	got, err := readRecords(it)
+	if err != nil || len(got) != 1 || got[0].UE != rec.UE {
+		t.Fatalf("read %v, %v; want the one written record", got, err)
 	}
 }
 

@@ -61,4 +61,5 @@ func readerRecords(r *Reader) ([]Record, error) {
 type eofIterator struct{ r *Reader }
 
 func (it eofIterator) NextColumns(cb *ColumnBatch) (int, error) { return it.r.NextColumns(cb) }
+func (it eofIterator) SetTimeRange(minTS, maxTS int64)          { it.r.SetTimeRange(minTS, maxTS) }
 func (it eofIterator) Close() error                             { return nil }

@@ -52,9 +52,6 @@ type TimeRange struct {
 	MaxTS int64
 }
 
-// Contains reports whether ts falls inside the range.
-func (t TimeRange) Contains(ts int64) bool { return ts >= t.MinTS && ts <= t.MaxTS }
-
 // DayRange returns the TimeRange covering study days [fromDay, toDay]
 // inclusive.
 func DayRange(fromDay, toDay int) TimeRange {
@@ -92,10 +89,9 @@ type ScanOptions struct {
 	Progress func(done, total int)
 	// Range, if set, restricts the scan to records inside the window;
 	// MinTS > MaxTS is an error. Partitions are still all opened
-	// (partition naming carries no time bounds), but iterators that
-	// support TimeRangeSetter prune natively (file stores skip whole
-	// blocks); the engine filters the batches of the others. Either way
-	// collectors observe exactly the same record sequence.
+	// (partition naming carries no time bounds), and each iterator
+	// applies the window itself (file stores skip whole blocks), so
+	// collectors observe exactly the records inside it.
 	Range *TimeRange
 	// Projection, if nonzero, declares the columns the collectors read;
 	// file-store partitions skip decoding everything else. This is an
@@ -198,16 +194,8 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 		if opts.Metrics != nil {
 			opts.Metrics.Partitions.Add(1)
 		}
-		// Push the range down to the iterator when it can prune (the block
-		// codecs skip whole blocks); otherwise filter each batch so
-		// collectors observe an identical sequence either way.
-		filter := false
 		if opts.Range != nil {
-			if rs, ok := it.(TimeRangeSetter); ok {
-				rs.SetTimeRange(opts.Range.MinTS, opts.Range.MaxTS)
-			} else {
-				filter = true
-			}
+			it.SetTimeRange(opts.Range.MinTS, opts.Range.MaxTS)
 		}
 		if opts.Projection != 0 && opts.Projection&AllColumns != AllColumns {
 			if ps, ok := it.(ProjectionSetter); ok {
@@ -228,11 +216,6 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 			}
 			if n == 0 {
 				break
-			}
-			if filter {
-				if n = cb.FilterRange(opts.Range.MinTS, opts.Range.MaxTS); n == 0 {
-					continue
-				}
 			}
 			nRecs += int64(n)
 			for _, st := range states {

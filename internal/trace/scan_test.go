@@ -343,6 +343,8 @@ func (it *errIterator) NextColumns(cb *ColumnBatch) (int, error) {
 	return it.inner.NextColumns(cb)
 }
 
+func (it *errIterator) SetTimeRange(minTS, maxTS int64) { it.inner.SetTimeRange(minTS, maxTS) }
+
 func (it *errIterator) Close() error {
 	it.store.mu.Lock()
 	it.store.closed++

@@ -78,17 +78,14 @@ type RecordWriter interface {
 // holds; 0 with a nil error means end of stream. Rows arrive in storage
 // order. File-store iterators decode each block straight into the column
 // slices without materializing records.
+//
+// SetTimeRange, called before the first NextColumns, restricts the
+// stream to minTS <= Timestamp <= maxTS. File-store iterators prune
+// whole blocks outside the window without decoding them.
 type RecordIterator interface {
 	NextColumns(cb *ColumnBatch) (int, error)
-	Close() error
-}
-
-// TimeRangeSetter is implemented by RecordIterators that can restrict
-// themselves to minTS <= Timestamp <= maxTS. File-store iterators
-// additionally prune whole blocks outside the window without decoding
-// them.
-type TimeRangeSetter interface {
 	SetTimeRange(minTS, maxTS int64)
+	Close() error
 }
 
 // ProjectionSetter is implemented by RecordIterators that can skip
@@ -338,10 +335,6 @@ func (it *memIterator) Close() error { return nil }
 type FileStoreOptions struct {
 	// BlockRecords is the records-per-block size (0 = default).
 	BlockRecords int
-	// NoIndex disables writing .tlix secondary-index sidecars for new
-	// partitions. Queries over unindexed partitions fall back to
-	// scanning; results are identical, only slower.
-	NoIndex bool
 	// FS routes every filesystem operation the store performs; nil means
 	// the real OS. Chaos tests pass a faultfs.Fault here.
 	FS faultfs.FS
@@ -411,8 +404,8 @@ func (f *FileStore) indexPath(day, shard int) string {
 }
 
 // PartitionIndex loads a partition's secondary-index sidecar. A missing
-// sidecar is (nil, nil) — the partition predates indexing or was
-// written with NoIndex — and callers fall back to scanning. A corrupt
+// sidecar is (nil, nil) — the partition predates indexing or its
+// sidecar was lost — and callers fall back to scanning. A corrupt
 // or future-versioned sidecar reports its error; callers should treat
 // that as absent too.
 func (f *FileStore) PartitionIndex(day, shard int) (*PartitionIndex, error) {
@@ -475,18 +468,15 @@ func (f *FileStore) AppendPartition(day, shard int) (RecordWriter, error) {
 		f.fs.Remove(path)
 		return nil, err
 	}
-	fw := &fileWriter{file: file, w: w, store: f, day: day, shard: shard, digest: digest}
-	if !f.opts.NoIndex {
-		// The index builder mirrors the writer's blocking rule (a block
-		// seals exactly every BlockRecords records), so block summaries
-		// align with the stream without touching the encoder.
-		perBlock := f.opts.BlockRecords
-		if perBlock <= 0 {
-			perBlock = DefaultBlockRecords
-		}
-		fw.idx = newIndexBuilder(perBlock)
+	// The index builder mirrors the writer's blocking rule (a block seals
+	// exactly every BlockRecords records), so block summaries align with
+	// the stream without touching the encoder.
+	perBlock := f.opts.BlockRecords
+	if perBlock <= 0 {
+		perBlock = DefaultBlockRecords
 	}
-	return fw, nil
+	return &fileWriter{file: file, w: w, store: f, day: day, shard: shard, digest: digest,
+		idx: newIndexBuilder(perBlock)}, nil
 }
 
 // manifestPath returns the store's MANIFEST location.
@@ -665,9 +655,8 @@ func (t *digestWriter) Write(p []byte) (int, error) {
 
 // fileWriter wraps the v3 stream writer with the store-level
 // bookkeeping every landed record needs: timestamp extents and stream
-// fingerprint for the MANIFEST entry (digest) and, unless the store was
-// opened with NoIndex, the secondary-index builder feeding the .tlix
-// sidecar written on Close.
+// fingerprint for the MANIFEST entry (digest) and the secondary-index
+// builder feeding the .tlix sidecar written on Close.
 //
 // A write error is sticky: once any record fails to land, the stream
 // is poisoned and Close aborts — the partial partition file (and any
@@ -714,9 +703,7 @@ func (w *fileWriter) WriteColumns(cb *ColumnBatch) error {
 	for _, ts := range cb.Timestamps {
 		w.digest.observeTS(ts)
 	}
-	if w.idx != nil {
-		w.idx.observeColumns(cb)
-	}
+	w.idx.observeColumns(cb)
 	if err := w.w.WriteColumns(cb); err != nil {
 		return w.fail(err)
 	}
@@ -752,17 +739,16 @@ func (w *fileWriter) Close() error {
 		return fmt.Errorf("trace: partition day %d shard %d aborted: %w", w.day, w.shard, err)
 	}
 	info := w.digest.info(w.day, w.shard, w.w.Count())
-	if w.idx != nil {
-		// The sidecar lands before the manifest entry that advertises it,
-		// so a reader that sees IndexVersion > 0 always finds the file.
-		idx := w.idx.finish(w.digest.hash)
-		if err := writeIndexFile(w.store.fs, w.store.indexPath(w.day, w.shard), idx); err != nil {
-			w.store.fs.Remove(w.store.partitionPath(w.day, w.shard))
-			w.store.fs.Remove(w.store.indexPath(w.day, w.shard))
-			return err
-		}
-		info.IndexVersion = idx.Version
+	// The sidecar lands before the manifest entry that advertises it, so
+	// a reader that sees IndexVersion > 0 finds the file unless it was
+	// lost afterwards.
+	idx := w.idx.finish(w.digest.hash)
+	if err := writeIndexFile(w.store.fs, w.store.indexPath(w.day, w.shard), idx); err != nil {
+		w.store.fs.Remove(w.store.partitionPath(w.day, w.shard))
+		w.store.fs.Remove(w.store.indexPath(w.day, w.shard))
+		return err
 	}
+	info.IndexVersion = idx.Version
 	if err := w.store.notePartitionClosed(info); err != nil {
 		w.store.fs.Remove(w.store.partitionPath(w.day, w.shard))
 		w.store.fs.Remove(w.store.indexPath(w.day, w.shard))

@@ -57,9 +57,6 @@ type Record struct {
 // HOType classifies the record as horizontal or vertical (§5.2).
 func (r *Record) HOType() ho.Type { return ho.Classify(r.TargetRAT) }
 
-// Time returns the record timestamp as a time.Time in UTC.
-func (r *Record) Time() time.Time { return time.UnixMilli(r.Timestamp).UTC() }
-
 // Validate performs cheap sanity checks used by property tests and by the
 // reader in strict mode.
 func (r *Record) Validate() error {

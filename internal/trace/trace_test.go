@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -327,89 +326,5 @@ func TestForEachOrdering(t *testing.T) {
 	}
 	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
 		t.Fatalf("days visited: %v", seen)
-	}
-}
-
-func TestExportCSV(t *testing.T) {
-	s := NewMemStore()
-	writePartition(t, s, 0, 0, []Record{sampleRecord()})
-	it, err := s.OpenPartition(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var buf bytes.Buffer
-	n, err := ExportCSV(&buf, it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("exported %d rows", n)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "timestamp_ms") || !strings.Contains(out, "3G") || !strings.Contains(out, "failure") {
-		t.Fatalf("csv output malformed:\n%s", out)
-	}
-}
-
-// failWriter accepts limit bytes, then fails every write.
-type failWriter struct {
-	limit int
-	n     int
-}
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	if w.n+len(p) > w.limit {
-		return 0, fmt.Errorf("disk full")
-	}
-	w.n += len(p)
-	return len(p), nil
-}
-
-// TestExportCSVSurfacesWriteErrors: the csv.Writer buffers rows and only
-// reports underlying write errors at Flush, so every ExportCSV return
-// path must flush and check cw.Error() — a short write must never be
-// silently dropped.
-func TestExportCSVSurfacesWriteErrors(t *testing.T) {
-	buildIt := func(n int) RecordIterator {
-		s := NewMemStore()
-		recs := make([]Record, n)
-		for i := range recs {
-			recs[i] = sampleRecord()
-			recs[i].UE = UEID(i)
-		}
-		writePartition(t, s, 0, 0, recs)
-		it, err := s.OpenPartition(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return it
-	}
-	// Few rows: everything fits the csv.Writer's buffer, so the failure
-	// only appears at the final Flush. Before the fix this path returned
-	// (n, nil) with zero bytes durably written.
-	it := buildIt(3)
-	defer it.Close()
-	if _, err := ExportCSV(&failWriter{limit: 0}, it); err == nil {
-		t.Fatal("flush-time write failure not surfaced")
-	}
-	// Many rows: the buffer overflows mid-export and cw.Write starts
-	// failing; the iterator error path must also flush-and-report.
-	it2 := buildIt(500)
-	defer it2.Close()
-	if _, err := ExportCSV(&failWriter{limit: 4096}, it2); err == nil {
-		t.Fatal("mid-export write failure not surfaced")
-	}
-	// Iterator failures flush what was buffered and return the iterator's
-	// error.
-	inner := buildIt(1)
-	failing := &errIterator{store: &errStore{}, inner: inner}
-	failing.n = 1 // next call fails
-	var buf bytes.Buffer
-	if _, err := ExportCSV(&buf, failing); err == nil {
-		t.Fatal("iterator failure not surfaced")
-	}
-	if buf.Len() == 0 {
-		t.Fatal("buffered rows dropped on iterator failure")
 	}
 }
