@@ -20,9 +20,10 @@
 #                     TestOpenPartitionSteadyStateAllocs), that a
 #                     UE-day of mobility planning through a warm worker
 #                     Scratch allocates nothing (internal/mobility), and
-#                     that sealing a duration sampler through a warm
-#                     radix scratch and offering 5×capacity entries to a
-#                     reset one allocate nothing (internal/analysis:
+#                     that a duration sampler's cold seal and encode's
+#                     canonical radix sort through a warm scratch, and
+#                     offering 5×capacity entries to a reset sampler,
+#                     allocate nothing (internal/analysis:
 #                     TestSealSteadyStateAllocs,
 #                     TestSamplerOfferSteadyStateAllocs)
 #   make bench-unit   vet and unit-test the telcobench module under
@@ -147,8 +148,9 @@ bench-e2e:
 # Steady-state allocation check: decoding a block into a ColumnBatch,
 # encoding a block from a ColumnBatch, and the pooled scan loop must not
 # allocate per block, nor a warm partition open a read window; planning a
-# UE-day through a warm mobility.Scratch and sealing a duration sampler
-# through a warm radix scratch must not allocate at all.
+# UE-day through a warm mobility.Scratch, and sealing a duration sampler
+# and radix-sorting it for encode through a warm scratch, must not
+# allocate at all.
 # The tests are built out under -race (the detector skews allocation
 # counts), so this is a separate non-race invocation.
 alloc-check:

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// TestSealSteadyStateAllocs asserts that sealing through a warm scratch
-// allocates nothing: the prune and the radix sort work in the sampler's
-// buffers and the scratch. Built out under -race (the detector skews
-// allocation counts); `make alloc-check` runs it.
+// TestSealSteadyStateAllocs asserts that a cold seal and encode's
+// canonical sort allocate nothing through a warm scratch: the prune
+// works in the sampler's buffers, the radix sort in them and the
+// scratch. Built out under -race (the detector skews allocation
+// counts); `make alloc-check` runs it.
 func TestSealSteadyStateAllocs(t *testing.T) {
 	const n = 5000
 	r := rand.New(rand.NewSource(3))
@@ -21,15 +22,29 @@ func TestSealSteadyStateAllocs(t *testing.T) {
 	}
 	s := newSampler(n, 1)
 	var sc sealScratch
-	reseal := func() {
+	refill := func() {
 		s.pri = append(s.pri[:0], pri...)
 		s.val = append(s.val[:0], val...)
-		s.sealed, s.sortedPrefix = false, 0
-		s.seal(&sc) // prunes 3n to n, then sorts
+		s.sealed, s.full, s.sortedPrefix = false, false, 0
 	}
-	reseal() // warm the buffers and the scratch
-	if allocs := testing.AllocsPerRun(10, reseal); allocs != 0 {
-		t.Fatalf("seal with a warm scratch allocated %.1f times, want 0", allocs)
+	for _, c := range []struct {
+		what string
+		run  func()
+	}{
+		{"a cold seal", func() {
+			refill()
+			s.seal(&sc) // prunes 3n to n, unsorted
+		}},
+		{"a cold seal and encode's sort", func() {
+			refill()
+			s.seal(&sc)
+			s.sortCanonical(&sc)
+		}},
+	} {
+		c.run() // warm the buffers and the scratch
+		if allocs := testing.AllocsPerRun(10, c.run); allocs != 0 {
+			t.Fatalf("%s with a warm scratch allocated %.1f times, want 0", c.what, allocs)
+		}
 	}
 }
 

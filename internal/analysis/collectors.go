@@ -248,6 +248,10 @@ func recKey(ts int64, ue trace.UEID) uint64 {
 // already dominate cannot change the bottom-k of the union, so the kept
 // set — and every artifact derived from it — is independent of the
 // order and grouping the entries arrived in.
+//
+// Only the kept set is canonical; the order it is stored in is not.
+// The artifacts read the values through SortedSamples, and the one
+// reader of (priority, value) order is encode, which sorts there.
 type sampler struct {
 	capacity int
 	salt     uint64
@@ -260,12 +264,16 @@ type sampler struct {
 	// bound offer rejects against. Appends never move it.
 	full   bool
 	sealed bool
+	// finalized records that a seal or restore has run: the sampler is
+	// a collector's, kept between refreshes, and reserve leaves its
+	// growth to append.
+	finalized bool
 	// sortedPrefix is the length of the leading run already in canonical
-	// (priority, value) order — established by a previous seal and
+	// (priority, value) order — established by encode or restore and
 	// preserved by offer's appends. Re-sealing after an incremental
 	// delta then only sorts the small suffix and merges the two runs,
-	// instead of re-sorting the whole bottom-k. A quickselect prune
-	// resets it to 0.
+	// so a checkpointing daemon never re-sorts the whole bottom-k. A
+	// quickselect prune resets it to 0.
 	sortedPrefix int
 	// sortedVal caches the values in ascending order for SortedSamples;
 	// any mutation of the kept set clears it. Several experiments take
@@ -371,14 +379,26 @@ func (s *sampler) swap(i, j int) {
 	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
 
-// absorb folds another sampler (same capacity and salt) into s, entry
-// by entry through offer. Exactness is unaffected — the kept set after
-// seal is still the bottom-capacity of everything observed, which is
-// why absorbing shard by shard and day by day is exact:
-// bottom-k(A ∪ B) = bottom-k(bottom-k(A) ∪ bottom-k(B)).
+// absorb folds another sampler (same capacity and salt) into s. While s
+// holds no bound and the union stays below the 2×capacity prune point,
+// every offer would append, so o's entries are appended in one copy;
+// otherwise they go through offer one by one. Exactness is unaffected —
+// the kept set after seal is still the bottom-capacity of everything
+// observed, which is why absorbing shard by shard and day by day is
+// exact: bottom-k(A ∪ B) = bottom-k(bottom-k(A) ∪ bottom-k(B)).
 func (s *sampler) absorb(o *sampler) {
 	s.n += o.n
+	if len(o.pri) == 0 {
+		return
+	}
 	s.reserve(len(o.pri))
+	if !s.full && len(s.pri)+len(o.pri) < 2*s.capacity {
+		s.pri = append(s.pri, o.pri...)
+		s.val = append(s.val, o.val...)
+		s.sealed = false
+		s.sortedVal = nil
+		return
+	}
 	for i := range o.pri {
 		s.offer(o.pri[i], o.val[i])
 	}
@@ -387,12 +407,12 @@ func (s *sampler) absorb(o *sampler) {
 // reserve makes room for n more entries, doubling the buffers but not
 // past the 2×capacity prune bound. Growing sample buffers by append's
 // ≈1.25× steps for large slices copies them about five times over;
-// doubling copies them at most twice. A sealed run is left to append:
-// an incremental refresh adds a small delta to it, which doubling
-// would hold twice over.
+// doubling copies them at most twice. A finalized sampler is left to
+// append: an incremental refresh adds a small delta to it, which
+// doubling would hold twice over.
 func (s *sampler) reserve(n int) {
 	need := min(len(s.pri)+n, 2*s.capacity)
-	if need <= cap(s.pri) || s.sortedPrefix > 0 {
+	if need <= cap(s.pri) || s.finalized {
 		return
 	}
 	c := max(need, min(2*cap(s.pri), 2*s.capacity))
@@ -408,30 +428,53 @@ func (s *sampler) reset() {
 	*s = sampler{capacity: s.capacity, salt: s.salt, pri: s.pri[:0], val: s.val[:0]}
 }
 
-// seal freezes the sampler, ordering samples canonically by (priority,
-// value) and pruning to the exact bottom-k. When a previous seal's
-// sorted run survived (incremental absorbs only append), only the
-// suffix is sorted and the two runs merge in linear time, truncated at
-// capacity — ascending order makes the first k entries exactly the
-// bottom-k, so the result is identical to the full re-sort. A seal that
-// keeps exactly capacity entries sets the bound. With a warm scratch,
-// sealing allocates nothing.
+// seal freezes the sampler at its exact bottom-k. It does not order the
+// entries: cut trims them in place. Only when a sorted run survives
+// from encode or restore (incremental absorbs only append) does seal
+// keep it sorted, sorting the suffix and merging the two runs in linear
+// time, truncated at capacity — ascending order makes the first k
+// entries exactly the bottom-k. A seal that keeps exactly capacity
+// entries sets the bound. A cold seal allocates nothing.
 func (s *sampler) seal(sc *sealScratch) {
 	if s.sealed {
 		return
 	}
-	switch {
-	case s.sortedPrefix == len(s.pri) && len(s.pri) <= s.capacity:
-		// Nothing new since the last seal.
-	case s.sortedPrefix > 0:
+	if s.sortedPrefix > 0 && s.sortedPrefix < len(s.pri) {
 		s.sealMerge(sc)
-	default:
-		s.pruneToCapacity()
-		radixSortPV(s.pri, s.val, sc)
+		s.sortedPrefix = len(s.pri)
+	} else {
+		s.cut()
 	}
-	s.sealed = true
-	s.sortedPrefix = len(s.pri)
+	s.sealed, s.finalized = true, true
 	s.full = len(s.pri) == s.capacity
+}
+
+// cut trims the sampler to its exact bottom-k without ordering it. Past
+// capacity the quickselect prune leaves the k-th smallest at capacity-1;
+// at exactly capacity the largest entry is swapped there. Either way
+// that entry becomes offer's bound.
+func (s *sampler) cut() {
+	switch {
+	case len(s.pri) > s.capacity:
+		s.pruneToCapacity()
+	case len(s.pri) == s.capacity && !s.full:
+		m := 0
+		for i := 1; i < len(s.pri); i++ {
+			if pvLess(s.pri[m], s.val[m], s.pri[i], s.val[i]) {
+				m = i
+			}
+		}
+		s.swap(m, s.capacity-1)
+	}
+}
+
+// sortCanonical orders the sealed entries by (priority, value), the
+// order encode writes; a sorted run stays sorted until a prune.
+func (s *sampler) sortCanonical(sc *sealScratch) {
+	if s.sortedPrefix < len(s.pri) {
+		radixSortPV(s.pri, s.val, sc)
+		s.sortedPrefix = len(s.pri)
+	}
 }
 
 // sealMerge merges the sorted prefix with the (sorted here) appended

@@ -336,41 +336,46 @@ func (a *Analyzer) WindowRows(ctx context.Context, f RowFilter) ([]SectorDayRow,
 	if err != nil {
 		return nil, err
 	}
-	type key struct {
-		sector topology.SectorID
-		t      ho.Type
+	// One slot per (sector, type), at sector*NumTypes+type: ascending
+	// slot order is the canonical (sector, type) row order the OLS fits
+	// need. A slot keeps its first row (for the sector's covariates) and
+	// the window sums.
+	type slot struct {
+		first      int32 // index+1 of the slot's first row; 0 = empty
+		hos, fails int32
 	}
-	agg := make(map[key]*SectorDayRow)
-	totals := make(map[topology.SectorID]int32)
-	for _, row := range s.sectorDay {
-		k := key{row.Sector, row.Type}
-		w := agg[k]
-		if w == nil {
-			cp := row
-			cp.Day = -1
-			cp.TotalDayHOs = 0
-			agg[k] = &cp
-		} else {
-			w.HOs += row.HOs
-			w.Fails += row.Fails
+	nSectors := 0
+	for i := range s.sectorDay {
+		nSectors = max(nSectors, int(s.sectorDay[i].Sector)+1)
+	}
+	nt := int(ho.NumTypes)
+	slots := make([]slot, nSectors*nt)
+	totals := make([]int32, nSectors)
+	used := 0
+	for i := range s.sectorDay {
+		row := &s.sectorDay[i]
+		sl := &slots[int(row.Sector)*nt+int(row.Type)]
+		if sl.first == 0 {
+			sl.first = int32(i + 1)
+			used++
 		}
+		sl.hos += row.HOs
+		sl.fails += row.Fails
 		totals[row.Sector] += row.HOs
 	}
-	out := make([]SectorDayRow, 0, len(agg))
-	for _, w := range agg {
-		w.TotalDayHOs = totals[w.Sector]
-		if f.keep(w) {
-			out = append(out, *w)
+	out := make([]SectorDayRow, 0, used)
+	for k, sl := range slots {
+		if sl.first == 0 {
+			continue
+		}
+		w := s.sectorDay[sl.first-1]
+		w.Day = -1
+		w.HOs, w.Fails = sl.hos, sl.fails
+		w.TotalDayHOs = totals[k/nt]
+		if f.keep(&w) {
+			out = append(out, w)
 		}
 	}
-	// Canonical (sector, type) order: map iteration would otherwise feed
-	// the OLS fits in a different order every run.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sector != out[j].Sector {
-			return out[i].Sector < out[j].Sector
-		}
-		return out[i].Type < out[j].Type
-	})
 	return out, nil
 }
 

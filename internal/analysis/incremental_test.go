@@ -329,3 +329,128 @@ func TestResumeRejectsWrongCampaign(t *testing.T) {
 		t.Fatal("corrupted checkpoint accepted")
 	}
 }
+
+// streamedAnalyzer builds the detSeed world with a declared window and
+// no day yet, lands the first days, and scans them cold.
+func streamedAnalyzer(t *testing.T, window, first int) (*simulate.Dataset, *Analyzer) {
+	t.Helper()
+	fs, err := trace.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simulate.DefaultConfig(detSeed)
+	cfg.UEs, cfg.Days, cfg.WindowDays, cfg.Shards, cfg.Store = detUEs, 0, window, 2, fs
+	ds, err := simulate.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.GenerateDays(first); err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(ds, WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Require(context.Background(), NeedAll); err != nil {
+		t.Fatal(err)
+	}
+	return ds, a
+}
+
+// refreshDay lands one more day and merges it into a in place.
+func refreshDay(t *testing.T, ds *simulate.Dataset, a *Analyzer) {
+	t.Helper()
+	if err := ds.GenerateDays(1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Refresh(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FullRescan {
+		t.Fatal("a landed day triggered a full rescan")
+	}
+}
+
+// durationSamplers lists the durations collector's samplers.
+func durationSamplers(a *Analyzer) []*sampler {
+	c := a.cols[NeedDurations].(*durationsCollector)
+	return append(c.durSuccess[:], c.durCause[:]...)
+}
+
+// TestCheckpointSortsOnlyTheDelta: the first checkpoint sorts each
+// cold-sealed sampler; after a one-day refresh the seal merges the day
+// into that sorted run, so the second checkpoint finds nothing left to
+// sort. (TestRefreshGrowsInPlace holds its bytes to a cold analyzer's.)
+func TestCheckpointSortsOnlyTheDelta(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a campaign")
+	}
+	ds, a := streamedAnalyzer(t, 3, 2)
+	for i, s := range durationSamplers(a) {
+		if s.sortedPrefix != 0 && s.sortedPrefix != len(s.pri) {
+			t.Fatalf("sampler %d: a cold seal left a sorted run of %d of %d", i, s.sortedPrefix, len(s.pri))
+		}
+	}
+	if err := a.Checkpoint(&bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	refreshDay(t, ds, a)
+	merged := 0
+	for i, s := range durationSamplers(a) {
+		if s.sortedPrefix != len(s.pri) {
+			t.Fatalf("sampler %d: %d of %d entries sorted after the refresh; the next checkpoint would re-sort them all",
+				i, s.sortedPrefix, len(s.pri))
+		}
+		if len(s.pri) > 0 {
+			merged++
+		}
+	}
+	if merged == 0 {
+		t.Fatal("no sampler holds an entry")
+	}
+}
+
+// appendCap is the capacity append reaches growing a slice of capacity
+// c one entry at a time until it holds n.
+func appendCap(c, n int) int {
+	s := make([]uint64, c)
+	for cap(s) < n {
+		s = append(s[:cap(s)], 0)
+	}
+	return cap(s)
+}
+
+// TestRefreshedSamplersGrowAsAppend: after a cold scan, five one-day
+// refreshes without a checkpoint grow each finalized sampler's buffers
+// as append does, never by doubling, so a daemon holds no more than
+// append's slack per sampler.
+func TestRefreshedSamplersGrowAsAppend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a campaign")
+	}
+	ds, a := streamedAnalyzer(t, 7, 2)
+	grew := 0
+	for day := 0; day < 5; day++ {
+		var before []int
+		for _, s := range durationSamplers(a) {
+			before = append(before, cap(s.pri))
+		}
+		refreshDay(t, ds, a)
+		for i, s := range durationSamplers(a) {
+			if cap(s.val) != cap(s.pri) {
+				t.Fatalf("day %d, sampler %d: buffers of %d and %d entries", day, i, cap(s.pri), cap(s.val))
+			}
+			if limit := appendCap(before[i], len(s.pri)); cap(s.pri) > limit {
+				t.Fatalf("day %d, sampler %d: %d entries in a buffer of %d, grown from %d; append stops at %d",
+					day, i, len(s.pri), cap(s.pri), before[i], limit)
+			}
+			if cap(s.pri) > before[i] && before[i] >= 1024 {
+				grew++
+			}
+		}
+	}
+	if grew == 0 {
+		t.Fatal("no large sampler grew; the campaign does not exercise growth")
+	}
+}

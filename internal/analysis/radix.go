@@ -5,10 +5,12 @@ import (
 	"slices"
 )
 
-// Exact LSD radix sorts for the duration samplers. Sealing a sampler
-// orders its (priority, value) pairs canonically and SortedSamples orders
-// its values, on every finalize of up to 200k samples per sampler. The
-// priorities are uniform 64-bit hashes and the values float32-exact
+// Exact LSD radix sorts for the duration samplers. Encoding a sampler
+// for a checkpoint orders its (priority, value) pairs canonically — the
+// one reader of that order, so a seal leaves the pairs unordered — and
+// a re-seal of a sorted run orders the appended suffix; SortedSamples
+// orders the values on every finalize of up to 200k samples per
+// sampler. The priorities are uniform 64-bit hashes and the values float32-exact
 // durations, so a byte-wise radix sort that skips the bytes every key
 // shares needs a handful of linear passes where a comparison sort needs
 // n·log n compares.
@@ -21,7 +23,8 @@ import (
 // first; < calls them equal). Both sorts therefore need the values to
 // be finite and not -0, which sampled durations are: the generator draws
 // positive times, and the trace codecs quantize every stored one to a
-// 16-bit code of a value in [0, 32767] ms.
+// 16-bit code of a value in [0, 32767] ms. A restored sampler is held to
+// the same: restore rejects NaN and -0 values.
 
 // sealScratch is the radix buffer that one collector's samplers share
 // while sealing: it grows to the largest sampler once instead of each

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,10 +10,10 @@ import (
 	"testing"
 )
 
-// The radix seal replaced a comparison sort of the (priority, value)
-// pairs. That sort is kept here as the oracle: every path into seal must
-// leave exactly the arrays it left, so checkpoints and artifacts do not
-// move.
+// The oracle is a seal that prunes and then sorts the (priority, value)
+// pairs with a comparison sort. Every path into seal must keep exactly
+// the oracle's set, with the bound in place, and encode must write it
+// in the oracle's order, so checkpoints and artifacts do not move.
 
 // pvPairs sorts parallel (priority, value) slices by pvLess.
 type pvPairs struct {
@@ -27,7 +28,8 @@ func (p pvPairs) Swap(i, j int) {
 	p.val[i], p.val[j] = p.val[j], p.val[i]
 }
 
-// oracleSeal is sampler.seal as it was with sort.Sort.
+// oracleSeal seals by quickselect prune and sort.Sort, or by merging a
+// sorted run with its sorted suffix.
 func oracleSeal(s *sampler) {
 	if s.sealed {
 		return
@@ -160,6 +162,7 @@ func filled(g pvGen, r *rand.Rand, n int) *sampler {
 	for i := range pri {
 		s.offer(pri[i], val[i])
 	}
+	s.n = int64(n)
 	return s
 }
 
@@ -215,6 +218,15 @@ var sealPaths = []sealPath{
 		s.absorb(filled(g, r, pathCap))
 		return s
 	}},
+	{"encoded-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
+		// A checkpoint sorts the sealed sampler in place; the next seal
+		// merges the delta into that sorted run.
+		s := filled(g, r, 3*pathCap)
+		seal(s)
+		s.encode(&enc{}, &sealScratch{})
+		s.absorb(filled(g, r, pathCap/3))
+		return s
+	}},
 	{"restore-then-delta", func(g pvGen, r *rand.Rand, seal func(*sampler)) *sampler {
 		s := restoredOf(filled(g, r, pathCap/2), seal)
 		s.absorb(filled(g, r, pathCap))
@@ -245,6 +257,14 @@ func checkBound(t *testing.T, what string, s *sampler) {
 	}
 }
 
+// canonical returns copies of the sampler's entries in (priority,
+// value) order, sorted by the comparison-sort oracle.
+func canonical(s *sampler) ([]uint64, []float64) {
+	p := pvPairs{slices.Clone(s.pri), slices.Clone(s.val)}
+	sort.Sort(p)
+	return p.pri, p.val
+}
+
 func TestSealMatchesOracleOnEveryPath(t *testing.T) {
 	var sc sealScratch
 	radixSeal := func(s *sampler) { s.seal(&sc) }
@@ -257,11 +277,24 @@ func TestSealMatchesOracleOnEveryPath(t *testing.T) {
 				checkBound(t, what, got)
 				got.seal(&sc)
 				oracleSeal(want)
-				samePairs(t, what, got.pri, want.pri, got.val, want.val)
-				if got.n != want.n || got.sortedPrefix != want.sortedPrefix || !got.sealed ||
-					got.full != (len(got.pri) == got.capacity) {
-					t.Fatalf("%s: n=%d prefix=%d sealed=%v full=%v, want n=%d prefix=%d sealed, full iff %d entries",
-						what, got.n, got.sortedPrefix, got.sealed, got.full, want.n, want.sortedPrefix, got.capacity)
+				checkBound(t, what+"/sealed", got)
+				gotP, gotV := canonical(got)
+				samePairs(t, what, gotP, want.pri, gotV, want.val)
+				if got.n != want.n || !got.sealed || got.full != (len(got.pri) == got.capacity) {
+					t.Fatalf("%s: n=%d sealed=%v full=%v, want n=%d, sealed, full iff %d entries",
+						what, got.n, got.sealed, got.full, want.n, got.capacity)
+				}
+				for i := 1; i < got.sortedPrefix; i++ {
+					if pvLess(got.pri[i], got.val[i], got.pri[i-1], got.val[i-1]) {
+						t.Fatalf("%s: the sorted run of %d is out of order at %d", what, got.sortedPrefix, i)
+					}
+				}
+				// What encode writes is the oracle's order.
+				var e, w enc
+				got.encode(&e, &sc)
+				want.encode(&w, &sc)
+				if !bytes.Equal(e.b, w.b) {
+					t.Fatalf("%s: encode differs from the oracle's", what)
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -12,8 +14,14 @@ import (
 // campaign-scale determinism tests stay below the 200k/50k capacities,
 // so eviction is exercised here, directly, well past capacity.
 
-// Samples returns the sampled values in storage order (not a copy).
-func (s *sampler) Samples() []float64 { return s.val }
+// Samples returns the kept values in canonical (priority, value) order,
+// the order bruteBottomK lists them in. Seal leaves the kept set in no
+// particular order, so the sort is made here, on copies.
+func (s *sampler) Samples() []float64 {
+	p := pvPairs{slices.Clone(s.pri), slices.Clone(s.val)}
+	sort.Sort(p)
+	return p.val
+}
 
 type pv struct {
 	p uint64
@@ -237,4 +245,106 @@ func restored(src *sampler) *sampler {
 		panic(d.err)
 	}
 	return s
+}
+
+// offerEach is absorb entry by entry through offer, the path bulk
+// absorb must be indistinguishable from.
+func offerEach(s, o *sampler) {
+	s.n += o.n
+	for i := range o.pri {
+		s.offer(o.pri[i], o.val[i])
+	}
+}
+
+// TestBulkAbsorbMatchesOffer: absorbing a shard in one copy leaves the
+// state per-entry offers leave — the same entries in the same slots,
+// count, bound and flags — just below the 2×capacity prune point, at
+// it, into a full sampler and from an empty shard; sealed, both keep
+// the same set.
+func TestBulkAbsorbMatchesOffer(t *testing.T) {
+	const cap = 40
+	entries := makeEntries(6*cap, 8)
+	build := func(have int, seal bool) *sampler {
+		s := newSampler(cap, 13)
+		for _, e := range entries[:have] {
+			s.Add(e.v, e.p)
+		}
+		if seal {
+			s.seal(&sealScratch{})
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name       string
+		have, add  int
+		sealedBase bool
+	}{
+		{"union-2cap-1", cap / 2, 2*cap - 1 - cap/2, false},
+		{"union-2cap", cap / 2, 2*cap - cap/2, false},
+		{"sealed-below-capacity", cap / 2, cap, true},
+		{"into-full", 3 * cap / 2, cap, true},
+		{"empty-shard", cap / 2, 0, true},
+	} {
+		shard := newSampler(cap, 13)
+		for _, e := range entries[c.have : c.have+c.add] {
+			shard.Add(e.v, e.p)
+		}
+		bulk, each := build(c.have, c.sealedBase), build(c.have, c.sealedBase)
+		bulk.absorb(shard)
+		offerEach(each, shard)
+		if !slices.Equal(bulk.pri, each.pri) || !slices.Equal(bulk.val, each.val) ||
+			bulk.n != each.n || bulk.full != each.full || bulk.sealed != each.sealed ||
+			bulk.sortedPrefix != each.sortedPrefix || (bulk.sortedVal == nil) != (each.sortedVal == nil) {
+			t.Fatalf("%s: bulk absorb left len %d n %d full %v sealed %v, offers len %d n %d full %v sealed %v",
+				c.name, len(bulk.pri), bulk.n, bulk.full, bulk.sealed, len(each.pri), each.n, each.full, each.sealed)
+		}
+		bulk.seal(&sealScratch{})
+		each.seal(&sealScratch{})
+		if !slices.Equal(bulk.Samples(), each.Samples()) || bulk.full != each.full {
+			t.Fatalf("%s: sealed kept sets differ", c.name)
+		}
+		if bulk.full && (bulk.pri[cap-1] != each.pri[cap-1] || bulk.val[cap-1] != each.val[cap-1]) {
+			t.Fatalf("%s: bounds differ", c.name)
+		}
+	}
+}
+
+// TestSamplerRestoreRejectsForeignStates: restore accepts only states
+// encode writes. A count below the entries held, or a NaN or -0 value —
+// which breaks the radix float sort's precondition, so a resumed
+// SortedSamples could differ from slices.Sort — is an error.
+func TestSamplerRestoreRejectsForeignStates(t *testing.T) {
+	const cap = 8
+	state := func(n int64, pri []uint64, val []float64) []byte {
+		s := newSampler(cap, 5)
+		e := &enc{}
+		e.u32(cap)
+		e.u64(s.salt)
+		e.i64(n)
+		e.u64s(pri)
+		e.f64s(val)
+		return e.b
+	}
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for _, c := range []struct {
+		name string
+		b    []byte
+		ok   bool
+	}{
+		{"canonical", state(5, []uint64{1, 2, 3}, []float64{4, 0, 9}), true},
+		{"empty", state(0, nil, nil), true},
+		{"negative-n", state(-1, nil, nil), false},
+		{"negative-n-with-entries", state(-3, []uint64{1}, []float64{2}), false},
+		{"n-below-entries", state(2, []uint64{1, 2, 3}, []float64{4, 0, 9}), false},
+		{"nan", state(3, []uint64{1, 2, 3}, []float64{4, nan, 9}), false},
+		{"negative-zero", state(3, []uint64{1, 2, 3}, []float64{4, negZero, 9}), false},
+		{"out-of-order", state(3, []uint64{2, 1, 3}, []float64{4, 5, 9}), false},
+	} {
+		s := newSampler(cap, 5)
+		d := &dec{b: c.b}
+		s.restore(d)
+		if (d.err == nil) != c.ok {
+			t.Errorf("%s: restore err = %v, want ok=%v", c.name, d.err, c.ok)
+		}
+	}
 }

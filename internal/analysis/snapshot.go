@@ -278,11 +278,13 @@ func (c *typesCollector) restore(d *dec) error {
 
 // --- durations ----------------------------------------------------------
 
-// encode writes the sampler's exact bottom-k in canonical order (seal
-// prunes and sorts; it is idempotent, so encoding a finalized collector
-// sorts nothing).
+// encode writes the sampler's exact bottom-k in canonical order. A
+// checkpoint is the one reader of that order, so the sort is made here,
+// not at seal; once made it lasts, and the next seal after a delta
+// merges the delta in instead of re-sorting the whole bottom-k.
 func (s *sampler) encode(e *enc, sc *sealScratch) {
 	s.seal(sc)
+	s.sortCanonical(sc)
 	e.u32(uint32(s.capacity))
 	e.u64(s.salt)
 	e.i64(s.n)
@@ -290,11 +292,12 @@ func (s *sampler) encode(e *enc, sc *sealScratch) {
 	e.f64s(s.val)
 }
 
-// restore fills an empty sampler from encode's bytes. The entries are
-// checked to be what encode writes — at most capacity of them, in
-// canonical order — so the restored sampler is sealed without a re-sort,
-// and one restored at capacity brings its bound, so the first delta is
-// filtered.
+// restore fills an empty sampler from encode's bytes. The state is
+// checked to be what encode writes — a count no smaller than the
+// entries, at most capacity of them, values that are neither NaN nor -0
+// (the radix sorts' precondition, see radix.go), in canonical order — so
+// the restored sampler is sealed without a re-sort, and one restored at
+// capacity brings its bound, so the first delta is filtered.
 func (s *sampler) restore(d *dec) {
 	capacity, salt, n := int(d.u32()), d.u64(), d.i64()
 	pri, val := d.u64s(), d.f64s()
@@ -311,15 +314,22 @@ func (s *sampler) restore(d *dec) {
 	case len(pri) > capacity:
 		d.err = fmt.Errorf("analysis: sampler state holds %d entries, capacity %d", len(pri), capacity)
 		return
+	case n < int64(len(pri)):
+		d.err = fmt.Errorf("analysis: sampler state counts %d values but holds %d", n, len(pri))
+		return
 	}
-	for i := 1; i < len(pri); i++ {
-		if pvLess(pri[i], val[i], pri[i-1], val[i-1]) {
+	for i, v := range val {
+		if math.IsNaN(v) || (v == 0 && math.Signbit(v)) {
+			d.err = fmt.Errorf("analysis: sampler state holds the value %v", v)
+			return
+		}
+		if i > 0 && pvLess(pri[i], v, pri[i-1], val[i-1]) {
 			d.err = fmt.Errorf("analysis: sampler state not in canonical order")
 			return
 		}
 	}
 	s.n, s.pri, s.val = n, pri, val
-	s.sealed = true
+	s.sealed, s.finalized = true, true
 	s.sortedPrefix = len(pri)
 	s.full = len(pri) == capacity
 }
