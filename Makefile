@@ -83,7 +83,8 @@
 #               -ingest       mount the streaming /ingest/* endpoints
 #               -wal-sync     fsync the ingest WAL on every batch
 #               -scrub        audit and quarantine before serving
-#               -checkpoint F resume from and save an analyzer checkpoint
+#               -checkpoint F resume an analyzer checkpoint whenever one is
+#                             built cold; save it after every refresh
 #               -drain DUR    graceful-shutdown drain budget
 #               admission limits and the ingest backlog budget are the
 #               package defaults (admission.Default*,

@@ -33,7 +33,7 @@
 // manifest poll (the poll stays as a fallback and covers external
 // writers like telcogen -append). The data directory may start empty:
 // the daemon serves 503s until a campaign descriptor arrives via
-// POST /ingest/init and then bootstraps the serving state.
+// POST /ingest/init, and the refresh loop's next step brings it live.
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 		ingestOn = flag.Bool("ingest", false, "mount the streaming ingest endpoints (/ingest/*) on this address")
 		walSync  = flag.Bool("wal-sync", false, "fsync the ingest WAL on every batch (machine-crash durability)")
 		scrub    = flag.Bool("scrub", false, "audit the store at startup and quarantine corrupt partitions before serving")
-		ckptPath = flag.String("checkpoint", "", "analyzer checkpoint file: resumed at startup, saved after every refresh (empty = cold scans only)")
+		ckptPath = flag.String("checkpoint", "", "analyzer checkpoint file: resumed whenever an analyzer is built cold, saved after every refresh (empty = cold scans only)")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
 	)
 	flag.Parse()
@@ -154,8 +154,9 @@ type server struct {
 	dir      string
 	parallel int
 	// checkpoint is the analyzer checkpoint file (empty = disabled):
-	// resumed at startup, re-saved after every successful refresh so a
-	// restart warms up without a full rescan.
+	// resumed whenever refresh builds an analyzer cold, re-saved after
+	// every published generation so a restart warms up without a full
+	// rescan.
 	checkpoint string
 	// ing is the co-hosted ingest service (nil without -ingest); nudge
 	// wakes the watch loop the moment a local seal lands.
@@ -169,7 +170,7 @@ type server struct {
 	// place. Only the watch loop — and start-up before it runs — touches
 	// them; Dataset.Reload and Analyzer.Refresh are safe only on the
 	// goroutine that drives both. A nil ds makes the next refresh load
-	// the campaign cold, a nil live makes it rescan cold.
+	// the campaign cold, a nil live makes it build its analyzer cold.
 	ds   *telcolens.Dataset
 	live *telcolens.Analyzer
 	// adm is the admission controller: per-endpoint concurrency
@@ -185,7 +186,7 @@ type server struct {
 	// synced to; the poll loop refreshes whenever the store moves past
 	// it. It only advances on success, so a failed warm-up or refresh is
 	// retried on the next poll. It is always a generation read before
-	// the campaign was loaded (loadCampaign), never after: what was
+	// the campaign was loaded (reload), never after: what was
 	// loaded covers at least that generation, so a day sealed while a
 	// refresh is running leaves the store ahead of lastGen and is
 	// picked up by the next one.
@@ -352,16 +353,13 @@ func manifestGen(store telcolens.Store) uint64 {
 	return m.Gen
 }
 
-// loadCampaign loads the campaign in dir together with the store
-// generation read before the load — the only generation the loaded
-// state is known to cover (the store may move at any time after).
-func loadCampaign(dir string) (*telcolens.Dataset, uint64, error) {
-	var gen uint64
-	if store, err := trace.NewFileStore(dir); err == nil {
-		gen = manifestGen(store)
+// openStore opens the store in dir without creating dir: NewFileStore
+// makes a missing directory, and only -ingest (ingest.Open) may.
+func openStore(dir string) (*trace.FileStore, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, err
 	}
-	ds, err := telcolens.Load(dir)
-	return ds, gen, err
+	return trace.NewFileStore(dir)
 }
 
 // reload brings the kept campaign up to date with its manifest and
@@ -372,11 +370,14 @@ func loadCampaign(dir string) (*telcolens.Dataset, uint64, error) {
 // analyzer over the previous one may be refreshed.
 func (s *server) reload() (gen uint64, rebuilt bool, err error) {
 	if s.ds == nil {
-		ds, gen, err := loadCampaign(s.dir)
+		store, err := openStore(s.dir)
 		if err != nil {
 			return 0, false, err
 		}
-		s.ds = ds
+		gen = manifestGen(store)
+		if s.ds, err = telcolens.Load(s.dir); err != nil {
+			return 0, false, err
+		}
 		return gen, true, nil
 	}
 	gen = manifestGen(s.ds.Store)
@@ -389,16 +390,44 @@ func (s *server) reload() (gen uint64, rebuilt bool, err error) {
 	return gen, rebuilt, nil
 }
 
-// refresh brings the serving state up to date at the cost of the delta:
-// the kept campaign reloads its manifest in place, the live analyzer
-// Refreshes in place (scanning only the new partitions), the experiments
-// re-render on the shared pool, and the new snapshot is swapped in. A
-// rebuilt world, or a live analyzer lost to an earlier failure, costs
-// one cold rescan instead. On any error the previous snapshot keeps
-// serving — its views are rendered bytes — and the next poll retries: a
-// failed Refresh may have merged part of its delta, so the live analyzer
-// is dropped and the retry rescans cold. A store caught mid-append
-// simply fails validation until the day finishes landing.
+// coldAnalyzer builds the analyzer for a refresh that has no live one to
+// refresh in place. With -checkpoint it resumes the file and Refreshes
+// it, scanning only what the checkpoint does not cover; res is that
+// Refresh's result. Otherwise — no checkpoint, an unusable file, or one
+// the store has since diverged from — it returns an empty analyzer and a
+// nil res, and build's warm scan reads every partition.
+func (s *server) coldAnalyzer(ctx context.Context, ds *telcolens.Dataset) (a *telcolens.Analyzer, res *telcolens.RefreshResult, err error) {
+	if s.checkpoint == "" {
+		a, err = telcolens.NewAnalyzer(ds, s.options()...)
+		return a, nil, err
+	}
+	a, resumed, err := telcolens.ResumeAnalyzerFile(s.checkpoint, ds, s.options()...)
+	if err != nil || !resumed {
+		return a, nil, err
+	}
+	if res, err = a.Refresh(ctx); err != nil {
+		log.Printf("refreshing resumed checkpoint: %v; rebuilding cold", err)
+		a, err = telcolens.NewAnalyzer(ds, s.options()...)
+		return a, nil, err
+	}
+	return a, res, nil
+}
+
+// refresh is the one way to a serving generation: start-up, a pending
+// campaign coming live and every later day all take it, and the watch
+// loop only decides when. It brings the serving state up to date at the
+// cost of the delta: the kept campaign reloads its manifest in place,
+// the live analyzer Refreshes in place (scanning only the new
+// partitions), the experiments re-render on the shared pool, and the
+// new snapshot is swapped in. Without a kept campaign it loads one cold;
+// without a live analyzer, or over a rebuilt world, it builds one cold
+// (coldAnalyzer). On any error the previous snapshot keeps serving — its
+// views are rendered bytes — and the next step retries: a failed Refresh
+// may have merged part of its delta, so the live analyzer is dropped and
+// the retry builds cold. A store caught mid-append simply fails
+// validation until the day finishes landing. While nothing is served a
+// failed warm scan still publishes, since there is nothing older to
+// serve, but neither marks the generation served nor keeps the analyzer.
 func (s *server) refresh(ctx context.Context) error {
 	start := time.Now()
 	s.mu.RLock()
@@ -409,7 +438,9 @@ func (s *server) refresh(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("reloading campaign: %w", err)
 	}
-	if rebuilt {
+	// The first generation published counts as no refresh, no world
+	// rebuild and no full rescan.
+	if rebuilt && old != nil {
 		s.mu.Lock()
 		s.worldRebuilds++
 		s.mu.Unlock()
@@ -422,17 +453,16 @@ func (s *server) refresh(ctx context.Context) error {
 
 	t := time.Now()
 	a, cold := s.live, rebuilt || s.live == nil
-	merged, fullRescan := 0, cold
+	var res *telcolens.RefreshResult
 	if cold {
 		// Never left behind for a later in-place Refresh: it belongs to the
 		// previous world, or to no state at all.
 		s.live = nil
-		if a, err = telcolens.NewAnalyzer(ds, s.options()...); err != nil {
+		if a, res, err = s.coldAnalyzer(ctx, ds); err != nil {
 			return err
 		}
 	} else {
-		res, err := a.Refresh(ctx)
-		if err != nil {
+		if res, err = a.Refresh(ctx); err != nil {
 			s.live = nil
 			return fmt.Errorf("refreshing: %w", err)
 		}
@@ -451,16 +481,20 @@ func (s *server) refresh(ctx context.Context) error {
 			s.pokeIfMoved(ds.Store, gen)
 			return nil
 		}
-		merged, fullRescan = res.PartitionsScanned, res.FullRescan
 	}
 	st.refresh = time.Since(t)
-	next, bst, err := build(ctx, a, ds, gen)
-	if err != nil {
+	next, bst, warmErr := build(ctx, a, ds, gen)
+	if warmErr != nil {
 		s.live = nil
-		return fmt.Errorf("warming scan state: %w", err)
+		if old != nil {
+			return fmt.Errorf("warming scan state: %w", warmErr)
+		}
+		log.Printf("warming scan state: %v (serving what the experiments computed on their own)", warmErr)
 	}
-	if cold {
-		merged = next.partitions
+	// An analyzer built empty is filled by build's warm scan.
+	merged, fullRescan := next.partitions, true
+	if res != nil {
+		merged, fullRescan = res.PartitionsScanned, res.FullRescan
 	}
 	st.refresh += bst.refresh
 	st.render = bst.render
@@ -468,23 +502,29 @@ func (s *server) refresh(ctx context.Context) error {
 	t = time.Now()
 	s.mu.Lock()
 	s.cur = next
-	s.lastGen = gen
+	if warmErr == nil {
+		s.lastGen = gen
+	}
 	// Cached query results are keyed on the view generation; a swap
 	// makes them unreachable, so drop them rather than let them age out.
 	s.eng.InvalidateCache()
-	s.refreshes++
-	if fullRescan {
-		s.fullRescans++
+	if old != nil {
+		s.refreshes++
+		if fullRescan {
+			s.fullRescans++
+		}
 	}
 	s.lastScanned = merged
 	st.swap = bst.swap + time.Since(t)
 	s.lastStages = st
 	s.lastRefreshDur = time.Since(start)
 	s.mu.Unlock()
-	s.live = a
-	s.saveCheckpoint(a)
-	log.Printf("refresh: %d partitions merged (full rescan: %v, world rebuilt: %v), %d days, %d artifacts, took %s",
-		merged, fullRescan, rebuilt, ds.Config.Days, len(next.order),
+	if warmErr == nil {
+		s.live = a
+		s.saveCheckpoint(a)
+	}
+	log.Printf("serving generation %d: %d partitions merged (full rescan: %v, world rebuilt: %v, resumed checkpoint: %v), %d days, %d artifacts, took %s",
+		gen, merged, fullRescan, rebuilt, cold && res != nil, ds.Config.Days, len(next.order),
 		time.Since(start).Round(time.Millisecond))
 	s.pokeIfMoved(ds.Store, gen)
 	return nil
@@ -500,61 +540,21 @@ func (s *server) poke() {
 }
 
 // pokeIfMoved wakes the watch loop when the store has moved past gen,
-// the generation a refresh or bootstrap just marked as served. The store
-// may move while either runs (a day sealing, another shard landing);
-// poking on the way out makes the rest visible now rather than at the
-// next poll tick.
+// the generation a refresh just marked as served. The store may move
+// while it runs (a day sealing, another shard landing); poking on the
+// way out makes the rest visible now rather than at the next poll tick.
 func (s *server) pokeIfMoved(store telcolens.Store, gen uint64) {
 	if manifestGen(store) != gen {
 		s.poke()
 	}
 }
 
-// serveFirst renders the first snapshot of a freshly loaded campaign and
-// publishes it. Unlike a refresh it publishes even when the warm scan
-// failed — there is nothing older to serve — but then neither marks the
-// generation served nor keeps the analyzer, so the watch loop retries
-// with a cold rescan.
-func (s *server) serveFirst(ctx context.Context, ds *telcolens.Dataset, a *telcolens.Analyzer, gen uint64) *snapshot {
-	snap, _, warmErr := build(ctx, a, ds, gen)
-	if warmErr != nil {
-		log.Printf("warming scan state: %v (serving what the experiments computed on their own)", warmErr)
-	}
-	s.ds = ds
-	s.mu.Lock()
-	s.cur = snap
-	if warmErr == nil {
-		s.lastGen = gen
-	}
-	s.eng.InvalidateCache()
-	s.mu.Unlock()
-	if warmErr == nil {
-		s.live = a
-		s.saveCheckpoint(a)
-	}
-	s.pokeIfMoved(ds.Store, gen)
-	return snap
-}
-
-// bootstrap brings a pending server live once the campaign descriptor
-// exists: load, cold scan, serve.
-func (s *server) bootstrap(ctx context.Context) error {
-	ds, gen, err := loadCampaign(s.dir)
-	if err != nil {
-		return err
-	}
-	a, err := telcolens.NewAnalyzer(ds, s.options()...)
-	if err != nil {
-		return err
-	}
-	snap := s.serveFirst(ctx, ds, a, gen)
-	log.Printf("campaign bootstrapped: %d days, %d artifacts", snap.days, len(snap.order))
-	return nil
-}
-
-// watch polls the store manifest — and listens for local seal nudges —
-// and refreshes when the store generation moves past what the serving
-// state is synced to.
+// watch steps the serving state on every poll tick and local seal
+// nudge: it decides when, refresh decides what. It steps while nothing
+// is served, and once the store generation moves past the one the
+// serving state is synced to. The generation is read through the kept
+// campaign's store, which creates nothing; without a kept campaign (a
+// failed reload dropped it) the step loads cold.
 func (s *server) watch(ctx context.Context, interval time.Duration) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -566,28 +566,14 @@ func (s *server) watch(ctx context.Context, interval time.Duration) {
 		case <-s.nudge:
 		}
 		s.mu.RLock()
-		pending := s.cur == nil
-		synced := s.lastGen
+		served, synced := s.cur != nil, s.lastGen
 		s.mu.RUnlock()
-		if pending {
-			if _, err := os.Stat(s.dir); err != nil {
-				continue
-			}
-			if err := s.bootstrap(ctx); err != nil {
-				// Normal while no descriptor has been ingested yet.
-				continue
-			}
+		if served && s.ds != nil && manifestGen(s.ds.Store) == synced {
 			continue
 		}
-		store, err := trace.NewFileStore(s.dir)
-		if err != nil {
-			continue
-		}
-		gen := manifestGen(store)
-		if gen == synced {
-			continue
-		}
-		if err := s.refresh(ctx); err != nil {
+		// A pending campaign fails every load until its descriptor
+		// arrives: normal, so neither counted nor logged.
+		if err := s.refresh(ctx); err != nil && served {
 			s.mu.Lock()
 			s.refreshErrors++
 			s.mu.Unlock()
@@ -883,10 +869,10 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 // quarantining corrupt partitions so the campaign serves its surviving
 // days in declared degraded mode instead of failing outright.
 func startupScrub(ctx context.Context, dir string) error {
-	if _, err := os.Stat(dir); err != nil {
+	store, err := openStore(dir)
+	if errors.Is(err, os.ErrNotExist) {
 		return nil // nothing to scrub yet (ingest-mode cold start)
 	}
-	store, err := trace.NewFileStore(dir)
 	if err != nil {
 		return err
 	}
@@ -923,14 +909,6 @@ func run(cfg serveConfig) error {
 	s := &server{dir: cfg.dir, parallel: cfg.parallel, checkpoint: cfg.checkpoint,
 		started: time.Now(), nudge: make(chan struct{}, 1),
 		adm: admission.NewController(admission.Config{})}
-	// The query engine reads partitions through its own store handle —
-	// FileStore is stateless, so one handle serves every generation; the
-	// per-snapshot view pins which partitions a query may touch.
-	qstore, err := trace.NewFileStore(cfg.dir)
-	if err != nil {
-		return fmt.Errorf("opening store for queries: %w", err)
-	}
-	s.eng = query.New(qstore)
 	if cfg.ingestOn {
 		svc, err := ingest.Open(cfg.dir, ingest.Options{
 			SyncEvery: cfg.walSync,
@@ -945,43 +923,22 @@ func run(cfg serveConfig) error {
 		defer svc.Close()
 		s.ing = svc
 	}
+	// The query engine reads partitions through its own store handle —
+	// FileStore is stateless, so one handle serves every generation; the
+	// per-snapshot view pins which partitions a query may touch.
+	qstore, err := openStore(cfg.dir)
+	if err != nil {
+		return fmt.Errorf("opening store for queries: %w", err)
+	}
+	s.eng = query.New(qstore)
 
-	ds, gen, err := loadCampaign(cfg.dir)
-	switch {
-	case err == nil:
-		var a *telcolens.Analyzer
-		var resumed bool
-		if cfg.checkpoint != "" {
-			a, resumed, err = telcolens.ResumeAnalyzerFile(cfg.checkpoint, ds, s.options()...)
-		} else {
-			a, err = telcolens.NewAnalyzer(ds, s.options()...)
-		}
-		if err != nil {
+	if err := s.refresh(ctx); err != nil {
+		if !cfg.ingestOn {
 			return err
 		}
-		if resumed {
-			if _, err := a.Refresh(ctx); err != nil {
-				// A resumable checkpoint the store has since diverged from:
-				// rebuild cold rather than refuse to start.
-				log.Printf("refreshing resumed checkpoint: %v; rebuilding cold", err)
-				resumed = false
-				if a, err = telcolens.NewAnalyzer(ds, s.options()...); err != nil {
-					return err
-				}
-			}
-		}
-		start := time.Now()
-		log.Printf("warming analysis state for %s (%d days, resumed checkpoint: %v)...",
-			cfg.dir, ds.Config.Days, resumed)
-		snap := s.serveFirst(ctx, ds, a, gen)
-		log.Printf("serving %d artifacts on %s (initial scan took %s)",
-			len(snap.order), cfg.addr, time.Since(start).Round(time.Millisecond))
-	case cfg.ingestOn:
-		// No campaign yet: serve 503s and bootstrap once the descriptor
-		// arrives over POST /ingest/init.
-		log.Printf("no campaign in %s yet (%v); waiting for ingest", cfg.dir, err)
-	default:
-		return err
+		// Serve 503s; the watch loop steps again on every poll and seal,
+		// which brings the campaign live once POST /ingest/init lands.
+		log.Printf("nothing to serve from %s yet (%v); waiting for ingest", cfg.dir, err)
 	}
 
 	go s.watch(ctx, cfg.poll)

@@ -64,7 +64,8 @@ func generateServed(t *testing.T, dir string, seed uint64, days, window int) {
 }
 
 // newTestServer is a daemon over dir without admission control, ingest
-// or a listener; tests drive bootstrap and refresh directly.
+// or a listener; tests step it by calling refresh, as the watch loop
+// does.
 func newTestServer(t *testing.T, dir string, parallel int) *server {
 	t.Helper()
 	store, err := trace.NewFileStore(dir)
@@ -100,7 +101,7 @@ func TestSealDuringRefreshBecomesVisible(t *testing.T) {
 
 	s := newTestServer(t, dir, 2)
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := s.bootstrap(ctx); err != nil {
+	if err := s.refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := healthzDays(t, s); got != 2 {
@@ -248,7 +249,7 @@ func TestInPlaceRefreshMatchesCold(t *testing.T) {
 
 	ctx := context.Background()
 	s := newTestServer(t, dst, 2)
-	if err := s.bootstrap(ctx); err != nil {
+	if err := s.refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
 	sameArtifacts(t, "bootstrap", coldArtifacts(t, dst), servedArtifacts(t, s))
@@ -328,7 +329,7 @@ func TestServesV2Campaign(t *testing.T) {
 	ctx := context.Background()
 	s3, s2 := newTestServer(t, v3, 2), newTestServer(t, v2, 2)
 	for _, s := range []*server{s3, s2} {
-		if err := s.bootstrap(ctx); err != nil {
+		if err := s.refresh(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,12 +362,12 @@ func TestInPlaceRefreshReadFaults(t *testing.T) {
 	generateServed(t, template, 3, 2, 3)
 	ctx := context.Background()
 
-	// served bootstraps a copy of the template, lands one more day, and
+	// served steps a server over a copy of the template, lands one more day, and
 	// routes the kept campaign's store through fsys.
 	served := func(t *testing.T, fsys faultfs.FS) (*server, string) {
 		dir := copyDir(t, template)
 		s := newTestServer(t, dir, 1)
-		if err := s.bootstrap(ctx); err != nil {
+		if err := s.refresh(ctx); err != nil {
 			t.Fatal(err)
 		}
 		appendDay(t, dir)
@@ -447,7 +448,7 @@ func TestStatsRefreshSection(t *testing.T) {
 	generateServed(t, dir, 3, 1, 2)
 	ctx := context.Background()
 	s := newTestServer(t, dir, 2)
-	if err := s.bootstrap(ctx); err != nil {
+	if err := s.refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
 	appendDay(t, dir)
@@ -494,5 +495,209 @@ func TestStatsRefreshSection(t *testing.T) {
 	if st["refreshes"] != 2.0 || st["full_rescans"] != 1.0 || st["world_rebuilds"] != 1.0 {
 		t.Fatalf("after regeneration refreshes/full_rescans/world_rebuilds = %v/%v/%v, want 2/1/1",
 			st["refreshes"], st["full_rescans"], st["world_rebuilds"])
+	}
+}
+
+// TestDaemonResumesCheckpoint steps a -checkpoint daemon through a
+// sealed day, then starts a second one on the same directory and
+// checkpoint: it must resume the file, scan only the day sealed since,
+// and serve a cold report. A checkpoint the store has diverged from and
+// a corrupt one must fall back to a cold scan with the same report. The
+// clean step after a faulted in-place refresh, and the step over a
+// world an appended day rebuilt, must serve it too — through the resume,
+// not a cold rescan.
+func TestDaemonResumesCheckpoint(t *testing.T) {
+	const shards = 2
+	ctx := context.Background()
+	started := func(dir, ckpt string) *server {
+		t.Helper()
+		s := newTestServer(t, dir, 2)
+		s.checkpoint = ckpt
+		if err := s.refresh(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	mergedBy := func(s *server) float64 {
+		t.Helper()
+		return statsOf(t, s)["last_refresh"].(map[string]any)["partitions_merged"].(float64)
+	}
+
+	// Without a declared window an appended day rebuilds the world.
+	grown := t.TempDir()
+	generateServed(t, grown, 3, 2, 0)
+	rebuilt := started(grown, filepath.Join(t.TempDir(), "state.tlckpt"))
+	appendDay(t, grown)
+	if err := rebuilt.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.worldRebuilds != 1 || rebuilt.fullRescans != 0 || mergedBy(rebuilt) != shards {
+		t.Fatalf("over a rebuilt world: %d world rebuilds, %d full rescans, %v partitions merged, want 1, 0 and the new day's %d",
+			rebuilt.worldRebuilds, rebuilt.fullRescans, mergedBy(rebuilt), shards)
+	}
+	sameArtifacts(t, "rebuilt world", coldArtifacts(t, grown), servedArtifacts(t, rebuilt))
+
+	// A declared window keeps the world across every appended day, so
+	// each refresh below is an in-place one or a resume.
+	dir := t.TempDir()
+	generateServed(t, dir, 3, 2, 8)
+	ckpt := filepath.Join(t.TempDir(), "state.tlckpt")
+	first := started(dir, ckpt)
+	appendDay(t, dir)
+	if err := first.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if first.fullRescans != 0 {
+		t.Fatalf("the sealed day took %d full rescans, want an in-place refresh", first.fullRescans)
+	}
+	appendDay(t, dir) // day 3 lands while no daemon runs
+
+	second := started(dir, ckpt)
+	if got := mergedBy(second); got != shards {
+		t.Fatalf("the resumed daemon merged %v partitions, want the new day's %d", got, shards)
+	}
+	if got := second.live.ScanStats().Partitions; got != shards {
+		t.Fatalf("the resumed daemon scanned %d partitions, want the new day's %d", got, shards)
+	}
+	sameArtifacts(t, "resumed", coldArtifacts(t, dir), servedArtifacts(t, second))
+
+	// Re-encoding the store changes every partition's fingerprint: the
+	// checkpoint no longer describes it.
+	if err := tracetest.ReencodeV2(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := coldArtifacts(t, dir)
+	diverged := started(dir, ckpt)
+	if got := mergedBy(diverged); got != 4*shards {
+		t.Fatalf("over a diverged checkpoint the daemon merged %v partitions, want all %d", got, 4*shards)
+	}
+	sameArtifacts(t, "diverged checkpoint", want, servedArtifacts(t, diverged))
+
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := started(dir, ckpt)
+	if got := mergedBy(corrupt); got != 4*shards {
+		t.Fatalf("over a corrupt checkpoint the daemon merged %v partitions, want all %d", got, 4*shards)
+	}
+	sameArtifacts(t, "corrupt checkpoint", want, servedArtifacts(t, corrupt))
+
+	// The first partition read of the next in-place refresh fails; the
+	// step after it resumes the checkpoint the last publish saved.
+	s := corrupt
+	appendDay(t, dir)
+	ff := faultfs.NewFault(nil, faultfs.Plan{Rules: []faultfs.Rule{
+		{Op: faultfs.OpRead, Path: "*.tlho", Kind: faultfs.KindErr},
+	}})
+	fstore, err := trace.NewFileStoreOpts(dir, trace.FileStoreOptions{FS: ff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ds.Store, s.ds.Config.Store = fstore, fstore
+	if err := s.refresh(ctx); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("faulted refresh: err = %v, want the injected fault", err)
+	}
+	if s.live != nil {
+		t.Fatal("a failed refresh kept its analyzer")
+	}
+	if err := s.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s.fullRescans != 0 {
+		t.Fatalf("recovery took %d full rescans, want a resume", s.fullRescans)
+	}
+	if got := mergedBy(s); got != shards {
+		t.Fatalf("recovery merged %v partitions, want the new day's %d", got, shards)
+	}
+	sameArtifacts(t, "recovered", coldArtifacts(t, dir), servedArtifacts(t, s))
+}
+
+// TestPendingGoesLiveByStepping steps a daemon over an ingest directory
+// that has no campaign descriptor yet. Steps fail quietly and the
+// daemon answers 503 until a descriptor and a sealed day land; the next
+// step then serves the cold report, counted as no refresh and no world
+// rebuild.
+func TestPendingGoesLiveByStepping(t *testing.T) {
+	src, dst := t.TempDir(), t.TempDir()
+	generateServed(t, src, 3, 1, 0)
+	meta, err := simulate.LoadMeta(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := ingest.Open(dst, ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	s := newTestServer(t, dst, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	for i := 0; i < 2; i++ {
+		if err := s.refresh(ctx); err == nil {
+			t.Fatal("a step over a pending campaign succeeded")
+		}
+	}
+	// The watch loop, stepping on a fast tick, keeps pending failures
+	// out of refresh_errors. A failed step leaves no trace to wait on,
+	// so the loop simply runs for a fixed span of some fifty ticks.
+	watchDone := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		s.watch(ctx, time.Millisecond)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	<-watchDone
+
+	rec := httptest.NewRecorder()
+	s.handleArtifacts(rec, httptest.NewRequest(http.MethodGet, "/artifacts", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("pending /artifacts: status %d", rec.Code)
+	}
+	st := statsOf(t, s)
+	if st["pending"] != true || st["refresh_errors"] != 0.0 {
+		t.Fatalf("pending/refresh_errors = %v/%v, want true/0", st["pending"], st["refresh_errors"])
+	}
+
+	declared := *meta
+	declared.Config.Days, declared.Config.WindowDays, declared.DayStats = 0, 1, nil
+	if err := svc.Init(&declared); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Append(1, 1, dayRecords(t, src, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.DayComplete(0, meta.DayStats[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := healthzDays(t, s); got != 1 {
+		t.Fatalf("live daemon shows %d days, want 1", got)
+	}
+	sameArtifacts(t, "live", coldArtifacts(t, dst), servedArtifacts(t, s))
+	st = statsOf(t, s)
+	if st["refreshes"] != 0.0 || st["world_rebuilds"] != 0.0 {
+		t.Fatalf("refreshes/world_rebuilds = %v/%v, want 0/0", st["refreshes"], st["world_rebuilds"])
+	}
+}
+
+// TestRunMissingDataDir: without -ingest a missing data directory is an
+// error, and the daemon leaves it missing.
+func TestRunMissingDataDir(t *testing.T) {
+	for _, scrub := range []bool{false, true} {
+		missing := filepath.Join(t.TempDir(), "no", "such", "dir")
+		if err := run(serveConfig{dir: missing, addr: "127.0.0.1:0", scrub: scrub}); err == nil {
+			t.Fatalf("scrub %v: serving a missing directory succeeded", scrub)
+		}
+		if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("scrub %v: the missing data directory now exists (stat: %v)", scrub, err)
+		}
 	}
 }

@@ -235,7 +235,8 @@ func NewECDFSorted(xs []float64) (*ECDF, error) {
 }
 
 // Points returns up to max evenly spaced (x, F(x)) pairs for plotting or
-// reporting. If max <= 0 or exceeds the sample size, all points are used.
+// reporting, the last one always the maximum at F = 1. If max <= 0 or
+// exceeds the sample size, all points are used.
 func (e *ECDF) Points(max int) (xs, fs []float64) {
 	n := len(e.sorted)
 	if max <= 0 || max > n {
@@ -244,16 +245,12 @@ func (e *ECDF) Points(max int) (xs, fs []float64) {
 	xs = make([]float64, max)
 	fs = make([]float64, max)
 	for i := 0; i < max; i++ {
-		j := i * (n - 1) / maxInt(max-1, 1)
+		j := n - 1
+		if max > 1 {
+			j = i * (n - 1) / (max - 1)
+		}
 		xs[i] = e.sorted[j]
 		fs[i] = float64(j+1) / float64(n)
 	}
 	return xs, fs
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

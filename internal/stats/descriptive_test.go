@@ -177,4 +177,8 @@ func TestECDFPoints(t *testing.T) {
 	if len(px) != 5 {
 		t.Fatalf("Points(0) returned %d", len(px))
 	}
+	// One point is the maximum: the curve still reaches F = 1.
+	if px, pf = e.Points(1); len(px) != 1 || px[0] != 5 || pf[0] != 1 {
+		t.Fatalf("Points(1) = %v, %v, want [5], [1]", px, pf)
+	}
 }
