@@ -46,7 +46,9 @@
 #                     of FuzzDecodeIndex on the .tlix sidecar decoder,
 #                     30s of FuzzResultJSON on the /query JSON renderer,
 #                     30s of FuzzResumeAnalyzer on checkpoint
-#                     decoding, then 30s of FuzzLoadManifest on the
+#                     decoding, 30s of FuzzPingPongAutomaton on the
+#                     per-UE ping-pong automaton against the per-window
+#                     oracle, then 30s of FuzzLoadManifest on the
 #                     store MANIFEST loader
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
@@ -172,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecodeIndex -fuzztime 30s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzResultJSON -fuzztime 30s ./internal/query/
 	$(GO) test -run NONE -fuzz FuzzResumeAnalyzer -fuzztime 30s ./internal/analysis/
+	$(GO) test -run NONE -fuzz FuzzPingPongAutomaton -fuzztime 30s ./internal/analysis/
 	$(GO) test -run NONE -fuzz FuzzLoadManifest -fuzztime 30s ./internal/trace/
 
 # End-to-end streaming ingest soak: telcoload replays a reference

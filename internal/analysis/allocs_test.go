@@ -22,10 +22,12 @@ func TestSealSteadyStateAllocs(t *testing.T) {
 	}
 	s := newSampler(n, 1)
 	var sc sealScratch
+	// refill makes the sampler one that no seal has run on: a refresh's
+	// re-seal of a finalized sampler re-sizes its buffers, one copy.
 	refill := func() {
 		s.pri = append(s.pri[:0], pri...)
 		s.val = append(s.val[:0], val...)
-		s.sealed, s.full, s.sortedPrefix = false, false, 0
+		s.sealed, s.full, s.finalized, s.sortedPrefix = false, false, false, 0
 	}
 	for _, c := range []struct {
 		what string

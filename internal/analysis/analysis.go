@@ -316,10 +316,6 @@ type scanState struct {
 	typeFails       [ho.NumTypes]int64
 	perDayTypeFails [][ho.NumTypes]int64
 	vendorByType    [ho.NumTypes][4]int64 // Fig 17 bottom
-	// bytesStored is the actual on-disk stored size of the scanned trace
-	// bytes (from ScanMetrics.BytesRead); for stores without byte
-	// accounting it falls back to the raw record-equivalent estimate.
-	bytesStored int64
 
 	// NeedDurations (deterministically bottom-k sampled).
 	durSuccess [ho.NumTypes]*sampler
@@ -559,13 +555,6 @@ func (a *Analyzer) scanIntoLocked(ctx context.Context, cols []collector, parts [
 	a.stats.BlocksRead += metrics.BlocksRead.Load()
 	a.stats.BlocksSkipped += metrics.BlocksSkipped.Load()
 	a.stats.BytesRead += metrics.BytesRead.Load()
-	for _, c := range cols {
-		// The types collector owns the stored-bytes figure; accumulate the
-		// scan's byte accounting so it stays exact across refreshes.
-		if tc, ok := c.(*typesCollector); ok {
-			tc.bytesRead += metrics.BytesRead.Load()
-		}
-	}
 	return nil
 }
 

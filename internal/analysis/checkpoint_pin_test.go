@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"telcolens/internal/simulate"
@@ -38,10 +40,10 @@ func sha256Hex(b []byte) string {
 }
 
 // Checkpoint bytes are a function of the campaign alone. The digest pins
-// the version 2 layout, in which the ping-pong automata are one more
-// collector state.
+// the version 3 layout, in which each UE's ping-pong state is one
+// automaton for every window.
 func TestCheckpointBytesPinned(t *testing.T) {
-	const want = "fe9a871008150031cbc08a4ea8f364792f927c475f12932d1bdb1ff3ef1eb3a6"
+	const want = "3c558e0994f5d784a8ac7b636f059ac7c1b4cefd51aa18ca56a5c2fb43229d76"
 	var buf bytes.Buffer
 	if err := pinnedAnalyzer(t).Checkpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -51,14 +53,44 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
-// versionOneCheckpoint writes the analyzer's state in the version 1
-// layout: every collector but ping-pong, each state tagged version 1,
-// then a section of its own holding the ping-pong tracker and the
-// coverage it was advanced over.
-func versionOneCheckpoint(t *testing.T, a *Analyzer) []byte {
+// legacyCheckpoint writes the state of an analyzer over the whole study
+// in the layout of snapshot version 1 or 2. Both tag every state with
+// their version, keep the scans' stored-bytes count (BytesRead) in the
+// types state after its failure total, and encode the ping-pong state
+// as one automaton per UE and window: the oracle's, replayed over the
+// covered partitions. Version 2 writes that state as one more collector
+// state. Version 1 writes every other collector's, then a section of
+// its own holding the ping-pong tracker and the coverage it was
+// advanced over.
+func legacyCheckpoint(t *testing.T, a *Analyzer, version uint8) []byte {
 	t.Helper()
+	bytesRead := a.ScanStats().BytesRead
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	tk := newPPTracker(a.env.nUEs, StandardPingPongWindows)
+	if err := tk.advance(context.Background(), a.DS.Store, partitionsOf(a.covered), a.env.sectors, nil); err != nil {
+		t.Fatal(err)
+	}
+	state := func(n Need) []byte {
+		s := &enc{}
+		if n == NeedPingPong {
+			s.u8(version)
+			s.u32(uint32(n))
+			tk.encode(s)
+			return s.b
+		}
+		encodeState(s, n, a.cols[n])
+		s.b[0] = version
+		if n == NeedTypes {
+			const at = 1 + 4 + 4 + 8 + 8 // header, days, total HOs and failures
+			s.b = slices.Insert(s.b, at, binary.LittleEndian.AppendUint64(nil, uint64(bytesRead))...)
+		}
+		return s.b
+	}
+	have, end := a.have, needSentinel
+	if version == 1 {
+		have, end = a.have&^NeedPingPong, NeedPingPong
+	}
 	e := &enc{b: append([]byte(nil), checkpointMagic...)}
 	cfg := a.DS.Config
 	e.u64(cfg.Seed)
@@ -71,65 +103,72 @@ func versionOneCheckpoint(t *testing.T, a *Analyzer) []byte {
 	e.u32(uint32(cfg.LongTailCauses))
 	e.i32(int32(a.winFrom))
 	e.i32(int32(a.winTo))
-	e.u32(uint32(a.have &^ NeedPingPong))
+	e.u32(uint32(have))
 	encodeCoverage(e, a.covered)
 	e.u64(a.coveredGen)
-	for n := NeedTypes; n < NeedPingPong; n <<= 1 {
-		col, ok := a.cols[n]
-		if !ok {
+	for n := NeedTypes; n < end; n <<= 1 {
+		if _, ok := a.cols[n]; !ok {
 			continue
 		}
-		state := &enc{}
-		encodeState(state, n, col)
-		state.b[0] = 1
-		e.u32(uint32(len(state.b)))
-		e.b = append(e.b, state.b...)
+		b := state(n)
+		e.u32(uint32(len(b)))
+		e.b = append(e.b, b...)
 	}
-	e.u8(1)
-	a.cols[NeedPingPong].(*pingpongCollector).t.encode(e)
-	encodeCoverage(e, a.covered)
+	if version == 1 {
+		e.u8(1)
+		tk.encode(e)
+		encodeCoverage(e, a.covered)
+	}
 	e.u64(checksum64(e.b))
 	return e.b
 }
 
 // TestCheckpointVersionOneFallsBackCold: a checkpoint written by the
-// version 1 layout is refused, so ResumeAnalyzerFile falls back to a cold
-// analyzer whose report equals a cold report.
+// version 1 or version 2 layout is refused, so ResumeAnalyzerFile falls
+// back to a cold analyzer whose report equals a cold report.
 func TestCheckpointVersionOneFallsBackCold(t *testing.T) {
 	a := pinnedAnalyzer(t)
-	old := versionOneCheckpoint(t, a)
-	// The digest TestCheckpointBytesPinned held before the layout change:
-	// the rewrite reproduces the old bytes exactly, so the collector
-	// states themselves are unchanged.
-	if got := sha256Hex(old); got != "eb9862ed1156617cf2f912fe2c94f4eaa09ea06fce46e8a51363492d422d5ee7" {
-		t.Fatalf("version 1 rewrite sha256 = %s, want the old pinned digest", got)
-	}
-	if _, err := ResumeAnalyzer(a.DS, bytes.NewReader(old)); err == nil {
-		t.Fatal("a version 1 checkpoint resumed")
-	}
-	path := filepath.Join(t.TempDir(), "state.tlckpt")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fallback, resumed, err := ResumeAnalyzerFile(nil, path, a.DS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed {
-		t.Fatal("a version 1 checkpoint file resumed")
-	}
 	cold, err := New(a.DS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, got bytes.Buffer
+	var want bytes.Buffer
 	if err := RunAll(context.Background(), cold, &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunAll(context.Background(), fallback, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("the fallback analyzer's report differs from a cold report")
+	for _, c := range []struct {
+		version uint8
+		// The digest TestCheckpointBytesPinned held while the layout was
+		// current: the rewrite reproduces the old bytes exactly.
+		digest string
+	}{
+		{1, "eb9862ed1156617cf2f912fe2c94f4eaa09ea06fce46e8a51363492d422d5ee7"},
+		{2, "fe9a871008150031cbc08a4ea8f364792f927c475f12932d1bdb1ff3ef1eb3a6"},
+	} {
+		old := legacyCheckpoint(t, a, c.version)
+		if got := sha256Hex(old); got != c.digest {
+			t.Fatalf("version %d rewrite sha256 = %s, want the old pinned digest %s", c.version, got, c.digest)
+		}
+		if _, err := ResumeAnalyzer(a.DS, bytes.NewReader(old)); err == nil {
+			t.Fatalf("a version %d checkpoint resumed", c.version)
+		}
+		path := filepath.Join(t.TempDir(), "state.tlckpt")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fallback, resumed, err := ResumeAnalyzerFile(nil, path, a.DS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed {
+			t.Fatalf("a version %d checkpoint file resumed", c.version)
+		}
+		var got bytes.Buffer
+		if err := RunAll(context.Background(), fallback, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("version %d: the fallback analyzer's report differs from a cold report", c.version)
+		}
 	}
 }

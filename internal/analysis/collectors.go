@@ -452,7 +452,10 @@ func (s *sampler) seal(sc *sealScratch) {
 // cut trims the sampler to its exact bottom-k without ordering it. Past
 // capacity the quickselect prune leaves the k-th smallest at capacity-1;
 // at exactly capacity the largest entry is swapped there. Either way
-// that entry becomes offer's bound.
+// that entry becomes offer's bound. A refresh's re-seal (the sampler
+// was finalized before) then re-sizes the buffers to the entries, one
+// copy: a sampler kept between refreshes would otherwise hold append's
+// slack, up to 2×capacity. A cold seal allocates nothing.
 func (s *sampler) cut() {
 	switch {
 	case len(s.pri) > s.capacity:
@@ -465,6 +468,10 @@ func (s *sampler) cut() {
 			}
 		}
 		s.swap(m, s.capacity-1)
+	}
+	if s.finalized && cap(s.pri) > len(s.pri) {
+		s.pri = append(make([]uint64, 0, len(s.pri)), s.pri...)
+		s.val = append(make([]float64, 0, len(s.val)), s.val...)
 	}
 }
 
@@ -612,12 +619,6 @@ type typesCollector struct {
 	typeFails     [ho.NumTypes]int64
 	perDayFails   [][ho.NumTypes]int64
 	vendorByType  [ho.NumTypes][4]int64
-	// bytesRead accumulates the stored bytes consumed by every scan that
-	// fed this collector (the analyzer adds each scan's metrics), so the
-	// Table 1 stored-size figure stays exact across checkpoint + refresh.
-	// Zero for stores without byte accounting; finalize then falls back
-	// to the raw record-equivalent estimate.
-	bytesRead int64
 }
 
 func newTypesCollector(env *scanEnv) *typesCollector {
@@ -710,15 +711,6 @@ func (c *typesCollector) finalize(out *scanState) error {
 	out.typeFails = c.typeFails
 	out.perDayTypeFails = c.perDayFails
 	out.vendorByType = c.vendorByType
-	// Actual on-disk stored bytes when the scans provided byte
-	// accounting; raw record-equivalent fallback otherwise (e.g. the
-	// in-memory store) — blocks compress, so the two can differ by
-	// the compression factor.
-	if c.bytesRead > 0 {
-		out.bytesStored = c.bytesRead
-	} else {
-		out.bytesStored = c.totalHOs * trace.RecordSize
-	}
 	return nil
 }
 

@@ -150,9 +150,10 @@ func TestCollectorBatchRecordEquivalence(t *testing.T) {
 	}
 }
 
-// TestBytesStoredReportsOnDiskBytes: the NeedTypes view's bytesStored
-// must be the trace's actual stored size, not totalHOs×RecordSize —
-// v2 and v3 blocks store fewer bytes than the fixed-width image.
+// TestBytesStoredReportsOnDiskBytes: the stored bytes a pass reports
+// (ScanStats.BytesRead, which /stats and -v print) must be the trace's
+// actual stored size, not totalHOs×RecordSize — v2 and v3 blocks store
+// fewer bytes than the fixed-width image.
 func TestBytesStoredReportsOnDiskBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates campaigns")
@@ -199,17 +200,18 @@ func TestBytesStoredReportsOnDiskBytes(t *testing.T) {
 				}
 				onDisk += info.Size()
 			}
-			if s.bytesStored != onDisk {
-				t.Fatalf("bytesStored = %d, want on-disk %d", s.bytesStored, onDisk)
+			stored := a.ScanStats().BytesRead
+			if stored != onDisk {
+				t.Fatalf("BytesRead = %d, want on-disk %d", stored, onDisk)
 			}
-			if rawEquivalent := s.totalHOs * trace.RecordSize; s.bytesStored >= rawEquivalent {
+			if rawEquivalent := s.totalHOs * trace.RecordSize; stored >= rawEquivalent {
 				t.Fatalf("store reports %d stored bytes, not smaller than raw equivalent %d",
-					s.bytesStored, rawEquivalent)
+					stored, rawEquivalent)
 			}
 		})
 	}
-	// Stores without byte accounting keep the raw record-equivalent
-	// estimate.
+	// A store without byte accounting reports none: no estimate stands
+	// in for the bytes it did not count.
 	t.Run("mem-fallback", func(t *testing.T) {
 		cfg := simulate.DefaultConfig(778)
 		cfg.UEs = 600
@@ -226,8 +228,8 @@ func TestBytesStoredReportsOnDiskBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := s.totalHOs * trace.RecordSize; s.bytesStored != want {
-			t.Fatalf("mem-store bytesStored = %d, want estimate %d", s.bytesStored, want)
+		if st := a.ScanStats(); s.totalHOs == 0 || st.Records != s.totalHOs || st.BytesRead != 0 {
+			t.Fatalf("mem store: %d HOs, scan stats %+v; want every record scanned and no stored bytes", s.totalHOs, st)
 		}
 	})
 }

@@ -28,9 +28,9 @@ func runTable1(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 	days := a.windowDays()
 	dailyHOs := float64(s.totalHOs) / float64(days)
 	// The paper's "≈8 TB daily" is the raw capture size, so the
-	// comparable figure is the fixed-width record equivalent — not
-	// s.bytesStored, which reports the codec-dependent on-disk bytes and
-	// would make the artifact differ across storage codecs.
+	// comparable figure is the fixed-width record equivalent, not the
+	// codec-dependent bytes on disk, which would make the artifact differ
+	// across storage codecs.
 	dailyBytes := float64(s.totalHOs) * trace.RecordSize / float64(days)
 
 	// Deployment scale: the paper's network has 24k+ sites.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"telcolens/internal/report"
@@ -38,182 +39,80 @@ func (p *PingPongStats) Rate() float64 {
 	return float64(p.PingPongs) / float64(p.HOs)
 }
 
-// pingPongState is one UE's bounce automaton for one window.
-type pingPongState struct {
-	src, dst uint32
-	ts       int64
-	valid    bool
-}
-
-// step feeds the automaton one successful handover src→dst at ts and
-// reports whether it bounced back within winMs, closing a ping-pong.
-func (st *pingPongState) step(src, dst uint32, ts, winMs int64) bool {
-	if st.valid && src == st.dst && dst == st.src && ts-st.ts <= winMs {
-		// A PP closes the pair; the bounce-back does not seed a new one.
-		st.valid = false
-		return true
-	}
-	*st = pingPongState{src: src, dst: dst, ts: ts, valid: true}
-	return false
-}
-
 // StandardPingPongWindows are the detection windows the pingpong
 // experiment renders. The NeedPingPong collector runs the automata for
 // exactly this window set inside the fused scan, so a refresh after a
 // day lands feeds only the new partitions through them.
 var StandardPingPongWindows = []time.Duration{2 * time.Second, 10 * time.Second, time.Minute, 5 * time.Minute}
 
-// ppTracker is the resumable ping-pong engine: the per-UE per-window
-// bounce automata plus the counters. Because the automata advance
-// strictly in canonical partition order and a UE's whole record sequence
-// is preserved by that order, the state after partition k is a pure
-// function of partitions 0..k — appending partitions continues the
-// sequence exactly, which makes incremental counts identical to a cold
-// pass.
-type ppTracker struct {
-	winMs     []int64
-	states    []pingPongState // nUEs × len(winMs), window-major per UE
-	hos       int64
-	areaHOs   [2]int64
-	pingPongs []int64
-	byArea    [][2]int64
+// standardWinMs is StandardPingPongWindows in milliseconds.
+var standardWinMs = func() []int64 {
+	ms := make([]int64, len(StandardPingPongWindows))
+	for w, win := range StandardPingPongWindows {
+		ms[w] = win.Milliseconds()
+	}
+	return ms
+}()
+
+// ppLast is a UE's last successful handover. With the mask of windows
+// still open it is the UE's bounce automaton for every window at once:
+// a per-window automaton is, after each handover, either closed or
+// holding that same handover, so one copy of it and one bit per window
+// say everything the per-window automata would.
+type ppLast struct {
+	src, dst uint32
+	ts       int64
 }
 
-func newPPTracker(nUEs int, windows []time.Duration) *ppTracker {
-	t := &ppTracker{
-		winMs:     make([]int64, len(windows)),
-		states:    make([]pingPongState, nUEs*len(windows)),
-		pingPongs: make([]int64, len(windows)),
-		byArea:    make([][2]int64, len(windows)),
-	}
-	for w, win := range windows {
-		t.winMs[w] = win.Milliseconds()
-	}
-	return t
-}
-
-func (t *ppTracker) observe(sectors []sectorMeta, ts int64, ue trace.UEID, src, dst topology.SectorID, res trace.Result) {
-	if res != trace.Success {
-		return
-	}
-	t.hos++
-	areaIdx := sectors[src].areaIdx
-	t.areaHOs[areaIdx]++
-	nW := len(t.winMs)
-	base := int(ue) * nW
-	for w := 0; w < nW; w++ {
-		if t.states[base+w].step(uint32(src), uint32(dst), ts, t.winMs[w]) {
-			t.pingPongs[w]++
-			t.byArea[w][areaIdx]++
+// ppStep feeds one successful handover src→dst at ts to the automaton
+// (last, open) over the standard windows and returns the mask of windows
+// in which it bounced back within the window, closing a ping-pong. A
+// closed pair does not seed a new one, so those windows close; every
+// other window opens on the handover, which becomes last.
+func ppStep(last *ppLast, open *uint8, src, dst uint32, ts int64) (closed uint8) {
+	if *open != 0 && src == last.dst && dst == last.src {
+		for w, win := range standardWinMs {
+			if *open>>w&1 != 0 && ts-last.ts <= win {
+				closed |= 1 << w
+			}
 		}
 	}
-}
-
-// stats renders the tracker's counters for the given window set.
-func (t *ppTracker) stats(windows []time.Duration) []*PingPongStats {
-	out := make([]*PingPongStats, len(windows))
-	for w, win := range windows {
-		out[w] = &PingPongStats{
-			Window:    win,
-			HOs:       t.hos,
-			PingPongs: t.pingPongs[w],
-			ByArea:    t.byArea[w],
-			AreaHOs:   t.areaHOs,
-		}
-	}
-	return out
-}
-
-// encode/decodePPTracker serialize the tracker for checkpoints.
-func (t *ppTracker) encode(e *enc) {
-	e.i64s(t.winMs)
-	e.i64(t.hos)
-	e.i64(t.areaHOs[0])
-	e.i64(t.areaHOs[1])
-	e.i64s(t.pingPongs)
-	e.u32(uint32(len(t.byArea)))
-	for _, ba := range t.byArea {
-		e.i64(ba[0])
-		e.i64(ba[1])
-	}
-	e.u32(uint32(len(t.states)))
-	for i := range t.states {
-		st := &t.states[i]
-		e.u32(st.src)
-		e.u32(st.dst)
-		e.i64(st.ts)
-		if st.valid {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-	}
-}
-
-func decodePPTracker(d *dec) (*ppTracker, error) {
-	t := &ppTracker{}
-	t.winMs = d.i64s()
-	t.hos = d.i64()
-	t.areaHOs[0] = d.i64()
-	t.areaHOs[1] = d.i64()
-	t.pingPongs = d.i64s()
-	nBA := d.length(16)
-	if d.err != nil {
-		return nil, d.err
-	}
-	t.byArea = make([][2]int64, nBA)
-	for i := range t.byArea {
-		t.byArea[i][0] = d.i64()
-		t.byArea[i][1] = d.i64()
-	}
-	nStates := d.length(17)
-	if d.err != nil {
-		return nil, d.err
-	}
-	t.states = make([]pingPongState, nStates)
-	for i := range t.states {
-		st := &t.states[i]
-		st.src = d.u32()
-		st.dst = d.u32()
-		st.ts = d.i64()
-		st.valid = d.u8() == 1
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(t.winMs) == 0 || nStates%len(t.winMs) != 0 || len(t.pingPongs) != len(t.winMs) || len(t.byArea) != len(t.winMs) {
-		return nil, fmt.Errorf("analysis: ping-pong tracker shape mismatch (%d states, %d windows)", nStates, len(t.winMs))
-	}
-	// The tracker is only ever maintained for the standard window set;
-	// counts restored under any other set (a build whose standard windows
-	// differed) must not be relabeled with today's windows.
-	if len(t.winMs) != len(StandardPingPongWindows) {
-		return nil, fmt.Errorf("analysis: ping-pong tracker has %d windows, want %d", len(t.winMs), len(StandardPingPongWindows))
-	}
-	for i, win := range StandardPingPongWindows {
-		if t.winMs[i] != win.Milliseconds() {
-			return nil, fmt.Errorf("analysis: ping-pong tracker window %d is %dms, want %v", i, t.winMs[i], win)
-		}
-	}
-	return t, nil
+	*last = ppLast{src: src, dst: dst, ts: ts}
+	*open = (uint8(1)<<len(standardWinMs) - 1) &^ closed
+	return closed
 }
 
 // --- ping-pong collector ---------------------------------------------------
 
-// pingpongCollector runs the standard-window automata inside the fused
-// scan. The per-UE bounce state crosses day boundaries, so it advances
-// only on the merge, in canonical partition order — the order that
-// preserves every UE's record sequence — which makes the counts
-// independent of sharding, parallelism and refresh splits.
+// pingpongCollector runs one automaton per UE for the standard windows
+// inside the fused scan. The per-UE bounce state crosses day
+// boundaries, so it advances only on the merge, in canonical partition
+// order — the order that preserves every UE's record sequence — which
+// makes the state after partition k a pure function of partitions
+// 0..k, and the counts independent of sharding, parallelism and
+// refresh splits.
 type pingpongCollector struct {
 	env *scanEnv
-	t   *ppTracker
+
+	// last and open are every UE's automaton (ppStep), indexed by UE.
+	last      []ppLast
+	open      []uint8
+	hos       int64
+	areaHOs   [2]int64
+	pingPongs []int64 // per standard window
+	byArea    [][2]int64
 
 	shards shardFree[pingpongShard]
 }
 
 func newPingPongCollector(env *scanEnv) *pingpongCollector {
-	return &pingpongCollector{env: env, t: newPPTracker(env.nUEs, StandardPingPongWindows)}
+	return &pingpongCollector{
+		env:       env,
+		last:      make([]ppLast, env.nUEs),
+		open:      make([]uint8, env.nUEs),
+		pingPongs: make([]int64, len(standardWinMs)),
+		byArea:    make([][2]int64, len(standardWinMs)),
+	}
 }
 
 // ppHO is one successful handover as the automata consume it.
@@ -257,7 +156,16 @@ func (c *pingpongCollector) MergeShard(st trace.ShardState) error {
 	s := st.(*pingpongShard)
 	for i := range s.hos {
 		h := &s.hos[i]
-		c.t.observe(c.env.sectors, h.ts, h.ue, h.src, h.dst, trace.Success)
+		area := c.env.sectors[h.src].areaIdx
+		c.hos++
+		c.areaHOs[area]++
+		closed := ppStep(&c.last[h.ue], &c.open[h.ue], uint32(h.src), uint32(h.dst), h.ts)
+		for w := range c.pingPongs {
+			if closed>>w&1 != 0 {
+				c.pingPongs[w]++
+				c.byArea[w][area]++
+			}
+		}
 	}
 	s.hos = s.hos[:0]
 	c.shards.put(s)
@@ -266,28 +174,92 @@ func (c *pingpongCollector) MergeShard(st trace.ShardState) error {
 
 func (c *pingpongCollector) finalize(out *scanState) error {
 	c.shards.drop()
-	out.pingPong = c.t.stats(StandardPingPongWindows)
+	out.pingPong = make([]*PingPongStats, len(StandardPingPongWindows))
+	for w, win := range StandardPingPongWindows {
+		out.pingPong[w] = &PingPongStats{
+			Window:    win,
+			HOs:       c.hos,
+			PingPongs: c.pingPongs[w],
+			ByArea:    c.byArea[w],
+			AreaHOs:   c.areaHOs,
+		}
+	}
 	return nil
 }
 
-// encode writes the whole tracker, automata included, so a resumed
+// ppStateBytes is the encoded width of one UE's automaton: src, dst, ts
+// and the open mask.
+const ppStateBytes = 4 + 4 + 8 + 1
+
+// encode writes the counters and every UE's automaton, so a resumed
 // analyzer continues every UE's bounce state.
 func (c *pingpongCollector) encode(e *enc) {
-	c.t.encode(e)
+	e.i64s(standardWinMs)
+	e.i64(c.hos)
+	e.i64(c.areaHOs[0])
+	e.i64(c.areaHOs[1])
+	e.i64s(c.pingPongs)
+	e.u32(uint32(len(c.byArea)))
+	for _, ba := range c.byArea {
+		e.i64(ba[0])
+		e.i64(ba[1])
+	}
+	e.u32(uint32(len(c.last)))
+	for i := range c.last {
+		l := &c.last[i]
+		e.u32(l.src)
+		e.u32(l.dst)
+		e.i64(l.ts)
+		e.u8(c.open[i])
+	}
 }
 
-// restore replaces the fresh collector's tracker with the encoded one.
-// Automata cannot be summed, so there is nothing to merge into.
+// restore replaces the fresh collector's state with the encoded one.
+// Automata cannot be summed, so there is nothing to merge into. The
+// collector only ever runs the standard window set; counts encoded
+// under any other set (a build whose standard windows differed) must
+// not be relabeled with today's windows.
 func (c *pingpongCollector) restore(d *dec) error {
-	t, err := decodePPTracker(d)
-	if err != nil {
-		return err
+	winMs := d.i64s()
+	hos, area0, area1 := d.i64(), d.i64(), d.i64()
+	pingPongs := d.i64s()
+	nBA := d.length(16)
+	if d.err != nil {
+		return d.err
 	}
-	if len(t.states) != c.env.nUEs*len(t.winMs) {
-		return fmt.Errorf("analysis: ping-pong state has %d automata for %d UEs × %d windows",
-			len(t.states), c.env.nUEs, len(t.winMs))
+	nW := len(standardWinMs)
+	if !slices.Equal(winMs, standardWinMs) {
+		return fmt.Errorf("analysis: ping-pong state windows %v ms, want %v", winMs, StandardPingPongWindows)
 	}
-	c.t = t
+	if len(pingPongs) != nW || nBA != nW {
+		return fmt.Errorf("analysis: ping-pong state has %d/%d window counts, want %d", len(pingPongs), nBA, nW)
+	}
+	byArea := make([][2]int64, nBA)
+	for i := range byArea {
+		byArea[i][0] = d.i64()
+		byArea[i][1] = d.i64()
+	}
+	n := d.length(ppStateBytes)
+	if d.err != nil {
+		return d.err
+	}
+	if n != c.env.nUEs {
+		return fmt.Errorf("analysis: ping-pong state has %d automata for %d UEs", n, c.env.nUEs)
+	}
+	last, open := make([]ppLast, n), make([]uint8, n)
+	for i := range last {
+		last[i] = ppLast{src: d.u32(), dst: d.u32(), ts: d.i64()}
+		open[i] = d.u8()
+		if open[i]>>nW != 0 {
+			return fmt.Errorf("analysis: ping-pong state of UE %d opens windows %b of %d", i, open[i], nW)
+		}
+	}
+	if d.err != nil {
+		return d.err
+	}
+	c.hos, c.areaHOs = hos, [2]int64{area0, area1}
+	c.pingPongs, c.byArea = pingPongs, byArea
+	c.last, c.open = last, open
 	return nil
 }
 

@@ -3,21 +3,129 @@ package analysis
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"telcolens/internal/simulate"
+	"telcolens/internal/topology"
 	"telcolens/internal/trace"
 )
 
-// advance is the ping-pong oracle: a sequential replay of the given
-// partitions, in canonical order, one at a time through the automata,
-// restricted to the records inside tr when tr is set. The NeedPingPong
-// collector must count exactly what it counts.
+// The ping-pong oracle: one bounce automaton per UE per window, the
+// definition the shared per-UE automaton (ppStep) must reproduce.
+
+// pingPongState is one UE's bounce automaton for one window.
+type pingPongState struct {
+	src, dst uint32
+	ts       int64
+	valid    bool
+}
+
+// step feeds the automaton one successful handover src→dst at ts and
+// reports whether it bounced back within winMs, closing a ping-pong.
+func (st *pingPongState) step(src, dst uint32, ts, winMs int64) bool {
+	if st.valid && src == st.dst && dst == st.src && ts-st.ts <= winMs {
+		// A PP closes the pair; the bounce-back does not seed a new one.
+		st.valid = false
+		return true
+	}
+	*st = pingPongState{src: src, dst: dst, ts: ts, valid: true}
+	return false
+}
+
+// ppTracker runs the per-window automata of every UE and the counters.
+type ppTracker struct {
+	winMs     []int64
+	states    []pingPongState // nUEs × len(winMs), window-major per UE
+	hos       int64
+	areaHOs   [2]int64
+	pingPongs []int64
+	byArea    [][2]int64
+}
+
+func newPPTracker(nUEs int, windows []time.Duration) *ppTracker {
+	t := &ppTracker{
+		winMs:     make([]int64, len(windows)),
+		states:    make([]pingPongState, nUEs*len(windows)),
+		pingPongs: make([]int64, len(windows)),
+		byArea:    make([][2]int64, len(windows)),
+	}
+	for w, win := range windows {
+		t.winMs[w] = win.Milliseconds()
+	}
+	return t
+}
+
+func (t *ppTracker) observe(sectors []sectorMeta, ts int64, ue trace.UEID, src, dst topology.SectorID, res trace.Result) {
+	if res != trace.Success {
+		return
+	}
+	t.hos++
+	areaIdx := sectors[src].areaIdx
+	t.areaHOs[areaIdx]++
+	nW := len(t.winMs)
+	base := int(ue) * nW
+	for w := 0; w < nW; w++ {
+		if t.states[base+w].step(uint32(src), uint32(dst), ts, t.winMs[w]) {
+			t.pingPongs[w]++
+			t.byArea[w][areaIdx]++
+		}
+	}
+}
+
+// stats renders the tracker's counters for the given window set.
+func (t *ppTracker) stats(windows []time.Duration) []*PingPongStats {
+	out := make([]*PingPongStats, len(windows))
+	for w, win := range windows {
+		out[w] = &PingPongStats{
+			Window:    win,
+			HOs:       t.hos,
+			PingPongs: t.pingPongs[w],
+			ByArea:    t.byArea[w],
+			AreaHOs:   t.areaHOs,
+		}
+	}
+	return out
+}
+
+// encode writes the tracker in the layout of snapshot versions 1 and 2:
+// the counters, then every automaton (17 bytes each), an invalid one
+// still carrying the pair it closed.
+func (t *ppTracker) encode(e *enc) {
+	e.i64s(t.winMs)
+	e.i64(t.hos)
+	e.i64(t.areaHOs[0])
+	e.i64(t.areaHOs[1])
+	e.i64s(t.pingPongs)
+	e.u32(uint32(len(t.byArea)))
+	for _, ba := range t.byArea {
+		e.i64(ba[0])
+		e.i64(ba[1])
+	}
+	e.u32(uint32(len(t.states)))
+	for i := range t.states {
+		st := &t.states[i]
+		e.u32(st.src)
+		e.u32(st.dst)
+		e.i64(st.ts)
+		if st.valid {
+			e.u8(1)
+		} else {
+			e.u8(0)
+		}
+	}
+}
+
+// advance replays the given partitions, in canonical order, one at a
+// time through the oracle's automata, restricted to the records inside
+// tr when tr is set. The NeedPingPong collector must count exactly what
+// it counts.
 func (t *ppTracker) advance(ctx context.Context, store trace.Store, parts []trace.Partition, sectors []sectorMeta, tr *trace.TimeRange) error {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Less(parts[j]) })
 	var cb trace.ColumnBatch
@@ -302,4 +410,107 @@ func TestRunAllReadsEachPartitionOnce(t *testing.T) {
 				par, st.Scans, st.Partitions, len(parts))
 		}
 	}
+}
+
+// TestPingPongRestoreRejectsForeignStates: restore takes only the
+// standard windows, one automaton per UE of the dataset and open masks
+// within the window count.
+func TestPingPongRestoreRejectsForeignStates(t *testing.T) {
+	env := &scanEnv{nUEs: 3}
+	c := newPingPongCollector(env)
+	c.last[1], c.open[1] = ppLast{src: 4, dst: 9, ts: 1234}, 0b1010
+	c.hos, c.pingPongs[3] = 7, 2
+	e := &enc{}
+	c.encode(e)
+	good := e.b
+	badMask := slices.Clone(good)
+	badMask[len(badMask)-1] = 1 << len(standardWinMs) // the last UE's mask
+	otherWindow := slices.Clone(good)
+	binary.LittleEndian.PutUint64(otherWindow[4:], 3000) // the first window, after its count
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		nUEs int
+		ok   bool
+	}{
+		{"canonical", good, 3, true},
+		{"mask-past-windows", badMask, 3, false},
+		{"other-window", otherWindow, 3, false},
+		{"other-population", good, 4, false},
+	} {
+		fresh := newPingPongCollector(&scanEnv{nUEs: tc.nUEs})
+		err := fresh.restore(&dec{b: tc.b})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: restore err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if tc.ok {
+			back := &enc{}
+			fresh.encode(back)
+			if !bytes.Equal(back.b, good) {
+				t.Errorf("%s: the restored state encodes differently", tc.name)
+			}
+		}
+	}
+}
+
+// FuzzPingPongAutomaton runs one UE's handover sequence through the
+// shared automaton (ppStep) and the per-window oracle. Each step takes
+// three bytes: the pair (a fresh one from eight sectors, the last one
+// repeated, or the last one reversed) and the gap to the previous
+// handover (zero, a standard window exactly or one millisecond either
+// side of it, an arbitrary one, or backwards in time). The per-window
+// counts must agree after every step, a window is open exactly where the
+// oracle's automaton is valid, and every open window holds the oracle's
+// pair and timestamp.
+func FuzzPingPongAutomaton(f *testing.F) {
+	// A→B, then B→A at exactly, one ms past and one ms inside each window.
+	f.Add([]byte{0, 0, 8, 2, 4, 0, 2, 12, 0, 3, 8, 0, 2, 9, 0, 2, 13, 0})
+	f.Add([]byte{0, 1, 9, 1, 0, 0, 2, 0, 0, 2, 0, 0, 3, 5, 0, 1, 21, 7, 2, 22, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nW := len(standardWinMs)
+		oracle := make([]pingPongState, nW)
+		want, got := make([]int64, nW), make([]int64, nW)
+		var last ppLast
+		var open uint8
+		var src, dst uint32
+		var ts int64
+		for step := 0; len(data) >= 3; step, data = step+1, data[3:] {
+			op, gap, x := data[0], data[1], data[2]
+			switch op % 4 {
+			case 0:
+				src, dst = uint32(x%8), uint32(x/8%8)
+			case 1: // the same pair again
+			default:
+				src, dst = dst, src
+			}
+			win := standardWinMs[int(gap)%nW]
+			switch gap / 4 % 6 {
+			case 1:
+				ts += win
+			case 2:
+				ts += win - 1
+			case 3:
+				ts += win + 1
+			case 4:
+				ts += int64(x) * 997
+			case 5:
+				ts -= int64(x)
+			}
+			closed := ppStep(&last, &open, src, dst, ts)
+			for w := range oracle {
+				if oracle[w].step(src, dst, ts, standardWinMs[w]) {
+					want[w]++
+				}
+				got[w] += int64(closed >> w & 1)
+				o := &oracle[w]
+				if isOpen := open>>w&1 != 0; isOpen != o.valid ||
+					isOpen && (last != ppLast{src: o.src, dst: o.dst, ts: o.ts}) {
+					t.Fatalf("step %d, window %dms: open %v holding %+v, oracle %+v", step, standardWinMs[w], isOpen, last, *o)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: ping-pongs per window %v, oracle %v", step, got, want)
+			}
+		}
+	})
 }

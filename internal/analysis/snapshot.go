@@ -21,8 +21,10 @@ import (
 
 // snapshotVersion tags every encoded collector state; bump on any
 // encoding change. Version 2 added the ping-pong state, which version 1
-// checkpoints carried in a section of their own.
-const snapshotVersion = 2
+// checkpoints carried in a section of their own. Version 3 encodes one
+// ping-pong automaton per UE instead of one per UE and window, and drops
+// the types state's stored-bytes count, which no experiment read.
+const snapshotVersion = 3
 
 // --- deterministic binary encoding helpers -----------------------------
 
@@ -225,7 +227,6 @@ func (c *typesCollector) encode(e *enc) {
 	e.u32(uint32(c.env.days))
 	e.i64(c.totalHOs)
 	e.i64(c.totalFails)
-	e.i64(c.bytesRead)
 	for t := 0; t < nTypes; t++ {
 		e.i64(c.typeCounts[t])
 		e.i64(c.typeFails[t])
@@ -253,7 +254,6 @@ func (c *typesCollector) restore(d *dec) error {
 	}
 	c.totalHOs = d.i64()
 	c.totalFails = d.i64()
-	c.bytesRead = d.i64()
 	for t := 0; t < nTypes; t++ {
 		c.typeCounts[t] = d.i64()
 		c.typeFails[t] = d.i64()

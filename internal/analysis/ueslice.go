@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"time"
-
 	"telcolens/internal/ho"
 	"telcolens/internal/trace"
 )
@@ -33,31 +31,21 @@ type UESliceAggregate struct {
 }
 
 // UESliceTracker folds one UE's record stream, row by row in order, into
-// a UESliceAggregate. It maintains one bounce automaton per standard
-// ping-pong window (StandardPingPongWindows); feeding records out of
-// timestamp order undercounts bounces exactly as the offline definition
-// would.
+// a UESliceAggregate. It keeps the pingpong collector's automaton for
+// the standard ping-pong windows (StandardPingPongWindows): the UE's
+// last successful handover and the mask of windows still open, stepped
+// by the same ppStep. Feeding records out of timestamp order
+// undercounts bounces exactly as the offline definition would.
 type UESliceTracker struct {
-	windows []time.Duration
-	winMs   []int64
-	states  []pingPongState
-	bounces []int64
+	last    ppLast
+	open    uint8
+	bounces []int64 // per standard window
 	agg     UESliceAggregate
 }
 
 // NewUESliceTracker returns a tracker over the standard window set.
 func NewUESliceTracker() *UESliceTracker {
-	windows := StandardPingPongWindows
-	t := &UESliceTracker{
-		windows: windows,
-		winMs:   make([]int64, len(windows)),
-		states:  make([]pingPongState, len(windows)),
-		bounces: make([]int64, len(windows)),
-	}
-	for i, w := range windows {
-		t.winMs[i] = w.Milliseconds()
-	}
-	return t
+	return &UESliceTracker{bounces: make([]int64, len(standardWinMs))}
 }
 
 // ObserveRow folds row i of cb. All rows fed to one tracker must belong
@@ -74,19 +62,17 @@ func (t *UESliceTracker) ObserveRow(cb *trace.ColumnBatch, i int) {
 	} else {
 		t.agg.Vertical++
 	}
-	src, dst, ts := uint32(cb.Sources[i]), uint32(cb.Targets[i]), cb.Timestamps[i]
-	for w := range t.winMs {
-		if t.states[w].step(src, dst, ts, t.winMs[w]) {
-			t.bounces[w]++
-		}
+	closed := ppStep(&t.last, &t.open, uint32(cb.Sources[i]), uint32(cb.Targets[i]), cb.Timestamps[i])
+	for w := range t.bounces {
+		t.bounces[w] += int64(closed >> w & 1)
 	}
 }
 
 // Aggregate renders the counters accumulated so far.
 func (t *UESliceTracker) Aggregate() UESliceAggregate {
 	out := t.agg
-	out.PingPongs = make(map[string]int64, len(t.windows))
-	for i, w := range t.windows {
+	out.PingPongs = make(map[string]int64, len(StandardPingPongWindows))
+	for i, w := range StandardPingPongWindows {
 		out.PingPongs[w.String()] = t.bounces[i]
 	}
 	return out
