@@ -4,9 +4,11 @@
 // full scan state warm in memory, watches the trace store's MANIFEST,
 // and when new days land (telcogen -append, a streaming-ingest seal)
 // refreshes in place: the campaign manifest is re-read, only the new
-// partitions are scanned into the live analyzer, and the re-rendered
-// artifacts are atomically swapped in. Clients never see a cold cache
-// and never trigger a rescan.
+// partitions are scanned into the live analyzer, and the new generation
+// is swapped in: /healthz and /query show the day at once, and the
+// artifacts render right after, requests for them waiting on that render
+// rather than being served the previous day's bytes. Clients never see
+// a cold cache and never trigger a rescan.
 //
 // Usage:
 //
@@ -108,7 +110,8 @@ type serveConfig struct {
 // HTTP hardening bounds: header/body read and response write deadlines
 // per request, plus body-size caps on the two endpoints that accept or
 // stream significant payloads. Scan-heavy artifact renders happen at
-// refresh time, never inside a request, so tight deadlines are safe.
+// refresh time, never inside a request (an artifact request waits at
+// most for the render in progress), so tight deadlines are safe.
 const (
 	httpReadHeaderTimeout = 10 * time.Second
 	httpReadTimeout       = time.Minute
@@ -131,17 +134,22 @@ type artifactView struct {
 	Err      string
 }
 
-// snapshot is one immutable serving generation: every rendered artifact
-// plus the scan counters at render time. Refreshes build a new snapshot
-// and swap it; the analyzer it was rendered from lives on in the server
-// and is refreshed in place, so nothing a handler reads refers to it.
+// snapshot is one serving generation: every rendered artifact plus the
+// scan counters at publication. A refresh publishes a new snapshot, then
+// renders its artifacts; the analyzer they are rendered from lives on in
+// the server and is refreshed in place, so nothing a handler reads
+// refers to it.
 type snapshot struct {
+	// views is filled by render, which then closes rendered; handlers read
+	// it only once awaitRender says so. A nil rendered means views was
+	// complete when the snapshot was built.
 	views       map[string]*artifactView
-	order       []string
+	rendered    chan struct{}
+	order       []string // experiment ids, in registry order
 	days        int
 	partitions  int
 	manifestGen uint64
-	renderedAt  time.Time
+	publishedAt time.Time
 	scan        telcolens.ScanStats
 	// qview pins the partition set /query executions run against, so a
 	// query sees exactly this snapshot's generation even while new days
@@ -231,20 +239,49 @@ type refreshStages struct {
 	// refresh is the analyzer's scan and finalize: the in-place merge of
 	// the new partitions, or the full scan of a cold rescan.
 	refresh time.Duration
-	// render runs and renders every experiment.
-	render time.Duration
-	// swap builds the query view and publishes the snapshot.
+	// swap builds the query view and publishes the snapshot. reload,
+	// refresh and swap add up to the time until /healthz shows the day.
 	swap time.Duration
+	// render runs and renders every experiment, after the swap.
+	render time.Duration
 }
 
-// render runs every experiment on the shared experiment pool. Individual
-// experiment failures (e.g. a window too short for home detection) are
-// served as error artifacts instead of taking the daemon down.
-func render(ctx context.Context, a *telcolens.Analyzer) (map[string]*artifactView, []string) {
+// newSnapshot builds the serving generation of a warm analyzer, its
+// artifacts still to render.
+func newSnapshot(a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64) *snapshot {
+	exps := telcolens.Experiments()
+	order := make([]string, len(exps))
+	for i, e := range exps {
+		order[i] = e.ID
+	}
+	parts, _ := a.Covered()
+	qv, err := query.NewView(ds.Store)
+	if err != nil {
+		log.Printf("building query view: %v (/query disabled for this snapshot)", err)
+		qv = nil
+	}
+	return &snapshot{
+		rendered:    make(chan struct{}),
+		order:       order,
+		days:        ds.Config.Days,
+		partitions:  parts,
+		manifestGen: gen,
+		publishedAt: time.Now(),
+		scan:        a.ScanStats(),
+		qview:       qv,
+	}
+}
+
+// render runs every experiment on the shared experiment pool and fills
+// the snapshot's views, releasing the requests waiting on them.
+// Individual experiment failures (e.g. a window too short for home
+// detection, or a shutdown cancelling ctx) are served as error
+// artifacts instead of taking the daemon down.
+func (snap *snapshot) render(ctx context.Context, a *telcolens.Analyzer) {
+	defer close(snap.rendered)
 	exps := telcolens.Experiments()
 	outs := analysis.RunEach(ctx, a) // same order as exps
 	views := make(map[string]*artifactView, len(exps))
-	order := make([]string, len(exps))
 	for i, e := range exps {
 		v := &artifactView{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef}
 		if err := outs[i].Err; err != nil {
@@ -259,46 +296,22 @@ func render(ctx context.Context, a *telcolens.Analyzer) (map[string]*artifactVie
 			v.Artifact = outs[i].Artifact
 		}
 		views[e.ID] = v
-		order[i] = e.ID
 	}
-	return views, order
+	snap.views = views
 }
 
-// build renders a warm analyzer into a serving snapshot. warmErr reports
-// that the shared scan state could not be computed (callers then do not
-// mark the state synced to the store generation); the experiments still
-// ran, each retrying its own scan. st holds the scan, render and
-// query-view times.
-func build(ctx context.Context, a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64) (snap *snapshot, st refreshStages, warmErr error) {
-	t := time.Now()
-	// One fused pass computes every scan-state unit the experiments share
-	// (an analyzer refreshed in place already holds them); the experiments
-	// then only read cached state, so a failing read fails here rather
-	// than becoming a served error artifact.
-	_, warmErr = a.Scan(ctx)
-	st.refresh = time.Since(t)
-	t = time.Now()
-	views, order := render(ctx, a)
-	st.render = time.Since(t)
-	t = time.Now()
-	parts, _ := a.Covered()
-	qv, err := query.NewView(ds.Store)
-	if err != nil {
-		log.Printf("building query view: %v (/query disabled for this snapshot)", err)
-		qv = nil
+// awaitRender waits until the snapshot's views are rendered and reports
+// whether they are; it gives up, reporting false, when ctx ends first.
+func (snap *snapshot) awaitRender(ctx context.Context) bool {
+	if snap.rendered == nil {
+		return true
 	}
-	snap = &snapshot{
-		views:       views,
-		order:       order,
-		days:        ds.Config.Days,
-		partitions:  parts,
-		manifestGen: gen,
-		renderedAt:  time.Now(),
-		scan:        a.ScanStats(),
-		qview:       qv,
+	select {
+	case <-snap.rendered:
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	st.swap = time.Since(t)
-	return snap, st, warmErr
 }
 
 // saveCheckpoint persists the serving analyzer's state (no-op without
@@ -395,7 +408,7 @@ func (s *server) reload() (gen uint64, rebuilt bool, err error) {
 // it, scanning only what the checkpoint does not cover; res is that
 // Refresh's result. Otherwise — no checkpoint, an unusable file, or one
 // the store has since diverged from — it returns an empty analyzer and a
-// nil res, and build's warm scan reads every partition.
+// nil res, and refresh's warm scan reads every partition.
 func (s *server) coldAnalyzer(ctx context.Context, ds *telcolens.Dataset) (a *telcolens.Analyzer, res *telcolens.RefreshResult, err error) {
 	if s.checkpoint == "" {
 		a, err = telcolens.NewAnalyzer(ds, s.options()...)
@@ -418,16 +431,21 @@ func (s *server) coldAnalyzer(ctx context.Context, ds *telcolens.Dataset) (a *te
 // loop only decides when. It brings the serving state up to date at the
 // cost of the delta: the kept campaign reloads its manifest in place,
 // the live analyzer Refreshes in place (scanning only the new
-// partitions), the experiments re-render on the shared pool, and the
-// new snapshot is swapped in. Without a kept campaign it loads one cold;
-// without a live analyzer, or over a rebuilt world, it builds one cold
-// (coldAnalyzer). On any error the previous snapshot keeps serving — its
-// views are rendered bytes — and the next step retries: a failed Refresh
-// may have merged part of its delta, so the live analyzer is dropped and
-// the retry builds cold. A store caught mid-append simply fails
-// validation until the day finishes landing. While nothing is served a
-// failed warm scan still publishes, since there is nothing older to
-// serve, but neither marks the generation served nor keeps the analyzer.
+// partitions), the new snapshot is swapped in — /healthz and /query show
+// the day from here — and its experiments render on the shared pool
+// while artifact requests wait for them. The render ends before the step
+// returns, so no later step mutates the analyzer while an experiment
+// reads it; the checkpoint is saved after it, because its encode
+// re-orders the samplers the experiments read. Without a kept campaign
+// it loads one cold; without a live analyzer, or over a rebuilt world,
+// it builds one cold (coldAnalyzer). On any error before the swap the
+// previous snapshot keeps serving — its views are rendered bytes — and
+// the next step retries: a failed Refresh may have merged part of its
+// delta, so the live analyzer is dropped and the retry builds cold. A
+// store caught mid-append simply fails validation until the day
+// finishes landing. While nothing is served a failed warm scan still
+// publishes, since there is nothing older to serve, but neither marks
+// the generation served nor keeps the analyzer.
 func (s *server) refresh(ctx context.Context) error {
 	start := time.Now()
 	s.mu.RLock()
@@ -482,8 +500,11 @@ func (s *server) refresh(ctx context.Context) error {
 			return nil
 		}
 	}
-	st.refresh = time.Since(t)
-	next, bst, warmErr := build(ctx, a, ds, gen)
+	// One fused pass computes every scan-state unit the experiments share
+	// (an analyzer refreshed in place already holds them); the experiments
+	// then only read cached state, so a failing read fails here rather
+	// than becoming a served error artifact.
+	_, warmErr := a.Scan(ctx)
 	if warmErr != nil {
 		s.live = nil
 		if old != nil {
@@ -491,15 +512,15 @@ func (s *server) refresh(ctx context.Context) error {
 		}
 		log.Printf("warming scan state: %v (serving what the experiments computed on their own)", warmErr)
 	}
-	// An analyzer built empty is filled by build's warm scan.
+	st.refresh = time.Since(t)
+
+	t = time.Now()
+	next := newSnapshot(a, ds, gen)
+	// An analyzer built empty is filled by the warm scan.
 	merged, fullRescan := next.partitions, true
 	if res != nil {
 		merged, fullRescan = res.PartitionsScanned, res.FullRescan
 	}
-	st.refresh += bst.refresh
-	st.render = bst.render
-
-	t = time.Now()
 	s.mu.Lock()
 	s.cur = next
 	if warmErr == nil {
@@ -515,7 +536,13 @@ func (s *server) refresh(ctx context.Context) error {
 		}
 	}
 	s.lastScanned = merged
-	st.swap = bst.swap + time.Since(t)
+	s.mu.Unlock()
+	st.swap = time.Since(t)
+
+	t = time.Now()
+	next.render(ctx, a)
+	st.render = time.Since(t)
+	s.mu.Lock()
 	s.lastStages = st
 	s.lastRefreshDur = time.Since(start)
 	s.mu.Unlock()
@@ -604,17 +631,30 @@ func (s *server) current(w http.ResponseWriter) *snapshot {
 	return cur
 }
 
+// currentRendered is current for the handlers that serve rendered
+// artifacts: it waits for the serving snapshot's render, so a day
+// /healthz shows is never answered with the previous day's bytes. A
+// request that ends first gets a 503.
+func (s *server) currentRendered(w http.ResponseWriter, r *http.Request) *snapshot {
+	cur := s.current(w)
+	if cur == nil || cur.awaitRender(r.Context()) {
+		return cur
+	}
+	http.Error(w, "request abandoned while the artifacts rendered", http.StatusServiceUnavailable)
+	return nil
+}
+
 func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}
-	cur := s.current(w)
+	cur := s.currentRendered(w, r)
 	if cur == nil {
 		return
 	}
 	fmt.Fprintf(w, "telcolens serving %d artifacts over %d study days (snapshot %s)\n\n",
-		len(cur.order), cur.days, cur.renderedAt.UTC().Format(time.RFC3339))
+		len(cur.order), cur.days, cur.publishedAt.UTC().Format(time.RFC3339))
 	for _, id := range cur.order {
 		v := cur.views[id]
 		status := ""
@@ -628,7 +668,7 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
-	cur := s.current(w)
+	cur := s.currentRendered(w, r)
 	if cur == nil {
 		return
 	}
@@ -718,8 +758,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out["days"] = cur.days
 		out["partitions"] = cur.partitions
 		out["manifest_gen"] = cur.manifestGen
-		out["snapshot_at"] = cur.renderedAt.UTC()
-		out["snapshot_age_sec"] = time.Since(cur.renderedAt).Seconds()
+		out["snapshot_at"] = cur.publishedAt.UTC()
+		out["snapshot_age_sec"] = time.Since(cur.publishedAt).Seconds()
 		out["artifacts"] = len(cur.order)
 		out["scan"] = map[string]any{
 			"scans":          st.Scans,
@@ -759,7 +799,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		out["days"] = cur.days
 		out["manifest_gen"] = cur.manifestGen
-		out["snapshot_age_sec"] = time.Since(cur.renderedAt).Seconds()
+		out["snapshot_age_sec"] = time.Since(cur.publishedAt).Seconds()
 	}
 	if days := s.degradedDays(); len(days) > 0 {
 		// Still 200: the daemon is healthy, the data is declaredly

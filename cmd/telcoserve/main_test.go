@@ -61,7 +61,7 @@ func newQueryServer(t *testing.T) *server {
 		started: time.Now(),
 		nudge:   make(chan struct{}, 1),
 		eng:     query.New(fs),
-		cur:     &snapshot{qview: qv, renderedAt: time.Now()},
+		cur:     &snapshot{qview: qv, publishedAt: time.Now()},
 	}
 }
 
@@ -249,7 +249,7 @@ func TestQueryCacheSwapRace(t *testing.T) {
 		started: time.Now(),
 		nudge:   make(chan struct{}, 1),
 		eng:     query.New(fs),
-		cur:     &snapshot{qview: qv, renderedAt: time.Now()},
+		cur:     &snapshot{qview: qv, publishedAt: time.Now()},
 	}
 
 	// rowsAt maps a published generation to the ue=3 row count any
@@ -279,7 +279,7 @@ func TestQueryCacheSwapRace(t *testing.T) {
 			pub.rowsAt[nv.Gen] = 10 * (day + 1)
 			pub.Unlock()
 			s.mu.Lock()
-			s.cur = &snapshot{qview: nv, renderedAt: time.Now(), manifestGen: nv.Gen}
+			s.cur = &snapshot{qview: nv, publishedAt: time.Now(), manifestGen: nv.Gen}
 			s.eng.InvalidateCache()
 			s.mu.Unlock()
 			pub.Lock()

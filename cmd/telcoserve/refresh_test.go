@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"telcolens"
+	"telcolens/internal/admission"
 	"telcolens/internal/chaos"
 	"telcolens/internal/faultfs"
 	"telcolens/internal/ingest"
@@ -136,10 +138,16 @@ func TestSealDuringRefreshBecomesVisible(t *testing.T) {
 // servedArtifacts is every /artifacts/{id} answer, as "status body".
 func servedArtifacts(t *testing.T, s *server) map[string]string {
 	t.Helper()
+	return servedAnswers(t, s, "")
+}
+
+// servedAnswers is every /artifacts/{id}+suffix answer, as "status body".
+func servedAnswers(t *testing.T, s *server, suffix string) map[string]string {
+	t.Helper()
 	out := map[string]string{}
 	for _, e := range telcolens.Experiments() {
 		rec := httptest.NewRecorder()
-		s.handleArtifacts(rec, httptest.NewRequest(http.MethodGet, "/artifacts/"+e.ID, nil))
+		s.handleArtifacts(rec, httptest.NewRequest(http.MethodGet, "/artifacts/"+e.ID+suffix, nil))
 		out[e.ID] = fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes())
 	}
 	return out
@@ -152,6 +160,13 @@ func servedArtifacts(t *testing.T, s *server) map[string]string {
 // error).
 func coldArtifacts(t *testing.T, dir string) map[string]string {
 	t.Helper()
+	text, _ := coldAnswers(t, dir)
+	return text
+}
+
+// coldAnswers is coldArtifacts as text and as ?format=json.
+func coldAnswers(t *testing.T, dir string) (text, js map[string]string) {
+	t.Helper()
 	ds, err := telcolens.Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -160,20 +175,24 @@ func coldArtifacts(t *testing.T, dir string) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]string{}
+	text, js = map[string]string{}, map[string]string{}
 	for _, e := range telcolens.Experiments() {
 		art, err := e.Run(context.Background(), a)
 		if err != nil {
-			out[e.ID] = fmt.Sprintf("%d %s\n", http.StatusUnprocessableEntity, err)
+			text[e.ID] = fmt.Sprintf("%d %s\n", http.StatusUnprocessableEntity, err)
+			js[e.ID] = text[e.ID]
 			continue
 		}
 		var buf bytes.Buffer
 		if err := art.Render(&buf); err != nil {
 			t.Fatal(err)
 		}
-		out[e.ID] = fmt.Sprintf("%d %s", http.StatusOK, buf.Bytes())
+		text[e.ID] = fmt.Sprintf("%d %s", http.StatusOK, buf.Bytes())
+		rec := httptest.NewRecorder()
+		writeJSON(rec, art)
+		js[e.ID] = fmt.Sprintf("%d %s", http.StatusOK, rec.Body.Bytes())
 	}
-	return out
+	return text, js
 }
 
 // sameArtifacts fails the test at the first artifact that differs.
@@ -220,6 +239,83 @@ func dayRecords(t *testing.T, dir string, day int) *trace.ColumnBatch {
 		it.Close()
 	}
 	return out
+}
+
+// TestVisibleDayServesItsArtifacts lands days while a refresh runs in
+// another goroutine and polls /healthz. The refresh publishes the day
+// before it renders the artifacts, so the moment /healthz shows the day
+// every /artifacts/{id}, text and JSON, must answer with a cold report of
+// the grown store: requests wait for the render, and are never answered
+// with the previous day's bytes.
+func TestVisibleDayServesItsArtifacts(t *testing.T) {
+	const first, days = 2, 4
+	dir := t.TempDir()
+	generateServed(t, dir, 3, first, days) // a declared window: every refresh is in place
+	ctx := context.Background()
+	s := newTestServer(t, dir, 2)
+	if err := s.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waited := 0
+	for day := first; day < days; day++ {
+		appendDay(t, dir)
+		wantText, wantJSON := coldAnswers(t, dir)
+		done := make(chan error, 1)
+		go func() { done <- s.refresh(ctx) }()
+		for healthzDays(t, s) != day+1 {
+			select {
+			case err := <-done:
+				t.Fatalf("day %d: the refresh returned (err %v) with /healthz at %d days", day, err, healthzDays(t, s))
+			default:
+			}
+		}
+		s.mu.RLock()
+		rendered := s.cur.rendered
+		s.mu.RUnlock()
+		select {
+		case <-rendered:
+		default:
+			waited++
+		}
+		sameArtifacts(t, fmt.Sprintf("day %d text", day), wantText, servedAnswers(t, s, ""))
+		sameArtifacts(t, fmt.Sprintf("day %d json", day), wantJSON, servedAnswers(t, s, "?format=json"))
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d of %d days were visible before their artifacts rendered", waited, days-first)
+}
+
+// TestAbandonedArtifactWaitReturns: a request for an artifact of a
+// snapshot still rendering returns a 503 as soon as its context ends,
+// through the route's admission, and leaves no goroutine behind.
+func TestAbandonedArtifactWaitReturns(t *testing.T) {
+	s := newQueryServer(t)
+	s.adm = admission.NewController(admission.Config{})
+	s.cur = &snapshot{rendered: make(chan struct{}), order: []string{"fig8"}, publishedAt: time.Now()}
+	h := s.routes()
+	baseline := runtime.NumGoroutine()
+	for _, target := range []string{"/", "/artifacts", "/artifacts/fig8", "/artifacts/fig8?format=json"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+		cancel()
+		if took := time.Since(start); rec.Code != http.StatusServiceUnavailable || took > 5*time.Second {
+			t.Fatalf("%s: %d after %s, want a prompt 503", target, rec.Code, took)
+		}
+	}
+	if st := s.adm.Stats()["classes"].([]admission.LimiterStats)[admission.ClassArtifacts]; st.InFlight != 0 || st.Admitted != 4 {
+		t.Fatalf("artifact admission after the abandoned waits: %+v", st)
+	}
+	// A deadline's timer cancels the context from a goroutine of its
+	// own, which may still be exiting: wait for the count to settle.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the abandoned waits, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestInPlaceRefreshMatchesCold seals a campaign into a served ingest

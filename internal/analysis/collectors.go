@@ -275,11 +275,15 @@ type sampler struct {
 	// so a checkpointing daemon never re-sorts the whole bottom-k. A
 	// quickselect prune resets it to 0.
 	sortedPrefix int
-	// sortedVal caches the values in ascending order for SortedSamples;
-	// any mutation of the kept set clears it. Several experiments take
-	// quantiles and ECDFs of the same sampler, so sorting once per
-	// finalized state instead of once per experiment cuts the post-scan
-	// constant.
+	// sortedVal caches the values in ascending order for SortedSamples,
+	// which fills it on first use; any mutation of the kept set clears
+	// it. Several experiments take quantiles and ECDFs of the same
+	// sampler, so sorting once per sealed state instead of once per
+	// experiment cuts the render's constant, and a state no experiment
+	// reads is never sorted. sortMu guards the fill: the experiments
+	// call SortedSamples concurrently. The mutations that clear it run
+	// only while no experiment reads the sampler.
+	sortMu    sync.Mutex
 	sortedVal []float64
 }
 
@@ -509,23 +513,27 @@ func (s *sampler) sealMerge(sc *sealScratch) {
 	s.pri, s.val = pri, val
 }
 
-// SortedSamples returns the sampled values in ascending order, cached
-// until the kept set changes. The durations collector warms the cache at
-// finalize, so the experiment bodies — which run concurrently and take
-// quantiles and ECDFs of the same samplers — share one sort and never
-// write to the sampler. Callers must treat the slice as read-only.
+// SortedSamples returns the sampled values in ascending order. The first
+// call after a change to the kept set sorts a copy of them and caches
+// it; the experiment bodies — which run concurrently and take quantiles
+// and ECDFs of the same samplers — share that one sort, and the sort is
+// the same whichever of them runs it. Callers must treat the slice as
+// read-only.
 func (s *sampler) SortedSamples() []float64 {
-	s.sortSamples(&sealScratch{})
+	s.sortMu.Lock()
+	defer s.sortMu.Unlock()
+	if s.sortedVal == nil && len(s.val) > 0 {
+		sc := sortScratch.Get().(*sealScratch)
+		s.sortedVal = slices.Clone(s.val)
+		radixSortFloats(s.sortedVal, sc)
+		sortScratch.Put(sc)
+	}
 	return s.sortedVal
 }
 
-// sortSamples warms the SortedSamples cache, sorting through sc.
-func (s *sampler) sortSamples(sc *sealScratch) {
-	if s.sortedVal == nil && len(s.val) > 0 {
-		s.sortedVal = slices.Clone(s.val)
-		radixSortFloats(s.sortedVal, sc)
-	}
-}
+// sortScratch lends SortedSamples a radix buffer, so the samplers sorted
+// by one render share a few buffers instead of each allocating its own.
+var sortScratch = sync.Pool{New: func() any { return new(sealScratch) }}
 
 // N returns the number of values observed.
 func (s *sampler) N() int64 { return s.n }
@@ -799,21 +807,18 @@ func (c *durationsCollector) MergeShard(st trace.ShardState) error {
 	return nil
 }
 
+// finalize only seals: the value sort the experiments read is made by
+// SortedSamples on first use, in the experiment pool. One scratch serves
+// every seal and is dropped afterwards, so a long-lived analyzer does
+// not keep it.
 func (c *durationsCollector) finalize(out *scanState) error {
 	c.shards.drop()
-	// Warm the sorted-sample caches here, where this goroutine is the
-	// sole owner: the experiments reading the published state run
-	// concurrently and must never mutate a sampler. One scratch serves
-	// every sampler and is dropped afterwards, so a long-lived analyzer
-	// does not keep it.
 	var sc sealScratch
 	for _, s := range c.durSuccess {
 		s.seal(&sc)
-		s.sortSamples(&sc)
 	}
 	for _, s := range c.durCause {
 		s.seal(&sc)
-		s.sortSamples(&sc)
 	}
 	out.durSuccess = c.durSuccess
 	out.durCause = c.durCause

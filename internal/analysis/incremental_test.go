@@ -7,6 +7,8 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"telcolens/internal/simulate"
@@ -376,6 +378,76 @@ func refreshDay(t *testing.T, ds *simulate.Dataset, a *Analyzer) {
 func durationSamplers(a *Analyzer) []*sampler {
 	c := a.cols[NeedDurations].(*durationsCollector)
 	return append(c.durSuccess[:], c.durCause[:]...)
+}
+
+// TestSortedSamplesConcurrentFirstUse: finalize seals the duration
+// samplers without sorting their values; the experiments, running
+// concurrently, sort each sampler on first use. After a cold scan and
+// after a one-day refresh, 8 goroutines reading every sampler at once
+// must all get the same slice, the sorted values. The next refresh must
+// drop every cache whose kept set it changed.
+func TestSortedSamplesConcurrentFirstUse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a campaign")
+	}
+	ds, a := streamedAnalyzer(t, 5, 2)
+	sorted := func(s *sampler) []float64 {
+		v := slices.Clone(s.val)
+		slices.Sort(v)
+		return v
+	}
+	readAll := func(when string) {
+		t.Helper()
+		samplers := durationSamplers(a)
+		const readers = 8
+		got := make([][][]float64, readers)
+		var wg sync.WaitGroup
+		for r := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, s := range samplers {
+					got[r] = append(got[r], s.SortedSamples())
+				}
+			}()
+		}
+		wg.Wait()
+		for i, s := range samplers {
+			want := sorted(s)
+			for r := range got {
+				g := got[r][i]
+				if !slices.Equal(g, want) || (len(g) > 0 && &g[0] != &got[0][i][0]) {
+					t.Fatalf("%s: reader %d got a different slice of sampler %d", when, r, i)
+				}
+			}
+		}
+	}
+	// dropped counts the caches a refresh cleared; a cache it kept must
+	// still be the sort of the kept set.
+	dropped := func(when string) int {
+		t.Helper()
+		n := 0
+		for i, s := range durationSamplers(a) {
+			if s.sortedVal == nil {
+				n++
+			} else if !slices.Equal(s.sortedVal, sorted(s)) {
+				t.Fatalf("%s: sampler %d kept a stale sort", when, i)
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%s: no sampler's cache was cleared", when)
+		}
+		return n
+	}
+	if n := dropped("cold"); n != len(durationSamplers(a)) {
+		t.Fatalf("finalize sorted %d samplers before any experiment read them", len(durationSamplers(a))-n)
+	}
+	readAll("cold")
+	refreshDay(t, ds, a)
+	dropped("refreshed")
+	readAll("refreshed")
+	refreshDay(t, ds, a)
+	dropped("refreshed twice")
 }
 
 // TestCheckpointSortsOnlyTheDelta: the first checkpoint sorts each

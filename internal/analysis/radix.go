@@ -9,8 +9,8 @@ import (
 // for a checkpoint orders its (priority, value) pairs canonically — the
 // one reader of that order, so a seal leaves the pairs unordered — and
 // a re-seal of a sorted run orders the appended suffix; SortedSamples
-// orders the values on every finalize of up to 200k samples per
-// sampler. The priorities are uniform 64-bit hashes and the values float32-exact
+// orders the values, up to 200k samples per sampler, on the first read
+// of each sealed state. The priorities are uniform 64-bit hashes and the values float32-exact
 // durations, so a byte-wise radix sort that skips the bytes every key
 // shares needs a handful of linear passes where a comparison sort needs
 // n·log n compares.
@@ -27,8 +27,9 @@ import (
 // the same: restore rejects NaN and -0 values.
 
 // sealScratch is the radix buffer that one collector's samplers share
-// while sealing: it grows to the largest sampler once instead of each
-// sort allocating its own. It is not safe for concurrent use.
+// while sealing, and that SortedSamples borrows from a pool: it grows to
+// the largest sampler once instead of each sort allocating its own. It
+// is not safe for concurrent use.
 type sealScratch struct{ buf []uint64 }
 
 func (sc *sealScratch) words(n int) []uint64 {
