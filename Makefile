@@ -95,9 +95,7 @@
 #               /stats and /healthz (both answer during overload)
 #   telcoload   -src DIR -url http://HOST:PORT  replay a campaign into
 #               a telcoserve -ingest endpoint; -rate records/sec,
-#               -batch per POST, -streams parallel clients, -reorder
-#               window, -jitter pacing noise, -days prefix, -seed,
-#               -noinit to skip /ingest/init
+#               -streams parallel clients
 #               -retry-for DUR    per-send retry budget
 #               -max-backoff DUR  cap on any retry wait (including
 #                                 server Retry-After values)

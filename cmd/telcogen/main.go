@@ -1,7 +1,7 @@
 // Command telcogen generates a synthetic countrywide handover measurement
 // campaign: a four-week (configurable) trace of handover records, stored
-// as v3 bitpacked block streams, plus the census open-data CSV, written
-// to a directory that telcoreport and telcoserve can reopen. A
+// as v3 bitpacked block streams with a campaign manifest, written to a
+// directory that telcoreport and telcoserve can reopen. A
 // campaign is a function of (seed, config), so regenerating one in a
 // format this version no longer reads reproduces every record.
 //
@@ -30,13 +30,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"telcolens"
-	"telcolens/internal/census"
 	"telcolens/internal/simulate"
 	"telcolens/internal/trace"
 )
@@ -125,20 +123,6 @@ func run(out string, seed uint64, ues, days, sites, districts, shards int, rareB
 		return err
 	}
 
-	// Census open data alongside the traces.
-	censusPath := filepath.Join(out, "census.csv")
-	f, err := os.Create(censusPath)
-	if err != nil {
-		return err
-	}
-	if err := census.WriteCSV(f, ds.Country); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
 	total, err := trace.Count(ds.Store)
 	if err != nil {
 		return err
@@ -147,7 +131,7 @@ func run(out string, seed uint64, ues, days, sites, districts, shards int, rareB
 		time.Since(start).Round(time.Millisecond), total, days,
 		len(ds.Network.Sites), len(ds.Network.Sectors), ds.Population.Len())
 	fmt.Printf("generated %.0f records/s (%s)\n", float64(total)/genElapsed.Seconds(), stageSplit(ds.Timings))
-	fmt.Printf("wrote %s/, %s and %s/manifest.json\n", out, censusPath, out)
+	fmt.Printf("wrote %s/ and %s/manifest.json\n", out, out)
 	return nil
 }
 

@@ -1,17 +1,18 @@
 // Command telcoload replays a generated campaign directory against a
-// streaming ingest endpoint as a live measurement feed: records are
-// re-delivered in batches over parallel client streams at a configurable
-// rate, shuffled inside a bounded reorder window (late arrivals), and
-// each study day is closed with a day-completion marker carrying the
-// campaign's generation ground truth — after which the ingest side seals
-// the day into ordinary partitions.
+// streaming ingest endpoint as a live measurement feed: the target is
+// initialized with the campaign's descriptor, records are re-delivered
+// in batches of 512 over parallel client streams at a configurable rate
+// (with ±20% pacing jitter), shuffled inside a 1024-record reorder
+// window (late arrivals), and each study day is closed with a
+// day-completion marker carrying the campaign's generation ground truth
+// — after which the ingest side seals the day into ordinary partitions.
 //
 // Usage:
 //
 //	telcogen -out ./campaign -ues 3000 -days 7    # the source material
 //	telcoserve -data ./live -ingest :8080 ...     # the receiving daemon
 //	telcoload -src ./campaign -url http://127.0.0.1:8080
-//	telcoload -src ./campaign -url ... -rate 50000 -jitter 0.3 -reorder 2048
+//	telcoload -src ./campaign -url ... -rate 50000 -streams 8
 //
 // With -chaos-faults the replay routes through an in-process netchaos
 // proxy (internal/netchaos) that injects wire-level faults — resets,
@@ -23,8 +24,8 @@
 //	    -chaos-faults 'reset:up:after=20:every=97,latency:up:every=5:delay=2ms' \
 //	    -chaos-seed 7 -retry-for 5m
 //
-// Because the ingest seal order is canonical, a replay at any rate, with
-// any reorder window — and through any chaos plan the retry budget
+// Because the ingest seal order is canonical, a replay at any rate, in
+// any arrival order — and through any chaos plan the retry budget
 // survives — lands partitions byte-identical to the source campaign's;
 // `diff -r` of the two directories (minus the serving MANIFEST) is the
 // end-to-end correctness check, and the soak CI job kills the daemon
@@ -54,13 +55,7 @@ import (
 type loadConfig struct {
 	src, url string
 	rate     float64
-	batch    int
 	streams  int
-	reorder  int
-	jitter   float64
-	days     int
-	seed     int64
-	noInit   bool
 
 	retryFor   time.Duration
 	maxBackoff time.Duration
@@ -69,18 +64,22 @@ type loadConfig struct {
 	chaosSeed   int64
 }
 
+// The replay's shape: records per POST, the reorder window in records,
+// pacing jitter as a fraction of the inter-batch interval, and the seed
+// of the reorder shuffle and the per-stream jitter.
+const (
+	batchSize     = 512
+	reorderWindow = 1024
+	pacingJitter  = 0.2
+	shuffleSeed   = 1
+)
+
 func main() {
 	var cfg loadConfig
 	flag.StringVar(&cfg.src, "src", "", "source campaign directory (required)")
 	flag.StringVar(&cfg.url, "url", "", "ingest endpoint base URL (required), e.g. http://127.0.0.1:8080")
 	flag.Float64Var(&cfg.rate, "rate", 0, "target records/second (0 = as fast as the endpoint accepts)")
-	flag.IntVar(&cfg.batch, "batch", 512, "records per POST")
 	flag.IntVar(&cfg.streams, "streams", 4, "parallel client streams")
-	flag.IntVar(&cfg.reorder, "reorder", 1024, "reorder window in records (0 = deliver in stored order)")
-	flag.Float64Var(&cfg.jitter, "jitter", 0.2, "pacing jitter as a fraction of the inter-batch interval")
-	flag.IntVar(&cfg.days, "days", 0, "replay only the first N days (0 = all)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "shuffle seed for the reorder window")
-	flag.BoolVar(&cfg.noInit, "noinit", false, "skip POST /ingest/init (the target is already initialized)")
 	flag.DurationVar(&cfg.retryFor, "retry-for", 2*time.Minute, "per-send retry budget before a stream gives up")
 	flag.DurationVar(&cfg.maxBackoff, "max-backoff", 0, "cap on any retry wait, including server Retry-After (0 = client default)")
 	flag.StringVar(&cfg.chaosFaults, "chaos-faults", "", "netchaos fault plan, e.g. 'reset:up:after=10:every=50' (empty = no proxy; see internal/netchaos)")
@@ -110,13 +109,6 @@ func run(ctx context.Context, cfg loadConfig) error {
 		return err
 	}
 	days := meta.Config.Days
-	if cfg.days > 0 && cfg.days < days {
-		days = cfg.days
-	}
-	batchSize := cfg.batch
-	if batchSize <= 0 {
-		batchSize = 512
-	}
 	streams := cfg.streams
 	if streams <= 0 {
 		streams = 1
@@ -155,20 +147,19 @@ func run(ctx context.Context, cfg loadConfig) error {
 	// The resilience summary prints even when a stream gives up — on a
 	// chaos run the retry/breaker counters ARE the result.
 	defer printResilience(clients, proxy)
-	if !cfg.noInit {
-		// The stream target declares the full study window up front (the
-		// world-model deployment timeline depends on it) but starts with
-		// zero landed days.
-		streamMeta := *meta
-		streamMeta.Config.Days = 0
-		streamMeta.Config.WindowDays = meta.Config.Days
-		streamMeta.DayStats = nil
-		if err := clients[0].Init(ctx, &streamMeta); err != nil {
-			return fmt.Errorf("initializing ingest target: %w", err)
-		}
+	// The stream target declares the full study window up front (the
+	// world-model deployment timeline depends on it) but starts with zero
+	// landed days. Init is idempotent on a target whose config agrees, so
+	// a resumed replay re-checks it rather than skipping it.
+	streamMeta := *meta
+	streamMeta.Config.Days = 0
+	streamMeta.Config.WindowDays = meta.Config.Days
+	streamMeta.DayStats = nil
+	if err := clients[0].Init(ctx, &streamMeta); err != nil {
+		return fmt.Errorf("initializing ingest target: %w", err)
 	}
 
-	rng := rand.New(rand.NewSource(cfg.seed))
+	rng := rand.New(rand.NewSource(shuffleSeed))
 	var interval time.Duration
 	if cfg.rate > 0 {
 		interval = time.Duration(float64(batchSize) / cfg.rate * float64(time.Second))
@@ -180,8 +171,8 @@ func run(ctx context.Context, cfg loadConfig) error {
 		if err != nil {
 			return err
 		}
-		shuffleWindow(cols, cfg.reorder, rng)
-		if err := sendDay(ctx, clients, cols, batchSize, interval, cfg.jitter, rng); err != nil {
+		shuffleWindow(cols, rng)
+		if err := sendDay(ctx, clients, cols, interval, rng); err != nil {
 			return fmt.Errorf("day %d: %w", day, err)
 		}
 		if err := clients[0].DayDone(ctx, day, meta.DayStats[day]); err != nil {
@@ -262,19 +253,16 @@ func readDay(store *trace.FileStore, day int) (*trace.ColumnBatch, error) {
 }
 
 // shuffleWindow models bounded out-of-order delivery: each record may be
-// displaced by up to window positions (a windowed Fisher-Yates), like
-// events reaching a collector over links with unequal latency.
-func shuffleWindow(cols *trace.ColumnBatch, window int, rng *rand.Rand) {
-	if window <= 0 {
-		return
-	}
+// displaced by up to reorderWindow positions (a windowed Fisher-Yates),
+// like events reaching a collector over links with unequal latency.
+func shuffleWindow(cols *trace.ColumnBatch, rng *rand.Rand) {
 	n := cols.Len()
 	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	for i := 0; i < n-1; i++ {
-		hi := min(i+window, n-1)
+		hi := min(i+reorderWindow, n-1)
 		j := i + rng.Intn(hi-i+1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
@@ -295,7 +283,7 @@ type streamFailure struct {
 // When streams exhaust their retry budgets the error summarizes every
 // failed stream, not just the first — the operator sees at a glance
 // whether one stream hit a bad path or the endpoint went down for all.
-func sendDay(ctx context.Context, clients []*ingest.Client, cols *trace.ColumnBatch, batchSize int, interval time.Duration, jitter float64, rng *rand.Rand) error {
+func sendDay(ctx context.Context, clients []*ingest.Client, cols *trace.ColumnBatch, interval time.Duration, rng *rand.Rand) error {
 	type job struct{ lo, hi int }
 	// Fully buffered so the producer never blocks even if every worker
 	// bails out on an error.
@@ -321,9 +309,7 @@ func sendDay(ctx context.Context, clients []*ingest.Client, cols *trace.ColumnBa
 					// Each of the N streams paces to N×interval so the
 					// aggregate hits the target rate.
 					d := time.Duration(float64(interval) * float64(len(clients)))
-					if jitter > 0 {
-						d += time.Duration((jr.Float64()*2 - 1) * jitter * float64(d))
-					}
+					d += time.Duration((jr.Float64()*2 - 1) * pacingJitter * float64(d))
 					time.Sleep(d)
 				}
 			}

@@ -36,10 +36,11 @@ func main() {
 	cfg := telcolens.DefaultConfig(7)
 	cfg.UEs = 2500
 	cfg.Days = 5
+	cfg.Shards = 2
 	cfg.Store = store
 
 	fmt.Println("Day 0: generating the first 5 days of the campaign...")
-	ds, err := telcolens.Generate(cfg, telcolens.WithShards(2))
+	ds, err := telcolens.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,9 +16,10 @@ func main() {
 	cfg := telcolens.DefaultConfig(7)
 	cfg.UEs = 2500
 	cfg.Days = 7
+	cfg.Shards = 4
 
 	fmt.Println("Generating a 7-day campaign with 2,500 UEs (4 shards/day)...")
-	ds, err := telcolens.Generate(cfg, telcolens.WithShards(4))
+	ds, err := telcolens.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -82,8 +82,7 @@ func WithProgress(fn func(ProgressEvent)) Option {
 // inclusive; -1 leaves the corresponding bound open. Scans become
 // time-ranged (trace.ScanOptions.Range), so file stores only decode the
 // blocks inside the window, and window-aware experiments average over
-// window days only. Changing the window invalidates any cached scan
-// state.
+// window days only.
 func WithWindow(fromDay, toDay int) Option {
 	return func(a *Analyzer) {
 		a.winFrom = fromDay
@@ -100,6 +99,9 @@ func WithWindow(fromDay, toDay int) Option {
 type Analyzer struct {
 	DS *simulate.Dataset
 
+	// The options are set in New (and, for the window, by a checkpoint
+	// restore before the Analyzer is returned) and never change after,
+	// so they are read without mu.
 	parallelism int
 	progress    func(ProgressEvent)
 	// winFrom/winTo bound the analysis window in study days (inclusive);
@@ -183,29 +185,21 @@ func New(ds *simulate.Dataset, opts ...Option) (*Analyzer, error) {
 		return nil, fmt.Errorf("analysis: nil dataset")
 	}
 	a := &Analyzer{DS: ds, winFrom: -1, winTo: -1}
-	a.Configure(opts...)
-	if a.winFrom >= 0 && a.winTo >= 0 && a.winFrom > a.winTo {
-		return nil, fmt.Errorf("analysis: window [%d, %d] is empty", a.winFrom, a.winTo)
+	for _, o := range opts {
+		o(a)
+	}
+	if err := checkWindow(a.winFrom, a.winTo); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
-// Configure applies options to an existing Analyzer (per-call overrides
-// from the public RunExperiment/RunAll entry points land here; they
-// stay in effect for later calls on the same Analyzer). Safe to call
-// concurrently with Require. Changing the analysis window drops any
-// cached scan state: a ranged scan and a full scan are different views.
-func (a *Analyzer) Configure(opts ...Option) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	oldFrom, oldTo := a.winFrom, a.winTo
-	for _, o := range opts {
-		o(a)
+// checkWindow rejects an empty analysis window.
+func checkWindow(winFrom, winTo int) error {
+	if winFrom >= 0 && winTo >= 0 && winFrom > winTo {
+		return fmt.Errorf("analysis: window [%d, %d] is empty", winFrom, winTo)
 	}
-	if (a.winFrom != oldFrom || a.winTo != oldTo) && a.have != 0 {
-		a.env = nil
-		a.resetScanStateLocked()
-	}
+	return nil
 }
 
 // resetScanStateLocked drops every computed collector and its coverage;
@@ -220,9 +214,9 @@ func (a *Analyzer) resetScanStateLocked() {
 }
 
 // clampWindow resolves a (-1 = open) window bound pair against the study
-// length, returning the inclusive day span. Shared by Require (which
-// holds a.mu) and windowSpan so the scanned range and the span the
-// experiments iterate can never diverge.
+// length, returning the inclusive day span. Shared by the scan and
+// windowSpan so the scanned range and the span the experiments iterate
+// can never diverge.
 func clampWindow(winFrom, winTo, days int) (lo, hi int) {
 	lo, hi = 0, days-1
 	if winFrom > 0 {
@@ -237,10 +231,7 @@ func clampWindow(winFrom, winTo, days int) (lo, hi int) {
 // windowSpan clamps the configured window to [0, days-1] and returns the
 // inclusive day span experiments should iterate.
 func (a *Analyzer) windowSpan(days int) (lo, hi int) {
-	a.mu.Lock()
-	winFrom, winTo := a.winFrom, a.winTo
-	a.mu.Unlock()
-	return clampWindow(winFrom, winTo, days)
+	return clampWindow(a.winFrom, a.winTo, days)
 }
 
 // windowDays returns how many study days the configured window spans
@@ -528,12 +519,9 @@ func (a *Analyzer) scanIntoLocked(ctx context.Context, cols []collector, parts [
 	if a.winFrom >= 0 || a.winTo >= 0 {
 		// Time-ranged scan: file partitions prune whole blocks outside
 		// the window; everything else filters record by record, so the
-		// observed sequence is codec-independent. Validate here rather
-		// than silently scanning an empty range: Configure (the per-call
-		// options path) cannot return an error.
-		if a.winFrom >= 0 && a.winTo >= 0 && a.winFrom > a.winTo {
-			return fmt.Errorf("analysis: window [%d, %d] is empty", a.winFrom, a.winTo)
-		}
+		// observed sequence is codec-independent. The window is checked
+		// against the study length here, as the study may have grown
+		// since New.
 		if a.winFrom >= a.env.days {
 			return fmt.Errorf("analysis: window starts at day %d but the study has %d days", a.winFrom, a.env.days)
 		}

@@ -234,8 +234,7 @@ func (a *Analyzer) Checkpoint(w io.Writer) error {
 // the study window may have grown (simulate.GenerateDays / telcogen
 // -append) — the restored collectors cover the checkpoint's days, and a
 // subsequent Refresh merges exactly the new partitions.
-// WithWindow options must match the checkpointed analysis window (use
-// Configure afterwards to change it, which drops the restored state).
+// WithWindow options must match the checkpointed analysis window.
 func ResumeAnalyzer(ds *simulate.Dataset, r io.Reader, opts ...Option) (*Analyzer, error) {
 	data, err := readAllSized(r)
 	if err != nil {
@@ -278,8 +277,11 @@ func ResumeAnalyzer(ds *simulate.Dataset, r io.Reader, opts ...Option) (*Analyze
 	winFrom := int(d.i32())
 	winTo := int(d.i32())
 	if (a.winFrom != -1 || a.winTo != -1) && (a.winFrom != winFrom || a.winTo != winTo) {
-		return nil, fmt.Errorf("analysis: checkpoint window [%d, %d] conflicts with requested [%d, %d]; resume without WithWindow and Configure afterwards",
+		return nil, fmt.Errorf("analysis: checkpoint window [%d, %d] conflicts with requested [%d, %d]; resume without WithWindow",
 			winFrom, winTo, a.winFrom, a.winTo)
+	}
+	if err := checkWindow(winFrom, winTo); err != nil {
+		return nil, err
 	}
 	a.winFrom, a.winTo = winFrom, winTo
 	have := Need(d.u32())

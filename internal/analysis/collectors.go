@@ -456,10 +456,9 @@ func (s *sampler) seal(sc *sealScratch) {
 // cut trims the sampler to its exact bottom-k without ordering it. Past
 // capacity the quickselect prune leaves the k-th smallest at capacity-1;
 // at exactly capacity the largest entry is swapped there. Either way
-// that entry becomes offer's bound. A refresh's re-seal (the sampler
-// was finalized before) then re-sizes the buffers to the entries, one
-// copy: a sampler kept between refreshes would otherwise hold append's
-// slack, up to 2×capacity. A cold seal allocates nothing.
+// that entry becomes offer's bound. It allocates nothing: a refreshed
+// sampler keeps append's slack, so the next refresh copies it only if
+// it outgrows that.
 func (s *sampler) cut() {
 	switch {
 	case len(s.pri) > s.capacity:
@@ -472,10 +471,6 @@ func (s *sampler) cut() {
 			}
 		}
 		s.swap(m, s.capacity-1)
-	}
-	if s.finalized && cap(s.pri) > len(s.pri) {
-		s.pri = append(make([]uint64, 0, len(s.pri)), s.pri...)
-		s.val = append(make([]float64, 0, len(s.val)), s.val...)
 	}
 }
 

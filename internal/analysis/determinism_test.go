@@ -118,29 +118,40 @@ func TestParallelismInvariantOnSameStore(t *testing.T) {
 }
 
 // TestRequireConcurrent hammers Require from many goroutines (the public
-// entry points share one Analyzer) — meaningful mainly under -race.
+// entry points share one Analyzer), beside a RunEach whose experiments
+// read the analyzer's options without its lock — meaningful mainly
+// under -race.
 func TestRequireConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a campaign")
 	}
-	a, err := New(detDataset(t, 4), WithParallelism(4))
+	a, err := New(detDataset(t, 4), WithParallelism(4), WithWindow(0, detDays-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	needs := []Need{NeedTypes, NeedDurations, NeedUEDay, NeedSectorDay, NeedTemporal, NeedAll}
 	var wg sync.WaitGroup
-	for i, n := range needs {
+	for _, n := range needs {
 		wg.Add(1)
-		go func(i int, n Need) {
+		go func() {
 			defer wg.Done()
-			// The public entry points Configure per call; exercise that
-			// path racing against scans.
-			a.Configure(WithParallelism(1 + i%4))
 			if _, err := a.Require(context.Background(), n); err != nil {
 				t.Error(err)
 			}
-		}(i, n)
+			if got := a.windowDays(); got != detDays {
+				t.Errorf("window spans %d days, want %d", got, detDays)
+			}
+		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, o := range RunEach(context.Background(), a) {
+			if o.Err != nil {
+				t.Error(o.Err)
+			}
+		}
+	}()
 	wg.Wait()
 }
 

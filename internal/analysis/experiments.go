@@ -98,9 +98,7 @@ type Outcome struct {
 // wanting one fused trace pass Require the union of the needs
 // beforehand, as RunAll does.
 func RunEach(ctx context.Context, a *Analyzer) []Outcome {
-	a.mu.Lock()
 	workers := a.parallelism
-	a.mu.Unlock()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

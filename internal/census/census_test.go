@@ -1,12 +1,6 @@
 package census
 
-import (
-	"bytes"
-	"encoding/csv"
-	"slices"
-	"strconv"
-	"testing"
-)
+import "testing"
 
 func testCountry(t *testing.T) *Country {
 	t.Helper()
@@ -193,54 +187,12 @@ func TestDistrictCentersInsideBounds(t *testing.T) {
 
 func TestGenerateConfigValidation(t *testing.T) {
 	bad := []GenConfig{
-		{Seed: 1, Districts: 2, TargetPop: 1000, MeanAreaKm2: 10, UrbanAreaGoal: 0.5},
-		{Seed: 1, Districts: 50, TargetPop: 0, MeanAreaKm2: 10, UrbanAreaGoal: 0.5},
-		{Seed: 1, Districts: 50, TargetPop: 1000, MeanAreaKm2: -1, UrbanAreaGoal: 0.5},
-		{Seed: 1, Districts: 50, TargetPop: 1000, MeanAreaKm2: 10, UrbanAreaGoal: 1.5},
+		{Seed: 1, Districts: 2},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
-	}
-}
-
-// TestCSVRoundTrip: the census.csv telcogen writes parses back to the
-// header and one row per postcode, in district order, carrying each
-// postcode's code, district and population.
-func TestCSVRoundTrip(t *testing.T) {
-	c := testCountry(t)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(rows[0], csvHeader) {
-		t.Fatalf("header = %v", rows[0])
-	}
-	rows = rows[1:]
-	pop := 0
-	for _, d := range c.Districts {
-		for _, p := range d.Postcodes {
-			if len(rows) == 0 {
-				t.Fatal("fewer rows than postcodes")
-			}
-			row := rows[0]
-			rows = rows[1:]
-			if row[0] != p.Code || row[1] != strconv.Itoa(d.ID) || row[9] != strconv.Itoa(p.Population) {
-				t.Fatalf("row for postcode %s = %v", p.Code, row)
-			}
-			pop += p.Population
-		}
-	}
-	if len(rows) != 0 {
-		t.Fatalf("%d rows beyond the last postcode", len(rows))
-	}
-	if pop != c.TotalPopulation() {
-		t.Fatalf("rows hold %d residents, country %d", pop, c.TotalPopulation())
 	}
 }
 

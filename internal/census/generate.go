@@ -8,40 +8,35 @@ import (
 	"telcolens/internal/randx"
 )
 
-// GenConfig parameterizes synthetic country generation. The defaults are
+// GenConfig parameterizes synthetic country generation. The country is
 // calibrated to the geodemographic structure the paper reports: 300+
 // districts, a capital urban core with density >10^4 residents/km², remote
 // districts near 10 residents/km², and urban postcodes covering roughly
 // half the territory.
 type GenConfig struct {
-	Seed          uint64
-	Districts     int     // number of districts; default 320
-	TargetPop     int     // total residents; default 45M
-	MeanAreaKm2   float64 // mean district area; default 1560 (≈500k km² country)
-	UrbanAreaGoal float64 // target share of territory in urban postcodes; default 0.496
+	Seed      uint64
+	Districts int // number of districts; default 320
 }
 
 // DefaultGenConfig returns the calibrated defaults described above.
 func DefaultGenConfig(seed uint64) GenConfig {
-	return GenConfig{
-		Seed:          seed,
-		Districts:     320,
-		TargetPop:     45_000_000,
-		MeanAreaKm2:   1560,
-		UrbanAreaGoal: 0.496,
-	}
+	return GenConfig{Seed: seed, Districts: 320}
 }
+
+// Country-level calibration constants.
+const (
+	// targetPop is the total number of residents.
+	targetPop = 45_000_000
+	// meanAreaKm2 is the mean district area (a ≈500k km² country).
+	meanAreaKm2 = 1560
+	// urbanAreaGoal is the target share of territory in urban postcodes.
+	urbanAreaGoal = 0.496
+)
 
 // Generate builds a deterministic synthetic country from the config.
 func Generate(cfg GenConfig) (*Country, error) {
 	if cfg.Districts < 8 {
 		return nil, fmt.Errorf("census: need at least 8 districts, got %d", cfg.Districts)
-	}
-	if cfg.TargetPop <= 0 || cfg.MeanAreaKm2 <= 0 {
-		return nil, fmt.Errorf("census: non-positive population or area target")
-	}
-	if cfg.UrbanAreaGoal <= 0 || cfg.UrbanAreaGoal >= 1 {
-		return nil, fmt.Errorf("census: urban area goal %g out of (0,1)", cfg.UrbanAreaGoal)
 	}
 	r := randx.NewStream(cfg.Seed, "census", 0)
 
@@ -93,7 +88,7 @@ func Generate(cfg GenConfig) (*Country, error) {
 		if reg == CapitalArea {
 			density *= r.LogNormal(math.Log(4), 0.5)
 		}
-		area := r.LogNormal(math.Log(cfg.MeanAreaKm2*0.8), 0.45)
+		area := r.LogNormal(math.Log(meanAreaKm2*0.8), 0.45)
 		if reg == CapitalArea {
 			area *= 0.35 // capital districts are small and dense
 		}
@@ -129,13 +124,13 @@ func Generate(cfg GenConfig) (*Country, error) {
 	}
 	pinnedPop := protos[capitalIdx].density*protos[capitalIdx].area +
 		protos[minIdx].density*protos[minIdx].area
-	scale := (float64(cfg.TargetPop) - pinnedPop) / rawPop
+	scale := (targetPop - pinnedPop) / rawPop
 	if scale <= 0 {
-		return nil, fmt.Errorf("census: population target %d too small for pinned districts", cfg.TargetPop)
+		return nil, fmt.Errorf("census: population target %d too small for pinned districts", targetPop)
 	}
 
 	// First pass: compute urban area fractions, then renormalize them so
-	// the countrywide urban-area share matches the configured goal (the
+	// the countrywide urban-area share matches the calibrated goal (the
 	// paper reports 49.6%).
 	popOf := func(i int) int {
 		p := protos[i]
@@ -161,7 +156,7 @@ func Generate(cfg GenConfig) (*Country, error) {
 		urbanArea += fracs[i] * protos[i].area
 		totalArea += protos[i].area
 	}
-	adjust := cfg.UrbanAreaGoal * totalArea / urbanArea
+	adjust := urbanAreaGoal * totalArea / urbanArea
 	for i := range fracs {
 		fracs[i] = clamp(fracs[i]*adjust, 0.02, 0.97)
 	}

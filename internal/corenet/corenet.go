@@ -103,8 +103,6 @@ type Config struct {
 	// reproduces the paper's ≈0.001% share of HOs; regression
 	// experiments boost it for sample efficiency (see DESIGN.md).
 	RareBoost float64
-	// FailScale globally scales failure probabilities (ablations).
-	FailScale float64
 }
 
 func (c Config) seed() uint64 { return c.Seed }
@@ -156,9 +154,6 @@ func NewEPC(net *topology.Network, country *census.Country, causeCat *causes.Cat
 	}
 	if cfg.RareBoost <= 0 {
 		cfg.RareBoost = 1
-	}
-	if cfg.FailScale <= 0 {
-		cfg.FailScale = 1
 	}
 	e := &EPC{net: net, country: country, causes: causeCat, cfg: cfg}
 	e.buildFallbackTables()
@@ -352,7 +347,7 @@ func pickSectorOfRAT(r *randx.Rand, net *topology.Network, site *topology.Site, 
 // failureProbability composes the calibrated multipliers: HO type base ×
 // source-sector vendor × area × diurnal load × manufacturer quirk.
 func (e *EPC) failureProbability(req HORequest, t ho.Type) float64 {
-	p := baseFailure[t] * e.cfg.FailScale
+	p := baseFailure[t]
 	src := e.net.Sector(req.Source)
 	p *= vendorFailMult[src.Vendor]
 	if req.Area == census.Rural {

@@ -71,11 +71,6 @@ type Options struct {
 	// durability contract from process crashes (kill -9) to machine
 	// crashes. Day-completion markers are always synced.
 	SyncEvery bool
-	// SealAge force-seals the oldest pending day once no record has
-	// arrived for it for this long, even without a completion marker (its
-	// day aggregate is then whatever markers supplied, usually zero).
-	// 0 disables age-based sealing; explicit markers/flush always work.
-	SealAge time.Duration
 	// OnSeal, when set, is called (outside the service lock) after each
 	// day seals — telcoserve uses it to nudge its refresh loop instead of
 	// waiting for the next manifest poll.
@@ -141,7 +136,6 @@ type dayState struct {
 	walBytes int64
 
 	firstArrival time.Time
-	lastArrival  time.Time
 }
 
 // Service is the streaming ingest engine for one campaign directory.
@@ -349,8 +343,7 @@ func (s *Service) recoverLocked() ([]int, error) {
 		}
 		ds.wal = f
 		ds.walBytes = size
-		now := s.opts.Now()
-		ds.firstArrival, ds.lastArrival = now, now
+		ds.firstArrival = s.opts.Now()
 	}
 	// Partition debris beyond the sealed prefix is the leavings of a
 	// crashed seal; remove it so the re-seal starts clean.
@@ -518,7 +511,6 @@ func (s *Service) Append(stream uint32, seq uint64, cb *trace.ColumnBatch) (Appe
 		if ds.firstArrival.IsZero() {
 			ds.firstArrival = now
 		}
-		ds.lastArrival = now
 		s.pending += int64(len(idx))
 		s.ingested += int64(len(idx))
 		res.Accepted += len(idx)
@@ -566,8 +558,7 @@ func (s *Service) dayCompleteLocked(day int, agg simulate.DayAggregate) ([]int, 
 	ds.complete = true
 	ds.agg = agg
 	if ds.firstArrival.IsZero() {
-		now := s.opts.Now()
-		ds.firstArrival, ds.lastArrival = now, now
+		ds.firstArrival = s.opts.Now()
 	}
 	return s.drainSealsLocked()
 }
@@ -628,33 +619,6 @@ func (s *Service) drainSealsLocked() ([]int, error) {
 	}
 }
 
-// maybeSealByAge force-seals the oldest pending day when it has gone
-// quiet for longer than the configured seal age. Called from the stats
-// path (cheap, already periodic); returns the days sealed.
-func (s *Service) maybeSealByAge() []int {
-	if s.opts.SealAge <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.meta == nil {
-		return nil
-	}
-	ds, ok := s.days[s.meta.Config.Days]
-	if !ok || ds.complete || ds.lastArrival.IsZero() {
-		return nil
-	}
-	if s.opts.Now().Sub(ds.lastArrival) < s.opts.SealAge {
-		return nil
-	}
-	ds.complete = true
-	sealed, err := s.drainSealsLocked()
-	if err != nil {
-		return sealed
-	}
-	return sealed
-}
-
 // sealLocked turns one completed day's memtable into ordinary (day,
 // shard) partitions and commits: partitions first, then the campaign
 // descriptor (day count + aggregate), then the WAL deletion. A crash
@@ -710,10 +674,9 @@ func (s *Service) notifySealed(days []int) {
 	}
 }
 
-// Stats snapshots the service. When age-based sealing is configured the
-// stats path doubles as its ticker.
+// Stats snapshots the service. It only reads: no day seals on the
+// stats path.
 func (s *Service) Stats() Stats {
-	s.notifySealed(s.maybeSealByAge())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{

@@ -181,8 +181,6 @@ type Options struct {
 	Seed int64
 	// Addr is the listen address ("" = "127.0.0.1:0").
 	Addr string
-	// DialTimeout bounds each upstream dial (0 = 5s).
-	DialTimeout time.Duration
 }
 
 // Proxy is a running chaos proxy. Close it to stop listening and tear
@@ -191,7 +189,6 @@ type Proxy struct {
 	target string
 	ln     net.Listener
 	rules  []*ruleState
-	dialTO time.Duration
 
 	jmu sync.Mutex
 	rng *rand.Rand
@@ -226,15 +223,10 @@ func New(target string, opts Options) (*Proxy, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	dialTO := opts.DialTimeout
-	if dialTO == 0 {
-		dialTO = 5 * time.Second
-	}
 	p := &Proxy{
 		target: target,
 		ln:     ln,
 		rng:    rand.New(rand.NewSource(seed)),
-		dialTO: dialTO,
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
 	}
@@ -372,7 +364,7 @@ func (p *Proxy) serve(client net.Conn) {
 		reset(client)
 		return
 	}
-	up, err := net.DialTimeout("tcp", p.target, p.dialTO)
+	up, err := net.DialTimeout("tcp", p.target, dialTimeout)
 	if err != nil {
 		p.dialErrors.Add(1)
 		reset(client)
@@ -394,6 +386,9 @@ func (p *Proxy) serve(client net.Conn) {
 	}()
 	wg.Wait()
 }
+
+// dialTimeout bounds each upstream dial.
+const dialTimeout = 5 * time.Second
 
 // relayBufSize is the chunk granularity faults operate at. Small
 // enough that a batch POST spans several chunks (so mid-payload faults

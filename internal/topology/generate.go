@@ -14,26 +14,25 @@ import (
 // and 350k+ sectors; the default 1:10 scale generates ≈2.4k sites while
 // preserving every share-based statistic.
 type GenConfig struct {
-	Seed          uint64
-	SitesTarget   int     // approximate total sites; default 2400
-	NeighborK     int     // nearest-neighbor fan-out for the site graph; default 8
-	NewSites      int     // sites deployed during the study window; default 0.5% of target
-	WindowDays    int     // length of the study window for DeployedDay; default 28
-	CapitalBoost  float64 // extra site weight multiplier in the capital core; default 2.5
-	FiveGUrbanPct float64 // probability an urban site carries 5G; default solved from RAT mix
+	Seed        uint64
+	SitesTarget int // approximate total sites; default 2400
+	WindowDays  int // length of the study window for DeployedDay; default 28
 }
 
 // DefaultGenConfig returns the calibrated defaults described above.
 func DefaultGenConfig(seed uint64) GenConfig {
-	return GenConfig{
-		Seed:         seed,
-		SitesTarget:  2400,
-		NeighborK:    8,
-		NewSites:     12,
-		WindowDays:   28,
-		CapitalBoost: 2.5,
-	}
+	return GenConfig{Seed: seed, SitesTarget: 2400, WindowDays: 28}
 }
+
+// Deployment constants of the studied MNO.
+const (
+	// neighborK is the nearest-neighbor fan-out of the site graph.
+	neighborK = 8
+	// newSites is how many sites are deployed during the study window.
+	newSites = 12
+	// capitalBoost multiplies site weight in the capital core.
+	capitalBoost = 2.5
+)
 
 // RAT mix targets from the paper (§4.1): sector share by RAT in 2023.
 const (
@@ -65,14 +64,8 @@ func Generate(cfg GenConfig, country *census.Country) (*Network, error) {
 	if cfg.SitesTarget < len(country.Districts) {
 		return nil, fmt.Errorf("topology: SitesTarget %d below district count %d", cfg.SitesTarget, len(country.Districts))
 	}
-	if cfg.NeighborK <= 0 {
-		cfg.NeighborK = 8
-	}
 	if cfg.WindowDays <= 0 {
 		cfg.WindowDays = 28
-	}
-	if cfg.CapitalBoost <= 0 {
-		cfg.CapitalBoost = 2.5
 	}
 	r := randx.NewStream(cfg.Seed, "topology", 0)
 
@@ -87,10 +80,7 @@ func Generate(cfg GenConfig, country *census.Country) (*Network, error) {
 	// Split by area: 5G concentrates in urban sites; legacy RATs are
 	// relatively denser in rural deployments where they provide coverage.
 	const urbanSiteShare = 0.8 // emergent from population-proportional placement
-	p5Urban := cfg.FiveGUrbanPct
-	if p5Urban == 0 {
-		p5Urban = p5 / urbanSiteShare * 0.98
-	}
+	p5Urban := p5 / urbanSiteShare * 0.98
 	p5Rural := (p5 - urbanSiteShare*p5Urban) / (1 - urbanSiteShare)
 	if p5Rural < 0 {
 		p5Rural = 0
@@ -109,13 +99,13 @@ func Generate(cfg GenConfig, country *census.Country) (*Network, error) {
 	for i, d := range country.Districts {
 		w := float64(d.Population)
 		if d.CapitalCenter {
-			w *= cfg.CapitalBoost
+			w *= capitalBoost
 		}
 		weights[i] = w
 		totalW += w
 	}
 
-	net := &Network{neighborK: cfg.NeighborK}
+	net := &Network{}
 	for i := range country.Districts {
 		d := &country.Districts[i]
 		nSites := int(math.Round(weights[i] / totalW * float64(cfg.SitesTarget)))
@@ -190,7 +180,7 @@ func Generate(cfg GenConfig, country *census.Country) (*Network, error) {
 
 	// Mark a handful of sites as deployed mid-window (the paper captures
 	// topology daily specifically to track such upgrades).
-	for i := 0; i < cfg.NewSites && i < len(net.Sites); i++ {
+	for i := 0; i < newSites && i < len(net.Sites); i++ {
 		id := SiteID(r.Intn(len(net.Sites)))
 		net.Sites[id].DeployedDay = 1 + r.Intn(cfg.WindowDays)
 	}

@@ -64,7 +64,7 @@ func TestLazyNeighborsMatchEagerBuild(t *testing.T) {
 			if net.neighborSites != nil {
 				t.Fatal("Generate built the neighbour graph; it must wait for first use")
 			}
-			want := eagerNeighbors(net, DefaultGenConfig(seed).NeighborK)
+			want := eagerNeighbors(net, neighborK)
 			for id := range net.Sites {
 				if got := net.NeighborSites(SiteID(id)); !slices.Equal(got, want[id]) {
 					t.Fatalf("site %d: neighbours %v, want %v", id, got, want[id])
@@ -79,7 +79,7 @@ func TestLazyNeighborsMatchEagerBuild(t *testing.T) {
 // under -race.
 func TestNeighborSitesConcurrentFirstUse(t *testing.T) {
 	net := seededNetwork(t, 7)
-	want := eagerNeighbors(net, DefaultGenConfig(7).NeighborK)
+	want := eagerNeighbors(net, neighborK)
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

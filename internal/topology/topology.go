@@ -116,7 +116,6 @@ type Network struct {
 	// Only the generator walks this graph, so it is built on the first
 	// NeighborSites call rather than by Generate: programs that merely
 	// load a campaign never pay for it.
-	neighborK     int
 	neighborOnce  sync.Once
 	neighborSites [][]SiteID
 }
@@ -273,7 +272,7 @@ func (n *Network) buildNeighbors() {
 				cands = append(cands, distSite{geo.DistanceKm(me.Loc, n.Sites[other].Loc), other})
 			}
 			sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-			k := n.neighborK
+			k := neighborK
 			if k > len(cands) {
 				k = len(cands)
 			}

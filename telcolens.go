@@ -14,13 +14,12 @@
 // Typical use:
 //
 //	cfg := telcolens.DefaultConfig(42)
-//	cfg.UEs, cfg.Days = 5000, 14
-//	ds, err := telcolens.Generate(cfg, telcolens.WithShards(8))
+//	cfg.UEs, cfg.Days, cfg.Shards = 5000, 14, 8
+//	ds, err := telcolens.Generate(cfg)
 //	// handle err
-//	a, err := telcolens.NewAnalyzer(ds)
+//	a, err := telcolens.NewAnalyzer(ds, telcolens.WithParallelism(8))
 //	// handle err
-//	err = telcolens.RunExperiment(ctx, "fig8", a, os.Stdout,
-//		telcolens.WithParallelism(8))
+//	err = telcolens.RunExperiment(ctx, "fig8", a, os.Stdout)
 //
 // See DESIGN.md for the v2 store/collector architecture, the system
 // inventory and the calibration substitutions.
@@ -111,88 +110,32 @@ func NewQueryEngine(s Store) *QueryEngine { return query.New(s) }
 // NewQueryView snapshots s's current partition set for querying.
 func NewQueryView(s Store) (*QueryView, error) { return query.NewView(s) }
 
-// Option tunes generation and analysis entry points. Options are shared:
-// each entry point applies the fields that concern it and ignores the
-// rest.
-type Option func(*options)
-
-type options struct {
-	parallelism int
-	shards      int
-	progress    func(ProgressEvent)
-	winFrom     int
-	winTo       int
-	winSet      bool
-}
+// Option configures an Analyzer. Options go to NewAnalyzer,
+// ResumeAnalyzer or ResumeAnalyzerFile and hold for the Analyzer's life.
+type Option = analysis.Option
 
 // WithParallelism bounds how many trace partitions an analysis scan
-// reads concurrently (0 = GOMAXPROCS). On Generate it also bounds the
-// simulation worker count.
-func WithParallelism(n int) Option {
-	return func(o *options) { o.parallelism = n }
-}
-
-// WithShards sets how many hash-partitioned shards Generate writes per
-// study day. More shards let analysis scans use more cores; results are
-// identical for any shard count.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
-}
+// reads concurrently, and how many experiments RunAll renders at once
+// (0 = GOMAXPROCS).
+func WithParallelism(n int) Option { return analysis.WithParallelism(n) }
 
 // WithProgress installs a callback invoked as analysis scan partitions
 // complete.
-func WithProgress(fn func(ProgressEvent)) Option {
-	return func(o *options) { o.progress = fn }
-}
+func WithProgress(fn func(ProgressEvent)) Option { return analysis.WithProgress(fn) }
 
 // WithWindow restricts the analysis to study days [fromDay, toDay]
 // inclusive (-1 leaves a bound open). Scans become time-ranged: stores
 // backed by partition files only decode blocks inside the window.
-func WithWindow(fromDay, toDay int) Option {
-	return func(o *options) {
-		o.winFrom, o.winTo, o.winSet = fromDay, toDay, true
-	}
-}
-
-func buildOptions(opts []Option) options {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// analyzerOptions translates facade options for the analysis engine.
-func analyzerOptions(o options) []analysis.Option {
-	var out []analysis.Option
-	if o.parallelism > 0 {
-		out = append(out, analysis.WithParallelism(o.parallelism))
-	}
-	if o.progress != nil {
-		out = append(out, analysis.WithProgress(o.progress))
-	}
-	if o.winSet {
-		out = append(out, analysis.WithWindow(o.winFrom, o.winTo))
-	}
-	return out
-}
+func WithWindow(fromDay, toDay int) Option { return analysis.WithWindow(fromDay, toDay) }
 
 // DefaultConfig returns the calibrated laptop-scale configuration for the
 // given seed (20k UEs, 28 days, 320 districts, 2.4k sites).
 func DefaultConfig(seed uint64) Config { return simulate.DefaultConfig(seed) }
 
-// Generate runs a full synthetic campaign. WithShards and
-// WithParallelism override the corresponding Config fields.
-func Generate(cfg Config, opts ...Option) (*Dataset, error) {
-	o := buildOptions(opts)
-	if o.shards > 0 {
-		cfg.Shards = o.shards
-	}
-	if o.parallelism > 0 {
-		cfg.Workers = o.parallelism
-	}
-	return simulate.Generate(cfg)
-}
+// Generate runs a full synthetic campaign. cfg.Shards sets how many
+// hash-partitioned shards it writes per study day and cfg.Workers how
+// many simulation workers it runs.
+func Generate(cfg Config) (*Dataset, error) { return simulate.Generate(cfg) }
 
 // Load reopens a campaign directory produced by Generate with a file
 // store and a saved manifest (see cmd/telcogen).
@@ -200,7 +143,7 @@ func Load(dir string) (*Dataset, error) { return simulate.Load(dir) }
 
 // NewAnalyzer wraps a dataset for analysis.
 func NewAnalyzer(ds *Dataset, opts ...Option) (*Analyzer, error) {
-	return analysis.New(ds, analyzerOptions(buildOptions(opts))...)
+	return analysis.New(ds, opts...)
 }
 
 // ResumeAnalyzer reconstructs a warm analyzer from a checkpoint written
@@ -210,7 +153,7 @@ func NewAnalyzer(ds *Dataset, opts ...Option) (*Analyzer, error) {
 // cover and merges them into the restored state, with artifacts
 // byte-identical to a cold full scan.
 func ResumeAnalyzer(ds *Dataset, r io.Reader, opts ...Option) (*Analyzer, error) {
-	return analysis.ResumeAnalyzer(ds, r, analyzerOptions(buildOptions(opts))...)
+	return analysis.ResumeAnalyzer(ds, r, opts...)
 }
 
 // SaveCheckpoint persists the analyzer's checkpoint to a file with the
@@ -225,7 +168,7 @@ func SaveCheckpoint(path string, a *Analyzer) error {
 // or fails its checksum — a checkpoint is an accelerator, never a
 // correctness dependency. resumed reports whether the file was used.
 func ResumeAnalyzerFile(path string, ds *Dataset, opts ...Option) (a *Analyzer, resumed bool, err error) {
-	return analysis.ResumeAnalyzerFile(nil, path, ds, analyzerOptions(buildOptions(opts))...)
+	return analysis.ResumeAnalyzerFile(nil, path, ds, opts...)
 }
 
 // NewMemStore returns an in-memory trace store.
@@ -243,12 +186,11 @@ func ExperimentIDs() []string { return analysis.IDs() }
 // RunExperiment executes one experiment by ID and renders it to w. Only
 // the scan state the experiment declares is computed (and cached on the
 // analyzer), so a single figure never pays for the whole pipeline.
-func RunExperiment(ctx context.Context, id string, a *Analyzer, w io.Writer, opts ...Option) error {
+func RunExperiment(ctx context.Context, id string, a *Analyzer, w io.Writer) error {
 	e, ok := analysis.ByID(id)
 	if !ok {
 		return fmt.Errorf("telcolens: unknown experiment %q (known: %v)", id, analysis.IDs())
 	}
-	a.Configure(analyzerOptions(buildOptions(opts))...)
 	art, err := e.Run(ctx, a)
 	if err != nil {
 		return err
@@ -258,7 +200,6 @@ func RunExperiment(ctx context.Context, id string, a *Analyzer, w io.Writer, opt
 
 // RunAll executes every experiment, rendering each artifact to w. All
 // scan state is computed by one fused parallel pass over the trace.
-func RunAll(ctx context.Context, a *Analyzer, w io.Writer, opts ...Option) error {
-	a.Configure(analyzerOptions(buildOptions(opts))...)
+func RunAll(ctx context.Context, a *Analyzer, w io.Writer) error {
 	return analysis.RunAll(ctx, a, w)
 }
