@@ -41,15 +41,18 @@
 #                     30-artifact pass); tune PROFILE_DIR/PROFILE_ARGS
 #                     too (telcogen takes the same two profile flags,
 #                     and its summary line splits generation wall time
-#                     into world build / simulate / sort+encode)
+#                     into world build / simulate / write tail, with
+#                     the overlapped day writer's busy time beside it)
 #   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders, 30s
 #                     of FuzzDecodeIndex on the .tlix sidecar decoder,
 #                     30s of FuzzResultJSON on the /query JSON renderer,
 #                     30s of FuzzResumeAnalyzer on checkpoint
 #                     decoding, 30s of FuzzPingPongAutomaton on the
 #                     per-UE ping-pong automaton against the per-window
-#                     oracle, then 30s of FuzzLoadManifest on the
-#                     store MANIFEST loader
+#                     oracle, 30s of FuzzLoadManifest on the
+#                     store MANIFEST loader, then 30s of
+#                     FuzzCanonicalOrder on the radix canonical day
+#                     order against sort.Slice over CanonicalLess
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
 #                     mid-stream, restart, assert byte-identical
@@ -148,7 +151,8 @@ bench-e2e:
 
 # Steady-state allocation check: decoding a block into a ColumnBatch,
 # encoding a block from a ColumnBatch, and the pooled scan loop must not
-# allocate per block, nor a warm partition open a read window; planning a
+# allocate per block, nor a warm partition open a read window, nor a day's
+# canonical sort and shard bucketing through a warm DayScratch; planning a
 # UE-day through a warm mobility.Scratch, and sealing a duration sampler
 # and radix-sorting it for encode through a warm scratch, must not
 # allocate at all.
@@ -174,6 +178,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzResumeAnalyzer -fuzztime 30s ./internal/analysis/
 	$(GO) test -run NONE -fuzz FuzzPingPongAutomaton -fuzztime 30s ./internal/analysis/
 	$(GO) test -run NONE -fuzz FuzzLoadManifest -fuzztime 30s ./internal/trace/
+	$(GO) test -run NONE -fuzz FuzzCanonicalOrder -fuzztime 30s ./internal/trace/
 
 # End-to-end streaming ingest soak: telcoload replays a reference
 # campaign into telcoserve -ingest at a fixed rate, the daemon is

@@ -13,7 +13,9 @@
 //	telcogen -out ./campaign -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Generation reports a records/s summary on completion, with wall time
-// split into world build / simulate / sort+encode, and the
+// split into world build / simulate / write tail (the day writer sorts
+// and encodes each day while the next one is simulated, so its busy
+// time is reported beside the split, not in it), and the
 // -cpuprofile/-memprofile flags (parity with telcoreport) capture pprof
 // profiles of the generate → encode pipeline, so write-path perf work
 // starts from a profile rather than a guess.
@@ -194,10 +196,13 @@ func appendDays(dir string, n int) error {
 }
 
 // stageSplit renders where generation wall time went, so a slow run
-// names its stage before anyone reaches for a profiler.
+// names its stage before anyone reaches for a profiler. The writer runs
+// beside the simulation, so world build + simulate + write tail is the
+// wall time and the writer's busy time overlaps the simulate span.
 func stageSplit(t simulate.GenTimings) string {
 	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
-	return fmt.Sprintf("world build %s, simulate %s, sort+encode %s", ms(t.World), ms(t.Simulate), ms(t.Encode))
+	return fmt.Sprintf("world build %s, simulate %s, write tail %s; writer busy %s",
+		ms(t.World), ms(t.Simulate), ms(t.WriteTail), ms(t.Write))
 }
 
 // discardOrphanDays removes partitions beyond the campaign manifest's

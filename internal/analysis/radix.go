@@ -3,6 +3,8 @@ package analysis
 import (
 	"math"
 	"slices"
+
+	"telcolens/internal/radix"
 )
 
 // Exact LSD radix sorts for the duration samplers. Encoding a sampler
@@ -12,8 +14,9 @@ import (
 // orders the values, up to 200k samples per sampler, on the first read
 // of each sealed state. The priorities are uniform 64-bit hashes and the values float32-exact
 // durations, so a byte-wise radix sort that skips the bytes every key
-// shares needs a handful of linear passes where a comparison sort needs
-// n·log n compares.
+// shares (the histogram of internal/radix, which the trace store's
+// canonical day order uses too) needs a handful of linear passes where
+// a comparison sort needs n·log n compares.
 //
 // Both sorts produce exactly the order their comparison-sort oracles do
 // (see radix_test.go): LSD radix on the priority is stable, and a final
@@ -39,36 +42,6 @@ func (sc *sealScratch) words(n int) []uint64 {
 	return sc.buf[:n]
 }
 
-// byteHist counts, for each of the eight bytes of a set of keys, how
-// many keys carry each byte value.
-type byteHist [8][256]uint32
-
-func (h *byteHist) add(k uint64) {
-	h[0][byte(k)]++
-	h[1][byte(k>>8)]++
-	h[2][byte(k>>16)]++
-	h[3][byte(k>>24)]++
-	h[4][byte(k>>32)]++
-	h[5][byte(k>>40)]++
-	h[6][byte(k>>48)]++
-	h[7][byte(k>>56)]++
-}
-
-// offsets turns byte d's counts into the start offset of each bucket.
-// It reports false when all n keys share byte d (k0 is any one of them),
-// so the pass would not move anything and is skipped.
-func (h *byteHist) offsets(d int, k0 uint64, n int, off *[256]uint32) bool {
-	if h[d][byte(k0>>(8*d))] == uint32(n) {
-		return false
-	}
-	var sum uint32
-	for b, c := range h[d] {
-		off[b] = sum
-		sum += c
-	}
-	return true
-}
-
 // radixSortPV sorts the parallel (priority, value) slices into pvLess
 // order. The passes alternate between the parallel slices and the
 // scratch, which holds the pairs packed (priority, value bits) so each
@@ -78,16 +51,16 @@ func radixSortPV(pri []uint64, val []float64, sc *sealScratch) {
 	if n < 2 {
 		return
 	}
-	var h byteHist
+	var h radix.Hist
 	for _, p := range pri {
-		h.add(p)
+		h.Add(p)
 	}
 	packed := sc.words(2 * n)
 	var off [256]uint32
 	inPacked := false
 	k0 := pri[0]
 	for d := 0; d < 8; d++ {
-		if !h.offsets(d, k0, n, &off) {
+		if !h.Offsets(d, k0, n, &off) {
 			continue
 		}
 		shift := uint(8 * d)
@@ -155,16 +128,16 @@ func radixSortFloats(x []float64, sc *sealScratch) {
 	}
 	buf := sc.words(2 * n)
 	src, dst := buf[:n], buf[n:]
-	var h byteHist
+	var h radix.Hist
 	for i, v := range x {
 		k := floatKey(v)
 		src[i] = k
-		h.add(k)
+		h.Add(k)
 	}
 	var off [256]uint32
 	k0 := src[0]
 	for d := 0; d < 8; d++ {
-		if !h.offsets(d, k0, n, &off) {
+		if !h.Offsets(d, k0, n, &off) {
 			continue
 		}
 		shift := uint(8 * d)

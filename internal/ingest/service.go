@@ -154,8 +154,7 @@ type Service struct {
 	// scratch reused across appends/seals (guarded by mu).
 	walBuf   []byte
 	subBatch trace.ColumnBatch
-	outBatch trace.ColumnBatch
-	perm     []int32
+	dayBuf   trace.DayScratch
 
 	ingested            int64
 	duplicateBatches    int64
@@ -634,9 +633,7 @@ func (s *Service) sealLocked(ds *dayState) error {
 	// .tlix query-index sidecar (and manifest index version)
 	// batch-generated ones do: streamed days are immediately
 	// index-prunable by /query.
-	var err error
-	s.perm, err = trace.WriteDay(s.store, ds.day, s.meta.Config.Shards, ds.cols, s.perm, &s.outBatch)
-	if err != nil {
+	if err := trace.WriteDay(s.store, ds.day, s.meta.Config.Shards, ds.cols, &s.dayBuf); err != nil {
 		return err
 	}
 	s.meta.Config.Days = ds.day + 1

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"telcolens/internal/causes"
@@ -180,16 +181,23 @@ type Dataset struct {
 	Timings GenTimings
 }
 
-// GenTimings splits generation wall time into its three stages.
+// GenTimings splits generation wall time. The day writer overlaps the
+// simulation of the next day, so Write runs alongside Simulate; the wall
+// time of a run is World + Simulate + WriteTail.
 type GenTimings struct {
 	// World is the world model plus the generation-only lookup structures
 	// (the planner's spatial index and trig tables, anchor-sector lists).
 	World time.Duration
-	// Simulate is the parallel UE-day phase: mobility plans and handovers.
+	// Simulate is the day loop's wall time up to the end of the last
+	// day's simulation: mobility plans and handovers on the workers, and
+	// any wait for the writer to take the previous day.
 	Simulate time.Duration
-	// Encode is everything after it: the canonical sort of the day, the
+	// Write is the writer's busy time: the canonical sort of each day, the
 	// per-shard gather, block encoding and the store write.
-	Encode time.Duration
+	Write time.Duration
+	// WriteTail is the part of Write after the last day's simulation: the
+	// wait for the last day to land.
+	WriteTail time.Duration
 }
 
 // ScaleFactor returns the population ratio between the paper's campaign
@@ -207,7 +215,10 @@ func (d *Dataset) TotalHandovers() int64 {
 	return n
 }
 
-// Generate runs a full campaign.
+// Generate runs a full campaign. If a day fails to land, Generate
+// returns the error together with the dataset of the days before it:
+// Config.Days and DayStats count only the landed days, and
+// Config.WindowDays keeps the requested window the world was built for.
 func Generate(cfg Config) (*Dataset, error) {
 	if cfg.Days <= 0 || cfg.UEs <= 0 {
 		return nil, fmt.Errorf("simulate: non-positive days (%d) or UEs (%d)", cfg.Days, cfg.UEs)
@@ -247,13 +258,12 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 	ds.Timings.World += time.Since(start)
-	ds.DayStats = make([]DayAggregate, cfg.Days)
-
-	for day := 0; day < cfg.Days; day++ {
-		if err := g.generateDay(day); err != nil {
-			return nil, fmt.Errorf("simulate: day %d: %w", day, err)
-		}
+	ds.Config.Days, ds.Config.WindowDays = 0, cfg.worldWindowDays()
+	ds.DayStats = make([]DayAggregate, 0, cfg.Days)
+	if err := g.run(cfg.Days); err != nil {
+		return ds, err
 	}
+	ds.Config.WindowDays = cfg.WindowDays
 	return ds, nil
 }
 
@@ -264,8 +274,9 @@ func Generate(cfg Config) (*Dataset, error) {
 // as originally generated — only the study window grows — and each new
 // day consumes its own derived RNG stream, so appending is deterministic:
 // the same campaign appended twice produces byte-identical partitions.
-// On success ds.Config.Days and ds.DayStats reflect the extended window;
-// callers persisting the campaign should SaveManifest again.
+// ds.Config.Days and ds.DayStats grow as each day lands, so on a failed
+// day they describe the landed prefix; callers persisting the campaign
+// should SaveManifest again.
 //
 // Note an appended campaign is not byte-identical to one generated with
 // the larger day count from scratch: the topology's deployment timeline
@@ -290,18 +301,7 @@ func (ds *Dataset) GenerateDays(n int) error {
 		return err
 	}
 	ds.Timings.World += time.Since(start)
-	from := ds.Config.Days
-	ds.DayStats = append(ds.DayStats, make([]DayAggregate, n)...)
-	for day := from; day < from+n; day++ {
-		// Grow the visible window day by day, so a failed append leaves a
-		// consistent prefix (Config.Days only ever counts fully landed days).
-		if err := g.generateDay(day); err != nil {
-			ds.DayStats = ds.DayStats[:ds.Config.Days]
-			return fmt.Errorf("simulate: day %d: %w", day, err)
-		}
-		ds.Config.Days = day + 1
-	}
-	return nil
+	return g.run(n)
 }
 
 // generator is the state of one Generate or GenerateDays call: the
@@ -357,9 +357,15 @@ func newGenerator(ds *Dataset) (*generator, error) {
 	return g, nil
 }
 
+// ueBlock is how many consecutive UEs a generation worker takes from
+// the day's shared counter at a time: small enough that the workers
+// finish a day together even while the day writer holds one core,
+// large enough that the counter is not contended.
+const ueBlock = 32
+
 // colBatchPool recycles the generation-side column batches (per-worker
-// accumulators, the concatenated day batch, per-shard output batches)
-// across days, so steady-state generation reuses the same column memory.
+// accumulators and the concatenated day batch) across days, so
+// steady-state generation reuses the same column memory.
 var colBatchPool = sync.Pool{New: func() any { return new(trace.ColumnBatch) }}
 
 func getBatch() *trace.ColumnBatch {
@@ -370,55 +376,91 @@ func getBatch() *trace.ColumnBatch {
 
 func putBatch(b *trace.ColumnBatch) { colBatchPool.Put(b) }
 
-// generateDay simulates one study day across the population in parallel.
+// run simulates and lands the n days after the landed prefix, the one
+// day loop of Generate and GenerateDays. It is a two-stage pipeline: a
+// writer goroutine lands day d through trace.WriteDay while the workers
+// simulate day d+1, and day d+1 goes to a writer only once day d has
+// landed, so one writer runs at a time and the scratch passes from one
+// to the next. Config.Days grows as each day lands, so it only ever
+// counts fully landed days; the first failed write stops the loop,
+// drops the day simulated meanwhile from DayStats and names its day.
+//
 // Determinism holds because every UE-day consumes its own derived RNG
 // stream regardless of worker scheduling, and because nothing that
 // depends on the partition of UEs over workers reaches the output: the
-// records are sorted into a canonical order, and the day aggregate is
-// folded from per-UE slots in UE order.
-//
-// The day's records flow in columnar (SoA) form end to end: workers
-// append rows to per-worker batches, the batches concatenate into one
-// day batch, and trace.WriteDay sorts it into the canonical day-stream
-// order (trace.CanonicalLess: timestamp, full record content as the
-// tie-break — a total order, so the sealed bytes are a function of the
-// record multiset alone, not of worker concatenation order; the live
-// ingest sealer lands its days through the same function and therefore
-// writes byte-identical partitions from any arrival order) and hands
-// each shard's rows to the store's column writer.
-func (g *generator) generateDay(day int) error {
+// records are sorted into a canonical order (trace.CanonicalLess, a
+// total order, so the sealed bytes are a function of the record
+// multiset alone; the live ingest sealer lands its days through the
+// same trace.WriteDay and therefore writes byte-identical partitions
+// from any arrival order), and the day aggregate is folded from per-UE
+// slots in UE order.
+func (g *generator) run(n int) error {
+	ds := g.ds
+	var sc trace.DayScratch
+	landed := make(chan error)
+	write := func(day int, cols *trace.ColumnBatch) {
+		start := time.Now()
+		err := trace.WriteDay(ds.Store, day, ds.Config.Shards, cols, &sc)
+		ds.Timings.Write += time.Since(start)
+		putBatch(cols)
+		landed <- err
+	}
 	start := time.Now()
-	dayCols := g.simulateDay(day)
-	defer putBatch(dayCols)
+	from := ds.Config.Days
+	for day := from; day < from+n; day++ {
+		cols := g.simulateDay(day)
+		if day > from {
+			if err := <-landed; err != nil {
+				putBatch(cols)
+				return g.failed(day-1, err)
+			}
+			ds.Config.Days = day
+		}
+		go write(day, cols)
+	}
 	simulated := time.Now()
-	out := getBatch()
-	_, err := trace.WriteDay(g.ds.Store, day, g.ds.Config.Shards, dayCols, nil, out)
-	putBatch(out)
-	g.ds.Timings.Simulate += simulated.Sub(start)
-	g.ds.Timings.Encode += time.Since(simulated)
-	return err
+	ds.Timings.Simulate += simulated.Sub(start)
+	err := <-landed
+	ds.Timings.WriteTail += time.Since(simulated)
+	if err != nil {
+		return g.failed(from+n-1, err)
+	}
+	ds.Config.Days = from + n
+	return nil
 }
 
-// simulateDay runs every UE's day on the worker pool and returns the
-// day's records (unsorted, in a pooled batch the caller releases), with
-// the workers' EPC accounting merged and the day aggregate folded.
+// failed cuts DayStats back to the landed days after day's write failed.
+func (g *generator) failed(day int, err error) error {
+	g.ds.DayStats = g.ds.DayStats[:g.ds.Config.Days]
+	return fmt.Errorf("simulate: day %d: %w", day, err)
+}
+
+// simulateDay runs every UE's day on the worker pool, the workers taking
+// UEs in blocks of ueBlock from a shared counter, and returns the day's
+// records (unsorted, in a pooled batch the writer releases), with the
+// workers' EPC accounting merged and the day aggregate appended to
+// DayStats.
 func (g *generator) simulateDay(day int) *trace.ColumnBatch {
 	ds := g.ds
-	cfg := ds.Config
-	nWorkers := len(g.workers)
+	ues := ds.Config.UEs
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	chunk := (cfg.UEs + nWorkers - 1) / nWorkers
-	for w := 0; w < nWorkers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, cfg.UEs)
-		g.workers[w].cols = getBatch()
+	for w := range g.workers {
+		wk := &g.workers[w]
+		wk.cols = getBatch()
 		wg.Add(1)
-		go func(w *genWorker, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				g.simulateUEDay(day, i, w)
+			for {
+				lo := int(next.Add(ueBlock)) - ueBlock
+				if lo >= ues {
+					return
+				}
+				for i := lo; i < min(lo+ueBlock, ues); i++ {
+					g.simulateUEDay(day, i, wk)
+				}
 			}
-		}(&g.workers[w], lo, hi)
+		}()
 	}
 	wg.Wait()
 
@@ -430,7 +472,7 @@ func (g *generator) simulateDay(day int) *trace.ColumnBatch {
 		wk.cols = nil
 		ds.EPC.Merge(&wk.epc)
 	}
-	agg := &ds.DayStats[day]
+	var agg DayAggregate
 	for i := range g.ueAgg {
 		ue := &g.ueAgg[i]
 		for r := 0; r < 4; r++ {
@@ -441,6 +483,7 @@ func (g *generator) simulateDay(day int) *trace.ColumnBatch {
 		agg.Handovers += ue.Handovers
 		agg.Failures += ue.Failures
 	}
+	ds.DayStats = append(ds.DayStats, agg)
 	return dayCols
 }
 

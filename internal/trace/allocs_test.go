@@ -210,3 +210,27 @@ func TestOpenPartitionSteadyStateAllocs(t *testing.T) {
 			perOpen, st.Size())
 	}
 }
+
+// WriteDay's canonical sort and shard bucketing run on every generated
+// day and every ingest seal; through a warm DayScratch neither
+// allocates, tie runs included.
+func TestWriteDaySortSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var cb ColumnBatch
+	for i := 0; i < 20_000; i++ {
+		rec := randRecord(rng, StudyStart.UnixMilli())
+		if i > 0 && rng.Intn(5) == 0 {
+			rec.Timestamp, rec.UE = cb.Timestamps[i-1], cb.UEs[i-1]
+		}
+		cb.AppendRecord(&rec)
+	}
+	var sc DayScratch
+	sortAndBucket := func() {
+		perm := cb.SortPermCanonical(&sc)
+		sc.shardRows(&cb, perm, 4)
+	}
+	sortAndBucket()
+	if allocs := testing.AllocsPerRun(10, sortAndBucket); allocs > 0 {
+		t.Fatalf("canonical sort and shard bucketing allocate %.1f times per day through a warm scratch, want 0", allocs)
+	}
+}

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"math"
-	"sort"
+	"slices"
+
+	"telcolens/internal/radix"
 )
 
 // Canonical day-stream ordering.
@@ -54,50 +56,111 @@ func (b *ColumnBatch) CanonicalLess(i, j int) bool {
 	return math.Float32bits(b.Durations[i]) < math.Float32bits(b.Durations[j])
 }
 
+// DayScratch is the memory WriteDay reuses from one day to the next:
+// the canonical sort's radix keys and permutation, the per-shard row
+// lists and the batch each shard's rows are gathered into. The zero
+// value is ready to use; it grows to the largest day once. It is not
+// safe for concurrent use.
+type DayScratch struct {
+	pairs   radix.Pairs
+	buckets [][]int32
+	out     ColumnBatch
+}
+
 // SortPermCanonical returns a permutation index over b's rows in
-// canonical day-stream order, reusing perm's capacity. The batch itself
-// is not reordered; feed the permutation to AppendGather to materialize
-// the sorted stream.
-func (b *ColumnBatch) SortPermCanonical(perm []int32) []int32 {
+// canonical day-stream order, built in sc and valid until sc's next use.
+// The batch itself is not reordered; feed the permutation to
+// AppendGather to materialize the sorted stream.
+//
+// The order is a stable LSD radix sort by UE and then by the timestamp's
+// offset from the batch's earliest, each skipping every byte all keys
+// share (a day's offsets fit in four bytes, a campaign's UE numbers in
+// two or three); CanonicalLess then orders each run of equal (timestamp,
+// UE) keys. That is CanonicalLess's order for every pair of rows that
+// are not identical in every field.
+func (b *ColumnBatch) SortPermCanonical(sc *DayScratch) []int32 {
 	n := b.Len()
-	if cap(perm) < n {
-		perm = make([]int32, n)
+	p := &sc.pairs
+	p.Resize(n)
+	if n == 0 {
+		return p.Rows
 	}
-	perm = perm[:n]
-	for i := range perm {
-		perm[i] = int32(i)
+	var h radix.Hist
+	minTS := b.Timestamps[0]
+	for i, ue := range b.UEs {
+		p.Keys[i] = uint64(ue)
+		p.Rows[i] = int32(i)
+		h.Add(p.Keys[i])
+		minTS = min(minTS, b.Timestamps[i])
 	}
-	sort.Slice(perm, func(a, c int) bool {
-		return b.CanonicalLess(int(perm[a]), int(perm[c]))
-	})
+	p.Sort(&h)
+
+	// Unsigned subtraction is exact for any pair of int64 values, so the
+	// offsets need no overflow guard whatever the span.
+	h = radix.Hist{}
+	for i, row := range p.Rows {
+		p.Keys[i] = uint64(b.Timestamps[row]) - uint64(minTS)
+		h.Add(p.Keys[i])
+	}
+	p.Sort(&h)
+
+	keys, perm := p.Keys, p.Rows
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j] == keys[i] && b.UEs[perm[j]] == b.UEs[perm[i]] {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(perm[i:j], func(x, y int32) int {
+				switch {
+				case b.CanonicalLess(int(x), int(y)):
+					return -1
+				case b.CanonicalLess(int(y), int(x)):
+					return 1
+				}
+				return 0
+			})
+		}
+		i = j
+	}
 	return perm
+}
+
+// shardRows splits the canonically sorted perm into shards row lists by
+// ShardOf, each in canonical order, reusing sc's buckets.
+func (sc *DayScratch) shardRows(cols *ColumnBatch, perm []int32, shards int) [][]int32 {
+	if len(sc.buckets) != shards {
+		sc.buckets = make([][]int32, shards)
+	}
+	for sh := range sc.buckets {
+		sc.buckets[sh] = sc.buckets[sh][:0]
+	}
+	for _, p := range perm {
+		sh := ShardOf(cols.UEs[p], shards)
+		sc.buckets[sh] = append(sc.buckets[sh], p)
+	}
+	return sc.buckets
 }
 
 // WriteDay lands one day's records as its partitions: the rows are
 // sorted into the canonical order, split by ShardOf into shards streams
-// (one stream for shards <= 1), and each stream is gathered into out and
-// written as partition (day, shard). Bucketing the one sorted sequence
-// keeps every UE's record order identical for any shard count, which is
-// what makes sharded and unsharded scans of the same records agree byte
-// for byte, and the canonical sort makes the bytes independent of the
-// order the rows arrived in. perm and out are the caller's scratch;
-// WriteDay returns perm grown for reuse.
-func WriteDay(s Store, day, shards int, cols *ColumnBatch, perm []int32, out *ColumnBatch) ([]int32, error) {
-	perm = cols.SortPermCanonical(perm)
+// (one stream for shards <= 1), and each stream is gathered and written
+// as partition (day, shard). Bucketing the one sorted sequence keeps
+// every UE's record order identical for any shard count, which is what
+// makes sharded and unsharded scans of the same records agree byte for
+// byte, and the canonical sort makes the bytes independent of the order
+// the rows arrived in. sc is the caller's scratch, reused across days.
+func WriteDay(s Store, day, shards int, cols *ColumnBatch, sc *DayScratch) error {
+	perm := cols.SortPermCanonical(sc)
 	if shards <= 1 {
-		return perm, writeGathered(s, day, 0, cols, perm, out)
+		return writeGathered(s, day, 0, cols, perm, &sc.out)
 	}
-	buckets := make([][]int32, shards)
-	for _, p := range perm {
-		sh := ShardOf(cols.UEs[p], shards)
-		buckets[sh] = append(buckets[sh], p)
-	}
-	for sh, rows := range buckets {
-		if err := writeGathered(s, day, sh, cols, rows, out); err != nil {
-			return perm, err
+	for sh, rows := range sc.shardRows(cols, perm, shards) {
+		if err := writeGathered(s, day, sh, cols, rows, &sc.out); err != nil {
+			return err
 		}
 	}
-	return perm, nil
+	return nil
 }
 
 // writeGathered gathers the rows of src selected by rows (in that order)
