@@ -151,6 +151,10 @@ type snapshot struct {
 	manifestGen uint64
 	publishedAt time.Time
 	scan        telcolens.ScanStats
+	// quarantined lists the days a scrub had quarantined when the step
+	// that published this generation ran: the degraded mode /healthz and
+	// /stats declare, read from memory like the rest of a probe's answer.
+	quarantined []int
 	// qview pins the partition set /query executions run against, so a
 	// query sees exactly this snapshot's generation even while new days
 	// are landing (nil only if the view could not be built).
@@ -248,7 +252,7 @@ type refreshStages struct {
 
 // newSnapshot builds the serving generation of a warm analyzer, its
 // artifacts still to render.
-func newSnapshot(a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64) *snapshot {
+func newSnapshot(a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64, quarantined []int) *snapshot {
 	exps := telcolens.Experiments()
 	order := make([]string, len(exps))
 	for i, e := range exps {
@@ -268,6 +272,7 @@ func newSnapshot(a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64) *snap
 		manifestGen: gen,
 		publishedAt: time.Now(),
 		scan:        a.ScanStats(),
+		quarantined: quarantined,
 		qview:       qv,
 	}
 }
@@ -326,9 +331,12 @@ func (s *server) saveCheckpoint(a *telcolens.Analyzer) {
 	}
 }
 
-// degradedDays reports the study days excluded from serving because a
+// degradedDays reads the study days excluded from serving because a
 // scrub quarantined their partitions — the daemon's declared degraded
-// mode, surfaced on /healthz and /stats. Errors read as "no log".
+// mode. Errors read as "no log". A refresh step that publishes reads it
+// once, after the reload: a scrub writes the quarantine log before the
+// MANIFEST generation that drops the partitions, so the step that loads
+// that generation sees the log that explains it.
 func (s *server) degradedDays() []int {
 	recs, err := trace.LoadQuarantine(nil, s.dir)
 	if err != nil || len(recs) == 0 {
@@ -515,7 +523,7 @@ func (s *server) refresh(ctx context.Context) error {
 	st.refresh = time.Since(t)
 
 	t = time.Now()
-	next := newSnapshot(a, ds, gen)
+	next := newSnapshot(a, ds, gen, s.degradedDays())
 	// An analyzer built empty is filled by the warm scan.
 	merged, fullRescan := next.partitions, true
 	if res != nil {
@@ -769,14 +777,14 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"blocks_skipped": st.BlocksSkipped,
 			"bytes_read":     st.BytesRead,
 		}
+		if len(cur.quarantined) > 0 {
+			out["degraded"] = true
+			out["quarantined_days"] = cur.quarantined
+		}
 	}
 	out["query"] = s.queryStats()
 	if s.adm != nil {
 		out["admission"] = s.adm.Stats()
-	}
-	if days := s.degradedDays(); len(days) > 0 {
-		out["degraded"] = true
-		out["quarantined_days"] = days
 	}
 	if iv := s.ingestView(); iv != nil {
 		out["ingest"] = iv
@@ -788,7 +796,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // serves, with enough state to see the live pipeline at a glance —
 // serving generation, snapshot age, declared degraded mode (days a
 // scrub quarantined), and (in ingest mode) WAL depth, memtable
-// backlog, and ingest lag.
+// backlog, and ingest lag. Like /stats it answers from memory: no
+// probe reads a file or waits on more than a counter copy.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	cur := s.cur
@@ -800,12 +809,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		out["days"] = cur.days
 		out["manifest_gen"] = cur.manifestGen
 		out["snapshot_age_sec"] = time.Since(cur.publishedAt).Seconds()
-	}
-	if days := s.degradedDays(); len(days) > 0 {
-		// Still 200: the daemon is healthy, the data is declaredly
-		// partial. Probes alert on the field, not the status code.
-		out["status"] = "degraded"
-		out["quarantined_days"] = days
+		if len(cur.quarantined) > 0 {
+			// Still 200: the daemon is healthy, the data is declaredly
+			// partial. Probes alert on the field, not the status code.
+			out["status"] = "degraded"
+			out["quarantined_days"] = cur.quarantined
+		}
 	}
 	if s.adm != nil {
 		// The overload window rides on every probe (trips, window

@@ -39,7 +39,7 @@ type jsonDayDone struct {
 //	POST /ingest/day   day-completion marker + day aggregate
 //	POST /ingest/init  campaign descriptor (manifest.json bytes)
 //	POST /ingest/flush seal completed head days (?force=1 drains all)
-//	GET  /ingest/stats ingest Stats
+//	GET  /ingest/stats ingest Stats, with the MANIFEST generation
 //
 // Error mapping: 503 uninitialized, 429 + Retry-After backpressure,
 // 409 sealed day or config mismatch, 400 malformed.
@@ -197,5 +197,7 @@ func (s *Service) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Stats())
+	st := s.Stats()
+	st.ManifestGen = s.manifestGen()
+	writeJSON(w, st)
 }

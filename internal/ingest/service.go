@@ -111,7 +111,8 @@ type Stats struct {
 	// IngestLagSec is the age of the oldest unsealed record's arrival —
 	// how far sealing trails the stream.
 	IngestLagSec float64 `json:"ingest_lag_sec"`
-	// ManifestGen is the trace store's current MANIFEST generation.
+	// ManifestGen is the trace store's MANIFEST generation. Stats leaves
+	// it 0: only GET /ingest/stats reads the MANIFEST to fill it.
 	ManifestGen uint64 `json:"manifest_gen"`
 
 	IngestedRecords     int64     `json:"ingested_records"`
@@ -671,8 +672,10 @@ func (s *Service) notifySealed(days []int) {
 	}
 }
 
-// Stats snapshots the service. It only reads: no day seals on the
-// stats path.
+// Stats snapshots the service's counters. It reads memory only — no
+// file, not even the MANIFEST, so ManifestGen stays 0 — and seals no
+// day: it holds the lock every Append takes, so a probe polling it
+// must cost the same whatever the study's size.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -709,10 +712,23 @@ func (s *Service) Stats() Stats {
 	if !oldest.IsZero() {
 		st.IngestLagSec = s.opts.Now().Sub(oldest).Seconds()
 	}
-	if m, err := s.store.Manifest(); err == nil && m != nil {
-		st.ManifestGen = m.Gen
-	}
 	return st
+}
+
+// manifestGen reads the trace store's MANIFEST generation with the lock
+// not held (0 before Init or when the MANIFEST is unreadable).
+func (s *Service) manifestGen() uint64 {
+	s.mu.Lock()
+	store := s.store
+	s.mu.Unlock()
+	if store == nil {
+		return 0
+	}
+	m, err := store.Manifest()
+	if err != nil {
+		return 0
+	}
+	return m.Gen
 }
 
 // Close releases the open WAL files. Pending state stays on disk and is
