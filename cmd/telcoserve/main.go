@@ -4,11 +4,11 @@
 // full scan state warm in memory, watches the trace store's MANIFEST,
 // and when new days land (telcogen -append, a streaming-ingest seal)
 // refreshes in place: the campaign manifest is re-read, only the new
-// partitions are scanned into the live analyzer, and the new generation
-// is swapped in: /healthz and /query show the day at once, and the
-// artifacts render right after, requests for them waiting on that render
-// rather than being served the previous day's bytes. Clients never see
-// a cold cache and never trigger a rescan.
+// partitions are scanned into the live analyzer, and a read-only
+// generation of it is swapped in: /healthz, /query and the artifacts show
+// the day at once. Each artifact renders from the generation when it is
+// first requested, once per generation, so a day costs only the views
+// someone reads. Clients never trigger a rescan.
 //
 // Usage:
 //
@@ -49,6 +49,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -109,9 +110,9 @@ type serveConfig struct {
 
 // HTTP hardening bounds: header/body read and response write deadlines
 // per request, plus body-size caps on the two endpoints that accept or
-// stream significant payloads. Scan-heavy artifact renders happen at
-// refresh time, never inside a request (an artifact request waits at
-// most for the render in progress), so tight deadlines are safe.
+// stream significant payloads. A request never scans: an artifact
+// request at most runs experiments over a generation's finalized state,
+// so tight deadlines are safe.
 const (
 	httpReadHeaderTimeout = 10 * time.Second
 	httpReadTimeout       = time.Minute
@@ -124,28 +125,42 @@ const (
 	maxQueryBody = 1 << 20
 )
 
-// artifactView is one rendered experiment held in memory.
+// artifactView is one rendered experiment held in memory: its text and
+// JSON answers, or the error that stopped it.
 type artifactView struct {
 	ID       string
 	Title    string
 	PaperRef string
 	Text     []byte
-	Artifact *telcolens.Artifact // nil when the experiment errored
-	Err      string
+	// Err is the experiment's error, or its text render's; JSON is the
+	// artifact's JSON answer, unless encoding it failed with JSONErr.
+	Err     string
+	JSON    []byte
+	JSONErr string
 }
 
-// snapshot is one serving generation: every rendered artifact plus the
-// scan counters at publication. A refresh publishes a new snapshot, then
-// renders its artifacts; the analyzer they are rendered from lives on in
-// the server and is refreshed in place, so nothing a handler reads
-// refers to it.
+// artifactSlot memoizes one experiment's view for a snapshot. flight is
+// open while a request's run of the experiment is in progress; requests
+// for the id wait on it rather than run the experiment again.
+type artifactSlot struct {
+	mu     sync.Mutex
+	view   *artifactView
+	flight chan struct{}
+}
+
+// snapshot is one serving generation: a read-only analyzer over the
+// finalized scan state, the views rendered from it so far, and the scan
+// counters at publication. A refresh publishes a new snapshot; the live
+// analyzer the generation was taken from is refreshed in place, and
+// nothing it writes reaches the generation, so no handler reads state a
+// refresh mutates.
 type snapshot struct {
-	// views is filled by render, which then closes rendered; handlers read
-	// it only once awaitRender says so. A nil rendered means views was
-	// complete when the snapshot was built.
-	views       map[string]*artifactView
-	rendered    chan struct{}
-	order       []string // experiment ids, in registry order
+	// gen is the generation the artifacts render from; exps are the
+	// experiments, in registry order, and arts their memoized views.
+	gen         *telcolens.Analyzer
+	exps        []telcolens.Experiment
+	arts        []artifactSlot
+	parallel    int // the experiment pool's bound for / and /artifacts
 	days        int
 	partitions  int
 	manifestGen uint64
@@ -177,11 +192,11 @@ type server struct {
 	// eng executes /query requests; its result cache is invalidated on
 	// every snapshot swap.
 	eng *query.Engine
-	// ds is the kept campaign and live the analyzer the serving snapshot
-	// was rendered from: a refresh reloads ds and refreshes live, both in
-	// place. Only the watch loop — and start-up before it runs — touches
-	// them; Dataset.Reload and Analyzer.Refresh are safe only on the
-	// goroutine that drives both. A nil ds makes the next refresh load
+	// ds is the kept campaign and live the analyzer the serving
+	// generation was taken from: a refresh reloads ds and refreshes live,
+	// both in place. Only the watch loop — and start-up before it runs —
+	// touches them; Dataset.Reload and Analyzer.Refresh are safe only on
+	// the goroutine that drives both. A nil ds makes the next refresh load
 	// the campaign cold, a nil live makes it build its analyzer cold.
 	ds   *telcolens.Dataset
 	live *telcolens.Analyzer
@@ -243,80 +258,114 @@ type refreshStages struct {
 	// refresh is the analyzer's scan and finalize: the in-place merge of
 	// the new partitions, or the full scan of a cold rescan.
 	refresh time.Duration
-	// swap builds the query view and publishes the snapshot. reload,
-	// refresh and swap add up to the time until /healthz shows the day.
+	// swap takes the generation, builds the query view and publishes the
+	// snapshot. reload, refresh and swap add up to the step, after which
+	// every endpoint shows the day.
 	swap time.Duration
-	// render runs and renders every experiment, after the swap.
-	render time.Duration
 }
 
-// newSnapshot builds the serving generation of a warm analyzer, its
-// artifacts still to render.
-func newSnapshot(a *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64, quarantined []int) *snapshot {
+// newSnapshot builds the serving snapshot of a generation, no artifact
+// rendered yet.
+func newSnapshot(g *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64, quarantined []int, parallel int) *snapshot {
 	exps := telcolens.Experiments()
-	order := make([]string, len(exps))
-	for i, e := range exps {
-		order[i] = e.ID
-	}
-	parts, _ := a.Covered()
+	parts, _ := g.Covered()
 	qv, err := query.NewView(ds.Store)
 	if err != nil {
 		log.Printf("building query view: %v (/query disabled for this snapshot)", err)
 		qv = nil
 	}
 	return &snapshot{
-		rendered:    make(chan struct{}),
-		order:       order,
+		gen:         g,
+		exps:        exps,
+		arts:        make([]artifactSlot, len(exps)),
+		parallel:    parallel,
 		days:        ds.Config.Days,
 		partitions:  parts,
 		manifestGen: gen,
 		publishedAt: time.Now(),
-		scan:        a.ScanStats(),
+		scan:        g.ScanStats(),
 		quarantined: quarantined,
 		qview:       qv,
 	}
 }
 
-// render runs every experiment on the shared experiment pool and fills
-// the snapshot's views, releasing the requests waiting on them.
-// Individual experiment failures (e.g. a window too short for home
-// detection, or a shutdown cancelling ctx) are served as error
-// artifacts instead of taking the daemon down.
-func (snap *snapshot) render(ctx context.Context, a *telcolens.Analyzer) {
-	defer close(snap.rendered)
-	exps := telcolens.Experiments()
-	outs := analysis.RunEach(ctx, a) // same order as exps
-	views := make(map[string]*artifactView, len(exps))
-	for i, e := range exps {
-		v := &artifactView{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef}
-		if err := outs[i].Err; err != nil {
-			v.Err = err.Error()
-			v.Text = []byte(fmt.Sprintf("%s — error: %v\n", e.ID, err))
-		} else {
-			var buf bytes.Buffer
-			if err := outs[i].Artifact.Render(&buf); err != nil {
-				v.Err = err.Error()
-			}
-			v.Text = buf.Bytes()
-			v.Artifact = outs[i].Artifact
+// artifact returns experiment i's view, running the experiment on the
+// first request for it. Concurrent requests share that run, and its view
+// is kept for every later one. A run whose requesting context ended
+// before it returned is not kept (its error may be the cancellation):
+// the next request runs it again. ok is false when ctx ends first; the
+// run then goes on without the request.
+func (snap *snapshot) artifact(ctx context.Context, i int) (v *artifactView, ok bool) {
+	slot := &snap.arts[i]
+	for ctx.Err() == nil {
+		slot.mu.Lock()
+		v, flight := slot.view, slot.flight
+		if v == nil && flight == nil {
+			flight = make(chan struct{})
+			slot.flight = flight
+			go snap.run(ctx, i, flight)
 		}
-		views[e.ID] = v
+		slot.mu.Unlock()
+		if v != nil {
+			return v, true
+		}
+		select {
+		case <-flight:
+		case <-ctx.Done():
+		}
 	}
-	snap.views = views
+	return nil, false
 }
 
-// awaitRender waits until the snapshot's views are rendered and reports
-// whether they are; it gives up, reporting false, when ctx ends first.
-func (snap *snapshot) awaitRender(ctx context.Context) bool {
-	if snap.rendered == nil {
-		return true
+// run renders experiment i for the flight it closes, keeping the view
+// unless ctx ended meanwhile.
+func (snap *snapshot) run(ctx context.Context, i int, flight chan struct{}) {
+	v := renderView(ctx, snap.exps[i], snap.gen)
+	slot := &snap.arts[i]
+	slot.mu.Lock()
+	if ctx.Err() == nil {
+		slot.view = v
 	}
-	select {
-	case <-snap.rendered:
-		return true
-	case <-ctx.Done():
-		return false
+	slot.flight = nil
+	slot.mu.Unlock()
+	close(flight)
+}
+
+// all returns every experiment's view, running the ones no request has
+// yet on the experiment pool; ok is false when ctx ends first.
+func (snap *snapshot) all(ctx context.Context) (views []*artifactView, ok bool) {
+	views = make([]*artifactView, len(snap.exps))
+	analysis.RunPool(snap.parallel, len(snap.exps), func(i int) {
+		views[i], _ = snap.artifact(ctx, i)
+	})
+	return views, !slices.Contains(views, nil)
+}
+
+// index finds an experiment by id, or -1.
+func (snap *snapshot) index(id string) int {
+	return slices.IndexFunc(snap.exps, func(e telcolens.Experiment) bool { return e.ID == id })
+}
+
+// renderView runs one experiment on the generation into its view. A failed
+// experiment (e.g. a window too short for home detection) is served as an
+// error view instead of taking the daemon down.
+func renderView(ctx context.Context, e telcolens.Experiment, g *telcolens.Analyzer) *artifactView {
+	v := &artifactView{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef}
+	art, err := e.Run(ctx, g)
+	if err != nil {
+		v.Err = err.Error()
+		v.Text = []byte(fmt.Sprintf("%s — error: %v\n", e.ID, err))
+		return v
 	}
+	var buf bytes.Buffer
+	if err := art.Render(&buf); err != nil {
+		v.Err = err.Error()
+	}
+	v.Text = buf.Bytes()
+	if v.JSON, err = encodeJSON(art); err != nil {
+		v.JSONErr = err.Error()
+	}
+	return v
 }
 
 // saveCheckpoint persists the serving analyzer's state (no-op without
@@ -439,21 +488,20 @@ func (s *server) coldAnalyzer(ctx context.Context, ds *telcolens.Dataset) (a *te
 // loop only decides when. It brings the serving state up to date at the
 // cost of the delta: the kept campaign reloads its manifest in place,
 // the live analyzer Refreshes in place (scanning only the new
-// partitions), the new snapshot is swapped in — /healthz and /query show
-// the day from here — and its experiments render on the shared pool
-// while artifact requests wait for them. The render ends before the step
-// returns, so no later step mutates the analyzer while an experiment
-// reads it; the checkpoint is saved after it, because its encode
-// re-orders the samplers the experiments read. Without a kept campaign
-// it loads one cold; without a live analyzer, or over a rebuilt world,
-// it builds one cold (coldAnalyzer). On any error before the swap the
-// previous snapshot keeps serving — its views are rendered bytes — and
-// the next step retries: a failed Refresh may have merged part of its
-// delta, so the live analyzer is dropped and the retry builds cold. A
-// store caught mid-append simply fails validation until the day
-// finishes landing. While nothing is served a failed warm scan still
-// publishes, since there is nothing older to serve, but neither marks
-// the generation served nor keeps the analyzer.
+// partitions), and a read-only generation of it is swapped in — every
+// endpoint shows the day from here, and the step returns. The artifacts
+// render from that generation when they are first requested, so the next
+// step may refresh the live analyzer, and save its checkpoint, while they
+// do. Without a kept campaign it loads one cold; without a live analyzer,
+// or over a rebuilt world, it builds one cold (coldAnalyzer). On any
+// error before the swap the previous snapshot keeps serving and the next
+// step retries: a failed Refresh may have merged part of its delta, so
+// the live analyzer is dropped and the retry builds cold. A store caught
+// mid-append simply fails validation until the day finishes landing.
+// While nothing is served a failed warm scan still publishes, since
+// there is nothing older to serve, but neither marks the generation
+// served nor keeps the analyzer; the experiments whose scan state it
+// lacks serve their error.
 func (s *server) refresh(ctx context.Context) error {
 	start := time.Now()
 	s.mu.RLock()
@@ -494,11 +542,11 @@ func (s *server) refresh(ctx context.Context) error {
 		}
 		if res.PartitionsScanned == 0 && !res.FullRescan && ds.Config.Days == old.days {
 			// Nothing new to merge — usually a mid-append poll (some shards
-			// of a day landed, the day is incomplete). Skip the re-render and
-			// swap; only mark the generation consumed when no landed
-			// partition is still waiting for the campaign manifest to
-			// describe it, because that manifest update does not bump the
-			// trace MANIFEST generation and must not be skipped past.
+			// of a day landed, the day is incomplete). Skip the swap; only
+			// mark the generation consumed when no landed partition is
+			// still waiting for the campaign manifest to describe it,
+			// because that manifest update does not bump the trace
+			// MANIFEST generation and must not be skipped past.
 			if !pendingBeyondWindow(ds) {
 				s.mu.Lock()
 				s.lastGen = gen
@@ -509,21 +557,26 @@ func (s *server) refresh(ctx context.Context) error {
 		}
 	}
 	// One fused pass computes every scan-state unit the experiments share
-	// (an analyzer refreshed in place already holds them); the experiments
-	// then only read cached state, so a failing read fails here rather
-	// than becoming a served error artifact.
+	// (an analyzer refreshed in place already holds them); the generation
+	// only reads that state, so a failing read fails here rather than
+	// becoming a served error artifact.
 	_, warmErr := a.Scan(ctx)
 	if warmErr != nil {
 		s.live = nil
 		if old != nil {
 			return fmt.Errorf("warming scan state: %w", warmErr)
 		}
-		log.Printf("warming scan state: %v (serving what the experiments computed on their own)", warmErr)
+		log.Printf("warming scan state: %v (experiments needing scan state serve an error until a step succeeds)", warmErr)
 	}
 	st.refresh = time.Since(t)
 
 	t = time.Now()
-	next := newSnapshot(a, ds, gen, s.degradedDays())
+	g, err := a.Generation()
+	if err != nil {
+		s.live = nil
+		return fmt.Errorf("taking the generation: %w", err)
+	}
+	next := newSnapshot(g, ds, gen, s.degradedDays(), s.parallel)
 	// An analyzer built empty is filled by the warm scan.
 	merged, fullRescan := next.partitions, true
 	if res != nil {
@@ -544,13 +597,7 @@ func (s *server) refresh(ctx context.Context) error {
 		}
 	}
 	s.lastScanned = merged
-	s.mu.Unlock()
 	st.swap = time.Since(t)
-
-	t = time.Now()
-	next.render(ctx, a)
-	st.render = time.Since(t)
-	s.mu.Lock()
 	s.lastStages = st
 	s.lastRefreshDur = time.Since(start)
 	s.mu.Unlock()
@@ -559,7 +606,7 @@ func (s *server) refresh(ctx context.Context) error {
 		s.saveCheckpoint(a)
 	}
 	log.Printf("serving generation %d: %d partitions merged (full rescan: %v, world rebuilt: %v, resumed checkpoint: %v), %d days, %d artifacts, took %s",
-		gen, merged, fullRescan, rebuilt, cold && res != nil, ds.Config.Days, len(next.order),
+		gen, merged, fullRescan, rebuilt, cold && res != nil, ds.Config.Days, len(next.exps),
 		time.Since(start).Round(time.Millisecond))
 	s.pokeIfMoved(ds.Store, gen)
 	return nil
@@ -618,12 +665,29 @@ func (s *server) watch(ctx context.Context, interval time.Duration) {
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	e := json.NewEncoder(w)
+	b, err := encodeJSON(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeJSONBytes(w, b)
+}
+
+// encodeJSON is the daemon's one JSON rendering: indented by one space,
+// newline-terminated.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	e := json.NewEncoder(&buf)
 	e.SetIndent("", " ")
 	if err := e.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil, err
 	}
+	return buf.Bytes(), nil
+}
+
+func writeJSONBytes(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
 }
 
 // current returns the serving snapshot, or nil after replying 503 when
@@ -639,17 +703,10 @@ func (s *server) current(w http.ResponseWriter) *snapshot {
 	return cur
 }
 
-// currentRendered is current for the handlers that serve rendered
-// artifacts: it waits for the serving snapshot's render, so a day
-// /healthz shows is never answered with the previous day's bytes. A
-// request that ends first gets a 503.
-func (s *server) currentRendered(w http.ResponseWriter, r *http.Request) *snapshot {
-	cur := s.current(w)
-	if cur == nil || cur.awaitRender(r.Context()) {
-		return cur
-	}
+// writeAbandoned answers an artifact request whose context ended while
+// its experiments ran.
+func writeAbandoned(w http.ResponseWriter) {
 	http.Error(w, "request abandoned while the artifacts rendered", http.StatusServiceUnavailable)
-	return nil
 }
 
 func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -657,41 +714,49 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	cur := s.currentRendered(w, r)
+	cur := s.current(w)
 	if cur == nil {
 		return
 	}
+	views, ok := cur.all(r.Context())
+	if !ok {
+		writeAbandoned(w)
+		return
+	}
 	fmt.Fprintf(w, "telcolens serving %d artifacts over %d study days (snapshot %s)\n\n",
-		len(cur.order), cur.days, cur.publishedAt.UTC().Format(time.RFC3339))
-	for _, id := range cur.order {
-		v := cur.views[id]
+		len(views), cur.days, cur.publishedAt.UTC().Format(time.RFC3339))
+	for _, v := range views {
 		status := ""
 		if v.Err != "" {
 			status = "  [error]"
 		}
-		fmt.Fprintf(w, "  /artifacts/%-10s %-12s %s%s\n", id, v.PaperRef, v.Title, status)
+		fmt.Fprintf(w, "  /artifacts/%-10s %-12s %s%s\n", v.ID, v.PaperRef, v.Title, status)
 	}
 	fmt.Fprintf(w, "\n  /query   ad-hoc slices: ?ue=&tac=&sector=&from=&to=&limit=&agg=\n")
 	fmt.Fprintf(w, "  /stats   serving, scan and query statistics\n")
 }
 
 func (s *server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
-	cur := s.currentRendered(w, r)
+	cur := s.current(w)
 	if cur == nil {
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/artifacts")
 	id = strings.Trim(id, "/")
 	if id == "" {
+		views, ok := cur.all(r.Context())
+		if !ok {
+			writeAbandoned(w)
+			return
+		}
 		type entry struct {
 			ID       string `json:"id"`
 			Title    string `json:"title"`
 			PaperRef string `json:"paper_ref"`
 			Error    string `json:"error,omitempty"`
 		}
-		out := make([]entry, 0, len(cur.order))
-		for _, id := range cur.order {
-			v := cur.views[id]
+		out := make([]entry, 0, len(views))
+		for _, v := range views {
 			out = append(out, entry{ID: v.ID, Title: v.Title, PaperRef: v.PaperRef, Error: v.Err})
 		}
 		writeJSON(w, out)
@@ -699,21 +764,25 @@ func (s *server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 	}
 	wantJSON := r.URL.Query().Get("format") == "json" ||
 		strings.Contains(r.Header.Get("Accept"), "application/json")
-	v, ok := cur.views[id]
-	if !ok {
+	i := cur.index(id)
+	if i < 0 {
 		http.Error(w, fmt.Sprintf("unknown artifact %q", id), http.StatusNotFound)
 		return
 	}
-	if v.Err != "" {
+	v, ok := cur.artifact(r.Context(), i)
+	switch {
+	case !ok:
+		writeAbandoned(w)
+	case v.Err != "":
 		http.Error(w, v.Err, http.StatusUnprocessableEntity)
-		return
+	case !wantJSON:
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(v.Text)
+	case v.JSONErr != "":
+		http.Error(w, v.JSONErr, http.StatusInternalServerError)
+	default:
+		writeJSONBytes(w, v.JSON)
 	}
-	if wantJSON {
-		writeJSON(w, v.Artifact)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(v.Text)
 }
 
 // ingestView summarizes the co-hosted ingest side for /stats and
@@ -757,7 +826,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"duration_seconds":  lastDur.Seconds(),
 			"reload_ms":         ms(stages.reload),
 			"refresh_ms":        ms(stages.refresh),
-			"render_ms":         ms(stages.render),
 			"swap_ms":           ms(stages.swap),
 		},
 	}
@@ -768,7 +836,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out["manifest_gen"] = cur.manifestGen
 		out["snapshot_at"] = cur.publishedAt.UTC()
 		out["snapshot_age_sec"] = time.Since(cur.publishedAt).Seconds()
-		out["artifacts"] = len(cur.order)
+		out["artifacts"] = len(cur.exps)
 		out["scan"] = map[string]any{
 			"scans":          st.Scans,
 			"partitions":     st.Partitions,

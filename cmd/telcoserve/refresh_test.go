@@ -11,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,11 +244,11 @@ func dayRecords(t *testing.T, dir string, day int) *trace.ColumnBatch {
 }
 
 // TestVisibleDayServesItsArtifacts lands days while a refresh runs in
-// another goroutine and polls /healthz. The refresh publishes the day
-// before it renders the artifacts, so the moment /healthz shows the day
-// every /artifacts/{id}, text and JSON, must answer with a cold report of
-// the grown store: requests wait for the render, and are never answered
-// with the previous day's bytes.
+// another goroutine and polls /healthz. The refresh publishes the day's
+// generation, and its artifacts render on request, so the moment
+// /healthz shows the day every /artifacts/{id}, text and JSON, must
+// answer with a cold report of the grown store, never with the previous
+// day's bytes.
 func TestVisibleDayServesItsArtifacts(t *testing.T) {
 	const first, days = 2, 4
 	dir := t.TempDir()
@@ -256,7 +258,6 @@ func TestVisibleDayServesItsArtifacts(t *testing.T) {
 	if err := s.refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	waited := 0
 	for day := first; day < days; day++ {
 		appendDay(t, dir)
 		wantText, wantJSON := coldAnswers(t, dir)
@@ -277,14 +278,6 @@ func TestVisibleDayServesItsArtifacts(t *testing.T) {
 			default:
 			}
 		}
-		s.mu.RLock()
-		rendered := s.cur.rendered
-		s.mu.RUnlock()
-		select {
-		case <-rendered:
-		default:
-			waited++
-		}
 		sameArtifacts(t, fmt.Sprintf("day %d text", day), wantText, servedAnswers(t, s, ""))
 		sameArtifacts(t, fmt.Sprintf("day %d json", day), wantJSON, servedAnswers(t, s, "?format=json"))
 		if !returned {
@@ -294,16 +287,34 @@ func TestVisibleDayServesItsArtifacts(t *testing.T) {
 			t.Fatal(refreshErr)
 		}
 	}
-	t.Logf("%d of %d days were visible before their artifacts rendered", waited, days-first)
 }
 
-// TestAbandonedArtifactWaitReturns: a request for an artifact of a
-// snapshot still rendering returns a 503 as soon as its context ends,
-// through the route's admission, and leaves no goroutine behind.
+// blockingSnapshot is a snapshot whose experiments each count a run and
+// block until release closes, then return an empty artifact.
+func blockingSnapshot(runs *atomic.Int64, release chan struct{}) *snapshot {
+	exps := telcolens.Experiments()
+	for i := range exps {
+		e := exps[i]
+		exps[i].Run = func(context.Context, *telcolens.Analyzer) (*telcolens.Artifact, error) {
+			runs.Add(1)
+			<-release
+			return &telcolens.Artifact{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef}, nil
+		}
+	}
+	return &snapshot{exps: exps, arts: make([]artifactSlot, len(exps)), publishedAt: time.Now()}
+}
+
+// TestAbandonedArtifactWaitReturns: a request whose artifact is still
+// rendering returns a 503 as soon as its context ends, through the
+// route's admission, and releases its admission slot. The renders it
+// abandoned are not kept: once they finish, the next request runs its
+// experiment again and gets its bytes, and no goroutine is left behind.
 func TestAbandonedArtifactWaitReturns(t *testing.T) {
 	s := newQueryServer(t)
 	s.adm = admission.NewController(admission.Config{})
-	s.cur = &snapshot{rendered: make(chan struct{}), order: []string{"fig8"}, publishedAt: time.Now()}
+	var runs atomic.Int64
+	release := make(chan struct{})
+	s.cur = blockingSnapshot(&runs, release)
 	h := s.routes()
 	baseline := runtime.NumGoroutine()
 	for _, target := range []string{"/", "/artifacts", "/artifacts/fig8", "/artifacts/fig8?format=json"} {
@@ -319,14 +330,163 @@ func TestAbandonedArtifactWaitReturns(t *testing.T) {
 	if st := s.adm.Stats()["classes"].([]admission.LimiterStats)[admission.ClassArtifacts]; st.InFlight != 0 || st.Admitted != 4 {
 		t.Fatalf("artifact admission after the abandoned waits: %+v", st)
 	}
+	if runs.Load() == 0 {
+		t.Fatal("no render started")
+	}
+
+	// The abandoned renders finish; none of them is kept, so the next
+	// request for fig8 runs it once more.
+	close(release)
+	i := s.cur.index("fig8")
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		s.cur.arts[i].mu.Lock()
+		idle := s.cur.arts[i].flight == nil
+		s.cur.arts[i].mu.Unlock()
+		if idle {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned fig8 render never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := range s.cur.arts {
+		if v := s.cur.arts[i].view; v != nil {
+			t.Fatalf("an abandoned render of %s was kept", v.ID)
+		}
+	}
+	before := runs.Load()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/artifacts/fig8", nil))
+	if rec.Code != http.StatusOK || runs.Load() != before+1 || !strings.HasPrefix(rec.Body.String(), "FIG8 — ") {
+		t.Fatalf("fig8 after the abandoned renders: %d after %d more runs:\n%s", rec.Code, runs.Load()-before, rec.Body)
+	}
 	// A deadline's timer cancels the context from a goroutine of its
-	// own, which may still be exiting: wait for the count to settle.
+	// own, which may still be exiting, and the released renders exit on
+	// their own: wait for the count to settle.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the abandoned waits, %d before", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// countingRuns wraps every experiment of snap to count its runs by id.
+func countingRuns(snap *snapshot) map[string]*atomic.Int64 {
+	runs := map[string]*atomic.Int64{}
+	for i := range snap.exps {
+		n, run := new(atomic.Int64), snap.exps[i].Run
+		runs[snap.exps[i].ID] = n
+		snap.exps[i].Run = func(ctx context.Context, a *telcolens.Analyzer) (*telcolens.Artifact, error) {
+			n.Add(1)
+			return run(ctx, a)
+		}
+	}
+	return runs
+}
+
+// TestFirstRequestsRunOnce: concurrent first requests for one artifact
+// run its experiment once and all get the cold report's bytes; / then
+// runs each other experiment once, and no later request runs any again.
+func TestFirstRequestsRunOnce(t *testing.T) {
+	dir := t.TempDir()
+	generateServed(t, dir, 3, 2, 0)
+	s := newTestServer(t, dir, 2)
+	if err := s.refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := coldArtifacts(t, dir)
+	runs := countingRuns(s.cur)
+
+	const requests = 16
+	got := make([]string, requests)
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			s.handleArtifacts(rec, httptest.NewRequest(http.MethodGet, "/artifacts/fig8", nil))
+			got[r] = fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes())
+		}()
+	}
+	wg.Wait()
+	for r := range got {
+		if got[r] != want["fig8"] {
+			t.Fatalf("request %d got\n%s\nwant\n%s", r, got[r], want["fig8"])
+		}
+	}
+	for id, n := range runs {
+		want := int64(0)
+		if id == "fig8" {
+			want = 1
+		}
+		if n.Load() != want {
+			t.Fatalf("%d concurrent first requests for fig8 ran %s %d times", requests, id, n.Load())
+		}
+	}
+
+	for _, target := range []string{"/", "/artifacts", "/"} {
+		rec := httptest.NewRecorder()
+		s.routes().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d", target, rec.Code)
+		}
+	}
+	sameArtifacts(t, "after /", want, servedArtifacts(t, s))
+	for id, n := range runs {
+		if n.Load() != 1 {
+			t.Fatalf("%s ran %d times, want once per generation", id, n.Load())
+		}
+	}
+}
+
+// TestGenerationRendersBesideRefresh renders a served generation — every
+// artifact, through /, as text and as JSON — while the live analyzer it
+// was taken from refreshes over a landed day and saves its checkpoint,
+// three days in a row. Run under -race, it checks that the refresh writes
+// nothing the generation reads; the bytes must be a cold report of the
+// generation's store.
+func TestGenerationRendersBesideRefresh(t *testing.T) {
+	const first, days = 2, 5
+	dir := t.TempDir()
+	generateServed(t, dir, 3, first, days)
+	ctx := context.Background()
+	s := newTestServer(t, dir, 2)
+	s.checkpoint = filepath.Join(t.TempDir(), "state.tlckpt")
+	if err := s.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for day := first; day < days; day++ {
+		wantText, wantJSON := coldAnswers(t, dir)
+		appendDay(t, dir)
+		old := &server{cur: s.cur}
+		var text, js map[string]string
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rec := httptest.NewRecorder()
+			old.handleIndex(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("/ of the earlier generation: %d", rec.Code)
+			}
+			text, js = servedAnswers(t, old, ""), servedAnswers(t, old, "?format=json")
+		}()
+		if err := s.refresh(ctx); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		if s.fullRescans != 0 || s.cur == old.cur {
+			t.Fatalf("day %d was not merged in place (%d full rescans)", day, s.fullRescans)
+		}
+		if _, err := os.Stat(s.checkpoint); err != nil {
+			t.Fatalf("no checkpoint saved: %v", err)
+		}
+		sameArtifacts(t, fmt.Sprintf("day %d: earlier generation text", day), wantText, text)
+		sameArtifacts(t, fmt.Sprintf("day %d: earlier generation json", day), wantJSON, js)
+	}
+	sameArtifacts(t, "refreshed", coldArtifacts(t, dir), servedArtifacts(t, s))
 }
 
 // TestInPlaceRefreshMatchesCold seals a campaign into a served ingest
@@ -459,7 +619,9 @@ func TestServesV2Campaign(t *testing.T) {
 }
 
 // TestInPlaceRefreshReadFaults fails each partition read of an in-place
-// refresh in turn. The previous views must keep serving, and the next
+// refresh in turn. The previous generation must keep serving: an
+// artifact first requested after the failed refresh renders from it and
+// must equal a cold report of the store before the appended day. The next
 // fault-free refresh — one cold rescan — must serve exactly what a cold
 // analyzer over the grown store renders.
 func TestInPlaceRefreshReadFaults(t *testing.T) {
@@ -496,6 +658,7 @@ func TestInPlaceRefreshReadFaults(t *testing.T) {
 	}
 	want := coldArtifacts(t, pdir)
 	sameArtifacts(t, "probe", want, servedArtifacts(t, ps))
+	before := coldArtifacts(t, template)
 
 	fired := 0
 	for _, rule := range chaos.FailPoints(map[faultfs.Op]int{faultfs.OpRead: probe.OpCounts()[faultfs.OpRead]}, 0) {
@@ -503,7 +666,7 @@ func TestInPlaceRefreshReadFaults(t *testing.T) {
 		t.Run(rule.String(), func(t *testing.T) {
 			ff := faultfs.NewFault(nil, faultfs.Plan{Rules: []faultfs.Rule{rule}})
 			s, _ := served(t, ff)
-			prev, before := s.cur, servedArtifacts(t, s)
+			prev := s.cur
 			err := s.refresh(ctx)
 			if len(ff.Fired()) == 0 {
 				// The refresh read fewer partition blocks than the rule
@@ -575,7 +738,7 @@ func TestStatsRefreshSection(t *testing.T) {
 		t.Fatalf("partitions_merged = %v, want the day's 2 shards", last["partitions_merged"])
 	}
 	var sum float64
-	for _, stage := range []string{"reload_ms", "refresh_ms", "render_ms", "swap_ms"} {
+	for _, stage := range []string{"reload_ms", "refresh_ms", "swap_ms"} {
 		v, ok := last[stage].(float64)
 		if !ok || v <= 0 {
 			t.Fatalf("last_refresh.%s = %v", stage, last[stage])

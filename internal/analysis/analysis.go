@@ -14,6 +14,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,6 +109,10 @@ type Analyzer struct {
 	// -1 leaves a bound open.
 	winFrom int
 	winTo   int
+	// frozen marks a generation (Generation): its state, coverage and
+	// counters are fixed at construction, so it reads them without mu,
+	// and it never scans.
+	frozen bool
 
 	mu  sync.Mutex
 	env *scanEnv
@@ -309,8 +314,8 @@ type scanState struct {
 	vendorByType    [ho.NumTypes][4]int64 // Fig 17 bottom
 
 	// NeedDurations (deterministically bottom-k sampled).
-	durSuccess [ho.NumTypes]*sampler
-	durCause   [nCauseIdx]*sampler
+	durSuccess [ho.NumTypes]*sampleView
+	durCause   [nCauseIdx]*sampleView
 
 	// NeedCauses: HOF causes per HO type, totals and per day, plus the
 	// Fig 15 breakdowns.
@@ -419,19 +424,21 @@ func coverageDelta(old, cur []trace.PartitionInfo) (delta []trace.PartitionInfo,
 	return cur[len(old):], true
 }
 
-// completeDayPrefix trims a canonical-order coverage list to its longest
-// prefix of whole days: a day counts as complete when its partitions are
-// exactly shards 0..n-1 with n matching the campaign's shard count (1
-// for unsharded stores). The flush-based collectors (temporal, UE-day,
-// sector-day) finalize each day's distinct counts and row groups exactly
-// once, so a scan must never consume half a day and pick the rest up
-// later — a store caught mid-append (telcoserve polling while telcogen
-// lands a sharded day) stays uncovered until the day finishes.
-func completeDayPrefix(infos []trace.PartitionInfo, shards int) []trace.PartitionInfo {
+// completeDays keeps, from a canonical-order coverage list, the
+// partitions of every whole day: a day counts as complete when its
+// partitions are exactly shards 0..n-1 with n matching the campaign's
+// shard count (1 for unsharded stores). The flush-based collectors
+// (temporal, UE-day, sector-day) finalize each day's distinct counts and
+// row groups exactly once, so a scan must never consume half a day and
+// pick the rest up later — a store caught mid-append (telcoserve polling
+// while telcogen lands a sharded day) leaves its last day uncovered until
+// it finishes. A day missing a shard elsewhere (a scrub quarantined it)
+// is skipped, and the days after it are still covered.
+func completeDays(infos []trace.PartitionInfo, shards int) []trace.PartitionInfo {
 	if shards < 1 {
 		shards = 1
 	}
-	keep := 0
+	out := infos[:0:0]
 	for i := 0; i < len(infos); {
 		day := infos[i].Day
 		j := i
@@ -441,16 +448,15 @@ func completeDayPrefix(infos []trace.PartitionInfo, shards int) []trace.Partitio
 				ok = false
 			}
 		}
-		if !ok || j-i != shards {
-			break
+		if ok && j-i == shards {
+			out = append(out, infos[i:j]...)
 		}
-		keep = j
 		i = j
 	}
-	return infos[:keep]
+	return out
 }
 
-// currentCoverageLocked resolves the store's partitions, trimmed to
+// currentCoverageLocked resolves the store's partitions, filtered to
 // whole days inside the configured study window, plus the manifest
 // generation that produced the view. Partitions beyond the window
 // (days landed by an appender whose campaign manifest has not been
@@ -470,7 +476,7 @@ func (a *Analyzer) currentCoverageLocked() ([]trace.PartitionInfo, uint64, error
 			break
 		}
 	}
-	return completeDayPrefix(infos, a.DS.Config.Shards), m.Gen, nil
+	return completeDays(infos, a.DS.Config.Shards), m.Gen, nil
 }
 
 // partitionsOf projects a coverage list to bare partition keys.
@@ -595,6 +601,12 @@ func (a *Analyzer) finalizeLocked() error {
 // even while the store grows. Refresh advances the coverage to the
 // store's current state.
 func (a *Analyzer) Require(ctx context.Context, need Need) (*scanState, error) {
+	if a.frozen {
+		if missing := need &^ a.have; missing != 0 {
+			return nil, fmt.Errorf("analysis: the generation holds no scan state %b", missing)
+		}
+		return a.state, nil
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.requireLocked(ctx, need)
@@ -647,6 +659,42 @@ func (a *Analyzer) requireLocked(ctx context.Context, need Need) (*scanState, er
 		return nil, err
 	}
 	return a.state, nil
+}
+
+// Generation returns a read-only analyzer over the finalized state: the
+// experiments run on it as on a, and its Require returns that state,
+// failing for a unit it does not hold and never scanning. It keeps a copy
+// of the dataset header (config, day statistics, world pointers) and of
+// a's coverage and counters, and a published state shares nothing a later
+// merge writes (collector.finalize), so nothing a later Refresh, Scan,
+// Checkpoint or Dataset.Reload of a writes reaches it: experiments may run
+// on a generation while a moves on. A state a has not finalized since the
+// study grew is finalized first; that never scans.
+func (a *Analyzer) Generation() (*Analyzer, error) {
+	if a.frozen {
+		return a, nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.syncEnvLocked()
+	if a.state == nil || a.stateDirty {
+		if err := a.finalizeLocked(); err != nil {
+			return nil, err
+		}
+	}
+	ds := *a.DS
+	return &Analyzer{
+		DS:          &ds,
+		parallelism: a.parallelism,
+		winFrom:     a.winFrom,
+		winTo:       a.winTo,
+		frozen:      true,
+		have:        a.have,
+		state:       a.state,
+		covered:     slices.Clip(a.covered),
+		coveredGen:  a.coveredGen,
+		stats:       a.stats,
+	}, nil
 }
 
 // Scan builds every cached view. Experiments that know their needs

@@ -24,6 +24,10 @@ import (
 // the format version.
 var checkpointMagic = []byte("TLCKPT\x00\x01")
 
+// errGeneration refuses the calls that advance or persist an analyzer's
+// collectors on a generation, which has none.
+var errGeneration = fmt.Errorf("analysis: a generation is read-only")
+
 // RefreshResult summarizes what one Refresh did.
 type RefreshResult struct {
 	// PartitionsScanned is how many partitions were scanned and merged
@@ -49,9 +53,13 @@ type RefreshResult struct {
 // collectors: their day-indexed state grows as the new days merge.
 //
 // Refresh must not run concurrently with experiments reading the
-// analyzer (the serving daemon refreshes on its watch loop, between
-// renders, and serves pre-rendered snapshots).
+// analyzer; they may read a Generation of it instead (the serving daemon
+// renders its artifacts from one while its watch loop refreshes). A
+// generation itself cannot be refreshed.
 func (a *Analyzer) Refresh(ctx context.Context) (*RefreshResult, error) {
+	if a.frozen {
+		return nil, errGeneration
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.syncEnvLocked()
@@ -192,8 +200,12 @@ func readAllSized(r io.Reader) ([]byte, error) {
 // units are computed, each collector's encoding and the partition
 // coverage — so a later process can ResumeAnalyzer from it and Refresh
 // instead of rescanning the store.
-// Only call it at a quiescent point (no scan in flight).
+// Only call it at a quiescent point (no scan in flight). A generation
+// holds no collectors and cannot be checkpointed.
 func (a *Analyzer) Checkpoint(w io.Writer) error {
+	if a.frozen {
+		return errGeneration
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.syncEnvLocked()

@@ -48,7 +48,11 @@ import (
 // folds delta partitions into them on Refresh (their day-indexed state
 // grows in place as days land), and encodes them into checkpoints, so
 // finalize must be re-runnable (it publishes the current merged view
-// without consuming state).
+// without consuming state). The view it publishes shares nothing a
+// later merge writes: state a merge updates in place is copied, and an
+// append-only row set is resliced to its length, so a published state
+// never changes and a generation (Analyzer.Generation) can keep it while
+// the collectors merge on.
 type collector interface {
 	trace.Collector
 	finalize(s *scanState) error
@@ -275,16 +279,6 @@ type sampler struct {
 	// so a checkpointing daemon never re-sorts the whole bottom-k. A
 	// quickselect prune resets it to 0.
 	sortedPrefix int
-	// sortedVal caches the values in ascending order for SortedSamples,
-	// which fills it on first use; any mutation of the kept set clears
-	// it. Several experiments take quantiles and ECDFs of the same
-	// sampler, so sorting once per sealed state instead of once per
-	// experiment cuts the render's constant, and a state no experiment
-	// reads is never sorted. sortMu guards the fill: the experiments
-	// call SortedSamples concurrently. The mutations that clear it run
-	// only while no experiment reads the sampler.
-	sortMu    sync.Mutex
-	sortedVal []float64
 }
 
 func newSampler(capacity int, salt uint64) *sampler {
@@ -318,7 +312,6 @@ func (s *sampler) offer(p uint64, v float64) {
 	s.pri = append(s.pri, p)
 	s.val = append(s.val, v)
 	s.sealed = false
-	s.sortedVal = nil
 	if len(s.pri) == 2*s.capacity {
 		s.pruneToCapacity()
 	}
@@ -400,7 +393,6 @@ func (s *sampler) absorb(o *sampler) {
 		s.pri = append(s.pri, o.pri...)
 		s.val = append(s.val, o.val...)
 		s.sealed = false
-		s.sortedVal = nil
 		return
 	}
 	for i := range o.pri {
@@ -508,30 +500,52 @@ func (s *sampler) sealMerge(sc *sealScratch) {
 	s.pri, s.val = pri, val
 }
 
-// SortedSamples returns the sampled values in ascending order. The first
-// call after a change to the kept set sorts a copy of them and caches
-// it; the experiment bodies — which run concurrently and take quantiles
-// and ECDFs of the same samplers — share that one sort, and the sort is
-// the same whichever of them runs it. Callers must treat the slice as
-// read-only.
-func (s *sampler) SortedSamples() []float64 {
-	s.sortMu.Lock()
-	defer s.sortMu.Unlock()
-	if s.sortedVal == nil && len(s.val) > 0 {
-		sc := sortScratch.Get().(*sealScratch)
-		s.sortedVal = slices.Clone(s.val)
-		radixSortFloats(s.sortedVal, sc)
-		sortScratch.Put(sc)
-	}
-	return s.sortedVal
-}
-
-// sortScratch lends SortedSamples a radix buffer, so the samplers sorted
-// by one render share a few buffers instead of each allocating its own.
-var sortScratch = sync.Pool{New: func() any { return new(sealScratch) }}
-
 // N returns the number of values observed.
 func (s *sampler) N() int64 { return s.n }
+
+// sampleView is a sealed sampler as a published state holds it: the
+// count and a copy of the kept values, made by finalize, so no later
+// merge, seal or encode of the live sampler reaches it and a generation
+// may share it. The experiments read the values in ascending order
+// through SortedSamples; the first read sorts the copy in place and the
+// ones after it share that sort. Several experiments take quantiles and
+// ECDFs of the same sampler, so it is sorted once per published state,
+// not once per experiment, and a view no experiment reads is never
+// sorted.
+type sampleView struct {
+	n int64
+	// mu guards the in-place sort: the experiments read concurrently.
+	mu     sync.Mutex
+	sorted bool
+	val    []float64
+}
+
+// view publishes the sealed sampler's count and a copy of its values.
+func (s *sampler) view() *sampleView {
+	return &sampleView{n: s.n, val: slices.Clone(s.val)}
+}
+
+// SortedSamples returns the sampled values in ascending order; the first
+// call sorts them, and every caller gets the same slice, which it must
+// treat as read-only. The sort is the same whichever experiment runs it.
+func (v *sampleView) SortedSamples() []float64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !v.sorted {
+		sc := sortScratch.Get().(*sealScratch)
+		radixSortFloats(v.val, sc)
+		sortScratch.Put(sc)
+		v.sorted = true
+	}
+	return v.val
+}
+
+// N returns the number of values observed.
+func (v *sampleView) N() int64 { return v.n }
+
+// sortScratch lends SortedSamples a radix buffer, so the views sorted by
+// one render share a few buffers instead of each allocating its own.
+var sortScratch = sync.Pool{New: func() any { return new(sealScratch) }}
 
 // --- bitsets for distinct-sector counting ------------------------------
 
@@ -710,9 +724,9 @@ func (c *typesCollector) finalize(out *scanState) error {
 	out.totalFails = c.totalFails
 	out.typeCounts = c.typeCounts
 	out.typeDevCounts = c.typeDevCounts
-	out.perDayTypeDev = c.perDayTypeDev
+	out.perDayTypeDev = slices.Clone(c.perDayTypeDev)
 	out.typeFails = c.typeFails
-	out.perDayTypeFails = c.perDayFails
+	out.perDayTypeFails = slices.Clone(c.perDayFails)
 	out.vendorByType = c.vendorByType
 	return nil
 }
@@ -802,21 +816,21 @@ func (c *durationsCollector) MergeShard(st trace.ShardState) error {
 	return nil
 }
 
-// finalize only seals: the value sort the experiments read is made by
-// SortedSamples on first use, in the experiment pool. One scratch serves
-// every seal and is dropped afterwards, so a long-lived analyzer does
-// not keep it.
+// finalize seals each sampler and publishes a copy of its values; the
+// value sort the experiments read is made by SortedSamples on first use,
+// in the experiment pool. One scratch serves every seal and is dropped
+// afterwards, so a long-lived analyzer does not keep it.
 func (c *durationsCollector) finalize(out *scanState) error {
 	c.shards.drop()
 	var sc sealScratch
-	for _, s := range c.durSuccess {
+	for i, s := range c.durSuccess {
 		s.seal(&sc)
+		out.durSuccess[i] = s.view()
 	}
-	for _, s := range c.durCause {
+	for i, s := range c.durCause {
 		s.seal(&sc)
+		out.durCause[i] = s.view()
 	}
-	out.durSuccess = c.durSuccess
-	out.durCause = c.durCause
 	return nil
 }
 
@@ -920,7 +934,7 @@ func (c *causesCollector) MergeShard(st trace.ShardState) error {
 func (c *causesCollector) finalize(out *scanState) error {
 	c.perDayCauseType = growDays(c.perDayCauseType, c.env.days)
 	out.causeType = c.causeType
-	out.perDayCauseType = c.perDayCauseType
+	out.perDayCauseType = slices.Clone(c.perDayCauseType)
 	out.causeByDev = c.causeByDev
 	out.causeByArea = c.causeByArea
 	out.causeByMfr = make(map[string]*[2][nCauseIdx]int64, nTopMfr)
@@ -1096,10 +1110,10 @@ func (c *temporalCollector) finalize(out *scanState) error {
 	c.curDay = -1
 	c.curBinSec, c.curHourSec = [mobility.BinsPerDay][2]bitset{}, [24][2]bitset{}
 	c.grow(c.env.days)
-	out.binHOs = c.binHOs
-	out.binActive = c.binActive
-	out.hourHOFs = c.hourHOFs
-	out.hourActive = c.hourActive
+	out.binHOs = slices.Clone(c.binHOs)
+	out.binActive = slices.Clone(c.binActive)
+	out.hourHOFs = slices.Clone(c.hourHOFs)
+	out.hourActive = slices.Clone(c.hourActive)
 	return nil
 }
 
@@ -1171,9 +1185,9 @@ func (c *districtsCollector) MergeShard(st trace.ShardState) error {
 }
 
 func (c *districtsCollector) finalize(out *scanState) error {
-	out.districtHOs = c.districtHOs
-	out.districtFails = c.districtFails
-	out.districtType = c.districtType
+	out.districtHOs = slices.Clone(c.districtHOs)
+	out.districtFails = slices.Clone(c.districtFails)
+	out.districtType = slices.Clone(c.districtType)
 	return nil
 }
 
@@ -1556,9 +1570,9 @@ func (c *uedayCollector) finalize(out *scanState) error {
 	c.shards.drop()
 	c.flushDay()
 	c.curDay = -1
-	out.ueHOs = c.ueHOs
-	out.ueFails = c.ueFails
-	out.ueDay = c.ueDay
+	out.ueHOs = slices.Clone(c.ueHOs)
+	out.ueFails = slices.Clone(c.ueFails)
+	out.ueDay = slices.Clip(c.ueDay)
 	return nil
 }
 
@@ -1726,6 +1740,6 @@ func (c *sectordayCollector) finalize(out *scanState) error {
 	c.flushDay()
 	c.curDay = -1
 	c.dayHOs, c.dayFails, c.dayTotals = nil, nil, nil
-	out.sectorDay = c.sectorDay
+	out.sectorDay = slices.Clip(c.sectorDay)
 	return nil
 }

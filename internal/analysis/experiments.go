@@ -92,18 +92,30 @@ type Outcome struct {
 
 // RunEach runs every registered experiment against the analyzer and
 // returns one Outcome per experiment, in registration order. The bodies
-// fan out across a worker pool bounded by the analyzer's parallelism:
-// they are pure readers of the finalized scan state, and each first
-// Requires its own needs, which serializes on the analyzer. Callers
-// wanting one fused trace pass Require the union of the needs
-// beforehand, as RunAll does.
+// fan out on RunPool, bounded by the analyzer's parallelism: they are
+// pure readers of the finalized scan state, and each first Requires its
+// own needs, which serializes on the analyzer. Callers wanting one fused
+// trace pass Require the union of the needs beforehand, as RunAll does.
 func RunEach(ctx context.Context, a *Analyzer) []Outcome {
-	workers := a.parallelism
+	out := make([]Outcome, len(registry))
+	RunPool(a.parallelism, len(registry), func(i int) {
+		art, err := registry[i].Run(ctx, a)
+		out[i] = Outcome{Artifact: art, Err: err}
+	})
+	return out
+}
+
+// RunPool is the experiment pool: it calls fn(i) for every i in [0, n)
+// on parallelism workers (GOMAXPROCS when parallelism ≤ 0), at most n,
+// and returns when every call has. RunEach runs the registered
+// experiments on it; a caller that memoizes their renderings drives it
+// with its own fn.
+func RunPool(parallelism, n int, fn func(i int)) {
+	workers := parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(registry))
-	out := make([]Outcome, len(registry))
+	workers = min(workers, n)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for wk := 0; wk < workers; wk++ {
@@ -111,17 +123,15 @@ func RunEach(ctx context.Context, a *Analyzer) []Outcome {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				art, err := registry[i].Run(ctx, a)
-				out[i] = Outcome{Artifact: art, Err: err}
+				fn(i)
 			}
 		}()
 	}
-	for i := range registry {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	return out
 }
 
 // RunAll executes every experiment against the analyzer, rendering each

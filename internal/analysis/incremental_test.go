@@ -294,6 +294,56 @@ func TestRefreshFullRescanOnDivergence(t *testing.T) {
 	compareArtifacts(t, "full-rescan", renderAll(t, cold), renderAll(t, a))
 }
 
+// TestQuarantineSkipsOnlyItsDay: a scrub quarantines day 1 shard 0 of a
+// 3-day, 2-shard campaign (telcogen -seed 7 -ues 200 -days 3 -shards 2).
+// Day 1 is left incomplete, so the coverage skips it, but it must still
+// cover the intact day 2: the scan reads days 0 and 2 and every one of
+// their records.
+func TestQuarantineSkipsOnlyItsDay(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := trace.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simulate.DefaultConfig(7)
+	cfg.UEs, cfg.Days, cfg.Shards, cfg.Store = 200, 3, 2, fs
+	ds, err := simulate.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ho_day_001.tlho"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scrub, err := trace.Scrub(context.Background(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scrub.Quarantined) != 1 || scrub.Quarantined[0].Day != 1 || scrub.Quarantined[0].Shard != 0 {
+		t.Fatalf("scrub quarantined %v, want day 1 shard 0", scrub.Quarantined)
+	}
+	a, err := New(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Scan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var days []int
+	for _, pi := range a.covered {
+		days = append(days, pi.Day)
+	}
+	if !slices.Equal(days, []int{0, 0, 2, 2}) {
+		t.Fatalf("covered days %v, want both shards of days 0 and 2", days)
+	}
+	if n, _ := a.Covered(); n != 4 {
+		t.Fatalf("Covered() = %d partitions, want 4", n)
+	}
+	want := ds.DayStats[0].Handovers + ds.DayStats[2].Handovers
+	if got := a.ScanStats().Records; got != want {
+		t.Fatalf("scanned %d records, want days 0 and 2's %d", got, want)
+	}
+}
+
 // TestResumeRejectsWrongCampaign: a checkpoint only resumes against the
 // campaign it was taken from.
 func TestResumeRejectsWrongCampaign(t *testing.T) {
@@ -380,25 +430,50 @@ func durationSamplers(a *Analyzer) []*sampler {
 	return append(c.durSuccess[:], c.durCause[:]...)
 }
 
-// TestSortedSamplesConcurrentFirstUse: finalize seals the duration
-// samplers without sorting their values; the experiments, running
-// concurrently, sort each sampler on first use. After a cold scan and
-// after a one-day refresh, 8 goroutines reading every sampler at once
-// must all get the same slice, the sorted values. The next refresh must
-// drop every cache whose kept set it changed.
+// generationViews takes a generation of a and lists its duration views.
+func generationViews(t *testing.T, a *Analyzer) (*Analyzer, []*sampleView) {
+	t.Helper()
+	g, err := a.Generation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, append(g.state.durSuccess[:], g.state.durCause[:]...)
+}
+
+// TestSortedSamplesConcurrentFirstUse: finalize publishes a copy of each
+// duration sampler's values, unsorted, and a generation shares it; the
+// experiments, running concurrently on the generation, sort each view on
+// first use. After a cold scan and after a one-day refresh, 8 goroutines
+// reading every view of a generation at once must all get the same
+// slice, the sorted values. The live analyzer's next refresh must leave
+// an earlier generation's sorted views as they were and publish fresh,
+// unsorted ones.
 func TestSortedSamplesConcurrentFirstUse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a campaign")
 	}
 	ds, a := streamedAnalyzer(t, 5, 2)
-	sorted := func(s *sampler) []float64 {
-		v := slices.Clone(s.val)
-		slices.Sort(v)
-		return v
+	// sortedLive is what each view must read: the live samplers' kept
+	// values, sorted.
+	sortedLive := func() [][]float64 {
+		var out [][]float64
+		for _, s := range durationSamplers(a) {
+			v := slices.Clone(s.val)
+			slices.Sort(v)
+			out = append(out, v)
+		}
+		return out
 	}
-	readAll := func(when string) {
+	unsorted := func(when string, views []*sampleView) {
 		t.Helper()
-		samplers := durationSamplers(a)
+		for i, v := range views {
+			if v.sorted {
+				t.Fatalf("%s: view %d was sorted before any experiment read it", when, i)
+			}
+		}
+	}
+	readAll := func(when string, views []*sampleView, want [][]float64) {
+		t.Helper()
 		const readers = 8
 		got := make([][][]float64, readers)
 		var wg sync.WaitGroup
@@ -406,48 +481,44 @@ func TestSortedSamplesConcurrentFirstUse(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for _, s := range samplers {
-					got[r] = append(got[r], s.SortedSamples())
+				for _, v := range views {
+					got[r] = append(got[r], v.SortedSamples())
 				}
 			}()
 		}
 		wg.Wait()
-		for i, s := range samplers {
-			want := sorted(s)
+		for i := range views {
 			for r := range got {
 				g := got[r][i]
-				if !slices.Equal(g, want) || (len(g) > 0 && &g[0] != &got[0][i][0]) {
-					t.Fatalf("%s: reader %d got a different slice of sampler %d", when, r, i)
+				if !slices.Equal(g, want[i]) || (len(g) > 0 && &g[0] != &got[0][i][0]) {
+					t.Fatalf("%s: reader %d got a different slice of view %d", when, r, i)
 				}
 			}
 		}
 	}
-	// dropped counts the caches a refresh cleared; a cache it kept must
-	// still be the sort of the kept set.
-	dropped := func(when string) int {
-		t.Helper()
-		n := 0
-		for i, s := range durationSamplers(a) {
-			if s.sortedVal == nil {
-				n++
-			} else if !slices.Equal(s.sortedVal, sorted(s)) {
-				t.Fatalf("%s: sampler %d kept a stale sort", when, i)
-			}
-		}
-		if n == 0 {
-			t.Fatalf("%s: no sampler's cache was cleared", when)
-		}
-		return n
-	}
-	if n := dropped("cold"); n != len(durationSamplers(a)) {
-		t.Fatalf("finalize sorted %d samplers before any experiment read them", len(durationSamplers(a))-n)
-	}
-	readAll("cold")
+
+	_, cold := generationViews(t, a)
+	coldWant := sortedLive()
+	unsorted("cold", cold)
+	readAll("cold", cold, coldWant)
 	refreshDay(t, ds, a)
-	dropped("refreshed")
-	readAll("refreshed")
+	_, refreshed := generationViews(t, a)
+	unsorted("refreshed", refreshed)
+	for i, v := range cold {
+		if !slices.Equal(v.val, coldWant[i]) || v == refreshed[i] {
+			t.Fatalf("the refresh reached view %d of the earlier generation", i)
+		}
+	}
+	refreshedWant := sortedLive()
+	readAll("refreshed", refreshed, refreshedWant)
 	refreshDay(t, ds, a)
-	dropped("refreshed twice")
+	_, twice := generationViews(t, a)
+	unsorted("refreshed twice", twice)
+	for i, v := range refreshed {
+		if !slices.Equal(v.val, refreshedWant[i]) {
+			t.Fatalf("the second refresh reached view %d of the earlier generation", i)
+		}
+	}
 }
 
 // TestCheckpointSortsOnlyTheDelta: the first checkpoint sorts each

@@ -11,9 +11,9 @@ import (
 // for a checkpoint orders its (priority, value) pairs canonically — the
 // one reader of that order, so a seal leaves the pairs unordered — and
 // a re-seal of a sorted run orders the appended suffix; SortedSamples
-// orders the values, up to 200k samples per sampler, on the first read
-// of each sealed state. The priorities are uniform 64-bit hashes and the values float32-exact
-// durations, so a byte-wise radix sort that skips the bytes every key
+// orders a published copy of the values, up to 200k samples per sampler,
+// on its first read. The priorities are uniform 64-bit hashes and the
+// values float32-exact durations, so a byte-wise radix sort that skips the bytes every key
 // shares (the histogram of internal/radix, which the trace store's
 // canonical day order uses too) needs a handful of linear passes where
 // a comparison sort needs n·log n compares.

@@ -329,8 +329,7 @@ func TestSortedSamplesMatchesSlicesSort(t *testing.T) {
 			}
 			want := slices.Clone(x)
 			slices.Sort(want)
-			s := &sampler{val: x}
-			got := s.SortedSamples()
+			got := (&sampleView{val: x}).SortedSamples()
 			if len(got) != len(want) {
 				t.Fatalf("n=%d: %d samples, want %d", n, len(got), len(want))
 			}
@@ -343,7 +342,7 @@ func TestSortedSamplesMatchesSlicesSort(t *testing.T) {
 	}
 
 	x := []float64{0, math.Copysign(0, -1), 3, 0, math.Copysign(0, -1), -2}
-	got := (&sampler{val: x}).SortedSamples()
+	got := (&sampleView{val: x}).SortedSamples()
 	want := []float64{-2, math.Copysign(0, -1), math.Copysign(0, -1), 0, 0, 3}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

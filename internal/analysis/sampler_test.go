@@ -294,7 +294,7 @@ func TestBulkAbsorbMatchesOffer(t *testing.T) {
 		offerEach(each, shard)
 		if !slices.Equal(bulk.pri, each.pri) || !slices.Equal(bulk.val, each.val) ||
 			bulk.n != each.n || bulk.full != each.full || bulk.sealed != each.sealed ||
-			bulk.sortedPrefix != each.sortedPrefix || (bulk.sortedVal == nil) != (each.sortedVal == nil) {
+			bulk.sortedPrefix != each.sortedPrefix {
 			t.Fatalf("%s: bulk absorb left len %d n %d full %v sealed %v, offers len %d n %d full %v sealed %v",
 				c.name, len(bulk.pri), bulk.n, bulk.full, bulk.sealed, len(each.pri), each.n, each.full, each.sealed)
 		}
