@@ -34,6 +34,10 @@
 #                     TestQuickSmoke runs every workload end to end and
 #                     traced at -quick (~30 s), the one check that the
 #                     traced replay still runs against the trace API
+#   make examples     run every program under examples/ with go run
+#                     (each generates a small campaign in a temporary
+#                     directory and removes it); any non-zero exit
+#                     fails the target
 #   make profile      generate a campaign (once) and run telcoreport
 #                     under -cpuprofile/-memprofile, so perf work starts
 #                     from a pprof, not a guess; PROFILE_EXP names one
@@ -74,7 +78,8 @@
 #                     suites and the telcoserve overload/slow-client
 #                     tests
 #   make ci           vet + build + race + bench-smoke + alloc-check +
-#                     bench-unit + bench-e2e, the CI test job's steps
+#                     examples + bench-unit + bench-e2e, the CI test
+#                     job's steps
 #                     (CI also runs lint, the determinism matrix, the
 #                     soaks, chaos, netchaos and fuzz — see
 #                     .github/workflows/ci.yml)
@@ -114,7 +119,7 @@ PROFILE_DIR ?= profile-campaign
 PROFILE_EXP ?=
 PROFILE_ARGS ?=
 
-.PHONY: all vet lint build test race bench-smoke bench-unit bench-e2e alloc-check profile fuzz-smoke soak chaos chaos-soak netchaos ci
+.PHONY: all vet lint build test race bench-smoke bench-unit bench-e2e alloc-check examples profile fuzz-smoke soak chaos chaos-soak netchaos ci
 
 all: ci
 
@@ -160,6 +165,14 @@ bench-e2e:
 # counts), so this is a separate non-race invocation.
 alloc-check:
 	$(GO) test -run 'SteadyStateAllocs|SteadyStateBlockAllocs' -count 1 ./internal/trace/ ./internal/mobility/ ./internal/analysis/
+
+# The library examples, end to end: each must exit zero. Their output
+# is not checked; the tests pin what they print.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Profile a report pass end to end: the whole evaluation, or the one
 # experiment PROFILE_EXP names. The campaign is generated once and
@@ -213,4 +226,4 @@ netchaos:
 	$(GO) test -race -count 1 ./internal/netchaos/ ./internal/admission/ \
 		./internal/ingest/ ./cmd/telcoserve/
 
-ci: vet build race bench-smoke alloc-check bench-unit bench-e2e
+ci: vet build race bench-smoke alloc-check examples bench-unit bench-e2e

@@ -34,7 +34,7 @@ func benchSetup(b *testing.B) *Analyzer {
 		cfg.UEs = 6000
 		cfg.Days = 14
 		var ds *simulate.Dataset
-		ds, benchErr = simulate.Generate(cfg)
+		ds, benchErr = generateShared("ablations", cfg)
 		if benchErr != nil {
 			return
 		}
@@ -72,7 +72,7 @@ func shardBenchDataset(b *testing.B, shards int) *simulate.Dataset {
 	cfg.UEs = 6000
 	cfg.Days = 14
 	cfg.Shards = shards
-	ds, err := simulate.Generate(cfg)
+	ds, err := generateShared(fmt.Sprintf("shards%d", shards), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -368,6 +368,11 @@ func BenchmarkAblationRareBoost(b *testing.B) {
 				cfg.UEs = 1200
 				cfg.Days = 4
 				cfg.RareBoost = boost
+				store, err := NewFileStore(b.TempDir())
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg.Store = store
 				ds, err := simulate.Generate(cfg)
 				if err != nil {
 					b.Fatal(err)

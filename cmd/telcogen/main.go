@@ -22,8 +22,9 @@
 //
 // -append extends an existing campaign day by day (the growing-feed
 // scenario telcoserve watches for): the world model is rebuilt from the
-// directory's manifest, the new days land as ordinary partitions, and
-// the manifest is rewritten. Flags that would change the campaign's
+// directory's manifest, and the new days land as ordinary partitions
+// through the same overlapped writer, the manifest rewritten as each
+// day lands. Flags that would change the campaign's
 // identity (seed, population, deployment, sharding) are refused when
 // they disagree with what the manifest records.
 package main
@@ -173,16 +174,11 @@ func appendDays(dir string, n int) error {
 	from := ds.Config.Days
 	fmt.Printf("appending %d day(s) to campaign %s: seed=%d ues=%d shards=%d days %d -> %d\n",
 		n, dir, ds.Config.Seed, ds.Config.UEs, max(ds.Config.Shards, 1), from, from+n)
-	// One day per step with the campaign manifest re-saved after each, so
-	// an interruption loses at most the in-flight day (which the next
+	// GenerateDays commits the campaign manifest as each day lands, so an
+	// interruption loses at most the in-flight day (which the next
 	// -append discards and regenerates).
-	for i := 0; i < n; i++ {
-		if err := ds.GenerateDays(1); err != nil {
-			return err
-		}
-		if err := ds.SaveManifest(dir); err != nil {
-			return err
-		}
+	if err := ds.GenerateDays(n); err != nil {
+		return err
 	}
 	var added int64
 	for _, day := range ds.DayStats[from:] {
@@ -212,11 +208,7 @@ func stageSplit(t simulate.GenTimings) string {
 // regenerated byte-identically by the append that follows; keeping them
 // would wedge it on the partition already-written guard instead.
 func discardOrphanDays(ds *simulate.Dataset) error {
-	fs, ok := ds.Store.(*trace.FileStore)
-	if !ok {
-		return nil
-	}
-	removed, err := fs.DiscardFrom(ds.Config.Days)
+	removed, err := ds.Store.(*trace.FileStore).DiscardFrom(ds.Config.Days)
 	for _, p := range removed {
 		fmt.Printf("discarded orphan partition day %d shard %d (interrupted append; will be regenerated)\n",
 			p.Day, p.Shard)

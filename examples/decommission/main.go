@@ -9,14 +9,25 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"telcolens"
 )
 
 func main() {
+	dir, err := os.MkdirTemp("", "telcolens-decommission-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := telcolens.NewFileStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := telcolens.DefaultConfig(11)
 	cfg.UEs = 4000
 	cfg.Days = 7
+	cfg.Store = store
 
 	fmt.Println("Generating campaign for decommissioning analysis...")
 	ds, err := telcolens.Generate(cfg)

@@ -8,14 +8,25 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"telcolens"
 )
 
 func main() {
+	dir, err := os.MkdirTemp("", "telcolens-districtprofile-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := telcolens.NewFileStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := telcolens.DefaultConfig(31)
 	cfg.UEs = 5000
 	cfg.Days = 7
+	cfg.Store = store
 
 	fmt.Println("Generating campaign for district profiling...")
 	ds, err := telcolens.Generate(cfg)

@@ -15,9 +15,19 @@ import (
 )
 
 func main() {
+	dir, err := os.MkdirTemp("", "telcolens-hofmodel-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := telcolens.NewFileStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := telcolens.DefaultConfig(23)
 	cfg.UEs = 5000
 	cfg.Days = 10
+	cfg.Store = store
 	// Boost 2G fallback so the rare 2G stratum has enough sector-days for
 	// a stable coefficient at this small scale (see DESIGN.md).
 	cfg.RareBoost = 100

@@ -13,10 +13,20 @@ import (
 )
 
 func main() {
+	dir, err := os.MkdirTemp("", "telcolens-quickstart-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := telcolens.NewFileStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := telcolens.DefaultConfig(7)
 	cfg.UEs = 2500
 	cfg.Days = 7
 	cfg.Shards = 4
+	cfg.Store = store
 
 	fmt.Println("Generating a 7-day campaign with 2,500 UEs (4 shards/day)...")
 	ds, err := telcolens.Generate(cfg)

@@ -146,8 +146,7 @@ type Analyzer struct {
 // ScanStats snapshots the trace-scan observability counters an Analyzer
 // has accumulated across its Require passes: partitions and records
 // read, blocks decoded vs pruned by time-range descriptors, and the
-// stored bytes consumed by decoded data (zero for stores without byte
-// accounting, such as the in-memory store).
+// stored bytes consumed by decoded data.
 type ScanStats struct {
 	Scans         int64
 	Partitions    int64

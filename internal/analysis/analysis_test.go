@@ -3,7 +3,10 @@ package analysis
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +16,7 @@ import (
 	"telcolens/internal/report"
 	"telcolens/internal/simulate"
 	"telcolens/internal/stats"
+	"telcolens/internal/trace"
 )
 
 var (
@@ -20,6 +24,43 @@ var (
 	testOnce     sync.Once
 	testErr      error
 )
+
+// fixtureDir holds the campaigns of the package's shared fixtures for
+// the whole run; TestMain removes it afterwards.
+var fixtureDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "analysis-test-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// generateShared generates cfg into the named campaign directory under
+// fixtureDir, for fixtures that outlive the test that builds them.
+func generateShared(name string, cfg simulate.Config) (*simulate.Dataset, error) {
+	fs, err := trace.NewFileStore(filepath.Join(fixtureDir, name))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Store = fs
+	return simulate.Generate(cfg)
+}
+
+// tempStore is an empty campaign directory for one test.
+func tempStore(t testing.TB) *trace.FileStore {
+	t.Helper()
+	fs, err := trace.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
 
 // shared builds one dataset + analyzer for the whole test package: 4000
 // UEs over 14 days is enough signal for every headline statistic while
@@ -29,7 +70,7 @@ func shared(t testing.TB) *Analyzer {
 		cfg := simulate.DefaultConfig(42)
 		cfg.UEs = 4000
 		cfg.Days = 14
-		ds, err := simulate.Generate(cfg)
+		ds, err := generateShared("shared", cfg)
 		if err != nil {
 			testErr = err
 			return

@@ -19,7 +19,7 @@ import (
 func pinnedAnalyzer(t *testing.T) *Analyzer {
 	t.Helper()
 	cfg := simulate.DefaultConfig(7)
-	cfg.UEs, cfg.Days, cfg.Shards = 400, 3, 2
+	cfg.UEs, cfg.Days, cfg.Shards, cfg.Store = 400, 3, 2, tempStore(t)
 	ds, err := simulate.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +41,10 @@ func sha256Hex(b []byte) string {
 
 // Checkpoint bytes are a function of the campaign alone. The digest pins
 // the version 3 layout, in which each UE's ping-pong state is one
-// automaton for every window.
+// automaton for every window, over the pinned campaign as stored on
+// disk (quantized durations, stream fingerprints).
 func TestCheckpointBytesPinned(t *testing.T) {
-	const want = "3c558e0994f5d784a8ac7b636f059ac7c1b4cefd51aa18ca56a5c2fb43229d76"
+	const want = "7c8498151623376b1a208846a43990d27ff4edf5fb1ecfb845da74549e6853f1"
 	var buf bytes.Buffer
 	if err := pinnedAnalyzer(t).Checkpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -138,12 +139,13 @@ func TestCheckpointVersionOneFallsBackCold(t *testing.T) {
 	}
 	for _, c := range []struct {
 		version uint8
-		// The digest TestCheckpointBytesPinned held while the layout was
-		// current: the rewrite reproduces the old bytes exactly.
+		// The digest TestCheckpointBytesPinned held for this campaign
+		// while the layout was current: the rewrite reproduces the old
+		// bytes exactly.
 		digest string
 	}{
-		{1, "eb9862ed1156617cf2f912fe2c94f4eaa09ea06fce46e8a51363492d422d5ee7"},
-		{2, "fe9a871008150031cbc08a4ea8f364792f927c475f12932d1bdb1ff3ef1eb3a6"},
+		{1, "aa8409548dd954d81936a9c8eea2e79a935d766d0eeaabe1481a449e20dfe636"},
+		{2, "814da41805b74fb0076256fa9dd8a42dc73792c986a33d99e64456a3c34fb118"},
 	} {
 		old := legacyCheckpoint(t, a, c.version)
 		if got := sha256Hex(old); got != c.digest {

@@ -24,7 +24,7 @@ func collBenchDataset(b *testing.B) *simulate.Dataset {
 		cfg := simulate.DefaultConfig(31)
 		cfg.UEs = 1500
 		cfg.Days = 2
-		collBenchDS, collBenchErr = simulate.Generate(cfg)
+		collBenchDS, collBenchErr = generateShared("collbench", cfg)
 	})
 	if collBenchErr != nil {
 		b.Fatal(collBenchErr)

@@ -30,15 +30,7 @@ const (
 
 func detDataset(t *testing.T, shards int) *simulate.Dataset {
 	t.Helper()
-	cfg := simulate.DefaultConfig(detSeed)
-	cfg.UEs = detUEs
-	cfg.Days = detDays
-	cfg.Shards = shards
-	ds, err := simulate.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds
+	return detFileDataset(t, shards, trace.FileStoreOptions{}, false)
 }
 
 // renderAll runs every experiment and returns each rendered artifact.

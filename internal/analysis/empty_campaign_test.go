@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"telcolens/internal/simulate"
-	"telcolens/internal/trace"
 )
 
 // A streaming-ingest serving target starts life as a zero-day campaign:
@@ -23,7 +22,7 @@ func TestExperimentsOnEmptyCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.Store = trace.NewMemStore()
+	ds.Store = tempStore(t)
 	ds.Config.Store = ds.Store
 	a, err := New(ds)
 	if err != nil {
@@ -52,7 +51,7 @@ func TestWindowedScanOnEmptyCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.Store = trace.NewMemStore()
+	ds.Store = tempStore(t)
 	ds.Config.Store = ds.Store
 	a, err := New(ds, WithWindow(-1, 3))
 	if err != nil {

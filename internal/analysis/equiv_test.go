@@ -32,6 +32,7 @@ func equivDataset(t *testing.T) *simulate.Dataset {
 	cfg.UEs = 800
 	cfg.Days = 2
 	cfg.Shards = 2
+	cfg.Store = tempStore(t)
 	ds, err := simulate.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -210,28 +211,6 @@ func TestBytesStoredReportsOnDiskBytes(t *testing.T) {
 			}
 		})
 	}
-	// A store without byte accounting reports none: no estimate stands
-	// in for the bytes it did not count.
-	t.Run("mem-fallback", func(t *testing.T) {
-		cfg := simulate.DefaultConfig(778)
-		cfg.UEs = 600
-		cfg.Days = 2
-		ds, err := simulate.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := New(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := a.Require(context.Background(), NeedTypes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := a.ScanStats(); s.totalHOs == 0 || st.Records != s.totalHOs || st.BytesRead != 0 {
-			t.Fatalf("mem store: %d HOs, scan stats %+v; want every record scanned and no stored bytes", s.totalHOs, st)
-		}
-	})
 }
 
 // TestScanStatsExposed: the Analyzer accumulates scan metrics across

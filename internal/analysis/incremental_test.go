@@ -366,6 +366,7 @@ func TestResumeRejectsWrongCampaign(t *testing.T) {
 	otherCfg := simulate.DefaultConfig(detSeed + 1)
 	otherCfg.UEs = detUEs
 	otherCfg.Days = 1
+	otherCfg.Store = tempStore(t)
 	other, err := simulate.Generate(otherCfg)
 	if err != nil {
 		t.Fatal(err)

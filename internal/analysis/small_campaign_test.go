@@ -137,6 +137,7 @@ func runSmallShapes(t *testing.T, shapes []smallShape) {
 				if sh.rareBoost != 0 {
 					cfg.RareBoost = sh.rareBoost
 				}
+				cfg.Store = tempStore(t)
 				ds, err := simulate.Generate(cfg)
 				if err != nil {
 					t.Fatal(err)

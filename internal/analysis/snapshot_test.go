@@ -111,6 +111,7 @@ func TestCollectorStateRejectsTruncation(t *testing.T) {
 func FuzzResumeAnalyzer(f *testing.F) {
 	cfg := simulate.DefaultConfig(3)
 	cfg.UEs, cfg.Days, cfg.Shards, cfg.Districts, cfg.SitesTarget = 20, 2, 2, 40, 200
+	cfg.Store = tempStore(f)
 	ds, err := simulate.Generate(cfg)
 	if err != nil {
 		f.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // the whole study.
 func TestWindowPerDayAverages(t *testing.T) {
 	cfg := simulate.DefaultConfig(3)
-	cfg.UEs, cfg.Days = 200, 3
+	cfg.UEs, cfg.Days, cfg.Store = 200, 3, tempStore(t)
 	ds, err := simulate.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

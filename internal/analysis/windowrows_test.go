@@ -77,6 +77,7 @@ func TestWindowRowsMatchesOracle(t *testing.T) {
 			if sh.districts > 0 {
 				cfg.Districts, cfg.SitesTarget = sh.districts, sh.sites
 			}
+			cfg.Store = tempStore(t)
 			ds, err := simulate.Generate(cfg)
 			if err != nil {
 				t.Fatal(err)

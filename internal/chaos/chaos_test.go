@@ -516,9 +516,6 @@ func TestRefreshReadFaults(t *testing.T) {
 	if err := ds.GenerateDays(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveManifest(dir); err != nil {
-		t.Fatal(err)
-	}
 
 	// Control: cold full scan of the final store.
 	cold, err := simulate.Load(dir)

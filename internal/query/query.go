@@ -657,14 +657,12 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 			it.SetTimeRange(from, to)
 		}
 		if allow != nil {
-			if bf, ok := it.(trace.BlockFilterSetter); ok {
-				keep := allow
-				bf.SetBlockFilter(func(b int) bool {
-					// Ordinals beyond the summary list mean the index is
-					// out of step with the stream; decode rather than drop.
-					return b >= len(keep) || keep[b]
-				})
-			}
+			keep := allow
+			it.SetBlockFilter(func(b int) bool {
+				// Ordinals beyond the summary list mean the index is
+				// out of step with the stream; decode rather than drop.
+				return b >= len(keep) || keep[b]
+			})
 		}
 
 		for {
@@ -696,12 +694,10 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 				}
 			}
 		}
-		if sr, ok := it.(trace.BlockStatsReader); ok {
-			bs := sr.ReadStats()
-			m.BlocksDecoded += bs.BlocksRead
-			m.BlocksPruned += bs.BlocksSkipped + bs.BlocksFiltered
-			m.BytesRead += bs.BytesRead
-		}
+		bs := it.ReadStats()
+		m.BlocksDecoded += bs.BlocksRead
+		m.BlocksPruned += bs.BlocksSkipped + bs.BlocksFiltered
+		m.BytesRead += bs.BytesRead
 		if err := it.Close(); err != nil {
 			return nil, err
 		}

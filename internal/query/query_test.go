@@ -147,28 +147,7 @@ func mustJSON(t *testing.T, v any) string {
 // ErrBadVersion, never answer as if the partitions were empty.
 func TestQueryMatchesScan(t *testing.T) {
 	c := genCorpus(29, 3, 2, 900)
-
-	day1 := trace.DayRange(1, 1)
-	// A mid-stream timestamp whose one-record window exercises the
-	// single-block edge.
-	pin := c.recs[trace.Partition{Day: 1, Shard: 0}][200]
-
-	cases := []struct {
-		name string
-		p    Params
-	}{
-		{"ue", Params{UE: ueID(uint32(pin.UE))}},
-		{"ue-day-window", Params{UE: ueID(uint32(pin.UE)), From: day1.MinTS, To: day1.MaxTS}},
-		{"ue-cross-day", Params{UE: ueID(uint32(pin.UE)),
-			From: trace.DayStart(0).UnixMilli() + 12*3600_000,
-			To:   trace.DayStart(1).UnixMilli() + 12*3600_000}},
-		{"ue-tac", Params{UE: ueID(uint32(pin.UE)), TAC: u32(uint32(pin.TAC))}},
-		{"tac-truncated", Params{TAC: u32(35000002), Limit: 50}},
-		{"sector", Params{Sector: u32(uint32(pin.Source))}},
-		{"point-window", Params{UE: ueID(uint32(pin.UE)), From: pin.Timestamp, To: pin.Timestamp}},
-		{"empty-window", Params{From: trace.DayStart(100).UnixMilli(), To: trace.DayStart(101).UnixMilli()}},
-		{"absent-ue", Params{UE: ueID(999_999)}},
-	}
+	cases := queryShapes(c)
 
 	stores := []struct {
 		name           string
@@ -270,6 +249,35 @@ func TestQueryMatchesScan(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// queryShape is one query of TestQueryMatchesScan's matrix.
+type queryShape struct {
+	name string
+	p    Params
+}
+
+// queryShapes are the query shapes the equivalence tests run over a
+// genCorpus(29, 3, 2, 900) corpus: point, window, cross-day,
+// conjunctive, truncated, sector, single-record, empty and absent.
+func queryShapes(c *corpus) []queryShape {
+	day1 := trace.DayRange(1, 1)
+	// A mid-stream timestamp whose one-record window exercises the
+	// single-block edge.
+	pin := c.recs[trace.Partition{Day: 1, Shard: 0}][200]
+	return []queryShape{
+		{"ue", Params{UE: ueID(uint32(pin.UE))}},
+		{"ue-day-window", Params{UE: ueID(uint32(pin.UE)), From: day1.MinTS, To: day1.MaxTS}},
+		{"ue-cross-day", Params{UE: ueID(uint32(pin.UE)),
+			From: trace.DayStart(0).UnixMilli() + 12*3600_000,
+			To:   trace.DayStart(1).UnixMilli() + 12*3600_000}},
+		{"ue-tac", Params{UE: ueID(uint32(pin.UE)), TAC: u32(uint32(pin.TAC))}},
+		{"tac-truncated", Params{TAC: u32(35000002), Limit: 50}},
+		{"sector", Params{Sector: u32(uint32(pin.Source))}},
+		{"point-window", Params{UE: ueID(uint32(pin.UE)), From: pin.Timestamp, To: pin.Timestamp}},
+		{"empty-window", Params{From: trace.DayStart(100).UnixMilli(), To: trace.DayStart(101).UnixMilli()}},
+		{"absent-ue", Params{UE: ueID(999_999)}},
 	}
 }
 
@@ -384,7 +392,7 @@ func TestQueryPointPrunesBlocks(t *testing.T) {
 				break
 			}
 		}
-		dayBlocks += it.(trace.BlockStatsReader).ReadStats().BlocksRead
+		dayBlocks += it.ReadStats().BlocksRead
 		it.Close()
 	}
 	if dayBlocks == 0 {
@@ -612,7 +620,11 @@ func TestQueryCSV(t *testing.T) {
 }
 
 func TestQueryParamValidation(t *testing.T) {
-	eng := New(trace.NewMemStore())
+	fs, err := trace.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(fs)
 	v := &View{}
 	ctx := context.Background()
 	if _, _, err := eng.Query(ctx, v, Params{From: 10, To: 5}); !errors.Is(err, ErrBadParams) {

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"strings"
 	"testing"
 
 	"telcolens/internal/trace"
@@ -18,7 +19,7 @@ func appendConfig(seed uint64, days, shards int, store trace.Store) Config {
 }
 
 func TestGenerateDaysAppends(t *testing.T) {
-	ds, err := Generate(appendConfig(7, 2, 2, nil))
+	ds, err := Generate(appendConfig(7, 2, 2, tempStore(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +56,12 @@ func TestGenerateDaysAppends(t *testing.T) {
 	}
 	if err := ds.GenerateDays(0); err == nil {
 		t.Fatal("GenerateDays(0) accepted")
+	}
+	// GenerateDays commits the descriptor into the campaign directory, so
+	// a store that is not one is refused.
+	wrapped := &Dataset{Config: ds.Config, Store: recordWriteStore{ds.Store}}
+	if err := wrapped.GenerateDays(1); err == nil || !strings.Contains(err.Error(), "NewFileStore") {
+		t.Fatalf("GenerateDays over %T: err = %v, want one naming NewFileStore", wrapped.Store, err)
 	}
 }
 
@@ -93,7 +100,8 @@ func TestGenerateDaysDeterministic(t *testing.T) {
 }
 
 // TestGenerateDaysAfterLoad: appending works on a campaign reopened from
-// disk (the telcogen -append path), including the re-saved manifest.
+// disk (the telcogen -append path), and GenerateDays itself commits the
+// grown manifest.
 func TestGenerateDaysAfterLoad(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := trace.NewFileStore(dir)
@@ -115,9 +123,6 @@ func TestGenerateDaysAfterLoad(t *testing.T) {
 	if err := loaded.GenerateDays(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.SaveManifest(dir); err != nil {
-		t.Fatal(err)
-	}
 
 	again, err := Load(dir)
 	if err != nil {
@@ -132,17 +137,18 @@ func TestGenerateDaysAfterLoad(t *testing.T) {
 	if days := storeDays(t, again.Store); days != 3 {
 		t.Fatalf("store holds %d days, want 3", days)
 	}
-	// The appended day must match what an identically configured
-	// in-memory campaign produces: same derived RNG streams, same world.
-	mem, err := Generate(appendConfig(11, 2, 1, nil))
+	// The appended day must match what an identically configured campaign
+	// appended in the generating process produces: same derived RNG
+	// streams, same world.
+	direct, err := Generate(appendConfig(11, 2, 1, tempStore(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.GenerateDays(1); err != nil {
+	if err := direct.GenerateDays(1); err != nil {
 		t.Fatal(err)
 	}
-	if mem.DayStats[2] != again.DayStats[2] {
-		t.Fatalf("appended day stats diverge: %+v vs %+v", mem.DayStats[2], again.DayStats[2])
+	if direct.DayStats[2] != again.DayStats[2] {
+		t.Fatalf("appended day stats diverge: %+v vs %+v", direct.DayStats[2], again.DayStats[2])
 	}
 }
 

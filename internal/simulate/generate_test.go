@@ -174,6 +174,7 @@ func TestGenerateRaceFree(t *testing.T) {
 	cfg.UEs = 400
 	cfg.Days = 2
 	cfg.Workers = 4
+	cfg.Store = tempStore(t)
 	ds, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

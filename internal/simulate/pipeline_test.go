@@ -20,10 +20,11 @@ import (
 // failure surfaces in the write tail. The error must name that day, the
 // writer goroutine must have exited, no later day may reach the store,
 // and Config.Days and DayStats must describe exactly the days that
-// landed.
+// landed. GenerateDays commits each day as it lands, so there the
+// manifest.json on disk must describe that prefix too.
 func TestPipelinedWriterFailure(t *testing.T) {
 	const days = 5
-	refCfg := writePathConfig(2, trace.NewMemStore())
+	refCfg := writePathConfig(2, tempStore(t))
 	refCfg.Days = days
 	ref, err := Generate(refCfg)
 	if err != nil {
@@ -99,7 +100,18 @@ func testWriterFailure(t *testing.T, days, failDay int, ref *Dataset) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := ds.SaveManifest(dir); err != nil {
+			t.Fatal(err)
+		}
 		goroutines := runtime.NumGoroutine()
 		check(t, ds, ds.GenerateDays(days-1), dir, goroutines)
+		m, err := LoadMeta(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Config.Days != failDay || m.Config.WindowDays != days || !reflect.DeepEqual(m.DayStats, ref.DayStats[:failDay]) {
+			t.Fatalf("manifest.json describes days=%d window=%d with %d day aggregates; want the %d landed days of a %d-day window",
+				m.Config.Days, m.Config.WindowDays, len(m.DayStats), failDay, days)
+		}
 	})
 }

@@ -41,9 +41,6 @@ func appendOneDay(t *testing.T, dir string) {
 	if err := ds.GenerateDays(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveManifest(dir); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // worldOf is the part of a dataset a world rebuild replaces.

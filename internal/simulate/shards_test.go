@@ -7,11 +7,12 @@ import (
 	"telcolens/internal/trace"
 )
 
-func shardedConfig(seed uint64, shards int) Config {
+func shardedConfig(t *testing.T, seed uint64, shards int) Config {
 	cfg := DefaultConfig(seed)
 	cfg.UEs = 800
 	cfg.Days = 3
 	cfg.Shards = shards
+	cfg.Store = tempStore(t)
 	return cfg
 }
 
@@ -28,11 +29,11 @@ func collectRecords(t *testing.T, s trace.Store) []trace.Record {
 }
 
 func TestShardedGenerationSameRecords(t *testing.T) {
-	one, err := Generate(shardedConfig(21, 1))
+	one, err := Generate(shardedConfig(t, 21, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Generate(shardedConfig(21, 4))
+	four, err := Generate(shardedConfig(t, 21, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,20 +103,15 @@ func TestShardedGenerationSameRecords(t *testing.T) {
 }
 
 func TestShardCap(t *testing.T) {
-	cfg := shardedConfig(5, 300)
+	cfg := shardedConfig(t, 5, 300)
 	if _, err := Generate(cfg); err == nil {
 		t.Fatal("300 shards accepted")
 	}
 }
 
 func TestShardedManifestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	store, err := trace.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := shardedConfig(33, 3)
-	cfg.Store = store
+	cfg := shardedConfig(t, 33, 3)
+	dir := cfg.Store.(*trace.FileStore).Dir()
 	ds, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

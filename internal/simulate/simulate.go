@@ -8,6 +8,7 @@
 package simulate
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -57,7 +58,8 @@ type Config struct {
 	// by UE (trace.ShardOf); 0 or 1 writes one partition per day. More
 	// shards let trace.Scan fan the analysis out over cores.
 	Shards int
-	// Store receives the generated records; nil means a new MemStore.
+	// Store receives the generated records: a campaign directory opened
+	// with trace.NewFileStore. Generate refuses a nil one.
 	Store trace.Store
 	// FullScaleUEs is the real-world population the campaign stands in
 	// for; Table 1 extrapolations use FullScaleUEs/UEs. Default 40M.
@@ -215,13 +217,17 @@ func (d *Dataset) TotalHandovers() int64 {
 	return n
 }
 
-// Generate runs a full campaign. If a day fails to land, Generate
-// returns the error together with the dataset of the days before it:
+// Generate runs a full campaign into Config.Store; the caller saves its
+// descriptor (SaveManifest). If a day fails to land, Generate returns
+// the error together with the dataset of the days before it:
 // Config.Days and DayStats count only the landed days, and
 // Config.WindowDays keeps the requested window the world was built for.
 func Generate(cfg Config) (*Dataset, error) {
 	if cfg.Days <= 0 || cfg.UEs <= 0 {
 		return nil, fmt.Errorf("simulate: non-positive days (%d) or UEs (%d)", cfg.Days, cfg.UEs)
+	}
+	if cfg.Store == nil {
+		return nil, errors.New("simulate: Config.Store is nil; generate into a campaign directory opened with trace.NewFileStore")
 	}
 	if cfg.Districts == 0 {
 		cfg.Districts = 320
@@ -244,9 +250,6 @@ func Generate(cfg Config) (*Dataset, error) {
 	if cfg.FullScaleUEs <= 0 {
 		cfg.FullScaleUEs = 40_000_000
 	}
-	if cfg.Store == nil {
-		cfg.Store = trace.NewMemStore()
-	}
 
 	start := time.Now()
 	ds, err := BuildWorld(cfg)
@@ -260,7 +263,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	ds.Timings.World += time.Since(start)
 	ds.Config.Days, ds.Config.WindowDays = 0, cfg.worldWindowDays()
 	ds.DayStats = make([]DayAggregate, 0, cfg.Days)
-	if err := g.run(cfg.Days); err != nil {
+	if err := g.run(cfg.Days, nil); err != nil {
 		return ds, err
 	}
 	ds.Config.WindowDays = cfg.WindowDays
@@ -268,15 +271,18 @@ func Generate(cfg Config) (*Dataset, error) {
 }
 
 // GenerateDays extends the campaign by n more days, appending day
-// partitions to the existing store: the growing-feed scenario of the
-// paper's pipeline, where a new countrywide capture lands every day.
-// The world model (census, topology, devices, subscribers) stays exactly
-// as originally generated — only the study window grows — and each new
-// day consumes its own derived RNG stream, so appending is deterministic:
-// the same campaign appended twice produces byte-identical partitions.
-// ds.Config.Days and ds.DayStats grow as each day lands, so on a failed
-// day they describe the landed prefix; callers persisting the campaign
-// should SaveManifest again.
+// partitions to its directory: the growing-feed scenario of the paper's
+// pipeline, where a new countrywide capture lands every day. The store
+// must be a *trace.FileStore. The world model (census, topology,
+// devices, subscribers) stays exactly as originally generated — only the
+// study window grows — and each new day consumes its own derived RNG
+// stream, so appending is deterministic: the same campaign appended
+// twice produces byte-identical partitions.
+// Each day commits as it lands: the day writer saves the campaign
+// descriptor (manifest.json) after the day's partitions, overlapping the
+// next day's simulation. ds.Config.Days, ds.DayStats and the descriptor
+// grow with the commits, so on a failed day all three describe the
+// landed prefix.
 //
 // Note an appended campaign is not byte-identical to one generated with
 // the larger day count from scratch: the topology's deployment timeline
@@ -286,6 +292,10 @@ func Generate(cfg Config) (*Dataset, error) {
 func (ds *Dataset) GenerateDays(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("simulate: non-positive day count %d", n)
+	}
+	fs, ok := ds.Store.(*trace.FileStore)
+	if !ok {
+		return fmt.Errorf("simulate: GenerateDays needs a campaign directory opened with trace.NewFileStore (store is %T)", ds.Store)
 	}
 	if ds.Config.Workers <= 0 {
 		// Datasets reopened via Load carry no worker count (the manifest
@@ -301,7 +311,7 @@ func (ds *Dataset) GenerateDays(n int) error {
 		return err
 	}
 	ds.Timings.World += time.Since(start)
-	return g.run(n)
+	return g.run(n, func(m *CampaignMeta) error { return m.SaveFS(fs.Options().FS, fs.Dir()) })
 }
 
 // generator is the state of one Generate or GenerateDays call: the
@@ -378,7 +388,8 @@ func putBatch(b *trace.ColumnBatch) { colBatchPool.Put(b) }
 
 // run simulates and lands the n days after the landed prefix, the one
 // day loop of Generate and GenerateDays. It is a two-stage pipeline: a
-// writer goroutine lands day d through trace.WriteDay while the workers
+// writer goroutine lands day d through trace.WriteDay (and commit, if
+// set, saves the descriptor of the days up to d) while the workers
 // simulate day d+1, and day d+1 goes to a writer only once day d has
 // landed, so one writer runs at a time and the scratch passes from one
 // to the next. Config.Days grows as each day lands, so it only ever
@@ -394,13 +405,16 @@ func putBatch(b *trace.ColumnBatch) { colBatchPool.Put(b) }
 // same trace.WriteDay and therefore writes byte-identical partitions
 // from any arrival order), and the day aggregate is folded from per-UE
 // slots in UE order.
-func (g *generator) run(n int) error {
+func (g *generator) run(n int, commit func(*CampaignMeta) error) error {
 	ds := g.ds
 	var sc trace.DayScratch
 	landed := make(chan error)
-	write := func(day int, cols *trace.ColumnBatch) {
+	write := func(day int, cols *trace.ColumnBatch, meta *CampaignMeta) {
 		start := time.Now()
 		err := trace.WriteDay(ds.Store, day, ds.Config.Shards, cols, &sc)
+		if err == nil && commit != nil {
+			err = commit(meta)
+		}
 		ds.Timings.Write += time.Since(start)
 		putBatch(cols)
 		landed <- err
@@ -416,7 +430,11 @@ func (g *generator) run(n int) error {
 			}
 			ds.Config.Days = day
 		}
-		go write(day, cols)
+		// The descriptor of the prefix ending at day, taken here: the next
+		// day's simulation appends to DayStats while the writer runs.
+		meta := ds.Meta()
+		meta.Config.Days, meta.DayStats = day+1, ds.DayStats[:day+1:day+1]
+		go write(day, cols, meta)
 	}
 	simulated := time.Now()
 	ds.Timings.Simulate += simulated.Sub(start)

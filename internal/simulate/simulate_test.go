@@ -1,7 +1,11 @@
 package simulate
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,6 +23,32 @@ var (
 	testDSErr  error
 )
 
+// fixtureDir holds the shared dataset's campaign for the whole run;
+// TestMain removes it afterwards.
+var fixtureDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "simulate-test-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// tempStore is an empty campaign directory for one test.
+func tempStore(t testing.TB) *trace.FileStore {
+	t.Helper()
+	fs, err := trace.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 func smallConfig(seed uint64) Config {
 	cfg := DefaultConfig(seed)
 	cfg.UEs = 3000
@@ -28,7 +58,10 @@ func smallConfig(seed uint64) Config {
 
 func sharedDataset(t testing.TB) *Dataset {
 	testDSOnce.Do(func() {
-		testDS, testDSErr = Generate(smallConfig(42))
+		cfg := smallConfig(42)
+		if cfg.Store, testDSErr = trace.NewFileStore(filepath.Join(fixtureDir, "shared")); testDSErr == nil {
+			testDS, testDSErr = Generate(cfg)
+		}
 	})
 	if testDSErr != nil {
 		t.Fatal(testDSErr)
@@ -221,12 +254,13 @@ func TestDeterminism(t *testing.T) {
 	cfg := smallConfig(77)
 	cfg.UEs = 600
 	cfg.Days = 2
+	cfg.Store = tempStore(t)
 	a, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgB := cfg
-	cfgB.Store = nil // fresh store
+	cfgB.Store = tempStore(t)
 	b, err := Generate(cfgB)
 	if err != nil {
 		t.Fatal(err)
@@ -268,6 +302,11 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, err := Generate(Config{Seed: 1, Days: 1, UEs: 0}); err == nil {
 		t.Fatal("zero UEs accepted")
+	}
+	// A campaign lives in a directory: a nil store is an error that says
+	// how to open one.
+	if _, err := Generate(Config{Seed: 1, Days: 1, UEs: 10}); err == nil || !strings.Contains(err.Error(), "NewFileStore") {
+		t.Fatalf("nil store: err = %v, want one naming NewFileStore", err)
 	}
 }
 

@@ -79,17 +79,6 @@ func TestColumnWritePathByteIdentical(t *testing.T) {
 			compareManifests(t, colFS, recFS)
 		})
 	}
-	t.Run("mem", func(t *testing.T) {
-		colMS := trace.NewMemStore()
-		recMS := trace.NewMemStore()
-		if _, err := Generate(writePathConfig(4, colMS)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Generate(writePathConfig(4, recordWriteStore{recMS})); err != nil {
-			t.Fatal(err)
-		}
-		compareManifests(t, colMS, recMS)
-	})
 }
 
 // compareManifests asserts two stores hold fingerprint-identical

@@ -175,8 +175,8 @@ func newWindowReader(br *bufio.Reader) (*Reader, error) {
 	return &Reader{r: br, version: v, stats: BlockStats{BytesRead: HeaderSize}}, nil
 }
 
-// Stats returns the block read/skip counters so far.
-func (r *Reader) Stats() BlockStats { return r.stats }
+// ReadStats returns the block read/skip counters so far.
+func (r *Reader) ReadStats() BlockStats { return r.stats }
 
 // SetTimeRange restricts the stream to records with
 // minTS <= Timestamp <= maxTS. Blocks whose [min, max] descriptor

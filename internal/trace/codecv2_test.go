@@ -174,7 +174,7 @@ func TestCodecV2NextColumns(t *testing.T) {
 	if fmt.Sprint(sizes) != "[128 128 128 116]" {
 		t.Fatalf("batch sizes %v, want one per block [128 128 128 116]", sizes)
 	}
-	if s := rd.Stats(); s.BlocksRead != 4 || s.BlocksSkipped != 0 {
+	if s := rd.ReadStats(); s.BlocksRead != 4 || s.BlocksSkipped != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -208,7 +208,7 @@ func TestReaderSetTimeRange(t *testing.T) {
 		if got[0].Timestamp != base+250_000 || got[99].Timestamp != base+349_000 {
 			t.Fatalf("%s: wrong window edges", codec)
 		}
-		s := rd.Stats()
+		s := rd.ReadStats()
 		// Records 250..349 span blocks 2 and 3 of ten; the other eight are
 		// pruned from their descriptors alone.
 		if s.BlocksRead != 2 || s.BlocksSkipped != 8 {
@@ -272,7 +272,7 @@ func TestScanRangePrunesBlocks(t *testing.T) {
 
 // TestScanRangeCodecAgreement: a ranged scan observes the identical
 // record sequence whether the store is v2 or v3 (block pruning +
-// filtering) or in-memory (record filtering).
+// filtering) or read a row at a time (record filtering, rowStore).
 func TestScanRangeCodecAgreement(t *testing.T) {
 	v2, err := NewFileStore(t.TempDir())
 	if err != nil {
@@ -282,7 +282,6 @@ func TestScanRangeCodecAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := NewMemStore()
 	for day := 0; day < 4; day++ {
 		recs := make([]Record, 300)
 		for i := range recs {
@@ -292,9 +291,8 @@ func TestScanRangeCodecAgreement(t *testing.T) {
 		}
 		writeV2Partition(t, v2, day, 0, recs, 50)
 		writePartition(t, v3, day, 0, recs)
-		writePartition(t, mem, day, 0, recs)
 	}
-	stores := map[string]Store{"v2": v2, "v3": v3, "mem": mem}
+	stores := map[string]Store{"v2": v2, "v3": v3, "rows": rowStore{v3}}
 	tr := DayRange(1, 2)
 	results := map[string]*countingCollector{}
 	for name, s := range stores {
@@ -305,13 +303,13 @@ func TestScanRangeCodecAgreement(t *testing.T) {
 		results[name] = c
 	}
 	for name, c := range results {
-		if c.total != results["mem"].total || c.daySum != results["mem"].daySum {
-			t.Fatalf("%s ranged scan diverges: (%d, %d) vs mem (%d, %d)",
-				name, c.total, c.daySum, results["mem"].total, results["mem"].daySum)
+		if c.total != results["rows"].total || c.daySum != results["rows"].daySum {
+			t.Fatalf("%s ranged scan diverges: (%d, %d) vs rows (%d, %d)",
+				name, c.total, c.daySum, results["rows"].total, results["rows"].daySum)
 		}
 	}
-	if results["mem"].total != 2*300 {
-		t.Fatalf("ranged scan saw %d records, want 600", results["mem"].total)
+	if results["rows"].total != 2*300 {
+		t.Fatalf("ranged scan saw %d records, want 600", results["rows"].total)
 	}
 }
 

@@ -195,7 +195,7 @@ func TestCodecV3RangePrunesBlocks(t *testing.T) {
 	if len(got) != 61 {
 		t.Fatalf("windowed decode yielded %d records, want 61", len(got))
 	}
-	st := rd.Stats()
+	st := rd.ReadStats()
 	if st.BlocksSkipped == 0 {
 		t.Fatalf("no blocks pruned: %+v", st)
 	}

@@ -147,78 +147,6 @@ func recordsEqualUnder(proj ColumnSet, a, b *Record) bool {
 	return true
 }
 
-// TestMemIteratorNextColumns: the in-memory iterator hands out the
-// written rows in order, in batches of at most DefaultBlockRecords, and
-// honors a time range.
-func TestMemIteratorNextColumns(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	base := StudyStart.UnixMilli()
-	recs := make([]Record, 2*DefaultBlockRecords+5)
-	for i := range recs {
-		recs[i] = randRecord(rng, base)
-	}
-	s := NewMemStore()
-	writePartition(t, s, 0, 0, recs)
-
-	it, err := s.OpenPartition(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cb ColumnBatch
-	var got []Record
-	var sizes []int
-	for {
-		n, err := it.NextColumns(&cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		sizes = append(sizes, n)
-		for i := 0; i < n; i++ {
-			var rec Record
-			cb.Record(i, &rec)
-			got = append(got, rec)
-		}
-	}
-	it.Close()
-	if len(sizes) != 3 || sizes[0] != DefaultBlockRecords || sizes[2] != 5 {
-		t.Fatalf("batch sizes %v", sizes)
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("row %d: got %+v, want %+v", i, got[i], recs[i])
-		}
-	}
-
-	tr := TimeRange{MinTS: base + 3600*1000, MaxTS: base + 2*3600*1000}
-	it, err = s.OpenPartition(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it.SetTimeRange(tr.MinTS, tr.MaxTS)
-	ranged, err := readRecords(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it.Close()
-	var want []Record
-	for _, rec := range recs {
-		if rec.Timestamp >= tr.MinTS && rec.Timestamp <= tr.MaxTS {
-			want = append(want, rec)
-		}
-	}
-	if len(ranged) != len(want) || len(want) == 0 {
-		t.Fatalf("ranged read: %d rows, want %d", len(ranged), len(want))
-	}
-	for i := range want {
-		if ranged[i] != want[i] {
-			t.Fatalf("ranged row %d differs", i)
-		}
-	}
-}
-
 // columnSumCollector accumulates order-free integer sums over every
 // column, so scans that batch the same rows differently can be pitted
 // against each other.
@@ -263,7 +191,7 @@ func (c *columnSumCollector) MergeShard(st ShardState) error {
 
 // rowStore wraps a store so its iterators hand out one row per batch —
 // record-at-a-time granularity — test each row against the time range
-// themselves, and hide ProjectionSetter.
+// themselves, and ignore the projection and block-filter hints.
 type rowStore struct{ Store }
 
 type rowIterator struct {
@@ -306,7 +234,10 @@ func (it *rowIterator) SetTimeRange(minTS, maxTS int64) {
 	it.hasRange, it.minTS, it.maxTS = true, minTS, maxTS
 }
 
-func (it *rowIterator) Close() error { return it.inner.Close() }
+func (it *rowIterator) SetProjection(ColumnSet)       {}
+func (it *rowIterator) SetBlockFilter(func(int) bool) {}
+func (it *rowIterator) ReadStats() BlockStats         { return BlockStats{} }
+func (it *rowIterator) Close() error                  { return it.inner.Close() }
 
 // TestScanColumnPathMatchesRecordPath: the native block-batched scan and
 // a record-at-a-time scan (one-row batches, per-row range filtering)
@@ -368,7 +299,7 @@ func TestReaderBytesRead(t *testing.T) {
 		if _, err := readerRecords(rd); err != nil {
 			t.Fatal(err)
 		}
-		if got := rd.Stats().BytesRead; got != int64(len(data)) {
+		if got := rd.ReadStats().BytesRead; got != int64(len(data)) {
 			t.Errorf("%s: BytesRead = %d, want stream size %d", name, got, len(data))
 		}
 	}
@@ -385,7 +316,7 @@ func TestReaderBytesRead(t *testing.T) {
 			break
 		}
 	}
-	st := rd.Stats()
+	st := rd.ReadStats()
 	if st.BlocksSkipped == 0 {
 		t.Fatal("narrow window pruned no blocks")
 	}

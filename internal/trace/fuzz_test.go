@@ -155,7 +155,7 @@ func FuzzDecodeIndex(f *testing.F) {
 // checks a reader relies on, re-encode through the writer's encoding
 // and reload to the same manifest.
 func FuzzLoadManifest(f *testing.F) {
-	s := NewMemStore()
+	s := tempStore(f)
 	for _, p := range []Partition{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
 		writeTestPartition(f, s, p.Day, p.Shard, 3+p.Shard)
 	}

@@ -292,7 +292,7 @@ func TestReaderBlockFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	it.(BlockFilterSetter).SetBlockFilter(func(b int) bool { return b == 2 })
+	it.SetBlockFilter(func(b int) bool { return b == 2 })
 	got, err := readRecords(it)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestReaderBlockFilter(t *testing.T) {
 			t.Fatalf("record %d differs from block 2's content", i)
 		}
 	}
-	bs := it.(BlockStatsReader).ReadStats()
+	bs := it.ReadStats()
 	if bs.BlocksRead != 1 || bs.BlocksFiltered != 4 || bs.BlocksSkipped != 0 {
 		t.Fatalf("stats = %+v, want 1 read / 4 filtered / 0 skipped", bs)
 	}

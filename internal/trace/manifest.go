@@ -1,13 +1,11 @@
 package trace
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	iofs "io/fs"
-	"math"
 	"sort"
 
 	"telcolens/internal/faultfs"
@@ -218,24 +216,6 @@ func (d *partitionDigest) observeBytes(p []byte) {
 	}
 	d.hash = h
 	d.bytes += int64(len(p))
-}
-
-// observeRow folds row i of cb into the extents and fingerprint for
-// stores without a byte stream (MemStore): the fields are serialized
-// into a fixed little-endian record image and hashed like stream bytes.
-func (d *partitionDigest) observeRow(cb *ColumnBatch, i int) {
-	d.observeTS(cb.Timestamps[i])
-	var buf [33]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(cb.Timestamps[i]))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(cb.UEs[i]))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(cb.TACs[i]))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(cb.Sources[i]))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(cb.Targets[i]))
-	binary.LittleEndian.PutUint16(buf[24:], uint16(cb.Causes[i]))
-	buf[26] = cb.RATs[i]
-	buf[27] = byte(cb.Results[i])
-	binary.LittleEndian.PutUint32(buf[28:], math.Float32bits(cb.Durations[i]))
-	d.observeBytes(buf[:])
 }
 
 func (d *partitionDigest) info(day, shard int, records int64) PartitionInfo {

@@ -119,10 +119,6 @@ func TestFileStoreManifest(t *testing.T) {
 	testManifestLifecycle(t, s)
 }
 
-func TestMemStoreManifest(t *testing.T) {
-	testManifestLifecycle(t, NewMemStore())
-}
-
 // TestCountUsesManifestNotFiles proves Count answers from the manifest
 // without opening partition files: the file contents are destroyed
 // behind the manifest's back, and Count still reports the recorded
@@ -398,7 +394,7 @@ func TestDiscardFromWithoutManifest(t *testing.T) {
 // TestScanPartitionSubset: ScanOptions.Partitions restricts the scan to
 // exactly the requested partitions.
 func TestScanPartitionSubset(t *testing.T) {
-	s := NewMemStore()
+	s := tempStore(t)
 	writeTestPartition(t, s, 0, 0, 10)
 	writeTestPartition(t, s, 1, 0, 20)
 	writeTestPartition(t, s, 2, 0, 30)

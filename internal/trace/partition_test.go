@@ -64,8 +64,6 @@ func partitionRoundTrip(t *testing.T, s Store) {
 	}
 }
 
-func TestMemStorePartitions(t *testing.T) { partitionRoundTrip(t, NewMemStore()) }
-
 func TestFileStorePartitions(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
@@ -188,12 +186,12 @@ func TestForEachPropagatesCallbackError(t *testing.T) {
 }
 
 func TestForEachClosesIteratorsOnError(t *testing.T) {
-	es := &errStore{}
+	es := &errStore{FileStore: tempStore(t)}
 	recs := make([]Record, 10)
 	for i := range recs {
 		recs[i] = sampleRecord()
 	}
-	writePartition(t, &es.MemStore, 0, 0, recs)
+	writePartition(t, es, 0, 0, recs)
 	if err := ForEach(es, func(int, *Record) error { return nil }); err == nil {
 		t.Fatal("iterator error not propagated")
 	}

@@ -8,6 +8,16 @@ import (
 
 // Record-granular test helpers over the columnar API.
 
+// tempStore is an empty FileStore in a per-test directory.
+func tempStore(t testing.TB) *FileStore {
+	t.Helper()
+	s, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // writeRecords lands recs through w as one columnar batch.
 func writeRecords(w RecordWriter, recs ...Record) error {
 	var cb ColumnBatch
@@ -58,8 +68,6 @@ func readerRecords(r *Reader) ([]Record, error) {
 
 // eofIterator adapts a Reader to the RecordIterator surface; the Reader's
 // end-of-stream io.EOF passes through for readerRecords to map.
-type eofIterator struct{ r *Reader }
+type eofIterator struct{ *Reader }
 
-func (it eofIterator) NextColumns(cb *ColumnBatch) (int, error) { return it.r.NextColumns(cb) }
-func (it eofIterator) SetTimeRange(minTS, maxTS int64)          { it.r.SetTimeRange(minTS, maxTS) }
-func (it eofIterator) Close() error                             { return nil }
+func (eofIterator) Close() error { return nil }

@@ -70,12 +70,11 @@ type ScanMetrics struct {
 	// Records is the number of records observed (post range filtering).
 	Records atomic.Int64
 	// BlocksRead / BlocksSkipped count stream blocks decoded vs pruned
-	// by the time range without decoding (zero for memory stores).
+	// by the time range without decoding.
 	BlocksRead    atomic.Int64
 	BlocksSkipped atomic.Int64
 	// BytesRead is the number of stored trace bytes consumed by decoded
-	// data (see BlockStats.BytesRead); zero for stores without byte
-	// accounting, such as the in-memory store.
+	// data (see BlockStats.BytesRead).
 	BytesRead atomic.Int64
 }
 
@@ -90,13 +89,13 @@ type ScanOptions struct {
 	// Range, if set, restricts the scan to records inside the window;
 	// MinTS > MaxTS is an error. Partitions are still all opened
 	// (partition naming carries no time bounds), and each iterator
-	// applies the window itself (file stores skip whole blocks), so
+	// applies the window itself (skipping whole blocks), so
 	// collectors observe exactly the records inside it.
 	Range *TimeRange
 	// Projection, if nonzero, declares the columns the collectors read;
-	// file-store partitions skip decoding everything else. This is an
-	// optimization hint — iterators without projection support decode
-	// all fields — so collectors must only read projected columns.
+	// partitions skip decoding everything else. This is an optimization
+	// hint — an iterator may ignore it and decode all fields — so
+	// collectors must only read projected columns.
 	// Timestamps are always decoded.
 	Projection ColumnSet
 	// Metrics, if set, receives scan counters.
@@ -198,9 +197,7 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 			it.SetTimeRange(opts.Range.MinTS, opts.Range.MaxTS)
 		}
 		if opts.Projection != 0 && opts.Projection&AllColumns != AllColumns {
-			if ps, ok := it.(ProjectionSetter); ok {
-				ps.SetProjection(opts.Projection)
-			}
+			it.SetProjection(opts.Projection)
 		}
 		// One SoA batch per decoded block, handed to every collector.
 		cb := columnBatchPool.Get().(*ColumnBatch)
@@ -233,12 +230,10 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 		}
 		if opts.Metrics != nil {
 			opts.Metrics.Records.Add(nRecs)
-			if sr, ok := it.(BlockStatsReader); ok {
-				bs := sr.ReadStats()
-				opts.Metrics.BlocksRead.Add(bs.BlocksRead)
-				opts.Metrics.BlocksSkipped.Add(bs.BlocksSkipped)
-				opts.Metrics.BytesRead.Add(bs.BytesRead)
-			}
+			bs := it.ReadStats()
+			opts.Metrics.BlocksRead.Add(bs.BlocksRead)
+			opts.Metrics.BlocksSkipped.Add(bs.BlocksSkipped)
+			opts.Metrics.BytesRead.Add(bs.BytesRead)
 		}
 		pendMu.Lock()
 		pending[i] = &partStates{states: states}

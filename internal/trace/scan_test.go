@@ -14,9 +14,9 @@ import (
 
 // buildShardedStore writes records for nUEs over days, hash-partitioned
 // into the given shard count, with deterministic content.
-func buildShardedStore(t testing.TB, days, nUEs, shards int) *MemStore {
+func buildShardedStore(t testing.TB, days, nUEs, shards int) *FileStore {
 	t.Helper()
-	s := NewMemStore()
+	s := tempStore(t)
 	for day := 0; day < days; day++ {
 		// Timestamp-ordered within the day; bucketed by UE hash.
 		buckets := make([][]Record, shards)
@@ -197,7 +197,7 @@ func TestScanWithoutCollectors(t *testing.T) {
 // scan that observes nothing.
 func TestScanRejectsInvertedRange(t *testing.T) {
 	tr := DayRange(2, 1)
-	for name, s := range map[string]Store{"records": buildShardedStore(t, 3, 5, 1), "empty": NewMemStore()} {
+	for name, s := range map[string]Store{"records": buildShardedStore(t, 3, 5, 1), "empty": tempStore(t)} {
 		c := &countingCollector{}
 		err := Scan(context.Background(), s, ScanOptions{Range: &tr}, c)
 		if err == nil || !strings.Contains(err.Error(), "invalid time range") {
@@ -281,7 +281,7 @@ func TestScanCountsEveryCodec(t *testing.T) {
 }
 
 func TestScanEmptyStore(t *testing.T) {
-	if err := Scan(context.Background(), NewMemStore(), ScanOptions{}, &countingCollector{}); err != nil {
+	if err := Scan(context.Background(), tempStore(t), ScanOptions{}, &countingCollector{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,26 +312,26 @@ func TestShardOfStableAndBounded(t *testing.T) {
 // errIterator fails after its first batch; its store tracks Close calls
 // so the test can assert no iterator leaks on the error path.
 type errStore struct {
-	MemStore
+	*FileStore
 	mu     sync.Mutex
 	opened int
 	closed int
 }
 
 func (e *errStore) OpenPartition(day, shard int) (RecordIterator, error) {
-	it, err := e.MemStore.OpenPartition(day, shard)
+	it, err := e.FileStore.OpenPartition(day, shard)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	e.opened++
 	e.mu.Unlock()
-	return &errIterator{store: e, inner: it}, nil
+	return &errIterator{RecordIterator: it, store: e}, nil
 }
 
 type errIterator struct {
+	RecordIterator
 	store *errStore
-	inner RecordIterator
 	n     int
 }
 
@@ -340,27 +340,25 @@ func (it *errIterator) NextColumns(cb *ColumnBatch) (int, error) {
 	if it.n > 1 {
 		return 0, fmt.Errorf("disk gremlin")
 	}
-	return it.inner.NextColumns(cb)
+	return it.RecordIterator.NextColumns(cb)
 }
-
-func (it *errIterator) SetTimeRange(minTS, maxTS int64) { it.inner.SetTimeRange(minTS, maxTS) }
 
 func (it *errIterator) Close() error {
 	it.store.mu.Lock()
 	it.store.closed++
 	it.store.mu.Unlock()
-	return it.inner.Close()
+	return it.RecordIterator.Close()
 }
 
 func TestScanClosesIteratorsOnReadError(t *testing.T) {
-	es := &errStore{}
+	es := &errStore{FileStore: tempStore(t)}
 	for day := 0; day < 2; day++ {
 		recs := make([]Record, 10)
 		for i := range recs {
 			recs[i] = sampleRecord()
 			recs[i].Timestamp = DayStart(day).UnixMilli() + int64(i)
 		}
-		writePartition(t, &es.MemStore, day, 0, recs)
+		writePartition(t, es, day, 0, recs)
 	}
 	err := Scan(context.Background(), es, ScanOptions{Parallelism: 2}, &countingCollector{})
 	if err == nil {

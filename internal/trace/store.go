@@ -66,8 +66,8 @@ func checkPartitionKey(day, shard int) error {
 
 // RecordWriter receives one partition's records as columnar (SoA)
 // batches. WriteColumns stores every row of cb, in row order; the batch
-// stays caller-owned and unmodified, so callers may reuse it. File-store
-// writers encode blocks straight from the column slices.
+// stays caller-owned and unmodified, so callers may reuse it. Writers
+// encode blocks straight from the column slices.
 type RecordWriter interface {
 	WriteColumns(*ColumnBatch) error
 	Close() error
@@ -76,41 +76,33 @@ type RecordWriter interface {
 // RecordIterator streams one partition as columnar (SoA) batches.
 // NextColumns fills cb, reusing its slices, and returns how many rows it
 // holds; 0 with a nil error means end of stream. Rows arrive in storage
-// order. File-store iterators decode each block straight into the column
-// slices without materializing records.
+// order, each block decoded straight into the column slices without
+// materializing records.
 //
 // SetTimeRange, called before the first NextColumns, restricts the
-// stream to minTS <= Timestamp <= maxTS. File-store iterators prune
-// whole blocks outside the window without decoding them.
+// stream to minTS <= Timestamp <= maxTS, pruning whole blocks outside
+// the window without decoding them.
+//
+// SetProjection and SetBlockFilter, also called before the first
+// NextColumns, are pruning hints, not filters: an iterator may ignore
+// either and decode everything. SetProjection names the columns the
+// caller reads, so only those are guaranteed valid. SetBlockFilter skips
+// whole blocks by stream ordinal before decoding their payload; it is
+// consulted for every block the time range did not already prune, and
+// ordinals count every block in stream order (range-pruned ones too), so
+// they align with a PartitionIndex's Blocks slice. Callers pass it only
+// blocks an index proves cannot match, so a filtered block changes no
+// result.
+//
+// ReadStats reports the block read/skip counters so far (see
+// ScanMetrics).
 type RecordIterator interface {
 	NextColumns(cb *ColumnBatch) (int, error)
 	SetTimeRange(minTS, maxTS int64)
-	Close() error
-}
-
-// ProjectionSetter is implemented by RecordIterators that can skip
-// decoding columns outside the projection (file-store iterators). Projection
-// is an optimization hint: non-supporting iterators decode everything,
-// so collectors may only rely on projected fields being valid.
-type ProjectionSetter interface {
 	SetProjection(cols ColumnSet)
-}
-
-// BlockStatsReader is implemented by iterators that track block
-// read/skip counters (see ScanMetrics).
-type BlockStatsReader interface {
-	ReadStats() BlockStats
-}
-
-// BlockFilterSetter is implemented by iterators that can skip whole
-// blocks by stream ordinal before decoding their payload. The filter is
-// consulted for every block the time range did not already prune; block
-// ordinals count every block in stream order (including range-pruned
-// ones), so they align with a PartitionIndex's Blocks slice. Like
-// projection this is a pruning hint for callers that know from an index
-// which blocks cannot match — filtered blocks are simply never decoded.
-type BlockFilterSetter interface {
 	SetBlockFilter(keep func(block int) bool)
+	ReadStats() BlockStats
+	Close() error
 }
 
 // ShardOf maps a UE to its shard via a 64-bit finalizer hash, so every
@@ -178,156 +170,6 @@ func Count(s Store) (int64, error) {
 	}
 	return m.TotalRecords(), nil
 }
-
-// manifestPartitions is the Partitions of a store: its manifest's keys.
-func manifestPartitions(s Store) ([]Partition, error) {
-	m, err := s.Manifest()
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]Partition, len(m.Partitions))
-	for i := range m.Partitions {
-		parts[i] = m.Partitions[i].Partition()
-	}
-	return parts, nil
-}
-
-// MemStore keeps partitions in memory, one ColumnBatch each. The zero
-// value is ready to use.
-type MemStore struct {
-	mu       sync.Mutex
-	parts    map[Partition]*ColumnBatch
-	open     map[Partition]bool
-	manifest Manifest
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{parts: make(map[Partition]*ColumnBatch), open: make(map[Partition]bool)}
-}
-
-// Manifest returns the in-memory partition index (a copy). MemStore
-// manifests fingerprint record contents directly, so incremental
-// consumers behave identically over memory- and file-backed stores.
-func (m *MemStore) Manifest() (*Manifest, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := Manifest{Gen: m.manifest.Gen}
-	out.Partitions = append([]PartitionInfo(nil), m.manifest.Partitions...)
-	return &out, nil
-}
-
-// AppendPartition starts a new partition.
-func (m *MemStore) AppendPartition(day, shard int) (RecordWriter, error) {
-	if err := checkPartitionKey(day, shard); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.parts == nil {
-		m.parts = make(map[Partition]*ColumnBatch)
-		m.open = make(map[Partition]bool)
-	}
-	p := Partition{Day: day, Shard: shard}
-	if _, exists := m.parts[p]; exists {
-		return nil, fmt.Errorf("trace: partition day %d shard %d already written", day, shard)
-	}
-	m.parts[p] = new(ColumnBatch)
-	m.open[p] = true
-	return &memWriter{store: m, part: p, digest: newPartitionDigest()}, nil
-}
-
-// OpenPartition iterates a closed partition.
-func (m *MemStore) OpenPartition(day, shard int) (RecordIterator, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := Partition{Day: day, Shard: shard}
-	cols, ok := m.parts[p]
-	if !ok {
-		return nil, fmt.Errorf("trace: partition day %d shard %d not present", day, shard)
-	}
-	if m.open[p] {
-		return nil, fmt.Errorf("trace: partition day %d shard %d still open for writing", day, shard)
-	}
-	return &memIterator{cols: cols}, nil
-}
-
-// Partitions lists the manifest's (finished) partitions in canonical
-// order.
-func (m *MemStore) Partitions() ([]Partition, error) { return manifestPartitions(m) }
-
-type memWriter struct {
-	store  *MemStore
-	part   Partition
-	digest *partitionDigest
-	closed bool
-	count  int64
-}
-
-// WriteColumns appends a columnar batch under one lock acquisition. The
-// manifest digest folds each row into a fixed record image, so MemStore
-// partitions fingerprint their contents however the rows were batched.
-func (w *memWriter) WriteColumns(cb *ColumnBatch) error {
-	if w.closed {
-		return fmt.Errorf("trace: write to closed partition day %d shard %d", w.part.Day, w.part.Shard)
-	}
-	for i := range cb.Timestamps {
-		w.digest.observeRow(cb, i)
-	}
-	w.count += int64(cb.Len())
-	w.store.mu.Lock()
-	w.store.parts[w.part].AppendColumns(cb)
-	w.store.mu.Unlock()
-	return nil
-}
-
-func (w *memWriter) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	w.store.mu.Lock()
-	w.store.open[w.part] = false
-	w.store.manifest.upsert(w.digest.info(w.part.Day, w.part.Shard, w.count))
-	w.store.mu.Unlock()
-	return nil
-}
-
-type memIterator struct {
-	cols     *ColumnBatch
-	pos      int
-	hasRange bool
-	minTS    int64
-	maxTS    int64
-}
-
-// NextColumns copies the next run of up to DefaultBlockRecords rows
-// (minus any outside the time range) into cb.
-func (it *memIterator) NextColumns(cb *ColumnBatch) (int, error) {
-	for it.pos < it.cols.Len() {
-		end := min(it.pos+DefaultBlockRecords, it.cols.Len())
-		cb.Reset()
-		cb.appendRange(it.cols, it.pos, end)
-		it.pos = end
-		if it.hasRange {
-			cb.FilterRange(it.minTS, it.maxTS)
-		}
-		if cb.Len() > 0 {
-			return cb.Len(), nil
-		}
-	}
-	cb.Reset()
-	return 0, nil
-}
-
-// SetTimeRange restricts iteration to minTS <= Timestamp <= maxTS.
-func (it *memIterator) SetTimeRange(minTS, maxTS int64) {
-	it.hasRange = true
-	it.minTS = minTS
-	it.maxTS = maxTS
-}
-
-func (it *memIterator) Close() error { return nil }
 
 // FileStoreOptions tunes how a FileStore writes new partitions. New
 // partitions are always v3 streams; reading negotiates the per-file
@@ -616,11 +458,21 @@ func (f *FileStore) OpenPartition(day, shard int) (RecordIterator, error) {
 		file.Close()
 		return nil, err
 	}
-	return &fileIterator{file: file, r: r, window: window, day: day, shard: shard, verify: verify}, nil
+	return &fileIterator{Reader: r, file: file, window: window, day: day, shard: shard, verify: verify}, nil
 }
 
 // Partitions lists the MANIFEST's partitions in canonical order.
-func (f *FileStore) Partitions() ([]Partition, error) { return manifestPartitions(f) }
+func (f *FileStore) Partitions() ([]Partition, error) {
+	m, err := f.Manifest()
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]Partition, len(m.Partitions))
+	for i := range m.Partitions {
+		parts[i] = m.Partitions[i].Partition()
+	}
+	return parts, nil
+}
 
 // listPartitions lists the partition files present in the directory, in
 // canonical order. Readers never use it: only Verify (orphans), the
@@ -697,6 +549,9 @@ func (w *fileWriter) abort(cause error) error {
 // manifest digest and the batch into the index builder from the
 // contiguous columns, then the codec encodes it.
 func (w *fileWriter) WriteColumns(cb *ColumnBatch) error {
+	if w.closed {
+		return fmt.Errorf("trace: write to closed partition day %d shard %d", w.day, w.shard)
+	}
 	if w.werr != nil {
 		return w.werr
 	}
@@ -806,10 +661,14 @@ func (v *readVerifier) finish(day, shard int) error {
 	return nil
 }
 
+// fileIterator is a partition's RecordIterator: the stream Reader (whose
+// SetTimeRange, SetProjection, SetBlockFilter and ReadStats it exposes)
+// over a pooled read window of the partition file.
 type fileIterator struct {
+	*Reader
 	file faultfs.File
-	r    *Reader
-	// window is r's pooled read window, nil once Close has returned it.
+	// window is the Reader's pooled read window, nil once Close has
+	// returned it.
 	window *bufio.Reader
 	day    int
 	shard  int
@@ -834,31 +693,18 @@ func (it *fileIterator) NextColumns(cb *ColumnBatch) (int, error) {
 	if it.window == nil {
 		return 0, errIteratorClosed
 	}
-	n, err := it.r.NextColumns(cb)
+	n, err := it.Reader.NextColumns(cb)
 	if err == io.EOF {
 		return 0, it.atEnd()
 	}
 	return n, err
 }
 
-// SetTimeRange restricts the stream, pruning whole blocks.
-func (it *fileIterator) SetTimeRange(minTS, maxTS int64) { it.r.SetTimeRange(minTS, maxTS) }
-
-// SetProjection restricts which columns blocks decode.
-func (it *fileIterator) SetProjection(cols ColumnSet) { it.r.SetProjection(cols) }
-
-// SetBlockFilter prunes blocks by stream ordinal without decoding
-// them (see BlockFilterSetter).
-func (it *fileIterator) SetBlockFilter(keep func(block int) bool) { it.r.SetBlockFilter(keep) }
-
-// ReadStats reports block read/skip counters.
-func (it *fileIterator) ReadStats() BlockStats { return it.r.Stats() }
-
 // Close closes the file and returns the read window to the pool. Later
 // reads fail with errIteratorClosed.
 func (it *fileIterator) Close() error {
 	if it.window != nil {
-		it.r.r = nil
+		it.Reader.r = nil
 		putWindow(it.window)
 		it.window = nil
 	}

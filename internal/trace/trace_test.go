@@ -275,8 +275,6 @@ func storeRoundTrip(t *testing.T, s Store) {
 	}
 }
 
-func TestMemStore(t *testing.T) { storeRoundTrip(t, NewMemStore()) }
-
 func TestFileStore(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
@@ -285,21 +283,36 @@ func TestFileStore(t *testing.T) {
 	storeRoundTrip(t, fs)
 }
 
-func TestMemStoreOpenWhileWriting(t *testing.T) {
-	s := NewMemStore()
-	w, err := s.AppendPartition(0, 0)
+// TestFileStoreOpenWhileWriting: a partition being written is not part
+// of the store until its writer closes, and a closed writer refuses
+// more rows.
+func TestFileStoreOpenWhileWriting(t *testing.T) {
+	s := tempStore(t)
+	writePartition(t, s, 0, 0, []Record{sampleRecord()})
+	w, err := s.AppendPartition(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.OpenPartition(0, 0); err == nil {
-		t.Fatal("open of in-progress day accepted")
+	if err := writeRecords(w, sampleRecord()); err != nil {
+		t.Fatal(err)
+	}
+	if parts, err := s.Partitions(); err != nil || len(parts) != 1 {
+		t.Fatalf("in-progress partition listed: %v, %v", parts, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.OpenPartition(0, 0); err != nil {
+	if parts, err := s.Partitions(); err != nil || len(parts) != 2 {
+		t.Fatalf("closed partition not listed: %v, %v", parts, err)
+	}
+	it, err := s.OpenPartition(1, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if recs, err := readRecords(it); err != nil || len(recs) != 1 {
+		t.Fatalf("read back %d records, %v", len(recs), err)
+	}
+	it.Close()
 	// Writing after close fails.
 	if err := writeRecords(w, sampleRecord()); err == nil {
 		t.Fatal("write after close accepted")
@@ -307,7 +320,7 @@ func TestMemStoreOpenWhileWriting(t *testing.T) {
 }
 
 func TestForEachOrdering(t *testing.T) {
-	s := NewMemStore()
+	s := tempStore(t)
 	for _, day := range []int{2, 0, 1} {
 		rec := sampleRecord()
 		rec.UE = UEID(day)

@@ -11,12 +11,18 @@
 // need, and the engine fans a worker pool out over partitions with
 // deterministic (bit-identical) results at any parallelism.
 //
+// A campaign always lives in a directory: Generate writes its trace
+// through a file store, so the artifacts of the generating process and
+// of any later Load of the same directory are the same bytes.
+//
 // Typical use:
 //
-//	cfg := telcolens.DefaultConfig(42)
-//	cfg.UEs, cfg.Days, cfg.Shards = 5000, 14, 8
-//	ds, err := telcolens.Generate(cfg)
+//	store, err := telcolens.NewFileStore(dir)
 //	// handle err
+//	cfg := telcolens.DefaultConfig(42)
+//	cfg.UEs, cfg.Days, cfg.Shards, cfg.Store = 5000, 14, 8, store
+//	ds, err := telcolens.Generate(cfg)
+//	// handle err; ds.SaveManifest(dir) lets telcolens.Load(dir) reopen it
 //	a, err := telcolens.NewAnalyzer(ds, telcolens.WithParallelism(8))
 //	// handle err
 //	err = telcolens.RunExperiment(ctx, "fig8", a, os.Stdout)
@@ -132,9 +138,10 @@ func WithWindow(fromDay, toDay int) Option { return analysis.WithWindow(fromDay,
 // given seed (20k UEs, 28 days, 320 districts, 2.4k sites).
 func DefaultConfig(seed uint64) Config { return simulate.DefaultConfig(seed) }
 
-// Generate runs a full synthetic campaign. cfg.Shards sets how many
-// hash-partitioned shards it writes per study day and cfg.Workers how
-// many simulation workers it runs.
+// Generate runs a full synthetic campaign into cfg.Store, which must be
+// set (NewFileStore). cfg.Shards sets how many hash-partitioned shards
+// it writes per study day and cfg.Workers how many simulation workers it
+// runs.
 func Generate(cfg Config) (*Dataset, error) { return simulate.Generate(cfg) }
 
 // Load reopens a campaign directory produced by Generate with a file
@@ -170,9 +177,6 @@ func SaveCheckpoint(path string, a *Analyzer) error {
 func ResumeAnalyzerFile(path string, ds *Dataset, opts ...Option) (a *Analyzer, resumed bool, err error) {
 	return analysis.ResumeAnalyzerFile(nil, path, ds, opts...)
 }
-
-// NewMemStore returns an in-memory trace store.
-func NewMemStore() Store { return trace.NewMemStore() }
 
 // NewFileStore returns (creating if needed) a directory-backed store.
 func NewFileStore(dir string) (Store, error) { return trace.NewFileStore(dir) }

@@ -3,6 +3,7 @@ package telcolens
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,12 +21,40 @@ var (
 	facadeErr  error
 )
 
+// fixtureDir holds the campaigns of the package's shared fixtures (the
+// facade dataset and the root benchmarks') for the whole run; TestMain
+// removes it afterwards.
+var fixtureDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "telcolens-test-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// generateShared generates cfg into the named campaign directory under
+// fixtureDir, for fixtures that outlive the test that builds them.
+func generateShared(name string, cfg Config) (*Dataset, error) {
+	store, err := NewFileStore(filepath.Join(fixtureDir, name))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Store = store
+	return Generate(cfg)
+}
+
 func facadeDataset(t *testing.T) *Dataset {
 	facadeOnce.Do(func() {
 		cfg := DefaultConfig(5)
 		cfg.UEs = 1200
 		cfg.Days = 4
-		facadeDS, facadeErr = Generate(cfg)
+		facadeDS, facadeErr = generateShared("facade", cfg)
 	})
 	if facadeErr != nil {
 		t.Fatal(facadeErr)
@@ -99,27 +128,30 @@ func TestFacadeFileStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen and verify the analysis runs against the reloaded dataset.
+	// The generating process and a reload of its directory render the
+	// same report, byte for byte.
 	reloaded, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reloaded.Population.Len() != ds.Population.Len() {
-		t.Fatal("reloaded population differs")
+	report := func(ds *Dataset) []byte {
+		t.Helper()
+		a, err := NewAnalyzer(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := RunAll(context.Background(), a, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if len(reloaded.DayStats) != len(ds.DayStats) {
-		t.Fatal("reloaded day stats differ")
+	in, re := report(ds), report(reloaded)
+	if !strings.Contains(string(in), "FIG8") {
+		t.Fatal("report malformed")
 	}
-	a, err := NewAnalyzer(reloaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := RunExperiment(context.Background(), "fig8", a, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "FIG8") {
-		t.Fatal("reloaded analysis malformed")
+	if !bytes.Equal(in, re) {
+		t.Fatalf("in-process report (%d bytes) differs from the reloaded one (%d bytes)", len(in), len(re))
 	}
 }
 
