@@ -14,7 +14,7 @@
 #                     that they still run; no statistics — performance is
 #                     measured end to end by telcobench, `bash bench/run.sh`)
 #   make alloc-check  assert the steady-state column scan loop and the
-#                     v2/v3 column encode paths allocate nothing per block
+#                     column encode path allocate nothing per block
 #                     and that a warm partition open allocates no read
 #                     window (internal/trace allocation tests, among them
 #                     TestOpenPartitionSteadyStateAllocs), that a
@@ -47,7 +47,7 @@
 #                     and its summary line splits generation wall time
 #                     into world build / simulate / write tail, with
 #                     the overlapped day writer's busy time beside it)
-#   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoders, 30s
+#   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoder, 30s
 #                     of FuzzDecodeIndex on the .tlix sidecar decoder,
 #                     30s of FuzzResultJSON on the /query JSON renderer,
 #                     30s of FuzzResumeAnalyzer on checkpoint

@@ -82,7 +82,7 @@ func shardBenchDataset(b *testing.B, shards int) *simulate.Dataset {
 
 func benchScanStore(b *testing.B, shards int, opts ...analysis.Option) {
 	ds := shardBenchDataset(b, shards)
-	total, err := trace.Count(ds.Store)
+	total, err := trace.Count(ds.Config.Store)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func BenchmarkScanSharded(b *testing.B) {
 func BenchmarkAblationQuantileSketch(b *testing.B) {
 	a := benchSetup(b)
 	var durations []float64
-	err := trace.ForEach(a.DS.Store, func(_ int, rec *trace.Record) error {
+	err := trace.ForEach(a.DS.Config.Store, func(_ int, rec *trace.Record) error {
 		if rec.Result == trace.Success && rec.HOType() == 0 {
 			durations = append(durations, float64(rec.DurationMs))
 		}
@@ -274,7 +274,7 @@ func censusR2(b *testing.B, a *Analyzer, counts []int) float64 {
 func BenchmarkAblationCodecVsCSV(b *testing.B) {
 	a := benchSetup(b)
 	day := new(trace.ColumnBatch)
-	err := trace.ForEach(a.DS.Store, func(d int, rec *trace.Record) error {
+	err := trace.ForEach(a.DS.Config.Store, func(d int, rec *trace.Record) error {
 		if d == 0 {
 			day.AppendRecord(rec)
 		}

@@ -126,7 +126,7 @@ func run(out string, seed uint64, ues, days, sites, districts, shards int, rareB
 		return err
 	}
 
-	total, err := trace.Count(ds.Store)
+	total, err := trace.Count(ds.Config.Store)
 	if err != nil {
 		return err
 	}
@@ -208,7 +208,7 @@ func stageSplit(t simulate.GenTimings) string {
 // regenerated byte-identically by the append that follows; keeping them
 // would wedge it on the partition already-written guard instead.
 func discardOrphanDays(ds *simulate.Dataset) error {
-	removed, err := ds.Store.(*trace.FileStore).DiscardFrom(ds.Config.Days)
+	removed, err := ds.Config.Store.(*trace.FileStore).DiscardFrom(ds.Config.Days)
 	for _, p := range removed {
 		fmt.Printf("discarded orphan partition day %d shard %d (interrupted append; will be regenerated)\n",
 			p.Day, p.Shard)

@@ -269,7 +269,7 @@ type refreshStages struct {
 func newSnapshot(g *telcolens.Analyzer, ds *telcolens.Dataset, gen uint64, quarantined []int, parallel int) *snapshot {
 	exps := telcolens.Experiments()
 	parts, _ := g.Covered()
-	qv, err := query.NewView(ds.Store)
+	qv, err := query.NewView(ds.Config.Store)
 	if err != nil {
 		log.Printf("building query view: %v (/query disabled for this snapshot)", err)
 		qv = nil
@@ -401,7 +401,7 @@ func (s *server) degradedDays() []int {
 // not bump the trace MANIFEST generation, so skipping now would skip
 // forever.
 func pendingBeyondWindow(ds *telcolens.Dataset) bool {
-	m, err := ds.Store.Manifest()
+	m, err := ds.Config.Store.Manifest()
 	if err != nil {
 		return false
 	}
@@ -450,7 +450,7 @@ func (s *server) reload() (gen uint64, rebuilt bool, err error) {
 		}
 		return gen, true, nil
 	}
-	gen = manifestGen(s.ds.Store)
+	gen = manifestGen(s.ds.Config.Store)
 	if rebuilt, err = s.ds.Reload(); err != nil {
 		// Start over from a cold load: the kept dataset is not known to
 		// match whatever Reload failed on.
@@ -552,7 +552,7 @@ func (s *server) refresh(ctx context.Context) error {
 				s.lastGen = gen
 				s.mu.Unlock()
 			}
-			s.pokeIfMoved(ds.Store, gen)
+			s.pokeIfMoved(ds.Config.Store, gen)
 			return nil
 		}
 	}
@@ -608,7 +608,7 @@ func (s *server) refresh(ctx context.Context) error {
 	log.Printf("serving generation %d: %d partitions merged (full rescan: %v, world rebuilt: %v, resumed checkpoint: %v), %d days, %d artifacts, took %s",
 		gen, merged, fullRescan, rebuilt, cold && res != nil, ds.Config.Days, len(next.exps),
 		time.Since(start).Round(time.Millisecond))
-	s.pokeIfMoved(ds.Store, gen)
+	s.pokeIfMoved(ds.Config.Store, gen)
 	return nil
 }
 
@@ -650,7 +650,7 @@ func (s *server) watch(ctx context.Context, interval time.Duration) {
 		s.mu.RLock()
 		served, synced := s.cur != nil, s.lastGen
 		s.mu.RUnlock()
-		if served && s.ds != nil && manifestGen(s.ds.Store) == synced {
+		if served && s.ds != nil && manifestGen(s.ds.Config.Store) == synced {
 			continue
 		}
 		// A pending campaign fails every load until its descriptor

@@ -464,7 +464,7 @@ func completeDays(infos []trace.PartitionInfo, shards int) []trace.PartitionInfo
 // span instead of erroring, and a later Refresh picks the days up once
 // the campaign manifest describes them.
 func (a *Analyzer) currentCoverageLocked() ([]trace.PartitionInfo, uint64, error) {
-	m, err := a.DS.Store.Manifest()
+	m, err := a.DS.Config.Store.Manifest()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -538,7 +538,7 @@ func (a *Analyzer) scanIntoLocked(ctx context.Context, cols []collector, parts [
 		}
 	}
 	scanStart := time.Now()
-	if err := trace.Scan(ctx, a.DS.Store, opts, tcols...); err != nil {
+	if err := trace.Scan(ctx, a.DS.Config.Store, opts, tcols...); err != nil {
 		return err
 	}
 	a.stats.ScanNanos += time.Since(scanStart).Nanoseconds()

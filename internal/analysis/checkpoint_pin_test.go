@@ -69,7 +69,7 @@ func legacyCheckpoint(t *testing.T, a *Analyzer, version uint8) []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	tk := newPPTracker(a.env.nUEs, StandardPingPongWindows)
-	if err := tk.advance(context.Background(), a.DS.Store, partitionsOf(a.covered), a.env.sectors, nil); err != nil {
+	if err := tk.advance(context.Background(), a.DS.Config.Store, partitionsOf(a.covered), a.env.sectors, nil); err != nil {
 		t.Fatal(err)
 	}
 	state := func(n Need) []byte {

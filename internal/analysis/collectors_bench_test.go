@@ -35,7 +35,7 @@ func collBenchDataset(b *testing.B) *simulate.Dataset {
 func BenchmarkCollectors(b *testing.B) {
 	ds := collBenchDataset(b)
 	env := newScanEnv(ds)
-	parts, err := ds.Store.Partitions()
+	parts, err := ds.Config.Store.Partitions()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func BenchmarkCollectors(b *testing.B) {
 		if p.Day != 0 {
 			continue
 		}
-		all := partitionBatch(b, ds.Store, p)
+		all := partitionBatch(b, ds.Config.Store, p)
 		chunks = append(chunks, chunkBatch(all, trace.DefaultBlockRecords)...)
 		records += all.Len()
 	}

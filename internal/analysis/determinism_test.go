@@ -11,7 +11,6 @@ import (
 
 	"telcolens/internal/simulate"
 	"telcolens/internal/trace"
-	"telcolens/internal/trace/tracetest"
 )
 
 // The acceptance bar for the v2 engine: scanning a sharded store with a
@@ -30,7 +29,7 @@ const (
 
 func detDataset(t *testing.T, shards int) *simulate.Dataset {
 	t.Helper()
-	return detFileDataset(t, shards, trace.FileStoreOptions{}, false)
+	return detFileDataset(t, shards, trace.FileStoreOptions{})
 }
 
 // renderAll runs every experiment and returns each rendered artifact.
@@ -200,9 +199,8 @@ func truncate(b []byte) []byte {
 }
 
 // detFileDataset generates the detSeed campaign into a file store, so
-// tests can pit stream formats against each other. With v2 set, the
-// written v3 partitions are re-encoded as v2 at the store's block size.
-func detFileDataset(t *testing.T, shards int, opts trace.FileStoreOptions, v2 bool) *simulate.Dataset {
+// tests can pit shard counts and block sizes against each other.
+func detFileDataset(t *testing.T, shards int, opts trace.FileStoreOptions) *simulate.Dataset {
 	t.Helper()
 	fs, err := trace.NewFileStoreOpts(t.TempDir(), opts)
 	if err != nil {
@@ -216,11 +214,6 @@ func detFileDataset(t *testing.T, shards int, opts trace.FileStoreOptions, v2 bo
 	ds, err := simulate.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v2 {
-		if err := tracetest.ReencodeV2(fs.Dir(), opts.BlockRecords); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return ds
 }
@@ -272,18 +265,16 @@ func compareArtifacts(t *testing.T, label string, want, got map[string][]byte) {
 	}
 }
 
-// TestCodecMatrixByteIdentical is the cross-codec acceptance bar: the
-// same seed stored in both formats the file store reads (v3 as written,
-// v2 re-encoded), on one shard scanned sequentially or eight scanned in
+// TestCodecMatrixByteIdentical is the storage-layout acceptance bar: the
+// same seed stored on one shard scanned sequentially or eight scanned in
 // parallel, at several block sizes, must render every experiment
-// byte-identically to the one-shard v3 campaign scanned sequentially.
-// Durations make this non-trivial: both codecs quantize through the
-// same canonical fixed-point transform.
+// byte-identically to the one-shard campaign at the default block size
+// scanned sequentially.
 func TestCodecMatrixByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates several campaigns")
 	}
-	baseline, err := New(detFileDataset(t, 1, trace.FileStoreOptions{}, false), WithParallelism(1))
+	baseline, err := New(detFileDataset(t, 1, trace.FileStoreOptions{}), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,16 +285,13 @@ func TestCodecMatrixByteIdentical(t *testing.T) {
 		shards int
 		par    int
 		opts   trace.FileStoreOptions
-		v2     bool
 	}{
-		{"v2-sequential", 1, 1, trace.FileStoreOptions{}, true},
-		{"v2-sharded-parallel", 8, 8, trace.FileStoreOptions{BlockRecords: 512}, true},
-		{"v3-sequential", 1, 1, trace.FileStoreOptions{BlockRecords: 64}, false},
-		{"v3-sharded-parallel", 8, 8, trace.FileStoreOptions{BlockRecords: 512}, false},
+		{"v3-sequential", 1, 1, trace.FileStoreOptions{BlockRecords: 64}},
+		{"v3-sharded-parallel", 8, 8, trace.FileStoreOptions{BlockRecords: 512}},
 	}
 	for _, v := range variants {
 		t.Run(v.label, func(t *testing.T) {
-			a, err := New(detFileDataset(t, v.shards, v.opts, v.v2), WithParallelism(v.par))
+			a, err := New(detFileDataset(t, v.shards, v.opts), WithParallelism(v.par))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,26 +335,24 @@ func (it *recordFilterIterator) NextColumns(cb *trace.ColumnBatch) (int, error) 
 }
 
 // TestWindowByteIdenticalAcrossCodecs: a day-windowed analysis must not
-// depend on whether the window was enforced by v2 or v3 block pruning or
-// by filtering decoded records.
+// depend on whether the window was enforced by block pruning or by
+// filtering decoded records.
 func TestWindowByteIdenticalAcrossCodecs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("generates three campaigns")
+		t.Skip("generates two campaigns")
 	}
 	lo, hi := 1, 2
-	ds := detFileDataset(t, 1, trace.FileStoreOptions{}, false)
-	ds.Store = recordFilterStore{ds.Store.(*trace.FileStore)}
+	ds := detFileDataset(t, 1, trace.FileStoreOptions{})
+	ds.Config.Store = recordFilterStore{ds.Config.Store.(*trace.FileStore)}
 	filtered, err := New(ds, WithParallelism(1), WithWindow(lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := renderAll(t, filtered)
-	for _, v2 := range []bool{true, false} {
-		a, err := New(detFileDataset(t, 8, trace.FileStoreOptions{BlockRecords: 256}, v2),
-			WithParallelism(8), WithWindow(lo, hi))
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareArtifacts(t, fmt.Sprintf("window-%d-%d-v2=%v", lo, hi, v2), want, renderAll(t, a))
+	a, err := New(detFileDataset(t, 8, trace.FileStoreOptions{BlockRecords: 256}),
+		WithParallelism(8), WithWindow(lo, hi))
+	if err != nil {
+		t.Fatal(err)
 	}
+	compareArtifacts(t, fmt.Sprintf("window-%d-%d", lo, hi), want, renderAll(t, a))
 }

@@ -22,8 +22,7 @@ func TestExperimentsOnEmptyCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.Store = tempStore(t)
-	ds.Config.Store = ds.Store
+	ds.Config.Store = tempStore(t)
 	a, err := New(ds)
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +50,7 @@ func TestWindowedScanOnEmptyCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.Store = tempStore(t)
-	ds.Config.Store = ds.Store
+	ds.Config.Store = tempStore(t)
 	a, err := New(ds, WithWindow(-1, 3))
 	if err != nil {
 		t.Fatal(err)

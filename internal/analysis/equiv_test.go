@@ -10,7 +10,6 @@ import (
 
 	"telcolens/internal/simulate"
 	"telcolens/internal/trace"
-	"telcolens/internal/trace/tracetest"
 )
 
 // The chunking-invariance property: for EVERY collector, folding a
@@ -85,12 +84,12 @@ func foldCollector(t *testing.T, ds *simulate.Dataset, need Need, chunk int) *sc
 	t.Helper()
 	env := newScanEnv(ds)
 	col := collectorFor(need, env)
-	parts, err := ds.Store.Partitions()
+	parts, err := ds.Config.Store.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range parts {
-		all := partitionBatch(t, ds.Store, p)
+		all := partitionBatch(t, ds.Config.Store, p)
 		batches := []*trace.ColumnBatch{all}
 		if chunk > 0 {
 			batches = chunkBatch(all, chunk)
@@ -153,64 +152,57 @@ func TestCollectorBatchRecordEquivalence(t *testing.T) {
 
 // TestBytesStoredReportsOnDiskBytes: the stored bytes a pass reports
 // (ScanStats.BytesRead, which /stats and -v print) must be the trace's
-// actual stored size, not totalHOs×RecordSize — v2 and v3 blocks store
-// fewer bytes than the fixed-width image.
+// actual stored size, not totalHOs×RecordSize — v3 blocks store fewer
+// bytes than the fixed-width image.
 func TestBytesStoredReportsOnDiskBytes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("generates campaigns")
+		t.Skip("generates a campaign")
 	}
-	for _, label := range []string{"v2", "v3"} {
-		t.Run(label, func(t *testing.T) {
-			fs, err := trace.NewFileStore(t.TempDir())
+	t.Run("v3", func(t *testing.T) {
+		fs, err := trace.NewFileStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := simulate.DefaultConfig(778)
+		cfg.UEs = 600
+		cfg.Days = 2
+		cfg.Store = fs
+		ds, err := simulate.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := New(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := a.Require(context.Background(), NeedTypes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var onDisk int64
+		entries, err := os.ReadDir(fs.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if filepath.Ext(e.Name()) != ".tlho" {
+				continue
+			}
+			info, err := e.Info()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := simulate.DefaultConfig(778)
-			cfg.UEs = 600
-			cfg.Days = 2
-			cfg.Store = fs
-			ds, err := simulate.Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if label == "v2" {
-				if err := tracetest.ReencodeV2(fs.Dir(), 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			a, err := New(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := a.Require(context.Background(), NeedTypes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var onDisk int64
-			entries, err := os.ReadDir(fs.Dir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if filepath.Ext(e.Name()) != ".tlho" {
-					continue
-				}
-				info, err := e.Info()
-				if err != nil {
-					t.Fatal(err)
-				}
-				onDisk += info.Size()
-			}
-			stored := a.ScanStats().BytesRead
-			if stored != onDisk {
-				t.Fatalf("BytesRead = %d, want on-disk %d", stored, onDisk)
-			}
-			if rawEquivalent := s.totalHOs * trace.RecordSize; stored >= rawEquivalent {
-				t.Fatalf("store reports %d stored bytes, not smaller than raw equivalent %d",
-					stored, rawEquivalent)
-			}
-		})
-	}
+			onDisk += info.Size()
+		}
+		stored := a.ScanStats().BytesRead
+		if stored != onDisk {
+			t.Fatalf("BytesRead = %d, want on-disk %d", stored, onDisk)
+		}
+		if rawEquivalent := s.totalHOs * trace.RecordSize; stored >= rawEquivalent {
+			t.Fatalf("store reports %d stored bytes, not smaller than raw equivalent %d",
+				stored, rawEquivalent)
+		}
+	})
 }
 
 // TestScanStatsExposed: the Analyzer accumulates scan metrics across
@@ -233,11 +225,11 @@ func TestScanStatsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := trace.Count(ds.Store)
+	total, err := trace.Count(ds.Config.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := ds.Store.Partitions()
+	parts, err := ds.Config.Store.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}

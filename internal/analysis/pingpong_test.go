@@ -165,12 +165,12 @@ func (t *ppTracker) advance(ctx context.Context, store trace.Store, parts []trac
 // store for the given windows.
 func oraclePingPong(t *testing.T, ds *simulate.Dataset, windows []time.Duration, tr *trace.TimeRange) []*PingPongStats {
 	t.Helper()
-	parts, err := ds.Store.Partitions()
+	parts, err := ds.Config.Store.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tk := newPPTracker(ds.Population.Len(), windows)
-	if err := tk.advance(context.Background(), ds.Store, parts, newScanEnv(ds).sectors, tr); err != nil {
+	if err := tk.advance(context.Background(), ds.Config.Store, parts, newScanEnv(ds).sectors, tr); err != nil {
 		t.Fatal(err)
 	}
 	return tk.stats(windows)
@@ -258,8 +258,8 @@ func TestPingPongCollectorMatchesOracle(t *testing.T) {
 		// The analyzer first sees only the days before the split, then
 		// the rest lands.
 		view := *ds
-		store := &countingStore{Store: ds.Store, maxDay: split}
-		view.Store = store
+		store := &countingStore{Store: ds.Config.Store, maxDay: split}
+		view.Config.Store = store
 		a, err := New(&view, WithParallelism(8))
 		if err != nil {
 			t.Fatal(err)
@@ -381,14 +381,14 @@ func TestRunAllReadsEachPartitionOnce(t *testing.T) {
 		t.Skip("generates a campaign")
 	}
 	ds := detDataset(t, 4)
-	parts, err := ds.Store.Partitions()
+	parts, err := ds.Config.Store.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 8} {
 		view := *ds
-		store := &countingStore{Store: ds.Store, maxDay: detDays}
-		view.Store = store
+		store := &countingStore{Store: ds.Config.Store, maxDay: detDays}
+		view.Config.Store = store
 		a, err := New(&view, WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)

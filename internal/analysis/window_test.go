@@ -22,7 +22,7 @@ func TestWindowPerDayAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ds.Store.Manifest()
+	m, err := ds.Config.Store.Manifest()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -541,7 +541,6 @@ func TestRefreshReadFaults(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		rds.Store = fstore
 		rds.Config.Store = fstore
 		a, resumed, err := analysis.ResumeAnalyzerFile(nil, ckptPath, rds, analysis.WithParallelism(1))
 		if err != nil {

@@ -226,7 +226,6 @@ func (s *Service) Init(meta *simulate.CampaignMeta) error {
 		return nil
 	}
 	cp := *meta
-	cp.Config.Store = nil
 	cp.Config.Workers = 0
 	cp.DayStats = append([]simulate.DayAggregate(nil), meta.DayStats...)
 	sealed, err := s.attachLocked(&cp, true)

@@ -17,7 +17,6 @@ import (
 	"telcolens/internal/devices"
 	"telcolens/internal/topology"
 	"telcolens/internal/trace"
-	"telcolens/internal/trace/tracetest"
 )
 
 // corpus is a deterministic synthetic campaign kept both as ground
@@ -137,14 +136,15 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestQueryMatchesScan is the cross-codec equivalence property: for
-// both formats the store reads (v3 as written, v2 re-encoded), at two
-// block sizes, for stores with and without their index sidecars, and
-// across window edges, the indexed execution returns rows byte-identical
-// to both the forced scan fallback (NoIndex) and the brute-force ground
-// truth. Stores whose streams name a format earlier versions wrote (v1,
+// TestQueryMatchesScan is the equivalence property: at two block sizes,
+// for stores with and without their index sidecars, and across window
+// edges, the indexed execution returns rows byte-identical to both the
+// forced scan fallback (NoIndex) and the brute-force ground truth.
+// Stores whose streams name a format earlier versions wrote (v1, v2,
 // flate, TLZ) must fail every query that has to decode them with
-// ErrBadVersion, never answer as if the partitions were empty.
+// ErrBadVersion naming the format and telcogen, never answer as if the
+// partitions were empty; the v2 rows check that with the sidecars'
+// pruning, without it, and with one block per partition.
 func TestQueryMatchesScan(t *testing.T) {
 	c := genCorpus(29, 3, 2, 900)
 	cases := queryShapes(c)
@@ -152,16 +152,16 @@ func TestQueryMatchesScan(t *testing.T) {
 	stores := []struct {
 		name           string
 		opts           trace.FileStoreOptions
-		v2             bool
 		noIndex        bool   // delete the .tlix sidecars after writing
 		version, flags uint16 // header stamped over the v3 streams; 0 keeps them
 	}{
-		{name: "v2", opts: trace.FileStoreOptions{BlockRecords: 64}, v2: true},
-		{name: "v2-noindex", opts: trace.FileStoreOptions{BlockRecords: 64}, v2: true, noIndex: true},
-		{name: "v2-block4096", opts: trace.FileStoreOptions{}, v2: true},
 		{name: "v3", opts: trace.FileStoreOptions{BlockRecords: 64}},
+		{name: "v3-noindex", opts: trace.FileStoreOptions{BlockRecords: 64}, noIndex: true},
 		{name: "v3-block4096", opts: trace.FileStoreOptions{}},
 		{name: "v1", opts: trace.FileStoreOptions{BlockRecords: 64}, version: 1},
+		{name: "v2", opts: trace.FileStoreOptions{BlockRecords: 64}, version: 2},
+		{name: "v2-noindex", opts: trace.FileStoreOptions{BlockRecords: 64}, noIndex: true, version: 2},
+		{name: "v2-block4096", opts: trace.FileStoreOptions{}, version: 2},
 		{name: "v2flate", opts: trace.FileStoreOptions{BlockRecords: 64}, version: 2, flags: 1},
 		{name: "v3tlz", opts: trace.FileStoreOptions{BlockRecords: 64}, version: 3, flags: 2},
 	}
@@ -171,14 +171,6 @@ func TestQueryMatchesScan(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			fs := c.write(t, dir, sc.opts)
-			if sc.v2 {
-				if err := tracetest.ReencodeV2(dir, sc.opts.BlockRecords); err != nil {
-					t.Fatal(err)
-				}
-				if rep, err := trace.Verify(ctx, fs); err != nil || !rep.OK() || len(rep.Issues) > 0 {
-					t.Fatalf("re-encoded store does not verify: %+v, %v", rep, err)
-				}
-			}
 			if sc.noIndex {
 				// How an unindexed partition arises in a real store: its
 				// sidecar is lost after the MANIFEST advertised it.
@@ -203,6 +195,7 @@ func TestQueryMatchesScan(t *testing.T) {
 			if v.Gen == 0 {
 				t.Fatal("file store view has no manifest generation")
 			}
+			refused := 0
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
 					indexed, _, err := eng.Query(ctx, v, tc.p)
@@ -222,8 +215,12 @@ func TestQueryMatchesScan(t *testing.T) {
 								t.Fatalf("query over unreadable streams answered %d rows (ground truth %d)",
 									len(q.res.Rows), len(wantRows))
 							}
-							if q.err != nil && !errors.Is(q.err, trace.ErrBadVersion) {
-								t.Fatalf("err = %v, want ErrBadVersion", q.err)
+							if q.err != nil && (!errors.Is(q.err, trace.ErrBadVersion) ||
+								!strings.Contains(q.err.Error(), sc.name[:2]) || !strings.Contains(q.err.Error(), "telcogen")) {
+								t.Fatalf("err = %v, want ErrBadVersion naming %s and telcogen", q.err, sc.name[:2])
+							}
+							if q.err != nil {
+								refused++
 							}
 						}
 						return
@@ -247,6 +244,9 @@ func TestQueryMatchesScan(t *testing.T) {
 						t.Fatalf("truncated = %v/%v, want %v", indexed.Truncated, fallback.Truncated, wantTrunc)
 					}
 				})
+			}
+			if sc.version != 0 && refused == 0 {
+				t.Fatal("no query over unreadable streams was refused")
 			}
 		})
 	}

@@ -37,17 +37,17 @@ func TestGenerateDaysAppends(t *testing.T) {
 			t.Fatalf("appended day %d produced no handovers", day)
 		}
 	}
-	if days := storeDays(t, ds.Store); days != 5 {
+	if days := storeDays(t, ds.Config.Store); days != 5 {
 		t.Fatalf("store holds %d days, want 5", days)
 	}
-	parts, err := ds.Store.Partitions()
+	parts, err := ds.Config.Store.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(parts) != 5*2 {
 		t.Fatalf("store holds %d partitions, want %d", len(parts), 5*2)
 	}
-	total, err := trace.Count(ds.Store)
+	total, err := trace.Count(ds.Config.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,10 @@ func TestGenerateDaysAppends(t *testing.T) {
 	}
 	// GenerateDays commits the descriptor into the campaign directory, so
 	// a store that is not one is refused.
-	wrapped := &Dataset{Config: ds.Config, Store: recordWriteStore{ds.Store}}
+	wrapped := &Dataset{Config: ds.Config}
+	wrapped.Config.Store = recordWriteStore{ds.Config.Store}
 	if err := wrapped.GenerateDays(1); err == nil || !strings.Contains(err.Error(), "NewFileStore") {
-		t.Fatalf("GenerateDays over %T: err = %v, want one naming NewFileStore", wrapped.Store, err)
+		t.Fatalf("GenerateDays over %T: err = %v, want one naming NewFileStore", wrapped.Config.Store, err)
 	}
 }
 
@@ -134,7 +135,7 @@ func TestGenerateDaysAfterLoad(t *testing.T) {
 	if len(again.DayStats) != 3 {
 		t.Fatalf("reloaded DayStats = %d entries, want 3", len(again.DayStats))
 	}
-	if days := storeDays(t, again.Store); days != 3 {
+	if days := storeDays(t, again.Config.Store); days != 3 {
 		t.Fatalf("store holds %d days, want 3", days)
 	}
 	// The appended day must match what an identically configured campaign

@@ -130,7 +130,7 @@ func TestGenerateByteIdenticalToParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		records, parts, dstats := recordsDigest(t, ds.Store), partitionsDigest(t, ds.Store), dayStatsDigest(ds.DayStats)
+		records, parts, dstats := recordsDigest(t, ds.Config.Store), partitionsDigest(t, ds.Config.Store), dayStatsDigest(ds.DayStats)
 		if records != pin.records || parts != pin.parts || dstats != pin.dstats {
 			t.Errorf("seed %d shards %d: records %s partitions %s day stats %s, pinned %s / %s / %s",
 				pin.seed, pin.shards, records, parts, dstats, pin.records, pin.parts, pin.dstats)
@@ -150,7 +150,7 @@ func TestGenerateWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, dstats := partitionsDigest(t, ds.Store), dayStatsDigest(ds.DayStats)
+		parts, dstats := partitionsDigest(t, ds.Config.Store), dayStatsDigest(ds.DayStats)
 		if workers == 1 {
 			wantParts, wantStats = parts, dstats
 			continue
@@ -179,7 +179,7 @@ func TestGenerateRaceFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := trace.Count(ds.Store)
+	total, err := trace.Count(ds.Config.Store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,9 +151,7 @@ func (m *CampaignMeta) SaveFS(fsys faultfs.FS, dir string) error {
 
 // Meta builds the campaign descriptor for a live dataset.
 func (d *Dataset) Meta() *CampaignMeta {
-	m := &CampaignMeta{Config: d.Config, DayStats: d.DayStats}
-	m.Config.Store = nil
-	return m
+	return &CampaignMeta{Config: d.Config, DayStats: d.DayStats}
 }
 
 // SaveManifest writes the campaign descriptor into dir.
@@ -184,7 +182,6 @@ func LoadOpts(dir string, opts trace.FileStoreOptions) (*Dataset, error) {
 		return nil, err
 	}
 	ds.Config.Store = store
-	ds.Store = store
 	ds.DayStats = m.DayStats
 	return ds, nil
 }
@@ -205,9 +202,9 @@ func LoadOpts(dir string, opts trace.FileStoreOptions) (*Dataset, error) {
 // telcoserve, the watch loop. An analyzer reads Config and the world
 // model during its scans and experiment runs.
 func (d *Dataset) Reload() (rebuilt bool, err error) {
-	fs, ok := d.Store.(*trace.FileStore)
+	fs, ok := d.Config.Store.(*trace.FileStore)
 	if !ok {
-		return false, fmt.Errorf("simulate: Reload needs a campaign opened with Load (store is %T)", d.Store)
+		return false, fmt.Errorf("simulate: Reload needs a campaign opened with Load (store is %T)", d.Config.Store)
 	}
 	m, err := LoadMetaFS(fs.Options().FS, fs.Dir())
 	if err != nil {
@@ -222,16 +219,16 @@ func (d *Dataset) Reload() (rebuilt bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	next.Config.Store, next.Store = fs, fs
+	next.Config.Store = fs
 	next.DayStats = m.DayStats
 	*d = *next
 	return true, nil
 }
 
 // BuildWorld rebuilds the deterministic world model (census, topology,
-// devices, causes, subscribers, EPC) for a config, without a store and
-// without simulating any traffic. Load and the streaming ingest path
-// share it.
+// devices, causes, subscribers, EPC) for a config, without simulating
+// any traffic; the dataset keeps cfg, Store included. Load and the
+// streaming ingest path share it.
 func BuildWorld(cfg Config) (*Dataset, error) {
 	censusCfg := census.DefaultGenConfig(cfg.Seed)
 	censusCfg.Districts = cfg.Districts
@@ -270,6 +267,5 @@ func BuildWorld(cfg Config) (*Dataset, error) {
 		Causes:     causeCat,
 		Population: pop,
 		EPC:        epc,
-		Store:      cfg.Store,
 	}, nil
 }

@@ -70,7 +70,7 @@ func TestReloadKeepsWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		world, store := worldOf(d), d.Store
+		world, store := worldOf(d), d.Config.Store
 		rebuilt, err := d.Reload()
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestReloadKeepsWorld(t *testing.T) {
 		if rebuilt {
 			t.Fatal("unchanged campaign rebuilt its world")
 		}
-		if d.Store != store {
+		if d.Config.Store != store {
 			t.Fatal("unchanged campaign replaced its store")
 		}
 		for i, p := range worldOf(d) {
@@ -149,7 +149,7 @@ func TestReloadKeepsWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := d.Store
+		store := d.Config.Store
 		path := filepath.Join(dir, manifestName)
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -160,9 +160,9 @@ func TestReloadKeepsWorld(t *testing.T) {
 			t.Fatal(err)
 		}
 		rebuilt, err := d.Reload()
-		if err != nil || rebuilt || d.Store != store {
+		if err != nil || rebuilt || d.Config.Store != store {
 			t.Fatalf("Reload over a descriptor with codec keys: rebuilt %v, store kept %v, err %v",
-				rebuilt, d.Store == store, err)
+				rebuilt, d.Config.Store == store, err)
 		}
 		mustEqualFreshLoad(t, d, dir)
 		if err := d.SaveManifest(dir); err != nil {

@@ -38,7 +38,7 @@ func TestShardedGenerationSameRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	parts, err := four.Store.Partitions()
+	parts, err := four.Config.Store.Partitions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestShardedGenerationSameRecords(t *testing.T) {
 	// Every record lands in the shard its UE hashes to, time-ordered
 	// within the partition.
 	for _, p := range parts {
-		it, err := four.Store.OpenPartition(p.Day, p.Shard)
+		it, err := four.Config.Store.OpenPartition(p.Day, p.Shard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,8 +77,8 @@ func TestShardedGenerationSameRecords(t *testing.T) {
 	}
 
 	// Same seed, same record multiset regardless of sharding.
-	a := collectRecords(t, one.Store)
-	b := collectRecords(t, four.Store)
+	a := collectRecords(t, one.Config.Store)
+	b := collectRecords(t, four.Config.Store)
 	if len(a) != len(b) {
 		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}
@@ -126,11 +126,11 @@ func TestShardedManifestRoundTrip(t *testing.T) {
 	if re.Config.Shards != 3 {
 		t.Fatalf("reloaded shards = %d, want 3", re.Config.Shards)
 	}
-	n1, err := trace.Count(ds.Store)
+	n1, err := trace.Count(ds.Config.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := trace.Count(re.Store)
+	n2, err := trace.Count(re.Config.Store)
 	if err != nil {
 		t.Fatal(err)
 	}

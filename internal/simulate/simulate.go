@@ -58,8 +58,10 @@ type Config struct {
 	// by UE (trace.ShardOf); 0 or 1 writes one partition per day. More
 	// shards let trace.Scan fan the analysis out over cores.
 	Shards int
-	// Store receives the generated records: a campaign directory opened
-	// with trace.NewFileStore. Generate refuses a nil one.
+	// Store is the campaign's trace store, a directory opened with
+	// trace.NewFileStore: Generate writes into it (and refuses a nil
+	// one), Load sets it, and every reader of the Dataset goes through
+	// it.
 	Store trace.Store
 	// FullScaleUEs is the real-world population the campaign stands in
 	// for; Table 1 extrapolations use FullScaleUEs/UEs. Default 40M.
@@ -176,7 +178,6 @@ type Dataset struct {
 	Causes     *causes.Catalog
 	Population *subscribers.Population
 	EPC        *corenet.EPC
-	Store      trace.Store
 	DayStats   []DayAggregate
 	// Timings is where this process's generation wall time went
 	// (Generate and GenerateDays accumulate into it; Load leaves it zero).
@@ -293,9 +294,9 @@ func (ds *Dataset) GenerateDays(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("simulate: non-positive day count %d", n)
 	}
-	fs, ok := ds.Store.(*trace.FileStore)
+	fs, ok := ds.Config.Store.(*trace.FileStore)
 	if !ok {
-		return fmt.Errorf("simulate: GenerateDays needs a campaign directory opened with trace.NewFileStore (store is %T)", ds.Store)
+		return fmt.Errorf("simulate: GenerateDays needs a campaign directory opened with trace.NewFileStore (store is %T)", ds.Config.Store)
 	}
 	if ds.Config.Workers <= 0 {
 		// Datasets reopened via Load carry no worker count (the manifest
@@ -411,7 +412,7 @@ func (g *generator) run(n int, commit func(*CampaignMeta) error) error {
 	landed := make(chan error)
 	write := func(day int, cols *trace.ColumnBatch, meta *CampaignMeta) {
 		start := time.Now()
-		err := trace.WriteDay(ds.Store, day, ds.Config.Shards, cols, &sc)
+		err := trace.WriteDay(ds.Config.Store, day, ds.Config.Shards, cols, &sc)
 		if err == nil && commit != nil {
 			err = commit(meta)
 		}

@@ -71,7 +71,7 @@ func sharedDataset(t testing.TB) *Dataset {
 
 func TestGenerateProducesRecords(t *testing.T) {
 	ds := sharedDataset(t)
-	total, err := trace.Count(ds.Store)
+	total, err := trace.Count(ds.Config.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestGenerateProducesRecords(t *testing.T) {
 	if total != ds.TotalHandovers() {
 		t.Fatalf("store has %d records, aggregates say %d", total, ds.TotalHandovers())
 	}
-	if days := storeDays(t, ds.Store); days != 7 {
+	if days := storeDays(t, ds.Config.Store); days != 7 {
 		t.Fatalf("%d day partitions", days)
 	}
 }
@@ -90,7 +90,7 @@ func TestRecordsWellFormed(t *testing.T) {
 	ds := sharedDataset(t)
 	var prevTs int64
 	prevDay := -1
-	err := trace.ForEach(ds.Store, func(day int, rec *trace.Record) error {
+	err := trace.ForEach(ds.Config.Store, func(day int, rec *trace.Record) error {
 		if err := rec.Validate(); err != nil {
 			return err
 		}
@@ -128,7 +128,7 @@ func TestHOTypeShares(t *testing.T) {
 	ds := sharedDataset(t)
 	counts := make(map[ho.Type]int64)
 	var total int64
-	err := trace.ForEach(ds.Store, func(day int, rec *trace.Record) error {
+	err := trace.ForEach(ds.Config.Store, func(day int, rec *trace.Record) error {
 		counts[rec.HOType()]++
 		total++
 		return nil
@@ -154,7 +154,7 @@ func TestDeviceTypeHOShares(t *testing.T) {
 	ds := sharedDataset(t)
 	counts := make(map[devices.DeviceType]int64)
 	var total int64
-	err := trace.ForEach(ds.Store, func(day int, rec *trace.Record) error {
+	err := trace.ForEach(ds.Config.Store, func(day int, rec *trace.Record) error {
 		counts[ds.Devices.ByTAC(rec.TAC).Type]++
 		total++
 		return nil
@@ -265,11 +265,11 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countA, err := trace.Count(a.Store)
+	countA, err := trace.Count(a.Config.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	countB, err := trace.Count(b.Store)
+	countB, err := trace.Count(b.Config.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +278,14 @@ func TestDeterminism(t *testing.T) {
 	}
 	// Compare full record streams.
 	var recsA []trace.Record
-	if err := trace.ForEach(a.Store, func(_ int, r *trace.Record) error {
+	if err := trace.ForEach(a.Config.Store, func(_ int, r *trace.Record) error {
 		recsA = append(recsA, *r)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	if err := trace.ForEach(b.Store, func(_ int, r *trace.Record) error {
+	if err := trace.ForEach(b.Config.Store, func(_ int, r *trace.Record) error {
 		if recsA[i] != *r {
 			t.Fatalf("record %d differs across identical runs", i)
 		}

@@ -42,25 +42,19 @@ func TestColumnDecodeSteadyStateAllocs(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(rng, StudyStart.UnixMilli())
 	}
-	for codec, data := range map[string][]byte{
-		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 256}),
-		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 256}),
-	} {
-		var cb ColumnBatch
-		allocs := steadyStateAllocs(t, data, func(r *Reader) bool {
-			n, err := r.NextColumns(&cb)
-			return err == nil && n > 0
-		})
-		if allocs > 0 {
-			t.Fatalf("%s: NextColumns allocates %.1f times per block in steady state, want 0", codec, allocs)
-		}
+	var cb ColumnBatch
+	allocs := steadyStateAllocs(t, encodeV3(t, recs, WriterV3Options{BlockRecords: 256}), func(r *Reader) bool {
+		n, err := r.NextColumns(&cb)
+		return err == nil && n > 0
+	})
+	if allocs > 0 {
+		t.Fatalf("NextColumns allocates %.1f times per block in steady state, want 0", allocs)
 	}
 }
 
 // The steady-state encode loop mirrors the decode contract: once the
 // writer's pooled scratch (block buffer, payload, dictionary table) is
-// warm, landing another block costs zero allocations, in either block
-// format.
+// warm, landing another block costs zero allocations.
 func TestColumnEncodeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	recs := make([]Record, 256)
@@ -69,34 +63,25 @@ func TestColumnEncodeSteadyStateAllocs(t *testing.T) {
 	}
 	var cb ColumnBatch
 	cb.FromRecords(recs)
-	v2, err := NewWriterV2(io.Discard, WriterV2Options{BlockRecords: 256})
+	w, err := NewWriterV3(io.Discard, WriterV3Options{BlockRecords: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := NewWriterV3(io.Discard, WriterV3Options{BlockRecords: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for codec, w := range map[string]interface {
-		WriteColumns(*ColumnBatch) error
-		Flush() error
-	}{"v2": v2, "v3": v3} {
-		for i := 0; i < 4; i++ { // warm the scratch buffers
-			if err := w.WriteColumns(&cb); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(64, func() {
-			if err := w.WriteColumns(&cb); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if err := w.Flush(); err != nil {
+	for i := 0; i < 4; i++ { // warm the scratch buffers
+		if err := w.WriteColumns(&cb); err != nil {
 			t.Fatal(err)
 		}
-		if allocs > 0 {
-			t.Fatalf("%s: WriteColumns allocates %.1f times per block in steady state, want 0", codec, allocs)
+	}
+	allocs := testing.AllocsPerRun(64, func() {
+		if err := w.WriteColumns(&cb); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 0 {
+		t.Fatalf("WriteColumns allocates %.1f times per block in steady state, want 0", allocs)
 	}
 }
 

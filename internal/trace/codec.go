@@ -16,11 +16,35 @@ import (
 //
 //	magic "TLHO" | version u16 | flags u16
 //
-// followed by framed column blocks (see codecv2.go for the block frame
-// and the v2 payload, codecv3.go for the v3 payload). Writers produce
-// v3; readers also decode v2, the format of campaigns written before v3
-// became the only write format. No flag is defined: a stream with any
-// flag set is one this package does not read.
+// followed by framed column blocks. The only format this package reads
+// and writes is version 3 without flags (codecv3.go holds its payload).
+// The formats earlier versions wrote — v1 fixed-width records, v2
+// varint-coded blocks, and flate or TLZ block compression — fail with
+// ErrBadVersion naming the format; telcogen regenerates any campaign
+// byte for byte.
+//
+// Each block is framed by a fixed 56-byte descriptor:
+//
+//	block:  count u32 | minTS i64 | maxTS i64 | rawLen u32 | encLen u32 |
+//	        tsLen u32 | ueLen u32 | dictEntries u32 | idxLen u32 |
+//	        srcLen u32 | dstLen u32 | causeLen u32 |
+//	        payload [encLen]byte
+//
+// A clean end of stream is an EOF exactly at a block boundary. Each block
+// holds up to BlockRecords records encoded column-at-a-time, in payload
+// order: timestamps, UE, TAC dictionary, TAC indexes, source, target,
+// cause, then the fixed-width tail (RAT pairs, results, durations).
+//
+// The per-block (minTS, maxTS, count) descriptor lets readers skip whole
+// blocks that fall outside a requested time range without decoding the
+// payload: a pruned block costs one Discard of its payload. rawLen and
+// encLen are the payload size, stored twice; they could differ only in
+// the compressed formats earlier versions wrote.
+//
+// The descriptor also carries each variable-width column's byte extent
+// (the fixed-width tail is implied by count). That lets the decoder check
+// every section against its extent and jump over the sections a column
+// projection skips without reading them.
 
 // Magic identifies telcolens handover trace streams.
 var Magic = [4]byte{'T', 'L', 'H', 'O'}
@@ -44,6 +68,80 @@ var ErrBadVersion = errors.New("trace: unsupported stream version")
 // ErrTruncated is returned when a stream ends mid-record.
 var ErrTruncated = errors.New("trace: truncated record")
 
+// ErrCorruptBlock is returned when a block fails structural validation.
+var ErrCorruptBlock = errors.New("trace: corrupt block")
+
+// DefaultBlockRecords is the default number of records per block.
+const DefaultBlockRecords = 4096
+
+// Sanity caps enforced while decoding untrusted streams.
+const (
+	maxBlockRecords = 1 << 20
+	maxBlockPayload = 1 << 28
+	blockHeadSize   = 4 + 8 + 8 + 4 + 4 + 7*4
+)
+
+// ColumnSet selects which record fields a scan must decode. The
+// sectioned block layout makes skipping a column free: the decoder jumps
+// the cursor straight to the section end without touching the bytes.
+// Timestamps are always decoded (range filtering and block validation
+// depend on them). Fields outside the projection hold unspecified values
+// — collectors must only read what they projected.
+type ColumnSet uint8
+
+// Projectable column groups of a block.
+const (
+	// ColUE is the subscriber id column.
+	ColUE ColumnSet = 1 << iota
+	// ColTAC is the dictionary-encoded device column.
+	ColTAC
+	// ColSectors covers the source and target sector columns.
+	ColSectors
+	// ColCause is the failure-cause column.
+	ColCause
+	// ColOutcome covers the fixed-width tail: RATs, result and duration.
+	ColOutcome
+	// ColTimestamp marks a projection that needs nothing beyond the
+	// timestamps (which every projection decodes anyway); use it alone
+	// for pure counting/temporal scans.
+	ColTimestamp
+)
+
+// AllColumns decodes every field (the default; a zero ColumnSet means
+// the same).
+const AllColumns ColumnSet = ColUE | ColTAC | ColSectors | ColCause | ColOutcome | ColTimestamp
+
+// blockSections carries the byte extents of the variable-width columns
+// (and the TAC dictionary entry count), stored in each block's
+// descriptor so the decoder can run every column cursor independently.
+type blockSections struct {
+	tsLen       uint32
+	ueLen       uint32
+	dictEntries uint32
+	idxLen      uint32
+	srcLen      uint32
+	dstLen      uint32
+	causeLen    uint32
+}
+
+// BlockStats counts stream activity during a read.
+type BlockStats struct {
+	// BlocksRead is the number of block payloads decoded.
+	BlocksRead int64
+	// BlocksSkipped is the number of blocks pruned by the time range
+	// without decoding their payload.
+	BlocksSkipped int64
+	// BlocksFiltered is the number of blocks pruned by a block filter
+	// (SetBlockFilter, fed from a partition index) without decoding
+	// their payload. Range-pruned blocks count as skipped, not filtered.
+	BlocksFiltered int64
+	// BytesRead is the number of stored stream bytes consumed by decoded
+	// data: the stream header plus each decoded block's descriptor and
+	// payload. Pruned blocks do not count, so a full unwindowed read
+	// reports exactly the stream's on-disk size.
+	BytesRead int64
+}
+
 // readErr classifies a mid-stream read failure: a premature end of
 // stream is truncation, while any other failure (a device error, an
 // injected fault) keeps its own identity so corruption classification
@@ -58,9 +156,9 @@ func readErr(err error) error {
 // Duration encoding: 15 bits of magnitude plus a scale bit. Scale 0 stores
 // 0.1 ms units (0–3276.7 ms, covering all successful HOs); scale 1 stores
 // whole milliseconds (0–32767 ms, covering timeout failures up to ~32 s).
-// The block codecs store durations as f32 but pass them through this
-// fixed-point round trip first (quantizeDuration), so every stream
-// version holds exactly the same value.
+// Blocks store durations as f32 but pass them through this fixed-point
+// round trip first (quantizeDuration), so a stored duration does not
+// depend on the float value's low bits.
 func encodeDuration(dst []byte, ms float32) {
 	if ms < 0 {
 		ms = 0
@@ -81,13 +179,23 @@ func decodeDuration(src []byte) float32 {
 	return float32(v) / 10
 }
 
+// quantizeDuration maps a duration onto the codec's canonical resolution
+// (the fixed-point encode/decode round trip).
+func quantizeDuration(ms float32) float32 {
+	var buf [2]byte
+	encodeDuration(buf[:], ms)
+	return decodeDuration(buf[:])
+}
+
 // retiredFormat names a stream format earlier versions wrote and this
 // one no longer reads, or "" for a header no version ever wrote.
 func retiredFormat(version, flags uint16) string {
 	switch {
 	case version == 1:
 		return "v1 fixed-width records"
-	case (version == VersionV2 || version == VersionV3) && flags == 1:
+	case version == 2 && flags == 0:
+		return "v2 varint-coded blocks"
+	case (version == 2 || version == VersionV3) && flags == 1:
 		return fmt.Sprintf("v%d with flate-compressed blocks", version)
 	case version == VersionV3 && flags == 2:
 		return "v3 with TLZ-compressed blocks"
@@ -95,14 +203,12 @@ func retiredFormat(version, flags uint16) string {
 	return ""
 }
 
-// Reader decodes a v2 or v3 block stream into columnar batches,
-// negotiating the version from the header. NextColumns reuses the
-// caller's batch, so iteration is allocation-free in steady state.
-// SetTimeRange restricts the stream to a timestamp window; blocks
+// Reader decodes a v3 block stream into columnar batches. NextColumns
+// reuses the caller's batch, so iteration is allocation-free in steady
+// state. SetTimeRange restricts the stream to a timestamp window; blocks
 // entirely outside it are skipped without decoding.
 type Reader struct {
-	r       *bufio.Reader
-	version uint16
+	r *bufio.Reader
 
 	// Decode scratch, reused across blocks.
 	head    [blockHeadSize]byte
@@ -164,7 +270,7 @@ func newWindowReader(br *bufio.Reader) (*Reader, error) {
 	}
 	v := binary.LittleEndian.Uint16(hdr[4:6])
 	flags := binary.LittleEndian.Uint16(hdr[6:8])
-	if (v != VersionV2 && v != VersionV3) || flags != 0 {
+	if v != VersionV3 || flags != 0 {
 		if name := retiredFormat(v, flags); name != "" {
 			return nil, fmt.Errorf("%w: %s is no longer readable; regenerate the campaign with telcogen", ErrBadVersion, name)
 		}
@@ -172,7 +278,7 @@ func newWindowReader(br *bufio.Reader) (*Reader, error) {
 	}
 	// Byte accounting starts at the header, so a fully decoded stream
 	// reports exactly its stored size.
-	return &Reader{r: br, version: v, stats: BlockStats{BytesRead: HeaderSize}}, nil
+	return &Reader{r: br, stats: BlockStats{BytesRead: HeaderSize}}, nil
 }
 
 // ReadStats returns the block read/skip counters so far.
@@ -254,13 +360,7 @@ func (r *Reader) readBlockColumns(cb *ColumnBatch) error {
 	if err := r.nextBlockFrame(&f); err != nil {
 		return err
 	}
-	var err error
-	if r.version == VersionV3 {
-		err = decodeBlockColumnsV3(f.payload, f.minTS, f.maxTS, f.secs, r.proj, f.count, cb, &r.tacDict)
-	} else {
-		err = decodeBlockColumns(f.payload, f.minTS, f.maxTS, f.secs, r.proj, f.count, cb, &r.tacDict)
-	}
-	if err != nil {
+	if err := decodeBlockColumns(f.payload, f.minTS, f.maxTS, f.secs, r.proj, f.count, cb, &r.tacDict); err != nil {
 		return err
 	}
 	return r.releaseFrame(&f)
@@ -303,24 +403,15 @@ func (r *Reader) nextBlockFrame(f *blockFrame) error {
 			return fmt.Errorf("%w: block with raw %d != enc %d", ErrCorruptBlock, rawLen, encLen)
 		}
 		// Structural bounds before any allocation; the sections plus the
-		// fixed-width tail must tile rawLen exactly either way, so a lying
-		// descriptor cannot trigger a large allocation relative to the
-		// bytes actually present (the 6*count tail alone bounds count by
-		// the payload size).
-		if r.version == VersionV3 {
-			// v3 sections are bitpacked, so their minimum is the width
-			// byte (plus the 4-byte reference on FOR id columns); exact
-			// width-derived lengths are enforced during decode.
-			if secs.tsLen < 1 || secs.ueLen < 5 || secs.idxLen < 1 ||
-				secs.srcLen < 5 || secs.dstLen < 5 || secs.causeLen < 1 ||
-				secs.dictEntries == 0 || secs.dictEntries > count {
-				return fmt.Errorf("%w: implausible column extents", ErrCorruptBlock)
-			}
-		} else if secs.tsLen < count || secs.ueLen < count || secs.idxLen < count ||
-			secs.srcLen < count || secs.dstLen < count || secs.causeLen < count ||
-			secs.dictEntries > count {
-			// Every v2 varint column holds at least one byte per record,
-			// the dictionary at most one entry per record.
+		// fixed-width tail must tile rawLen exactly, so a lying descriptor
+		// cannot trigger a large allocation relative to the bytes actually
+		// present (the 6*count tail alone bounds count by the payload
+		// size). Bitpacked sections hold at least their width byte (plus
+		// the 4-byte reference on FOR id columns); exact width-derived
+		// lengths are enforced during decode.
+		if secs.tsLen < 1 || secs.ueLen < 5 || secs.idxLen < 1 ||
+			secs.srcLen < 5 || secs.dstLen < 5 || secs.causeLen < 1 ||
+			secs.dictEntries == 0 || secs.dictEntries > count {
 			return fmt.Errorf("%w: implausible column extents", ErrCorruptBlock)
 		}
 		sum := uint64(secs.tsLen) + uint64(secs.ueLen) + 4*uint64(secs.dictEntries) +

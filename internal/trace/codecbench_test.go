@@ -10,7 +10,7 @@ import (
 
 var benchBlockRecords = DefaultBlockRecords
 
-func benchStream(b *testing.B, version uint16) ([]byte, int) {
+func benchStream(b *testing.B) ([]byte, int) {
 	r := rand.New(rand.NewSource(5))
 	const n = 200_000
 	recs := make([]Record, n)
@@ -23,16 +23,7 @@ func benchStream(b *testing.B, version uint16) ([]byte, int) {
 	var cb ColumnBatch
 	cb.FromRecords(recs)
 	var buf bytes.Buffer
-	var w interface {
-		WriteColumns(*ColumnBatch) error
-		Flush() error
-	}
-	var err error
-	if version == VersionV3 {
-		w, err = NewWriterV3(&buf, WriterV3Options{BlockRecords: benchBlockRecords})
-	} else {
-		w, err = NewWriterV2(&buf, WriterV2Options{BlockRecords: benchBlockRecords})
-	}
+	w, err := NewWriterV3(&buf, WriterV3Options{BlockRecords: benchBlockRecords})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,8 +36,8 @@ func benchStream(b *testing.B, version uint16) ([]byte, int) {
 	return buf.Bytes(), n
 }
 
-func benchDecode(b *testing.B, version uint16) {
-	data, n := benchStream(b, version)
+func BenchmarkDecodeStreamV3(b *testing.B) {
+	data, n := benchStream(b)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -98,6 +89,3 @@ func BenchmarkUnpackColumn(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkDecodeStreamV2(b *testing.B) { benchDecode(b, VersionV2) }
-func BenchmarkDecodeStreamV3(b *testing.B) { benchDecode(b, VersionV3) }

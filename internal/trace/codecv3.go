@@ -1,50 +1,44 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"telcolens/internal/devices"
 )
 
-// v3 bitpacked block stream layout (little-endian), negotiated by the
-// same 8-byte header as v2 (magic "TLHO" | version=3 u16 | flags=0 u16)
-// and framed by the same 56-byte block descriptor, so readers prune,
-// filter and skip v3 blocks exactly as they do v2 blocks. v3 is the
-// only format any program writes.
-//
-// Where v2 stores one varint per value, v3 stores each variable-width
-// column as frame-of-reference (FOR) bitpacked words:
+// v3 block payload layout (little-endian), inside the block frame
+// codec.go describes. Each variable-width column is stored as
+// frame-of-reference (FOR) bitpacked words:
 //
 //	timestamps  width w (1 byte) | ceil(count*w/64) LE u64 words of
 //	            (ts - minTS); the block descriptor's minTS is the
 //	            reference, so no per-section reference is stored
 //	UE          width w (1 byte) | min value (LE u32) | packed (ue - min)
-//	TAC dict    raw u32 entries, frequency-ordered exactly as v2
+//	TAC dict    raw u32 entries, most frequent first (ties in
+//	            first-appearance order)
 //	TAC indexes width w (1 byte) | packed dict indexes
 //	source      width w (1 byte) | min value (LE u32) | packed deltas
 //	target      width w (1 byte) | min value (LE u32) | packed deltas
 //	cause       width w (1 byte) | packed values
-//	rats        1 byte per record (srcRAT<<4 | dstRAT), as v2
-//	result      1 byte per record, as v2
-//	duration    raw f32, canonically quantized, as v2
+//	rats        1 byte per record (srcRAT<<4 | dstRAT)
+//	result      1 byte per record
+//	duration    raw f32, canonically quantized (see quantizeDuration)
 //
 // Widths come from bits.Len64 of the column's max delta, so a constant
 // column costs exactly its width byte (w=0, no words). Every packed
 // section is padded to a whole 64-bit word, which lets the decoder
 // unpack any value with at most two aligned 8-byte loads and no
 // per-value bounds arithmetic beyond the slice checks.
-//
-// The fixed-width tail is byte-identical to v2 (including the duration
-// quantizer), so a record decoded from a v3 stream is bit-identical to
-// the same record decoded from a v2 stream — the cross-codec artifact
-// byte-identity invariant carries over unchanged.
 
 // VersionV3 identifies the bitpacked frame-of-reference block stream
-// format.
+// format, the only one this package reads and writes.
 const VersionV3 uint16 = 3
 
 // packedLen returns the byte length of n values bitpacked at width w:
@@ -187,11 +181,11 @@ func unpackColumn[T ~uint16 | ~uint32 | ~uint64](words []byte, w uint8, ref, lim
 	return nil
 }
 
-// v3Section parses one bitpacked section starting at payload[pos]:
+// packedSection parses one bitpacked section starting at payload[pos]:
 // width byte, optional LE u32 reference (hasRef), then the packed
 // words. The section's descriptor length must equal the width-derived
 // length exactly.
-func v3Section(payload []byte, pos int, secLen uint32, n int, maxWidth uint8, hasRef bool, col string) (ref uint32, w uint8, words []byte, next int, err error) {
+func packedSection(payload []byte, pos int, secLen uint32, n int, maxWidth uint8, hasRef bool, col string) (ref uint32, w uint8, words []byte, next int, err error) {
 	head := 1
 	if hasRef {
 		head = 5
@@ -210,11 +204,11 @@ func v3Section(payload []byte, pos int, secLen uint32, n int, maxWidth uint8, ha
 	return ref, w, payload[pos+head : pos+int(secLen)], pos + int(secLen), nil
 }
 
-// appendBlockColumnsV3 encodes rows [lo, hi) of cb as one v3 block
-// payload onto dst. The TAC dictionary order and the fixed-width tail
-// are byte-identical to the v2 encoder over the same records; only the
-// variable-width sections differ (FOR bitpacking instead of varints).
-func appendBlockColumnsV3(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS int64, e *encScratch) ([]byte, blockSections) {
+// appendBlockColumns encodes rows [lo, hi) of cb as one block payload
+// onto dst, column-at-a-time from contiguous slices: the TAC dictionary
+// is built through the open-addressed table, and durations are
+// canonically quantized during the duration pass.
+func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS int64, e *encScratch) ([]byte, blockSections) {
 	var secs blockSections
 	n := hi - lo
 	if cap(e.packBuf) < n {
@@ -231,9 +225,10 @@ func appendBlockColumnsV3(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS 
 	dst = appendPacked(dst, vals, w)
 	secs.tsLen = uint32(len(dst) - mark)
 	// UEs: FOR deltas from the block minimum.
-	dst, secs.ueLen = appendU32SectionV3(dst, cb.UEs[lo:hi], vals)
-	// TAC dictionary, frequency-ordered exactly as the v2 encoder (same
-	// dictTable machinery), then bitpacked indexes.
+	dst, secs.ueLen = appendU32Section(dst, cb.UEs[lo:hi], vals)
+	// TAC dictionary, frequency-ordered with ties broken by first
+	// appearance (a total order, so the sort algorithm is free to
+	// differ), then bitpacked indexes.
 	tacs := cb.TACs[lo:hi]
 	e.dictTab.reset()
 	dict := e.tacDict[:0]
@@ -274,8 +269,8 @@ func appendBlockColumnsV3(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS 
 	secs.idxLen = uint32(len(dst) - mark)
 	e.tacDict, e.counts, e.order = dict, counts, order
 	// Sectors: FOR deltas from each column's block minimum.
-	dst, secs.srcLen = appendU32SectionV3(dst, cb.Sources[lo:hi], vals)
-	dst, secs.dstLen = appendU32SectionV3(dst, cb.Targets[lo:hi], vals)
+	dst, secs.srcLen = appendU32Section(dst, cb.Sources[lo:hi], vals)
+	dst, secs.dstLen = appendU32Section(dst, cb.Targets[lo:hi], vals)
 	// Causes: packed from zero (codes are small).
 	var maxCause uint64
 	for i, c := range cb.Causes[lo:hi] {
@@ -289,7 +284,8 @@ func appendBlockColumnsV3(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS 
 	dst = append(dst, w)
 	dst = appendPacked(dst, vals, w)
 	secs.causeLen = uint32(len(dst) - mark)
-	// Fixed-width tail, byte-identical to v2.
+	// Fixed-width tail. RAT pairs are stored packed in the batch exactly
+	// as they are on the wire, so that column is one contiguous copy.
 	dst = append(dst, cb.RATs[lo:hi]...)
 	for _, res := range cb.Results[lo:hi] {
 		dst = append(dst, byte(res))
@@ -300,10 +296,10 @@ func appendBlockColumnsV3(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS 
 	return dst, secs
 }
 
-// appendU32SectionV3 appends one FOR-bitpacked u32 column section
+// appendU32Section appends one FOR-bitpacked u32 column section
 // (width byte | LE u32 min | packed deltas) and returns the new slice
 // and the section length. vals is caller scratch of at least len(col).
-func appendU32SectionV3[T ~uint32](dst []byte, col []T, vals []uint64) ([]byte, uint32) {
+func appendU32Section[T ~uint32](dst []byte, col []T, vals []uint64) ([]byte, uint32) {
 	ref := uint32(col[0])
 	maxV := uint32(col[0])
 	for _, v := range col {
@@ -325,17 +321,18 @@ func appendU32SectionV3[T ~uint32](dst []byte, col []T, vals []uint64) ([]byte, 
 	return dst, uint32(len(dst) - mark)
 }
 
-// decodeBlockColumnsV3 decodes a v3 block payload straight into the SoA
+// decodeBlockColumns decodes a block payload straight into the SoA
 // ColumnBatch layout, honoring the column projection (timestamps are
-// always decoded; skipped sections are jumped without reading).
-func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections, proj ColumnSet, count int, cb *ColumnBatch, dictScratch *[]devices.TAC) error {
+// always decoded; skipped sections are jumped without reading). cb is
+// resized to count; columns outside proj hold unspecified values.
+func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, proj ColumnSet, count int, cb *ColumnBatch, dictScratch *[]devices.TAC) error {
 	if proj == 0 {
 		proj = AllColumns
 	}
 	cb.resize(count)
 	n := count
 	// Timestamps: FOR from minTS; a delta past maxTS rejects the block.
-	_, w, words, pos, err := v3Section(payload, 0, secs.tsLen, n, 63, false, "timestamp")
+	_, w, words, pos, err := packedSection(payload, 0, secs.tsLen, n, 63, false, "timestamp")
 	if err != nil {
 		return err
 	}
@@ -400,7 +397,7 @@ func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections
 	}
 	// UE.
 	if proj&ColUE != 0 {
-		ref, w, words, next, err := v3Section(payload, pos, secs.ueLen, n, 32, true, "ue")
+		ref, w, words, next, err := packedSection(payload, pos, secs.ueLen, n, 32, true, "ue")
 		if err != nil {
 			return err
 		}
@@ -422,7 +419,7 @@ func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections
 			dict[i] = devices.TAC(binary.LittleEndian.Uint32(payload[pos+i*4:]))
 		}
 		pos += int(dictLen) * 4
-		_, w, words, next, err := v3Section(payload, pos, secs.idxLen, n, 32, false, "tac index")
+		_, w, words, next, err := packedSection(payload, pos, secs.idxLen, n, 32, false, "tac index")
 		if err != nil {
 			return err
 		}
@@ -442,7 +439,7 @@ func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections
 	}
 	// Sectors.
 	if proj&ColSectors != 0 {
-		ref, w, words, next, err := v3Section(payload, pos, secs.srcLen, n, 32, true, "source")
+		ref, w, words, next, err := packedSection(payload, pos, secs.srcLen, n, 32, true, "source")
 		if err != nil {
 			return err
 		}
@@ -450,7 +447,7 @@ func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections
 			return err
 		}
 		pos = next
-		ref, w, words, next, err = v3Section(payload, pos, secs.dstLen, n, 32, true, "target")
+		ref, w, words, next, err = packedSection(payload, pos, secs.dstLen, n, 32, true, "target")
 		if err != nil {
 			return err
 		}
@@ -463,7 +460,7 @@ func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections
 	}
 	// Cause.
 	if proj&ColCause != 0 {
-		_, w, words, next, err := v3Section(payload, pos, secs.causeLen, n, 16, false, "cause")
+		_, w, words, next, err := packedSection(payload, pos, secs.causeLen, n, 16, false, "cause")
 		if err != nil {
 			return err
 		}
@@ -474,7 +471,7 @@ func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections
 	} else {
 		pos += int(secs.causeLen)
 	}
-	// Fixed-width tail, identical to v2.
+	// Fixed-width tail: two memmoves and one f32 loop.
 	if proj&ColOutcome != 0 {
 		copy(cb.RATs, payload[pos:pos+n])
 		results := payload[pos+n : pos+2*n]
@@ -489,6 +486,98 @@ func decodeBlockColumnsV3(payload []byte, minTS, maxTS int64, secs blockSections
 	return nil
 }
 
+// dictTable is an open-addressed TAC→dict-index table the column encoder
+// uses in place of a Go map: linear probing over flat arrays, with
+// epoch-stamped slots so resetting between blocks is one counter bump
+// instead of a table clear. Load factor stays ≤ 0.5 (the table holds
+// 2× the block size, and a block of n records has at most n distinct
+// TACs).
+type dictTable struct {
+	keys []uint32
+	vals []int32
+	gen  []uint32
+	cur  uint32
+	mask uint32
+}
+
+// init sizes the table for blocks of up to perBlock records, reusing the
+// arrays when already the right size.
+func (t *dictTable) init(perBlock int) {
+	need := 2
+	for need < 2*perBlock {
+		need <<= 1
+	}
+	if len(t.keys) != need {
+		t.keys = make([]uint32, need)
+		t.vals = make([]int32, need)
+		t.gen = make([]uint32, need)
+		t.cur = 0
+		t.mask = uint32(need - 1)
+	}
+}
+
+// reset invalidates every slot for the next block.
+func (t *dictTable) reset() {
+	t.cur++
+	if t.cur == 0 { // epoch counter wrapped: do the one real clear
+		clear(t.gen)
+		t.cur = 1
+	}
+}
+
+// slot returns the value slot for key, claiming an empty slot (value -1)
+// on first sight.
+func (t *dictTable) slot(key uint32) *int32 {
+	x := uint64(key)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	h := uint32(x) & t.mask
+	for {
+		if t.gen[h] != t.cur {
+			t.gen[h] = t.cur
+			t.keys[h] = key
+			t.vals[h] = -1
+			return &t.vals[h]
+		}
+		if t.keys[h] == key {
+			return &t.vals[h]
+		}
+		h = (h + 1) & t.mask
+	}
+}
+
+// sortDictOrder sorts dictionary slots by descending frequency, ties
+// broken by first appearance — the canonical TAC dictionary order.
+func sortDictOrder(order []int32, counts []int32) {
+	slices.SortFunc(order, func(a, b int32) int {
+		if counts[a] != counts[b] {
+			return int(counts[b] - counts[a]) // higher count first
+		}
+		return int(a - b) // earlier first appearance first
+	})
+}
+
+// encScratch is a writer's reusable encode state. It is pooled across
+// writers (partitions are written through many short-lived block
+// writers), so a fresh writer starts with buffers already sized by the
+// previous one's blocks and the steady-state encode path allocates
+// nothing per block.
+type encScratch struct {
+	// cols buffers ingested rows (column-native) until a block fills.
+	cols    ColumnBatch
+	payload []byte
+	frame   []byte
+	dictTab dictTable
+	tacDict []uint32
+	counts  []int32
+	order   []int32
+	// packBuf stages a column's values before bitpacking.
+	packBuf []uint64
+}
+
+var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
+
 // WriterV3Options tunes a v3 block writer. The zero value means
 // DefaultBlockRecords per block.
 type WriterV3Options struct {
@@ -496,32 +585,163 @@ type WriterV3Options struct {
 	BlockRecords int
 }
 
-// WriterV3 encodes records as a v3 bitpacked block stream. It shares
-// the v2 writer's columnar row buffering; only the per-block payload
-// encoding and the stream header differ.
+// WriterV3 encodes records as a v3 bitpacked block stream. Rows are
+// buffered in SoA (ColumnBatch) form and each block is encoded
+// column-at-a-time from contiguous slices; full blocks encode straight
+// from the caller's batch without an intermediate copy.
 type WriterV3 struct {
-	w2 WriterV2
+	w        *bufio.Writer
+	perBlock int
+	count    int64
+	err      error
+	enc      *encScratch
 }
 
 // NewWriterV3 writes a v3 stream header and returns the block writer.
 func NewWriterV3(w io.Writer, opts WriterV3Options) (*WriterV3, error) {
-	w3 := &WriterV3{}
-	if err := initBlockWriter(&w3.w2, w, VersionV3, opts.BlockRecords); err != nil {
-		return nil, err
+	perBlock := opts.BlockRecords
+	if perBlock <= 0 {
+		perBlock = DefaultBlockRecords
 	}
-	return w3, nil
+	if perBlock > maxBlockRecords {
+		return nil, fmt.Errorf("trace: block size %d exceeds %d", perBlock, maxBlockRecords)
+	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	var hdr [HeaderSize]byte
+	copy(hdr[0:4], Magic[:])
+	binary.LittleEndian.PutUint16(hdr[4:6], VersionV3)
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return nil, fmt.Errorf("trace: writing header: %w", err)
+	}
+	enc := encScratchPool.Get().(*encScratch)
+	enc.cols.Reset()
+	enc.dictTab.init(perBlock)
+	return &WriterV3{w: bw, perBlock: perBlock, enc: enc}, nil
 }
 
-// WriteColumns buffers a columnar batch, emitting blocks as they fill;
-// runs of whole blocks encode directly from cb's slices.
-func (w *WriterV3) WriteColumns(cb *ColumnBatch) error { return w.w2.WriteColumns(cb) }
+// WriterV2Options is WriterV3Options under the name of the retired v2
+// writer's options.
+//
+// Deprecated: use WriterV3Options; v2 streams are no longer written or
+// read.
+type WriterV2Options = WriterV3Options
+
+// NewWriterV2 returns a v3 block writer, exactly as NewWriterV3 does.
+//
+// Deprecated: use NewWriterV3; v2 streams are no longer written or
+// read.
+func NewWriterV2(w io.Writer, opts WriterV2Options) (*WriterV3, error) {
+	return NewWriterV3(w, opts)
+}
+
+// Release returns the writer's pooled encode scratch (block buffer,
+// payload/frame buffers, dictionary table) for reuse by the next
+// writer. Call it after Flush; the writer must not be used
+// afterwards. Skipping Release only costs a pool miss.
+func (w *WriterV3) Release() {
+	if w.enc != nil {
+		encScratchPool.Put(w.enc)
+		w.enc = nil
+	}
+}
+
+// WriteColumns buffers a columnar batch, emitting blocks as they fill.
+// Runs of whole blocks encode directly from cb's slices — no
+// intermediate copy at all; only a partial leading/trailing chunk lands
+// in the writer's buffer (nine contiguous column copies).
+func (w *WriterV3) WriteColumns(cb *ColumnBatch) error {
+	if w.err != nil {
+		return w.err
+	}
+	n := cb.Len()
+	for off := 0; off < n; {
+		if w.enc.cols.Len() == 0 && n-off >= w.perBlock {
+			if err := w.emitColumns(cb, off, off+w.perBlock); err != nil {
+				return err
+			}
+			w.count += int64(w.perBlock)
+			off += w.perBlock
+			continue
+		}
+		take := min(w.perBlock-w.enc.cols.Len(), n-off)
+		w.enc.cols.appendRange(cb, off, off+take)
+		w.count += int64(take)
+		off += take
+		if w.enc.cols.Len() >= w.perBlock {
+			if err := w.flushBlock(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // Count returns the number of records written so far.
-func (w *WriterV3) Count() int64 { return w.w2.Count() }
+func (w *WriterV3) Count() int64 { return w.count }
+
+// flushBlock encodes and emits the buffered columns as one block.
+func (w *WriterV3) flushBlock() error {
+	if w.enc.cols.Len() == 0 {
+		return nil
+	}
+	if err := w.emitColumns(&w.enc.cols, 0, w.enc.cols.Len()); err != nil {
+		return err
+	}
+	w.enc.cols.Reset()
+	return nil
+}
+
+// emitColumns encodes rows [lo, hi) of cb as one block and writes it.
+func (w *WriterV3) emitColumns(cb *ColumnBatch, lo, hi int) error {
+	ts := cb.Timestamps[lo:hi]
+	minTS, maxTS := ts[0], ts[0]
+	for _, t := range ts[1:] {
+		if t < minTS {
+			minTS = t
+		} else if t > maxTS {
+			maxTS = t
+		}
+	}
+	var secs blockSections
+	w.enc.payload, secs = appendBlockColumns(w.enc.payload[:0], cb, lo, hi, minTS, maxTS, w.enc)
+	return w.emitBlock(hi-lo, minTS, maxTS, secs)
+}
+
+// emitBlock writes the encoded payload in w.enc.payload as one framed
+// block.
+func (w *WriterV3) emitBlock(count int, minTS, maxTS int64, secs blockSections) error {
+	e := w.enc
+	e.frame = e.frame[:0]
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(count))
+	e.frame = binary.LittleEndian.AppendUint64(e.frame, uint64(minTS))
+	e.frame = binary.LittleEndian.AppendUint64(e.frame, uint64(maxTS))
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(e.payload))) // rawLen
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(e.payload))) // encLen
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.tsLen)
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.ueLen)
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.dictEntries)
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.idxLen)
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.srcLen)
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.dstLen)
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.causeLen)
+	if _, err := w.w.Write(e.frame); err != nil {
+		w.err = fmt.Errorf("trace: writing block: %w", err)
+		return w.err
+	}
+	if _, err := w.w.Write(e.payload); err != nil {
+		w.err = fmt.Errorf("trace: writing block: %w", err)
+		return w.err
+	}
+	return nil
+}
 
 // Flush emits any partial block and flushes the underlying writer.
-func (w *WriterV3) Flush() error { return w.w2.Flush() }
-
-// Release returns the writer's pooled encode scratch for reuse; call it
-// after Flush. The writer must not be used afterwards.
-func (w *WriterV3) Release() { w.w2.Release() }
+func (w *WriterV3) Flush() error {
+	if w.err != nil {
+		return w.err
+	}
+	if err := w.flushBlock(); err != nil {
+		return err
+	}
+	return w.w.Flush()
+}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func encodeV3(t testing.TB, recs []Record, opts WriterV3Options) []byte {
@@ -85,41 +84,6 @@ func TestCodecV3ConstantColumns(t *testing.T) {
 	}
 }
 
-// TestCodecV3MatchesV2Decode is the cross-version property the CI
-// determinism matrix pins: the same records written through v2 and v3
-// (any block size) decode to bit-identical record sequences.
-func TestCodecV3MatchesV2Decode(t *testing.T) {
-	f := func(seed int64, count uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := int(count%200) + 1
-		recs := make([]Record, n)
-		base := StudyStart.UnixMilli()
-		for i := range recs {
-			recs[i] = randRecord(r, base)
-		}
-		fromV2 := decodeAll(t, encodeV2(t, recs, WriterV2Options{BlockRecords: 32}))
-		for _, opts := range []WriterV3Options{
-			{BlockRecords: 32},
-			{BlockRecords: 7},
-		} {
-			fromV3 := decodeAll(t, encodeV3(t, recs, opts))
-			if len(fromV2) != len(fromV3) {
-				return false
-			}
-			for i := range fromV2 {
-				if fromV2[i] != fromV3[i] {
-					t.Logf("opts %+v record %d:\n v2 %+v\n v3 %+v", opts, i, fromV2[i], fromV3[i])
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCodecV3Columns checks the SoA decode against the written records
 // and the column projection contract on v3 streams.
 func TestCodecV3Columns(t *testing.T) {
@@ -174,8 +138,8 @@ func TestCodecV3Columns(t *testing.T) {
 	}
 }
 
-// TestCodecV3RangePrunesBlocks: v3 blocks outside the requested window
-// are skipped without decoding, like v2.
+// TestCodecV3RangePrunesBlocks: blocks outside the requested window are
+// skipped without decoding.
 func TestCodecV3RangePrunesBlocks(t *testing.T) {
 	base := StudyStart.UnixMilli()
 	recs := make([]Record, 512)
@@ -236,38 +200,34 @@ func TestCodecV3RejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestCodecV3HeaderNegotiation: the reader accepts exactly the v2 and
-// v3 headers without flags. The formats earlier versions wrote (v1, and
+// TestCodecV3HeaderNegotiation: the reader accepts exactly the v3
+// header without flags. The formats earlier versions wrote (v1, v2, and
 // flate or TLZ block compression) and headers no version wrote fail
 // with ErrBadVersion; the retired formats are named, with the way back.
 func TestCodecV3HeaderNegotiation(t *testing.T) {
-	mk := func(version, flags uint16) []byte {
-		return append([]byte("TLHO"), byte(version), byte(version>>8), byte(flags), byte(flags>>8))
+	rd, err := NewReader(bytes.NewReader(headerBytes(VersionV3, 0)))
+	if err != nil {
+		t.Fatalf("v3 rejected: %v", err)
 	}
-	for _, version := range []uint16{VersionV2, VersionV3} {
-		rd, err := NewReader(bytes.NewReader(mk(version, 0)))
-		if err != nil {
-			t.Fatalf("v%d rejected: %v", version, err)
-		}
-		var cb ColumnBatch
-		if _, err := rd.NextColumns(&cb); err != io.EOF {
-			t.Fatalf("empty v%d stream: got %v, want EOF", version, err)
-		}
+	var cb ColumnBatch
+	if _, err := rd.NextColumns(&cb); err != io.EOF {
+		t.Fatalf("empty v3 stream: got %v, want EOF", err)
 	}
 	for _, c := range []struct {
 		version, flags uint16
 		format         string
 	}{
 		{1, 0, "v1 fixed-width records"},
-		{VersionV2, 1, "v2 with flate-compressed blocks"},
+		{2, 0, "v2 varint-coded blocks"},
+		{2, 1, "v2 with flate-compressed blocks"},
 		{VersionV3, 1, "v3 with flate-compressed blocks"},
 		{VersionV3, 2, "v3 with TLZ-compressed blocks"},
-		{VersionV2, 2, ""},
+		{2, 2, ""},
 		{VersionV3, 3, ""},
 		{VersionV3, 1 << 5, ""},
 		{4, 0, ""},
 	} {
-		_, err := NewReader(bytes.NewReader(mk(c.version, c.flags)))
+		_, err := NewReader(bytes.NewReader(headerBytes(c.version, c.flags)))
 		if !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d flags %#x: err = %v, want ErrBadVersion", c.version, c.flags, err)
 		}
@@ -275,6 +235,11 @@ func TestCodecV3HeaderNegotiation(t *testing.T) {
 			t.Fatalf("version %d flags %#x: %q does not name %q and the regeneration", c.version, c.flags, err, c.format)
 		}
 	}
+}
+
+// headerBytes is a stream header naming version and flags.
+func headerBytes(version, flags uint16) []byte {
+	return append([]byte("TLHO"), byte(version), byte(version>>8), byte(flags), byte(flags>>8))
 }
 
 func isCorrupt(err error) bool { return errors.Is(err, ErrCorruptBlock) }

@@ -64,7 +64,7 @@ func TestColumnBatchFilterRange(t *testing.T) {
 	}
 }
 
-// TestReaderNextColumnsMatchesFullDecode: for every codec/range/
+// TestReaderNextColumnsMatchesFullDecode: for every block size/range/
 // projection combination, the SoA stream must hold exactly the in-range
 // records, equal to the written ones on the projected fields.
 func TestReaderNextColumnsMatchesFullDecode(t *testing.T) {
@@ -75,8 +75,8 @@ func TestReaderNextColumnsMatchesFullDecode(t *testing.T) {
 		recs[i] = randRecord(r, base)
 	}
 	streams := map[string][]byte{
-		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 256}),
-		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 256}),
+		"block256":  encodeV3(t, recs, WriterV3Options{BlockRecords: 256}),
+		"block4096": encodeV3(t, recs, WriterV3Options{}),
 	}
 	ranges := []*TimeRange{nil, {MinTS: base + 2*3600*1000, MaxTS: base + 7*3600*1000}}
 	projs := []ColumnSet{0, ColTimestamp, ColUE | ColOutcome, ColTAC | ColSectors | ColCause}
@@ -277,7 +277,7 @@ func TestScanColumnPathMatchesRecordPath(t *testing.T) {
 }
 
 // TestReaderBytesRead: a full decode of a stream must report exactly
-// its stored size, for every codec.
+// its stored size, at every block size.
 func TestReaderBytesRead(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	recs := make([]Record, 2500)
@@ -288,8 +288,8 @@ func TestReaderBytesRead(t *testing.T) {
 	// narrow time bounds the pruning check below can exercise.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Timestamp < recs[j].Timestamp })
 	streams := map[string][]byte{
-		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 512}),
-		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 512}),
+		"block512":  encodeV3(t, recs, WriterV3Options{BlockRecords: 512}),
+		"block4096": encodeV3(t, recs, WriterV3Options{}),
 	}
 	for name, data := range streams {
 		rd, err := NewReader(bytes.NewReader(data))
@@ -304,7 +304,7 @@ func TestReaderBytesRead(t *testing.T) {
 		}
 	}
 	// A range-pruned read must not count skipped block bytes.
-	rd, err := NewReader(bytes.NewReader(streams["v2"]))
+	rd, err := NewReader(bytes.NewReader(streams["block512"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestReaderBytesRead(t *testing.T) {
 	if st.BlocksSkipped == 0 {
 		t.Fatal("narrow window pruned no blocks")
 	}
-	if st.BytesRead >= int64(len(streams["v2"])) {
-		t.Fatalf("pruned read counted %d bytes of a %d-byte stream", st.BytesRead, len(streams["v2"]))
+	if st.BytesRead >= int64(len(streams["block512"])) {
+		t.Fatalf("pruned read counted %d bytes of a %d-byte stream", st.BytesRead, len(streams["block512"]))
 	}
 }

@@ -10,14 +10,14 @@ import (
 	"testing"
 )
 
-// FuzzDecodeBlock feeds arbitrary bytes to the v2 and v3 block decoders
-// through the public Reader. Truncated frames, bad varints, lying bit
-// widths, oversized counts, lying payload lengths and trailing garbage
-// must all surface as errors — never as panics or unbounded
-// allocations.
+// FuzzDecodeBlock feeds arbitrary bytes to the v3 block decoder through
+// the public Reader, and the headers of retired formats to its header
+// check. Truncated frames, lying bit widths, oversized counts, lying
+// payload lengths and trailing garbage must all surface as errors —
+// never as panics or unbounded allocations.
 func FuzzDecodeBlock(f *testing.F) {
-	// Seed corpus: valid streams across versions and block sizes, plus
-	// targeted corruptions.
+	// Seed corpus: valid streams across block sizes plus targeted
+	// corruptions, each also under the retired v2 header.
 	r := rand.New(rand.NewSource(1))
 	base := StudyStart.UnixMilli()
 	for _, n := range []int{1, 5, 130, 700} {
@@ -26,22 +26,26 @@ func FuzzDecodeBlock(f *testing.F) {
 			recs[i] = randRecord(r, base)
 		}
 		for _, blockRecords := range []int{3, 64} {
-			for _, data := range [][]byte{
-				encodeV2(f, recs, WriterV2Options{BlockRecords: blockRecords}),
-				encodeV3(f, recs, WriterV3Options{BlockRecords: blockRecords}),
+			data := encodeV3(f, recs, WriterV3Options{BlockRecords: blockRecords})
+			countFlip := bytes.Clone(data)
+			countFlip[HeaderSize] ^= 0x7f
+			lastFlip := bytes.Clone(data)
+			lastFlip[len(lastFlip)-1] ^= 0xff
+			widthFlip := bytes.Clone(data)
+			widthFlip[HeaderSize+blockHeadSize] ^= 0x7f // the first section's width byte
+			for _, seed := range [][]byte{
+				data,
+				data[:len(data)-1],
+				data[:HeaderSize+blockHeadSize-2],
+				countFlip,
+				lastFlip,
+				widthFlip,
 			} {
-				f.Add(data)
-				f.Add(data[:len(data)-1])
-				f.Add(data[:HeaderSize+blockHeadSize-2])
-				mut := bytes.Clone(data)
-				mut[HeaderSize] ^= 0x7f // count
-				f.Add(mut)
-				mut = bytes.Clone(data)
-				mut[len(mut)-1] ^= 0xff // last payload byte
-				f.Add(mut)
-				mut = bytes.Clone(data)
-				mut[HeaderSize+blockHeadSize] ^= 0x7f // first payload byte (v3: ts width)
-				f.Add(mut)
+				f.Add(seed)
+				// The same bytes under a v2 header: refused at the header.
+				retired := bytes.Clone(seed)
+				retired[4] = 2
+				f.Add(retired)
 			}
 		}
 	}
@@ -58,25 +62,26 @@ func FuzzDecodeBlock(f *testing.F) {
 		cb.RATs[i] = 0x32
 		cb.Durations[i] = 12.5
 	}
-	for _, version := range []uint16{VersionV2, VersionV3} {
-		var buf bytes.Buffer
-		w := &WriterV2{}
-		if err := initBlockWriter(w, &buf, version, 64); err != nil {
-			f.Fatal(err)
-		}
-		if err := w.WriteColumns(&cb); err != nil {
-			f.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	var buf bytes.Buffer
+	w, err := NewWriterV3(&buf, WriterV3Options{BlockRecords: 64})
+	if err != nil {
+		f.Fatal(err)
 	}
+	if err := w.WriteColumns(&cb); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	retired := bytes.Clone(buf.Bytes())
+	retired[4] = 2
+	f.Add(retired)
 	f.Add([]byte{})
 	f.Add([]byte("TLHO"))
-	f.Add(append([]byte("TLHO"), 2, 0, 0, 0))
 	f.Add(append([]byte("TLHO"), 3, 0, 0, 0))
 	f.Add(append([]byte("TLHO"), 1, 0, 0, 0)) // v1: must reject
+	f.Add(append([]byte("TLHO"), 2, 0, 0, 0)) // v2: must reject
 	f.Add(append([]byte("TLHO"), 2, 0, 1, 0)) // v2 + flate: must reject
 	f.Add(append([]byte("TLHO"), 3, 0, 1, 0)) // v3 + flate: must reject
 	f.Add(append([]byte("TLHO"), 3, 0, 2, 0)) // v3 + TLZ: must reject
@@ -86,6 +91,11 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
+			// A whole header naming any other version is refused as one.
+			if len(data) >= HeaderSize && [4]byte(data[:4]) == Magic &&
+				binary.LittleEndian.Uint16(data[4:6]) != VersionV3 && !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("version %d header: err = %v, want ErrBadVersion", binary.LittleEndian.Uint16(data[4:6]), err)
+			}
 			return
 		}
 		// Every call that succeeds consumes at least one block, so the

@@ -234,6 +234,42 @@ func TestManifestSharedAcrossInstances(t *testing.T) {
 	}
 }
 
+// TestFirstWriteOfFreshDirectory: while the first partition of a fresh
+// directory is being written, another FileStore over it sees an empty
+// store (Gen 0), not a pre-MANIFEST campaign. The commit is Gen 1, so a
+// finished MANIFEST is what it was before the empty one was written.
+func TestFirstWriteOfFreshDirectory(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := writer.AppendPartition(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRecords(w, manifestTestRecord(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := reader.Manifest(); err != nil || m.Gen != 0 || len(m.Partitions) != 0 {
+		t.Fatalf("Manifest during the first write = %+v, %v; want an empty store", m, err)
+	}
+	if parts, err := reader.Partitions(); err != nil || len(parts) != 0 {
+		t.Fatalf("Partitions during the first write = %v, %v; want none", parts, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := reader.Manifest()
+	if err != nil || m.Gen != 1 || len(m.Partitions) != 1 || m.Partitions[0].Gen != 1 {
+		t.Fatalf("Manifest after the first commit = %+v, %v; want Gen 1 with one entry", m, err)
+	}
+}
+
 // TestManifestRefusesPreManifestDirectory: a directory whose partition
 // files have no MANIFEST (a campaign written before the store kept one)
 // is refused with ErrNoManifest, naming telcogen, on every path: reads,

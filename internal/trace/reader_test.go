@@ -36,46 +36,6 @@ func randRecord(r *rand.Rand, base int64) Record {
 	return rec
 }
 
-func encodeV2(t testing.TB, recs []Record, opts WriterV2Options) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterV2(&buf, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cb ColumnBatch
-	cb.FromRecords(recs)
-	if err := w.WriteColumns(&cb); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != int64(len(recs)) {
-		t.Fatalf("writer count = %d, want %d", w.Count(), len(recs))
-	}
-	return buf.Bytes()
-}
-
-// writeV2Partition lands recs in fs as a v2 partition with no sidecar
-// — what a campaign written before v3 became the only write format
-// holds — and folds it into the MANIFEST like any closed partition.
-func writeV2Partition(t testing.TB, fs *FileStore, day, shard int, recs []Record, blockRecords int) {
-	t.Helper()
-	data := encodeV2(t, recs, WriterV2Options{BlockRecords: blockRecords})
-	if err := os.WriteFile(fs.partitionPath(day, shard), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d := newPartitionDigest()
-	d.observeBytes(data)
-	for i := range recs {
-		d.observeTS(recs[i].Timestamp)
-	}
-	if err := fs.notePartitionClosed(d.info(day, shard, int64(len(recs)))); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // stampHeader rewrites the version and flags of every partition stream
 // in fs, leaving the MANIFEST and sidecars as they were: the store then
 // holds a format this package no longer reads, in files whose layout is
@@ -118,43 +78,16 @@ func decodeAll(t testing.TB, data []byte) []Record {
 	return out
 }
 
-func TestCodecV2RoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	base := StudyStart.UnixMilli()
-	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-		for _, opts := range []WriterV2Options{
-			{BlockRecords: 64},
-			{}, // default block size
-		} {
-			recs := make([]Record, n)
-			for i := range recs {
-				recs[i] = randRecord(r, base)
-			}
-			got := decodeAll(t, encodeV2(t, recs, opts))
-			if len(got) != n {
-				t.Fatalf("opts=%+v n=%d: decoded %d records", opts, n, len(got))
-			}
-			for i := range recs {
-				want := recs[i]
-				want.DurationMs = quantizeDuration(want.DurationMs)
-				if got[i] != want {
-					t.Fatalf("opts=%+v record %d:\n in  %+v\n out %+v", opts, i, want, got[i])
-				}
-			}
-		}
-	}
-}
-
-// TestCodecV2NextColumns: one NextColumns call hands out exactly one
+// TestCodecV3NextColumns: one NextColumns call hands out exactly one
 // decoded block.
-func TestCodecV2NextColumns(t *testing.T) {
+func TestCodecV3NextColumns(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	recs := make([]Record, 500)
 	base := StudyStart.UnixMilli()
 	for i := range recs {
 		recs[i] = randRecord(r, base)
 	}
-	data := encodeV2(t, recs, WriterV2Options{BlockRecords: 128})
+	data := encodeV3(t, recs, WriterV3Options{BlockRecords: 128})
 	rd, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +113,7 @@ func TestCodecV2NextColumns(t *testing.T) {
 }
 
 // TestReaderSetTimeRange checks exact record filtering plus block-level
-// pruning counters on time-sorted v2 and v3 streams.
+// pruning counters on a time-sorted stream.
 func TestReaderSetTimeRange(t *testing.T) {
 	base := StudyStart.UnixMilli()
 	recs := make([]Record, 1000)
@@ -188,32 +121,27 @@ func TestReaderSetTimeRange(t *testing.T) {
 		recs[i] = sampleRecord()
 		recs[i].Timestamp = base + int64(i)*1000
 	}
-	for codec, data := range map[string][]byte{
-		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 100}),
-		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 100}),
-	} {
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Window covering records 250..349 inclusive.
-		rd.SetTimeRange(base+250_000, base+349_000)
-		got, err := readerRecords(rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 100 {
-			t.Fatalf("%s: %d records in range, want 100", codec, len(got))
-		}
-		if got[0].Timestamp != base+250_000 || got[99].Timestamp != base+349_000 {
-			t.Fatalf("%s: wrong window edges", codec)
-		}
-		s := rd.ReadStats()
-		// Records 250..349 span blocks 2 and 3 of ten; the other eight are
-		// pruned from their descriptors alone.
-		if s.BlocksRead != 2 || s.BlocksSkipped != 8 {
-			t.Fatalf("%s: stats = %+v, want 2 read / 8 skipped", codec, s)
-		}
+	rd, err := NewReader(bytes.NewReader(encodeV3(t, recs, WriterV3Options{BlockRecords: 100})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Window covering records 250..349 inclusive.
+	rd.SetTimeRange(base+250_000, base+349_000)
+	got, err := readerRecords(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 100 {
+		t.Fatalf("%d records in range, want 100", len(got))
+	}
+	if got[0].Timestamp != base+250_000 || got[99].Timestamp != base+349_000 {
+		t.Fatal("wrong window edges")
+	}
+	s := rd.ReadStats()
+	// Records 250..349 span blocks 2 and 3 of ten; the other eight are
+	// pruned from their descriptors alone.
+	if s.BlocksRead != 2 || s.BlocksSkipped != 8 {
+		t.Fatalf("stats = %+v, want 2 read / 8 skipped", s)
 	}
 }
 
@@ -271,14 +199,15 @@ func TestScanRangePrunesBlocks(t *testing.T) {
 }
 
 // TestScanRangeCodecAgreement: a ranged scan observes the identical
-// record sequence whether the store is v2 or v3 (block pruning +
-// filtering) or read a row at a time (record filtering, rowStore).
+// record sequence whether the window is enforced by block pruning plus
+// filtering, at two block sizes, or a row at a time (record filtering,
+// rowStore).
 func TestScanRangeCodecAgreement(t *testing.T) {
-	v2, err := NewFileStore(t.TempDir())
+	small, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: 50})
+	large, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +218,10 @@ func TestScanRangeCodecAgreement(t *testing.T) {
 			recs[i].UE = UEID(i % 37)
 			recs[i].Timestamp = DayStart(day).UnixMilli() + int64(i)*7000
 		}
-		writeV2Partition(t, v2, day, 0, recs, 50)
-		writePartition(t, v3, day, 0, recs)
+		writePartition(t, small, day, 0, recs)
+		writePartition(t, large, day, 0, recs)
 	}
-	stores := map[string]Store{"v2": v2, "v3": v3, "rows": rowStore{v3}}
+	stores := map[string]Store{"block50": small, "block4096": large, "rows": rowStore{small}}
 	tr := DayRange(1, 2)
 	results := map[string]*countingCollector{}
 	for name, s := range stores {
@@ -322,7 +251,7 @@ func TestProjectionMatchesFullDecode(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(r, base)
 	}
-	data := encodeV2(t, recs, WriterV2Options{BlockRecords: 128})
+	data := encodeV3(t, recs, WriterV3Options{BlockRecords: 128})
 	full := decodeAll(t, data)
 	projections := []ColumnSet{
 		ColTimestamp,
@@ -398,39 +327,9 @@ func TestScanProjectionCounts(t *testing.T) {
 	}
 }
 
-// TestWriterV2BatchMatchesWrite: one whole-batch WriteColumns call and
-// the same rows written one per call produce the identical stream.
-func TestWriterV2BatchMatchesWrite(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	recs := make([]Record, 333)
-	base := StudyStart.UnixMilli()
-	for i := range recs {
-		recs[i] = randRecord(r, base)
-	}
-	var a bytes.Buffer
-	wa, err := NewWriterV2(&a, WriterV2Options{BlockRecords: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var row ColumnBatch
-	for i := range recs {
-		row.FromRecords(recs[i : i+1])
-		if err := wa.WriteColumns(&row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wa.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if b := encodeV2(t, recs, WriterV2Options{BlockRecords: 100}); !bytes.Equal(a.Bytes(), b) {
-		t.Fatal("whole-batch stream differs from row-by-row stream")
-	}
-}
-
-// TestV2StreamSmallerThanV1: the block formats store less than the
-// fixed-width record image (v1's layout, RecordSize bytes a record), and
-// v3's bitpacking less than v2's varints.
-func TestV2StreamSmallerThanV1(t *testing.T) {
+// TestV3StreamSmallerThanV1: v3 blocks store less than the fixed-width
+// record image (v1's layout, RecordSize bytes a record).
+func TestV3StreamSmallerThanV1(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	recs := make([]Record, 20_000)
 	base := StudyStart.UnixMilli()
@@ -438,18 +337,18 @@ func TestV2StreamSmallerThanV1(t *testing.T) {
 		recs[i] = randRecord(r, base+int64(i)*500)
 	}
 	v1 := HeaderSize + len(recs)*RecordSize
-	v2 := len(encodeV2(t, recs, WriterV2Options{}))
 	v3 := len(encodeV3(t, recs, WriterV3Options{}))
-	if v2 >= v1 || v3 >= v2 {
-		t.Fatalf("stream sizes v1 %d B, v2 %d B, v3 %d B; want strictly shrinking", v1, v2, v3)
+	if v3 >= v1 {
+		t.Fatalf("stream sizes v1 %d B, v3 %d B; want v3 smaller", v1, v3)
 	}
-	t.Logf("bytes/record: v1 %.1f, v2 %.1f, v3 %.1f", float64(v1)/float64(len(recs)),
-		float64(v2)/float64(len(recs)), float64(v3)/float64(len(recs)))
+	t.Logf("bytes/record: v1 %.1f, v3 %.1f", float64(v1)/float64(len(recs)), float64(v3)/float64(len(recs)))
 }
 
-func TestReaderRejectsCorruptV2(t *testing.T) {
+// TestReaderRejectsCorruptV3: truncations and descriptor damage of a
+// small stream error out, never panic.
+func TestReaderRejectsCorruptV3(t *testing.T) {
 	recs := []Record{sampleRecord(), sampleRecord()}
-	data := encodeV2(t, recs, WriterV2Options{})
+	data := encodeV3(t, recs, WriterV3Options{})
 	// Truncations anywhere in the stream must error, never panic.
 	for cut := HeaderSize + 1; cut < len(data); cut += 3 {
 		r, err := NewReader(bytes.NewReader(data[:cut]))

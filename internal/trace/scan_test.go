@@ -211,23 +211,21 @@ func TestScanRejectsInvertedRange(t *testing.T) {
 
 // TestScanCountsEveryCodec: a full parallel scan of a file store observes
 // exactly the records written to it, and as many as the manifest counts,
-// in both formats it reads and at several block sizes. A store whose
-// streams name a format earlier versions wrote (v1, flate, TLZ) fails
-// the scan with ErrBadVersion instead of counting short.
+// at several block sizes. A store whose streams name a format earlier
+// versions wrote (v1, v2, flate, TLZ) fails the scan with ErrBadVersion,
+// naming the format and telcogen, instead of counting short.
 func TestScanCountsEveryCodec(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, c := range []struct {
 		name           string
-		v2             bool
 		blockRecords   int
 		version, flags uint16 // header stamped over v3 streams; 0 keeps them
 	}{
-		{name: "v2", v2: true, blockRecords: 100},
-		{name: "v2-block4096", v2: true, blockRecords: DefaultBlockRecords},
 		{name: "v3", blockRecords: 100},
 		{name: "v3-block4096", blockRecords: DefaultBlockRecords},
 		{name: "v1", blockRecords: 100, version: 1},
-		{name: "v2flate", blockRecords: 100, version: VersionV2, flags: 1},
+		{name: "v2", blockRecords: 100, version: 2},
+		{name: "v2flate", blockRecords: 100, version: 2, flags: 1},
 		{name: "v3flate", blockRecords: 100, version: VersionV3, flags: 1},
 		{name: "v3tlz", blockRecords: 100, version: VersionV3, flags: 2},
 	} {
@@ -244,11 +242,7 @@ func TestScanCountsEveryCodec(t *testing.T) {
 						recs[i] = randRecord(r, DayStart(day).UnixMilli())
 					}
 					sort.Slice(recs, func(i, j int) bool { return recs[i].Timestamp < recs[j].Timestamp })
-					if c.v2 {
-						writeV2Partition(t, fs, day, shard, recs, c.blockRecords)
-					} else {
-						writePartition(t, fs, day, shard, recs)
-					}
+					writePartition(t, fs, day, shard, recs)
 					written += int64(len(recs))
 				}
 			}
@@ -265,8 +259,10 @@ func TestScanCountsEveryCodec(t *testing.T) {
 				t.Fatalf("manifest counts %d, wrote %d", total, written)
 			}
 			if c.version != 0 {
-				if !errors.Is(err, ErrBadVersion) {
-					t.Fatalf("scan over v%d flags %#x streams: err = %v, want ErrBadVersion", c.version, c.flags, err)
+				if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), c.name[:2]) ||
+					!strings.Contains(err.Error(), "telcogen") {
+					t.Fatalf("scan over v%d flags %#x streams: err = %v, want ErrBadVersion naming %s and telcogen",
+						c.version, c.flags, err, c.name[:2])
 				}
 				return
 			}

@@ -171,9 +171,9 @@ func Count(s Store) (int64, error) {
 	return m.TotalRecords(), nil
 }
 
-// FileStoreOptions tunes how a FileStore writes new partitions. New
-// partitions are always v3 streams; reading negotiates the per-file
-// version, so a directory may mix v2 and v3 partitions.
+// FileStoreOptions tunes how a FileStore writes and reads partitions.
+// Every partition is a v3 stream; one in a format earlier versions
+// wrote fails to open with ErrBadVersion.
 type FileStoreOptions struct {
 	// BlockRecords is the records-per-block size (0 = default).
 	BlockRecords int
@@ -288,9 +288,15 @@ func parsePartitionName(name string) (Partition, bool) {
 	return Partition{Day: day, Shard: shard}, true
 }
 
-// AppendPartition starts a new partition file.
+// AppendPartition starts a new partition file. In a directory that
+// holds neither a MANIFEST nor a partition file it first writes an
+// empty MANIFEST (Gen 0), so readers of a fresh store see it empty, not
+// refused, while its first partition is being written.
 func (f *FileStore) AppendPartition(day, shard int) (RecordWriter, error) {
 	if err := checkPartitionKey(day, shard); err != nil {
+		return nil, err
+	}
+	if err := f.initManifest(); err != nil {
 		return nil, err
 	}
 	path := f.partitionPath(day, shard)
@@ -330,14 +336,8 @@ func (f *FileStore) manifestPath() string { return filepath.Join(f.dir, Manifest
 // file is gone fails when it is read (Scrub drops its entry). A
 // directory without a MANIFEST is an empty store (Gen 0) when it holds
 // no partition file, and fails with ErrNoManifest when it does: a
-// campaign written before the store kept a MANIFEST, or a directory
-// whose first partition is still being written.
-func (f *FileStore) Manifest() (*Manifest, error) { return f.committed(nil) }
-
-// committed is Manifest for a writer committing partition own (nil for
-// a reader): own's file does not count against a missing MANIFEST, so
-// the first partition of an empty directory can commit.
-func (f *FileStore) committed(own *Partition) (*Manifest, error) {
+// campaign written before the store kept a MANIFEST.
+func (f *FileStore) Manifest() (*Manifest, error) {
 	m, err := loadManifest(f.fs, f.manifestPath())
 	if err != nil || m != nil {
 		return m, err
@@ -346,12 +346,26 @@ func (f *FileStore) committed(own *Partition) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range parts {
-		if own == nil || p != *own {
-			return nil, fmt.Errorf("%w (%s)", ErrNoManifest, f.dir)
-		}
+	if len(parts) > 0 {
+		return nil, fmt.Errorf("%w (%s)", ErrNoManifest, f.dir)
 	}
 	return &Manifest{}, nil
+}
+
+// initManifest writes an empty MANIFEST into a directory that has
+// neither a MANIFEST nor a partition file. A directory with partition
+// files but no MANIFEST is left alone: its commits refuse it.
+func (f *FileStore) initManifest() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, err := f.fs.Stat(f.manifestPath()); !errors.Is(err, iofs.ErrNotExist) {
+		return err
+	}
+	parts, err := f.listPartitions()
+	if err != nil || len(parts) > 0 {
+		return err
+	}
+	return writeManifest(f.fs, f.manifestPath(), &Manifest{})
 }
 
 // notePartitionClosed folds one finished partition into the MANIFEST
@@ -360,8 +374,7 @@ func (f *FileStore) committed(own *Partition) (*Manifest, error) {
 func (f *FileStore) notePartitionClosed(info PartitionInfo) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	own := info.Partition()
-	m, err := f.committed(&own)
+	m, err := f.Manifest()
 	if err != nil {
 		return err
 	}
@@ -377,8 +390,7 @@ func (f *FileStore) notePartitionClosed(info PartitionInfo) error {
 // files. This is crash-debris removal (an append or seal that died
 // before its campaign descriptor committed the day; the days are
 // regenerated byte for byte), so it also works on a directory without
-// a MANIFEST, which is what a crash before the first commit leaves
-// behind. Analysis never removes data.
+// a MANIFEST. Analysis never removes data.
 func (f *FileStore) DiscardFrom(day int) ([]Partition, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

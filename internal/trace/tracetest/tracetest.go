@@ -4,7 +4,6 @@ package tracetest
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -14,14 +13,12 @@ import (
 	"telcolens/internal/trace"
 )
 
-// ReencodeV2 rewrites every partition of the file store in dir as a v2
-// stream with blockRecords records per block — the format campaigns
-// were written in before v3 became the only write format. The MANIFEST
-// entries and the fingerprints of the .tlix sidecars follow the new
-// bytes, so the directory scans, verifies and queries exactly as one a
-// v2 writer produced. blockRecords must be the store's block size for
-// the sidecars' block summaries to stay aligned.
-func ReencodeV2(dir string, blockRecords int) error {
+// Reblock rewrites every partition of the file store in dir with
+// blockRecords records per block: the same records, in other bytes.
+// Each MANIFEST entry takes the new size and fingerprint. The .tlix
+// sidecars summarise the old blocks, so they are removed and the
+// entries marked unindexed, as for a partition whose sidecar was lost.
+func Reblock(dir string, blockRecords int) error {
 	fs, err := trace.NewFileStore(dir)
 	if err != nil {
 		return err
@@ -32,7 +29,7 @@ func ReencodeV2(dir string, blockRecords int) error {
 	}
 	for i := range m.Partitions {
 		pi := &m.Partitions[i]
-		data, err := encodeV2(fs, pi.Day, pi.Shard, blockRecords)
+		data, err := encode(fs, pi.Day, pi.Shard, blockRecords)
 		if err != nil {
 			return err
 		}
@@ -44,12 +41,12 @@ func ReencodeV2(dir string, blockRecords int) error {
 		if err := os.WriteFile(path+".tlho", data, 0o644); err != nil {
 			return err
 		}
-		h := fnv.New64a()
-		h.Write(data)
-		pi.Bytes, pi.Fingerprint = int64(len(data)), h.Sum64()
-		if err := restampIndex(path+trace.IndexSuffix, pi.Fingerprint); err != nil {
+		if err := os.Remove(path + trace.IndexSuffix); err != nil && !os.IsNotExist(err) {
 			return err
 		}
+		h := fnv.New64a()
+		h.Write(data)
+		pi.Bytes, pi.Fingerprint, pi.IndexVersion = int64(len(data)), h.Sum64(), 0
 	}
 	data, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
@@ -58,15 +55,16 @@ func ReencodeV2(dir string, blockRecords int) error {
 	return os.WriteFile(filepath.Join(dir, trace.ManifestName), data, 0o644)
 }
 
-// encodeV2 reads one partition and returns it as a v2 stream.
-func encodeV2(fs *trace.FileStore, day, shard, blockRecords int) ([]byte, error) {
+// encode reads one partition and returns it as a stream with
+// blockRecords records per block.
+func encode(fs *trace.FileStore, day, shard, blockRecords int) ([]byte, error) {
 	it, err := fs.OpenPartition(day, shard)
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
 	var buf bytes.Buffer
-	w, err := trace.NewWriterV2(&buf, trace.WriterV2Options{BlockRecords: blockRecords})
+	w, err := trace.NewWriterV3(&buf, trace.WriterV3Options{BlockRecords: blockRecords})
 	if err != nil {
 		return nil, err
 	}
@@ -88,22 +86,4 @@ func encodeV2(fs *trace.FileStore, day, shard, blockRecords int) ([]byte, error)
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// restampIndex points a .tlix sidecar (if present) at a new stream
-// fingerprint: bytes 8..16 of its header, then the trailing FNV-1a
-// checksum over everything before it.
-func restampIndex(path string, fingerprint uint64) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(data[8:16], fingerprint)
-	h := fnv.New64a()
-	h.Write(data[:len(data)-8])
-	binary.LittleEndian.PutUint64(data[len(data)-8:], h.Sum64())
-	return os.WriteFile(path, data, 0o644)
 }

@@ -228,7 +228,8 @@ func TestScrubKeepsUnreadableFormat(t *testing.T) {
 		format         string
 	}{
 		{"v1", 1, 0, "v1 fixed-width records"},
-		{"v2flate", VersionV2, 1, "v2 with flate-compressed blocks"},
+		{"v2", 2, 0, "v2 varint-coded blocks"},
+		{"v2flate", 2, 1, "v2 with flate-compressed blocks"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -262,8 +263,9 @@ func TestScrubKeepsUnreadableFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Verify(context.Background(), s); !errors.Is(err, ErrBadVersion) {
-				t.Fatalf("verify: err = %v, want ErrBadVersion", err)
+			if _, err := Verify(context.Background(), s); !errors.Is(err, ErrBadVersion) ||
+				!strings.Contains(err.Error(), c.format) || !strings.Contains(err.Error(), "telcogen") {
+				t.Fatalf("verify: err = %v, want ErrBadVersion naming %q and telcogen", err, c.format)
 			}
 			_, err = Scrub(context.Background(), s)
 			if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "day 1 shard 0") ||

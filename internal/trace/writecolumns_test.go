@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,91 +14,106 @@ import (
 	"telcolens/internal/devices"
 )
 
-// The write-path compatibility contract: every way of feeding a block
+// The write-path compatibility contract: every way of feeding the block
 // writer — one row per WriteColumns call, one whole batch, or ragged
-// chunks — must produce the same stream, and for v2 one byte-identical
-// to the record-at-a-time reference encoder below. Manifest
-// fingerprints, append determinism and the codec determinism matrix all
-// stand on this.
+// chunks — must produce one stream, byte-identical to the
+// record-at-a-time reference encoder below. Manifest fingerprints,
+// append determinism and the determinism matrix all stand on this.
 
-// putZigzag appends the zigzag varint encoding of v.
-func putZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
+// appendPackedRef appends vals bitpacked at width w one bit at a time,
+// LSB-first into little-endian 64-bit words: the obviously correct
+// reference for appendPacked.
+func appendPackedRef(dst []byte, vals []uint64, w int) []byte {
+	buf := make([]byte, (len(vals)*w+63)/64*8)
+	bit := 0
+	for _, v := range vals {
+		for k := 0; k < w; k++ {
+			if v>>k&1 != 0 {
+				buf[bit/8] |= 1 << (bit % 8)
+			}
+			bit++
+		}
+	}
+	return append(dst, buf...)
 }
 
-// appendBlockPayload is the reference record-at-a-time v2 block encoder:
+// appendSectionRef appends one bitpacked section of vals: the width
+// byte, with ref the column minimum as a LE u32 reference, then the
+// packed offsets from it (from zero without ref).
+func appendSectionRef(dst []byte, vals []uint64, ref bool) []byte {
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if !ref {
+		lo = 0
+	}
+	w := bits.Len64(hi - lo)
+	dst = append(dst, byte(w))
+	if ref {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(lo))
+	}
+	deltas := make([]uint64, len(vals))
+	for i, v := range vals {
+		deltas[i] = v - lo
+	}
+	return appendPackedRef(dst, deltas, w)
+}
+
+// appendBlockPayload is the reference record-at-a-time block encoder:
 // it encodes recs column-at-a-time onto dst with strided struct access
 // and a map-backed TAC dictionary, returning the extended slice and the
-// column extents. minTS is the block's timestamp floor (the first delta
-// base).
-func appendBlockPayload(dst []byte, recs []Record, minTS int64, tacDict *[]uint32, tacIdx map[devices.TAC]int) ([]byte, blockSections) {
+// column extents. minTS is the block's timestamp floor, the reference
+// of the timestamp section.
+func appendBlockPayload(dst []byte, recs []Record, minTS int64) ([]byte, blockSections) {
 	var secs blockSections
-	// Timestamps: zigzag deltas.
-	prev := minTS
+	column := func(field func(r *Record) uint64) []uint64 {
+		vals := make([]uint64, len(recs))
+		for i := range recs {
+			vals[i] = field(&recs[i])
+		}
+		return vals
+	}
 	mark := len(dst)
-	for i := range recs {
-		dst = putZigzag(dst, recs[i].Timestamp-prev)
-		prev = recs[i].Timestamp
-	}
+	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.Timestamp - minTS) }), false)
 	secs.tsLen = uint32(len(dst) - mark)
-	// UEs.
 	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(recs[i].UE))
-	}
+	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.UE) }), true)
 	secs.ueLen = uint32(len(dst) - mark)
 	// TAC dictionary, frequency-ordered, ties broken by first appearance.
-	*tacDict = (*tacDict)[:0]
-	clear(tacIdx)
+	var dict []devices.TAC
+	first := make(map[devices.TAC]int)
+	counts := make(map[devices.TAC]int)
 	for i := range recs {
-		if _, ok := tacIdx[recs[i].TAC]; !ok {
-			tacIdx[recs[i].TAC] = len(*tacDict)
-			*tacDict = append(*tacDict, uint32(recs[i].TAC))
+		if _, ok := first[recs[i].TAC]; !ok {
+			first[recs[i].TAC] = len(dict)
+			dict = append(dict, recs[i].TAC)
 		}
+		counts[recs[i].TAC]++
 	}
-	counts := make([]int, len(*tacDict))
-	for i := range recs {
-		counts[tacIdx[recs[i].TAC]]++
-	}
-	order := make([]int, len(*tacDict))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if counts[order[a]] != counts[order[b]] {
-			return counts[order[a]] > counts[order[b]]
+	sort.Slice(dict, func(a, b int) bool {
+		if counts[dict[a]] != counts[dict[b]] {
+			return counts[dict[a]] > counts[dict[b]]
 		}
-		return order[a] < order[b]
+		return first[dict[a]] < first[dict[b]]
 	})
-	rank := counts // reuse: counts are no longer needed
-	for r, old := range order {
-		rank[old] = r
+	rank := make(map[devices.TAC]int)
+	for r, tac := range dict {
+		rank[tac] = r
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(tac))
 	}
-	secs.dictEntries = uint32(len(*tacDict))
-	for _, old := range order {
-		dst = binary.LittleEndian.AppendUint32(dst, (*tacDict)[old])
-	}
+	secs.dictEntries = uint32(len(dict))
 	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(rank[tacIdx[recs[i].TAC]]))
-	}
+	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(rank[r.TAC]) }), false)
 	secs.idxLen = uint32(len(dst) - mark)
-	// Sectors.
 	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(recs[i].Source))
-	}
+	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.Source) }), true)
 	secs.srcLen = uint32(len(dst) - mark)
 	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(recs[i].Target))
-	}
+	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.Target) }), true)
 	secs.dstLen = uint32(len(dst) - mark)
-	// Causes.
 	mark = len(dst)
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(recs[i].Cause))
-	}
+	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.Cause) }), false)
 	secs.causeLen = uint32(len(dst) - mark)
 	// Fixed-width tail: RAT pairs, results, then raw f32 durations.
 	for i := range recs {
@@ -112,18 +128,16 @@ func appendBlockPayload(dst []byte, recs []Record, minTS int64, tacDict *[]uint3
 	return dst, secs
 }
 
-// encodeRecordOracle encodes recs as a v2 stream through the reference
-// encoder: records are quantized and cut into blocks of opts'
-// BlockRecords, and each block is framed by the writer's own emitBlock.
-func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV2Options) []byte {
+// encodeRecordOracle encodes recs through the reference encoder:
+// records are quantized and cut into blocks of opts' BlockRecords, and
+// each block is framed by the writer's own emitBlock.
+func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV3Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterV2(&buf, opts)
+	w, err := NewWriterV3(&buf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tacDict []uint32
-	tacIdx := make(map[devices.TAC]int)
 	for off := 0; off < len(recs); off += w.perBlock {
 		block := append([]Record(nil), recs[off:min(off+w.perBlock, len(recs))]...)
 		minTS, maxTS := block[0].Timestamp, block[0].Timestamp
@@ -132,7 +146,7 @@ func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV2Options) []byt
 			minTS, maxTS = min(minTS, block[i].Timestamp), max(maxTS, block[i].Timestamp)
 		}
 		var secs blockSections
-		w.enc.payload, secs = appendBlockPayload(w.enc.payload[:0], block, minTS, &tacDict, tacIdx)
+		w.enc.payload, secs = appendBlockPayload(w.enc.payload[:0], block, minTS)
 		if err := w.emitBlock(len(block), minTS, maxTS, secs); err != nil {
 			t.Fatal(err)
 		}
@@ -144,13 +158,13 @@ func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV2Options) []byt
 	return buf.Bytes()
 }
 
-// encodeVia feeds recs to the version's block writer in chunks of the
-// route's size and returns the stream.
-func encodeVia(t *testing.T, recs []Record, version uint16, blockRecords int, route string) []byte {
+// encodeVia feeds recs to the block writer in chunks of the route's
+// size and returns the stream.
+func encodeVia(t *testing.T, recs []Record, blockRecords int, route string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := &WriterV2{}
-	if err := initBlockWriter(w, &buf, version, blockRecords); err != nil {
+	w, err := NewWriterV3(&buf, WriterV3Options{BlockRecords: blockRecords})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var sizes []int
@@ -197,16 +211,11 @@ func TestWriteColumnsByteIdentical(t *testing.T) {
 			// The compress=false segment dates from when the writer had a
 			// compression option; it keeps subtest names stable.
 			t.Run(fmt.Sprintf("n=%d/compress=false/block=%d", n, blockRecs), func(t *testing.T) {
-				oracle := encodeRecordOracle(t, recs, WriterV2Options{BlockRecords: blockRecs})
-				v3 := encodeVia(t, recs, VersionV3, blockRecs, "columns")
+				oracle := encodeRecordOracle(t, recs, WriterV3Options{BlockRecords: blockRecs})
 				for _, route := range []string{"rows", "columns", "columns-ragged"} {
-					if got := encodeVia(t, recs, VersionV2, blockRecs, route); !bytes.Equal(got, oracle) {
-						t.Fatalf("v2 route %s: stream differs from the reference record encoder (%d vs %d bytes)",
+					if got := encodeVia(t, recs, blockRecs, route); !bytes.Equal(got, oracle) {
+						t.Fatalf("route %s: stream differs from the reference record encoder (%d vs %d bytes)",
 							route, len(got), len(oracle))
-					}
-					if got := encodeVia(t, recs, VersionV3, blockRecs, route); !bytes.Equal(got, v3) {
-						t.Fatalf("v3 route %s: stream differs from the whole-batch stream (%d vs %d bytes)",
-							route, len(got), len(v3))
 					}
 				}
 			})
@@ -227,8 +236,8 @@ func TestWriteColumnsRoundTrip(t *testing.T) {
 	var in ColumnBatch
 	in.FromRecords(recs)
 	for codec, data := range map[string][]byte{
-		"v2": encodeV2(t, recs, WriterV2Options{BlockRecords: 128}),
-		"v3": encodeV3(t, recs, WriterV3Options{BlockRecords: 128}),
+		"block128":  encodeV3(t, recs, WriterV3Options{BlockRecords: 128}),
+		"block4096": encodeV3(t, recs, WriterV3Options{}),
 	} {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {

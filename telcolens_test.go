@@ -237,7 +237,7 @@ func TestUncommittedPartitionIsInvisible(t *testing.T) {
 	// A three-day world over the two committed days, so day 2 lies inside
 	// the analyzer's window.
 	view := *full
-	view.Store = store
+	view.Config.Store = store
 	render := func() string {
 		t.Helper()
 		a, err := NewAnalyzer(&view)
