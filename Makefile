@@ -25,7 +25,9 @@
 #                     offering 5×capacity entries to a reset sampler,
 #                     allocate nothing (internal/analysis:
 #                     TestSealSteadyStateAllocs,
-#                     TestSamplerOfferSteadyStateAllocs)
+#                     TestSamplerOfferSteadyStateAllocs), and that a warm
+#                     point-query miss allocates far less than one decoded
+#                     batch (internal/query: TestQuerySteadyStateAllocs)
 #   make bench-unit   vet and unit-test the telcobench module under
 #                     bench/ (its own go.mod, so `go test ./...` from
 #                     the root does not reach it); -short skips its
@@ -89,7 +91,9 @@
 #                             "campaign"); may start empty with -ingest
 #               -addr ADDR    HTTP listen address (default :8480)
 #               -poll DUR     MANIFEST poll interval (default 2s)
-#               -parallel N   scan parallelism (0 = GOMAXPROCS)
+#               -parallel N   analysis scan and artifact render
+#                             parallelism (0 = GOMAXPROCS); /query
+#                             scans always use GOMAXPROCS
 #               -ingest       mount the streaming /ingest/* endpoints
 #               -wal-sync     fsync the ingest WAL on every batch
 #               -scrub        audit and quarantine before serving
@@ -164,7 +168,7 @@ bench-e2e:
 # The tests are built out under -race (the detector skews allocation
 # counts), so this is a separate non-race invocation.
 alloc-check:
-	$(GO) test -run 'SteadyStateAllocs|SteadyStateBlockAllocs' -count 1 ./internal/trace/ ./internal/mobility/ ./internal/analysis/
+	$(GO) test -run 'SteadyStateAllocs|SteadyStateBlockAllocs' -count 1 ./internal/trace/ ./internal/mobility/ ./internal/analysis/ ./internal/query/
 
 # The library examples, end to end: each must exit zero. Their output
 # is not checked; the tests pin what they print.

@@ -69,7 +69,7 @@ func main() {
 		data     = flag.String("data", "campaign", "campaign directory (from telcogen)")
 		addr     = flag.String("addr", ":8480", "HTTP listen address")
 		poll     = flag.Duration("poll", 2*time.Second, "store manifest poll interval")
-		parallel = flag.Int("parallel", 0, "scan parallelism (0 = GOMAXPROCS)")
+		parallel = flag.Int("parallel", 0, "analysis scan and artifact render parallelism (0 = GOMAXPROCS); /query scans always use GOMAXPROCS")
 		ingestOn = flag.Bool("ingest", false, "mount the streaming ingest endpoints (/ingest/*) on this address")
 		walSync  = flag.Bool("wal-sync", false, "fsync the ingest WAL on every batch (machine-crash durability)")
 		scrub    = flag.Bool("scrub", false, "audit the store at startup and quarantine corrupt partitions before serving")

@@ -15,6 +15,10 @@
 //     UE/TAC blooms turn into a block allow-list pushed down to the
 //     stream reader (SetBlockFilter), so excluded blocks are never decoded.
 //
+// The surviving partitions are then decoded in parallel by trace.Scan's
+// workers and their matches merged in canonical order, so a result is
+// the same whatever the schedule.
+//
 // Every stage is conservative: a missing, stale or corrupt index only
 // widens the set of blocks decoded, never narrows the result. Exact
 // predicates re-check every decoded row, so indexed and index-absent
@@ -35,6 +39,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -186,6 +191,18 @@ func rowFrom(rec *trace.Record) Row {
 // block allow-list, or a whole-partition index prune; BlocksDecoded
 // counts blocks whose payload was read. The two are the query layer's
 // efficiency contract: a point query should prune nearly everything.
+//
+// PartitionsScanned counts the partitions opened and PartitionsPruned
+// the rest, so the two always add up to PartitionsConsidered. The block,
+// byte and row counters sum what the opened partitions read. A query
+// that reads every surviving partition to its end — every query that
+// does not truncate, and every aggregate query — counts the same on
+// every run. A truncated non-aggregate query stops its scan once the
+// merge passes the limit; it counts, besides every partition up to the
+// one that hit the limit, whatever the workers had already read of
+// later partitions, in full or in part, and those it never opened as
+// pruned. Its counters then depend on the schedule, between the serial
+// read that stops at the limit and the full read of every survivor.
 type Metrics struct {
 	PartitionsConsidered int64 `json:"partitions_considered"`
 	PartitionsPruned     int64 `json:"partitions_pruned"`
@@ -509,7 +526,9 @@ type IndexSource interface {
 
 // Engine executes queries over one store, with index pruning when the
 // store maintains .tlix sidecars and an LRU result cache keyed on
-// (normalized query, view generation).
+// (normalized query, view generation). A query prunes on its calling
+// goroutine and decodes the surviving partitions on trace.Scan's
+// workers, up to GOMAXPROCS of them per query.
 type Engine struct {
 	store trace.Store
 	idx   IndexSource
@@ -565,37 +584,35 @@ func (e *Engine) Cached(v *View, p Params) *Result {
 	return e.cache.get(strconv.FormatUint(v.Gen, 10) + "|" + p.CacheKey())
 }
 
-// exec runs the pruning pipeline and the scan.
+// exec prunes the view's partitions through stages 1a–3, serially and
+// without opening any, then scans the survivors through trace.Scan and
+// folds their matches in canonical order. A non-aggregate query stops
+// the scan at its first match past the limit (Metrics says what it then
+// counts). As in any Scan the first failing read fails the query, so a
+// truncated query can fail on a partition past its limit that a worker
+// opened before the limit was hit.
 func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 	res := &Result{Gen: v.Gen, Rows: []Row{}}
 	m := &res.Metrics
+	m.PartitionsConsidered = int64(len(v.Partitions))
 
 	from, to := p.From, p.To
+	if from == 0 {
+		from = math.MinInt64
+	}
 	if to == 0 {
 		to = math.MaxInt64
 	}
-	window := p.From != 0 || p.To != 0
 
-	var tracker *analysis.UESliceTracker
-	var agg analysis.UESliceAggregate
-	if p.Aggregate {
-		tracker = analysis.NewUESliceTracker()
-	}
-
-	var rec trace.Record
-	var cb trace.ColumnBatch
+	// The survivors in canonical order, each with its stage 3 block
+	// allow-list (nil: decode every block).
+	var parts []trace.Partition
+	var allows [][]bool
 	for i := range v.Partitions {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		pi := &v.Partitions[i]
-		m.PartitionsConsidered++
-		if res.Truncated && !p.Aggregate {
-			// The row cap is hit and nothing else is being computed;
-			// later partitions cannot change the answer.
-			m.PartitionsPruned++
-			continue
-		}
 		// Stage 1a: zone-map prune on the manifest's time extents.
 		if pi.Records > 0 && (pi.MaxTS < from || pi.MinTS > to) {
 			m.PartitionsPruned++
@@ -647,63 +664,47 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 				}
 			}
 		}
-
-		it, err := e.store.OpenPartition(pi.Day, pi.Shard)
-		if err != nil {
-			return nil, err
-		}
-		m.PartitionsScanned++
-		if window {
-			it.SetTimeRange(from, to)
-		}
-		if allow != nil {
-			keep := allow
-			it.SetBlockFilter(func(b int) bool {
-				// Ordinals beyond the summary list mean the index is
-				// out of step with the stream; decode rather than drop.
-				return b >= len(keep) || keep[b]
-			})
-		}
-
-		for {
-			if err := ctx.Err(); err != nil {
-				it.Close()
-				return nil, err
-			}
-			n, err := it.NextColumns(&cb)
-			if err != nil {
-				it.Close()
-				return nil, fmt.Errorf("query: day %d shard %d: %w", pi.Day, pi.Shard, err)
-			}
-			if n == 0 {
-				break
-			}
-			m.RowsScanned += int64(n)
-			for j := 0; j < n; j++ {
-				if !p.matches(cb.Timestamps[j], cb.UEs[j], uint32(cb.TACs[j]), uint32(cb.Sources[j]), uint32(cb.Targets[j])) {
-					continue
-				}
-				if tracker != nil {
-					tracker.ObserveRow(&cb, j)
-				}
-				if len(res.Rows) < p.Limit {
-					cb.Record(j, &rec)
-					res.Rows = append(res.Rows, rowFrom(&rec))
-				} else {
-					res.Truncated = true
-				}
-			}
-		}
-		bs := it.ReadStats()
-		m.BlocksDecoded += bs.BlocksRead
-		m.BlocksPruned += bs.BlocksSkipped + bs.BlocksFiltered
-		m.BytesRead += bs.BytesRead
-		if err := it.Close(); err != nil {
-			return nil, err
-		}
+		parts = append(parts, trace.Partition{Day: pi.Day, Shard: pi.Shard})
+		allows = append(allows, allow)
 	}
-	if tracker != nil {
-		agg = tracker.Aggregate()
+
+	c := &collector{p: &p, res: res}
+	if p.Aggregate {
+		c.tracker = analysis.NewUESliceTracker()
+	} else {
+		c.rowCap = p.Limit + 1
+	}
+	if len(parts) > 0 { // a nil ScanOptions.Partitions scans the whole store
+		var sm trace.ScanMetrics
+		opts := trace.ScanOptions{
+			Partitions: parts,
+			Metrics:    &sm,
+			BlockFilter: func(pt trace.Partition) func(int) bool {
+				i := sort.Search(len(parts), func(i int) bool { return !parts[i].Less(pt) })
+				if i == len(parts) || parts[i] != pt || allows[i] == nil {
+					return nil // no allow-list: decode every block
+				}
+				keep := allows[i]
+				// Ordinals beyond the summary list mean the index is out
+				// of step with the stream; decode rather than drop.
+				return func(b int) bool { return b >= len(keep) || keep[b] }
+			},
+		}
+		if p.From != 0 || p.To != 0 {
+			opts.Range = &trace.TimeRange{MinTS: from, MaxTS: to}
+		}
+		if err := trace.Scan(ctx, e.store, opts, c); err != nil && !errors.Is(err, errRowCap) {
+			return nil, err
+		}
+		m.PartitionsScanned = sm.Partitions.Load()
+		m.PartitionsPruned += int64(len(parts)) - m.PartitionsScanned
+		m.BlocksDecoded = sm.BlocksRead.Load()
+		m.BlocksPruned += sm.BlocksSkipped.Load() + sm.BlocksFiltered.Load()
+		m.BytesRead = sm.BytesRead.Load()
+		m.RowsScanned = sm.Records.Load()
+	}
+	if c.tracker != nil {
+		agg := c.tracker.Aggregate()
 		if p.UE == nil {
 			// Ping-pong bounces are only defined per subscriber; a mixed
 			// slice would interleave automata.
@@ -712,6 +713,71 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 		res.Aggregate = &agg
 	}
 	return res, nil
+}
+
+// errRowCap is what the query collector's merge returns once a
+// non-aggregate query has more matches than its limit: it stops the
+// scan, and exec maps it to success.
+var errRowCap = errors.New("query: row cap reached")
+
+// collector is one query's trace.Collector. Each partition's state
+// keeps the rows that pass the exact predicate; the merge, in canonical
+// order, feeds them to the aggregate tracker and appends them to the
+// result up to the limit.
+type collector struct {
+	p       *Params
+	res     *Result
+	tracker *analysis.UESliceTracker
+	// rowCap bounds the matches one partition keeps (0: keep all, for
+	// the aggregate). Limit+1 keeps Truncated exact: one match past the
+	// limit is enough to know there is more.
+	rowCap int
+}
+
+// partMatches is one partition's state: its matching rows in storage
+// order.
+type partMatches struct {
+	c    *collector
+	rows trace.ColumnBatch
+	perm []int32
+}
+
+func (c *collector) NewShardState(day, shard int) trace.ShardState {
+	return &partMatches{c: c}
+}
+
+func (s *partMatches) ObserveColumns(day int, cb *trace.ColumnBatch) error {
+	s.perm = s.perm[:0]
+	for j := range cb.Timestamps {
+		if s.c.rowCap > 0 && s.rows.Len()+len(s.perm) >= s.c.rowCap {
+			break
+		}
+		if s.c.p.matches(cb.Timestamps[j], cb.UEs[j], uint32(cb.TACs[j]), uint32(cb.Sources[j]), uint32(cb.Targets[j])) {
+			s.perm = append(s.perm, int32(j))
+		}
+	}
+	s.rows.AppendGather(cb, s.perm)
+	return nil
+}
+
+func (c *collector) MergeShard(st trace.ShardState) error {
+	s := st.(*partMatches)
+	var rec trace.Record
+	for j := 0; j < s.rows.Len(); j++ {
+		if c.tracker != nil {
+			c.tracker.ObserveRow(&s.rows, j)
+		}
+		if len(c.res.Rows) < c.p.Limit {
+			s.rows.Record(j, &rec)
+			c.res.Rows = append(c.res.Rows, rowFrom(&rec))
+			continue
+		}
+		c.res.Truncated = true
+		if c.tracker == nil {
+			return errRowCap
+		}
+	}
+	return nil
 }
 
 // ParseTime parses a query time bound: Unix milliseconds, RFC 3339, or

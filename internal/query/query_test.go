@@ -172,17 +172,7 @@ func TestQueryMatchesScan(t *testing.T) {
 			dir := t.TempDir()
 			fs := c.write(t, dir, sc.opts)
 			if sc.noIndex {
-				// How an unindexed partition arises in a real store: its
-				// sidecar is lost after the MANIFEST advertised it.
-				sidecars, err := filepath.Glob(filepath.Join(dir, "*"+trace.IndexSuffix))
-				if err != nil || len(sidecars) == 0 {
-					t.Fatalf("no sidecars under %s: %v", dir, err)
-				}
-				for _, p := range sidecars {
-					if err := os.Remove(p); err != nil {
-						t.Fatal(err)
-					}
-				}
+				removeSidecars(t, dir)
 			}
 			if sc.version != 0 {
 				stampHeaders(t, dir, sc.version, sc.flags)
@@ -278,6 +268,22 @@ func queryShapes(c *corpus) []queryShape {
 		{"point-window", Params{UE: ueID(uint32(pin.UE)), From: pin.Timestamp, To: pin.Timestamp}},
 		{"empty-window", Params{From: trace.DayStart(100).UnixMilli(), To: trace.DayStart(101).UnixMilli()}},
 		{"absent-ue", Params{UE: ueID(999_999)}},
+	}
+}
+
+// removeSidecars deletes every .tlix sidecar under dir: how an
+// unindexed partition arises in a real store, its sidecar lost after
+// the MANIFEST advertised it.
+func removeSidecars(t *testing.T, dir string) {
+	t.Helper()
+	sidecars, err := filepath.Glob(filepath.Join(dir, "*"+trace.IndexSuffix))
+	if err != nil || len(sidecars) == 0 {
+		t.Fatalf("no sidecars under %s: %v", dir, err)
+	}
+	for _, p := range sidecars {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

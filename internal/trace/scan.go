@@ -63,16 +63,19 @@ func DayRange(fromDay, toDay int) TimeRange {
 
 // ScanMetrics accumulates observability counters across a scan's
 // workers. All fields are updated atomically; read them after Scan
-// returns.
+// returns. A partition counts what it read even when a failure, a
+// cancel or a MergeShard error stopped it part way.
 type ScanMetrics struct {
 	// Partitions is the number of partitions opened.
 	Partitions atomic.Int64
 	// Records is the number of records observed (post range filtering).
 	Records atomic.Int64
-	// BlocksRead / BlocksSkipped count stream blocks decoded vs pruned
-	// by the time range without decoding.
-	BlocksRead    atomic.Int64
-	BlocksSkipped atomic.Int64
+	// BlocksRead / BlocksSkipped / BlocksFiltered count stream blocks
+	// decoded, pruned by the time range, and vetoed by a BlockFilter
+	// without decoding.
+	BlocksRead     atomic.Int64
+	BlocksSkipped  atomic.Int64
+	BlocksFiltered atomic.Int64
 	// BytesRead is the number of stored trace bytes consumed by decoded
 	// data (see BlockStats.BytesRead).
 	BytesRead atomic.Int64
@@ -102,9 +105,16 @@ type ScanOptions struct {
 	Metrics *ScanMetrics
 	// Partitions, if non-nil, restricts the scan to exactly these
 	// partitions instead of everything the store lists. Incremental
-	// consumers use it to scan only the delta a manifest diff reported;
-	// order is normalized to canonical (day, shard) either way.
+	// consumers use it to scan only the delta a manifest diff reported,
+	// and the query engine the partitions its pruning kept; order is
+	// normalized to canonical (day, shard) either way.
 	Partitions []Partition
+	// BlockFilter, if set, is called once per partition on the worker
+	// that opens it; a non-nil result becomes that iterator's block
+	// filter (RecordIterator.SetBlockFilter). Like Projection it is a
+	// hint: it may veto only blocks no collector needs a record of. The
+	// query engine passes each partition's index allow-list through it.
+	BlockFilter func(p Partition) func(block int) bool
 }
 
 // columnBatchPool shares scan buffers across partitions and scans: the
@@ -189,9 +199,21 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 		if err != nil {
 			return err
 		}
+		// A read-only partition's close error is dropped: every byte was
+		// read and, with VerifyReads, checked at end of stream before
+		// Close, so a failed close(2) loses nothing.
 		defer it.Close()
+		var nRecs int64
 		if opts.Metrics != nil {
 			opts.Metrics.Partitions.Add(1)
+			defer func() {
+				opts.Metrics.Records.Add(nRecs)
+				bs := it.ReadStats()
+				opts.Metrics.BlocksRead.Add(bs.BlocksRead)
+				opts.Metrics.BlocksSkipped.Add(bs.BlocksSkipped)
+				opts.Metrics.BlocksFiltered.Add(bs.BlocksFiltered)
+				opts.Metrics.BytesRead.Add(bs.BytesRead)
+			}()
 		}
 		if opts.Range != nil {
 			it.SetTimeRange(opts.Range.MinTS, opts.Range.MaxTS)
@@ -199,10 +221,14 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 		if opts.Projection != 0 && opts.Projection&AllColumns != AllColumns {
 			it.SetProjection(opts.Projection)
 		}
+		if opts.BlockFilter != nil {
+			if keep := opts.BlockFilter(p); keep != nil {
+				it.SetBlockFilter(keep)
+			}
+		}
 		// One SoA batch per decoded block, handed to every collector.
 		cb := columnBatchPool.Get().(*ColumnBatch)
 		defer columnBatchPool.Put(cb)
-		var nRecs int64
 		for {
 			if err := scanCtx.Err(); err != nil {
 				return err
@@ -227,13 +253,6 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 					return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
 				}
 			}
-		}
-		if opts.Metrics != nil {
-			opts.Metrics.Records.Add(nRecs)
-			bs := it.ReadStats()
-			opts.Metrics.BlocksRead.Add(bs.BlocksRead)
-			opts.Metrics.BlocksSkipped.Add(bs.BlocksSkipped)
-			opts.Metrics.BytesRead.Add(bs.BytesRead)
 		}
 		pendMu.Lock()
 		pending[i] = &partStates{states: states}
