@@ -19,13 +19,11 @@
 #                     window (internal/trace allocation tests, among them
 #                     TestOpenPartitionSteadyStateAllocs), that a
 #                     UE-day of mobility planning through a warm worker
-#                     Scratch allocates nothing (internal/mobility), and
-#                     that a duration sampler's cold seal and encode's
-#                     canonical radix sort through a warm scratch, and
-#                     offering 5×capacity entries to a reset sampler,
-#                     allocate nothing (internal/analysis:
-#                     TestSealSteadyStateAllocs,
-#                     TestSamplerOfferSteadyStateAllocs), and that a warm
+#                     Scratch allocates nothing (internal/mobility), that
+#                     a warm durations shard's ObserveColumns and its
+#                     MergeShard into the count histograms allocate
+#                     nothing (internal/analysis:
+#                     TestDurationsSteadyStateAllocs), and that a warm
 #                     point-query miss allocates far less than one decoded
 #                     batch (internal/query: TestQuerySteadyStateAllocs)
 #   make bench-unit   vet and unit-test the telcobench module under
@@ -162,9 +160,8 @@ bench-e2e:
 # encoding a block from a ColumnBatch, and the pooled scan loop must not
 # allocate per block, nor a warm partition open a read window, nor a day's
 # canonical sort and shard bucketing through a warm DayScratch; planning a
-# UE-day through a warm mobility.Scratch, and sealing a duration sampler
-# and radix-sorting it for encode through a warm scratch, must not
-# allocate at all.
+# UE-day through a warm mobility.Scratch, and a warm durations shard's
+# observe and merge into the count histograms, must not allocate at all.
 # The tests are built out under -race (the detector skews allocation
 # counts), so this is a separate non-race invocation.
 alloc-check:

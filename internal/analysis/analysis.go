@@ -312,9 +312,10 @@ type scanState struct {
 	perDayTypeFails [][ho.NumTypes]int64
 	vendorByType    [ho.NumTypes][4]int64 // Fig 17 bottom
 
-	// NeedDurations (deterministically bottom-k sampled).
-	durSuccess [ho.NumTypes]*sampleView
-	durCause   [nCauseIdx]*sampleView
+	// NeedDurations: exact signaling-time distributions per HO type
+	// (successes) and per cause index (failures).
+	durSuccess [ho.NumTypes]*durDist
+	durCause   [nCauseIdx]*durDist
 
 	// NeedCauses: HOF causes per HO type, totals and per day, plus the
 	// Fig 15 breakdowns.
@@ -362,7 +363,7 @@ func collectorFor(need Need, env *scanEnv) collector {
 	case NeedTypes:
 		return newTypesCollector(env)
 	case NeedDurations:
-		return newDurationsCollector(env)
+		return new(durationsCollector)
 	case NeedCauses:
 		return newCausesCollector(env)
 	case NeedTemporal:

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"telcolens/internal/simulate"
+	"telcolens/internal/trace"
 )
 
 // pinnedAnalyzer renders the whole report of the pinned campaign.
@@ -40,11 +42,11 @@ func sha256Hex(b []byte) string {
 }
 
 // Checkpoint bytes are a function of the campaign alone. The digest pins
-// the version 3 layout, in which each UE's ping-pong state is one
-// automaton for every window, over the pinned campaign as stored on
-// disk (quantized durations, stream fingerprints).
+// the version 4 layout, in which each duration class is its (code,
+// count) pairs, over the pinned campaign as stored on disk (quantized
+// durations, stream fingerprints).
 func TestCheckpointBytesPinned(t *testing.T) {
-	const want = "7c8498151623376b1a208846a43990d27ff4edf5fb1ecfb845da74549e6853f1"
+	const want = "da649ad8abe14f6470656be1e664f2cc78bb4e826e2150c8a3e91d6b78a44d30"
 	var buf bytes.Buffer
 	if err := pinnedAnalyzer(t).Checkpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -54,15 +56,73 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
+// legacyDurations appends the durations state of snapshot versions 1 to
+// 3: per class, a bottom-k sample of (priority, value) pairs, the
+// priority a salted hash of the record's timestamp and UE, in (priority,
+// value) order. Every class of the pinned campaign is below its sample
+// capacity, so the sample is every value of the class.
+func legacyDurations(t *testing.T, a *Analyzer, e *enc) {
+	t.Helper()
+	type entry struct {
+		p uint64
+		v float64
+	}
+	var succ [nTypes][]entry
+	var cause [nCauseIdx][]entry
+	for _, p := range partitionsOf(a.covered) {
+		cb := partitionBatch(t, a.DS.Config.Store, p)
+		for i := 0; i < cb.Len(); i++ {
+			key := mix64(uint64(cb.Timestamps[i])) ^ uint64(cb.UEs[i])*0x9e3779b97f4a7c15
+			v := float64(cb.Durations[i])
+			if cb.Results[i] == trace.Failure {
+				ci := causeIdx(cb.Causes[i])
+				cause[ci] = append(cause[ci], entry{mix64(key ^ mix64(uint64(2000+ci))), v})
+			} else {
+				ht := hoTypeByRAT[cb.RATs[i]&0x0f]
+				succ[ht] = append(succ[ht], entry{mix64(key ^ mix64(uint64(1000+int(ht)))), v})
+			}
+		}
+	}
+	class := func(capacity int, salt uint64, es []entry) {
+		if len(es) > capacity {
+			t.Fatalf("the pinned campaign holds %d values of a class sampled at %d", len(es), capacity)
+		}
+		slices.SortFunc(es, func(x, y entry) int {
+			if c := cmp.Compare(x.p, y.p); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.v, y.v)
+		})
+		e.u32(uint32(capacity))
+		e.u64(mix64(salt))
+		e.i64(int64(len(es)))
+		e.u32(uint32(len(es)))
+		for _, x := range es {
+			e.u64(x.p)
+		}
+		e.u32(uint32(len(es)))
+		for _, x := range es {
+			e.f64(x.v)
+		}
+	}
+	for i, es := range succ {
+		class(200_000, uint64(1000+i), es)
+	}
+	for i, es := range cause {
+		class(50_000, uint64(2000+i), es)
+	}
+}
+
 // legacyCheckpoint writes the state of an analyzer over the whole study
-// in the layout of snapshot version 1 or 2. Both tag every state with
-// their version, keep the scans' stored-bytes count (BytesRead) in the
-// types state after its failure total, and encode the ping-pong state
-// as one automaton per UE and window: the oracle's, replayed over the
-// covered partitions. Version 2 writes that state as one more collector
-// state. Version 1 writes every other collector's, then a section of
-// its own holding the ping-pong tracker and the coverage it was
-// advanced over.
+// in the layout of snapshot version 1, 2 or 3. All three tag every state
+// with their version and encode the durations as legacyDurations does.
+// Versions 1 and 2 also keep the scans' stored-bytes count (BytesRead)
+// in the types state after its failure total, and encode the ping-pong
+// state as one automaton per UE and window: the oracle's, replayed over
+// the covered partitions. Version 2 writes that state as one more
+// collector state. Version 1 writes every other collector's, then a
+// section of its own holding the ping-pong tracker and the coverage it
+// was advanced over.
 func legacyCheckpoint(t *testing.T, a *Analyzer, version uint8) []byte {
 	t.Helper()
 	bytesRead := a.ScanStats().BytesRead
@@ -74,20 +134,27 @@ func legacyCheckpoint(t *testing.T, a *Analyzer, version uint8) []byte {
 	}
 	state := func(n Need) []byte {
 		s := &enc{}
-		if n == NeedPingPong {
+		switch {
+		case n == NeedPingPong && version <= 2:
 			s.u8(version)
 			s.u32(uint32(n))
 			tk.encode(s)
 			return s.b
+		case n == NeedDurations:
+			s.u8(version)
+			s.u32(uint32(n))
+			legacyDurations(t, a, s)
+			return s.b
 		}
 		encodeState(s, n, a.cols[n])
 		s.b[0] = version
-		if n == NeedTypes {
+		if n == NeedTypes && version <= 2 {
 			const at = 1 + 4 + 4 + 8 + 8 // header, days, total HOs and failures
 			s.b = slices.Insert(s.b, at, binary.LittleEndian.AppendUint64(nil, uint64(bytesRead))...)
 		}
 		return s.b
 	}
+
 	have, end := a.have, needSentinel
 	if version == 1 {
 		have, end = a.have&^NeedPingPong, NeedPingPong
@@ -125,8 +192,8 @@ func legacyCheckpoint(t *testing.T, a *Analyzer, version uint8) []byte {
 }
 
 // TestCheckpointVersionOneFallsBackCold: a checkpoint written by the
-// version 1 or version 2 layout is refused, so ResumeAnalyzerFile falls
-// back to a cold analyzer whose report equals a cold report.
+// version 1, 2 or 3 layout is refused, so ResumeAnalyzerFile falls back
+// to a cold analyzer whose report equals a cold report.
 func TestCheckpointVersionOneFallsBackCold(t *testing.T) {
 	a := pinnedAnalyzer(t)
 	cold, err := New(a.DS)
@@ -146,6 +213,7 @@ func TestCheckpointVersionOneFallsBackCold(t *testing.T) {
 	}{
 		{1, "aa8409548dd954d81936a9c8eea2e79a935d766d0eeaabe1481a449e20dfe636"},
 		{2, "814da41805b74fb0076256fa9dd8a42dc73792c986a33d99e64456a3c34fb118"},
+		{3, "7c8498151623376b1a208846a43990d27ff4edf5fb1ecfb845da74549e6853f1"},
 	} {
 		old := legacyCheckpoint(t, a, c.version)
 		if got := sha256Hex(old); got != c.digest {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"telcolens/internal/ho"
 	"telcolens/internal/mobility"
 	"telcolens/internal/simulate"
+	"telcolens/internal/stats"
 	"telcolens/internal/topology"
 	"telcolens/internal/trace"
 )
@@ -34,8 +36,8 @@ import (
 // per day or many, and whatever the scan parallelism:
 //
 //   - counters are exact integer sums (order-free);
-//   - duration samples use deterministic bottom-k selection by record
-//     hash instead of RNG reservoirs (partition-invariant);
+//   - duration distributions are exact counts per stored duration
+//     code (order-free sums);
 //   - distinct-sector counts use per-day bitsets OR-merged across
 //     shards (set semantics, order-free);
 //   - row sets (UE-day metrics, sector-day observations) are emitted in
@@ -220,8 +222,6 @@ var hoTypeByRAT = func() (t [16]ho.Type) {
 	return
 }()
 
-// --- deterministic bottom-k sampling -----------------------------------
-
 // mix64 is the splitmix64 finalizer: a cheap bijective 64-bit mixer.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -232,320 +232,99 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// recKey derives a per-record hash key from fields that identify the
-// record uniquely within a stream (a UE emits at most one record per
-// millisecond).
-func recKey(ts int64, ue trace.UEID) uint64 {
-	return mix64(uint64(ts)) ^ uint64(ue)*0x9e3779b97f4a7c15
+// --- exact duration distributions ---------------------------------------
+
+// durHist is the exact distribution of one class of stored durations: a
+// count per codec duration code (trace.DurationCode), whose order is the
+// values' order. The counts live in pages of 256 codes, allocated when
+// the class first holds one of their codes, so a class costs what its
+// codes span, at most 65 536 counts however many values it holds.
+// Merging is addition: any split, grouping or order of the same values
+// gives the same histogram.
+type durHist struct {
+	pages [256]*[256]int64
 }
 
-// sampler keeps the capacity values whose hashed priorities are smallest
-// ("bottom-k" sampling). Because the kept set is a pure function of the
-// observed multiset, it is identical for any partitioning or scan order —
-// unlike an RNG reservoir — while still being a uniform sample.
-//
-// Every entry, from Add or absorb, takes one path
-// (offer): once the sampler has held an exact bottom-k, an entry at or
-// above its k-th smallest is rejected with one compare; any other entry
-// is appended, and a buffer of 2×capacity is cut back to the exact
-// bottom-k by quickselect. Rejecting an entry that k kept entries
-// already dominate cannot change the bottom-k of the union, so the kept
-// set — and every artifact derived from it — is independent of the
-// order and grouping the entries arrived in.
-//
-// Only the kept set is canonical; the order it is stored in is not.
-// The artifacts read the values through SortedSamples, and the one
-// reader of (priority, value) order is encode, which sorts there.
-type sampler struct {
-	capacity int
-	salt     uint64
-	n        int64
-	pri      []uint64
-	val      []float64
-	// full records that the first capacity entries were, at the last
-	// prune, seal or restore, the exact bottom-k of everything
-	// kept, with the largest of them at capacity-1: that entry is the
-	// bound offer rejects against. Appends never move it.
-	full   bool
-	sealed bool
-	// finalized records that a seal or restore has run: the sampler is
-	// a collector's, kept between refreshes, and reserve leaves its
-	// growth to append.
-	finalized bool
-	// sortedPrefix is the length of the leading run already in canonical
-	// (priority, value) order — established by encode or restore and
-	// preserved by offer's appends. Re-sealing after an incremental
-	// delta then only sorts the small suffix and merges the two runs,
-	// so a checkpointing daemon never re-sorts the whole bottom-k. A
-	// quickselect prune resets it to 0.
-	sortedPrefix int
-}
-
-func newSampler(capacity int, salt uint64) *sampler {
-	return &sampler{capacity: capacity, salt: mix64(salt)}
-}
-
-// less orders entries by (priority, value): the value tiebreak keeps the
-// kept set deterministic even under (astronomically unlikely) hash ties.
-func pvLess(p1 uint64, v1 float64, p2 uint64, v2 float64) bool {
-	if p1 != p2 {
-		return p1 < p2
+// count returns the slot of code, allocating its page on first use.
+func (h *durHist) count(code uint16) *int64 {
+	p := h.pages[code>>8]
+	if p == nil {
+		p = new([256]int64)
+		h.pages[code>>8] = p
 	}
-	return v1 < v2
+	return &p[code&0xff]
 }
 
-// Add offers one value keyed by the record hash.
-func (s *sampler) Add(v float64, key uint64) {
-	s.n++
-	s.offer(mix64(key^s.salt), v)
-}
-
-// offer is the one way an entry enters the sampler. Once full, the
-// common case — a candidate at or above the bound — is one compare.
-func (s *sampler) offer(p uint64, v float64) {
-	if s.full && !pvLess(p, v, s.pri[s.capacity-1], s.val[s.capacity-1]) {
-		return
-	}
-	if len(s.pri) == cap(s.pri) {
-		s.reserve(1)
-	}
-	s.pri = append(s.pri, p)
-	s.val = append(s.val, v)
-	s.sealed = false
-	if len(s.pri) == 2*s.capacity {
-		s.pruneToCapacity()
+// add counts one value per code.
+func (h *durHist) add(codes []uint16) {
+	for _, c := range codes {
+		*h.count(c)++
 	}
 }
 
-// pruneToCapacity shrinks the buffer to exactly the bottom-capacity
-// entries by (priority, value) using in-place quickselect, O(len). Like
-// nth_element it leaves the k-th smallest entry at k-1, which becomes
-// offer's bound.
-func (s *sampler) pruneToCapacity() {
-	if len(s.pri) <= s.capacity {
-		return
-	}
-	s.sortedPrefix = 0
-	lo, hi := 0, len(s.pri)-1
-	k := s.capacity // select so [0, k) holds the k smallest
-	for lo < hi {
-		// Median-of-three pivot, moved to hi-1 (deterministic).
-		mid := int(uint(lo+hi) >> 1)
-		if pvLess(s.pri[mid], s.val[mid], s.pri[lo], s.val[lo]) {
-			s.swap(mid, lo)
+// each calls f for every code the histogram holds, in ascending order.
+func (h *durHist) each(f func(code uint16, n int64)) {
+	for hi, p := range h.pages {
+		if p == nil {
+			continue
 		}
-		if pvLess(s.pri[hi], s.val[hi], s.pri[lo], s.val[lo]) {
-			s.swap(hi, lo)
-		}
-		if pvLess(s.pri[hi], s.val[hi], s.pri[mid], s.val[mid]) {
-			s.swap(hi, mid)
-		}
-		if hi-lo < 3 {
-			break
-		}
-		s.swap(mid, hi-1)
-		pp, pv := s.pri[hi-1], s.val[hi-1]
-		i, j := lo, hi-1
-		for {
-			for i++; pvLess(s.pri[i], s.val[i], pp, pv); i++ {
-			}
-			for j--; pvLess(pp, pv, s.pri[j], s.val[j]); j-- {
-			}
-			if i >= j {
-				break
-			}
-			s.swap(i, j)
-		}
-		s.swap(i, hi-1) // pivot into place at i
-		switch {
-		case k <= i:
-			hi = i - 1
-		case k > i+1:
-			lo = i + 1
-		default:
-			lo = hi // k == i+1: pivot closes the boundary
-		}
-	}
-	s.pri = s.pri[:s.capacity]
-	s.val = s.val[:s.capacity]
-	s.full = true
-}
-
-func (s *sampler) swap(i, j int) {
-	s.pri[i], s.pri[j] = s.pri[j], s.pri[i]
-	s.val[i], s.val[j] = s.val[j], s.val[i]
-}
-
-// absorb folds another sampler (same capacity and salt) into s. While s
-// holds no bound and the union stays below the 2×capacity prune point,
-// every offer would append, so o's entries are appended in one copy;
-// otherwise they go through offer one by one. Exactness is unaffected —
-// the kept set after seal is still the bottom-capacity of everything
-// observed, which is why absorbing shard by shard and day by day is
-// exact: bottom-k(A ∪ B) = bottom-k(bottom-k(A) ∪ bottom-k(B)).
-func (s *sampler) absorb(o *sampler) {
-	s.n += o.n
-	if len(o.pri) == 0 {
-		return
-	}
-	s.reserve(len(o.pri))
-	if !s.full && len(s.pri)+len(o.pri) < 2*s.capacity {
-		s.pri = append(s.pri, o.pri...)
-		s.val = append(s.val, o.val...)
-		s.sealed = false
-		return
-	}
-	for i := range o.pri {
-		s.offer(o.pri[i], o.val[i])
-	}
-}
-
-// reserve makes room for n more entries, doubling the buffers but not
-// past the 2×capacity prune bound. Growing sample buffers by append's
-// ≈1.25× steps for large slices copies them about five times over;
-// doubling copies them at most twice. A finalized sampler is left to
-// append: an incremental refresh adds a small delta to it, which
-// doubling would hold twice over.
-func (s *sampler) reserve(n int) {
-	need := min(len(s.pri)+n, 2*s.capacity)
-	if need <= cap(s.pri) || s.finalized {
-		return
-	}
-	c := max(need, min(2*cap(s.pri), 2*s.capacity))
-	pri := make([]uint64, len(s.pri), c)
-	val := make([]float64, len(s.val), c)
-	copy(pri, s.pri)
-	copy(val, s.val)
-	s.pri, s.val = pri, val
-}
-
-// reset empties the sampler for reuse, keeping its buffers.
-func (s *sampler) reset() {
-	*s = sampler{capacity: s.capacity, salt: s.salt, pri: s.pri[:0], val: s.val[:0]}
-}
-
-// seal freezes the sampler at its exact bottom-k. It does not order the
-// entries: cut trims them in place. Only when a sorted run survives
-// from encode or restore (incremental absorbs only append) does seal
-// keep it sorted, sorting the suffix and merging the two runs in linear
-// time, truncated at capacity — ascending order makes the first k
-// entries exactly the bottom-k. A seal that keeps exactly capacity
-// entries sets the bound. A cold seal allocates nothing.
-func (s *sampler) seal(sc *sealScratch) {
-	if s.sealed {
-		return
-	}
-	if s.sortedPrefix > 0 && s.sortedPrefix < len(s.pri) {
-		s.sealMerge(sc)
-		s.sortedPrefix = len(s.pri)
-	} else {
-		s.cut()
-	}
-	s.sealed, s.finalized = true, true
-	s.full = len(s.pri) == s.capacity
-}
-
-// cut trims the sampler to its exact bottom-k without ordering it. Past
-// capacity the quickselect prune leaves the k-th smallest at capacity-1;
-// at exactly capacity the largest entry is swapped there. Either way
-// that entry becomes offer's bound. It allocates nothing: a refreshed
-// sampler keeps append's slack, so the next refresh copies it only if
-// it outgrows that.
-func (s *sampler) cut() {
-	switch {
-	case len(s.pri) > s.capacity:
-		s.pruneToCapacity()
-	case len(s.pri) == s.capacity && !s.full:
-		m := 0
-		for i := 1; i < len(s.pri); i++ {
-			if pvLess(s.pri[m], s.val[m], s.pri[i], s.val[i]) {
-				m = i
+		for lo, n := range p {
+			if n != 0 {
+				f(uint16(hi<<8|lo), n)
 			}
 		}
-		s.swap(m, s.capacity-1)
 	}
 }
 
-// sortCanonical orders the sealed entries by (priority, value), the
-// order encode writes; a sorted run stays sorted until a prune.
-func (s *sampler) sortCanonical(sc *sealScratch) {
-	if s.sortedPrefix < len(s.pri) {
-		radixSortPV(s.pri, s.val, sc)
-		s.sortedPrefix = len(s.pri)
+// dist publishes the histogram as a durDist.
+func (h *durHist) dist() *durDist {
+	d := &durDist{}
+	var cum int64
+	h.each(func(code uint16, n int64) {
+		cum += n
+		d.codes = append(d.codes, code)
+		d.cum = append(d.cum, cum)
+	})
+	return d
+}
+
+// durDist is a duration distribution as a published state holds it: the
+// distinct codes in ascending order and, for each, how many values are
+// at most its value. finalize builds it afresh, so no later merge
+// reaches it and a generation may share it.
+type durDist struct {
+	codes []uint16
+	cum   []int64
+}
+
+// N returns the number of values.
+func (d *durDist) N() int64 {
+	if len(d.cum) == 0 {
+		return 0
 	}
+	return d.cum[len(d.cum)-1]
 }
 
-// sealMerge merges the sorted prefix with the (sorted here) appended
-// suffix into exactly sized arrays, keeping at most capacity entries;
-// the grown buffers are dropped, so a sampler kept between refreshes
-// holds only its samples.
-func (s *sampler) sealMerge(sc *sealScratch) {
-	pre := s.sortedPrefix
-	radixSortPV(s.pri[pre:], s.val[pre:], sc)
-	n := min(len(s.pri), s.capacity)
-	pri := make([]uint64, 0, n)
-	val := make([]float64, 0, n)
-	i, j := 0, pre
-	for len(pri) < n {
-		if j >= len(s.pri) || (i < pre && pvLess(s.pri[i], s.val[i], s.pri[j], s.val[j])) {
-			pri = append(pri, s.pri[i])
-			val = append(val, s.val[i])
-			i++
-		} else {
-			pri = append(pri, s.pri[j])
-			val = append(val, s.val[j])
-			j++
-		}
+// kth returns the k-th smallest value, k counted from 0.
+func (d *durDist) kth(k int) float64 {
+	i, _ := slices.BinarySearch(d.cum, int64(k)+1)
+	return float64(trace.DurationValue(d.codes[i]))
+}
+
+// Quantiles returns the qs quantiles of the values, each what
+// stats.QuantileSorted returns over them in ascending order.
+func (d *durDist) Quantiles(qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		out[i] = stats.QuantileRanked(int(d.N()), d.kth, q)
 	}
-	s.pri, s.val = pri, val
+	return out
 }
 
-// N returns the number of values observed.
-func (s *sampler) N() int64 { return s.n }
-
-// sampleView is a sealed sampler as a published state holds it: the
-// count and a copy of the kept values, made by finalize, so no later
-// merge, seal or encode of the live sampler reaches it and a generation
-// may share it. The experiments read the values in ascending order
-// through SortedSamples; the first read sorts the copy in place and the
-// ones after it share that sort. Several experiments take quantiles and
-// ECDFs of the same sampler, so it is sorted once per published state,
-// not once per experiment, and a view no experiment reads is never
-// sorted.
-type sampleView struct {
-	n int64
-	// mu guards the in-place sort: the experiments read concurrently.
-	mu     sync.Mutex
-	sorted bool
-	val    []float64
+// ECDF returns the values' ECDF, or stats.ErrEmpty when there are none.
+func (d *durDist) ECDF() (*stats.ECDF, error) {
+	return stats.NewECDFRanked(int(d.N()), d.kth)
 }
-
-// view publishes the sealed sampler's count and a copy of its values.
-func (s *sampler) view() *sampleView {
-	return &sampleView{n: s.n, val: slices.Clone(s.val)}
-}
-
-// SortedSamples returns the sampled values in ascending order; the first
-// call sorts them, and every caller gets the same slice, which it must
-// treat as read-only. The sort is the same whichever experiment runs it.
-func (v *sampleView) SortedSamples() []float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.sorted {
-		sc := sortScratch.Get().(*sealScratch)
-		radixSortFloats(v.val, sc)
-		sortScratch.Put(sc)
-		v.sorted = true
-	}
-	return v.val
-}
-
-// N returns the number of values observed.
-func (v *sampleView) N() int64 { return v.n }
-
-// sortScratch lends SortedSamples a radix buffer, so the views sorted by
-// one render share a few buffers instead of each allocating its own.
-var sortScratch = sync.Pool{New: func() any { return new(sealScratch) }}
 
 // --- bitsets for distinct-sector counting ------------------------------
 
@@ -731,105 +510,79 @@ func (c *typesCollector) finalize(out *scanState) error {
 	return nil
 }
 
-// --- durations collector: bottom-k sampled signaling times -------------
-
-// Sample capacities: the bottom-k size per HO type (successes) and per
-// main cause (failures), bounding the samples behind every duration
-// quantile and ECDF.
-const (
-	successSampleCap = 200_000
-	causeSampleCap   = 50_000
-)
+// --- durations collector: exact signaling-time distributions ----------
 
 type durationsCollector struct {
-	env        *scanEnv
-	durSuccess [ho.NumTypes]*sampler
-	durCause   [nCauseIdx]*sampler
+	durSuccess [ho.NumTypes]durHist
+	durCause   [nCauseIdx]durHist
 
 	shards shardFree[durationsShard]
 }
 
-func newDurationsCollector(env *scanEnv) *durationsCollector {
-	c := &durationsCollector{env: env}
-	for i := range c.durSuccess {
-		c.durSuccess[i] = newSampler(successSampleCap, uint64(1000+i))
-	}
-	for i := range c.durCause {
-		c.durCause[i] = newSampler(causeSampleCap, uint64(2000+i))
-	}
-	return c
-}
-
+// durationsShard buffers one partition's duration codes per class;
+// MergeShard counts them into the collector's histograms.
 type durationsShard struct {
-	durSuccess [ho.NumTypes]*sampler
-	durCause   [nCauseIdx]*sampler
+	durSuccess [ho.NumTypes][]uint16
+	durCause   [nCauseIdx][]uint16
 }
 
 func (c *durationsCollector) NewShardState(day, shard int) trace.ShardState {
 	if s := c.shards.get(); s != nil {
 		return s
 	}
-	s := &durationsShard{}
-	for i := range s.durSuccess {
-		s.durSuccess[i] = newSampler(successSampleCap, uint64(1000+i))
-	}
-	for i := range s.durCause {
-		s.durCause[i] = newSampler(causeSampleCap, uint64(2000+i))
-	}
-	return s
+	return &durationsShard{}
 }
 
-// ObserveColumns computes the record key from the timestamp and UE
-// columns; the samplers' bound makes the common full-sampler case one
-// compare per record.
+// ObserveColumns files each record's duration code under its class. A
+// duration that is not exactly a codec value cannot have come from an
+// encoder, and mapping it to a code would change it, so it fails the
+// scan as a corrupt block.
 func (s *durationsShard) ObserveColumns(day int, cb *trace.ColumnBatch) error {
 	n := cb.Len()
 	for i := 0; i < n; i++ {
-		key := recKey(cb.Timestamps[i], cb.UEs[i])
+		code, ok := trace.DurationCode(cb.Durations[i])
+		if !ok {
+			return fmt.Errorf("analysis: day %d: duration %v (bits %#08x) is not a stored value: %w",
+				day, cb.Durations[i], math.Float32bits(cb.Durations[i]), trace.ErrCorruptBlock)
+		}
 		if cb.Results[i] == trace.Failure {
-			s.durCause[causeIdx(cb.Causes[i])].Add(float64(cb.Durations[i]), key)
+			ci := causeIdx(cb.Causes[i])
+			s.durCause[ci] = append(s.durCause[ci], code)
 		} else {
-			s.durSuccess[hoTypeByRAT[cb.RATs[i]&0x0f]].Add(float64(cb.Durations[i]), key)
+			t := hoTypeByRAT[cb.RATs[i]&0x0f]
+			s.durSuccess[t] = append(s.durSuccess[t], code)
 		}
 	}
 	return nil
 }
 
-// durationsShard reads result/HO-type/duration from the outcome tail,
-// the cause, and the UE (the deterministic sample key mixes UE and
-// timestamp).
+// durationsShard reads result/HO-type/duration from the outcome tail and
+// the cause.
 func (c *durationsCollector) columns() trace.ColumnSet {
-	return trace.ColUE | trace.ColCause | trace.ColOutcome
+	return trace.ColCause | trace.ColOutcome
 }
 
 func (c *durationsCollector) MergeShard(st trace.ShardState) error {
 	s := st.(*durationsShard)
 	for i := range c.durSuccess {
-		c.durSuccess[i].absorb(s.durSuccess[i])
-		s.durSuccess[i].reset()
+		c.durSuccess[i].add(s.durSuccess[i])
+		s.durSuccess[i] = s.durSuccess[i][:0]
 	}
 	for i := range c.durCause {
-		c.durCause[i].absorb(s.durCause[i])
-		s.durCause[i].reset()
+		c.durCause[i].add(s.durCause[i])
+		s.durCause[i] = s.durCause[i][:0]
 	}
 	c.shards.put(s)
 	return nil
 }
 
-// finalize seals each sampler and publishes a copy of its values; the
-// value sort the experiments read is made by SortedSamples on first use,
-// in the experiment pool. One scratch serves every seal and is dropped
-// afterwards, so a long-lived analyzer does not keep it.
 func (c *durationsCollector) finalize(out *scanState) error {
 	c.shards.drop()
-	var sc sealScratch
-	for i, s := range c.durSuccess {
-		s.seal(&sc)
-		out.durSuccess[i] = s.view()
+	for i := range c.durSuccess {
+		out.durSuccess[i] = c.durSuccess[i].dist()
 	}
-	for i, s := range c.durCause {
-		s.seal(&sc)
-		out.durCause[i] = s.view()
+	for i := range c.durCause {
+		out.durCause[i] = c.durCause[i].dist()
 	}
 	return nil
 }

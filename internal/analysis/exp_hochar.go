@@ -98,17 +98,16 @@ func runFig8(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		Columns: []string{"HO type", "N", "Median", "p95", "Paper median", "Paper p95"},
 	}
 	for _, t := range ho.AllTypes() {
-		rv := s.durSuccess[t]
-		samples := rv.SortedSamples()
-		if len(samples) == 0 {
+		d := s.durSuccess[t]
+		if d.N() == 0 {
 			tbl.Rows = append(tbl.Rows, []string{t.String(), "0", "-", "-",
 				report.FormatFloat(paperMed[t][0]), report.FormatFloat(paperMed[t][1])})
 			continue
 		}
-		q := stats.QuantilesSorted(samples, 0.5, 0.95)
+		q := d.Quantiles(0.5, 0.95)
 		med, p95 := q[0], q[1]
 		tbl.Rows = append(tbl.Rows, []string{
-			t.String(), fmt.Sprintf("%d", rv.N()),
+			t.String(), fmt.Sprintf("%d", d.N()),
 			report.FormatFloat(med), report.FormatFloat(p95),
 			report.FormatFloat(paperMed[t][0]), report.FormatFloat(paperMed[t][1]),
 		})
@@ -117,11 +116,11 @@ func runFig8(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 
 	// ECDF series per type.
 	for _, t := range ho.AllTypes() {
-		samples := s.durSuccess[t].SortedSamples()
-		if len(samples) == 0 {
+		d := s.durSuccess[t]
+		if d.N() == 0 {
 			continue
 		}
-		e, err := stats.NewECDFSorted(samples)
+		e, err := d.ECDF()
 		if err != nil {
 			return err
 		}

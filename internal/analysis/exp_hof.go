@@ -225,26 +225,21 @@ func runFig14b(ctx context.Context, a *Analyzer, art *report.Artifact) error {
 		Columns: []string{"Cause", "N", "Median", "p95", "Paper"},
 	}
 	for ci := 1; ci <= 8; ci++ {
-		rv := s.durCause[ci]
-		samples := rv.SortedSamples()
-		med, p95 := 0.0, 0.0
-		if len(samples) > 0 {
-			q := stats.QuantilesSorted(samples, 0.5, 0.95)
-			med, p95 = q[0], q[1]
-		}
+		d := s.durCause[ci]
+		q := d.Quantiles(0.5, 0.95)
 		tbl.Rows = append(tbl.Rows, []string{
-			fmt.Sprintf("#%d", ci), fmt.Sprintf("%d", rv.N()),
-			report.FormatFloat(med), report.FormatFloat(p95), paperNote[ci],
+			fmt.Sprintf("#%d", ci), fmt.Sprintf("%d", d.N()),
+			report.FormatFloat(q[0]), report.FormatFloat(q[1]), paperNote[ci],
 		})
 	}
 	art.AddTable(tbl)
 
 	for _, ci := range []int{1, 4, 8} {
-		samples := s.durCause[ci].SortedSamples()
-		if len(samples) == 0 {
+		d := s.durCause[ci]
+		if d.N() == 0 {
 			continue
 		}
-		e, err := stats.NewECDFSorted(samples)
+		e, err := d.ECDF()
 		if err != nil {
 			return err
 		}

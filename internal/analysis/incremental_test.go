@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -425,175 +426,87 @@ func refreshDay(t *testing.T, ds *simulate.Dataset, a *Analyzer) {
 	}
 }
 
-// durationSamplers lists the durations collector's samplers.
-func durationSamplers(a *Analyzer) []*sampler {
-	c := a.cols[NeedDurations].(*durationsCollector)
-	return append(c.durSuccess[:], c.durCause[:]...)
+// distsOf lists a state's duration distributions.
+func distsOf(s *scanState) []*durDist {
+	return append(s.durSuccess[:], s.durCause[:]...)
 }
 
-// generationViews takes a generation of a and lists its duration views.
-func generationViews(t *testing.T, a *Analyzer) (*Analyzer, []*sampleView) {
-	t.Helper()
-	g, err := a.Generation()
-	if err != nil {
-		t.Fatal(err)
+// readDists is what the experiments read of each distribution: its
+// count, median and p95, and 24 ECDF points.
+func readDists(ds []*durDist) [][]float64 {
+	var out [][]float64
+	for _, d := range ds {
+		row := append([]float64{float64(d.N())}, d.Quantiles(0.5, 0.95)...)
+		if e, err := d.ECDF(); err == nil {
+			xs, fs := e.Points(24)
+			row = append(append(row, xs...), fs...)
+		}
+		out = append(out, row)
 	}
-	return g, append(g.state.durSuccess[:], g.state.durCause[:]...)
+	return out
 }
 
-// TestSortedSamplesConcurrentFirstUse: finalize publishes a copy of each
-// duration sampler's values, unsorted, and a generation shares it; the
-// experiments, running concurrently on the generation, sort each view on
-// first use. After a cold scan and after a one-day refresh, 8 goroutines
-// reading every view of a generation at once must all get the same
-// slice, the sorted values. The live analyzer's next refresh must leave
-// an earlier generation's sorted views as they were and publish fresh,
-// unsorted ones.
-func TestSortedSamplesConcurrentFirstUse(t *testing.T) {
+// TestGenerationDistributionsSurviveRefresh: a generation's duration
+// distributions are values. 8 goroutines read every distribution of a
+// generation while the live analyzer refreshes twice (under -race, the
+// check that the refresh writes nothing they read); each reads what the
+// generation held when it was taken, and the live analyzer's next
+// generation reads its refreshed histograms.
+func TestGenerationDistributionsSurviveRefresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a campaign")
 	}
 	ds, a := streamedAnalyzer(t, 5, 2)
-	// sortedLive is what each view must read: the live samplers' kept
-	// values, sorted.
-	sortedLive := func() [][]float64 {
-		var out [][]float64
-		for _, s := range durationSamplers(a) {
-			v := slices.Clone(s.val)
-			slices.Sort(v)
-			out = append(out, v)
-		}
-		return out
-	}
-	unsorted := func(when string, views []*sampleView) {
-		t.Helper()
-		for i, v := range views {
-			if v.sorted {
-				t.Fatalf("%s: view %d was sorted before any experiment read it", when, i)
-			}
-		}
-	}
-	readAll := func(when string, views []*sampleView, want [][]float64) {
-		t.Helper()
-		const readers = 8
-		got := make([][][]float64, readers)
-		var wg sync.WaitGroup
-		for r := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, v := range views {
-					got[r] = append(got[r], v.SortedSamples())
-				}
-			}()
-		}
-		wg.Wait()
-		for i := range views {
-			for r := range got {
-				g := got[r][i]
-				if !slices.Equal(g, want[i]) || (len(g) > 0 && &g[0] != &got[0][i][0]) {
-					t.Fatalf("%s: reader %d got a different slice of view %d", when, r, i)
-				}
-			}
-		}
-	}
-
-	_, cold := generationViews(t, a)
-	coldWant := sortedLive()
-	unsorted("cold", cold)
-	readAll("cold", cold, coldWant)
-	refreshDay(t, ds, a)
-	_, refreshed := generationViews(t, a)
-	unsorted("refreshed", refreshed)
-	for i, v := range cold {
-		if !slices.Equal(v.val, coldWant[i]) || v == refreshed[i] {
-			t.Fatalf("the refresh reached view %d of the earlier generation", i)
-		}
-	}
-	refreshedWant := sortedLive()
-	readAll("refreshed", refreshed, refreshedWant)
-	refreshDay(t, ds, a)
-	_, twice := generationViews(t, a)
-	unsorted("refreshed twice", twice)
-	for i, v := range refreshed {
-		if !slices.Equal(v.val, refreshedWant[i]) {
-			t.Fatalf("the second refresh reached view %d of the earlier generation", i)
-		}
-	}
-}
-
-// TestCheckpointSortsOnlyTheDelta: the first checkpoint sorts each
-// cold-sealed sampler; after a one-day refresh the seal merges the day
-// into that sorted run, so the second checkpoint finds nothing left to
-// sort. (TestRefreshGrowsInPlace holds its bytes to a cold analyzer's.)
-func TestCheckpointSortsOnlyTheDelta(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a campaign")
-	}
-	ds, a := streamedAnalyzer(t, 3, 2)
-	for i, s := range durationSamplers(a) {
-		if s.sortedPrefix != 0 && s.sortedPrefix != len(s.pri) {
-			t.Fatalf("sampler %d: a cold seal left a sorted run of %d of %d", i, s.sortedPrefix, len(s.pri))
-		}
-	}
-	if err := a.Checkpoint(&bytes.Buffer{}); err != nil {
+	g, err := a.Generation()
+	if err != nil {
 		t.Fatal(err)
 	}
+	dists := distsOf(g.state)
+	want := readDists(dists)
+	const readers = 8
+	got := make([][][]float64, readers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				got[r] = readDists(dists)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
 	refreshDay(t, ds, a)
-	merged := 0
-	for i, s := range durationSamplers(a) {
-		if s.sortedPrefix != len(s.pri) {
-			t.Fatalf("sampler %d: %d of %d entries sorted after the refresh; the next checkpoint would re-sort them all",
-				i, s.sortedPrefix, len(s.pri))
-		}
-		if len(s.pri) > 0 {
-			merged++
+	refreshDay(t, ds, a)
+	close(stop)
+	wg.Wait()
+	for r := range got {
+		if !reflect.DeepEqual(got[r], want) {
+			t.Fatalf("reader %d: the refreshes reached the earlier generation's distributions", r)
 		}
 	}
-	if merged == 0 {
-		t.Fatal("no sampler holds an entry")
+	next, err := a.Generation()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// appendCap is the capacity append reaches growing a slice of capacity
-// c one entry at a time until it holds n.
-func appendCap(c, n int) int {
-	s := make([]uint64, c)
-	for cap(s) < n {
-		s = append(s[:cap(s)], 0)
+	c := a.cols[NeedDurations].(*durationsCollector)
+	var live []*durDist
+	for i := range c.durSuccess {
+		live = append(live, c.durSuccess[i].dist())
 	}
-	return cap(s)
-}
-
-// TestRefreshedSamplersGrowAsAppend: after a cold scan, five one-day
-// refreshes without a checkpoint grow each finalized sampler's buffers
-// as append does, never by doubling.
-func TestRefreshedSamplersGrowAsAppend(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a campaign")
+	for i := range c.durCause {
+		live = append(live, c.durCause[i].dist())
 	}
-	ds, a := streamedAnalyzer(t, 7, 2)
-	grew := 0
-	for day := 0; day < 5; day++ {
-		var before []int
-		for _, s := range durationSamplers(a) {
-			before = append(before, cap(s.pri))
-		}
-		refreshDay(t, ds, a)
-		for i, s := range durationSamplers(a) {
-			if cap(s.val) != cap(s.pri) {
-				t.Fatalf("day %d, sampler %d: buffers of %d and %d entries", day, i, cap(s.pri), cap(s.val))
-			}
-			if limit := appendCap(before[i], len(s.pri)); cap(s.pri) > limit {
-				t.Fatalf("day %d, sampler %d: %d entries in a buffer of %d, grown from %d; append stops at %d",
-					day, i, len(s.pri), cap(s.pri), before[i], limit)
-			}
-			if cap(s.pri) > before[i] && before[i] >= 1024 {
-				grew++
-			}
-		}
+	refreshed := readDists(distsOf(next.state))
+	if !reflect.DeepEqual(refreshed, readDists(live)) {
+		t.Fatal("the refreshed generation does not read the live histograms")
 	}
-	if grew == 0 {
-		t.Fatal("no large sampler grew; the campaign does not exercise growth")
+	if reflect.DeepEqual(refreshed, want) {
+		t.Fatal("two landed days moved no distribution; the test exercises nothing")
 	}
 }

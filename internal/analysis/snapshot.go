@@ -24,7 +24,9 @@ import (
 // checkpoints carried in a section of their own. Version 3 encodes one
 // ping-pong automaton per UE instead of one per UE and window, and drops
 // the types state's stored-bytes count, which no experiment read.
-const snapshotVersion = 3
+// Version 4 encodes each duration class as (code, count) pairs in code
+// order in place of a bottom-k sample of (priority, value) pairs.
+const snapshotVersion = 4
 
 // --- deterministic binary encoding helpers -----------------------------
 
@@ -50,20 +52,6 @@ func (e *enc) i32s(s []int32) {
 	e.u32(uint32(len(s)))
 	for _, v := range s {
 		e.i32(v)
-	}
-}
-
-func (e *enc) u64s(s []uint64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.u64(v)
-	}
-}
-
-func (e *enc) f64s(s []float64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.f64(v)
 	}
 }
 
@@ -152,30 +140,6 @@ func (d *dec) i32s() []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = d.i32()
-	}
-	return out
-}
-
-func (d *dec) u64s() []uint64 {
-	n := d.length(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.u64()
-	}
-	return out
-}
-
-func (d *dec) f64s() []float64 {
-	n := d.length(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
 	}
 	return out
 }
@@ -278,78 +242,65 @@ func (c *typesCollector) restore(d *dec) error {
 
 // --- durations ----------------------------------------------------------
 
-// encode writes the sampler's exact bottom-k in canonical order. A
-// checkpoint is the one reader of that order, so the sort is made here,
-// not at seal; once made it lasts, and the next seal after a delta
-// merges the delta in instead of re-sorting the whole bottom-k.
-func (s *sampler) encode(e *enc, sc *sealScratch) {
-	s.seal(sc)
-	s.sortCanonical(sc)
-	e.u32(uint32(s.capacity))
-	e.u64(s.salt)
-	e.i64(s.n)
-	e.u64s(s.pri)
-	e.f64s(s.val)
+// encode writes the histogram as its (code, count) pairs in code order.
+func (h *durHist) encode(e *enc) {
+	at := len(e.b)
+	e.u32(0)
+	var k uint32
+	h.each(func(code uint16, n int64) {
+		e.u16(code)
+		e.i64(n)
+		k++
+	})
+	binary.LittleEndian.PutUint32(e.b[at:], k)
 }
 
-// restore fills an empty sampler from encode's bytes. The state is
-// checked to be what encode writes — a count no smaller than the
-// entries, at most capacity of them, values that are neither NaN nor -0
-// (the radix sorts' precondition, see radix.go), in canonical order — so
-// the restored sampler is sealed without a re-sort, and one restored at
-// capacity brings its bound, so the first delta is filtered.
-func (s *sampler) restore(d *dec) {
-	capacity, salt, n := int(d.u32()), d.u64(), d.i64()
-	pri, val := d.u64s(), d.f64s()
-	switch {
-	case d.err != nil:
-		return
-	case capacity != s.capacity || salt != s.salt:
-		d.err = fmt.Errorf("analysis: sampler state (cap %d, salt %x) does not match collector (cap %d, salt %x)",
-			capacity, salt, s.capacity, s.salt)
-		return
-	case len(pri) != len(val):
-		d.err = fmt.Errorf("analysis: sampler state pri/val lengths differ")
-		return
-	case len(pri) > capacity:
-		d.err = fmt.Errorf("analysis: sampler state holds %d entries, capacity %d", len(pri), capacity)
-		return
-	case n < int64(len(pri)):
-		d.err = fmt.Errorf("analysis: sampler state counts %d values but holds %d", n, len(pri))
-		return
-	}
-	for i, v := range val {
-		if math.IsNaN(v) || (v == 0 && math.Signbit(v)) {
-			d.err = fmt.Errorf("analysis: sampler state holds the value %v", v)
+// durPairBytes is the width of one encoded (code, count) pair.
+const durPairBytes = 2 + 8
+
+// restore fills an empty histogram from encode's bytes. The pairs must
+// be what encode writes: codes an encoder writes (trace.DurationCode),
+// strictly ascending, each with a positive count, and counts whose total
+// fits an int64.
+func (h *durHist) restore(d *dec) {
+	k := d.length(durPairBytes)
+	prev, total := -1, int64(0)
+	for i := 0; i < k && d.err == nil; i++ {
+		code, n := d.u16(), d.i64()
+		if d.err != nil {
 			return
 		}
-		if i > 0 && pvLess(pri[i], v, pri[i-1], val[i-1]) {
-			d.err = fmt.Errorf("analysis: sampler state not in canonical order")
-			return
+		switch c, _ := trace.DurationCode(trace.DurationValue(code)); {
+		case c != code:
+			d.err = fmt.Errorf("analysis: duration state holds code %#04x, which no encoder writes", code)
+		case int(code) <= prev:
+			d.err = fmt.Errorf("analysis: duration state code %#04x does not follow %#04x", code, prev)
+		case n <= 0:
+			d.err = fmt.Errorf("analysis: duration state counts %d values of code %#04x", n, code)
+		case n > math.MaxInt64-total:
+			d.err = fmt.Errorf("analysis: duration state counts more than %d values", int64(math.MaxInt64))
+		default:
+			*h.count(code) = n
+			prev, total = int(code), total+n
 		}
 	}
-	s.n, s.pri, s.val = n, pri, val
-	s.sealed, s.finalized = true, true
-	s.sortedPrefix = len(pri)
-	s.full = len(pri) == capacity
 }
 
 func (c *durationsCollector) encode(e *enc) {
-	var sc sealScratch
-	for _, s := range c.durSuccess {
-		s.encode(e, &sc)
+	for i := range c.durSuccess {
+		c.durSuccess[i].encode(e)
 	}
-	for _, s := range c.durCause {
-		s.encode(e, &sc)
+	for i := range c.durCause {
+		c.durCause[i].encode(e)
 	}
 }
 
 func (c *durationsCollector) restore(d *dec) error {
-	for _, s := range c.durSuccess {
-		s.restore(d)
+	for i := range c.durSuccess {
+		c.durSuccess[i].restore(d)
 	}
-	for _, s := range c.durCause {
-		s.restore(d)
+	for i := range c.durCause {
+		c.durCause[i].restore(d)
 	}
 	return d.err
 }

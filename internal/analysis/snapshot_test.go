@@ -116,7 +116,7 @@ func FuzzResumeAnalyzer(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, need := range []Need{NeedAll, NeedTypes | NeedPingPong} {
+	for _, need := range []Need{NeedAll, NeedTypes | NeedPingPong, NeedDurations} {
 		a, err := New(ds)
 		if err != nil {
 			f.Fatal(err)

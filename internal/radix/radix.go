@@ -1,12 +1,11 @@
 // Package radix holds the byte-wise LSD radix machinery the trace store
-// and the analysis samplers sort with: a per-byte histogram of 64-bit
-// keys that tells which bytes every key shares, so a sort skips those
-// passes, and a stable sort of (key, row) pairs built on it.
+// sorts a day's records with: a per-byte histogram of 64-bit keys that
+// tells which bytes every key shares, so a sort skips those passes, and
+// a stable sort of (key, row) pairs built on it.
 //
-// The keys the repository sorts (timestamps within a day, UE numbers,
-// uniform 64-bit priorities, float32-exact durations) leave most of
-// their bytes shared or need only a few passes, so a handful of linear
-// scatters replaces an n·log n comparison sort.
+// The keys the store sorts (timestamps within a day, UE numbers) leave
+// most of their bytes shared, so a handful of linear scatters replaces
+// an n·log n comparison sort.
 package radix
 
 // Hist counts, for each of the eight bytes of a set of keys, how many

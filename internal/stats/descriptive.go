@@ -63,24 +63,32 @@ func Quantile(xs []float64, q float64) float64 {
 // QuantileSorted is Quantile for an already-sorted sample, avoiding the
 // copy+sort. The slice must be in ascending order.
 func QuantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
+	return QuantileRanked(len(sorted), func(i int) float64 { return sorted[i] }, q)
+}
+
+// QuantileRanked is QuantileSorted over a sample of n values read by
+// rank: at(i) returns the i-th smallest, i counted from 0. It reads the
+// same two order statistics and interpolates them with the same float
+// operations, so a sample held as counts per value gives the quantile a
+// sorted slice of those values gives, bit for bit.
+func QuantileRanked(n int, at func(int) float64, q float64) float64 {
 	if n == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return sorted[0]
+		return at(0)
 	}
 	if q >= 1 {
-		return sorted[n-1]
+		return at(n - 1)
 	}
 	h := q * float64(n-1)
 	lo := int(math.Floor(h))
 	hi := lo + 1
 	if hi >= n {
-		return sorted[n-1]
+		return at(n - 1)
 	}
 	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // LowerQuantileSorted returns the q-th quantile (0 < q < 1) of an
@@ -208,37 +216,42 @@ func BoxplotOf(xs []float64) Boxplot {
 	return b
 }
 
-// ECDF is an empirical cumulative distribution function over a sample.
+// ECDF is an empirical cumulative distribution function over a sample,
+// read by rank: at(i) is the i-th smallest of its n values.
 type ECDF struct {
-	sorted []float64
+	n  int
+	at func(int) float64
 }
 
 // NewECDF builds an ECDF from xs (copied and sorted). It returns ErrEmpty
 // for an empty sample.
 func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
+	return NewECDFSorted(s)
 }
 
-// NewECDFSorted wraps an already-ascending sample without copying it, for
-// callers that keep sorted data around (cached sampler snapshots). The
+// NewECDFSorted wraps an already-ascending sample without copying it. The
 // ECDF aliases xs, so the caller must not mutate it afterwards.
 func NewECDFSorted(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
+	return NewECDFRanked(len(xs), func(i int) float64 { return xs[i] })
+}
+
+// NewECDFRanked wraps a sample of n values read by rank, as
+// QuantileRanked reads one: at(i) returns the i-th smallest. It returns
+// ErrEmpty for an empty sample.
+func NewECDFRanked(n int, at func(int) float64) (*ECDF, error) {
+	if n == 0 {
 		return nil, ErrEmpty
 	}
-	return &ECDF{sorted: xs}, nil
+	return &ECDF{n: n, at: at}, nil
 }
 
 // Points returns up to max evenly spaced (x, F(x)) pairs for plotting or
 // reporting, the last one always the maximum at F = 1. If max <= 0 or
 // exceeds the sample size, all points are used.
 func (e *ECDF) Points(max int) (xs, fs []float64) {
-	n := len(e.sorted)
+	n := e.n
 	if max <= 0 || max > n {
 		max = n
 	}
@@ -249,7 +262,7 @@ func (e *ECDF) Points(max int) (xs, fs []float64) {
 		if max > 1 {
 			j = i * (n - 1) / (max - 1)
 		}
-		xs[i] = e.sorted[j]
+		xs[i] = e.at(j)
 		fs[i] = float64(j+1) / float64(n)
 	}
 	return xs, fs

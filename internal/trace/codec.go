@@ -155,36 +155,41 @@ func readErr(err error) error {
 
 // Duration encoding: 15 bits of magnitude plus a scale bit. Scale 0 stores
 // 0.1 ms units (0–3276.7 ms, covering all successful HOs); scale 1 stores
-// whole milliseconds (0–32767 ms, covering timeout failures up to ~32 s).
-// Blocks store durations as f32 but pass them through this fixed-point
-// round trip first (quantizeDuration), so a stored duration does not
-// depend on the float value's low bits.
-func encodeDuration(dst []byte, ms float32) {
-	if ms < 0 {
-		ms = 0
+// whole milliseconds (3277–32767 ms, covering timeout failures up to
+// ~32 s). Blocks store durations as f32 but pass them through this
+// fixed-point round trip first (quantizeDuration), so a stored duration
+// does not depend on the float value's low bits. The codes an encoder
+// writes rank as their values do, so code order is value order.
+
+// DurationCode returns the 16-bit code of duration ms, clamped to the
+// codec's range. ok reports whether ms is exactly a value the codec
+// stores, DurationValue(code) bit for bit; NaN, −0, a negative value, an
+// off-grid value or one past 32 767 ms is not.
+func DurationCode(ms float32) (code uint16, ok bool) {
+	switch {
+	case ms < 0:
+		code = 0
+	case ms <= 3276.7:
+		code = uint16(math.Round(float64(ms) * 10))
+	default:
+		code = uint16(math.Min(math.Round(float64(ms)), 32767)) | 0x8000
 	}
-	if ms <= 3276.7 {
-		binary.LittleEndian.PutUint16(dst, uint16(math.Round(float64(ms)*10)))
-		return
-	}
-	v := uint16(math.Min(math.Round(float64(ms)), 32767))
-	binary.LittleEndian.PutUint16(dst, v|0x8000)
+	return code, math.Float32bits(DurationValue(code)) == math.Float32bits(ms)
 }
 
-func decodeDuration(src []byte) float32 {
-	v := binary.LittleEndian.Uint16(src)
-	if v&0x8000 != 0 {
-		return float32(v & 0x7fff)
+// DurationValue returns the duration in ms that code stands for.
+func DurationValue(code uint16) float32 {
+	if code&0x8000 != 0 {
+		return float32(code & 0x7fff)
 	}
-	return float32(v) / 10
+	return float32(code) / 10
 }
 
 // quantizeDuration maps a duration onto the codec's canonical resolution
 // (the fixed-point encode/decode round trip).
 func quantizeDuration(ms float32) float32 {
-	var buf [2]byte
-	encodeDuration(buf[:], ms)
-	return decodeDuration(buf[:])
+	code, _ := DurationCode(ms)
+	return DurationValue(code)
 }
 
 // retiredFormat names a stream format earlier versions wrote and this

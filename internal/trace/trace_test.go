@@ -147,22 +147,45 @@ func TestDurationEncodingRegimes(t *testing.T) {
 		{5000, 0.51}, {10200, 0.51}, {32767, 0.51},
 	}
 	for _, c := range cases {
-		var buf [2]byte
-		encodeDuration(buf[:], c.in)
-		got := decodeDuration(buf[:])
+		code, _ := DurationCode(c.in)
+		got := DurationValue(code)
 		if math.Abs(float64(got-c.in)) > c.tol {
 			t.Errorf("duration %g decoded as %g", c.in, got)
 		}
 	}
 	// Saturation: durations beyond 32767 ms clamp rather than wrap.
-	var buf [2]byte
-	encodeDuration(buf[:], 1e9)
-	if got := decodeDuration(buf[:]); got != 32767 {
-		t.Fatalf("oversized duration decoded as %g", got)
+	if code, ok := DurationCode(1e9); DurationValue(code) != 32767 || ok {
+		t.Fatalf("oversized duration decoded as %g (canonical %v)", DurationValue(code), ok)
 	}
-	encodeDuration(buf[:], -5)
-	if got := decodeDuration(buf[:]); got != 0 {
-		t.Fatalf("negative duration decoded as %g", got)
+	if code, ok := DurationCode(-5); DurationValue(code) != 0 || ok {
+		t.Fatalf("negative duration decoded as %g (canonical %v)", DurationValue(code), ok)
+	}
+}
+
+// TestDurationCodeIsCanonical: every code an encoder writes maps back to
+// itself through its value, and those values rise with the code; a code
+// no encoder writes (whole milliseconds below 3 277) stands for a value
+// whose code is another one. NaN, −0 and off-grid values are refused.
+func TestDurationCodeIsCanonical(t *testing.T) {
+	prev := float32(-1)
+	for c := 0; c <= math.MaxUint16; c++ {
+		code := uint16(c)
+		v := DurationValue(code)
+		got, ok := DurationCode(v)
+		if written := code < 0x8000 || code > 0x8ccc; !ok || (got == code) != written {
+			t.Fatalf("code %#04x: value %g maps to %#04x (canonical %v)", code, v, got, ok)
+		}
+		if got == code {
+			if v <= prev {
+				t.Fatalf("code %#04x: value %g does not rise above %g", code, v, prev)
+			}
+			prev = v
+		}
+	}
+	for _, ms := range []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 43.45, 3500.5, -1, 40000} {
+		if code, ok := DurationCode(ms); ok {
+			t.Fatalf("duration %g is canonical as %#04x", ms, code)
+		}
 	}
 }
 
