@@ -28,10 +28,10 @@ import (
 //	finalize(*scanState)           — publish the merged view
 //
 // so an experiment pays only for the state it declares (Need bits) and
-// the scan parallelizes over trace partitions. MergeShard runs on the
-// scan's one merge goroutine, so work that depends on a single partition
-// belongs in the state's FinishPartition (trace.PartitionFinisher),
-// which runs on the worker that scanned it. Every unit is written so
+// the scan parallelizes over trace partitions. MergeShard runs one
+// partition at a time, on whichever worker folds, so work that depends
+// on a single partition belongs in the state's FinishPartition
+// (trace.PartitionFinisher), which runs on the worker that scanned it. Every unit is written so
 // its merged output is bit-identical whether the store holds one shard
 // per day or many, and whatever the scan parallelism:
 //

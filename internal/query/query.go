@@ -586,11 +586,11 @@ func (e *Engine) Cached(v *View, p Params) *Result {
 
 // exec prunes the view's partitions through stages 1a–3, serially and
 // without opening any, then scans the survivors through trace.Scan and
-// folds their matches in canonical order. A non-aggregate query stops
-// the scan at its first match past the limit (Metrics says what it then
-// counts). As in any Scan the first failing read fails the query, so a
-// truncated query can fail on a partition past its limit that a worker
-// opened before the limit was hit.
+// folds their matches in canonical order. A non-aggregate query's merge
+// stops all claims at its first match past the limit, so it reads what
+// the serial partition loop reads plus the partitions other workers
+// had in flight (none on one worker). As in any Scan the first failing
+// read fails the query, so it can fail on one of those partitions.
 func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 	res := &Result{Gen: v.Gen, Rows: []Row{}}
 	m := &res.Metrics

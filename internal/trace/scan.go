@@ -10,10 +10,10 @@ import (
 )
 
 // The composable scan engine: a Collector accumulates one analysis's
-// state from the trace. Scan fans a worker pool out over the store's
-// partitions, gives every (collector, partition) pair its own ShardState,
-// and folds the states back in canonical partition order, so the result
-// is bit-for-bit independent of worker scheduling.
+// state from the trace. Scan's workers claim the store's partitions in
+// order, give every (collector, partition) pair its own ShardState, and
+// fold the states back in canonical partition order, so the result is
+// bit-for-bit independent of worker scheduling.
 
 // ShardState accumulates one collector's view of a single partition.
 // ObserveColumns is called once per decoded batch, in the partition's
@@ -37,9 +37,11 @@ type PartitionFinisher interface {
 }
 
 // Collector builds per-partition states and folds them. NewShardState may
-// be called from any goroutine; MergeShard is called exactly once per
-// partition, sequentially, in canonical (day, shard) order, with a state
-// its worker has already finished (see PartitionFinisher).
+// be called from any goroutine. MergeShard is called exactly once per
+// partition, in canonical (day, shard) order, with a state its worker has
+// already finished (see PartitionFinisher). The calls come from whichever
+// worker is folding, but never two at once, and each happens after the
+// one before it.
 type Collector interface {
 	NewShardState(day, shard int) ShardState
 	MergeShard(s ShardState) error
@@ -87,7 +89,9 @@ type ScanOptions struct {
 	// 0 means GOMAXPROCS.
 	Parallelism int
 	// Progress, if set, is invoked after each partition is merged with
-	// the number of merged partitions and the total.
+	// the number of merged partitions and the total. Like MergeShard it
+	// runs on whichever worker is folding, one call at a time and in
+	// order.
 	Progress func(done, total int)
 	// Range, if set, restricts the scan to records inside the window;
 	// MinTS > MaxTS is an error. Partitions are still all opened
@@ -116,6 +120,11 @@ type ScanOptions struct {
 	// query engine passes each partition's index allow-list through it.
 	BlockFilter func(p Partition) func(block int) bool
 }
+
+// scanWindowPerWorker bounds how far a Scan reads ahead of its merge:
+// with w workers, a partition is claimed only within 2w of the first one
+// not yet merged, so the others read on past one slow partition.
+const scanWindowPerWorker = 2
 
 // columnBatchPool shares scan buffers across partitions and scans: the
 // steady-state scan loop reuses batch memory, so after warm-up it
@@ -152,52 +161,42 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(parts) {
-		workers = len(parts)
-	}
+	workers = min(workers, len(parts))
+	window := scanWindowPerWorker * workers
 
-	// Workers pull partition indices in order; each completed partition's
-	// states land in pending[i]. A single merge goroutine folds completed
-	// partitions strictly in index order and releases their memory, so at
-	// most O(workers) partition states are live at once in the common
-	// case of roughly in-order completion.
-	type partStates struct {
-		states []ShardState
-	}
+	// Every worker, the caller included, runs one loop under mu: claim
+	// the next partition while it lies within window of next, the first
+	// one not yet merged; scan it unlocked; deposit its states. The worker
+	// whose deposit readies pending[next] folds every ready partition in
+	// order, calling MergeShard and Progress unlocked, and folding keeps
+	// a second worker from folding meanwhile, so no claim or deposit waits
+	// for a merge. The first error, or a cancel, stops every claim.
 	var (
-		idxCh   = make(chan int)
-		doneCh  = make(chan int, len(parts))
-		pending = make([]*partStates, len(parts))
-		pendMu  sync.Mutex
-		wg      sync.WaitGroup
-		errMu   sync.Mutex
-		scanErr error
+		mu            sync.Mutex
+		moved         = sync.NewCond(&mu) // the window opened or the scan failed
+		claimed, next int
+		folding       bool
+		pending       = make([][]ShardState, len(parts))
+		scanErr       error
 	)
 	scanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	fail := func(err error) {
-		errMu.Lock()
+	failLocked := func(err error) {
 		if scanErr == nil {
 			scanErr = err
 			cancel()
+			moved.Broadcast()
 		}
-		errMu.Unlock()
-	}
-	getErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return scanErr
 	}
 
-	scanPartition := func(i int) error {
-		p := parts[i]
+	scanPartition := func(p Partition) ([]ShardState, error) {
 		states := make([]ShardState, len(collectors))
 		for c, col := range collectors {
 			states[c] = col.NewShardState(p.Day, p.Shard)
 		}
 		it, err := s.OpenPartition(p.Day, p.Shard)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// A read-only partition's close error is dropped: every byte was
 		// read and, with VerifyReads, checked at end of stream before
@@ -231,11 +230,11 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 		defer columnBatchPool.Put(cb)
 		for {
 			if err := scanCtx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 			n, err := it.NextColumns(cb)
 			if err != nil {
-				return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
+				return nil, fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
 			}
 			if n == 0 {
 				break
@@ -243,81 +242,76 @@ func Scan(ctx context.Context, s Store, opts ScanOptions, collectors ...Collecto
 			nRecs += int64(n)
 			for _, st := range states {
 				if err := st.ObserveColumns(p.Day, cb); err != nil {
-					return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
+					return nil, fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
 				}
 			}
 		}
 		for _, st := range states {
 			if f, ok := st.(PartitionFinisher); ok {
 				if err := f.FinishPartition(); err != nil {
-					return fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
+					return nil, fmt.Errorf("trace: day %d shard %d: %w", p.Day, p.Shard, err)
 				}
 			}
 		}
-		pendMu.Lock()
-		pending[i] = &partStates{states: states}
-		pendMu.Unlock()
-		return nil
+		return states, nil
 	}
 
-	for w := 0; w < workers; w++ {
+	work := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for {
+			for scanErr == nil && claimed < len(parts) && claimed >= next+window {
+				moved.Wait()
+			}
+			if err := scanCtx.Err(); err != nil {
+				failLocked(err)
+			}
+			if scanErr != nil || claimed == len(parts) {
+				return
+			}
+			i := claimed
+			claimed++
+			mu.Unlock()
+			states, err := scanPartition(parts[i])
+			mu.Lock()
+			if err != nil {
+				failLocked(err)
+				return
+			}
+			pending[i] = states
+			for !folding && scanErr == nil && next < len(parts) && pending[next] != nil {
+				ready, merged := pending[next], next+1
+				pending[next], folding = nil, true
+				mu.Unlock()
+				for c := 0; c < len(collectors) && err == nil; c++ {
+					err = collectors[c].MergeShard(ready[c])
+				}
+				if err == nil && opts.Progress != nil {
+					opts.Progress(merged, len(parts))
+				}
+				mu.Lock()
+				folding = false
+				next = merged
+				moved.Broadcast()
+				if err != nil {
+					failLocked(err)
+				}
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idxCh {
-				if scanCtx.Err() != nil {
-					doneCh <- i
-					continue
-				}
-				if err := scanPartition(i); err != nil {
-					fail(err)
-				}
-				doneCh <- i
-			}
+			work()
 		}()
 	}
-
-	// The producer always dispatches every index: canceled workers ack
-	// each one without scanning, so the merge loop's completion count
-	// converges even on failure.
-	go func() {
-		defer close(idxCh)
-		for i := range parts {
-			idxCh <- i
-		}
-	}()
-
-	// Merge loop: fold partitions in index order as they complete.
-	next := 0
-	merged := 0
-	for completed := 0; completed < len(parts); completed++ {
-		<-doneCh
-		for next < len(parts) && getErr() == nil {
-			pendMu.Lock()
-			ps := pending[next]
-			pendMu.Unlock()
-			if ps == nil {
-				break
-			}
-			for c, col := range collectors {
-				if err := col.MergeShard(ps.states[c]); err != nil {
-					fail(err)
-					break
-				}
-			}
-			pendMu.Lock()
-			pending[next] = nil
-			pendMu.Unlock()
-			next++
-			merged++
-			if opts.Progress != nil && getErr() == nil {
-				opts.Progress(merged, len(parts))
-			}
-		}
-	}
+	work()
 	wg.Wait()
-	if err := getErr(); err != nil {
-		return err
+	if scanErr != nil {
+		return scanErr
 	}
 	return ctx.Err()
 }

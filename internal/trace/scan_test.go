@@ -537,3 +537,113 @@ func TestScanFinishPartitionError(t *testing.T) {
 		}
 	}
 }
+
+// liveStore counts partition opens and, if slow is set, holds that
+// partition's open until no other open has landed for a while (the
+// other workers have stalled) or a timer fires.
+type liveStore struct {
+	*FileStore
+	slow   *Partition
+	mu     sync.Mutex
+	opened []Partition
+}
+
+func (s *liveStore) opens() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.opened)
+}
+
+func (s *liveStore) OpenPartition(day, shard int) (RecordIterator, error) {
+	p := Partition{Day: day, Shard: shard}
+	s.mu.Lock()
+	s.opened = append(s.opened, p)
+	s.mu.Unlock()
+	if s.slow != nil && *s.slow == p {
+		deadline := time.Now().Add(5 * time.Second)
+		for last, quiet := s.opens(), 0; quiet < 5 && time.Now().Before(deadline); {
+			time.Sleep(20 * time.Millisecond)
+			if n := s.opens(); n != last {
+				last, quiet = n, 0
+			} else {
+				quiet++
+			}
+		}
+	}
+	return s.FileStore.OpenPartition(day, shard)
+}
+
+// liveCollector counts live states (made by NewShardState and not yet
+// merged) and keeps the highest count; failAt, if set, names the
+// partition whose MergeShard fails.
+type liveCollector struct {
+	countingCollector
+	failAt        *Partition
+	live, maxLive int
+	liveMu        sync.Mutex
+}
+
+func (c *liveCollector) NewShardState(day, shard int) ShardState {
+	c.liveMu.Lock()
+	c.live++
+	c.maxLive = max(c.maxLive, c.live)
+	c.liveMu.Unlock()
+	return c.countingCollector.NewShardState(day, shard)
+}
+
+func (c *liveCollector) MergeShard(st ShardState) error {
+	c.liveMu.Lock()
+	c.live--
+	c.liveMu.Unlock()
+	if c.failAt != nil && st.(*countingShard).part == *c.failAt {
+		return errBoom
+	}
+	return c.countingCollector.MergeShard(st)
+}
+
+// TestScanBoundsLiveStates: with the first partition held slow, the
+// other workers claim only inside the window ahead of the merge, so at
+// most scanWindowPerWorker*workers states are live and the result is
+// that of an unslowed scan. After a MergeShard error at partition k no
+// partition at or past k+window is opened.
+func TestScanBoundsLiveStates(t *testing.T) {
+	const workers = 4
+	window := scanWindowPerWorker * workers
+	fs := buildShardedStore(t, 6, 40, 4)
+	parts, err := fs.Partitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) <= 2*window {
+		t.Fatalf("%d partitions leave no room past a window of %d", len(parts), window)
+	}
+	want := &countingCollector{}
+	if err := Scan(context.Background(), fs, ScanOptions{Parallelism: workers}, want); err != nil {
+		t.Fatal(err)
+	}
+
+	s := &liveStore{FileStore: fs, slow: &parts[0]}
+	got := &liveCollector{}
+	if err := Scan(context.Background(), s, ScanOptions{Parallelism: workers}, got); err != nil {
+		t.Fatal(err)
+	}
+	if got.maxLive > window {
+		t.Fatalf("%d states live at once, want at most the window of %d", got.maxLive, window)
+	}
+	if got.total != want.total || got.daySum != want.daySum || fmt.Sprint(got.merges) != fmt.Sprint(want.merges) {
+		t.Fatalf("slowed scan got (%d, %d) merged %v, unslowed (%d, %d) merged %v",
+			got.total, got.daySum, got.merges, want.total, want.daySum, want.merges)
+	}
+
+	const k = 2
+	s = &liveStore{FileStore: fs}
+	c := &liveCollector{failAt: &parts[k]}
+	if err := Scan(context.Background(), s, ScanOptions{Parallelism: workers}, c); !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want errBoom", err)
+	}
+	for _, p := range s.opened {
+		if i := sort.Search(len(parts), func(i int) bool { return !parts[i].Less(p) }); i >= k+window {
+			t.Fatalf("opened partition %d (%v) after the merge of partition %d failed, window %d", i, p, k, window)
+		}
+	}
+}
