@@ -48,7 +48,8 @@
 #                     into world build / simulate / write tail, with
 #                     the overlapped day writer's busy time beside it)
 #   make fuzz-smoke   30s of FuzzDecodeBlock on the block decoder, 30s
-#                     of FuzzDecodeIndex on the .tlix sidecar decoder,
+#                     of FuzzDecodeIndex on the partition index footer
+#                     decoder (seeded from real footers),
 #                     30s of FuzzResultJSON on the /query JSON renderer,
 #                     30s of FuzzResumeAnalyzer on checkpoint
 #                     decoding, 30s of FuzzPingPongAutomaton on the

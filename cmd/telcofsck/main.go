@@ -1,10 +1,11 @@
 // Command telcofsck audits a campaign's trace store: it re-reads every
-// partition stream, checks it against the MANIFEST fingerprints and the
-// codec, validates .tlix sidecars, and reports manifest entries whose
-// files are gone and files the manifest does not cover. With -scrub it
-// then repairs what it can — corrupt partitions move (never delete) to
-// quarantine/, bad sidecars are dropped, and the MANIFEST is rewritten
-// to the surviving set so the campaign serves its remaining days.
+// partition file, checks it against the MANIFEST fingerprints (which
+// cover each file's index footer) and the codec, and reports manifest
+// entries whose files are gone and files the manifest does not cover.
+// With -scrub it then repairs what it can — corrupt partitions, a
+// damaged footer included, move (never delete) to quarantine/, and the
+// MANIFEST is rewritten to the surviving set so the campaign serves its
+// remaining days.
 //
 // Usage:
 //
@@ -94,7 +95,6 @@ func run(ctx context.Context, stdout io.Writer, dir string, scrub, asJSON bool) 
 		out := map[string]any{"report": report}
 		if res != nil {
 			out["quarantined"] = res.Quarantined
-			out["indexes_dropped"] = res.IndexesDropped
 			out["entries_dropped"] = res.EntriesDropped
 		}
 		if len(quarantine) > 0 {
@@ -109,8 +109,8 @@ func run(ctx context.Context, stdout io.Writer, dir string, scrub, asJSON bool) 
 		printReport(stdout, dir, report, res, quarantine)
 	}
 
-	// After a scrub every issue has been resolved (quarantined, dropped,
-	// or pruned), so the store serves again: exit clean. A plain audit
+	// After a scrub every issue has been resolved (quarantined or
+	// pruned), so the store serves again: exit clean. A plain audit
 	// exits 1 on any finding so CI and cron wrappers can alert.
 	return report.OK() || res != nil, nil
 }
@@ -129,9 +129,6 @@ func printReport(w io.Writer, dir string, report *trace.VerifyReport, res *trace
 	if res != nil {
 		for _, p := range res.Quarantined {
 			fmt.Fprintf(w, "  -> quarantined day %d shard %d\n", p.Day, p.Shard)
-		}
-		for _, p := range res.IndexesDropped {
-			fmt.Fprintf(w, "  -> dropped corrupt index for day %d shard %d\n", p.Day, p.Shard)
 		}
 		for _, p := range res.EntriesDropped {
 			fmt.Fprintf(w, "  -> dropped manifest entry for day %d shard %d\n", p.Day, p.Shard)

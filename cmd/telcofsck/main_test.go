@@ -10,6 +10,7 @@ import (
 
 	"telcolens"
 	"telcolens/internal/trace"
+	"telcolens/internal/trace/tracetest"
 )
 
 // TestBadDataDirFailsAndCreatesNothing: a -data that does not exist, or
@@ -87,6 +88,46 @@ func TestMissingPartitionStatus(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), `"entries_dropped"`) {
 		t.Fatalf("scrub JSON report:\n%s", out.String())
+	}
+	out.Reset()
+	if clean, err := run(ctx, &out, dir, false, false); err != nil || !clean {
+		t.Fatalf("audit after scrub: clean=%v err=%v, report:\n%s", clean, err, out.String())
+	}
+}
+
+// TestDamagedFooterScrubs: a partition whose index footer is damaged is
+// a damaged partition. A plain audit reports it under a data class and
+// is unclean (status 1); -scrub quarantines it and exits clean (status
+// 0), after which a plain audit is clean too.
+func TestDamagedFooterScrubs(t *testing.T) {
+	dir := t.TempDir()
+	store, err := trace.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := telcolens.DefaultConfig(7)
+	cfg.UEs, cfg.Days = 50, 2
+	cfg.Store = store
+	if _, err := telcolens.Generate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracetest.DamageFooter(filepath.Join(dir, "ho_day_001.tlho"), "byte-flipped"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var out bytes.Buffer
+	if clean, err := run(ctx, &out, dir, false, false); err != nil || clean {
+		t.Fatalf("audit: clean=%v err=%v, want an unclean report", clean, err)
+	}
+	if !strings.Contains(out.String(), "CORRUPT day 1 shard 0 [checksum]") {
+		t.Fatalf("audit report:\n%s", out.String())
+	}
+	out.Reset()
+	if clean, err := run(ctx, &out, dir, true, false); err != nil || !clean {
+		t.Fatalf("scrub: clean=%v err=%v, report:\n%s", clean, err, out.String())
+	}
+	if !strings.Contains(out.String(), "quarantined day 1 shard 0") {
+		t.Fatalf("scrub report:\n%s", out.String())
 	}
 	out.Reset()
 	if clean, err := run(ctx, &out, dir, false, false); err != nil || !clean {

@@ -19,7 +19,7 @@ import (
 // TestReplayMatchesSource replays a generated campaign through run, on
 // two streams without a rate limit, into an uninitialized ingest target:
 // run must initialize it, and the partitions it seals must equal the
-// source's byte for byte, index sidecars included, with the same
+// source's byte for byte, index footers included, with the same
 // per-day ground truth in the campaign descriptor.
 func TestReplayMatchesSource(t *testing.T) {
 	if testing.Short() {
@@ -52,16 +52,12 @@ func TestReplayMatchesSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var files []string
-	for _, pat := range []string{"*.tlho", "*.tlix"} {
-		m, err := filepath.Glob(filepath.Join(src, pat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, m...)
+	files, err := filepath.Glob(filepath.Join(src, "*.tlho"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(files) != 2*cfg.Days*cfg.Shards {
-		t.Fatalf("source holds %d partition files, want %d", len(files), 2*cfg.Days*cfg.Shards)
+	if len(files) != cfg.Days*cfg.Shards {
+		t.Fatalf("source holds %d partition files, want %d", len(files), cfg.Days*cfg.Shards)
 	}
 	for _, f := range files {
 		want, err := os.ReadFile(f)
@@ -76,15 +72,13 @@ func TestReplayMatchesSource(t *testing.T) {
 			t.Errorf("%s: replayed file differs from the source (%d vs %d bytes)", filepath.Base(f), len(got), len(want))
 		}
 	}
-	for _, pat := range []string{"*.tlho", "*.tlix"} {
-		m, err := filepath.Glob(filepath.Join(dst, pat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range m {
-			if _, err := os.Stat(filepath.Join(src, filepath.Base(f))); err != nil {
-				t.Errorf("replay wrote %s, which the source does not hold", filepath.Base(f))
-			}
+	replayed, err := filepath.Glob(filepath.Join(dst, "*.tlho"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range replayed {
+		if _, err := os.Stat(filepath.Join(src, filepath.Base(f))); err != nil {
+			t.Errorf("replay wrote %s, which the source does not hold", filepath.Base(f))
 		}
 	}
 

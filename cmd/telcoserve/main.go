@@ -997,15 +997,12 @@ func startupScrub(ctx context.Context, dir string) error {
 	if err != nil {
 		return fmt.Errorf("startup scrub: %w", err)
 	}
-	if res.Report.OK() && len(res.Report.Issues) == 0 {
+	if res.Report.OK() {
 		log.Printf("startup scrub: %d partitions clean", res.Report.Partitions)
 		return nil
 	}
 	for _, p := range res.Quarantined {
 		log.Printf("startup scrub: quarantined day %d shard %d", p.Day, p.Shard)
-	}
-	for _, p := range res.IndexesDropped {
-		log.Printf("startup scrub: dropped corrupt index day %d shard %d", p.Day, p.Shard)
 	}
 	for _, p := range res.EntriesDropped {
 		log.Printf("startup scrub: dropped manifest entry day %d shard %d (file missing)", p.Day, p.Shard)

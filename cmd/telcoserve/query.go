@@ -17,8 +17,8 @@ import (
 
 // The ad-hoc query endpoint: GET /query serves per-UE / per-TAC /
 // per-sector record slices and small aggregates straight from the
-// partition files, pruned by the MANIFEST zone maps and the .tlix
-// secondary indexes (see internal/query). The partitions that survive
+// partition files, pruned by the MANIFEST zone maps and the partitions'
+// index footers (see internal/query). The partitions that survive
 // pruning are decoded in parallel on trace.Scan's workers — up to
 // GOMAXPROCS per query, whatever -parallel says — and merged in
 // canonical order. Queries run against the query view pinned in the

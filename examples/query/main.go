@@ -3,12 +3,12 @@
 // engine, and over HTTP the way telcoserve mounts it — watching the
 // index do its work in the prune counters.
 //
-// Every partition the generator writes gets a .tlix sidecar: partition-
-// and block-level bloom filters over UE/TAC/sector plus per-block time
-// extents. A single-UE query then prunes in three stages (manifest zone
-// maps + UE-hash sharding, partition blooms, per-block allow-lists) and
-// decodes a handful of blocks where a scan would decode a campaign; the
-// metrics on every result show exactly how many. Forcing NoIndex runs
+// Every partition the generator writes ends with an index footer:
+// partition- and block-level bloom filters over UE/TAC/sector plus
+// per-block time extents. A single-UE query then prunes in three stages
+// (manifest zone maps + UE-hash sharding, partition blooms, per-block
+// allow-lists) and decodes a handful of blocks where a scan would decode
+// a campaign; the metrics on every result show exactly how many. Forcing NoIndex runs
 // the same query as a full scan-and-filter — byte-identical rows, just
 // slower — which is also the cross-check CI runs (TestQueryMatchesScan).
 //
@@ -43,8 +43,8 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// A small sharded campaign on disk; the file store writes a .tlix
-	// index sidecar next to every partition as a side effect. Small
+	// A small sharded campaign on disk; the stream writer ends every
+	// partition with its index footer as a side effect. Small
 	// blocks (512 records vs the 4096 default) give the block-level
 	// pruning something to bite on at this toy scale.
 	store, err := trace.NewFileStoreOpts(dir, trace.FileStoreOptions{BlockRecords: 512})

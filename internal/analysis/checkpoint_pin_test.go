@@ -46,7 +46,7 @@ func sha256Hex(b []byte) string {
 // count) pairs, over the pinned campaign as stored on disk (quantized
 // durations, stream fingerprints).
 func TestCheckpointBytesPinned(t *testing.T) {
-	const want = "da649ad8abe14f6470656be1e664f2cc78bb4e826e2150c8a3e91d6b78a44d30"
+	const want = "5e13e9ebec575d63002f21066da5206e8172dd393be5d67a12ae4988da5bcc89"
 	var buf bytes.Buffer
 	if err := pinnedAnalyzer(t).Checkpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -206,14 +206,15 @@ func TestCheckpointVersionOneFallsBackCold(t *testing.T) {
 	}
 	for _, c := range []struct {
 		version uint8
-		// The digest TestCheckpointBytesPinned held for this campaign
-		// while the layout was current: the rewrite reproduces the old
-		// bytes exactly.
+		// The digest of the layout over the pinned campaign as stored
+		// today: what TestCheckpointBytesPinned held while the layout
+		// was current, with the partition fingerprints the files carry
+		// now that each partition ends with its index footer.
 		digest string
 	}{
-		{1, "aa8409548dd954d81936a9c8eea2e79a935d766d0eeaabe1481a449e20dfe636"},
-		{2, "814da41805b74fb0076256fa9dd8a42dc73792c986a33d99e64456a3c34fb118"},
-		{3, "7c8498151623376b1a208846a43990d27ff4edf5fb1ecfb845da74549e6853f1"},
+		{1, "5dafb21bf8ae85f150820eda4e357a72f7b7397c5690be1f68f8f8228697f25a"},
+		{2, "69d8592f72ef6c72612eff7adabeee42d79d5856314d8881d578178cc855eea0"},
+		{3, "70ea8e2ec7710bb3c2928814f7c60fdc22a08ba5b20d5000387a2095dc211b47"},
 	} {
 		old := legacyCheckpoint(t, a, c.version)
 		if got := sha256Hex(old); got != c.digest {

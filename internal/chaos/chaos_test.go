@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"telcolens/internal/analysis"
@@ -389,9 +390,10 @@ func TestMatrixCheckpointSave(t *testing.T) {
 // cleanly (classified corruption) or returns exactly the control rows
 // — never silently wrong data. Every rule queries twice on one view,
 // through two engines so the result cache answers neither: the second
-// query runs on whatever sidecar outcome the view pinned. A one-shot
-// read error on a sidecar is transient and is not pinned, so the second
-// query loads the index again and prunes with it.
+// query runs on whatever index outcome the view pinned. Day 1's first
+// open and first read are its index footer's: a one-shot error there is
+// transient and is not pinned, so the second query loads the index
+// again and prunes with it, and a flipped trailer or footer pins a scan.
 func TestIndexedQueryFaults(t *testing.T) {
 	dir := t.TempDir()
 	s, err := trace.NewFileStore(dir)
@@ -405,7 +407,7 @@ func TestIndexedQueryFaults(t *testing.T) {
 	ue := trace.UEID(3)
 	params.UE = &ue
 	params.Limit = 100000
-	// Day 1 lacks the queried UE, so its sidecar alone prunes it.
+	// Day 1 lacks the queried UE, so its index footer alone prunes it.
 	w, err := s.AppendPartition(1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -437,19 +439,24 @@ func TestIndexedQueryFaults(t *testing.T) {
 		t.Fatal("control query returned nothing")
 	}
 	if control.Metrics.PartitionsPruned != 1 {
-		t.Fatalf("control query pruned %d partitions, want day 1 pruned by its sidecar",
+		t.Fatalf("control query pruned %d partitions, want day 1 pruned by its index",
 			control.Metrics.PartitionsPruned)
 	}
 
-	transient := faultfs.Rule{Op: faultfs.OpRead, Path: "ho_day_001.tlix", Kind: faultfs.KindErr}
+	transient := []faultfs.Rule{
+		{Op: faultfs.OpRead, Path: "ho_day_001.tlho", Kind: faultfs.KindErr},
+		{Op: faultfs.OpOpen, Path: "ho_day_001.tlho", Kind: faultfs.KindErr},
+	}
+	pinned := []faultfs.Rule{
+		{Op: faultfs.OpRead, Path: "ho_day_001.tlho", Kind: faultfs.KindFlip, Bit: 7},
+		{Op: faultfs.OpRead, Path: "ho_day_001.tlho", Kind: faultfs.KindFlip, Bit: 4001, After: 2},
+	}
 	rules := []faultfs.Rule{
 		{Op: faultfs.OpRead, Path: "*.tlho", Kind: faultfs.KindFlip, Bit: 7, After: 0},
 		{Op: faultfs.OpRead, Path: "*.tlho", Kind: faultfs.KindFlip, Bit: 4001, After: 1},
 		{Op: faultfs.OpRead, Path: "*.tlho", Kind: faultfs.KindErr},
-		{Op: faultfs.OpOpen, Path: "*.tlix", Kind: faultfs.KindErr},
-		{Op: faultfs.OpRead, Path: "*.tlix", Kind: faultfs.KindErr},
-		transient,
 	}
+	rules = append(append(rules, transient...), pinned...)
 	for _, rule := range rules {
 		t.Run(rule.String(), func(t *testing.T) {
 			ff := faultfs.NewFault(nil, faultfs.Plan{Seed: matrixSeed, Rules: []faultfs.Rule{rule}})
@@ -478,17 +485,21 @@ func TestIndexedQueryFaults(t *testing.T) {
 				}
 				answers = append(answers, res)
 			}
-			if rule != transient {
+			want := [2]int64{}
+			switch {
+			case slices.Contains(transient, rule):
+				want[1] = 1
+			case slices.Contains(pinned, rule):
+			default:
 				return
 			}
 			if len(answers) != 2 {
-				t.Fatalf("a sidecar read error failed %d of 2 queries; it must only cost pruning", 2-len(answers))
+				t.Fatalf("a fault on the index footer failed %d of 2 queries; it must only cost pruning", 2-len(answers))
 			}
-			if got := answers[0].Metrics.PartitionsPruned; got != 0 {
-				t.Fatalf("first query pruned %d partitions through an unreadable sidecar", got)
-			}
-			if got := answers[1].Metrics.PartitionsPruned; got != 1 {
-				t.Fatalf("second query pruned %d partitions, want 1: the transient error was pinned", got)
+			for i, res := range answers {
+				if got := res.Metrics.PartitionsPruned; got != want[i] {
+					t.Fatalf("query %d pruned %d partitions, want %d", i, got, want[i])
+				}
 			}
 		})
 	}

@@ -629,10 +629,9 @@ func (s *Service) sealLocked(ds *dayState) error {
 	if err := s.removeDebrisLocked(); err != nil {
 		return err
 	}
-	// The ordinary FileStore writer, so sealed partitions get the same
-	// .tlix query-index sidecar (and manifest index version)
-	// batch-generated ones do: streamed days are immediately
-	// index-prunable by /query.
+	// The ordinary FileStore writer, so sealed partitions carry the same
+	// index footer batch-generated ones do: streamed days are
+	// immediately index-prunable by /query.
 	if err := trace.WriteDay(s.store, ds.day, s.meta.Config.Shards, ds.cols, &s.dayBuf); err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func TestQuerySteadyStateAllocs(t *testing.T) {
 		}
 		return res
 	}
-	for i := 0; i < 4; i++ { // warm the batch pool and pin the sidecars
+	for i := 0; i < 4; i++ { // warm the batch pool and pin the index footers
 		miss()
 	}
 	res := miss()

@@ -12,7 +12,7 @@ import (
 // hintlessStore serves a FileStore's partitions through iterators that
 // ignore the projection and block-filter hints, as the RecordIterator
 // contract allows. The embedded *trace.FileStore still answers
-// PartitionIndex, so the engine keeps pruning with the sidecars and
+// PartitionIndex, so the engine keeps pruning with the index footers and
 // hands block filters to iterators that then decode every block.
 type hintlessStore struct{ *trace.FileStore }
 

@@ -43,8 +43,8 @@ func oracleVariants(tc queryShape) []queryShape {
 
 // TestQueryMatchesSerialOracle holds the parallel engine to the serial
 // partition loop it replaced (execSerial). Over every queryShapes query
-// and its oracleVariants, at two block sizes, with and without the
-// .tlix sidecars and at GOMAXPROCS 1 and 4, rows, truncation and
+// and its oracleVariants, at two block sizes, with index footers that
+// decode and with damaged ones, and at GOMAXPROCS 1 and 4, rows, truncation and
 // aggregate must be the oracle's JSON bytes and the ground truth's
 // rows. Metrics must equal the oracle's, except for a query that
 // truncated without an aggregate at GOMAXPROCS 4; then they must lie
@@ -77,7 +77,7 @@ func TestQueryMatchesSerialOracle(t *testing.T) {
 		dir := t.TempDir()
 		fs := c.write(t, dir, sc.opts)
 		if sc.noIndex {
-			removeSidecars(t, dir)
+			damageFooters(t, dir, "byte-flipped")
 		}
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/procs%d", sc.name, procs), func(t *testing.T) {

@@ -9,9 +9,10 @@
 //  1. partition zone maps — the MANIFEST's per-partition [MinTS, MaxTS]
 //     extents drop partitions outside the window, and UE-hash sharding
 //     drops the shards a UE cannot live in;
-//  2. partition bloom filters — the .tlix sidecar's UE/TAC/sector
-//     filters drop partitions that definitely lack the key;
-//  3. block summaries — the sidecar's per-block time extents and
+//  2. partition bloom filters — the UE/TAC/sector filters of the
+//     partition's index footer drop partitions that definitely lack
+//     the key;
+//  3. block summaries — the footer's per-block time extents and
 //     UE/TAC blooms turn into a block allow-list pushed down to the
 //     stream reader (SetBlockFilter), so excluded blocks are never decoded.
 //
@@ -19,10 +20,10 @@
 // workers and their matches merged in canonical order, so a result is
 // the same whatever the schedule.
 //
-// Every stage is conservative: a missing, stale or corrupt index only
-// widens the set of blocks decoded, never narrows the result. Exact
-// predicates re-check every decoded row, so indexed and index-absent
-// executions return byte-identical results.
+// Every stage is conservative: a footer that cannot be read or does not
+// decode only widens the set of blocks decoded, never narrows the
+// result. Exact predicates re-check every decoded row, so indexed and
+// index-absent executions return byte-identical results.
 //
 // Queries run against an immutable View (the partition set at one
 // manifest generation — partitions are write-once, so a pinned view is
@@ -427,13 +428,12 @@ func appendJSONString(b []byte, s string) []byte {
 // are write-once, so a view stays internally consistent while new days
 // land; queries against it see exactly the generation's data.
 //
-// The view also pins each partition's .tlix sidecar the first time a
+// The view also pins each partition's index footer the first time a
 // query needs it, so later queries on the view neither re-read nor
-// re-decode it. A decoded index, a missing sidecar and a corrupt or
-// future-versioned one are settled for the view's lifetime (the last
-// two as "scan"); a transient read error is not, and the next query
-// retries the load. Nothing carries over to a new view: it reloads
-// lazily.
+// re-decode it. A decoded index and a footer that does not decode are
+// settled for the view's lifetime (the second as "scan"); a failed
+// read is not, and the next query retries the load. Nothing carries
+// over to a new view: it reloads lazily.
 type View struct {
 	// Gen is the manifest generation the view was built from.
 	Gen uint64
@@ -445,43 +445,40 @@ type View struct {
 	// set is exactly {0..k-1} — the layout ShardOf writes — so a UE
 	// query can drop the day's other shards with zero false negatives.
 	shardsOf map[int]int
-	// sidecars holds one slot per Partitions entry: nil until a query
-	// settles the partition's sidecar, then the decoded index or
-	// noSidecar. Hits take no lock.
-	sidecars []atomic.Pointer[trace.PartitionIndex]
+	// indexes holds one slot per Partitions entry: nil until a query
+	// settles the partition's index, then the decoded footer or
+	// noIndex. Hits take no lock.
+	indexes []atomic.Pointer[trace.PartitionIndex]
 }
 
-// noSidecar marks a settled slot whose partition has no usable index:
-// the sidecar is missing, corrupt or of a newer version.
-var noSidecar = new(trace.PartitionIndex)
+// noIndex marks a settled slot whose partition's footer does not decode.
+var noIndex = new(trace.PartitionIndex)
 
-// partitionIndex returns partition i's sidecar through src, loading and
+// partitionIndex returns partition i's index through src, loading and
 // pinning it on first use; nil means scan the partition. Concurrent
 // first uses may both load; they decode the same write-once file, so
 // either result may win the slot.
 func (v *View) partitionIndex(i int, src IndexSource) *trace.PartitionIndex {
-	if i < len(v.sidecars) { // a View not built by NewView pins nothing
-		if idx := v.sidecars[i].Load(); idx != nil {
-			if idx == noSidecar {
+	if i < len(v.indexes) { // a View not built by NewView pins nothing
+		if idx := v.indexes[i].Load(); idx != nil {
+			if idx == noIndex {
 				return nil
 			}
 			return idx
 		}
 	}
-	pi := &v.Partitions[i]
-	idx, err := src.PartitionIndex(pi.Day, pi.Shard)
+	idx, err := src.PartitionIndex(v.Partitions[i])
 	if err != nil {
-		if !errors.Is(err, trace.ErrIndexCorrupt) && !errors.Is(err, trace.ErrIndexVersion) {
+		if !errors.Is(err, trace.ErrIndexCorrupt) {
 			return nil // transient: scan this time, retry next query
 		}
-		idx = nil
+		idx = noIndex
 	}
-	if i < len(v.sidecars) {
-		if idx == nil {
-			v.sidecars[i].Store(noSidecar)
-		} else {
-			v.sidecars[i].Store(idx)
-		}
+	if i < len(v.indexes) {
+		v.indexes[i].Store(idx)
+	}
+	if idx == noIndex {
+		return nil
 	}
 	return idx
 }
@@ -494,7 +491,7 @@ func NewView(s trace.Store) (*View, error) {
 		return nil, err
 	}
 	v := &View{Gen: m.Gen, Partitions: m.Partitions}
-	v.sidecars = make([]atomic.Pointer[trace.PartitionIndex], len(v.Partitions))
+	v.indexes = make([]atomic.Pointer[trace.PartitionIndex], len(v.Partitions))
 	v.shardsOf = make(map[int]int)
 	byDay := make(map[int][]int)
 	for i := range v.Partitions {
@@ -515,18 +512,18 @@ func NewView(s trace.Store) (*View, error) {
 	return v, nil
 }
 
-// IndexSource loads per-partition secondary indexes; *trace.FileStore
-// implements it. Absent (nil, nil) indexes mean "scan", and so do
-// ErrIndexCorrupt and ErrIndexVersion. The engine loads each
-// partition's index at most once per View (see View); any other error
-// counts as transient and is retried by the view's next query.
+// IndexSource loads the index footer of a MANIFEST entry's partition;
+// *trace.FileStore implements it. ErrIndexCorrupt means "scan". The
+// engine loads each partition's index at most once per View (see View);
+// any other error counts as transient and is retried by the view's next
+// query.
 type IndexSource interface {
-	PartitionIndex(day, shard int) (*trace.PartitionIndex, error)
+	PartitionIndex(pi trace.PartitionInfo) (*trace.PartitionIndex, error)
 }
 
 // Engine executes queries over one store, with index pruning when the
-// store maintains .tlix sidecars and an LRU result cache keyed on
-// (normalized query, view generation). A query prunes on its calling
+// store can read partition index footers, and with an LRU result cache
+// keyed on (normalized query, view generation). A query prunes on its calling
 // goroutine and decodes the surviving partitions on trace.Scan's
 // workers, up to GOMAXPROCS of them per query.
 type Engine struct {
@@ -626,14 +623,10 @@ func (e *Engine) exec(ctx context.Context, v *View, p Params) (*Result, error) {
 				continue
 			}
 		}
-		// Stages 2 and 3: sidecar prune, when one is present and fresh.
+		// Stages 2 and 3: index prune, when the footer decodes.
 		var allow []bool
 		if !p.NoIndex && e.idx != nil {
-			idx := v.partitionIndex(i, e.idx)
-			if idx != nil && idx.Fingerprint != pi.Fingerprint {
-				idx = nil // stale: partition rewritten behind the index
-			}
-			if idx != nil {
+			if idx := v.partitionIndex(i, e.idx); idx != nil {
 				if (p.UE != nil && !idx.MayContainUE(*p.UE)) ||
 					(p.TAC != nil && !idx.MayContainTAC(*p.TAC)) ||
 					(p.Sector != nil && !idx.MayContainSector(*p.Sector)) {

@@ -17,6 +17,7 @@ import (
 	"telcolens/internal/devices"
 	"telcolens/internal/topology"
 	"telcolens/internal/trace"
+	"telcolens/internal/trace/tracetest"
 )
 
 // corpus is a deterministic synthetic campaign kept both as ground
@@ -137,14 +138,15 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 // TestQueryMatchesScan is the equivalence property: at two block sizes,
-// for stores with and without their index sidecars, and across window
-// edges, the indexed execution returns rows byte-identical to both the
-// forced scan fallback (NoIndex) and the brute-force ground truth.
-// Stores whose streams name a format earlier versions wrote (v1, v2,
-// flate, TLZ) must fail every query that has to decode them with
-// ErrBadVersion naming the format and telcogen, never answer as if the
-// partitions were empty; the v2 rows check that with the sidecars'
-// pruning, without it, and with one block per partition.
+// for stores whose index footers decode and stores whose footers are
+// all damaged (the -noindex rows), and across window edges, the indexed
+// execution returns rows byte-identical to both the forced scan
+// fallback (NoIndex) and the brute-force ground truth. Stores whose
+// streams name a format earlier versions wrote (v1, v2, flate, TLZ)
+// must fail every query that has to decode them with ErrBadVersion
+// naming the format and telcogen, never answer as if the partitions
+// were empty; the v2 rows check that with the footers' pruning, without
+// it, and with one block per partition.
 func TestQueryMatchesScan(t *testing.T) {
 	c := genCorpus(29, 3, 2, 900)
 	cases := queryShapes(c)
@@ -152,7 +154,7 @@ func TestQueryMatchesScan(t *testing.T) {
 	stores := []struct {
 		name           string
 		opts           trace.FileStoreOptions
-		noIndex        bool   // delete the .tlix sidecars after writing
+		noIndex        bool   // damage every index footer after writing
 		version, flags uint16 // header stamped over the v3 streams; 0 keeps them
 	}{
 		{name: "v3", opts: trace.FileStoreOptions{BlockRecords: 64}},
@@ -172,7 +174,7 @@ func TestQueryMatchesScan(t *testing.T) {
 			dir := t.TempDir()
 			fs := c.write(t, dir, sc.opts)
 			if sc.noIndex {
-				removeSidecars(t, dir)
+				damageFooters(t, dir, "byte-flipped")
 			}
 			if sc.version != 0 {
 				stampHeaders(t, dir, sc.version, sc.flags)
@@ -193,7 +195,7 @@ func TestQueryMatchesScan(t *testing.T) {
 					fb.NoIndex = true
 					fallback, _, fbErr := eng.Query(ctx, v, fb)
 					if sc.version != 0 {
-						// Only a query the zone maps and sidecars answer
+						// Only a query the zone maps and footers answer
 						// without decoding may succeed, and then its
 						// ground truth is empty.
 						wantRows, _ := c.expected(tc.p)
@@ -271,24 +273,85 @@ func queryShapes(c *corpus) []queryShape {
 	}
 }
 
-// removeSidecars deletes every .tlix sidecar under dir: how an
-// unindexed partition arises in a real store, its sidecar lost after
-// the MANIFEST advertised it.
-func removeSidecars(t *testing.T, dir string) {
+// damageFooters breaks the index footer of every partition under dir
+// the way tracetest.DamageFooter names, leaving the blocks and the
+// MANIFEST as they were: no partition's index decodes.
+func damageFooters(t *testing.T, dir, how string) {
 	t.Helper()
-	sidecars, err := filepath.Glob(filepath.Join(dir, "*"+trace.IndexSuffix))
-	if err != nil || len(sidecars) == 0 {
-		t.Fatalf("no sidecars under %s: %v", dir, err)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.tlho"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no partitions under %s: %v", dir, err)
 	}
-	for _, p := range sidecars {
-		if err := os.Remove(p); err != nil {
+	for _, p := range paths {
+		if err := tracetest.DamageFooter(p, how); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// TestQueryFooterDamage is the footer damage matrix: whatever breaks
+// every partition's index footer (a flipped byte, the footer cut back
+// to its trailer, a trailer length past the start of the file), each
+// query returns the rows of its NoIndex run and of the ground truth,
+// and pins the footer as unusable rather than failing. A v3 store,
+// whose index was a sidecar, fails every query that decodes it with
+// ErrBadVersion naming the format and telcogen.
+func TestQueryFooterDamage(t *testing.T) {
+	c := genCorpus(29, 3, 2, 900)
+	ctx := context.Background()
+	for _, how := range append(tracetest.FooterDamages, "v3") {
+		t.Run(how, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := c.write(t, dir, trace.FileStoreOptions{BlockRecords: 64})
+			if how == "v3" {
+				if err := tracetest.DowngradeToV3(dir); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				damageFooters(t, dir, how)
+			}
+			eng := New(fs)
+			v, err := NewView(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range queryShapes(c) {
+				want, _ := c.expected(tc.p)
+				fb := tc.p
+				fb.NoIndex = true
+				for _, p := range []Params{tc.p, fb} {
+					res, _, err := eng.Query(ctx, v, p)
+					if how == "v3" {
+						if err == nil && len(want) > 0 {
+							t.Fatalf("%s: a v3 store answered %d rows", tc.name, len(res.Rows))
+						}
+						if err != nil && (!errors.Is(err, trace.ErrBadVersion) ||
+							!strings.Contains(err.Error(), "v3 blocks with a separate index sidecar") ||
+							!strings.Contains(err.Error(), "telcogen")) {
+							t.Fatalf("%s: err = %v, want ErrBadVersion naming v3 and telcogen", tc.name, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+					if got, w := mustJSON(t, res.Rows), mustJSON(t, want); got != w {
+						t.Fatalf("%s (noindex=%v): rows differ from ground truth:\ngot  %s\nwant %s",
+							tc.name, p.NoIndex, got, w)
+					}
+				}
+			}
+			for i := range v.indexes {
+				if idx := v.indexes[i].Load(); idx != nil && idx != noIndex {
+					t.Fatalf("partition %d: a damaged footer was pinned as an index", i)
+				}
+			}
+		})
+	}
+}
+
 // stampHeaders rewrites the version and flags of every partition stream
-// under dir, leaving MANIFEST and sidecars untouched.
+// under dir, leaving the MANIFEST untouched.
 func stampHeaders(t *testing.T, dir string, version, flags uint16) {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.tlho"))

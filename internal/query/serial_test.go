@@ -59,11 +59,7 @@ func execSerial(ctx context.Context, e *Engine, v *View, p Params) (*Result, err
 		}
 		var allow []bool
 		if !p.NoIndex && e.idx != nil {
-			idx := v.partitionIndex(i, e.idx)
-			if idx != nil && idx.Fingerprint != pi.Fingerprint {
-				idx = nil
-			}
-			if idx != nil {
+			if idx := v.partitionIndex(i, e.idx); idx != nil {
 				if (p.UE != nil && !idx.MayContainUE(*p.UE)) ||
 					(p.TAC != nil && !idx.MayContainTAC(*p.TAC)) ||
 					(p.Sector != nil && !idx.MayContainSector(*p.Sector)) {

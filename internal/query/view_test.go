@@ -2,9 +2,9 @@ package query
 
 import (
 	"context"
+	iofs "io/fs"
 	"maps"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -12,38 +12,53 @@ import (
 	"telcolens/internal/trace"
 )
 
-// sidecarReads is a filesystem wrapper counting .tlix loads per file.
-type sidecarReads struct {
+// indexReads is a filesystem wrapper counting the positioned reads of
+// each file: the reads that load a partition's index footer (two per
+// load, the trailer then the footer), which scans never make.
+type indexReads struct {
 	faultfs.FS
 	mu sync.Mutex
 	n  map[string]int
 }
 
-func (c *sidecarReads) ReadFile(name string) ([]byte, error) {
-	if strings.HasSuffix(name, trace.IndexSuffix) {
-		c.mu.Lock()
-		c.n[filepath.Base(name)]++
-		c.mu.Unlock()
+func (c *indexReads) OpenFile(name string, flag int, perm iofs.FileMode) (faultfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
 	}
-	return c.FS.ReadFile(name)
+	return &countedFile{File: f, c: c, name: filepath.Base(name)}, nil
 }
 
-func (c *sidecarReads) counts() map[string]int {
+type countedFile struct {
+	faultfs.File
+	c    *indexReads
+	name string
+}
+
+func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.c.mu.Lock()
+	f.c.n[f.name]++
+	f.c.mu.Unlock()
+	return f.File.ReadAt(p, off)
+}
+
+func (c *indexReads) counts() map[string]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return maps.Clone(c.n)
 }
 
-// TestViewPinsSidecars holds the pinning contract: however many
-// uncached queries run on one View, each partition's sidecar is read at
-// most once, and the answers stay those of the ground truth. A new View
-// of the same generation reloads. Concurrent queries on a fresh view
-// share its slots without a data race.
+// TestViewPinsSidecars holds the pinning contract for the index that
+// was once a sidecar file and is now each partition's footer: however
+// many uncached queries run on one View, each partition's footer is
+// loaded at most once, and the answers stay those of the ground truth.
+// A new View of the same generation reloads. Concurrent queries on a
+// fresh view share its slots without a data race.
 func TestViewPinsSidecars(t *testing.T) {
 	c := genCorpus(31, 3, 2, 1200)
 	dir := t.TempDir()
 	c.write(t, dir, trace.FileStoreOptions{BlockRecords: 128})
-	reads := &sidecarReads{FS: faultfs.OS{}, n: make(map[string]int)}
+	reads := &indexReads{FS: faultfs.OS{}, n: make(map[string]int)}
 	fs, err := trace.NewFileStoreOpts(dir, trace.FileStoreOptions{FS: reads})
 	if err != nil {
 		t.Fatal(err)
@@ -84,15 +99,15 @@ func TestViewPinsSidecars(t *testing.T) {
 	run(New(fs), v, queries)
 	first := reads.counts()
 	if len(first) == 0 {
-		t.Fatal("no sidecar was read: the queries never used the index")
+		t.Fatal("no index footer was read: the queries never used the index")
 	}
 	for name, n := range first {
-		if n != 1 {
-			t.Fatalf("%s read %d times on one view, want 1", name, n)
+		if n != 2 {
+			t.Fatalf("%s's footer read with %d positioned reads on one view, want one load's 2", name, n)
 		}
 	}
 
-	// A new view pins nothing yet: the same queries reload every sidecar
+	// A new view pins nothing yet: the same queries reload every footer
 	// they need, once more each.
 	v2, err := NewView(fs)
 	if err != nil {

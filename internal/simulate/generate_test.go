@@ -107,7 +107,8 @@ func dayStatsDigest(stats []DayAggregate) string {
 // TestGenerateByteIdenticalToParent pins what generation produces.
 // records is the decoded record content, recorded when campaigns were
 // still written as v2: every format must reproduce it. parts pins the
-// MANIFEST of the v3 streams written today; dstats the day aggregates,
+// MANIFEST of the v4 partitions written today, each ending with its
+// index footer; dstats the day aggregates,
 // recorded from the sequential Workers=1 run every worker count must
 // reproduce. A change that moves records or dstats changed what the
 // simulator generates; one that moves only parts changed the stream
@@ -118,12 +119,12 @@ func TestGenerateByteIdenticalToParent(t *testing.T) {
 		shards                 int
 		records, parts, dstats string
 	}{
-		{7, 1, "45ef30cef876883c", "77d05b41f326dad4", "01feb4ad91fbd04d"},
-		{7, 4, "622bfe60e56dd13c", "d6060d87346f81cc", "01feb4ad91fbd04d"},
-		{11, 1, "84ff9cfaabed560d", "837603ed420ef48d", "0e18cf44bc65d1af"},
-		{11, 4, "aab09ec19bda559a", "450cc9dc5d3980cf", "0e18cf44bc65d1af"},
-		{42, 1, "714e112fcc20c2f9", "d28bd03f28626254", "912e2d2edf8027f9"},
-		{42, 4, "5fbd4bbfe170ba0b", "079a5c24e50f7338", "912e2d2edf8027f9"},
+		{7, 1, "45ef30cef876883c", "a0172a4a1dbcfc82", "01feb4ad91fbd04d"},
+		{7, 4, "622bfe60e56dd13c", "b9cfc63d3cec7a82", "01feb4ad91fbd04d"},
+		{11, 1, "84ff9cfaabed560d", "2bd7c29699234da0", "0e18cf44bc65d1af"},
+		{11, 4, "aab09ec19bda559a", "1c9b0ddc1235e58a", "0e18cf44bc65d1af"},
+		{42, 1, "714e112fcc20c2f9", "99cc287cef6b52ab", "912e2d2edf8027f9"},
+		{42, 4, "5fbd4bbfe170ba0b", "50f44d4559030581", "912e2d2edf8027f9"},
 	}
 	for _, pin := range pins {
 		ds, err := Generate(pinConfig(t, pin.seed, pin.shards, 0))

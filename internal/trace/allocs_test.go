@@ -124,7 +124,7 @@ func TestScanSteadyStateBlockAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, scanOnce)
 	// One partition scan owns a fixed number of setup allocations
 	// (goroutines, channels, iterator, reader buffers, one directory
-	// entry per partition file and its .tlix index sidecar); the bound
+	// entry per partition file); the bound
 	// fails loudly if any per-block allocation sneaks back in
 	// (64 blocks/run).
 	const maxPerScan = 50

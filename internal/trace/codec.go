@@ -16,10 +16,16 @@ import (
 //
 //	magic "TLHO" | version u16 | flags u16
 //
-// followed by framed column blocks. The only format this package reads
-// and writes is version 3 without flags (codecv3.go holds its payload).
-// The formats earlier versions wrote — v1 fixed-width records, v2
-// varint-coded blocks, and flate or TLZ block compression — fail with
+// The only format this package reads and writes is version 4 without
+// flags: one file per partition, laid out as
+//
+//	header | block frames | end-of-blocks marker | index footer | trailer
+//
+// The block frames are the ones version 3 introduced (codecv3.go holds
+// their payload); the index footer and its trailer are index.go's. The
+// formats earlier versions wrote — v1 fixed-width records, v2
+// varint-coded blocks, flate or TLZ block compression, and v3 blocks
+// whose index lived in a separate sidecar file — fail with
 // ErrBadVersion naming the format; telcogen regenerates any campaign
 // byte for byte.
 //
@@ -30,10 +36,13 @@ import (
 //	        srcLen u32 | dstLen u32 | causeLen u32 |
 //	        payload [encLen]byte
 //
-// A clean end of stream is an EOF exactly at a block boundary. Each block
-// holds up to BlockRecords records encoded column-at-a-time, in payload
-// order: timestamps, UE, TAC dictionary, TAC indexes, source, target,
-// cause, then the fixed-width tail (RAT pairs, results, durations).
+// A count of 0, which no block has, is the end-of-blocks marker: the
+// four bytes u32 0 after the last block. The block reader stops there
+// and never reads the footer; a stream that ends without the marker is
+// truncated. Each block holds up to BlockRecords records encoded
+// column-at-a-time, in payload order: timestamps, UE, TAC dictionary,
+// TAC indexes, source, target, cause, then the fixed-width tail (RAT
+// pairs, results, durations).
 //
 // The per-block (minTS, maxTS, count) descriptor lets readers skip whole
 // blocks that fall outside a requested time range without decoding the
@@ -73,6 +82,10 @@ var ErrCorruptBlock = errors.New("trace: corrupt block")
 
 // DefaultBlockRecords is the default number of records per block.
 const DefaultBlockRecords = 4096
+
+// endOfBlocks is the marker that follows a stream's last block: a block
+// count of 0.
+var endOfBlocks = [4]byte{}
 
 // Sanity caps enforced while decoding untrusted streams.
 const (
@@ -136,9 +149,10 @@ type BlockStats struct {
 	// their payload. Range-pruned blocks count as skipped, not filtered.
 	BlocksFiltered int64
 	// BytesRead is the number of stored stream bytes consumed by decoded
-	// data: the stream header plus each decoded block's descriptor and
-	// payload. Pruned blocks do not count, so a full unwindowed read
-	// reports exactly the stream's on-disk size.
+	// data: the stream header, each decoded block's descriptor and
+	// payload, and the end-of-blocks marker once reached. Pruned blocks
+	// do not count, so a full unwindowed read reports exactly the bytes
+	// before the index footer, which the block reader never reads.
 	BytesRead int64
 }
 
@@ -200,17 +214,19 @@ func retiredFormat(version, flags uint16) string {
 		return "v1 fixed-width records"
 	case version == 2 && flags == 0:
 		return "v2 varint-coded blocks"
-	case (version == 2 || version == VersionV3) && flags == 1:
+	case (version == 2 || version == 3) && flags == 1:
 		return fmt.Sprintf("v%d with flate-compressed blocks", version)
-	case version == VersionV3 && flags == 2:
+	case version == 3 && flags == 2:
 		return "v3 with TLZ-compressed blocks"
+	case version == 3 && flags == 0:
+		return "v3 blocks with a separate index sidecar"
 	}
 	return ""
 }
 
-// Reader decodes a v3 block stream into columnar batches. NextColumns
-// reuses the caller's batch, so iteration is allocation-free in steady
-// state. SetTimeRange restricts the stream to a timestamp window; blocks
+// Reader decodes a partition stream's blocks into columnar batches.
+// NextColumns reuses the caller's batch, so iteration is allocation-free
+// in steady state. SetTimeRange restricts the stream to a timestamp window; blocks
 // entirely outside it are skipped without decoding.
 type Reader struct {
 	r *bufio.Reader
@@ -230,6 +246,9 @@ type Reader struct {
 	// that ordinal (see SetBlockFilter).
 	blockOrd    int
 	blockFilter func(block int) bool
+
+	// ended is set once the end-of-blocks marker has been read.
+	ended bool
 }
 
 // readWindow is the Reader's buffer size, chosen so default blocks
@@ -275,7 +294,7 @@ func newWindowReader(br *bufio.Reader) (*Reader, error) {
 	}
 	v := binary.LittleEndian.Uint16(hdr[4:6])
 	flags := binary.LittleEndian.Uint16(hdr[6:8])
-	if v != VersionV3 || flags != 0 {
+	if v != VersionV4 || flags != 0 {
 		if name := retiredFormat(v, flags); name != "" {
 			return nil, fmt.Errorf("%w: %s is no longer readable; regenerate the campaign with telcogen", ErrBadVersion, name)
 		}
@@ -315,9 +334,9 @@ func (r *Reader) SetProjection(cols ColumnSet) { r.proj = cols }
 // NextColumns fills cb with the next run of records in columnar (SoA)
 // form and returns how many it holds: one call decodes one block
 // straight into the column slices (minus any rows outside the time
-// range, honoring the column projection). It returns (0, io.EOF) at a
-// clean end of stream and ErrTruncated or ErrCorruptBlock on a damaged
-// one.
+// range, honoring the column projection). It returns (0, io.EOF) at the
+// end-of-blocks marker and ErrTruncated or ErrCorruptBlock on a damaged
+// stream.
 func (r *Reader) NextColumns(cb *ColumnBatch) (int, error) {
 	for {
 		if err := r.readBlockColumns(cb); err != nil {
@@ -373,18 +392,27 @@ func (r *Reader) readBlockColumns(cb *ColumnBatch) error {
 
 // nextBlockFrame reads block descriptors until one intersects the
 // configured time range, validates it structurally, and acquires its
-// payload. It returns io.EOF at a clean block boundary and ErrTruncated
-// or ErrCorruptBlock otherwise.
+// payload. It returns io.EOF at the end-of-blocks marker, and from then
+// on, and ErrTruncated or ErrCorruptBlock otherwise.
 func (r *Reader) nextBlockFrame(f *blockFrame) error {
 	for {
-		n, err := io.ReadFull(r.r, r.head[:])
-		if err == io.EOF && n == 0 {
+		if r.ended {
 			return io.EOF
 		}
-		if err != nil {
+		// The count comes first, alone: after the marker's four bytes
+		// the file holds the footer, which is not read here.
+		if _, err := io.ReadFull(r.r, r.head[:4]); err != nil {
 			return readErr(err)
 		}
 		count := binary.LittleEndian.Uint32(r.head[0:4])
+		if count == 0 {
+			r.ended = true
+			r.stats.BytesRead += int64(len(endOfBlocks))
+			return io.EOF
+		}
+		if _, err := io.ReadFull(r.r, r.head[4:]); err != nil {
+			return readErr(err)
+		}
 		minTS := int64(binary.LittleEndian.Uint64(r.head[4:12]))
 		maxTS := int64(binary.LittleEndian.Uint64(r.head[12:20]))
 		rawLen := binary.LittleEndian.Uint32(r.head[20:24])
@@ -398,7 +426,7 @@ func (r *Reader) nextBlockFrame(f *blockFrame) error {
 			dstLen:      binary.LittleEndian.Uint32(r.head[48:52]),
 			causeLen:    binary.LittleEndian.Uint32(r.head[52:56]),
 		}
-		if count == 0 || count > maxBlockRecords || minTS > maxTS || rawLen > maxBlockPayload {
+		if count > maxBlockRecords || minTS > maxTS || rawLen > maxBlockPayload {
 			return fmt.Errorf("%w: bad block descriptor (count=%d raw=%d enc=%d)",
 				ErrCorruptBlock, count, rawLen, encLen)
 		}

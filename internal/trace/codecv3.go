@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -37,9 +38,11 @@ import (
 // unpack any value with at most two aligned 8-byte loads and no
 // per-value bounds arithmetic beyond the slice checks.
 
-// VersionV3 identifies the bitpacked frame-of-reference block stream
-// format, the only one this package reads and writes.
-const VersionV3 uint16 = 3
+// VersionV4 identifies the partition format this package reads and
+// writes: the bitpacked frame-of-reference blocks that version 3
+// introduced, then an end-of-blocks marker, the partition's index
+// footer and its trailer (see codec.go and index.go).
+const VersionV4 uint16 = 4
 
 // packedLen returns the byte length of n values bitpacked at width w:
 // whole 64-bit words, so the unpacker's two-load fast path never reads
@@ -574,6 +577,8 @@ type encScratch struct {
 	order   []int32
 	// packBuf stages a column's values before bitpacking.
 	packBuf []uint64
+	// idx builds the partition's index footer block by block.
+	idx *indexBuilder
 }
 
 var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
@@ -585,10 +590,12 @@ type WriterV3Options struct {
 	BlockRecords int
 }
 
-// WriterV3 encodes records as a v3 bitpacked block stream. Rows are
-// buffered in SoA (ColumnBatch) form and each block is encoded
-// column-at-a-time from contiguous slices; full blocks encode straight
-// from the caller's batch without an intermediate copy.
+// WriterV3 encodes records as a partition stream: the v3 bitpacked
+// blocks it is named for, then, on Flush, the end-of-blocks marker and
+// the index footer it builds while it encodes. Rows are buffered in SoA
+// (ColumnBatch) form and each block is encoded column-at-a-time from
+// contiguous slices; full blocks encode straight from the caller's
+// batch without an intermediate copy.
 type WriterV3 struct {
 	w        *bufio.Writer
 	perBlock int
@@ -597,7 +604,11 @@ type WriterV3 struct {
 	enc      *encScratch
 }
 
-// NewWriterV3 writes a v3 stream header and returns the block writer.
+// errWriterFlushed is what a writer returns for records written after
+// Flush ended its stream.
+var errWriterFlushed = errors.New("trace: write after the stream's footer")
+
+// NewWriterV3 writes a stream header and returns the block writer.
 func NewWriterV3(w io.Writer, opts WriterV3Options) (*WriterV3, error) {
 	perBlock := opts.BlockRecords
 	if perBlock <= 0 {
@@ -609,13 +620,17 @@ func NewWriterV3(w io.Writer, opts WriterV3Options) (*WriterV3, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [HeaderSize]byte
 	copy(hdr[0:4], Magic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], VersionV3)
+	binary.LittleEndian.PutUint16(hdr[4:6], VersionV4)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
 	enc := encScratchPool.Get().(*encScratch)
 	enc.cols.Reset()
 	enc.dictTab.init(perBlock)
+	if enc.idx == nil {
+		enc.idx = newIndexBuilder(perBlock)
+	}
+	enc.idx.reset()
 	return &WriterV3{w: bw, perBlock: perBlock, enc: enc}, nil
 }
 
@@ -704,6 +719,7 @@ func (w *WriterV3) emitColumns(cb *ColumnBatch, lo, hi int) error {
 	}
 	var secs blockSections
 	w.enc.payload, secs = appendBlockColumns(w.enc.payload[:0], cb, lo, hi, minTS, maxTS, w.enc)
+	w.enc.idx.addBlock(cb, lo, hi, minTS, maxTS)
 	return w.emitBlock(hi-lo, minTS, maxTS, secs)
 }
 
@@ -735,7 +751,9 @@ func (w *WriterV3) emitBlock(count int, minTS, maxTS int64, secs blockSections) 
 	return nil
 }
 
-// Flush emits any partial block and flushes the underlying writer.
+// Flush emits any partial block, ends the stream with the end-of-blocks
+// marker, the index footer and the trailer, and flushes the underlying
+// writer. The stream is then complete: later writes and flushes fail.
 func (w *WriterV3) Flush() error {
 	if w.err != nil {
 		return w.err
@@ -743,5 +761,11 @@ func (w *WriterV3) Flush() error {
 	if err := w.flushBlock(); err != nil {
 		return err
 	}
+	w.enc.frame = w.enc.idx.finish(w.enc.frame[:0])
+	if _, err := w.w.Write(w.enc.frame); err != nil {
+		w.err = fmt.Errorf("trace: writing index footer: %w", err)
+		return w.err
+	}
+	w.err = errWriterFlushed
 	return w.w.Flush()
 }

@@ -200,18 +200,27 @@ func TestCodecV3RejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestCodecV3HeaderNegotiation: the reader accepts exactly the v3
-// header without flags. The formats earlier versions wrote (v1, v2, and
-// flate or TLZ block compression) and headers no version wrote fail
-// with ErrBadVersion; the retired formats are named, with the way back.
+// TestCodecV3HeaderNegotiation: the reader accepts exactly the v4
+// header without flags, and a stream that ends without its
+// end-of-blocks marker is truncated. The formats earlier versions wrote
+// (v1, v2, flate or TLZ block compression, and v3 blocks with a
+// separate index sidecar) and headers no version wrote fail with
+// ErrBadVersion; the retired formats are named, with the way back.
 func TestCodecV3HeaderNegotiation(t *testing.T) {
-	rd, err := NewReader(bytes.NewReader(headerBytes(VersionV3, 0)))
-	if err != nil {
-		t.Fatalf("v3 rejected: %v", err)
-	}
 	var cb ColumnBatch
+	rd, err := NewReader(bytes.NewReader(append(headerBytes(VersionV4, 0), endOfBlocks[:]...)))
+	if err != nil {
+		t.Fatalf("v4 rejected: %v", err)
+	}
 	if _, err := rd.NextColumns(&cb); err != io.EOF {
-		t.Fatalf("empty v3 stream: got %v, want EOF", err)
+		t.Fatalf("empty v4 stream: got %v, want EOF", err)
+	}
+	rd, err = NewReader(bytes.NewReader(headerBytes(VersionV4, 0)))
+	if err != nil {
+		t.Fatalf("v4 rejected: %v", err)
+	}
+	if _, err := rd.NextColumns(&cb); err != ErrTruncated {
+		t.Fatalf("v4 stream without its end-of-blocks marker: got %v, want ErrTruncated", err)
 	}
 	for _, c := range []struct {
 		version, flags uint16
@@ -220,12 +229,14 @@ func TestCodecV3HeaderNegotiation(t *testing.T) {
 		{1, 0, "v1 fixed-width records"},
 		{2, 0, "v2 varint-coded blocks"},
 		{2, 1, "v2 with flate-compressed blocks"},
-		{VersionV3, 1, "v3 with flate-compressed blocks"},
-		{VersionV3, 2, "v3 with TLZ-compressed blocks"},
+		{3, 0, "v3 blocks with a separate index sidecar"},
+		{3, 1, "v3 with flate-compressed blocks"},
+		{3, 2, "v3 with TLZ-compressed blocks"},
 		{2, 2, ""},
-		{VersionV3, 3, ""},
-		{VersionV3, 1 << 5, ""},
-		{4, 0, ""},
+		{3, 3, ""},
+		{3, 1 << 5, ""},
+		{VersionV4, 1, ""},
+		{5, 0, ""},
 	} {
 		_, err := NewReader(bytes.NewReader(headerBytes(c.version, c.flags)))
 		if !errors.Is(err, ErrBadVersion) {

@@ -10,11 +10,11 @@ import (
 	"testing"
 )
 
-// FuzzDecodeBlock feeds arbitrary bytes to the v3 block decoder through
+// FuzzDecodeBlock feeds arbitrary bytes to the block decoder through
 // the public Reader, and the headers of retired formats to its header
 // check. Truncated frames, lying bit widths, oversized counts, lying
-// payload lengths and trailing garbage must all surface as errors —
-// never as panics or unbounded allocations.
+// payload lengths and a damaged end-of-blocks marker must all surface
+// as errors — never as panics or unbounded allocations.
 func FuzzDecodeBlock(f *testing.F) {
 	// Seed corpus: valid streams across block sizes plus targeted
 	// corruptions, each also under the retired v2 header.
@@ -29,8 +29,12 @@ func FuzzDecodeBlock(f *testing.F) {
 			data := encodeV3(f, recs, WriterV3Options{BlockRecords: blockRecords})
 			countFlip := bytes.Clone(data)
 			countFlip[HeaderSize] ^= 0x7f
-			lastFlip := bytes.Clone(data)
-			lastFlip[len(lastFlip)-1] ^= 0xff
+			n, err := footerLen(data)
+			if err != nil {
+				f.Fatal(err)
+			}
+			lastFlip := bytes.Clone(data) // the end-of-blocks marker
+			lastFlip[len(data)-TrailerSize-n-len(endOfBlocks)] ^= 0xff
 			widthFlip := bytes.Clone(data)
 			widthFlip[HeaderSize+blockHeadSize] ^= 0x7f // the first section's width byte
 			for _, seed := range [][]byte{
@@ -79,21 +83,21 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(retired)
 	f.Add([]byte{})
 	f.Add([]byte("TLHO"))
-	f.Add(append([]byte("TLHO"), 3, 0, 0, 0))
+	f.Add(append([]byte("TLHO"), 4, 0, 0, 0))
 	f.Add(append([]byte("TLHO"), 1, 0, 0, 0)) // v1: must reject
 	f.Add(append([]byte("TLHO"), 2, 0, 0, 0)) // v2: must reject
 	f.Add(append([]byte("TLHO"), 2, 0, 1, 0)) // v2 + flate: must reject
 	f.Add(append([]byte("TLHO"), 3, 0, 1, 0)) // v3 + flate: must reject
 	f.Add(append([]byte("TLHO"), 3, 0, 2, 0)) // v3 + TLZ: must reject
 	f.Add(append([]byte("TLHO"), 3, 0, 3, 0)) // both flags: must reject
-	f.Add(append([]byte("TLHO"), 4, 0, 0, 0)) // unknown version: must reject
+	f.Add(append([]byte("TLHO"), 3, 0, 0, 0)) // v3 with a sidecar: must reject
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			// A whole header naming any other version is refused as one.
 			if len(data) >= HeaderSize && [4]byte(data[:4]) == Magic &&
-				binary.LittleEndian.Uint16(data[4:6]) != VersionV3 && !errors.Is(err, ErrBadVersion) {
+				binary.LittleEndian.Uint16(data[4:6]) != VersionV4 && !errors.Is(err, ErrBadVersion) {
 				t.Fatalf("version %d header: err = %v, want ErrBadVersion", binary.LittleEndian.Uint16(data[4:6]), err)
 			}
 			return
@@ -115,47 +119,52 @@ func FuzzDecodeBlock(f *testing.F) {
 	})
 }
 
-// FuzzDecodeIndex feeds arbitrary sidecar bodies to DecodeIndex. Each
-// input is sealed with a valid FNV-1a checksum first, so it reaches the
-// parser instead of stopping at the checksum. The decoder must never
-// panic, and any sidecar it accepts must re-encode to exactly the bytes
-// it was given.
+// FuzzDecodeIndex feeds arbitrary index footers to DecodeIndex, seeded
+// from the footers real streams end with. Each input is sealed with its
+// length and a valid FNV-1a checksum first, so it reaches the parser
+// instead of stopping at the trailer. The decoder must never panic, and
+// any footer it accepts must re-encode to exactly the bytes it was
+// given.
 func FuzzDecodeIndex(f *testing.F) {
 	r := rand.New(rand.NewSource(2))
 	base := StudyStart.UnixMilli()
 	for _, n := range []int{0, 1, 70, 300} {
 		for _, perBlock := range []int{16, 128} {
-			b := newIndexBuilder(perBlock)
-			for i := 0; i < n; i++ {
-				rec := randRecord(r, base)
-				b.observe(rec.Timestamp, uint32(rec.UE), uint32(rec.TAC), uint32(rec.Source), uint32(rec.Target))
+			recs := make([]Record, n)
+			for i := range recs {
+				recs[i] = randRecord(r, base)
 			}
-			data := encodeIndex(b.finish(r.Uint64()))
-			body := data[:len(data)-8]
-			f.Add(bytes.Clone(body))
-			f.Add(bytes.Clone(body[:len(body)-1]))
-			mut := bytes.Clone(body)
-			mut[6] = 1 // flags
+			data := encodeV3(f, recs, WriterV3Options{BlockRecords: perBlock})
+			fl, err := footerLen(data)
+			if err != nil {
+				f.Fatal(err)
+			}
+			footer := data[len(data)-TrailerSize-fl : len(data)-TrailerSize]
+			f.Add(bytes.Clone(footer))
+			f.Add(bytes.Clone(footer[:len(footer)-1]))
+			mut := bytes.Clone(footer)
+			mut[0] ^= 0x40 // block count
 			f.Add(mut)
-			mut = bytes.Clone(body)
-			mut[20] ^= 0x40 // block count
+			mut = bytes.Clone(footer)
+			mut[5] ^= 0x01 // the partition UE bloom's word count
 			f.Add(mut)
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte("TLIX"))
+	f.Add([]byte{0, 0, 0, 0})
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		data := binary.LittleEndian.AppendUint64(bytes.Clone(body), fnv1a(body))
+	f.Fuzz(func(t *testing.T, footer []byte) {
+		data := binary.LittleEndian.AppendUint32(bytes.Clone(footer), uint32(len(footer)))
+		data = binary.LittleEndian.AppendUint64(data, fnv1a(data))
 		x, err := DecodeIndex(data)
 		if err != nil {
-			if !errors.Is(err, ErrIndexCorrupt) && !errors.Is(err, ErrIndexVersion) {
+			if !errors.Is(err, ErrIndexCorrupt) {
 				t.Fatalf("undeclared error kind: %v", err)
 			}
 			return
 		}
 		if again := encodeIndex(x); !bytes.Equal(again, data) {
-			t.Fatalf("accepted sidecar re-encodes to %d different bytes (input %d)", len(again), len(data))
+			t.Fatalf("accepted footer re-encodes to %d different bytes (input %d)", len(again), len(data))
 		}
 	})
 }

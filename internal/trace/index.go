@@ -4,53 +4,43 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-
-	"telcolens/internal/faultfs"
 )
 
-// The partition secondary index: a small ".tlix" sidecar written next
-// to each partition file, holding partition-level bloom filters over
-// the UE, TAC and sector columns plus a per-block summary (record
-// count, timestamp extents, UE and TAC blooms) aligned with the
-// stream's block layout. The query layer uses it to prune partitions
-// and blocks before a single payload byte is decoded; the sidecar is
-// strictly an accelerator — an absent, stale or corrupt index degrades
-// to the scan path, never to a wrong answer.
+// The partition index: partition-level bloom filters over the UE, TAC
+// and sector columns plus a per-block summary (record count, timestamp
+// extents, UE and TAC blooms) aligned with the stream's blocks. The
+// stream writer builds it while it encodes and stores it as the
+// partition's footer, after the end-of-blocks marker (see codec.go).
+// The query layer uses it to prune partitions and blocks before a
+// single payload byte is decoded; it is strictly an accelerator: a
+// footer that does not decode degrades to the scan path, never to a
+// wrong answer.
 //
-// Layout (little-endian):
+// Footer and trailer layout (little-endian):
 //
-//	magic "TLIX" | version u16 | flags u16 | fingerprint u64 |
-//	blockRecords u32 | blockCount u32 |
-//	partition UE bloom | partition TAC bloom | partition sector bloom |
-//	blockCount × (count u32 | minTS i64 | maxTS i64 | UE bloom | TAC bloom) |
-//	checksum u64 (FNV-1a over all preceding bytes)
+//	footer:  blockCount u32 |
+//	         partition UE bloom | partition TAC bloom | partition sector bloom |
+//	         blockCount × (count u32 | minTS i64 | maxTS i64 | UE bloom | TAC bloom)
+//	trailer: footerLen u32 | checksum u64 (FNV-1a over the footer and footerLen)
 //
-// where each bloom serializes as: k u8 | words u32 | words × u64.
-// The fingerprint must equal the partition's manifest/stream
-// fingerprint; loaders reject a mismatch so a rewritten partition can
-// never be served through a stale index. blockRecords is the writer's
-// records-per-block setting. (Sidecars of v1 streams, which had no
-// blocks, stored 0 and no block summaries; their streams no longer
-// decode, so such a sidecar never matters.)
+// where each bloom serializes as: k u8 | words u32 | words × u64. The
+// trailer ends the file, so a reader that knows the partition's size
+// (the MANIFEST entry's Bytes) finds the footer with two reads of the
+// tail. An index inside its partition cannot go stale: the MANIFEST
+// fingerprint covers it with the blocks.
 
-// IndexVersionCurrent is the sidecar format version this package
-// writes. Loaders return ErrIndexVersion for newer versions so old
-// binaries fall back to scanning rather than misreading the file.
-const IndexVersionCurrent = 1
-
-// IndexSuffix is the sidecar file extension, appended to the partition
-// file name (ho_day_003_s001.tlho -> ho_day_003_s001.tlho.tlix is NOT
-// the scheme; the .tlho suffix is replaced: ho_day_003_s001.tlix).
+// IndexSuffix was the file extension of the separate index sidecar that
+// partitions carried before the index became their footer. No file
+// carries it any more; the name stays for callers outside this module.
 const IndexSuffix = ".tlix"
 
-var indexMagic = [4]byte{'T', 'L', 'I', 'X'}
+// TrailerSize is the length of the fixed trailer that ends every
+// partition file.
+const TrailerSize = 4 + 8
 
-// Index decode errors. All of them mean "treat the partition as
-// unindexed", not "fail the query".
-var (
-	ErrIndexCorrupt = fmt.Errorf("trace: corrupt partition index")
-	ErrIndexVersion = fmt.Errorf("trace: unsupported partition index version")
-)
+// ErrIndexCorrupt is what decoding a damaged index footer returns. It
+// means "treat the partition as unindexed", not "fail the query".
+var ErrIndexCorrupt = fmt.Errorf("trace: corrupt partition index")
 
 // bloomK is the number of probes per key. With the sizing rule below
 // (>= 16 bits per distinct key) the false-positive rate lands around
@@ -75,14 +65,19 @@ type Bloom struct {
 	words []uint64 // len is a power of two (bits/64), or 0 for the empty filter
 }
 
-// newBloom sizes a filter for the given number of distinct keys.
-func newBloom(distinct int) *Bloom {
-	bitsWanted := distinct * bloomBitsPerKey
-	if bitsWanted < bloomMinBits {
-		bitsWanted = bloomMinBits
+// fill makes b the filter over keys, a distinct-key slice, sized by
+// their count and reusing b's words.
+func (b *Bloom) fill(keys []uint32) {
+	bitsWanted := max(len(keys)*bloomBitsPerKey, bloomMinBits)
+	n := (1 << bits.Len(uint(bitsWanted-1))) / 64 // next power of two
+	if cap(b.words) < n {
+		b.words = make([]uint64, n)
 	}
-	nbits := 1 << bits.Len(uint(bitsWanted-1)) // next power of two
-	return &Bloom{k: bloomK, words: make([]uint64, nbits/64)}
+	b.k, b.words = bloomK, b.words[:n]
+	clear(b.words)
+	for _, k := range keys {
+		b.add(k)
+	}
 }
 
 // bloomMix is the 64-bit finalizer (same family as ShardOf) expanding a
@@ -126,15 +121,6 @@ func (b *Bloom) MayContain(key uint32) bool {
 		}
 	}
 	return true
-}
-
-// bloomFrom builds a filter from a distinct-key slice.
-func bloomFrom(keys []uint32) *Bloom {
-	b := newBloom(len(keys))
-	for _, k := range keys {
-		b.add(k)
-	}
-	return b
 }
 
 // appendBloom serializes a filter: k u8 | words u32 | words × u64.
@@ -183,17 +169,10 @@ type BlockSummary struct {
 	TACs         *Bloom
 }
 
-// PartitionIndex is a decoded .tlix sidecar. Partition-level filters
+// PartitionIndex is a decoded index footer. Partition-level filters
 // cover every record; Blocks aligns 1:1 with the stream's blocks in
 // stream order.
 type PartitionIndex struct {
-	// Version is the decoded sidecar format version.
-	Version uint16
-	// Fingerprint is the indexed partition's content fingerprint; it
-	// must match the MANIFEST entry or the index is stale.
-	Fingerprint uint64
-	// BlockRecords is the writer's records-per-block setting.
-	BlockRecords int
 	// UEs/TACs/Sectors are partition-level membership filters; Sectors
 	// covers both source and target sector IDs.
 	UEs, TACs, Sectors *Bloom
@@ -211,27 +190,11 @@ func (x *PartitionIndex) MayContainTAC(tac uint32) bool { return x.TACs.MayConta
 // target sector.
 func (x *PartitionIndex) MayContainSector(sec uint32) bool { return x.Sectors.MayContain(sec) }
 
-// encodeIndex serializes a PartitionIndex to sidecar bytes.
-func encodeIndex(x *PartitionIndex) []byte {
-	buf := make([]byte, 0, 256)
-	buf = append(buf, indexMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, x.Version)
-	buf = binary.LittleEndian.AppendUint16(buf, 0) // flags
-	buf = binary.LittleEndian.AppendUint64(buf, x.Fingerprint)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.BlockRecords))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x.Blocks)))
-	buf = appendBloom(buf, x.UEs)
-	buf = appendBloom(buf, x.TACs)
-	buf = appendBloom(buf, x.Sectors)
-	for i := range x.Blocks {
-		bs := &x.Blocks[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(bs.Count))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(bs.MinTS))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(bs.MaxTS))
-		buf = appendBloom(buf, bs.UEs)
-		buf = appendBloom(buf, bs.TACs)
-	}
-	return binary.LittleEndian.AppendUint64(buf, fnv1a(buf))
+// appendTrailer ends the footer that starts at dst[start] with its
+// trailer.
+func appendTrailer(dst []byte, start int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dst)-start))
+	return binary.LittleEndian.AppendUint64(dst, fnv1a(dst[start:]))
 }
 
 // fnv1a hashes p with 64-bit FNV-1a (the same function the manifest
@@ -253,35 +216,42 @@ const maxIndexBlocks = 1 << 22
 // count and time extents, then two empty blooms of k u8 | words u32.
 const minBlockSummaryBytes = 4 + 8 + 8 + 2*5
 
-// DecodeIndex parses sidecar bytes. Newer format versions and any set
-// flag return ErrIndexVersion, structural damage ErrIndexCorrupt;
-// callers treat both as "no index". The block list is sized only after
-// the bytes left for it could hold that many summaries, so a lying
-// header cannot make the decoder allocate more than the input implies.
+// footerLen returns the footer length the trailer ending data records,
+// or ErrIndexCorrupt when data cannot hold that footer before its
+// trailer.
+func footerLen(data []byte) (int, error) {
+	if len(data) < TrailerSize {
+		return 0, ErrIndexCorrupt
+	}
+	n := uint64(binary.LittleEndian.Uint32(data[len(data)-TrailerSize:]))
+	if n > uint64(len(data)-TrailerSize) {
+		return 0, ErrIndexCorrupt
+	}
+	return int(n), nil
+}
+
+// DecodeIndex parses the index footer that ends data: the footer and
+// trailer of a partition, or of a whole partition file. Any damage
+// returns ErrIndexCorrupt, which callers treat as "no index". The
+// block list is sized only after the bytes left for it could hold that
+// many summaries, so a lying count cannot make the decoder allocate
+// more than the input implies.
 func DecodeIndex(data []byte) (*PartitionIndex, error) {
-	if len(data) < 24+8 || [4]byte(data[0:4]) != indexMagic {
+	n, err := footerLen(data)
+	if err != nil {
+		return nil, err
+	}
+	end := len(data) - 8
+	body := data[end-4-n : end]
+	if fnv1a(body) != binary.LittleEndian.Uint64(data[end:]) || n < 4 {
 		return nil, ErrIndexCorrupt
 	}
-	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
-	if fnv1a(body) != sum {
-		return nil, ErrIndexCorrupt
-	}
-	x := &PartitionIndex{
-		Version:      binary.LittleEndian.Uint16(data[4:6]),
-		Fingerprint:  binary.LittleEndian.Uint64(data[8:16]),
-		BlockRecords: int(binary.LittleEndian.Uint32(data[16:20])),
-	}
-	// No flag is defined; a flagged sidecar is a format this package
-	// does not read, like a flagged stream.
-	if x.Version != IndexVersionCurrent || binary.LittleEndian.Uint16(data[6:8]) != 0 {
-		return nil, ErrIndexVersion
-	}
-	nBlocks := binary.LittleEndian.Uint32(data[20:24])
+	nBlocks := binary.LittleEndian.Uint32(body[0:4])
+	rest := body[4:n]
 	if nBlocks > maxIndexBlocks {
 		return nil, ErrIndexCorrupt
 	}
-	rest := body[24:]
-	var err error
+	x := &PartitionIndex{}
 	if x.UEs, rest, err = readBloom(rest); err != nil {
 		return nil, err
 	}
@@ -315,18 +285,6 @@ func DecodeIndex(data []byte) (*PartitionIndex, error) {
 		return nil, ErrIndexCorrupt
 	}
 	return x, nil
-}
-
-// writeIndexFile persists an index sidecar with the same atomic
-// stage + fsync + rename + dir-fsync discipline as the MANIFEST (see
-// faultfs.WriteFileAtomic) — the sidecar must be durable before the
-// manifest entry that advertises it lands.
-func writeIndexFile(fsys faultfs.FS, path string, x *PartitionIndex) error {
-	data := encodeIndex(x)
-	if err := faultfs.WriteFileAtomic(fsys, path, data, 0o644); err != nil {
-		return fmt.Errorf("trace: index: %w", err)
-	}
-	return nil
 }
 
 // keySet tracks the distinct uint32 keys seen so far via an epoch-
@@ -398,29 +356,24 @@ func (s *keySet) reset() {
 	}
 }
 
-// indexBuilder accumulates a PartitionIndex while a partition is being
-// written. The writer wrappers feed it every record's (ts, ue, tac,
-// source, target); block boundaries are replicated from the block
-// writer's rule — a block seals exactly every perBlock records, with a final
-// partial block at flush — so summaries align 1:1 with the stream's
-// blocks without touching the encoder.
+// indexBuilder accumulates a partition's index while its stream is
+// encoded: the writer hands it each block's rows as it emits the block,
+// so the summaries align 1:1 with the stream's blocks. It lives in the
+// writer's pooled encode scratch and encodes each summary as its block
+// seals, so a warm builder allocates nothing per block.
 type indexBuilder struct {
-	perBlock int
-
-	fill      int
-	curMin    int64
-	curMax    int64
 	blockUEs  *keySet
 	blockTACs *keySet
 	partUEs   *keySet
 	partTACs  *keySet
 	partSects *keySet
-	blocks    []BlockSummary
+	nBlocks   int
+	summaries []byte // the block summaries encoded so far
+	filter    Bloom  // scratch each bloom is built in before it is encoded
 }
 
 func newIndexBuilder(perBlock int) *indexBuilder {
 	return &indexBuilder{
-		perBlock:  perBlock,
 		blockUEs:  newKeySet(perBlock),
 		blockTACs: newKeySet(64),
 		partUEs:   newKeySet(1024),
@@ -429,65 +382,52 @@ func newIndexBuilder(perBlock int) *indexBuilder {
 	}
 }
 
-// observe folds one record into the builder.
-func (b *indexBuilder) observe(ts int64, ue, tac, src, dst uint32) {
-	b.partUEs.add(ue)
-	b.partTACs.add(tac)
-	b.partSects.add(src)
-	b.partSects.add(dst)
-	if b.fill == 0 {
-		b.curMin, b.curMax = ts, ts
-	} else {
-		if ts < b.curMin {
-			b.curMin = ts
-		}
-		if ts > b.curMax {
-			b.curMax = ts
-		}
-	}
-	b.blockUEs.add(ue)
-	b.blockTACs.add(tac)
-	b.fill++
-	if b.fill == b.perBlock {
-		b.sealBlock()
-	}
+// reset empties the builder for the next partition.
+func (b *indexBuilder) reset() {
+	b.partUEs.reset()
+	b.partTACs.reset()
+	b.partSects.reset()
+	b.nBlocks = 0
+	b.summaries = b.summaries[:0]
 }
 
-// observeColumns folds a columnar batch row by row (same effect as
-// observe per row, without materializing records).
-func (b *indexBuilder) observeColumns(cb *ColumnBatch) {
-	for i, ts := range cb.Timestamps {
-		b.observe(ts, uint32(cb.UEs[i]), uint32(cb.TACs[i]), uint32(cb.Sources[i]), uint32(cb.Targets[i]))
-	}
+// appendBloomOf appends the serialized filter over keys to dst.
+func (b *indexBuilder) appendBloomOf(dst []byte, keys []uint32) []byte {
+	b.filter.fill(keys)
+	return appendBloom(dst, &b.filter)
 }
 
-// sealBlock closes the current block summary.
-func (b *indexBuilder) sealBlock() {
-	b.blocks = append(b.blocks, BlockSummary{
-		Count: b.fill,
-		MinTS: b.curMin,
-		MaxTS: b.curMax,
-		UEs:   bloomFrom(b.blockUEs.keys),
-		TACs:  bloomFrom(b.blockTACs.keys),
-	})
+// addBlock folds rows [lo, hi) of cb, one block with the given time
+// extents, into the index.
+func (b *indexBuilder) addBlock(cb *ColumnBatch, lo, hi int, minTS, maxTS int64) {
+	for i := lo; i < hi; i++ {
+		ue, tac := uint32(cb.UEs[i]), uint32(cb.TACs[i])
+		b.blockUEs.add(ue)
+		b.blockTACs.add(tac)
+		b.partUEs.add(ue)
+		b.partTACs.add(tac)
+		b.partSects.add(uint32(cb.Sources[i]))
+		b.partSects.add(uint32(cb.Targets[i]))
+	}
+	b.summaries = binary.LittleEndian.AppendUint32(b.summaries, uint32(hi-lo))
+	b.summaries = binary.LittleEndian.AppendUint64(b.summaries, uint64(minTS))
+	b.summaries = binary.LittleEndian.AppendUint64(b.summaries, uint64(maxTS))
+	b.summaries = b.appendBloomOf(b.summaries, b.blockUEs.keys)
+	b.summaries = b.appendBloomOf(b.summaries, b.blockTACs.keys)
+	b.nBlocks++
 	b.blockUEs.reset()
 	b.blockTACs.reset()
-	b.fill = 0
 }
 
-// finish seals any partial block and materializes the index with the
-// partition's content fingerprint.
-func (b *indexBuilder) finish(fingerprint uint64) *PartitionIndex {
-	if b.fill > 0 {
-		b.sealBlock()
-	}
-	return &PartitionIndex{
-		Version:      IndexVersionCurrent,
-		Fingerprint:  fingerprint,
-		BlockRecords: b.perBlock,
-		UEs:          bloomFrom(b.partUEs.keys),
-		TACs:         bloomFrom(b.partTACs.keys),
-		Sectors:      bloomFrom(b.partSects.keys),
-		Blocks:       b.blocks,
-	}
+// finish appends the end-of-blocks marker, the index footer and its
+// trailer to dst.
+func (b *indexBuilder) finish(dst []byte) []byte {
+	dst = append(dst, endOfBlocks[:]...)
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.nBlocks))
+	dst = b.appendBloomOf(dst, b.partUEs.keys)
+	dst = b.appendBloomOf(dst, b.partTACs.keys)
+	dst = b.appendBloomOf(dst, b.partSects.keys)
+	dst = append(dst, b.summaries...)
+	return appendTrailer(dst, start)
 }

@@ -5,10 +5,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 )
+
+// bloomFrom builds the filter over a distinct-key slice.
+func bloomFrom(keys []uint32) *Bloom {
+	var b Bloom
+	b.fill(keys)
+	return &b
+}
 
 func TestBloomNoFalseNegatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -75,27 +81,52 @@ func TestBloomDeterministic(t *testing.T) {
 	}
 }
 
+// encodeIndex encodes x as an index footer and its trailer, field by
+// field as index.go lays them out: the oracle the writer's footers and
+// any decoded footer's bytes are held to.
+func encodeIndex(x *PartitionIndex) []byte {
+	dst := binary.LittleEndian.AppendUint32(nil, uint32(len(x.Blocks)))
+	dst = appendBloom(dst, x.UEs)
+	dst = appendBloom(dst, x.TACs)
+	dst = appendBloom(dst, x.Sectors)
+	for i := range x.Blocks {
+		bs := &x.Blocks[i]
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(bs.Count))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(bs.MinTS))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(bs.MaxTS))
+		dst = appendBloom(dst, bs.UEs)
+		dst = appendBloom(dst, bs.TACs)
+	}
+	return appendTrailer(dst, 0)
+}
+
+// footerBytes returns the index footer and trailer that end a stream.
+func footerBytes(t testing.TB, data []byte) []byte {
+	t.Helper()
+	n, err := footerLen(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[len(data)-TrailerSize-n:]
+}
+
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	b := newIndexBuilder(128)
 	base := StudyStart.UnixMilli()
-	var recs []Record
-	for i := 0; i < 1000; i++ {
-		rec := randRecord(rng, base)
-		recs = append(recs, rec)
-		b.observe(rec.Timestamp, uint32(rec.UE), uint32(rec.TAC), uint32(rec.Source), uint32(rec.Target))
+	recs := make([]Record, 1000)
+	for i := range recs {
+		recs[i] = randRecord(rng, base)
 	}
-	idx := b.finish(0xdeadbeef)
-	if got, want := len(idx.Blocks), (1000+127)/128; got != want {
-		t.Fatalf("block summaries = %d, want %d", got, want)
-	}
-	data := encodeIndex(idx)
+	data := encodeV3(t, recs, WriterV3Options{BlockRecords: 128})
 	dec, err := DecodeIndex(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Fingerprint != 0xdeadbeef || dec.BlockRecords != 128 || len(dec.Blocks) != len(idx.Blocks) {
-		t.Fatalf("decoded header mismatch: %+v", dec)
+	if got, want := len(dec.Blocks), (1000+127)/128; got != want {
+		t.Fatalf("block summaries = %d, want %d", got, want)
+	}
+	if tail := footerBytes(t, data); !bytes.Equal(encodeIndex(dec), tail) {
+		t.Fatal("decoded footer re-encodes to other bytes")
 	}
 	// No false negatives through the full encode/decode cycle, at both
 	// granularities.
@@ -117,40 +148,38 @@ func TestIndexRoundTrip(t *testing.T) {
 }
 
 func TestIndexDecodeRejectsDamage(t *testing.T) {
-	b := newIndexBuilder(64)
-	b.observe(StudyStart.UnixMilli(), 1, 2, 3, 4)
-	data := encodeIndex(b.finish(42))
+	rec := randRecord(rand.New(rand.NewSource(1)), StudyStart.UnixMilli())
+	data := footerBytes(t, encodeV3(t, []Record{rec}, WriterV3Options{BlockRecords: 64}))
 
-	if _, err := DecodeIndex(data[:10]); err == nil {
-		t.Fatal("truncated index decoded")
+	if _, err := DecodeIndex(data[len(data)-10:]); !errors.Is(err, ErrIndexCorrupt) {
+		t.Fatalf("truncated index: err = %v, want ErrIndexCorrupt", err)
 	}
-	flip := append([]byte(nil), data...)
+	flip := bytes.Clone(data)
 	flip[len(flip)/2] ^= 0xff
-	if _, err := DecodeIndex(flip); err == nil {
-		t.Fatal("bit-flipped index decoded")
+	if _, err := DecodeIndex(flip); !errors.Is(err, ErrIndexCorrupt) {
+		t.Fatalf("bit-flipped index: err = %v, want ErrIndexCorrupt", err)
 	}
-	future := append([]byte(nil), data...)
-	future[4] = 99 // version field
-	if _, err := DecodeIndex(future); err == nil {
-		t.Fatal("future-versioned index decoded")
+	outside := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(outside[len(outside)-TrailerSize:], uint32(len(data)))
+	if _, err := DecodeIndex(outside); !errors.Is(err, ErrIndexCorrupt) {
+		t.Fatalf("footer length past the data: err = %v, want ErrIndexCorrupt", err)
 	}
 }
 
-// resealIndex recomputes a sidecar's trailing checksum after a test has
-// patched its body, so the damage reaches the parser.
+// resealIndex recomputes a footer's trailing checksum after a test has
+// patched it, so the damage reaches the parser.
 func resealIndex(data []byte) []byte {
 	body := data[:len(data)-8]
 	return binary.LittleEndian.AppendUint64(body, fnv1a(body))
 }
 
-// TestIndexDecodeBoundsBlockCount patches a valid sidecar's block count
+// TestIndexDecodeBoundsBlockCount patches a valid footer's block count
 // to just under maxIndexBlocks: the decoder must refuse it from the
 // bytes present instead of first allocating ~168 MB of summaries.
 func TestIndexDecodeBoundsBlockCount(t *testing.T) {
-	b := newIndexBuilder(64)
-	b.observe(StudyStart.UnixMilli(), 1, 2, 3, 4)
-	data := bytes.Clone(encodeIndex(b.finish(42)))
-	binary.LittleEndian.PutUint32(data[20:24], maxIndexBlocks-1)
+	rec := randRecord(rand.New(rand.NewSource(1)), StudyStart.UnixMilli())
+	data := bytes.Clone(footerBytes(t, encodeV3(t, []Record{rec}, WriterV3Options{BlockRecords: 64})))
+	binary.LittleEndian.PutUint32(data[0:4], maxIndexBlocks-1)
 	data = resealIndex(data)
 
 	var before, after runtime.MemStats
@@ -161,27 +190,14 @@ func TestIndexDecodeBoundsBlockCount(t *testing.T) {
 		t.Fatalf("lying block count: err = %v, want ErrIndexCorrupt", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("decoder allocated %d bytes for a %d-byte sidecar", grew, len(data))
-	}
-}
-
-// TestIndexDecodeRejectsFlags sets a flag on a valid sidecar. No flag is
-// defined, so the decoder must treat it as a format it cannot read.
-func TestIndexDecodeRejectsFlags(t *testing.T) {
-	b := newIndexBuilder(64)
-	b.observe(StudyStart.UnixMilli(), 1, 2, 3, 4)
-	data := bytes.Clone(encodeIndex(b.finish(42)))
-	binary.LittleEndian.PutUint16(data[6:8], 1)
-	data = resealIndex(data)
-	if _, err := DecodeIndex(data); !errors.Is(err, ErrIndexVersion) {
-		t.Fatalf("flagged sidecar: err = %v, want ErrIndexVersion", err)
+		t.Fatalf("decoder allocated %d bytes for a %d-byte footer", grew, len(data))
 	}
 }
 
 // TestFileStoreWritesIndex asserts every write granularity (one record
-// per call, ragged batches, one whole batch) emits an aligned sidecar,
-// that the manifest advertises it, and that its block summaries agree
-// with the stream's descriptors.
+// per call, ragged batches, one whole batch) ends the partition with an
+// aligned index footer, found from the MANIFEST entry alone, and that
+// its block summaries agree with the stream's descriptors.
 func TestFileStoreWritesIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	base := StudyStart.UnixMilli()
@@ -208,65 +224,46 @@ func TestFileStoreWritesIndex(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			idx, err := fs.PartitionIndex(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if idx == nil {
-				t.Fatal("no index sidecar written")
-			}
-			if got, want := len(idx.Blocks), (len(recs)+255)/256; got != want {
-				t.Fatalf("block summaries = %d, want %d", got, want)
-			}
 			m, err := fs.Manifest()
 			if err != nil {
 				t.Fatalf("manifest unusable: %v", err)
 			}
 			pi, ok := m.Lookup(Partition{Day: 0, Shard: 0})
-			if !ok || pi.IndexVersion != IndexVersionCurrent {
-				t.Fatalf("manifest entry index version = %d, want %d", pi.IndexVersion, IndexVersionCurrent)
+			if !ok {
+				t.Fatal("partition not in the manifest")
 			}
-			if idx.Fingerprint != pi.Fingerprint {
-				t.Fatalf("index fingerprint %x != manifest %x", idx.Fingerprint, pi.Fingerprint)
+			idx, err := fs.PartitionIndex(pi)
+			if err != nil {
+				t.Fatal(err)
 			}
-			total := 0
-			for _, bs := range idx.Blocks {
-				total += bs.Count
+			if got, want := len(idx.Blocks), (len(recs)+255)/256; got != want {
+				t.Fatalf("block summaries = %d, want %d", got, want)
 			}
-			if total != len(recs) {
-				t.Fatalf("block counts sum to %d, want %d", total, len(recs))
+			it, err := fs.OpenPartition(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			var cb ColumnBatch
+			for b := range idx.Blocks {
+				n, err := it.NextColumns(&cb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bs := &idx.Blocks[b]
+				lo, hi := cb.Timestamps[0], cb.Timestamps[0]
+				for _, ts := range cb.Timestamps {
+					lo, hi = min(lo, ts), max(hi, ts)
+				}
+				if bs.Count != n || bs.MinTS != lo || bs.MaxTS != hi {
+					t.Fatalf("block %d summary %d records [%d, %d], stream %d records [%d, %d]",
+						b, bs.Count, bs.MinTS, bs.MaxTS, n, lo, hi)
+				}
+			}
+			if n, err := it.NextColumns(&cb); n != 0 || err != nil {
+				t.Fatalf("stream goes on past the summarized blocks: %d, %v", n, err)
 			}
 		})
-	}
-}
-
-// TestFileStoreMissingSidecar: a partition whose .tlix sidecar is gone
-// (deleted or lost after the write) loads no index, and still reads in
-// full.
-func TestFileStoreMissingSidecar(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := randRecord(rand.New(rand.NewSource(1)), StudyStart.UnixMilli())
-	writePartition(t, fs, 0, 0, []Record{rec})
-	if idx, err := fs.PartitionIndex(0, 0); err != nil || idx == nil {
-		t.Fatalf("fresh partition index = %v, %v", idx, err)
-	}
-	if err := os.Remove(fs.indexPath(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if idx, err := fs.PartitionIndex(0, 0); err != nil || idx != nil {
-		t.Fatalf("index without a sidecar = %v, %v; want nil, nil", idx, err)
-	}
-	it, err := fs.OpenPartition(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	got, err := readRecords(it)
-	if err != nil || len(got) != 1 || got[0].UE != rec.UE {
-		t.Fatalf("read %v, %v; want the one written record", got, err)
 	}
 }
 

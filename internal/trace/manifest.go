@@ -36,21 +36,16 @@ type PartitionInfo struct {
 	// inclusive); both zero when the partition is empty.
 	MinTS int64 `json:"min_ts"`
 	MaxTS int64 `json:"max_ts"`
-	// Bytes is the stored (on-disk) partition size.
+	// Bytes is the stored (on-disk) partition size; the partition's
+	// index footer ends at it.
 	Bytes int64 `json:"bytes"`
 	// Fingerprint hashes the partition's stored content (FNV-1a over the
-	// stream bytes), so consumers can detect a rewritten partition
-	// without reading it.
+	// file's bytes, index footer included), so consumers can detect a
+	// rewritten partition without reading it.
 	Fingerprint uint64 `json:"fingerprint"`
 	// Gen is the manifest generation at which this entry was added or
 	// last changed.
 	Gen uint64 `json:"gen"`
-	// IndexVersion is the format version of the partition's secondary-
-	// index sidecar (see PartitionIndex), or 0 when none was written —
-	// consumers of unindexed partitions fall back to scanning. Manifests
-	// written before indexing existed simply omit the field, so old
-	// campaigns keep loading unchanged.
-	IndexVersion uint16 `json:"index,omitempty"`
 }
 
 // Partition returns the entry's partition key.

@@ -333,7 +333,7 @@ func TestManifestRefusesPreManifestDirectory(t *testing.T) {
 }
 
 // TestDiscardFromRemovesDebris: DiscardFrom deletes every partition of
-// the given day or later, listed or not, with its sidecar, and drops
+// the given day or later, listed or not, and drops
 // the listed ones from the MANIFEST in one rewrite.
 func TestDiscardFromRemovesDebris(t *testing.T) {
 	dir := t.TempDir()
@@ -378,8 +378,7 @@ func TestDiscardFromRemovesDebris(t *testing.T) {
 	if len(m.Partitions) != 1 || m.Partitions[0].Day != 0 || m.Gen != before.Gen+1 {
 		t.Fatalf("manifest after discard = %+v (gen %d before)", m, before.Gen)
 	}
-	for _, name := range []string{"ho_day_001.tlho", "ho_day_001.tlix", "ho_day_001_s001.tlho",
-		"ho_day_002.tlho", "ho_day_002.tlix", "ho_day_003.tlho"} {
+	for _, name := range []string{"ho_day_001.tlho", "ho_day_001_s001.tlho", "ho_day_002.tlho", "ho_day_003.tlho"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Fatalf("%s survived DiscardFrom: %v", name, err)
 		}

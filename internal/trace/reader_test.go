@@ -37,7 +37,7 @@ func randRecord(r *rand.Rand, base int64) Record {
 }
 
 // stampHeader rewrites the version and flags of every partition stream
-// in fs, leaving the MANIFEST and sidecars as they were: the store then
+// in fs, leaving the MANIFEST as it was: the store then
 // holds a format this package no longer reads, in files whose layout is
 // otherwise intact.
 func stampHeader(t testing.TB, fs *FileStore, version, flags uint16) {
@@ -344,13 +344,27 @@ func TestV3StreamSmallerThanV1(t *testing.T) {
 	t.Logf("bytes/record: v1 %.1f, v3 %.1f", float64(v1)/float64(len(recs)), float64(v3)/float64(len(recs)))
 }
 
+// blocksEnd returns the offset where a stream's index footer starts,
+// just after its end-of-blocks marker.
+func blocksEnd(t testing.TB, data []byte) int {
+	t.Helper()
+	n, err := footerLen(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(data) - TrailerSize - n
+}
+
 // TestReaderRejectsCorruptV3: truncations and descriptor damage of a
 // small stream error out, never panic.
 func TestReaderRejectsCorruptV3(t *testing.T) {
 	recs := []Record{sampleRecord(), sampleRecord()}
 	data := encodeV3(t, recs, WriterV3Options{})
-	// Truncations anywhere in the stream must error, never panic.
-	for cut := HeaderSize + 1; cut < len(data); cut += 3 {
+	// Truncations anywhere before the end of the end-of-blocks marker
+	// must error, never panic. The index footer after it is not the
+	// block reader's: the MANIFEST's size and fingerprint catch a cut
+	// there.
+	for cut := HeaderSize + 1; cut < blocksEnd(t, data); cut += 3 {
 		r, err := NewReader(bytes.NewReader(data[:cut]))
 		if err != nil {
 			continue

@@ -212,8 +212,9 @@ func TestScanRejectsInvertedRange(t *testing.T) {
 // TestScanCountsEveryCodec: a full parallel scan of a file store observes
 // exactly the records written to it, and as many as the manifest counts,
 // at several block sizes. A store whose streams name a format earlier
-// versions wrote (v1, v2, flate, TLZ) fails the scan with ErrBadVersion,
-// naming the format and telcogen, instead of counting short.
+// versions wrote (v1, v2, flate, TLZ, v3 with a sidecar) fails the scan
+// with ErrBadVersion, naming the format and telcogen, instead of
+// counting short.
 func TestScanCountsEveryCodec(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, c := range []struct {
@@ -226,8 +227,9 @@ func TestScanCountsEveryCodec(t *testing.T) {
 		{name: "v1", blockRecords: 100, version: 1},
 		{name: "v2", blockRecords: 100, version: 2},
 		{name: "v2flate", blockRecords: 100, version: 2, flags: 1},
-		{name: "v3flate", blockRecords: 100, version: VersionV3, flags: 1},
-		{name: "v3tlz", blockRecords: 100, version: VersionV3, flags: 2},
+		{name: "v3flate", blockRecords: 100, version: 3, flags: 1},
+		{name: "v3tlz", blockRecords: 100, version: 3, flags: 2},
+		{name: "v3sidecar", blockRecords: 100, version: 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fs, err := NewFileStoreOpts(t.TempDir(), FileStoreOptions{BlockRecords: c.blockRecords})

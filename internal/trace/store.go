@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -172,8 +173,8 @@ func Count(s Store) (int64, error) {
 }
 
 // FileStoreOptions tunes how a FileStore writes and reads partitions.
-// Every partition is a v3 stream; one in a format earlier versions
-// wrote fails to open with ErrBadVersion.
+// Every partition is a v4 stream, its index its footer; one in a format
+// earlier versions wrote fails to open with ErrBadVersion.
 type FileStoreOptions struct {
 	// BlockRecords is the records-per-block size (0 = default).
 	BlockRecords int
@@ -238,27 +239,50 @@ func (f *FileStore) partitionPath(day, shard int) string {
 	return filepath.Join(f.dir, fmt.Sprintf("ho_day_%03d_s%03d.tlho", day, shard))
 }
 
-// indexPath returns the partition's .tlix sidecar location (the .tlho
-// suffix replaced, so sidecars never match the partition listing).
-func (f *FileStore) indexPath(day, shard int) string {
-	p := f.partitionPath(day, shard)
-	return p[:len(p)-len(".tlho")] + IndexSuffix
-}
-
-// PartitionIndex loads a partition's secondary-index sidecar. A missing
-// sidecar is (nil, nil) — the partition predates indexing or its
-// sidecar was lost — and callers fall back to scanning. A corrupt
-// or future-versioned sidecar reports its error; callers should treat
-// that as absent too.
-func (f *FileStore) PartitionIndex(day, shard int) (*PartitionIndex, error) {
-	data, err := f.fs.ReadFile(f.indexPath(day, shard))
-	if errors.Is(err, iofs.ErrNotExist) {
-		return nil, nil
+// PartitionIndex loads the index footer of the partition pi describes,
+// with two positioned reads of the file's tail: the trailer at pi.Bytes,
+// the MANIFEST's size, then the footer it locates. A footer that does
+// not decode, or a trailer that points outside the partition, is
+// ErrIndexCorrupt and callers scan the partition instead. Any other
+// error is a failed read.
+func (f *FileStore) PartitionIndex(pi PartitionInfo) (*PartitionIndex, error) {
+	// room is the most footer a partition of pi.Bytes bytes can hold.
+	room := pi.Bytes - HeaderSize - int64(len(endOfBlocks)) - TrailerSize
+	if room < 0 {
+		return nil, ErrIndexCorrupt
 	}
+	file, err := faultfs.Open(f.fs, f.partitionPath(pi.Day, pi.Shard))
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading partition index: %w", err)
 	}
-	return DecodeIndex(data)
+	defer file.Close()
+	var trailer [TrailerSize]byte
+	if err := readTail(file, trailer[:], pi.Bytes-TrailerSize); err != nil {
+		return nil, err
+	}
+	n := int64(binary.LittleEndian.Uint32(trailer[:4]))
+	if n > room {
+		return nil, ErrIndexCorrupt
+	}
+	tail := make([]byte, n+TrailerSize)
+	if err := readTail(file, tail[:n], pi.Bytes-TrailerSize-n); err != nil {
+		return nil, err
+	}
+	copy(tail[n:], trailer[:])
+	return DecodeIndex(tail)
+}
+
+// readTail fills p from file at off. A file that ends before p is full
+// is shorter than its MANIFEST entry says: ErrIndexCorrupt.
+func readTail(file faultfs.File, p []byte, off int64) error {
+	n, err := file.ReadAt(p, off)
+	switch {
+	case n == len(p):
+		return nil
+	case err == io.EOF:
+		return ErrIndexCorrupt
+	}
+	return fmt.Errorf("trace: reading partition index: %w", err)
 }
 
 // partitionNameRE matches exactly the two partition file layouts; anything
@@ -308,7 +332,7 @@ func (f *FileStore) AppendPartition(day, shard int) (RecordWriter, error) {
 		return nil, fmt.Errorf("trace: creating partition file: %w", err)
 	}
 	// The codec writes through the digest tee, so the manifest
-	// fingerprint covers exactly the stored stream bytes.
+	// fingerprint covers exactly the stored bytes, index footer included.
 	digest := newPartitionDigest()
 	w, err := NewWriterV3(&digestWriter{w: file, d: digest}, WriterV3Options{BlockRecords: f.opts.BlockRecords})
 	if err != nil {
@@ -316,15 +340,7 @@ func (f *FileStore) AppendPartition(day, shard int) (RecordWriter, error) {
 		f.fs.Remove(path)
 		return nil, err
 	}
-	// The index builder mirrors the writer's blocking rule (a block seals
-	// exactly every BlockRecords records), so block summaries align with
-	// the stream without touching the encoder.
-	perBlock := f.opts.BlockRecords
-	if perBlock <= 0 {
-		perBlock = DefaultBlockRecords
-	}
-	return &fileWriter{file: file, w: w, store: f, day: day, shard: shard, digest: digest,
-		idx: newIndexBuilder(perBlock)}, nil
+	return &fileWriter{file: file, w: w, store: f, day: day, shard: shard, digest: digest}, nil
 }
 
 // manifestPath returns the store's MANIFEST location.
@@ -383,7 +399,7 @@ func (f *FileStore) notePartitionClosed(info PartitionInfo) error {
 }
 
 // DiscardFrom removes every partition file of day or later, whether
-// the MANIFEST lists it or not, with its sidecar, and returns the
+// the MANIFEST lists it or not, and returns the
 // partitions it removed. When there is any, the MANIFEST first drops
 // every entry of day or later in one rewrite, so a crash part-way
 // leaves unlisted files for the next call, never entries without
@@ -430,9 +446,6 @@ func (f *FileStore) DiscardFrom(day int) ([]Partition, error) {
 		if err := f.fs.Remove(f.partitionPath(p.Day, p.Shard)); err != nil {
 			return debris[:i], fmt.Errorf("trace: removing partition day %d shard %d: %w", p.Day, p.Shard, err)
 		}
-		// Best-effort sidecar cleanup: an orphan index is harmless (loads
-		// are fingerprint-checked), but debris removal should leave nothing.
-		f.fs.Remove(f.indexPath(p.Day, p.Shard))
 	}
 	return debris, nil
 }
@@ -517,15 +530,14 @@ func (t *digestWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// fileWriter wraps the v3 stream writer with the store-level
-// bookkeeping every landed record needs: timestamp extents and stream
-// fingerprint for the MANIFEST entry (digest) and the secondary-index
-// builder feeding the .tlix sidecar written on Close.
+// fileWriter wraps the stream writer with the store-level bookkeeping
+// every landed record needs: the timestamp extents and fingerprint of
+// the partition's MANIFEST entry (digest).
 //
 // A write error is sticky: once any record fails to land, the stream
-// is poisoned and Close aborts — the partial partition file (and any
-// sidecar) is removed and never reaches the MANIFEST, so a failed
-// append leaves the store exactly as it was.
+// is poisoned and Close aborts — the partial partition file is removed
+// and never reaches the MANIFEST, so a failed append leaves the store
+// exactly as it was.
 type fileWriter struct {
 	file   faultfs.File
 	w      *WriterV3
@@ -533,7 +545,6 @@ type fileWriter struct {
 	day    int
 	shard  int
 	digest *partitionDigest
-	idx    *indexBuilder
 	closed bool
 	werr   error
 }
@@ -547,19 +558,17 @@ func (w *fileWriter) fail(err error) error {
 }
 
 // abort releases the codec, closes the handle, and removes the partial
-// partition file plus any sidecar, so no uncommitted .tlho is left for
-// Verify to report as an orphan.
+// partition file, so no uncommitted .tlho is left for Verify to report
+// as an orphan.
 func (w *fileWriter) abort(cause error) error {
 	w.w.Release()
 	w.file.Close()
 	w.store.fs.Remove(w.store.partitionPath(w.day, w.shard))
-	w.store.fs.Remove(w.store.indexPath(w.day, w.shard))
 	return fmt.Errorf("trace: partition day %d shard %d aborted: %w", w.day, w.shard, cause)
 }
 
 // WriteColumns lands a columnar batch: timestamp extents fold into the
-// manifest digest and the batch into the index builder from the
-// contiguous columns, then the codec encodes it.
+// manifest digest, then the codec encodes it.
 func (w *fileWriter) WriteColumns(cb *ColumnBatch) error {
 	if w.closed {
 		return fmt.Errorf("trace: write to closed partition day %d shard %d", w.day, w.shard)
@@ -570,18 +579,17 @@ func (w *fileWriter) WriteColumns(cb *ColumnBatch) error {
 	for _, ts := range cb.Timestamps {
 		w.digest.observeTS(ts)
 	}
-	w.idx.observeColumns(cb)
 	if err := w.w.WriteColumns(cb); err != nil {
 		return w.fail(err)
 	}
 	return nil
 }
 
-// Close commits the partition: flush the codec, fsync the partition
-// file, write the index sidecar, then fold the entry into the MANIFEST
-// (whose atomic rewrite fsyncs the directory, making the new partition
-// itself durable). Any failure along the way aborts instead — the
-// partial file and sidecar are removed so the store's prior state is
+// Close commits the partition: flush the codec, which ends the stream
+// with its index footer, fsync the partition file, then fold the entry
+// into the MANIFEST (whose atomic rewrite fsyncs the directory, making
+// the new partition itself durable). Any failure along the way aborts
+// instead — the partial file is removed so the store's prior state is
 // exactly preserved.
 func (w *fileWriter) Close() error {
 	if w.closed {
@@ -602,23 +610,10 @@ func (w *fileWriter) Close() error {
 	}
 	if err := w.file.Close(); err != nil {
 		w.store.fs.Remove(w.store.partitionPath(w.day, w.shard))
-		w.store.fs.Remove(w.store.indexPath(w.day, w.shard))
 		return fmt.Errorf("trace: partition day %d shard %d aborted: %w", w.day, w.shard, err)
 	}
-	info := w.digest.info(w.day, w.shard, w.w.Count())
-	// The sidecar lands before the manifest entry that advertises it, so
-	// a reader that sees IndexVersion > 0 finds the file unless it was
-	// lost afterwards.
-	idx := w.idx.finish(w.digest.hash)
-	if err := writeIndexFile(w.store.fs, w.store.indexPath(w.day, w.shard), idx); err != nil {
+	if err := w.store.notePartitionClosed(w.digest.info(w.day, w.shard, w.w.Count())); err != nil {
 		w.store.fs.Remove(w.store.partitionPath(w.day, w.shard))
-		w.store.fs.Remove(w.store.indexPath(w.day, w.shard))
-		return err
-	}
-	info.IndexVersion = idx.Version
-	if err := w.store.notePartitionClosed(info); err != nil {
-		w.store.fs.Remove(w.store.partitionPath(w.day, w.shard))
-		w.store.fs.Remove(w.store.indexPath(w.day, w.shard))
 		return err
 	}
 	return nil
@@ -627,9 +622,9 @@ func (w *fileWriter) Close() error {
 // readVerifier tees every byte the codec pulls from the partition file
 // into a fresh digest. The codec reader never seeks (range pruning
 // discards through its buffer), so the tee observes the stream in file
-// order; at end of stream the remaining tail is drained and the hash
-// plus byte count are compared against the manifest entry recorded at
-// write time.
+// order; at the end-of-blocks marker the rest of the file, index footer
+// included, is drained and the hash plus byte count are compared
+// against the manifest entry recorded at write time.
 type readVerifier struct {
 	src    io.Reader
 	digest *partitionDigest

@@ -243,7 +243,7 @@ func TestReaderRejectsBadStreams(t *testing.T) {
 	}
 	// Valid header, truncated block.
 	data := encodeV3(t, []Record{sampleRecord()}, WriterV3Options{})
-	r, err := NewReader(bytes.NewReader(data[:len(data)-3]))
+	r, err := NewReader(bytes.NewReader(data[:blocksEnd(t, data)-len(endOfBlocks)-3]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,16 +15,15 @@ import (
 	"telcolens/internal/faultfs"
 )
 
-// The scrub/quarantine subsystem: Verify audits manifest ↔ partition ↔
-// index consistency by re-reading every stream, Scrub moves what fails
+// The scrub/quarantine subsystem: Verify audits manifest ↔ partition
+// consistency by re-reading every partition file, Scrub moves what fails
 // out of the serving set into quarantine/ so the rest of the campaign
 // keeps serving, and LoadQuarantine lets the daemon report the
 // excluded days instead of failing whole campaigns. cmd/telcofsck is
 // the operator front-end; telcoserve runs the same scrub at startup.
 
 // CorruptionClass buckets what a failed partition read means, so
-// operators (and /healthz) can tell bit rot from a half-written file
-// from a stale accelerator.
+// operators (and /healthz) can tell bit rot from a half-written file.
 type CorruptionClass string
 
 const (
@@ -37,9 +36,6 @@ const (
 	// CorruptDecode: the codec rejected the stream (bad magic, frame
 	// structure, impossible counts).
 	CorruptDecode CorruptionClass = "decode"
-	// CorruptIndex: the .tlix sidecar is unreadable or stale. The
-	// partition itself is fine; queries fall back to scanning.
-	CorruptIndex CorruptionClass = "index"
 	// CorruptIO: the file could not be read at all.
 	CorruptIO CorruptionClass = "io"
 )
@@ -84,8 +80,7 @@ type VerifyReport struct {
 	Partitions int `json:"partitions"`
 	// Records is the total record count decoded across clean partitions.
 	Records int64 `json:"records"`
-	// Issues lists everything that failed, in canonical partition order
-	// (partition-level issues before their index issues).
+	// Issues lists everything that failed, in canonical partition order.
 	Issues []VerifyIssue `json:"issues,omitempty"`
 	// Missing lists manifest entries whose partition file is gone.
 	Missing []Partition `json:"missing,omitempty"`
@@ -98,8 +93,9 @@ func (r *VerifyReport) OK() bool {
 	return len(r.Issues) == 0 && len(r.Missing) == 0
 }
 
-// verifyPartitionData audits one partition's raw stream against its
-// manifest entry (fingerprint, size, record count) and the codec.
+// verifyPartitionData audits one partition file against its manifest
+// entry (fingerprint and size, which cover the index footer, and record
+// count) and the codec.
 // A nil entry (an orphan file) runs the structural checks only. Intact
 // bytes whose header names a format this package does not read are not
 // corruption: that case returns the ErrBadVersion error, not an issue.
@@ -146,11 +142,11 @@ func verifyPartitionData(data []byte, pi *PartitionInfo) (int64, *VerifyIssue, e
 	return records, nil, nil
 }
 
-// Verify audits every partition file of a FileStore: stream
-// fingerprints and sizes against the MANIFEST, a full decode pass,
-// record counts, and .tlix sidecar integrity. Files the MANIFEST does
-// not list are reported as Orphans (and decoded structurally), entries
-// without a file as Missing. It never modifies the store. A directory
+// Verify audits every partition file of a FileStore: fingerprints and
+// sizes against the MANIFEST (index footers included), a full decode
+// pass, and record counts. Files the MANIFEST does not list are
+// reported as Orphans (and decoded structurally), entries without a
+// file as Missing. It never modifies the store. A directory
 // with partition files but no MANIFEST fails with ErrNoManifest. A
 // partition whose bytes match the MANIFEST but whose header names a
 // stream format this package does not read fails the audit with an
@@ -206,28 +202,6 @@ func Verify(ctx context.Context, f *FileStore) (*VerifyReport, error) {
 			continue
 		}
 		report.Records += records
-		// Sidecar audit: unreadable, corrupt or stale indexes are issues
-		// of their own class — the partition data is fine.
-		idxData, err := f.fs.ReadFile(f.indexPath(p.Day, p.Shard))
-		if errors.Is(err, iofs.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			report.Issues = append(report.Issues, VerifyIssue{
-				Day: p.Day, Shard: p.Shard, Class: CorruptIndex, Detail: err.Error()})
-			continue
-		}
-		x, err := DecodeIndex(idxData)
-		if err != nil {
-			report.Issues = append(report.Issues, VerifyIssue{
-				Day: p.Day, Shard: p.Shard, Class: CorruptIndex, Detail: err.Error()})
-			continue
-		}
-		if pi != nil && x.Fingerprint != pi.Fingerprint {
-			report.Issues = append(report.Issues, VerifyIssue{
-				Day: p.Day, Shard: p.Shard, Class: CorruptIndex,
-				Detail: fmt.Sprintf("index fingerprint %016x, manifest %016x", x.Fingerprint, pi.Fingerprint)})
-		}
 	}
 	return report, nil
 }
@@ -288,19 +262,14 @@ type ScrubResult struct {
 	Report *VerifyReport
 	// Quarantined lists the partitions moved to quarantine/.
 	Quarantined []Partition
-	// IndexesDropped lists partitions whose corrupt/stale .tlix sidecar
-	// was removed (the partition data itself was clean; queries fall
-	// back to scanning it).
-	IndexesDropped []Partition
 	// EntriesDropped lists manifest entries removed because their file
 	// was missing.
 	EntriesDropped []Partition
 }
 
 // Scrub audits the store (Verify) and then repairs what it can:
-// partitions with corrupt data move to quarantine/ (file + sidecar)
-// and are logged in quarantine/QUARANTINE.json; corrupt or stale
-// sidecars on otherwise clean partitions are deleted; manifest entries
+// partitions with corrupt data, index footer included, move to
+// quarantine/ and are logged in quarantine/QUARANTINE.json; manifest entries
 // for missing or quarantined partitions are dropped so the rewritten
 // MANIFEST matches the surviving files and the store serves the
 // remaining days. The store's data files are never deleted — only
@@ -314,7 +283,7 @@ func Scrub(ctx context.Context, f *FileStore) (*ScrubResult, error) {
 		return nil, err
 	}
 	res := &ScrubResult{Report: report}
-	if report.OK() && len(report.Issues) == 0 {
+	if report.OK() {
 		return res, nil
 	}
 	f.mu.Lock()
@@ -324,14 +293,6 @@ func Scrub(ctx context.Context, f *FileStore) (*ScrubResult, error) {
 	now := time.Now().UTC().Format(time.RFC3339)
 	for _, issue := range report.Issues {
 		p := Partition{Day: issue.Day, Shard: issue.Shard}
-		if issue.Class == CorruptIndex {
-			// The accelerator is bad, the data is fine: drop the sidecar.
-			if err := f.fs.Remove(f.indexPath(p.Day, p.Shard)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
-				return res, fmt.Errorf("trace: scrub dropping index day %d shard %d: %w", p.Day, p.Shard, err)
-			}
-			res.IndexesDropped = append(res.IndexesDropped, p)
-			continue
-		}
 		if err := f.fs.MkdirAll(qdir, 0o755); err != nil {
 			return res, fmt.Errorf("trace: scrub creating quarantine dir: %w", err)
 		}
@@ -339,10 +300,6 @@ func Scrub(ctx context.Context, f *FileStore) (*ScrubResult, error) {
 		dst := filepath.Join(qdir, filepath.Base(src))
 		if err := f.fs.Rename(src, dst); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 			return res, fmt.Errorf("trace: quarantining day %d shard %d: %w", p.Day, p.Shard, err)
-		}
-		idxSrc := f.indexPath(p.Day, p.Shard)
-		if err := f.fs.Rename(idxSrc, filepath.Join(qdir, filepath.Base(idxSrc))); err != nil && !errors.Is(err, iofs.ErrNotExist) {
-			return res, fmt.Errorf("trace: quarantining index day %d shard %d: %w", p.Day, p.Shard, err)
 		}
 		qrecs = append(qrecs, QuarantineRecord{
 			File:  filepath.Base(src),

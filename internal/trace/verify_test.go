@@ -22,7 +22,7 @@ func countRecords(t *testing.T, s Store) int64 {
 }
 
 // A failed partition write must abort cleanly on Close: no partial
-// .tlho on disk, no sidecar, no manifest entry — the store looks
+// .tlho on disk, no manifest entry — the store looks
 // exactly as it did before the append started.
 func TestFailedWriteAbortsCleanly(t *testing.T) {
 	for _, rule := range []faultfs.Rule{
@@ -186,7 +186,7 @@ func TestScrubQuarantinesCorruptPartition(t *testing.T) {
 		t.Fatalf("quarantined = %v", res.Quarantined)
 	}
 
-	// The bad partition and its sidecar moved to quarantine/.
+	// The bad partition moved to quarantine/.
 	if _, err := os.Stat(filepath.Join(dir, QuarantineDirName, "ho_day_001.tlho")); err != nil {
 		t.Fatalf("quarantined file missing: %v", err)
 	}
@@ -295,34 +295,6 @@ func TestScrubKeepsUnreadableFormat(t *testing.T) {
 	}
 }
 
-// A corrupt sidecar on a clean partition must be dropped, not
-// quarantined — the data is fine, only the accelerator is bad.
-func TestScrubDropsCorruptIndexOnly(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeTestPartition(t, s, 0, 0, 300)
-	idxPath := filepath.Join(dir, "ho_day_000.tlix")
-	if err := os.WriteFile(idxPath, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Scrub(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Quarantined) != 0 || len(res.IndexesDropped) != 1 {
-		t.Fatalf("scrub result = %+v", res)
-	}
-	if _, err := os.Stat(idxPath); !os.IsNotExist(err) {
-		t.Fatalf("corrupt index still present: %v", err)
-	}
-	if got := countRecords(t, s); got != 300 {
-		t.Fatalf("records = %d", got)
-	}
-}
-
 // A manifest entry whose file vanished stays listed until Scrub drops
 // it, after which the survivors read clean.
 func TestScrubDropsMissingEntries(t *testing.T) {
@@ -336,7 +308,6 @@ func TestScrubDropsMissingEntries(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "ho_day_001.tlho")); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, "ho_day_001.tlix"))
 	if m, err := s.Manifest(); err != nil || len(m.Partitions) != 2 {
 		t.Fatalf("manifest before scrub = %+v, %v; want both entries", m, err)
 	}

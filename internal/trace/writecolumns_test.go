@@ -130,7 +130,8 @@ func appendBlockPayload(dst []byte, recs []Record, minTS int64) ([]byte, blockSe
 
 // encodeRecordOracle encodes recs through the reference encoder:
 // records are quantized and cut into blocks of opts' BlockRecords, and
-// each block is framed by the writer's own emitBlock.
+// each block is framed by the writer's own emitBlock and summarized by
+// its index builder.
 func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV3Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -147,6 +148,9 @@ func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV3Options) []byt
 		}
 		var secs blockSections
 		w.enc.payload, secs = appendBlockPayload(w.enc.payload[:0], block, minTS)
+		var cb ColumnBatch
+		cb.FromRecords(block)
+		w.enc.idx.addBlock(&cb, 0, len(block), minTS, maxTS)
 		if err := w.emitBlock(len(block), minTS, maxTS, secs); err != nil {
 			t.Fatal(err)
 		}

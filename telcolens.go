@@ -88,7 +88,7 @@ type LegacyDependence = analysis.LegacyDependence
 
 // QueryEngine executes ad-hoc record-slice queries (per-UE, per-TAC,
 // time-window) over a store, pruning with the MANIFEST zone maps and
-// the per-partition .tlix secondary indexes when present; see the
+// each partition's index footer when it decodes; see the
 // internal/query package and DESIGN.md §6.
 type QueryEngine = query.Engine
 
@@ -108,9 +108,9 @@ type QueryView = query.View
 // counts, outcome split, ping-pong bounces per standard window).
 type UESliceAggregate = analysis.UESliceAggregate
 
-// NewQueryEngine returns a query engine over s. Stores that maintain
-// .tlix index sidecars (FileStore) get index pruning; everything else
-// scans with identical results.
+// NewQueryEngine returns a query engine over s. Stores that read
+// partition index footers (FileStore) get index pruning; everything
+// else scans with identical results.
 func NewQueryEngine(s Store) *QueryEngine { return query.New(s) }
 
 // NewQueryView snapshots s's current partition set for querying.
