@@ -57,7 +57,10 @@
 #                     oracle, 30s of FuzzLoadManifest on the
 #                     store MANIFEST loader, then 30s of
 #                     FuzzCanonicalOrder on the radix canonical day
-#                     order against sort.Slice over CanonicalLess
+#                     order against sort.Slice over CanonicalLess, then
+#                     30s of FuzzDecodeBatch on the ingest batch
+#                     decoder (seeded from real client bodies and WAL
+#                     frames)
 #   make soak         streaming-ingest crash-recovery soak: replay a
 #                     campaign into telcoserve -ingest, kill -9 it
 #                     mid-stream, restart, assert byte-identical
@@ -194,6 +197,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzPingPongAutomaton -fuzztime 30s ./internal/analysis/
 	$(GO) test -run NONE -fuzz FuzzLoadManifest -fuzztime 30s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzCanonicalOrder -fuzztime 30s ./internal/trace/
+	# The network input path: every POST /ingest body and WAL batch frame.
+	$(GO) test -run NONE -fuzz FuzzDecodeBatch -fuzztime 30s ./internal/ingest/
 
 # End-to-end streaming ingest soak: telcoload replays a reference
 # campaign into telcoserve -ingest at a fixed rate, the daemon is

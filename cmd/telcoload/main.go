@@ -6,6 +6,8 @@
 // window (late arrivals), and each study day is closed with a
 // day-completion marker carrying the campaign's generation ground truth
 // — after which the ingest side seals the day into ordinary partitions.
+// Each batch goes over the wire in the codec the partitions use: a
+// (stream, seq) key and one block frame (ingest.ContentTypeBinary).
 //
 // Usage:
 //

@@ -292,14 +292,18 @@ func (c *Client) postRetry(ctx context.Context, path, contentType string, body [
 // Send posts one batch of records, blocking through backpressure and
 // transient failures, and returns the server's acknowledgment. The
 // sequence number advances only after the send is resolved, so retries
-// stay idempotent.
+// stay idempotent. A batch of more than trace.MaxBlockRecords records is
+// an error, and nothing is posted.
 func (c *Client) Send(ctx context.Context, cb *trace.ColumnBatch) (AppendResult, error) {
 	var res AppendResult
 	if cb.Len() == 0 {
 		return res, nil
 	}
+	var err error
+	if c.buf, err = appendBatch(c.buf[:0], c.Stream, c.seq+1, cb); err != nil {
+		return res, fmt.Errorf("ingest client: %w", err)
+	}
 	c.seq++
-	c.buf = AppendBatchPayload(c.buf[:0], c.Stream, c.seq, cb)
 	data, err := c.postRetry(ctx, "/ingest", ContentTypeBinary, c.buf)
 	if err != nil {
 		return res, err

@@ -12,20 +12,14 @@ import (
 	"telcolens/internal/trace"
 )
 
-// ContentTypeBinary is the wire format of a binary POST /ingest body:
-// the AppendBatchPayload encoding (stream | seq | count | fixed-width
-// records). The JSON alternative posts {"stream", "seq", "records"}.
+// ContentTypeBinary is the wire format of a POST /ingest body, the only
+// one it takes: the (stream u32 | seq u64) idempotency key, then the
+// batch as one trace block frame, the bytes a WAL batch frame holds (see
+// appendBatch).
 const ContentTypeBinary = "application/x-telcolens-ingest"
 
 // maxRequestBody bounds one ingest POST (matches the WAL frame bound).
 const maxRequestBody = maxFramePayload
-
-// jsonBatch is the JSON request shape of POST /ingest.
-type jsonBatch struct {
-	Stream  uint32         `json:"stream"`
-	Seq     uint64         `json:"seq"`
-	Records []trace.Record `json:"records"`
-}
 
 // jsonDayDone is the request shape of POST /ingest/day.
 type jsonDayDone struct {
@@ -35,7 +29,7 @@ type jsonDayDone struct {
 
 // Handler exposes the service over HTTP:
 //
-//	POST /ingest       record batch (binary or JSON) -> AppendResult
+//	POST /ingest       record batch (ContentTypeBinary) -> AppendResult
 //	POST /ingest/day   day-completion marker + day aggregate
 //	POST /ingest/init  campaign descriptor (manifest.json bytes)
 //	POST /ingest/flush seal completed head days (?force=1 drains all)
@@ -88,30 +82,19 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	if ct := r.Header.Get("Content-Type"); ct != ContentTypeBinary {
+		http.Error(w, fmt.Sprintf("POST /ingest takes a %s body, not %q", ContentTypeBinary, ct), http.StatusBadRequest)
+		return
+	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var (
-		stream uint32
-		seq    uint64
-		cb     trace.ColumnBatch
-	)
-	if r.Header.Get("Content-Type") == ContentTypeBinary {
-		var err error
-		stream, seq, _, err = DecodeBatchPayload(body, &cb)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else {
-		var jb jsonBatch
-		if err := json.Unmarshal(body, &jb); err != nil {
-			http.Error(w, fmt.Sprintf("decoding JSON batch: %v", err), http.StatusBadRequest)
-			return
-		}
-		stream, seq = jb.Stream, jb.Seq
-		cb.FromRecords(jb.Records)
+	var cb trace.ColumnBatch
+	stream, seq, err := decodeBatch(body, &cb)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	res, err := s.Append(stream, seq, &cb)
 	if err != nil {

@@ -311,15 +311,15 @@ func (s *Service) recoverLocked() ([]int, error) {
 		validSize, err := replayWAL(s.fs, path, func(typ byte, payload []byte) error {
 			switch typ {
 			case frameBatch:
-				before := ds.cols.Len()
-				stream, seq, _, err := DecodeBatchPayload(payload, ds.cols)
+				stream, seq, err := decodeBatch(payload, &s.subBatch)
 				if err != nil {
 					return err
 				}
 				if seq > ds.lastSeq[stream] {
 					ds.lastSeq[stream] = seq
 				}
-				s.pending += int64(ds.cols.Len() - before)
+				ds.cols.AppendColumns(&s.subBatch)
+				s.pending += int64(s.subBatch.Len())
 			case frameDayDone:
 				var agg simulate.DayAggregate
 				if len(payload) < 4 {
@@ -461,8 +461,12 @@ func (s *Service) Append(stream uint32, seq uint64, cb *trace.ColumnBatch) (Appe
 	if n == 0 {
 		return res, nil
 	}
-	// Validate every row's day up front so a rejected batch leaves no
-	// partial state behind.
+	// Validate the batch up front so a rejected batch leaves no partial
+	// state behind: its size (each day's WAL frame is one block), then
+	// every row's day.
+	if n > trace.MaxBlockRecords {
+		return res, fmt.Errorf("ingest: batch of %d records exceeds the %d a block holds", n, trace.MaxBlockRecords)
+	}
 	sealedBefore := s.meta.Config.Days
 	for _, ts := range cb.Timestamps {
 		day := trace.DayOf(ts)
@@ -501,7 +505,10 @@ func (s *Service) Append(stream uint32, seq uint64, cb *trace.ColumnBatch) (Appe
 		sub := &s.subBatch
 		sub.Reset()
 		sub.AppendGather(cb, idx)
-		s.walBuf = AppendBatchPayload(s.walBuf[:0], stream, seq, sub)
+		var err error
+		if s.walBuf, err = appendBatch(s.walBuf[:0], stream, seq, sub); err != nil {
+			return res, err
+		}
 		if err := s.appendFrameLocked(ds, frameBatch, s.walBuf, false); err != nil {
 			return res, err
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -421,35 +420,14 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("binary ack = %+v", res)
 	}
 
-	// JSON alternative path.
-	var recs []trace.Record
-	jb := mkBatch(0, 4, 1)
-	for i := 0; i < jb.Len(); i++ {
-		var rec trace.Record
-		jb.Record(i, &rec)
-		recs = append(recs, rec)
-	}
-	body, err := json.Marshal(jsonBatch{Stream: 5, Seq: 1, Records: recs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("JSON append status %s", resp.Status)
-	}
-
-	if err := cl.DayDone(context.Background(), 0, simulate.DayAggregate{Handovers: 10}); err != nil {
+	if err := cl.DayDone(context.Background(), 0, simulate.DayAggregate{Handovers: 6}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SealedDays != 1 || st.IngestedRecords != 10 {
+	if st.SealedDays != 1 || st.IngestedRecords != 6 {
 		t.Fatalf("stats = %+v", st)
 	}
 	sealed, err := cl.Flush(context.Background(), true)
@@ -463,7 +441,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 {
-		t.Fatalf("stored %d records, want 10", n)
+	if n != 6 {
+		t.Fatalf("stored %d records, want 6", n)
 	}
 }

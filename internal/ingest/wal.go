@@ -25,13 +25,9 @@ import (
 	"hash/crc32"
 	"io"
 	iofs "io/fs"
-	"math"
 	"os"
 
-	"telcolens/internal/causes"
-	"telcolens/internal/devices"
 	"telcolens/internal/faultfs"
-	"telcolens/internal/topology"
 	"telcolens/internal/trace"
 )
 
@@ -48,12 +44,15 @@ import (
 // fails its CRC — everything from there on is a torn tail (the partial
 // write of a crashed append) and is truncated away. A record batch is
 // acknowledged to the client only after its frame hit the log, so
-// truncation only ever discards unacknowledged data.
-var walMagic = [8]byte{'T', 'L', 'W', 'A', 'L', '0', '0', '1'}
+// truncation only ever discards unacknowledged data. A crash tears only
+// the last frame, so a whole frame that fails its CRC while the frame
+// after it is intact is mid-file corruption: replay refuses the file
+// rather than truncate acknowledged batches away.
+var walMagic = [8]byte{'T', 'L', 'W', 'A', 'L', '0', '0', '2'}
 
 const (
-	// frameBatch carries one batch of records for the file's day:
-	// stream uint32 | seq uint64 | count uint32 | count * record.
+	// frameBatch carries one batch of records for the file's day, in
+	// the wire form appendBatch writes.
 	frameBatch = byte(1)
 	// frameDayDone marks the day complete and carries its generation
 	// ground truth: day uint32 | JSON DayAggregate.
@@ -61,13 +60,8 @@ const (
 
 	frameHeaderLen = 1 + 4 + 4
 
-	// walRecordLen is the fixed on-log record image:
-	// ts i64 | ue u32 | tac u32 | source u32 | target u32 |
-	// cause u16 | packed RATs u8 | result u8 | duration f32 bits.
-	walRecordLen = 32
-
-	// batchHeaderLen prefixes every batch payload: stream | seq | count.
-	batchHeaderLen = 4 + 8 + 4
+	// batchKeyLen prefixes every batch: stream u32 | seq u64.
+	batchKeyLen = 4 + 8
 
 	// maxFramePayload bounds a single frame (sanity check on replay; a
 	// length field beyond it is treated as a torn tail, not an
@@ -75,66 +69,27 @@ const (
 	maxFramePayload = 64 << 20
 )
 
-// appendRecord appends row i of cb as a fixed-width wire image.
-func appendRecord(dst []byte, cb *trace.ColumnBatch, i int) []byte {
-	var buf [walRecordLen]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(cb.Timestamps[i]))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(cb.UEs[i]))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(cb.TACs[i]))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(cb.Sources[i]))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(cb.Targets[i]))
-	binary.LittleEndian.PutUint16(buf[24:], uint16(cb.Causes[i]))
-	buf[26] = cb.RATs[i]
-	buf[27] = byte(cb.Results[i])
-	binary.LittleEndian.PutUint32(buf[28:], math.Float32bits(cb.Durations[i]))
-	return append(dst, buf[:]...)
+// appendBatch appends the wire form of a record batch, the body of a
+// binary POST /ingest request and of a WAL batch frame, to dst: the
+// (stream, seq) idempotency key, then cb's rows as one trace block
+// frame (trace.AppendBlock). cb must hold 1 to trace.MaxBlockRecords
+// rows.
+func appendBatch(dst []byte, stream uint32, seq uint64, cb *trace.ColumnBatch) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint32(dst, stream)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	return trace.AppendBlock(dst, cb)
 }
 
-// AppendBatchPayload appends the wire form of a record batch — the body
-// of a binary POST /ingest request and of a WAL batch frame — to dst:
-// the (stream, seq) idempotency key, the row count, then every row of cb
-// as a fixed-width image.
-func AppendBatchPayload(dst []byte, stream uint32, seq uint64, cb *trace.ColumnBatch) []byte {
-	var hdr [batchHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], stream)
-	binary.LittleEndian.PutUint64(hdr[4:], seq)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(cb.Len()))
-	dst = append(dst, hdr[:]...)
-	for i := 0; i < cb.Len(); i++ {
-		dst = appendRecord(dst, cb, i)
+// decodeBatch parses a record batch's wire form into cb, replacing its
+// rows. It accepts exactly the bytes appendBatch writes.
+func decodeBatch(p []byte, cb *trace.ColumnBatch) (stream uint32, seq uint64, err error) {
+	if len(p) < batchKeyLen {
+		return 0, 0, fmt.Errorf("ingest: %d-byte batch is shorter than its (stream, seq) key", len(p))
 	}
-	return dst
-}
-
-// DecodeBatchPayload parses a record-batch wire payload, appending the
-// rows to cb (which is NOT reset — callers accumulate).
-func DecodeBatchPayload(p []byte, cb *trace.ColumnBatch) (stream uint32, seq uint64, n int, err error) {
-	if len(p) < batchHeaderLen {
-		return 0, 0, 0, fmt.Errorf("ingest: batch payload too short (%d bytes)", len(p))
+	if err := trace.DecodeBlock(p[batchKeyLen:], cb); err != nil {
+		return 0, 0, fmt.Errorf("ingest: batch: %w", err)
 	}
-	stream = binary.LittleEndian.Uint32(p[0:])
-	seq = binary.LittleEndian.Uint64(p[4:])
-	n = int(binary.LittleEndian.Uint32(p[12:]))
-	body := p[batchHeaderLen:]
-	if len(body) != n*walRecordLen {
-		return 0, 0, 0, fmt.Errorf("ingest: batch payload length %d does not match %d records", len(body), n)
-	}
-	var rec trace.Record
-	for i := 0; i < n; i++ {
-		b := body[i*walRecordLen:]
-		rec.Timestamp = int64(binary.LittleEndian.Uint64(b[0:]))
-		rec.UE = trace.UEID(binary.LittleEndian.Uint32(b[8:]))
-		rec.TAC = devices.TAC(binary.LittleEndian.Uint32(b[12:]))
-		rec.Source = topology.SectorID(binary.LittleEndian.Uint32(b[16:]))
-		rec.Target = topology.SectorID(binary.LittleEndian.Uint32(b[20:]))
-		rec.Cause = causes.Code(binary.LittleEndian.Uint16(b[24:]))
-		rec.SourceRAT = topology.RAT(b[26] >> 4)
-		rec.TargetRAT = topology.RAT(b[26] & 0x0f)
-		rec.Result = trace.Result(b[27])
-		rec.DurationMs = math.Float32frombits(binary.LittleEndian.Uint32(b[28:]))
-		cb.AppendRecord(&rec)
-	}
-	return stream, seq, n, nil
+	return binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint64(p[4:]), nil
 }
 
 // appendFrame writes one frame to w and reports the bytes written.
@@ -155,8 +110,10 @@ func appendFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 // replayWAL reads a day WAL, invoking fn for every intact frame in
 // order, and returns the byte offset of the end of the last intact frame
 // — the length the file must be truncated to before further appends. A
-// missing file replays as empty (0, nil). A file without the full magic
-// header is treated as all torn tail (validSize 0).
+// missing file replays as empty (0, nil), and so does one too short to
+// hold the magic header (a crash while creating it). Any other header
+// (an older format's, such as TLWAL001), mid-file corruption (see
+// walMagic) and a frame fn rejects are errors.
 func replayWAL(fsys faultfs.FS, path string, fn func(typ byte, payload []byte) error) (validSize int64, err error) {
 	data, err := fsys.ReadFile(path)
 	if errors.Is(err, iofs.ErrNotExist) {
@@ -165,33 +122,47 @@ func replayWAL(fsys faultfs.FS, path string, fn func(typ byte, payload []byte) e
 	if err != nil {
 		return 0, fmt.Errorf("ingest: reading WAL %s: %w", path, err)
 	}
-	if len(data) < len(walMagic) || [8]byte(data[:8]) != walMagic {
+	if len(data) < len(walMagic) {
 		return 0, nil
 	}
-	off := int64(len(walMagic))
-	for {
-		rest := data[off:]
-		if len(rest) < frameHeaderLen {
-			return off, nil // clean EOF or torn header
+	if [8]byte(data[:8]) != walMagic {
+		return 0, fmt.Errorf("ingest: WAL %s starts %q, and this binary reads only %q logs; "+
+			"seal its day with the binary that wrote it, or remove the file and send the day again", path, data[:8], walMagic[:])
+	}
+	for off := int64(len(walMagic)); ; {
+		typ, payload, ok, intact := frameAt(data, off)
+		next := off + frameHeaderLen + int64(len(payload))
+		if ok && !intact {
+			if _, _, ok, intact := frameAt(data, next); ok && intact {
+				return off, fmt.Errorf("ingest: WAL %s: the frame at offset %d fails its checksum but the frame after it is intact: "+
+					"mid-file corruption, refusing to truncate acknowledged batches", path, off)
+			}
 		}
-		typ := rest[0]
-		plen := int64(binary.LittleEndian.Uint32(rest[1:]))
-		crc := binary.LittleEndian.Uint32(rest[5:])
-		if typ != frameBatch && typ != frameDayDone {
-			return off, nil
-		}
-		if plen > maxFramePayload || int64(len(rest)) < frameHeaderLen+plen {
-			return off, nil
-		}
-		payload := rest[frameHeaderLen : frameHeaderLen+plen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return off, nil
+		if !ok || !intact {
+			return off, nil // clean EOF or torn tail
 		}
 		if err := fn(typ, payload); err != nil {
-			return off, err
+			return off, fmt.Errorf("ingest: WAL %s: frame at offset %d: %w", path, off, err)
 		}
-		off += frameHeaderLen + plen
+		off = next
 	}
+}
+
+// frameAt parses the frame that starts at data[off:]. ok is false where
+// no whole frame of a known type and a plausible length fits, and intact
+// reports whether the payload matches the frame's CRC.
+func frameAt(data []byte, off int64) (typ byte, payload []byte, ok, intact bool) {
+	rest := data[off:]
+	if len(rest) < frameHeaderLen {
+		return 0, nil, false, false
+	}
+	typ = rest[0]
+	plen := int64(binary.LittleEndian.Uint32(rest[1:]))
+	if (typ != frameBatch && typ != frameDayDone) || plen > maxFramePayload || int64(len(rest)) < frameHeaderLen+plen {
+		return 0, nil, false, false
+	}
+	payload = rest[frameHeaderLen : frameHeaderLen+plen]
+	return typ, payload, true, crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(rest[5:])
 }
 
 // openWALForAppend truncates path to validSize (discarding a torn tail)

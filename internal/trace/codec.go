@@ -36,6 +36,10 @@ import (
 //	        srcLen u32 | dstLen u32 | causeLen u32 |
 //	        payload [encLen]byte
 //
+// The same frame, after a (stream u32, seq u64) key, is a batch of
+// streaming ingest on the wire and in the WAL (AppendBlock and
+// DecodeBlock write and read one frame on its own).
+//
 // A count of 0, which no block has, is the end-of-blocks marker: the
 // four bytes u32 0 after the last block. The block reader stops there
 // and never reads the footer; a stream that ends without the marker is
@@ -87,9 +91,13 @@ const DefaultBlockRecords = 4096
 // count of 0.
 var endOfBlocks = [4]byte{}
 
+// MaxBlockRecords caps the records of one block: a writer refuses a
+// larger block size, AppendBlock a larger batch, and the decoders a
+// descriptor that claims more.
+const MaxBlockRecords = 1 << 20
+
 // Sanity caps enforced while decoding untrusted streams.
 const (
-	maxBlockRecords = 1 << 20
 	maxBlockPayload = 1 << 28
 	blockHeadSize   = 4 + 8 + 8 + 4 + 4 + 7*4
 )
@@ -123,19 +131,6 @@ const (
 // AllColumns decodes every field (the default; a zero ColumnSet means
 // the same).
 const AllColumns ColumnSet = ColUE | ColTAC | ColSectors | ColCause | ColOutcome | ColTimestamp
-
-// blockSections carries the byte extents of the variable-width columns
-// (and the TAC dictionary entry count), stored in each block's
-// descriptor so the decoder can run every column cursor independently.
-type blockSections struct {
-	tsLen       uint32
-	ueLen       uint32
-	dictEntries uint32
-	idxLen      uint32
-	srcLen      uint32
-	dstLen      uint32
-	causeLen    uint32
-}
 
 // BlockStats counts stream activity during a read.
 type BlockStats struct {
@@ -252,7 +247,7 @@ type Reader struct {
 }
 
 // readWindow is the Reader's buffer size, chosen so default blocks
-// always fit a zero-copy Peek (see nextBlockFrame); larger blocks fall
+// always fit a zero-copy Peek (see readBlockColumns); larger blocks fall
 // back to a copy.
 const readWindow = 1 << 18
 
@@ -351,50 +346,12 @@ func (r *Reader) NextColumns(cb *ColumnBatch) (int, error) {
 	}
 }
 
-// blockFrame is one block's descriptor plus its acquired payload, ready
-// to decode. When peeked is set the payload aliases the bufio window and
-// must be fully consumed — releaseFrame discards it — before the next
-// read.
-type blockFrame struct {
-	count        int
-	minTS, maxTS int64
-	secs         blockSections
-	payload      []byte
-	peeked       bool
-}
-
-// releaseFrame returns a decoded frame's bytes to the reader and
-// credits the read counters.
-func (r *Reader) releaseFrame(f *blockFrame) error {
-	if f.peeked {
-		// The peeked window is decoded; release it to the bufio reader.
-		if _, err := r.r.Discard(len(f.payload)); err != nil {
-			return readErr(err)
-		}
-	}
-	r.stats.BlocksRead++
-	r.stats.BytesRead += int64(blockHeadSize + len(f.payload))
-	return nil
-}
-
-// readBlockColumns reads the next in-range block and decodes it
-// column-at-a-time straight into cb (resized to the block's count).
-func (r *Reader) readBlockColumns(cb *ColumnBatch) error {
-	var f blockFrame
-	if err := r.nextBlockFrame(&f); err != nil {
-		return err
-	}
-	if err := decodeBlockColumns(f.payload, f.minTS, f.maxTS, f.secs, r.proj, f.count, cb, &r.tacDict); err != nil {
-		return err
-	}
-	return r.releaseFrame(&f)
-}
-
-// nextBlockFrame reads block descriptors until one intersects the
-// configured time range, validates it structurally, and acquires its
-// payload. It returns io.EOF at the end-of-blocks marker, and from then
+// readBlockColumns reads block descriptors until one intersects the
+// configured time range and passes parseBlockDesc, and decodes that
+// block column-at-a-time straight into cb (resized to the block's
+// count). It returns io.EOF at the end-of-blocks marker, and from then
 // on, and ErrTruncated or ErrCorruptBlock otherwise.
-func (r *Reader) nextBlockFrame(f *blockFrame) error {
+func (r *Reader) readBlockColumns(cb *ColumnBatch) error {
 	for {
 		if r.ended {
 			return io.EOF
@@ -404,8 +361,7 @@ func (r *Reader) nextBlockFrame(f *blockFrame) error {
 		if _, err := io.ReadFull(r.r, r.head[:4]); err != nil {
 			return readErr(err)
 		}
-		count := binary.LittleEndian.Uint32(r.head[0:4])
-		if count == 0 {
+		if binary.LittleEndian.Uint32(r.head[0:4]) == 0 {
 			r.ended = true
 			r.stats.BytesRead += int64(len(endOfBlocks))
 			return io.EOF
@@ -413,93 +369,133 @@ func (r *Reader) nextBlockFrame(f *blockFrame) error {
 		if _, err := io.ReadFull(r.r, r.head[4:]); err != nil {
 			return readErr(err)
 		}
-		minTS := int64(binary.LittleEndian.Uint64(r.head[4:12]))
-		maxTS := int64(binary.LittleEndian.Uint64(r.head[12:20]))
-		rawLen := binary.LittleEndian.Uint32(r.head[20:24])
-		encLen := binary.LittleEndian.Uint32(r.head[24:28])
-		secs := blockSections{
-			tsLen:       binary.LittleEndian.Uint32(r.head[28:32]),
-			ueLen:       binary.LittleEndian.Uint32(r.head[32:36]),
-			dictEntries: binary.LittleEndian.Uint32(r.head[36:40]),
-			idxLen:      binary.LittleEndian.Uint32(r.head[40:44]),
-			srcLen:      binary.LittleEndian.Uint32(r.head[44:48]),
-			dstLen:      binary.LittleEndian.Uint32(r.head[48:52]),
-			causeLen:    binary.LittleEndian.Uint32(r.head[52:56]),
-		}
-		if count > maxBlockRecords || minTS > maxTS || rawLen > maxBlockPayload {
-			return fmt.Errorf("%w: bad block descriptor (count=%d raw=%d enc=%d)",
-				ErrCorruptBlock, count, rawLen, encLen)
-		}
-		if rawLen != encLen {
-			// Payloads are stored as encoded; the two lengths only ever
-			// differed in the compressed formats.
-			return fmt.Errorf("%w: block with raw %d != enc %d", ErrCorruptBlock, rawLen, encLen)
-		}
-		// Structural bounds before any allocation; the sections plus the
-		// fixed-width tail must tile rawLen exactly, so a lying descriptor
-		// cannot trigger a large allocation relative to the bytes actually
-		// present (the 6*count tail alone bounds count by the payload
-		// size). Bitpacked sections hold at least their width byte (plus
-		// the 4-byte reference on FOR id columns); exact width-derived
-		// lengths are enforced during decode.
-		if secs.tsLen < 1 || secs.ueLen < 5 || secs.idxLen < 1 ||
-			secs.srcLen < 5 || secs.dstLen < 5 || secs.causeLen < 1 ||
-			secs.dictEntries == 0 || secs.dictEntries > count {
-			return fmt.Errorf("%w: implausible column extents", ErrCorruptBlock)
-		}
-		sum := uint64(secs.tsLen) + uint64(secs.ueLen) + 4*uint64(secs.dictEntries) +
-			uint64(secs.idxLen) + uint64(secs.srcLen) + uint64(secs.dstLen) +
-			uint64(secs.causeLen) + 6*uint64(count)
-		if sum != uint64(rawLen) {
-			return fmt.Errorf("%w: column extents sum %d != payload %d",
-				ErrCorruptBlock, sum, rawLen)
+		d, err := parseBlockDesc(r.head[:])
+		if err != nil {
+			return err
 		}
 		ord := r.blockOrd
 		r.blockOrd++
-		if r.hasRange && (maxTS < r.minTS || minTS > r.maxTS) {
-			if _, err := r.r.Discard(int(rawLen)); err != nil {
+		if r.hasRange && (d.maxTS < r.minTS || d.minTS > r.maxTS) {
+			if _, err := r.r.Discard(d.size); err != nil {
 				return readErr(err)
 			}
 			r.stats.BlocksSkipped++
 			continue
 		}
 		if r.blockFilter != nil && !r.blockFilter(ord) {
-			if _, err := r.r.Discard(int(rawLen)); err != nil {
+			if _, err := r.r.Discard(d.size); err != nil {
 				return readErr(err)
 			}
 			r.stats.BlocksFiltered++
 			continue
 		}
 		// Zero-copy fast path: blocks that fit the bufio window are decoded
-		// straight out of it (the payload is fully consumed before the next
-		// read invalidates the peek). Oversized blocks fall back to a copy.
+		// straight out of it, and the peeked bytes are discarded once
+		// decoded, before the next read invalidates them. Oversized blocks
+		// fall back to a copy.
+		peeked := d.size <= r.r.Size()
 		var payload []byte
-		peeked := false
-		if int(rawLen) <= r.r.Size() {
-			p, err := r.r.Peek(int(rawLen))
-			if err != nil {
+		if peeked {
+			if payload, err = r.r.Peek(d.size); err != nil {
 				return readErr(err)
 			}
-			payload = p
-			peeked = true
 		} else {
-			if cap(r.payload) < int(rawLen) {
-				r.payload = make([]byte, rawLen)
+			if cap(r.payload) < d.size {
+				r.payload = make([]byte, d.size)
 			}
-			r.payload = r.payload[:rawLen]
-			if _, err := io.ReadFull(r.r, r.payload); err != nil {
+			payload = r.payload[:d.size]
+			if _, err := io.ReadFull(r.r, payload); err != nil {
 				return readErr(err)
 			}
-			payload = r.payload
 		}
-		*f = blockFrame{
-			count:   int(count),
-			minTS:   minTS,
-			maxTS:   maxTS,
-			secs:    secs,
-			payload: payload,
-			peeked:  peeked,
+		if err := decodeBlockColumns(payload, &d, r.proj, cb, &r.tacDict); err != nil {
+			return err
 		}
+		if peeked {
+			if _, err := r.r.Discard(d.size); err != nil {
+				return readErr(err)
+			}
+		}
+		r.stats.BlocksRead++
+		r.stats.BytesRead += int64(blockHeadSize + d.size)
 		return nil
 	}
+}
+
+// blockDesc is a block frame's fixed descriptor (see the layout at the
+// top of this file). Besides the count and timestamp bounds it carries
+// the byte extents of the variable-width columns (and the TAC
+// dictionary's entry count), so the decoder can run every column cursor
+// independently.
+type blockDesc struct {
+	count        int
+	minTS, maxTS int64
+	// size is the payload's byte length, stored as both rawLen and
+	// encLen.
+	size int
+
+	tsLen, ueLen, dictEntries, idxLen, srcLen, dstLen, causeLen uint32
+}
+
+// extents lists the column extents in the order the descriptor stores
+// them.
+func (d *blockDesc) extents() [7]*uint32 {
+	return [7]*uint32{&d.tsLen, &d.ueLen, &d.dictEntries, &d.idxLen, &d.srcLen, &d.dstLen, &d.causeLen}
+}
+
+// appendBlockDesc appends d's blockHeadSize-byte encoding to dst. It is
+// the one place a descriptor is written.
+func appendBlockDesc(dst []byte, d blockDesc) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(d.count))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(d.minTS))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(d.maxTS))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(d.size)) // rawLen
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(d.size)) // encLen
+	for _, v := range d.extents() {
+		dst = binary.LittleEndian.AppendUint32(dst, *v)
+	}
+	return dst
+}
+
+// parseBlockDesc decodes the blockHeadSize bytes of head and validates
+// them structurally. It is the one place a descriptor is read: the
+// partition Reader and DecodeBlock both call it.
+func parseBlockDesc(head []byte) (blockDesc, error) {
+	le := binary.LittleEndian
+	count := le.Uint32(head[0:4])
+	rawLen, encLen := le.Uint32(head[20:24]), le.Uint32(head[24:28])
+	d := blockDesc{count: int(count), minTS: int64(le.Uint64(head[4:12])),
+		maxTS: int64(le.Uint64(head[12:20])), size: int(rawLen)}
+	for i, v := range d.extents() {
+		*v = le.Uint32(head[28+4*i:])
+	}
+	if count == 0 || count > MaxBlockRecords || d.minTS > d.maxTS || rawLen > maxBlockPayload {
+		return d, fmt.Errorf("%w: bad block descriptor (count=%d raw=%d enc=%d)",
+			ErrCorruptBlock, count, rawLen, encLen)
+	}
+	if rawLen != encLen {
+		// Payloads are stored as encoded; the two lengths only ever
+		// differed in the compressed formats.
+		return d, fmt.Errorf("%w: block with raw %d != enc %d", ErrCorruptBlock, rawLen, encLen)
+	}
+	// Structural bounds before any allocation; the sections plus the
+	// fixed-width tail must tile rawLen exactly, so a lying descriptor
+	// cannot trigger a large allocation relative to the bytes actually
+	// present (the 6*count tail alone bounds count by the payload
+	// size). Bitpacked sections hold at least their width byte (plus
+	// the 4-byte reference on FOR id columns); exact width-derived
+	// lengths are enforced during decode.
+	if d.tsLen < 1 || d.ueLen < 5 || d.idxLen < 1 ||
+		d.srcLen < 5 || d.dstLen < 5 || d.causeLen < 1 ||
+		d.dictEntries == 0 || d.dictEntries > count {
+		return d, fmt.Errorf("%w: implausible column extents", ErrCorruptBlock)
+	}
+	sum := uint64(d.tsLen) + uint64(d.ueLen) + 4*uint64(d.dictEntries) +
+		uint64(d.idxLen) + uint64(d.srcLen) + uint64(d.dstLen) +
+		uint64(d.causeLen) + 6*uint64(count)
+	if sum != uint64(rawLen) {
+		return d, fmt.Errorf("%w: column extents sum %d != payload %d",
+			ErrCorruptBlock, sum, rawLen)
+	}
+	return d, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -208,11 +209,12 @@ func packedSection(payload []byte, pos int, secLen uint32, n int, maxWidth uint8
 }
 
 // appendBlockColumns encodes rows [lo, hi) of cb as one block payload
-// onto dst, column-at-a-time from contiguous slices: the TAC dictionary
-// is built through the open-addressed table, and durations are
-// canonically quantized during the duration pass.
-func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS int64, e *encScratch) ([]byte, blockSections) {
-	var secs blockSections
+// onto dst, column-at-a-time from contiguous slices, and records the
+// section extents in d, whose timestamp bounds it reads. The TAC
+// dictionary is built through the open-addressed table, and durations
+// are canonically quantized during the duration pass.
+func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, d *blockDesc, e *encScratch) []byte {
+	minTS, maxTS := d.minTS, d.maxTS
 	n := hi - lo
 	if cap(e.packBuf) < n {
 		e.packBuf = make([]uint64, n)
@@ -226,9 +228,9 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS in
 	mark := len(dst)
 	dst = append(dst, w)
 	dst = appendPacked(dst, vals, w)
-	secs.tsLen = uint32(len(dst) - mark)
+	d.tsLen = uint32(len(dst) - mark)
 	// UEs: FOR deltas from the block minimum.
-	dst, secs.ueLen = appendU32Section(dst, cb.UEs[lo:hi], vals)
+	dst, d.ueLen = appendU32Section(dst, cb.UEs[lo:hi], vals)
 	// TAC dictionary, frequency-ordered with ties broken by first
 	// appearance (a total order, so the sort algorithm is free to
 	// differ), then bitpacked indexes.
@@ -240,7 +242,7 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS in
 		v := e.dictTab.slot(uint32(t))
 		if *v < 0 {
 			*v = int32(len(dict))
-			dict = append(dict, uint32(t))
+			dict = append(dict, t)
 			counts = append(counts, 0)
 		}
 		counts[*v]++
@@ -250,9 +252,9 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS in
 		order = append(order, int32(i))
 	}
 	sortDictOrder(order, counts)
-	secs.dictEntries = uint32(len(dict))
+	d.dictEntries = uint32(len(dict))
 	for _, old := range order {
-		dst = binary.LittleEndian.AppendUint32(dst, dict[old])
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(dict[old]))
 	}
 	for r, old := range order {
 		counts[old] = int32(r) // reuse: counts become ranks
@@ -269,11 +271,11 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS in
 	mark = len(dst)
 	dst = append(dst, w)
 	dst = appendPacked(dst, vals, w)
-	secs.idxLen = uint32(len(dst) - mark)
+	d.idxLen = uint32(len(dst) - mark)
 	e.tacDict, e.counts, e.order = dict, counts, order
 	// Sectors: FOR deltas from each column's block minimum.
-	dst, secs.srcLen = appendU32Section(dst, cb.Sources[lo:hi], vals)
-	dst, secs.dstLen = appendU32Section(dst, cb.Targets[lo:hi], vals)
+	dst, d.srcLen = appendU32Section(dst, cb.Sources[lo:hi], vals)
+	dst, d.dstLen = appendU32Section(dst, cb.Targets[lo:hi], vals)
 	// Causes: packed from zero (codes are small).
 	var maxCause uint64
 	for i, c := range cb.Causes[lo:hi] {
@@ -286,7 +288,7 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS in
 	mark = len(dst)
 	dst = append(dst, w)
 	dst = appendPacked(dst, vals, w)
-	secs.causeLen = uint32(len(dst) - mark)
+	d.causeLen = uint32(len(dst) - mark)
 	// Fixed-width tail. RAT pairs are stored packed in the batch exactly
 	// as they are on the wire, so that column is one contiguous copy.
 	dst = append(dst, cb.RATs[lo:hi]...)
@@ -296,7 +298,7 @@ func appendBlockColumns(dst []byte, cb *ColumnBatch, lo, hi int, minTS, maxTS in
 	for _, d := range cb.Durations[lo:hi] {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(quantizeDuration(d)))
 	}
-	return dst, secs
+	return dst
 }
 
 // appendU32Section appends one FOR-bitpacked u32 column section
@@ -324,18 +326,87 @@ func appendU32Section[T ~uint32](dst []byte, col []T, vals []uint64) ([]byte, ui
 	return dst, uint32(len(dst) - mark)
 }
 
-// decodeBlockColumns decodes a block payload straight into the SoA
-// ColumnBatch layout, honoring the column projection (timestamps are
-// always decoded; skipped sections are jumped without reading). cb is
-// resized to count; columns outside proj hold unspecified values.
-func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, proj ColumnSet, count int, cb *ColumnBatch, dictScratch *[]devices.TAC) error {
+// appendBlockFrame encodes rows [lo, hi) of cb as one block frame onto
+// dst: the descriptor, then the payload. It returns the descriptor too.
+func appendBlockFrame(dst []byte, cb *ColumnBatch, lo, hi int, e *encScratch) ([]byte, blockDesc) {
+	ts := cb.Timestamps[lo:hi]
+	d := blockDesc{count: hi - lo, minTS: ts[0], maxTS: ts[0]}
+	for _, t := range ts[1:] {
+		if t < d.minTS {
+			d.minTS = t
+		} else if t > d.maxTS {
+			d.maxTS = t
+		}
+	}
+	// The payload's length is known only once it is encoded: reserve the
+	// descriptor's bytes, then write it over them in place.
+	mark := len(dst)
+	dst = append(dst, make([]byte, blockHeadSize)...)
+	dst = appendBlockColumns(dst, cb, lo, hi, &d, e)
+	d.size = len(dst) - mark - blockHeadSize
+	appendBlockDesc(dst[mark:mark], d)
+	return dst, d
+}
+
+// AppendBlock appends cb's rows to dst as one block frame, the
+// descriptor and payload a partition stores a block as, and returns the
+// extended slice. Durations are quantized on the way (see
+// DurationCode). A batch must hold 1 to MaxBlockRecords rows: a count
+// of 0 is the end-of-blocks marker, not a block.
+func AppendBlock(dst []byte, cb *ColumnBatch) ([]byte, error) {
+	n := cb.Len()
+	if n == 0 || n > MaxBlockRecords {
+		return dst, fmt.Errorf("trace: a block holds 1 to %d records, not %d", MaxBlockRecords, n)
+	}
+	e := encScratchPool.Get().(*encScratch)
+	e.dictTab.init(n)
+	dst, _ = appendBlockFrame(dst, cb, 0, n, e)
+	encScratchPool.Put(e)
+	return dst, nil
+}
+
+// DecodeBlock decodes p, which must hold exactly one block frame, into
+// cb, replacing its rows. The descriptor and sections pass the checks
+// the partition Reader makes, and p must be the very bytes AppendBlock
+// writes for the rows it decodes to: a frame that decodes re-encodes to
+// itself. Anything else is ErrTruncated (p is shorter than a
+// descriptor) or ErrCorruptBlock.
+func DecodeBlock(p []byte, cb *ColumnBatch) error {
+	if len(p) < blockHeadSize {
+		return fmt.Errorf("%w: %d-byte block frame", ErrTruncated, len(p))
+	}
+	d, err := parseBlockDesc(p[:blockHeadSize])
+	if err != nil {
+		return err
+	}
+	if len(p) != blockHeadSize+d.size {
+		return fmt.Errorf("%w: %d-byte block frame, descriptor says %d", ErrCorruptBlock, len(p), blockHeadSize+d.size)
+	}
+	e := encScratchPool.Get().(*encScratch)
+	defer encScratchPool.Put(e)
+	if err := decodeBlockColumns(p[blockHeadSize:], &d, AllColumns, cb, &e.tacDict); err != nil {
+		return err
+	}
+	e.dictTab.init(d.count)
+	if e.frame, _ = appendBlockFrame(e.frame[:0], cb, 0, d.count, e); !bytes.Equal(e.frame, p) {
+		return fmt.Errorf("%w: not the canonical encoding of its records", ErrCorruptBlock)
+	}
+	return nil
+}
+
+// decodeBlockColumns decodes the payload of the block d describes
+// straight into the SoA ColumnBatch layout, honoring the column
+// projection (timestamps are always decoded; skipped sections are
+// jumped without reading). cb is resized to d.count; columns outside
+// proj hold unspecified values.
+func decodeBlockColumns(payload []byte, d *blockDesc, proj ColumnSet, cb *ColumnBatch, dictScratch *[]devices.TAC) error {
 	if proj == 0 {
 		proj = AllColumns
 	}
-	cb.resize(count)
-	n := count
+	minTS, maxTS, n := d.minTS, d.maxTS, d.count
+	cb.resize(n)
 	// Timestamps: FOR from minTS; a delta past maxTS rejects the block.
-	_, w, words, pos, err := packedSection(payload, 0, secs.tsLen, n, 63, false, "timestamp")
+	_, w, words, pos, err := packedSection(payload, 0, d.tsLen, n, 63, false, "timestamp")
 	if err != nil {
 		return err
 	}
@@ -400,7 +471,7 @@ func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, 
 	}
 	// UE.
 	if proj&ColUE != 0 {
-		ref, w, words, next, err := packedSection(payload, pos, secs.ueLen, n, 32, true, "ue")
+		ref, w, words, next, err := packedSection(payload, pos, d.ueLen, n, 32, true, "ue")
 		if err != nil {
 			return err
 		}
@@ -409,10 +480,10 @@ func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, 
 		}
 		pos = next
 	} else {
-		pos += int(secs.ueLen)
+		pos += int(d.ueLen)
 	}
 	// TAC dictionary and indexes.
-	dictLen := uint64(secs.dictEntries)
+	dictLen := uint64(d.dictEntries)
 	if proj&ColTAC != 0 {
 		if cap(*dictScratch) < int(dictLen) {
 			*dictScratch = make([]devices.TAC, dictLen)
@@ -422,7 +493,7 @@ func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, 
 			dict[i] = devices.TAC(binary.LittleEndian.Uint32(payload[pos+i*4:]))
 		}
 		pos += int(dictLen) * 4
-		_, w, words, next, err := packedSection(payload, pos, secs.idxLen, n, 32, false, "tac index")
+		_, w, words, next, err := packedSection(payload, pos, d.idxLen, n, 32, false, "tac index")
 		if err != nil {
 			return err
 		}
@@ -438,11 +509,11 @@ func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, 
 		}
 		pos = next
 	} else {
-		pos += int(dictLen)*4 + int(secs.idxLen)
+		pos += int(dictLen)*4 + int(d.idxLen)
 	}
 	// Sectors.
 	if proj&ColSectors != 0 {
-		ref, w, words, next, err := packedSection(payload, pos, secs.srcLen, n, 32, true, "source")
+		ref, w, words, next, err := packedSection(payload, pos, d.srcLen, n, 32, true, "source")
 		if err != nil {
 			return err
 		}
@@ -450,7 +521,7 @@ func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, 
 			return err
 		}
 		pos = next
-		ref, w, words, next, err = packedSection(payload, pos, secs.dstLen, n, 32, true, "target")
+		ref, w, words, next, err = packedSection(payload, pos, d.dstLen, n, 32, true, "target")
 		if err != nil {
 			return err
 		}
@@ -459,11 +530,11 @@ func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, 
 		}
 		pos = next
 	} else {
-		pos += int(secs.srcLen) + int(secs.dstLen)
+		pos += int(d.srcLen) + int(d.dstLen)
 	}
 	// Cause.
 	if proj&ColCause != 0 {
-		_, w, words, next, err := packedSection(payload, pos, secs.causeLen, n, 16, false, "cause")
+		_, w, words, next, err := packedSection(payload, pos, d.causeLen, n, 16, false, "cause")
 		if err != nil {
 			return err
 		}
@@ -472,7 +543,7 @@ func decodeBlockColumns(payload []byte, minTS, maxTS int64, secs blockSections, 
 		}
 		pos = next
 	} else {
-		pos += int(secs.causeLen)
+		pos += int(d.causeLen)
 	}
 	// Fixed-width tail: two memmoves and one f32 loop.
 	if proj&ColOutcome != 0 {
@@ -504,13 +575,14 @@ type dictTable struct {
 }
 
 // init sizes the table for blocks of up to perBlock records, reusing the
-// arrays when already the right size.
+// arrays when they are already large enough (the table's size changes
+// where keys land, never the dictionary it builds).
 func (t *dictTable) init(perBlock int) {
 	need := 2
 	for need < 2*perBlock {
 		need <<= 1
 	}
-	if len(t.keys) != need {
+	if len(t.keys) < need {
 		t.keys = make([]uint32, need)
 		t.vals = make([]int32, need)
 		t.gen = make([]uint32, need)
@@ -568,11 +640,11 @@ func sortDictOrder(order []int32, counts []int32) {
 // nothing per block.
 type encScratch struct {
 	// cols buffers ingested rows (column-native) until a block fills.
-	cols    ColumnBatch
-	payload []byte
+	cols ColumnBatch
+	// frame holds the block frame being written, or the footer.
 	frame   []byte
 	dictTab dictTable
-	tacDict []uint32
+	tacDict []devices.TAC
 	counts  []int32
 	order   []int32
 	// packBuf stages a column's values before bitpacking.
@@ -614,8 +686,8 @@ func NewWriterV3(w io.Writer, opts WriterV3Options) (*WriterV3, error) {
 	if perBlock <= 0 {
 		perBlock = DefaultBlockRecords
 	}
-	if perBlock > maxBlockRecords {
-		return nil, fmt.Errorf("trace: block size %d exceeds %d", perBlock, maxBlockRecords)
+	if perBlock > MaxBlockRecords {
+		return nil, fmt.Errorf("trace: block size %d exceeds %d", perBlock, MaxBlockRecords)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [HeaderSize]byte
@@ -708,43 +780,10 @@ func (w *WriterV3) flushBlock() error {
 
 // emitColumns encodes rows [lo, hi) of cb as one block and writes it.
 func (w *WriterV3) emitColumns(cb *ColumnBatch, lo, hi int) error {
-	ts := cb.Timestamps[lo:hi]
-	minTS, maxTS := ts[0], ts[0]
-	for _, t := range ts[1:] {
-		if t < minTS {
-			minTS = t
-		} else if t > maxTS {
-			maxTS = t
-		}
-	}
-	var secs blockSections
-	w.enc.payload, secs = appendBlockColumns(w.enc.payload[:0], cb, lo, hi, minTS, maxTS, w.enc)
-	w.enc.idx.addBlock(cb, lo, hi, minTS, maxTS)
-	return w.emitBlock(hi-lo, minTS, maxTS, secs)
-}
-
-// emitBlock writes the encoded payload in w.enc.payload as one framed
-// block.
-func (w *WriterV3) emitBlock(count int, minTS, maxTS int64, secs blockSections) error {
-	e := w.enc
-	e.frame = e.frame[:0]
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(count))
-	e.frame = binary.LittleEndian.AppendUint64(e.frame, uint64(minTS))
-	e.frame = binary.LittleEndian.AppendUint64(e.frame, uint64(maxTS))
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(e.payload))) // rawLen
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(e.payload))) // encLen
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.tsLen)
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.ueLen)
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.dictEntries)
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.idxLen)
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.srcLen)
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.dstLen)
-	e.frame = binary.LittleEndian.AppendUint32(e.frame, secs.causeLen)
-	if _, err := w.w.Write(e.frame); err != nil {
-		w.err = fmt.Errorf("trace: writing block: %w", err)
-		return w.err
-	}
-	if _, err := w.w.Write(e.payload); err != nil {
+	var d blockDesc
+	w.enc.frame, d = appendBlockFrame(w.enc.frame[:0], cb, lo, hi, w.enc)
+	w.enc.idx.addBlock(cb, lo, hi, d.minTS, d.maxTS)
+	if _, err := w.w.Write(w.enc.frame); err != nil {
 		w.err = fmt.Errorf("trace: writing block: %w", err)
 		return w.err
 	}

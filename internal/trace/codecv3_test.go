@@ -58,6 +58,47 @@ func TestCodecV3RoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendBlockIsThePartitionFrame: AppendBlock writes exactly the
+// frame a partition writer stores for the same rows as one block, and
+// DecodeBlock reads it back to the rows, durations quantized. A batch
+// of no rows is the end-of-blocks marker, not a block.
+func TestAppendBlockIsThePartitionFrame(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	base := StudyStart.UnixMilli()
+	for _, n := range []int{1, 2, 300, DefaultBlockRecords} {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = randRecord(r, base)
+		}
+		var cb ColumnBatch
+		cb.FromRecords(recs)
+		frame, err := AppendBlock(nil, &cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := encodeV3(t, recs, WriterV3Options{BlockRecords: n})
+		if !bytes.Equal(stream[HeaderSize:HeaderSize+len(frame)], frame) ||
+			!bytes.Equal(stream[HeaderSize+len(frame):][:len(endOfBlocks)], endOfBlocks[:]) {
+			t.Fatalf("n=%d: AppendBlock's frame is not the partition's block", n)
+		}
+		var got ColumnBatch
+		if err := DecodeBlock(frame, &got); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i := range recs {
+			want := recs[i]
+			want.DurationMs = quantizeDuration(want.DurationMs)
+			var rec Record
+			if got.Record(i, &rec); rec != want {
+				t.Fatalf("n=%d record %d:\n in  %+v\n out %+v", n, i, want, rec)
+			}
+		}
+	}
+	if _, err := AppendBlock(nil, new(ColumnBatch)); err == nil {
+		t.Fatal("AppendBlock encoded a block of no rows")
+	}
+}
+
 // TestCodecV3ConstantColumns exercises the w=0 degenerate packing: a
 // block where every variable-width column is constant stores only width
 // bytes and references, and must still round-trip exactly.

@@ -62,11 +62,11 @@ func appendSectionRef(dst []byte, vals []uint64, ref bool) []byte {
 
 // appendBlockPayload is the reference record-at-a-time block encoder:
 // it encodes recs column-at-a-time onto dst with strided struct access
-// and a map-backed TAC dictionary, returning the extended slice and the
-// column extents. minTS is the block's timestamp floor, the reference
-// of the timestamp section.
-func appendBlockPayload(dst []byte, recs []Record, minTS int64) ([]byte, blockSections) {
-	var secs blockSections
+// and a map-backed TAC dictionary, returning the extended slice and
+// recording the column extents in d. d.minTS is the block's timestamp
+// floor, the reference of the timestamp section.
+func appendBlockPayload(dst []byte, recs []Record, d *blockDesc) []byte {
+	minTS := d.minTS
 	column := func(field func(r *Record) uint64) []uint64 {
 		vals := make([]uint64, len(recs))
 		for i := range recs {
@@ -76,10 +76,10 @@ func appendBlockPayload(dst []byte, recs []Record, minTS int64) ([]byte, blockSe
 	}
 	mark := len(dst)
 	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.Timestamp - minTS) }), false)
-	secs.tsLen = uint32(len(dst) - mark)
+	d.tsLen = uint32(len(dst) - mark)
 	mark = len(dst)
 	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.UE) }), true)
-	secs.ueLen = uint32(len(dst) - mark)
+	d.ueLen = uint32(len(dst) - mark)
 	// TAC dictionary, frequency-ordered, ties broken by first appearance.
 	var dict []devices.TAC
 	first := make(map[devices.TAC]int)
@@ -102,19 +102,19 @@ func appendBlockPayload(dst []byte, recs []Record, minTS int64) ([]byte, blockSe
 		rank[tac] = r
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(tac))
 	}
-	secs.dictEntries = uint32(len(dict))
+	d.dictEntries = uint32(len(dict))
 	mark = len(dst)
 	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(rank[r.TAC]) }), false)
-	secs.idxLen = uint32(len(dst) - mark)
+	d.idxLen = uint32(len(dst) - mark)
 	mark = len(dst)
 	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.Source) }), true)
-	secs.srcLen = uint32(len(dst) - mark)
+	d.srcLen = uint32(len(dst) - mark)
 	mark = len(dst)
 	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.Target) }), true)
-	secs.dstLen = uint32(len(dst) - mark)
+	d.dstLen = uint32(len(dst) - mark)
 	mark = len(dst)
 	dst = appendSectionRef(dst, column(func(r *Record) uint64 { return uint64(r.Cause) }), false)
-	secs.causeLen = uint32(len(dst) - mark)
+	d.causeLen = uint32(len(dst) - mark)
 	// Fixed-width tail: RAT pairs, results, then raw f32 durations.
 	for i := range recs {
 		dst = append(dst, byte(recs[i].SourceRAT)<<4|byte(recs[i].TargetRAT)&0x0f)
@@ -125,13 +125,13 @@ func appendBlockPayload(dst []byte, recs []Record, minTS int64) ([]byte, blockSe
 	for i := range recs {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(recs[i].DurationMs))
 	}
-	return dst, secs
+	return dst
 }
 
 // encodeRecordOracle encodes recs through the reference encoder:
 // records are quantized and cut into blocks of opts' BlockRecords, and
-// each block is framed by the writer's own emitBlock and summarized by
-// its index builder.
+// each block is framed by the shared descriptor encoder and summarized
+// by the writer's index builder.
 func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV3Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -146,12 +146,14 @@ func encodeRecordOracle(t *testing.T, recs []Record, opts WriterV3Options) []byt
 			block[i].DurationMs = quantizeDuration(block[i].DurationMs)
 			minTS, maxTS = min(minTS, block[i].Timestamp), max(maxTS, block[i].Timestamp)
 		}
-		var secs blockSections
-		w.enc.payload, secs = appendBlockPayload(w.enc.payload[:0], block, minTS)
+		d := blockDesc{count: len(block), minTS: minTS, maxTS: maxTS}
+		payload := appendBlockPayload(nil, block, &d)
+		d.size = len(payload)
 		var cb ColumnBatch
 		cb.FromRecords(block)
 		w.enc.idx.addBlock(&cb, 0, len(block), minTS, maxTS)
-		if err := w.emitBlock(len(block), minTS, maxTS, secs); err != nil {
+		frame := appendBlockDesc(nil, d)
+		if _, err := w.w.Write(append(frame, payload...)); err != nil {
 			t.Fatal(err)
 		}
 	}
